@@ -11,8 +11,9 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the repository's own static checks: the engine-invariant
-# analyzer (cmd/seqlint: tombstone-view and write-barrier rules) and a
-# gofmt cleanliness gate. CI runs this target.
+# analyzer (cmd/seqlint: no View.Dead outside the DRed overdeletion
+# path, no relation write that bypasses the Ensure barrier) and a gofmt
+# cleanliness gate. CI runs this target.
 lint:
 	$(GO) run ./cmd/seqlint .
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then echo "gofmt needed:"; echo "$$fmt_out"; exit 1; fi

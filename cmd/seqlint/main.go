@@ -8,12 +8,13 @@
 //
 // Checks:
 //
-//   - tombstone-view: Index.LookupAll and Relation.PrefixLookupAll
-//     return positions including tombstoned (deleted) tuples. The only
-//     legal caller outside package instance is the DRed overdeletion
-//     path (runPlanOpts in internal/eval/eval.go), which needs the
-//     pre-deletion view of a relation; anywhere else the dead rows
-//     silently corrupt results.
+//   - tombstone-view: a probe under an instance.View with Dead set
+//     returns tombstoned (deleted) positions too. The only legal place
+//     to set it outside package instance is the DRed overdeletion path
+//     (stepView in internal/eval/eval.go), which needs the pre-deletion
+//     view of a relation; anywhere else the dead rows silently corrupt
+//     results. A Dead key in a View composite literal and an assignment
+//     to a .Dead field are both flagged.
 //   - write-barrier: mutating a relation fetched with Instance.
 //     Relation (inst.Relation("T").Add(...)) bypasses the Ensure
 //     write barrier, panicking on frozen (snapshot-shared) relations
@@ -90,9 +91,9 @@ func lintTree(root string) ([]string, error) {
 	return findings, err
 }
 
-// tombstoneViewAllowed reports whether a file may call LookupAll /
-// PrefixLookupAll: package instance (definitions, internal use, and
-// its tests) and the DRed overdeletion path in eval.
+// tombstoneViewAllowed reports whether a file may set View.Dead:
+// package instance (definition, internal use, and its tests) and the
+// DRed overdeletion path in eval.
 func tombstoneViewAllowed(relPath string) bool {
 	return strings.HasPrefix(relPath, "internal/instance/") ||
 		relPath == "internal/eval/eval.go"
@@ -118,28 +119,41 @@ func lintFile(fset *token.FileSet, file *ast.File, relPath string) []string {
 		p := fset.Position(pos)
 		findings = append(findings, fmt.Sprintf("%s:%d:%d: %s", relPath, p.Line, p.Column, fmt.Sprintf(format, args...)))
 	}
+	deadOK := tombstoneViewAllowed(relPath)
+	const deadMsg = "View.Dead admits tombstoned positions and is reserved for the DRed overdeletion path (internal/eval/eval.go); probe under a live view"
 	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		switch sel.Sel.Name {
-		case "LookupAll", "PrefixLookupAll":
-			if !tombstoneViewAllowed(relPath) {
-				report(sel.Sel.Pos(), "%s returns tombstoned positions and is reserved for the DRed overdeletion path (internal/eval/eval.go); use Lookup/PrefixLookup", sel.Sel.Name)
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			for _, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok && !deadOK && isIdent(n.Type, "View") && isIdent(kv.Key, "Dead") {
+					report(kv.Key.Pos(), deadMsg)
+				}
 			}
-		default:
-			if mutators[sel.Sel.Name] && !writeBarrierAllowed(relPath) && isRelationFetch(sel.X) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if sel, ok := lhs.(*ast.SelectorExpr); ok && !deadOK && sel.Sel.Name == "Dead" {
+					report(sel.Sel.Pos(), deadMsg)
+				}
+			}
+		case *ast.CallExpr:
+			sel, ok := n.Fun.(*ast.SelectorExpr)
+			if ok && mutators[sel.Sel.Name] && !writeBarrierAllowed(relPath) && isRelationFetch(sel.X) {
 				report(sel.Sel.Pos(), "direct %s on Instance.Relation(...) bypasses the Ensure write barrier; route the write through Instance.Add/Delete or Ensure", sel.Sel.Name)
 			}
 		}
 		return true
 	})
 	return findings
+}
+
+// isIdent reports whether x is the identifier name, bare or
+// package-qualified (View, instance.View).
+func isIdent(x ast.Expr, name string) bool {
+	if sel, ok := x.(*ast.SelectorExpr); ok {
+		x = sel.Sel
+	}
+	id, ok := x.(*ast.Ident)
+	return ok && id.Name == name
 }
 
 // isRelationFetch matches an expression of the shape

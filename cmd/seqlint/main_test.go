@@ -20,25 +20,48 @@ func lintSrc(t *testing.T, relPath, src string) []string {
 func TestTombstoneViewOutsideDRed(t *testing.T) {
 	src := `package x
 func f(ix *Index, r *Relation) {
-	_ = ix.LookupAll(k)
-	_ = r.PrefixLookupAll(0, p)
+	_ = ix.Lookup(instance.View{Dead: true}, k)
+	_ = r.SuffixLookup(View{MaxTag: 2, Dead: dead}, 0, p)
+	v := instance.View{MaxTag: 2}
+	v.Dead = true
+	_ = r.PrefixLookup(v, 0, p)
 }
 `
 	got := lintSrc(t, "internal/rewrite/bad.go", src)
-	if len(got) != 2 {
-		t.Fatalf("want 2 findings, got %v", got)
+	if len(got) != 3 {
+		t.Fatalf("want 3 findings, got %v", got)
 	}
-	if !strings.Contains(got[0], "internal/rewrite/bad.go:3:9: LookupAll") {
+	if !strings.Contains(got[0], "internal/rewrite/bad.go:3:30: View.Dead") {
 		t.Fatalf("finding position/message: %q", got[0])
 	}
-	if !strings.Contains(got[1], "PrefixLookupAll") {
-		t.Fatalf("second finding: %q", got[1])
+	if !strings.Contains(got[1], "bad.go:4:37:") || !strings.Contains(got[2], "bad.go:6:4:") {
+		t.Fatalf("literal-key and assignment findings: %q", got[1:])
+	}
+}
+
+func TestTombstoneViewLegalPatterns(t *testing.T) {
+	// Live and stamp-bounded views, and reading .Dead, are fine anywhere;
+	// a Dead key of some other struct is not a View.
+	src := `package x
+func f(ix *Index, v instance.View) {
+	_ = ix.Lookup(instance.View{}, k)
+	_ = ix.Lookup(instance.View{MaxTag: 2, MaxBirth: 9}, k)
+	if !v.Dead { _ = ix.Lookup(v, k) }
+	_ = stats{Dead: 3}
+}
+`
+	if got := lintSrc(t, "internal/eval/dred.go", src); len(got) != 0 {
+		t.Fatalf("legal patterns flagged: %v", got)
 	}
 }
 
 func TestTombstoneViewAllowedSites(t *testing.T) {
 	src := `package x
-func f(ix *Index) { _ = ix.LookupAll(k) }
+func f(ix *Index) {
+	v := View{Dead: true}
+	v.Dead = false
+	_ = ix.Lookup(v, k)
+}
 `
 	for _, path := range []string{"internal/eval/eval.go", "internal/instance/instance.go", "internal/instance/instance_test.go"} {
 		if got := lintSrc(t, path, src); len(got) != 0 {
@@ -46,8 +69,8 @@ func f(ix *Index) { _ = ix.LookupAll(k) }
 		}
 	}
 	// eval files other than eval.go are not exempt.
-	if got := lintSrc(t, "internal/eval/maintenance.go", src); len(got) != 1 {
-		t.Fatalf("non-eval.go eval file must be flagged, got %v", got)
+	if got := lintSrc(t, "internal/eval/maintenance.go", src); len(got) != 2 {
+		t.Fatalf("non-eval.go eval file must be flagged twice, got %v", got)
 	}
 }
 

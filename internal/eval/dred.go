@@ -318,13 +318,13 @@ func (m *maintenance) overdelete(ps *preparedStratum, si int, insDone, delDone m
 		if rel == nil {
 			return nil
 		}
-		pos := rel.PositionHashed(h, t)
+		pos := rel.Position(instance.View{}, h, t)
 		if pos < 0 {
 			return nil // already deleted, or never materialized
 		}
 		// EDB-provided facts of IDB relations are base facts, not
 		// derivations: they survive every overdeletion.
-		if s := e.seeds[head.Name]; s != nil && s.ContainsHashed(h, t) {
+		if s := e.seeds[head.Name]; s != nil && s.Position(instance.View{}, h, t) >= 0 {
 			return nil
 		}
 		// Well-founded pruning: keep the candidate outright when some
@@ -391,7 +391,7 @@ func (m *maintenance) overdelete(ps *preparedStratum, si int, insDone, delDone m
 				continue
 			}
 			probe := func(h uint64, t instance.Tuple) bool {
-				pos := rel.PositionHashed(h, t)
+				pos := rel.Position(instance.View{}, h, t)
 				if pos < 0 {
 					return false
 				}
@@ -538,7 +538,7 @@ func (m *maintenance) rederive(ps *preparedStratum, si int) error {
 			return nil
 		}
 		h := t.Hash()
-		pos := dl.PositionHashed(h, t)
+		pos := dl.Position(instance.View{}, h, t)
 		if pos < 0 {
 			return nil // not a candidate: the fact already exists (or never did)
 		}
@@ -766,7 +766,7 @@ func (m *maintenance) insert(ps *preparedStratum, si int, insDone, delDone map[s
 				continue
 			}
 			probe := func(h uint64, t instance.Tuple) bool {
-				pos := dl.PositionHashed(h, t)
+				pos := dl.Position(instance.View{}, h, t)
 				if pos < 0 {
 					return false
 				}
@@ -781,7 +781,7 @@ func (m *maintenance) insert(ps *preparedStratum, si int, insDone, delDone map[s
 					return false
 				}
 				// A fact deleted and later restored is not newly absent.
-				if rel := e.inst.Relation(name); rel != nil && rel.ContainsHashed(h, t) {
+				if rel := e.inst.Relation(name); rel != nil && rel.Position(instance.View{}, h, t) >= 0 {
 					return false
 				}
 				return true
@@ -801,7 +801,7 @@ func (m *maintenance) insert(ps *preparedStratum, si int, insDone, delDone map[s
 							continue
 						}
 						h, t := dl.HashAt(pos), dl.TupleAt(pos)
-						if rel != nil && rel.ContainsHashed(h, t) {
+						if rel != nil && rel.Position(instance.View{}, h, t) >= 0 {
 							continue
 						}
 						env.MatchTuple(nv.pred.Args, t, func() {
@@ -852,7 +852,7 @@ func (m *maintenance) insert(ps *preparedStratum, si int, insDone, delDone map[s
 				continue
 			}
 			h := dl.HashAt(pos)
-			if t := dl.TupleAt(pos); rel.ContainsHashed(h, t) {
+			if t := dl.TupleAt(pos); rel.Position(instance.View{}, h, t) >= 0 {
 				dl.DeleteHashed(h, t)
 				m.rederived++
 			}

@@ -475,7 +475,7 @@ func (e *Engine) Retract(delta *instance.Instance) (RetractStats, error) {
 		// from this relation must not clone its frozen storage.
 		any := false
 		for pos := 0; pos < src.Size() && !any; pos++ {
-			if src.Live(pos) && cur.ContainsHashed(src.HashAt(pos), src.TupleAt(pos)) {
+			if src.Live(pos) && cur.Position(instance.View{}, src.HashAt(pos), src.TupleAt(pos)) >= 0 {
 				any = true
 			}
 		}

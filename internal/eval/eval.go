@@ -154,8 +154,8 @@ func localSizes(local map[string]bool, inst *instance.Instance) map[string]int {
 // runStratum runs the semi-naive fixpoint of one compiled stratum from
 // scratch. Deltas are tracked by watermark: relations are append-only,
 // so the facts derived in a round are exactly the insertion window
-// [len before, len after), iterated in place via Relation.Slice — no
-// per-round delta instances.
+// [Size before, Size after), iterated in place by position (TupleAt,
+// skipping tombstones via Live) — no per-round delta instances.
 //
 // With Limits.Parallelism > 1 each round's work — one unit per rule in
 // round 0, one per (rule, delta-restricted predicate, window slice)
@@ -354,15 +354,10 @@ func (opts *runOpts) stepView(s *step, isDelta bool) instance.View {
 	return v
 }
 
-// runPlan evaluates one rule, feeding every derivation to sink. If
+// runPlanOpts evaluates one rule, feeding every derivation to sink. If
 // deltaStep >= 0, the positive predicate at that step index iterates
 // only the insertion window [deltaLo, deltaHi) of its relation instead
-// of all tuples.
-func runPlan(p *plan, inst *instance.Instance, deltaStep, deltaLo, deltaHi int, sink sinkFunc) error {
-	return runPlanOpts(p, inst, deltaStep, deltaLo, deltaHi, sink, runOpts{negStep: -1})
-}
-
-// runPlanOpts is runPlan with the DRed extensions; see runOpts.
+// of all tuples. opts carries the DRed extensions; see runOpts.
 func runPlanOpts(p *plan, inst *instance.Instance, deltaStep, deltaLo, deltaHi int, sink sinkFunc, opts runOpts) error {
 	env := opts.env
 	if env == nil {
@@ -430,21 +425,49 @@ func runPlanOpts(p *plan, inst *instance.Instance, deltaStep, deltaLo, deltaHi i
 			// birth bound (well-founded support check); see stepView.
 			v := views[i]
 			sc := &scratch[i]
-			if idxs[i] != nil {
-				// Exact probe: the ground argument positions pick the
-				// candidates; only the remaining columns need matching.
-				// Probe values and projections are built in the step's
-				// reusable scratch.
+			// Resolve the candidate positions from the best access path
+			// the bindings make ground: the exact index over the bound
+			// columns, else the ground prefix of one argument, else its
+			// ground trailing terms (the paper's bound-suffix patterns;
+			// term evaluation concatenates, so the evaluated trailing
+			// terms ARE the suffix of the evaluated argument). An affix
+			// that evaluates to the empty path selects nothing: try the
+			// next path, finally the scan.
+			var cands []int
+			exact, probed := idxs[i] != nil, idxs[i] != nil
+			if exact {
 				for j, c := range s.boundCols {
 					sc.vals[j] = env.EvalAppend(s.pred.Args[c], sc.vals[j][:0])
 				}
-				for _, pos := range idxs[i].LookupView(v, sc.vals...) {
+				cands = idxs[i].Lookup(v, sc.vals...)
+			}
+			if !probed && IndexedJoins && s.prefixCol >= 0 {
+				sc.bufA = env.EvalAppend(s.pred.Args[s.prefixCol][:s.prefixLen], sc.bufA[:0])
+				if probed = len(sc.bufA) > 0; probed {
+					cands = rel.PrefixLookup(v, s.prefixCol, sc.bufA)
+				}
+			}
+			if !probed && IndexedJoins && s.suffixCol >= 0 {
+				arg := s.pred.Args[s.suffixCol]
+				sc.bufA = env.EvalAppend(arg[len(arg)-s.suffixLen:], sc.bufA[:0])
+				if probed = len(sc.bufA) > 0; probed {
+					cands = rel.SuffixLookup(v, s.suffixCol, sc.bufA)
+				}
+			}
+			if probed {
+				// An exact probe fixed the bound columns, so only the
+				// others need matching (none: the candidate is the match);
+				// an affix probe verifies candidates with a full MatchTuple.
+				for _, pos := range cands {
 					if pos < lo || pos >= hi {
 						continue
 					}
-					if len(s.unboundCols) == 0 {
+					switch {
+					case !exact:
+						env.MatchTuple(s.pred.Args, rel.TupleAt(pos), func() { exec(i + 1) })
+					case len(s.unboundCols) == 0:
 						exec(i + 1)
-					} else {
+					default:
 						t := rel.TupleAt(pos)
 						for j, c := range s.unboundCols {
 							sc.sub[j] = t[c]
@@ -456,47 +479,6 @@ func runPlanOpts(p *plan, inst *instance.Instance, deltaStep, deltaLo, deltaHi i
 					}
 				}
 				return
-			}
-			if IndexedJoins && s.prefixCol >= 0 {
-				// Prefix probe: the ground prefix of one argument fixes
-				// a prefix of the corresponding column.
-				sc.bufA = env.EvalAppend(s.pred.Args[s.prefixCol][:s.prefixLen], sc.bufA[:0])
-				prefix := sc.bufA
-				if len(prefix) > 0 {
-					for _, pos := range rel.PrefixLookupView(v, s.prefixCol, prefix) {
-						if pos < lo || pos >= hi {
-							continue
-						}
-						env.MatchTuple(s.pred.Args, rel.TupleAt(pos), func() { exec(i + 1) })
-						if evalErr != nil {
-							return
-						}
-					}
-					return
-				}
-			}
-			if IndexedJoins && s.suffixCol >= 0 {
-				// Suffix probe: the ground trailing terms of one argument
-				// fix a suffix of the corresponding column (the paper's
-				// bound-suffix patterns). Term evaluation concatenates, so
-				// the evaluated trailing terms ARE the suffix of the
-				// evaluated argument; the full MatchTuple below still
-				// verifies every candidate.
-				arg := s.pred.Args[s.suffixCol]
-				sc.bufA = env.EvalAppend(arg[len(arg)-s.suffixLen:], sc.bufA[:0])
-				suffix := sc.bufA
-				if len(suffix) > 0 {
-					for _, pos := range rel.SuffixLookupView(v, s.suffixCol, suffix) {
-						if pos < lo || pos >= hi {
-							continue
-						}
-						env.MatchTuple(s.pred.Args, rel.TupleAt(pos), func() { exec(i + 1) })
-						if evalErr != nil {
-							return
-						}
-					}
-					return
-				}
 			}
 			for pos := lo; pos < hi; pos++ {
 				if !v.Dead && !rel.Live(pos) {
@@ -545,7 +527,7 @@ func runPlanOpts(p *plan, inst *instance.Instance, deltaStep, deltaLo, deltaHi i
 				// Negated relations live in earlier strata, so under a
 				// stratum-exact view the probe must not see facts a later
 				// handwritten stratum re-derives into the same head.
-				if rel.ContainsHashedView(instance.View{MaxTag: opts.visTag}, sc.neg.Hash(), sc.neg) {
+				if rel.Position(instance.View{MaxTag: opts.visTag}, sc.neg.Hash(), sc.neg) >= 0 {
 					return
 				}
 			}
@@ -602,18 +584,7 @@ func derive(head ast.Pred, env *Env, inst *instance.Instance, limits Limits, der
 	rel := inst.Ensure(head.Name, len(head.Args))
 	h := t.Hash()
 	if !rel.AddFromScratch(h, t) {
-		// Promotion: the fact exists but was produced by a later stratum
-		// (its stamp tag exceeds visTag), so under the stratum-exact view
-		// it is invisible here. Re-add it so it is born at this stratum —
-		// the fresh position lands in the current insertion window, and
-		// downstream strata (and negation probes) see it exactly where
-		// Prepared.Eval's stratum-ordered pass would have put it. The fact
-		// set is unchanged, so *derived is not incremented.
-		if visTag == 0 || instance.StampTag(rel.StampAt(rel.PositionHashed(h, t))) <= visTag {
-			return nil
-		}
-		rel.DeleteHashed(h, t)
-		rel.AddFromScratch(h, t)
+		promote(rel, h, t, visTag)
 		return nil
 	}
 	*derived++
@@ -621,6 +592,27 @@ func derive(head ast.Pred, env *Env, inst *instance.Instance, limits Limits, der
 		return fmt.Errorf("%w: more than %d derived facts", ErrNonTermination, limits.MaxFacts)
 	}
 	return nil
+}
+
+// promote handles a derivation whose fact already exists. If a later
+// stratum produced it (its stamp tag exceeds visTag) it is invisible
+// under this stratum's exact view, so it is deleted and re-added to be
+// born here: the fresh position lands in the current insertion window,
+// and downstream strata and negation probes see it exactly where
+// Prepared.Eval's stratum-ordered pass would have put it. The fact set
+// is unchanged, so callers do not count it as derived. The sequential
+// derive and the parallel round merge both come through here.
+func promote(rel *instance.Relation, h uint64, t instance.Tuple, visTag uint64) {
+	if visTag == 0 {
+		return
+	}
+	pos := rel.Position(instance.View{}, h, t)
+	if instance.StampTag(rel.StampAt(pos)) <= visTag {
+		return
+	}
+	stored := rel.TupleAt(pos)
+	rel.DeleteHashed(h, stored)
+	rel.AddHashed(h, stored)
 }
 
 // Valuation is an immutable snapshot valuation, used by tests and by

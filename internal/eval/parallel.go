@@ -97,14 +97,13 @@ func sliceWindow(p *plan, stepIdx, lo, hi, workers int) []workItem {
 }
 
 // freezeIndexes prepares the shared instance for a read-only fan-out:
-// every exact index a work item's plan will probe is created and
-// caught up, and every already-built secondary index of a relation the
-// round reads absorbs pending tuples. After this, the common worker
-// probes are pure map reads; only an index shape first probed
-// mid-round (a new ground-prefix length) still builds lazily, under
-// the relation's internal lock.
+// every exact index a work item's plan will probe is created, then
+// every index of each relation the round reads absorbs its pending
+// tuples. After this, the common worker probes are pure map reads;
+// only an index shape first probed mid-round (a new ground-prefix
+// length) still builds lazily, under the relation's internal lock.
 func freezeIndexes(items []workItem, inst *instance.Instance) {
-	caught := map[*instance.Relation]bool{}
+	read := map[*instance.Relation]bool{}
 	for _, it := range items {
 		for _, s := range it.plan.steps {
 			if s.kind != stepPred && s.kind != stepNegPred {
@@ -114,14 +113,14 @@ func freezeIndexes(items []workItem, inst *instance.Instance) {
 			if rel == nil {
 				continue
 			}
-			if !caught[rel] {
-				caught[rel] = true
-				rel.CatchUpIndexes()
-			}
+			read[rel] = true
 			if s.kind == stepPred && IndexedJoins && rel.Arity == len(s.pred.Args) && len(s.boundCols) > 0 {
-				rel.Index(s.boundCols...).CatchUp()
+				rel.Index(s.boundCols...)
 			}
 		}
+	}
+	for rel := range read {
+		rel.CatchUpIndexes()
 	}
 }
 
@@ -210,13 +209,8 @@ func runRoundParallel(items []workItem, inst *instance.Instance, workers int, li
 					if *derived > limits.MaxFacts {
 						return fmt.Errorf("%w: more than %d derived facts", ErrNonTermination, limits.MaxFacts)
 					}
-				} else if visTag != 0 && instance.StampTag(dst.StampAt(dst.PositionHashed(h, t))) > visTag {
-					// Promotion at the merge: the shared instance holds the
-					// fact stamped by a later stratum, invisible under this
-					// stratum's view. Re-add so it is born here, exactly as
-					// the sequential derive does (see eval.derive).
-					dst.DeleteHashed(h, t)
-					dst.AddHashed(h, t)
+				} else {
+					promote(dst, h, t, visTag)
 				}
 			}
 		}
@@ -250,7 +244,7 @@ func bufferSink(inst, buf *instance.Instance, limits Limits, budget int, stop *a
 		// scratch tuple is copied only when the fact is genuinely new.
 		h := t.Hash()
 		if shared := inst.Relation(head.Name); shared != nil &&
-			shared.ContainsHashedView(instance.View{MaxTag: visTag}, h, t) {
+			shared.Position(instance.View{MaxTag: visTag}, h, t) >= 0 {
 			return nil
 		}
 		if !buf.Ensure(head.Name, len(head.Args)).AddFromScratch(h, t) {

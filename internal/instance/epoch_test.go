@@ -173,19 +173,19 @@ func TestIndexBaseSharedAcrossBarrier(t *testing.T) {
 	}
 	// Build and fully absorb an exact index and a prefix lookup before
 	// freezing, so the clone has non-nil bases to inherit.
-	i.Relation("E").Index(0).CatchUp()
-	i.Relation("E").PrefixLookup(0, value.PathOf("a1"))
+	i.Relation("E").Index(0).Lookup(View{}, value.PathOf("a1"))
+	i.Relation("E").PrefixLookup(View{}, 0, value.PathOf("a1"))
 	snap := i.Snapshot()
 	i.Add("E", tup(value.PathOf("a1"), value.PathOf("fresh")))
 	clone := i.Relation("E")
 
-	if got := len(clone.Index(0).Lookup(value.PathOf("a1"))); got != chunkSize/16+1 {
+	if got := len(clone.Index(0).Lookup(View{}, value.PathOf("a1"))); got != chunkSize/16+1 {
 		t.Fatalf("clone index sees %d a1 rows, want %d", got, chunkSize/16+1)
 	}
-	if got := len(snap.Relation("E").Index(0).Lookup(value.PathOf("a1"))); got != chunkSize/16 {
+	if got := len(snap.Relation("E").Index(0).Lookup(View{}, value.PathOf("a1"))); got != chunkSize/16 {
 		t.Fatalf("snapshot index sees %d a1 rows, want %d", got, chunkSize/16)
 	}
-	if got := len(clone.PrefixLookup(0, value.PathOf("a1"))); got != chunkSize/16+1 {
+	if got := len(clone.PrefixLookup(View{}, 0, value.PathOf("a1"))); got != chunkSize/16+1 {
 		t.Fatalf("clone prefix lookup sees %d rows, want %d", got, chunkSize/16+1)
 	}
 }
@@ -322,7 +322,7 @@ func TestEpochHammer(t *testing.T) {
 					panic(fmt.Sprintf("snapshot Len drifted: %d -> %d", want, got))
 				}
 				key := value.PathOf("k" + fmt.Sprint(rng.Intn(32)))
-				for _, pos := range r.Index(0).Lookup(key) {
+				for _, pos := range r.Index(0).Lookup(View{}, key) {
 					if !r.Live(pos) {
 						panic("index handed out a dead position")
 					}
@@ -330,7 +330,7 @@ func TestEpochHammer(t *testing.T) {
 						panic("index handed out a mismatched position")
 					}
 				}
-				for _, pos := range r.PrefixLookup(0, key) {
+				for _, pos := range r.PrefixLookup(View{}, 0, key) {
 					if !r.Live(pos) {
 						panic("prefix index handed out a dead position")
 					}

@@ -233,17 +233,56 @@ func flattenPostings(base *postings, over map[uint64][]int, overCount, upto int)
 	return &postings{m: m, n: baseN + overCount, upto: upto}
 }
 
-// memberIndex is the relation's built-in full-tuple membership index in
-// epoch-shared form: an immutable base shared across snapshot
-// generations plus a private overlay for positions appended (or
-// absorbed) since. upto is published atomically so caught-up probes
-// skip the lock.
-type memberIndex struct {
-	base      *postings
+// indexKind names the four access paths a relation serves. They share
+// one implementation (index) and differ only in the key a tuple is
+// filed under and in what a probe compares: the whole tuple
+// (membership), a projection of columns (exact), or the first or last n
+// values of one column (the ground prefix @y.$rest and ground suffix
+// $rest.@y patterns of paper §2.2).
+type indexKind int
+
+const (
+	kindMember indexKind = iota
+	kindExact
+	kindPrefix
+	kindSuffix
+)
+
+func (k indexKind) String() string {
+	return [...]string{"member", "index", "prefix", "suffix"}[k]
+}
+
+// indexKey identifies one secondary index of a relation: an exact index
+// by the signature of its key columns (indexSig), a prefix or suffix
+// index by its column and key length.
+type indexKey struct {
+	kind   indexKind
+	col, n int
+	sig    string
+}
+
+// index is the one index implementation behind all four kinds, in
+// epoch-shared form: an immutable base postings shared across snapshot
+// generations plus a private overlay for the positions absorbed since.
+// It is built lazily: creation is free, and every probe first absorbs
+// the tuples Added since the last one (catchUp), so an index is never
+// stale. Probes are safe from multiple goroutines while the relation is
+// frozen (see the Relation concurrency contract): the absorb step runs
+// under the relation's mutex and publishes its watermark atomically, so
+// concurrent probes either skip it lock-free or serialize on the build.
+type index struct {
+	r *Relation
+	indexKey
+	cols      []int     // exact: the key columns
+	base      *postings // immutable, shared across epochs; nil when none
 	over      map[uint64][]int
 	overCount int
-	upto      atomic.Int64
+	upto      atomic.Int64 // positions [0, upto) are absorbed
 }
+
+// Index is the handle Relation.Index returns: an exact index keyed on a
+// projection of the relation's columns.
+type Index = index
 
 // Relation is a finite n-ary relation on paths with set semantics and
 // deterministic iteration order (insertion order; Sorted() for canonical
@@ -283,9 +322,9 @@ type memberIndex struct {
 //
 // Concurrency contract: a Relation is safe for any number of
 // concurrent readers as long as no writer runs at the same time. The
-// read set includes every probe — Contains, Tuples, TupleAt, Slice,
-// Index(...).Lookup and PrefixLookup — even when a probe lazily builds
-// or catches up a secondary index: index construction is internally
+// read set includes every probe — Contains, Position, Tuples, TupleAt,
+// Index(...).Lookup, PrefixLookup and SuffixLookup — even when a probe
+// lazily builds or catches up an index: index construction is internally
 // synchronized (a mutex guards building, an atomic watermark makes the
 // caught-up fast path lock-free). Writers — Add, and Clone or Sorted of
 // a relation being Added to — require exclusive access; they are NOT
@@ -316,8 +355,9 @@ type Relation struct {
 	deadOwned []bool
 	tombs     int
 
-	// member is the built-in membership index in base+overlay form.
-	member memberIndex
+	// member is the built-in full-tuple membership index. The owning
+	// writer keeps it caught up inline (recordMember).
+	member index
 
 	// frozen marks the relation copy-on-write: its tuple storage is
 	// shared with at least one snapshot and must never be written again.
@@ -336,19 +376,19 @@ type Relation struct {
 	// writes of one engine draw from one monotone birth counter.
 	stamper *Stamper
 
-	// mu guards creation of secondary indexes (the maps below), the
+	// mu guards creation of secondary indexes (the map below), the
 	// build step that absorbs pending tuples into one (membership
 	// included), and the barrier's read of their base/overlay state;
 	// see the concurrency contract above.
-	mu       sync.RWMutex
-	indexes  map[string]*Index
-	prefixes map[prefixKey]*prefixIndex
-	suffixes map[prefixKey]*prefixIndex
+	mu      sync.RWMutex
+	indexes map[indexKey]*index
 }
 
 // NewRelation creates an empty relation of the given arity.
 func NewRelation(arity int) *Relation {
-	return &Relation{Arity: arity}
+	r := &Relation{Arity: arity}
+	r.member.r = r
+	return r
 }
 
 // Freeze marks the relation copy-on-write: every write from now on
@@ -406,31 +446,6 @@ func (r *Relation) appendStamped(h uint64, t Tuple, stamp uint64) {
 	r.size++
 }
 
-// catchUpMember absorbs every appended position into the membership
-// overlay, under the same synchronization scheme as Index.CatchUp. The
-// owning writer keeps membership caught up inline (recordMember), so
-// this only does work on the first probe of a freshly cloned epoch —
-// and the gap it absorbs is bounded by flattenThreshold, because the
-// barrier flattens anything larger. Hashes come straight from the
-// chunks; nothing is rehashed.
-func (r *Relation) catchUpMember() {
-	n := r.size
-	if int(r.member.upto.Load()) >= n {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.member.over == nil {
-		r.member.over = map[uint64][]int{}
-	}
-	for i := int(r.member.upto.Load()); i < n; i++ {
-		h := r.hashAt(i)
-		r.member.over[h] = append(r.member.over[h], i)
-		r.member.overCount++
-	}
-	r.member.upto.Store(int64(n))
-}
-
 // recordMember registers a freshly appended position in the membership
 // overlay. Caller is the exclusive writer and has already caught up.
 func (r *Relation) recordMember(h uint64, pos int) {
@@ -440,27 +455,6 @@ func (r *Relation) recordMember(h uint64, pos int) {
 	r.member.over[h] = append(r.member.over[h], pos)
 	r.member.overCount++
 	r.member.upto.Store(int64(pos + 1))
-}
-
-// lookupHashed returns the position of the live tuple equal to t whose
-// hash is h, or -1. Both the shared base and the private overlay are
-// probed; dead positions are skipped, so a tuple deleted and re-added
-// resolves to its live position.
-func (r *Relation) lookupHashed(h uint64, t Tuple) int {
-	r.catchUpMember()
-	if b := r.member.base; b != nil {
-		for _, pos := range b.m[h] {
-			if r.Live(pos) && r.tupleAt(pos).Equal(t) {
-				return pos
-			}
-		}
-	}
-	for _, pos := range r.member.over[h] {
-		if r.Live(pos) && r.tupleAt(pos).Equal(t) {
-			return pos
-		}
-	}
-	return -1
 }
 
 // Add inserts a tuple; it reports whether the tuple was new.
@@ -480,7 +474,7 @@ func (r *Relation) AddHashed(h uint64, t Tuple) bool {
 	if r.frozen.Load() {
 		panic("instance: write to a frozen relation (snapshot-shared storage; clone it or go through Instance.Ensure)")
 	}
-	if r.lookupHashed(h, t) >= 0 {
+	if r.Position(View{}, h, t) >= 0 {
 		return false
 	}
 	r.appendTuple(h, t)
@@ -507,7 +501,7 @@ func (r *Relation) DeleteHashed(h uint64, t Tuple) bool {
 	if r.frozen.Load() {
 		panic("instance: write to a frozen relation (snapshot-shared storage; clone it or go through Instance.Ensure)")
 	}
-	pos := r.lookupHashed(h, t)
+	pos := r.Position(View{}, h, t)
 	if pos < 0 {
 		return false
 	}
@@ -598,39 +592,30 @@ func (r *Relation) Compact() {
 	r.member.over, r.member.overCount = nil, 0
 	r.member.upto.Store(int64(r.size))
 	r.mu.Lock()
-	r.indexes, r.prefixes, r.suffixes = nil, nil, nil
+	r.indexes = nil
 	r.mu.Unlock()
 }
 
 // Contains reports membership via the full-tuple hash index; deleted
 // tuples are not members.
 func (r *Relation) Contains(t Tuple) bool {
-	return r.lookupHashed(t.Hash(), t) >= 0
+	return r.Position(View{}, t.Hash(), t) >= 0
 }
 
-// ContainsHashed is Contains with the tuple's precomputed hash (h must
-// equal t.Hash()), for callers probing several relations — or probing
-// then inserting — without rehashing.
-func (r *Relation) ContainsHashed(h uint64, t Tuple) bool {
-	return r.lookupHashed(h, t) >= 0
-}
-
-// PositionHashed returns the tuple-log position of the live tuple equal
-// to t (whose hash h must equal t.Hash()), or -1 when absent. The DRed
-// maintainer uses it to test whether a fact lies inside an insertion
-// window.
-func (r *Relation) PositionHashed(h uint64, t Tuple) int {
-	return r.lookupHashed(h, t)
-}
-
-// ContainsHashedView reports membership restricted to the given view:
-// the tuple counts as present only when its live position carries a
-// stamp the view admits. The evaluator's negation probes use it so a
-// fact produced by a later stratum reads as absent from an earlier
-// stratum's view. v.Dead is ignored — membership is about live facts.
-func (r *Relation) ContainsHashedView(v View, h uint64, t Tuple) bool {
-	pos := r.lookupHashed(h, t)
-	return pos >= 0 && v.Admits(r.stampAt(pos))
+// Position returns the tuple-log position of the tuple equal to t
+// (whose hash h must equal t.Hash()) that the view admits, or -1 when
+// there is none. Callers probing several relations — or probing then
+// inserting — pass the hash once and never rehash. Under the zero View
+// this is plain membership: a tuple deleted and re-added resolves to its
+// live position. The DRed maintainer uses the position to test whether a
+// fact lies inside an insertion window; the evaluator's negation probes
+// pass a stamp-bounded view so a fact produced by a later stratum reads
+// as absent from an earlier stratum's view.
+func (r *Relation) Position(v View, h uint64, t Tuple) int {
+	if m := r.member.probe(v, h, true, t.Equal); len(m) > 0 {
+		return m[0]
+	}
+	return -1
 }
 
 // HashAt returns the precomputed hash of the tuple at insertion
@@ -650,7 +635,7 @@ func (r *Relation) AddFromScratch(h uint64, t Tuple) bool {
 	if r.frozen.Load() {
 		panic("instance: write to a frozen relation (snapshot-shared storage; clone it or go through Instance.Ensure)")
 	}
-	if r.lookupHashed(h, t) >= 0 {
+	if r.Position(View{}, h, t) >= 0 {
 		return false
 	}
 	r.appendTuple(h, CopyTuple(t))
@@ -764,6 +749,7 @@ type cloneCost struct {
 func (r *Relation) cloneShared() (*Relation, cloneCost) {
 	var cost cloneCost
 	out := &Relation{Arity: r.Arity, size: r.size, tombs: r.tombs, stamper: r.stamper}
+	out.member.r = out
 	out.chunks = append([]*chunk(nil), r.chunks...)
 	cost.sharedChunks = int64(len(r.chunks))
 	cost.copiedBytes = int64(len(r.chunks)) * 8
@@ -786,37 +772,27 @@ func (r *Relation) cloneShared() (*Relation, cloneCost) {
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	base, upto, flattened := shareOrFlatten(r.member.base, r.member.over, r.member.overCount, int(r.member.upto.Load()))
-	out.member.base = base
-	out.member.upto.Store(int64(upto))
-	cost.copiedBytes += flattened
+	cost.copiedBytes += out.member.inherit(&r.member)
 	if len(r.indexes) > 0 {
-		out.indexes = make(map[string]*Index, len(r.indexes))
-		for sig, ix := range r.indexes {
-			b, u, fb := shareOrFlatten(ix.base, ix.m, ix.overCount, int(ix.upto.Load()))
-			nix := &Index{r: out, cols: ix.cols, base: b, m: map[uint64][]int{}}
-			nix.upto.Store(int64(u))
-			out.indexes[sig] = nix
-			cost.copiedBytes += fb
+		out.indexes = make(map[indexKey]*index, len(r.indexes))
+		for key, ix := range r.indexes {
+			nix := &index{r: out, indexKey: key, cols: ix.cols}
+			cost.copiedBytes += nix.inherit(ix)
+			out.indexes[key] = nix
 		}
 	}
-	clonePrefixes := func(src map[prefixKey]*prefixIndex) map[prefixKey]*prefixIndex {
-		if len(src) == 0 {
-			return nil
-		}
-		dst := make(map[prefixKey]*prefixIndex, len(src))
-		for key, ix := range src {
-			b, u, fb := shareOrFlatten(ix.base, ix.m, ix.overCount, int(ix.upto.Load()))
-			nix := &prefixIndex{base: b, m: map[uint64][]int{}}
-			nix.upto.Store(int64(u))
-			dst[key] = nix
-			cost.copiedBytes += fb
-		}
-		return dst
-	}
-	out.prefixes = clonePrefixes(r.prefixes)
-	out.suffixes = clonePrefixes(r.suffixes)
 	return out, cost
+}
+
+// inherit makes ix the epoch clone of src: it shares src's base, or a
+// flattened base+overlay (see shareOrFlatten), and starts with an empty
+// overlay. It returns the approximate bytes a flatten copied. Caller
+// holds the source relation's mutex.
+func (ix *index) inherit(src *index) int64 {
+	base, upto, flattened := shareOrFlatten(src.base, src.over, src.overCount, int(src.upto.Load()))
+	ix.base = base
+	ix.upto.Store(int64(upto))
+	return flattened
 }
 
 // shareOrFlatten decides how an epoch clone inherits one index: a
@@ -854,31 +830,11 @@ func (r *Relation) Equal(s *Relation) bool {
 		if !r.Live(pos) {
 			continue
 		}
-		if s.lookupHashed(r.hashAt(pos), r.tupleAt(pos)) < 0 {
+		if s.Position(View{}, r.hashAt(pos), r.tupleAt(pos)) < 0 {
 			return false
 		}
 	}
 	return true
-}
-
-// Index is a hash index over a projection of a relation's columns,
-// obtained from Relation.Index. It is built lazily: construction is
-// free, and each Lookup first absorbs any tuples Added since the last
-// lookup, so the index is never stale. Like the tuple log, an index is
-// epoch-shared: the write barrier hands clones an immutable base
-// postings and each epoch layers a private overlay on top. Lookups are
-// safe from multiple goroutines while the relation is frozen (see the
-// Relation concurrency contract): the absorb step runs under the
-// relation's mutex and publishes its watermark atomically, so
-// concurrent probes either skip it lock-free or serialize on the
-// build.
-type Index struct {
-	r         *Relation
-	cols      []int
-	base      *postings // immutable, shared across epochs; nil when none
-	m         map[uint64][]int
-	overCount int
-	upto      atomic.Int64 // positions [0, upto) are absorbed
 }
 
 // indexSig encodes a column list as a compact map key (one uvarint per
@@ -892,48 +848,8 @@ func indexSig(cols []int) string {
 	return string(b)
 }
 
-// Index returns the (shared, lazily maintained) index keyed on the
-// given argument positions. Positions out of range panic: schemas fix
-// arities, so this is a programming error.
-func (r *Relation) Index(cols ...int) *Index {
-	for _, c := range cols {
-		if c < 0 || c >= r.Arity {
-			panic(fmt.Sprintf("instance: index column %d out of range for arity-%d relation", c, r.Arity))
-		}
-	}
-	sig := indexSig(cols)
-	r.mu.RLock()
-	ix := r.indexes[sig]
-	r.mu.RUnlock()
-	if ix != nil {
-		return ix
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if ix := r.indexes[sig]; ix != nil {
-		return ix
-	}
-	ix = &Index{r: r, cols: append([]int(nil), cols...), m: map[uint64][]int{}}
-	if r.indexes == nil {
-		r.indexes = map[string]*Index{}
-	}
-	r.indexes[sig] = ix
-	return ix
-}
-
-// hashCols folds the indexed columns of a tuple; it must agree with
-// hashPaths on the projected values so probes find their buckets.
-func hashCols(t Tuple, cols []int) uint64 {
-	h := value.HashSeed
-	for _, c := range cols {
-		h = value.HashByte(h, 0x1f)
-		h = t[c].Hash(h)
-	}
-	return h
-}
-
 // hashPaths folds a sequence of paths with 0x1f component separators;
-// the single fold shared by tuple membership and index probes.
+// the single fold shared by tuple membership and exact-index keys.
 func hashPaths(vals []value.Path) uint64 {
 	h := value.HashSeed
 	for _, p := range vals {
@@ -943,351 +859,244 @@ func hashPaths(vals []value.Path) uint64 {
 	return h
 }
 
-// verifyBucket filters hash-collision false positives out of a bucket,
-// returning the bucket itself (shared, read-only) in the common case
-// where every position is a true match.
-func verifyBucket(bucket []int, match func(pos int) bool) []int {
-	for k, pos := range bucket {
-		if !match(pos) {
-			out := make([]int, k, len(bucket))
-			copy(out, bucket[:k])
-			for _, p := range bucket[k+1:] {
-				if match(p) {
-					out = append(out, p)
-				}
-			}
-			return out
-		}
+// secondary returns the (shared, lazily maintained) secondary index
+// filed under key, creating it on first use; cols are an exact index's
+// key columns. It is safe from concurrent readers of a frozen relation,
+// including the probe that first asks for a shape no other goroutine
+// has seen.
+func (r *Relation) secondary(key indexKey, cols []int) *index {
+	r.mu.RLock()
+	ix := r.indexes[key]
+	r.mu.RUnlock()
+	if ix != nil {
+		return ix
 	}
-	return bucket
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if ix := r.indexes[key]; ix != nil {
+		return ix
+	}
+	ix = &index{r: r, indexKey: key, cols: append([]int(nil), cols...)}
+	if r.indexes == nil {
+		r.indexes = map[indexKey]*index{}
+	}
+	r.indexes[key] = ix
+	return ix
 }
 
-// mergeBuckets probes a base bucket and an overlay bucket, verifying
-// matches. Base positions all precede overlay positions (the base
-// covers a position prefix), so concatenation preserves ascending
-// order.
-func mergeBuckets(baseBucket, over []int, match func(pos int) bool) []int {
-	if len(baseBucket) == 0 {
-		return verifyBucket(over, match)
+// keyHash returns the hash the tuple at pos is filed under, and false
+// when it has no key in this index (its column is shorter than n). It
+// must agree with the hash probes compute from their key: hashPaths for
+// membership and exact probes, the affix's own hash for prefix and
+// suffix probes.
+func (ix *index) keyHash(pos int) (uint64, bool) {
+	if ix.kind == kindMember {
+		return ix.r.hashAt(pos), true
 	}
-	if len(over) == 0 {
-		return verifyBucket(baseBucket, match)
-	}
-	out := make([]int, 0, len(baseBucket)+len(over))
-	for _, p := range baseBucket {
-		if match(p) {
-			out = append(out, p)
+	t := ix.r.tupleAt(pos)
+	if ix.kind == kindExact {
+		h := value.HashSeed
+		for _, c := range ix.cols {
+			h = value.HashByte(h, 0x1f)
+			h = t[c].Hash(h)
 		}
+		return h, true
 	}
-	for _, p := range over {
-		if match(p) {
-			out = append(out, p)
-		}
+	p := t[ix.col]
+	if len(p) < ix.n {
+		return 0, false
 	}
-	return out
+	if ix.kind == kindPrefix {
+		return p[:ix.n].Hash(value.HashSeed), true
+	}
+	return p[len(p)-ix.n:].Hash(value.HashSeed), true
 }
 
-// CatchUp absorbs every tuple Added since the last absorb, bringing
-// the index fully up to date. Lookup calls it implicitly; the parallel
-// evaluator calls it explicitly before fanning out a round so that the
-// workers' probes hit the lock-free caught-up fast path. Absorbing is
-// synchronized: the watermark is published atomically after the
-// buckets are built, so a concurrent probe that observes it never sees
-// a partially built index.
-func (ix *Index) CatchUp() {
+// catchUp absorbs every tuple Added since the last absorb into the
+// overlay, bringing the index fully up to date. Every probe calls it;
+// the owning writer keeps membership caught up inline (recordMember),
+// so for that index it only does work on the first probe of a freshly
+// cloned epoch — a gap bounded by the barrier's flatten policy.
+// Absorbing is synchronized: the watermark is published atomically
+// after the buckets are built, so a concurrent probe that observes it
+// never sees a partially built index.
+func (ix *index) catchUp() {
 	n := ix.r.size
 	if int(ix.upto.Load()) >= n {
 		return
 	}
 	ix.r.mu.Lock()
 	defer ix.r.mu.Unlock()
+	if ix.over == nil {
+		ix.over = map[uint64][]int{}
+	}
 	for i := int(ix.upto.Load()); i < n; i++ {
-		h := hashCols(ix.r.tupleAt(i), ix.cols)
-		ix.m[h] = append(ix.m[h], i)
-		ix.overCount++
+		if h, ok := ix.keyHash(i); ok {
+			ix.over[h] = append(ix.over[h], i)
+			ix.overCount++
+		}
 	}
 	ix.upto.Store(int64(n))
 }
 
-// Lookup returns the tuple-log positions (ascending) of the live
-// tuples whose indexed columns equal vals component-wise. Hash
-// collisions and tombstones are verified, so every returned position
-// is a true, live match. The returned slice may be shared with the
-// index; callers must not mutate it.
-func (ix *Index) Lookup(vals ...value.Path) []int {
-	return ix.lookup(vals, View{})
+// probe is the one bucket probe every index kind shares: it returns
+// the tuple-log positions (ascending) filed under hash h that are
+// visible under the view (tombstones per v.Dead, stamp per v.Admits)
+// and whose tuples satisfy equal, the kind's comparison against the
+// probe key (this is where hash collisions are filtered) — only the
+// first of them when first is set, which is all a membership probe
+// needs. The shared base and the private overlay are both probed; base
+// positions all precede overlay positions (the base covers a position
+// prefix), so base-then-overlay preserves ascending order. The result
+// may alias a bucket (the common case where every position of a single
+// bucket is a true match allocates nothing); callers must not mutate
+// it.
+func (ix *index) probe(v View, h uint64, first bool, equal func(Tuple) bool) []int {
+	ix.catchUp()
+	r := ix.r
+	match := func(pos int) bool {
+		return (v.Dead || r.Live(pos)) && v.Admits(r.stampAt(pos)) && equal(r.tupleAt(pos))
+	}
+	var base []int
+	if ix.base != nil {
+		base = ix.base.m[h]
+	}
+	if first {
+		// The overlay is consulted only once the base has no match: the
+		// membership probe of a settled fact stops at the base.
+		for k, pos := range base {
+			if match(pos) {
+				return base[k : k+1]
+			}
+		}
+		over := ix.over[h]
+		for k, pos := range over {
+			if match(pos) {
+				return over[k : k+1]
+			}
+		}
+		return nil
+	}
+	over := ix.over[h]
+	if len(base) == 0 {
+		base, over = over, nil
+	}
+	k := 0
+	for k < len(base) && match(base[k]) {
+		k++
+	}
+	if k == len(base) && len(over) == 0 {
+		return base
+	}
+	out := make([]int, k, len(base)+len(over))
+	copy(out, base[:k])
+	for ; k < len(base); k++ {
+		if match(base[k]) {
+			out = append(out, base[k])
+		}
+	}
+	for _, pos := range over {
+		if match(pos) {
+			out = append(out, pos)
+		}
+	}
+	return out
 }
 
-// LookupAll is Lookup including tombstoned positions. The DRed
-// overdeletion phase uses it to join against the pre-deletion state of
-// a relation (live tuples plus everything deleted during the current
-// maintenance run, which is exactly the set still occupying positions).
-func (ix *Index) LookupAll(vals ...value.Path) []int {
-	return ix.lookup(vals, View{Dead: true})
+// Index returns the (shared, lazily maintained) exact index keyed on
+// the given argument positions. Positions out of range panic: schemas
+// fix arities, so this is a programming error.
+func (r *Relation) Index(cols ...int) *Index {
+	for _, c := range cols {
+		if c < 0 || c >= r.Arity {
+			panic(fmt.Sprintf("instance: index column %d out of range for arity-%d relation", c, r.Arity))
+		}
+	}
+	return r.secondary(indexKey{kind: kindExact, sig: indexSig(cols)}, cols)
 }
 
-// LookupView is Lookup restricted to the given view: tombstone
-// visibility per v.Dead, and only positions whose derivation stamp the
-// view admits (the evaluator's stratum-exact and pruner-bounded
-// probes). LookupView with the zero View is Lookup.
-func (ix *Index) LookupView(v View, vals ...value.Path) []int {
-	return ix.lookup(vals, v)
-}
-
-func (ix *Index) lookup(vals []value.Path, v View) []int {
+// Lookup returns the tuple-log positions (ascending) of the tuples
+// whose indexed columns equal vals component-wise and that the view
+// admits: live tuples only unless v.Dead, and only positions whose
+// derivation stamp passes v.Admits. The zero View is the plain live
+// view. Hash collisions are verified, so every returned position is a
+// true match. The returned slice may be shared with the index; callers
+// must not mutate it.
+//
+// v.Dead is reserved for the DRed overdeletion phase, which joins
+// against the pre-deletion state of a relation (live tuples plus
+// everything deleted during the current maintenance run, which is
+// exactly the set still occupying positions); cmd/seqlint rejects it
+// anywhere else.
+func (ix *Index) Lookup(v View, vals ...value.Path) []int {
 	if len(vals) != len(ix.cols) {
 		panic(fmt.Sprintf("instance: index over %d columns probed with %d values", len(ix.cols), len(vals)))
 	}
-	ix.CatchUp()
-	h := hashPaths(vals)
-	match := func(pos int) bool {
-		if !v.Dead && !ix.r.Live(pos) {
-			return false
-		}
-		if !v.Admits(ix.r.stampAt(pos)) {
-			return false
-		}
-		t := ix.r.tupleAt(pos)
+	return ix.probe(v, hashPaths(vals), false, func(t Tuple) bool {
 		for j, c := range ix.cols {
 			if !t[c].Equal(vals[j]) {
 				return false
 			}
 		}
 		return true
-	}
-	var baseBucket []int
-	if ix.base != nil {
-		baseBucket = ix.base.m[h]
-	}
-	return mergeBuckets(baseBucket, ix.m[h], match)
+	})
 }
 
-// prefixKey identifies a lazily built prefix index: column col, keyed
-// on the first n values of that column.
-type prefixKey struct{ col, n int }
-
-type prefixIndex struct {
-	base      *postings // immutable, shared across epochs; nil when none
-	m         map[uint64][]int
-	overCount int
-	upto      atomic.Int64 // positions [0, upto) are absorbed
-}
-
-// catchUpPrefix absorbs pending tuples into one prefix index, under
-// the same synchronization scheme as Index.CatchUp.
-func (r *Relation) catchUpPrefix(ix *prefixIndex, key prefixKey) {
-	n := r.size
-	if int(ix.upto.Load()) >= n {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := int(ix.upto.Load()); i < n; i++ {
-		p := r.tupleAt(i)[key.col]
-		if len(p) < key.n {
-			continue
-		}
-		h := p[:key.n].Hash(value.HashSeed)
-		ix.m[h] = append(ix.m[h], i)
-		ix.overCount++
-	}
-	ix.upto.Store(int64(n))
-}
-
-// PrefixLookup returns the tuple-log positions (ascending) of the live
-// tuples whose column col starts with the given non-empty prefix. A
-// separate index per (col, len(prefix)) is built lazily and caught up
-// after Adds. Collisions and tombstones are verified; the returned
-// slice may be shared. Like Lookup, PrefixLookup is safe from
-// concurrent readers while the relation is frozen, including the probe
-// that first creates an index for a prefix length no other goroutine
-// has seen.
+// PrefixLookup returns the tuple-log positions (ascending) of the
+// tuples the view admits (see Lookup) whose column col starts with the
+// given non-empty prefix. A separate index per (col, len(prefix)) is
+// built lazily and caught up after Adds.
 //
 // This is the probe the evaluator uses when a join argument like
 // @y.$rest has a ground prefix under the current valuation: any
 // matching tuple's column must begin with exactly that prefix.
-func (r *Relation) PrefixLookup(col int, prefix value.Path) []int {
-	return r.prefixLookup(col, prefix, View{})
+func (r *Relation) PrefixLookup(v View, col int, prefix value.Path) []int {
+	return r.affixLookup(kindPrefix, v, col, prefix)
 }
 
-// PrefixLookupAll is PrefixLookup including tombstoned positions; see
-// Index.LookupAll for when the DRed maintainer needs that.
-func (r *Relation) PrefixLookupAll(col int, prefix value.Path) []int {
-	return r.prefixLookup(col, prefix, View{Dead: true})
-}
-
-// PrefixLookupView is PrefixLookup restricted to the given view; see
-// Index.LookupView.
-func (r *Relation) PrefixLookupView(v View, col int, prefix value.Path) []int {
-	return r.prefixLookup(col, prefix, v)
-}
-
-func (r *Relation) prefixLookup(col int, prefix value.Path, v View) []int {
-	if col < 0 || col >= r.Arity {
-		panic(fmt.Sprintf("instance: prefix column %d out of range for arity-%d relation", col, r.Arity))
-	}
-	if len(prefix) == 0 {
-		panic("instance: empty prefix probe (caller should scan)")
-	}
-	key := prefixKey{col, len(prefix)}
-	r.mu.RLock()
-	ix := r.prefixes[key]
-	r.mu.RUnlock()
-	if ix == nil {
-		r.mu.Lock()
-		ix = r.prefixes[key]
-		if ix == nil {
-			ix = &prefixIndex{m: map[uint64][]int{}}
-			if r.prefixes == nil {
-				r.prefixes = map[prefixKey]*prefixIndex{}
-			}
-			r.prefixes[key] = ix
-		}
-		r.mu.Unlock()
-	}
-	r.catchUpPrefix(ix, key)
-	match := func(pos int) bool {
-		if !v.Dead && !r.Live(pos) {
-			return false
-		}
-		if !v.Admits(r.stampAt(pos)) {
-			return false
-		}
-		p := r.tupleAt(pos)[col]
-		return len(p) >= len(prefix) && p[:len(prefix)].Equal(prefix)
-	}
-	h := prefix.Hash(value.HashSeed)
-	var baseBucket []int
-	if ix.base != nil {
-		baseBucket = ix.base.m[h]
-	}
-	return mergeBuckets(baseBucket, ix.m[h], match)
-}
-
-// catchUpSuffix absorbs pending tuples into one suffix index, under
-// the same synchronization scheme as Index.CatchUp. The key's n counts
-// the last n values of column key.col.
-func (r *Relation) catchUpSuffix(ix *prefixIndex, key prefixKey) {
-	n := r.size
-	if int(ix.upto.Load()) >= n {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := int(ix.upto.Load()); i < n; i++ {
-		p := r.tupleAt(i)[key.col]
-		if len(p) < key.n {
-			continue
-		}
-		h := p[len(p)-key.n:].Hash(value.HashSeed)
-		ix.m[h] = append(ix.m[h], i)
-		ix.overCount++
-	}
-	ix.upto.Store(int64(n))
-}
-
-// SuffixLookup returns the tuple-log positions (ascending) of the live
-// tuples whose column col ends with the given non-empty suffix. A
-// separate index per (col, len(suffix)) is built lazily beside the
-// prefix indexes and caught up after Adds, with the same concurrency
-// guarantees as PrefixLookup.
-//
-// This is the probe the evaluator uses when a join argument like
+// SuffixLookup is PrefixLookup for the last len(suffix) values of the
+// column: the probe the evaluator uses when a join argument like
 // $rest.@y has its trailing terms ground under the current valuation
-// (the paper's bound-suffix patterns, §2.2): any matching tuple's
-// column must end with exactly that suffix.
-func (r *Relation) SuffixLookup(col int, suffix value.Path) []int {
-	return r.suffixLookup(col, suffix, View{})
+// (the paper's bound-suffix patterns, §2.2).
+func (r *Relation) SuffixLookup(v View, col int, suffix value.Path) []int {
+	return r.affixLookup(kindSuffix, v, col, suffix)
 }
 
-// SuffixLookupAll is SuffixLookup including tombstoned positions; see
-// Index.LookupAll for when the DRed maintainer needs that.
-func (r *Relation) SuffixLookupAll(col int, suffix value.Path) []int {
-	return r.suffixLookup(col, suffix, View{Dead: true})
-}
-
-// SuffixLookupView is SuffixLookup restricted to the given view; see
-// Index.LookupView.
-func (r *Relation) SuffixLookupView(v View, col int, suffix value.Path) []int {
-	return r.suffixLookup(col, suffix, v)
-}
-
-func (r *Relation) suffixLookup(col int, suffix value.Path, v View) []int {
+func (r *Relation) affixLookup(kind indexKind, v View, col int, affix value.Path) []int {
 	if col < 0 || col >= r.Arity {
-		panic(fmt.Sprintf("instance: suffix column %d out of range for arity-%d relation", col, r.Arity))
+		panic(fmt.Sprintf("instance: %s column %d out of range for arity-%d relation", kind, col, r.Arity))
 	}
-	if len(suffix) == 0 {
-		panic("instance: empty suffix probe (caller should scan)")
+	if len(affix) == 0 {
+		panic(fmt.Sprintf("instance: empty %s probe (caller should scan)", kind))
 	}
-	key := prefixKey{col, len(suffix)}
-	r.mu.RLock()
-	ix := r.suffixes[key]
-	r.mu.RUnlock()
-	if ix == nil {
-		r.mu.Lock()
-		ix = r.suffixes[key]
-		if ix == nil {
-			ix = &prefixIndex{m: map[uint64][]int{}}
-			if r.suffixes == nil {
-				r.suffixes = map[prefixKey]*prefixIndex{}
-			}
-			r.suffixes[key] = ix
-		}
-		r.mu.Unlock()
-	}
-	r.catchUpSuffix(ix, key)
-	match := func(pos int) bool {
-		if !v.Dead && !r.Live(pos) {
+	ix := r.secondary(indexKey{kind: kind, col: col, n: len(affix)}, nil)
+	return ix.probe(v, affix.Hash(value.HashSeed), false, func(t Tuple) bool {
+		p := t[col]
+		if len(p) < len(affix) {
 			return false
 		}
-		if !v.Admits(r.stampAt(pos)) {
-			return false
+		if kind == kindPrefix {
+			return p[:len(affix)].Equal(affix)
 		}
-		p := r.tupleAt(pos)[col]
-		return len(p) >= len(suffix) && p[len(p)-len(suffix):].Equal(suffix)
-	}
-	h := suffix.Hash(value.HashSeed)
-	var baseBucket []int
-	if ix.base != nil {
-		baseBucket = ix.base.m[h]
-	}
-	return mergeBuckets(baseBucket, ix.m[h], match)
+		return p[len(p)-len(affix):].Equal(affix)
+	})
 }
 
 // CatchUpIndexes absorbs pending tuples into the membership index and
-// every secondary index built so far (exact, prefix and suffix). The
-// parallel evaluator calls it on each relation a round will read
-// before fanning out, so worker probes of already-known index shapes
-// run lock-free; an index shape first probed mid-round still builds
-// safely under the internal lock.
+// every secondary index built so far. The parallel evaluator calls it
+// on each relation a round will read before fanning out, so worker
+// probes of already-known index shapes run lock-free; an index shape
+// first probed mid-round still builds safely under the internal lock.
 func (r *Relation) CatchUpIndexes() {
-	r.catchUpMember()
+	r.member.catchUp()
 	r.mu.RLock()
-	exact := make([]*Index, 0, len(r.indexes))
+	built := make([]*index, 0, len(r.indexes))
 	for _, ix := range r.indexes {
-		exact = append(exact, ix)
-	}
-	type keyedPrefix struct {
-		key prefixKey
-		ix  *prefixIndex
-	}
-	pref := make([]keyedPrefix, 0, len(r.prefixes))
-	for key, ix := range r.prefixes {
-		pref = append(pref, keyedPrefix{key, ix})
-	}
-	suff := make([]keyedPrefix, 0, len(r.suffixes))
-	for key, ix := range r.suffixes {
-		suff = append(suff, keyedPrefix{key, ix})
+		built = append(built, ix)
 	}
 	r.mu.RUnlock()
-	for _, ix := range exact {
-		ix.CatchUp()
-	}
-	for _, p := range pref {
-		r.catchUpPrefix(p.ix, p.key)
-	}
-	for _, s := range suff {
-		r.catchUpSuffix(s.ix, s.key)
+	for _, ix := range built {
+		ix.catchUp()
 	}
 }
 

@@ -151,20 +151,20 @@ func TestIndexLookup(t *testing.T) {
 	r.Add(tup(value.PathOf("a"), value.PathOf("y")))
 	r.Add(tup(value.PathOf("b"), value.PathOf("x")))
 	ix := r.Index(0)
-	got := ix.Lookup(value.PathOf("a"))
+	got := ix.Lookup(View{}, value.PathOf("a"))
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("Lookup(a) = %v", got)
 	}
-	if len(ix.Lookup(value.PathOf("zzz"))) != 0 {
+	if len(ix.Lookup(View{}, value.PathOf("zzz"))) != 0 {
 		t.Fatal("missing key must yield no positions")
 	}
 	// The index catches up after later Adds (never stale).
 	r.Add(tup(value.PathOf("a"), value.PathOf("z")))
-	if got := ix.Lookup(value.PathOf("a")); len(got) != 3 || got[2] != 3 {
+	if got := ix.Lookup(View{}, value.PathOf("a")); len(got) != 3 || got[2] != 3 {
 		t.Fatalf("post-Add Lookup(a) = %v", got)
 	}
 	// Multi-column probe.
-	both := r.Index(0, 1).Lookup(value.PathOf("a"), value.PathOf("y"))
+	both := r.Index(0, 1).Lookup(View{}, value.PathOf("a"), value.PathOf("y"))
 	if len(both) != 1 || both[0] != 1 {
 		t.Fatalf("Lookup(a, y) = %v", both)
 	}
@@ -189,21 +189,21 @@ func TestPrefixLookup(t *testing.T) {
 	r.Add(tup(value.PathOf("a", "c")))
 	r.Add(tup(value.PathOf("b", "b")))
 	r.Add(tup(value.PathOf("a")))
-	got := r.PrefixLookup(0, value.PathOf("a"))
+	got := r.PrefixLookup(View{}, 0, value.PathOf("a"))
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 3 {
 		t.Fatalf("PrefixLookup(a) = %v", got)
 	}
-	got = r.PrefixLookup(0, value.PathOf("a", "b"))
+	got = r.PrefixLookup(View{}, 0, value.PathOf("a", "b"))
 	if len(got) != 1 || got[0] != 0 {
 		t.Fatalf("PrefixLookup(a.b) = %v", got)
 	}
 	// Tuples shorter than the prefix never match.
-	if got := r.PrefixLookup(0, value.PathOf("a", "b", "c", "d")); len(got) != 0 {
+	if got := r.PrefixLookup(View{}, 0, value.PathOf("a", "b", "c", "d")); len(got) != 0 {
 		t.Fatalf("over-long prefix = %v", got)
 	}
 	// Catch-up after Add.
 	r.Add(tup(value.PathOf("a", "b")))
-	if got := r.PrefixLookup(0, value.PathOf("a", "b")); len(got) != 2 || got[1] != 4 {
+	if got := r.PrefixLookup(View{}, 0, value.PathOf("a", "b")); len(got) != 2 || got[1] != 4 {
 		t.Fatalf("post-Add PrefixLookup(a.b) = %v", got)
 	}
 }
@@ -243,10 +243,10 @@ func TestCloneKeepsHashedMembership(t *testing.T) {
 		t.Fatal("clone shares membership state")
 	}
 	// Indexes built on the original do not leak into the clone.
-	r.Index(0).Lookup(value.PathOf("a"))
+	r.Index(0).Lookup(View{}, value.PathOf("a"))
 	c2 := r.Clone()
 	c2.Add(tup(value.PathOf("d")))
-	if got := c2.Index(0).Lookup(value.PathOf("d")); len(got) != 1 {
+	if got := c2.Index(0).Lookup(View{}, value.PathOf("d")); len(got) != 1 {
 		t.Fatalf("clone index = %v", got)
 	}
 }
@@ -325,7 +325,7 @@ func TestSnapshotConcurrentReadsDuringWrites(t *testing.T) {
 			if !r.Contains(tup(value.PathOf("n"+fmt.Sprint(k)), value.PathOf("n"+fmt.Sprint(k+1)))) {
 				panic("snapshot lost a fact")
 			}
-			if got := r.Index(0).Lookup(value.PathOf("n" + fmt.Sprint(k))); len(got) != 1 {
+			if got := r.Index(0).Lookup(View{}, value.PathOf("n"+fmt.Sprint(k))); len(got) != 1 {
 				panic("snapshot index lookup failed")
 			}
 		}
@@ -406,26 +406,26 @@ func TestRelationDeleteEqualAndIndexes(t *testing.T) {
 	// Build both index kinds, then delete: lookups must skip the
 	// tombstone while the *All variants keep seeing it.
 	key := value.PathOf("k3")
-	if got := r.Index(0).Lookup(key); len(got) != 1 {
+	if got := r.Index(0).Lookup(View{}, key); len(got) != 1 {
 		t.Fatalf("pre-delete Lookup = %v", got)
 	}
-	if got := r.PrefixLookup(0, key); len(got) != 1 {
+	if got := r.PrefixLookup(View{}, 0, key); len(got) != 1 {
 		t.Fatalf("pre-delete PrefixLookup = %v", got)
 	}
 	if !r.Delete(tup(key, value.PathOf("v"))) {
 		t.Fatal("delete failed")
 	}
-	if got := r.Index(0).Lookup(key); len(got) != 0 {
+	if got := r.Index(0).Lookup(View{}, key); len(got) != 0 {
 		t.Fatalf("Lookup must skip tombstones, got %v", got)
 	}
-	if got := r.Index(0).LookupAll(key); len(got) != 1 {
-		t.Fatalf("LookupAll must include tombstones, got %v", got)
+	if got := r.Index(0).Lookup(View{Dead: true}, key); len(got) != 1 {
+		t.Fatalf("Lookup under View{Dead: true} must include tombstones, got %v", got)
 	}
-	if got := r.PrefixLookup(0, key); len(got) != 0 {
+	if got := r.PrefixLookup(View{}, 0, key); len(got) != 0 {
 		t.Fatalf("PrefixLookup must skip tombstones, got %v", got)
 	}
-	if got := r.PrefixLookupAll(0, key); len(got) != 1 {
-		t.Fatalf("PrefixLookupAll must include tombstones, got %v", got)
+	if got := r.PrefixLookup(View{Dead: true}, 0, key); len(got) != 1 {
+		t.Fatalf("PrefixLookup under View{Dead: true} must include tombstones, got %v", got)
 	}
 	// Set equality ignores tombstones.
 	s := NewRelation(2)
@@ -483,7 +483,7 @@ func TestRelationCloneCompactsEnsurePreserves(t *testing.T) {
 	if w.Len() != 6 || w.Size() != 6 || w.Tombstones() != 0 {
 		t.Fatalf("Compact: Len/Size/Tombstones = %d/%d/%d", w.Len(), w.Size(), w.Tombstones())
 	}
-	if got := w.Index(0).Lookup(value.PathOf("x7")); len(got) != 1 || got[0] >= 6 {
+	if got := w.Index(0).Lookup(View{}, value.PathOf("x7")); len(got) != 1 || got[0] >= 6 {
 		t.Fatalf("post-compact index lookup = %v", got)
 	}
 }
