@@ -12,7 +12,8 @@ vet:
 
 # lint runs the repository's own static checks: the engine-invariant
 # analyzer (cmd/seqlint: no View.Dead outside the DRed overdeletion
-# path, no relation write that bypasses the Ensure barrier) and a gofmt
+# path, no relation write that bypasses the Ensure barrier, no exported
+# package-level bool switch in internal/ or cmd/) and a gofmt
 # cleanliness gate. CI runs this target.
 lint:
 	$(GO) run ./cmd/seqlint .

@@ -281,33 +281,6 @@ func BenchmarkTwoBoundedSimulation(b *testing.B) {
 	})
 }
 
-// Acceptance workload for the indexed join subsystem: the graphpaths
-// transitive-closure query on a 1000-edge random graph, evaluated with
-// the indexed path and with the pre-index nested-scan path. Measured on
-// the reference machine the indexed path is ~10x faster at 200 nodes
-// (see README.md, "The evaluation engine").
-func BenchmarkGraphPathsIndexedVsScan(b *testing.B) {
-	q, _ := queries.Get("reachability")
-	for _, nodes := range []int{60, 200} {
-		edb := workload.Graph(9, nodes, 1000)
-		for _, mode := range []struct {
-			name    string
-			indexed bool
-		}{{"indexed", true}, {"scan", false}} {
-			b.Run(fmt.Sprintf("nodes=%d/%s", nodes, mode.name), func(b *testing.B) {
-				prev := eval.IndexedJoins
-				eval.IndexedJoins = mode.indexed
-				defer func() { eval.IndexedJoins = prev }()
-				for i := 0; i < b.N; i++ {
-					if _, err := eval.Eval(q.Program, edb, eval.Limits{}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // Acceptance workload for the parallel evaluator: the same 200-node /
 // 1000-edge graphpaths workload, swept across worker counts. Workers=1
 // is the sequential evaluator (no pool, no buffers); higher counts
@@ -394,28 +367,6 @@ func BenchmarkIncrementalAssert(b *testing.B) {
 			}
 		})
 	}
-	// The same k=1 stream maintained with the base plans (delta-hoisted
-	// plan variants off): the recursive join falls back to scanning a
-	// side of the rule per delta window instead of index-probing it.
-	// The gap between this series and incremental/k=1 is the variants'
-	// contribution; CI tracks both (scripts/bench.sh).
-	b.Run("incremental-novariants/k=1", func(b *testing.B) {
-		defer func(old bool) { eval.DeltaVariants = old }(eval.DeltaVariants)
-		eval.DeltaVariants = false
-		engine, err := eval.NewEngine(prep, edb, eval.Limits{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			delta := NewInstance()
-			delta.AddPath("R", PathOf(
-				fmt.Sprintf("h%d", i), fmt.Sprintf("h%d", i+1)))
-			if _, err := engine.Assert(delta); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	// The serving loop interleaves reads with writes: each Query
 	// freezes the relations it returns, so the next assert's first
 	// write pays one copy-on-write epoch clone per touched relation.
@@ -495,27 +446,6 @@ func BenchmarkIncrementalRetract(b *testing.B) {
 			b.StartTimer()
 		}
 	})
-	// DRed with the base plans (delta-hoisted variants off), for the
-	// same trajectory comparison as incremental-novariants.
-	b.Run("retract-novariants/k=1", func(b *testing.B) {
-		defer func(old bool) { eval.DeltaVariants = old }(eval.DeltaVariants)
-		eval.DeltaVariants = false
-		engine, err := eval.NewEngine(prep, edb, eval.Limits{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.Retract(edgeBatch(i)); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			if _, err := engine.Assert(edgeBatch(i)); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-	})
 	b.Run("retract-assert-cycle/k=1", func(b *testing.B) {
 		engine, err := eval.NewEngine(prep, edb, eval.Limits{})
 		if err != nil {
@@ -552,12 +482,11 @@ func BenchmarkIncrementalRetract(b *testing.B) {
 // (P and Q derive each other through alternating edge sets, so every
 // overdeleted P fact cites Q facts and vice versa). The pruner walks
 // the stamp order across BOTH relations to keep facts whose support
-// chains bottom out in surviving edges; the noprune baseline is
-// textbook DRed (overdelete everything reachable, rederive after),
-// which the pre-stamp within-one-relation pruner degenerated to on
-// mutual recursion. The gap between the two series is the pruner's
-// contribution; CI tracks both (scripts/bench.sh). Measured results
-// are in docs/performance.md ("Retraction").
+// chains bottom out in surviving edges; textbook DRed (overdelete
+// everything reachable, rederive after), which the pre-stamp
+// within-one-relation pruner degenerated to on mutual recursion, was
+// measured as the retired retract-mutual-noprune series at PR 10.
+// Measured results are in docs/performance.md ("Retraction").
 func BenchmarkIncrementalRetractMutual(b *testing.B) {
 	prog := MustParse(`
 P(@x.@y) :- EA(@x.@y).
@@ -583,9 +512,7 @@ P(@x.@z) :- Q(@x.@y), EA(@y.@z).`)
 		delta.Ensure("EA", 1).Add(eaEdges[i%len(eaEdges)])
 		return delta
 	}
-	run := func(b *testing.B, pruning bool) {
-		defer func(old bool) { eval.WellFoundedPruning = old }(eval.WellFoundedPruning)
-		eval.WellFoundedPruning = pruning
+	b.Run("retract-mutual/k=1", func(b *testing.B) {
 		engine, err := eval.NewEngine(prep, edb, eval.Limits{})
 		if err != nil {
 			b.Fatal(err)
@@ -601,7 +528,5 @@ P(@x.@z) :- Q(@x.@y), EA(@y.@z).`)
 			}
 			b.StartTimer()
 		}
-	}
-	b.Run("retract-mutual/k=1", func(b *testing.B) { run(b, true) })
-	b.Run("retract-mutual-noprune/k=1", func(b *testing.B) { run(b, false) })
+	})
 }

@@ -20,6 +20,12 @@
 //     write barrier, panicking on frozen (snapshot-shared) relations
 //     or, worse, mutating a shared snapshot. Writes must go through
 //     Instance.Add / Instance.Delete / Ensure.
+//   - package-knob: an exported package-level var of type bool (declared
+//     bool, or initialised with a true/false literal) in a non-test file
+//     under internal/ or cmd/ is a process-wide switch: it selects a
+//     second code path every test and benchmark then has to cover, any
+//     importer can flip it under a running engine, and tests that do
+//     cannot run in parallel. Use an option on the call or a constant.
 //
 // Usage:
 //
@@ -106,6 +112,13 @@ func writeBarrierAllowed(relPath string) bool {
 	return strings.HasPrefix(relPath, "internal/instance/")
 }
 
+// packageKnobChecked reports whether a file's package-level vars are
+// subject to the package-knob rule: shipped code, not tests.
+func packageKnobChecked(relPath string) bool {
+	return (strings.HasPrefix(relPath, "internal/") || strings.HasPrefix(relPath, "cmd/")) &&
+		!strings.HasSuffix(relPath, "_test.go")
+}
+
 // mutators are the Relation methods that change tuple storage.
 var mutators = map[string]bool{
 	"Add": true, "AddHashed": true, "Delete": true, "DeleteHashed": true,
@@ -118,6 +131,24 @@ func lintFile(fset *token.FileSet, file *ast.File, relPath string) []string {
 	report := func(pos token.Pos, format string, args ...any) {
 		p := fset.Position(pos)
 		findings = append(findings, fmt.Sprintf("%s:%d:%d: %s", relPath, p.Line, p.Column, fmt.Sprintf(format, args...)))
+	}
+	if packageKnobChecked(relPath) {
+		for _, decl := range file.Decls {
+			gen, ok := decl.(*ast.GenDecl)
+			if !ok || gen.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gen.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, name := range vs.Names {
+					isBool := isIdent(vs.Type, "bool") ||
+						i < len(vs.Values) && (isIdent(vs.Values[i], "true") || isIdent(vs.Values[i], "false"))
+					if isBool && name.IsExported() {
+						report(name.Pos(), "exported package-level bool %s is a process-wide switch selecting a second code path; use an option on the call or a constant", name.Name)
+					}
+				}
+			}
+		}
 	}
 	deadOK := tombstoneViewAllowed(relPath)
 	const deadMsg = "View.Dead admits tombstoned positions and is reserved for the DRed overdeletion path (internal/eval/eval.go); probe under a live view"

@@ -107,6 +107,42 @@ func f(inst *Instance) {
 	}
 }
 
+func TestPackageKnob(t *testing.T) {
+	src := `package x
+var Fast = true
+var Slow bool
+var A, B = 1, false
+var (
+	ErrX          = errors.New("x")
+	DefaultLimits = Limits{MaxFacts: 1 << 20}
+	quiet         = true
+	verbose       bool
+)
+func f() { var Local = true; _ = Local }
+`
+	got := lintSrc(t, "internal/eval/eval.go", src)
+	if len(got) != 3 {
+		t.Fatalf("want Fast, Slow and B flagged, got %v", got)
+	}
+	if !strings.Contains(got[0], "eval.go:2:5:") || !strings.Contains(got[0], "bool Fast") ||
+		!strings.Contains(got[0], "use an option on the call or a constant") {
+		t.Fatalf("finding position/message: %q", got[0])
+	}
+	if !strings.Contains(got[1], "bool Slow") || !strings.Contains(got[2], "eval.go:4:8:") {
+		t.Fatalf("declared-bool and multi-name findings: %q", got[1:])
+	}
+	// Tests may keep switches of their own, and the rule covers shipped
+	// code only (internal/, cmd/).
+	for _, path := range []string{"internal/eval/eval_test.go", "cmd/seqlogd/main_test.go", "examples/nfa/main.go", "bench_test.go"} {
+		if got := lintSrc(t, path, src); len(got) != 0 {
+			t.Fatalf("%s must not be checked, got %v", path, got)
+		}
+	}
+	if got := lintSrc(t, "cmd/seqlogd/main.go", src); len(got) != 3 {
+		t.Fatalf("cmd/ must be checked, got %v", got)
+	}
+}
+
 func TestLintTreeOnRepo(t *testing.T) {
 	// The repository itself must be clean — this is the same
 	// invariant "make lint" enforces in CI.

@@ -727,9 +727,9 @@ func (s *server) serve(r io.Reader, w io.Writer) {
 				continue
 			}
 			st := e.Stats()
-			reply("ok facts=%d derived=%d asserts=%d retracts=%d warnings=%d rejected_loads=%d delta_variants=%t%s%s%s",
+			reply("ok facts=%d derived=%d asserts=%d retracts=%d warnings=%d rejected_loads=%d%s%s%s",
 				st.Facts, st.Derived, st.Asserts, st.Retracts,
-				len(s.loadWarnings()), s.rejectedLoads(), st.DeltaVariants, planCounters(st.Plans),
+				len(s.loadWarnings()), s.rejectedLoads(), planCounters(st.Plans),
 				cloneCounters(st.Clones), s.durabilityCounters())
 		case "explain":
 			e, err := s.current()

@@ -76,14 +76,6 @@ import (
 	"seqlog/internal/instance"
 )
 
-// window is a half-open position range [lo, hi) into a relation's
-// tuple log. Who produced the positions — and therefore which strata
-// may see them — is read from their derivation stamps, not tracked on
-// the window.
-type window struct {
-	lo, hi int
-}
-
 // anyVisible reports whether any position of rel in [lo, hi) carries a
 // stamp tag at most maxTag — i.e. whether the range holds anything a
 // stratum reading through {MaxTag: maxTag} can see. Windows appended
@@ -103,16 +95,16 @@ func anyVisible(rel *instance.Relation, lo, hi int, maxTag uint64) bool {
 // a stratum reading through {MaxTag: maxTag} consumes. (Tombstoned
 // log entries — deletions since undone — are not filtered here;
 // consumers skip them per position, as before.)
-func visibleRanges(dl *instance.Relation, lo, hi int, maxTag uint64) [][2]int {
-	var out [][2]int
+func visibleRanges(dl *instance.Relation, lo, hi int, maxTag uint64) []window {
+	var out []window
 	for pos := lo; pos < hi; pos++ {
 		if instance.StampTag(dl.StampAt(pos)) > maxTag {
 			continue
 		}
-		if n := len(out); n > 0 && out[n-1][1] == pos {
-			out[n-1][1] = pos + 1
+		if n := len(out); n > 0 && out[n-1].hi == pos {
+			out[n-1].hi = pos + 1
 		} else {
-			out = append(out, [2]int{pos, pos + 1})
+			out = append(out, window{pos, pos + 1})
 		}
 	}
 	return out
@@ -280,13 +272,13 @@ func (m *maintenance) stratum(si int) (bool, error) {
 	// is born with this stratum's tag.
 	m.e.stamper.SetTag(maxTag)
 	m.delStamper.SetTag(maxTag)
-	if err := m.overdelete(ps, si, insDone, delDone); err != nil {
+	if err := m.overdelete(ps, si); err != nil {
 		return true, err
 	}
 	if err := m.rederive(ps, si); err != nil {
 		return true, err
 	}
-	if err := m.insert(ps, si, insDone, delDone); err != nil {
+	if err := m.insert(ps, si); err != nil {
 		return true, err
 	}
 	advance := func(names map[string]bool) {
@@ -303,8 +295,95 @@ func (m *maintenance) stratum(si int) (bool, error) {
 	return true, nil
 }
 
+// unconsumedIns returns the insertion windows of name that stratum si
+// has not consumed yet and can see. A window appended by a later
+// stratum is invisible to this one (its positions carry a later tag);
+// windows are uniformly tagged, so the filter is per window.
+func (m *maintenance) unconsumedIns(si int, name string) []window {
+	rel := m.e.inst.Relation(name)
+	if rel == nil {
+		return nil
+	}
+	var out []window
+	for _, w := range m.ins[name][m.insDone[si][name]:] {
+		if anyVisible(rel, w.lo, w.hi, uint64(si+1)) {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+// changeSet names the changed tuples of one negated relation: the live
+// entries of log inside wins, minus those skip rejects (nil rejects
+// none). No windows means nothing changed.
+type changeSet struct {
+	log  *instance.Relation
+	wins []window
+	skip func(h uint64, t instance.Tuple) bool
+}
+
+// has is the set's delta probe (runOpts.negProbe): it encodes the
+// relationship to the live relation a changed tuple must have.
+func (c *changeSet) has(h uint64, t instance.Tuple) bool {
+	pos := c.log.Position(instance.View{}, h, t)
+	if pos < 0 {
+		return false
+	}
+	for _, w := range c.wins {
+		if pos >= w.lo && pos < w.hi {
+			return c.skip == nil || !c.skip(h, t)
+		}
+	}
+	return false
+}
+
+// negDelta runs the derivations that depend on a change of a negated
+// relation. For every negated body atom of the stratum's rules the
+// changed tuples of its relation (changes) are enumerated, the atom is
+// matched against each one, and the atom's pre-bound variant runs once
+// per (tuple, match) — the binding grounds the rest of the body into
+// probes — with the negated step succeeding exactly on the change set
+// instead of on absence. The runs visit exactly the valuations whose
+// negated atom evaluates into the change set.
+func (dr *driver) negDelta(changes func(name string) changeSet, sink sinkFunc) error {
+	opts := dr.opts
+	for _, p := range dr.plans {
+		for _, nv := range p.negVariants {
+			c := changes(nv.pred.Name)
+			if len(c.wins) == 0 {
+				continue
+			}
+			env := NewEnv()
+			opts.negStep, opts.negProbe, opts.env = nv.step, c.has, env
+			var runErr error
+			for _, w := range c.wins {
+				for pos := w.lo; pos < w.hi && runErr == nil; pos++ {
+					if !c.log.Live(pos) {
+						continue
+					}
+					h, t := c.log.HashAt(pos), c.log.TupleAt(pos)
+					if c.skip != nil && c.skip(h, t) {
+						continue
+					}
+					env.MatchTuple(nv.pred.Args, t, func() {
+						if runErr != nil {
+							return
+						}
+						nv.p.note(&dr.stats)
+						runErr = runPlanOpts(nv.p, dr.inst, window{}, sink, opts)
+					})
+				}
+			}
+			if runErr != nil {
+				return runErr
+			}
+		}
+	}
+	return nil
+}
+
 // overdelete is phase 1; see the package comment.
-func (m *maintenance) overdelete(ps *preparedStratum, si int, insDone, delDone map[string]int) error {
+func (m *maintenance) overdelete(ps *preparedStratum, si int) error {
 	e := m.e
 	maxTag := uint64(si + 1)
 	hb := &headScratch{}
@@ -340,15 +419,13 @@ func (m *maintenance) overdelete(ps *preparedStratum, si int, insDone, delDone m
 		// downward closure: in well-connected data most candidates have
 		// an older alternative derivation and the cascade stops at the
 		// frontier.
-		if e.pruning {
-			kept, err := m.derivesGoal(ps, si, head.Name, t, true, instance.StampBirth(rel.StampAt(pos)))
-			if err != nil {
-				return err
-			}
-			if kept {
-				m.pruned++
-				return nil
-			}
+		kept, err := m.derivesGoal(ps, si, head.Name, t, true, instance.StampBirth(rel.StampAt(pos)))
+		if err != nil {
+			return err
+		}
+		if kept {
+			m.pruned++
+			return nil
 		}
 		dst := e.inst.Ensure(head.Name, len(head.Args))
 		if !dst.DeleteHashed(h, t) {
@@ -359,81 +436,20 @@ func (m *maintenance) overdelete(ps *preparedStratum, si int, insDone, delDone m
 		m.overdeleted++
 		return nil
 	}
+	// The side atoms of both chases join against the pre-deletion state;
+	// the second one's delta steps read the deletion logs.
+	dr := &driver{plans: ps.plans, inst: e.inst, limits: e.limits,
+		opts: runOpts{deltaRels: m.del, includeDead: true, negStep: -1, visTag: maxTag}}
+	defer func() { m.planStats.add(dr.stats) }()
 	// Insertions under negation: derivations whose negated atom matches
 	// a fact inserted by this run held before the insertion and are
-	// invalid now. With variants the inserted tuples are enumerated and
-	// the pre-bound neg variant runs once per (tuple, match) — the
-	// binding grounds the rest of the body into probes — instead of one
-	// full base-plan run filtered by the delta probe; both shapes visit
-	// exactly the valuations whose negated atom evaluates into a window.
-	for _, p := range ps.plans {
-		negIdx := -1
-		for j, s := range p.steps {
-			if s.kind != stepNegPred {
-				continue
-			}
-			negIdx++
-			name := s.pred.Name
-			rel := e.inst.Relation(name)
-			if rel == nil {
-				continue
-			}
-			// A window appended by a later stratum is invisible to this
-			// one (its positions carry a later tag); windows are
-			// uniformly tagged, so the filter is per window.
-			var wins []window
-			for _, w := range m.ins[name][insDone[name]:] {
-				if anyVisible(rel, w.lo, w.hi, maxTag) {
-					wins = append(wins, w)
-				}
-			}
-			if len(wins) == 0 {
-				continue
-			}
-			probe := func(h uint64, t instance.Tuple) bool {
-				pos := rel.Position(instance.View{}, h, t)
-				if pos < 0 {
-					return false
-				}
-				for _, w := range wins {
-					if pos >= w.lo && pos < w.hi {
-						return true
-					}
-				}
-				return false
-			}
-			if e.variants && negIdx < len(p.negVariants) {
-				nv := p.negVariants[negIdx]
-				env := NewEnv()
-				var runErr error
-				for _, w := range wins {
-					for pos := w.lo; pos < w.hi && runErr == nil; pos++ {
-						// Skip tuples already deleted again: the old full-run
-						// probe required a live position too.
-						if !rel.Live(pos) {
-							continue
-						}
-						env.MatchTuple(nv.pred.Args, rel.TupleAt(pos), func() {
-							if runErr != nil {
-								return
-							}
-							opts := runOpts{includeDead: true, negStep: nv.step, negProbe: probe, env: env, visTag: maxTag}
-							nv.p.note(&m.planStats, -1)
-							runErr = runPlanOpts(nv.p, e.inst, -1, 0, 0, sink, opts)
-						})
-					}
-				}
-				if runErr != nil {
-					return runErr
-				}
-				continue
-			}
-			opts := runOpts{includeDead: true, negStep: j, negProbe: probe, visTag: maxTag}
-			p.note(&m.planStats, -1)
-			if err := runPlanOpts(p, e.inst, -1, 0, 0, sink, opts); err != nil {
-				return err
-			}
-		}
+	// invalid now. Tuples already deleted again are not in the change
+	// set.
+	inserted := func(name string) changeSet {
+		return changeSet{log: e.inst.Relation(name), wins: m.unconsumedIns(si, name)}
+	}
+	if err := dr.negDelta(inserted, sink); err != nil {
+		return err
 	}
 	// Deletions used positively: the downward closure of the deletion
 	// log, chased semi-naively (the stratum's own overdeletions feed
@@ -442,7 +458,7 @@ func (m *maintenance) overdelete(ps *preparedStratum, si int, insDone, delDone m
 	// is invisible to this stratum's view.
 	proc := map[string]int{}
 	for name := range ps.reads {
-		proc[name] = delDone[name]
+		proc[name] = m.delDone[si][name]
 	}
 	for round := 0; ; round++ {
 		if round > e.limits.MaxIterations {
@@ -454,26 +470,17 @@ func (m *maintenance) overdelete(ps *preparedStratum, si int, insDone, delDone m
 				cur[name] = dl.Size()
 			}
 		}
-		ran := false
-		for _, p := range ps.plans {
-			for k := range p.predSteps {
-				run, deltaStep := deltaPlan(p, k, e.variants)
-				name := run.steps[deltaStep].pred.Name
-				dl := m.del[name]
-				if dl == nil {
-					continue
-				}
-				for _, r := range visibleRanges(dl, proc[name], cur[name], maxTag) {
-					ran = true
-					opts := runOpts{deltaRel: dl, includeDead: true, negStep: -1, visTag: maxTag}
-					run.note(&m.planStats, deltaStep)
-					if err := runPlanOpts(run, e.inst, deltaStep, r[0], r[1], sink, opts); err != nil {
-						return err
-					}
-				}
+		deleted := func(name string) []window {
+			dl := m.del[name]
+			if dl == nil {
+				return nil
 			}
+			return visibleRanges(dl, proc[name], cur[name], maxTag)
 		}
-		if !ran {
+		if err := dr.delta(deleted, sink); err != nil {
+			return err
+		}
+		if len(dr.items) == 0 {
 			return nil
 		}
 		for name, n := range cur {
@@ -553,6 +560,8 @@ func (m *maintenance) rederive(ps *preparedStratum, si int) error {
 	// state, restoring every derived fact that is still deleted — its
 	// cost is bounded by a from-scratch round 0, which beats touching
 	// every candidate individually.
+	dr := &driver{plans: ps.plans, inst: inst, limits: e.limits, opts: runOpts{negStep: -1, visTag: maxTag}}
+	defer func() { m.planStats.add(dr.stats) }()
 	candidates, liveSize := 0, 0
 	for name := range ps.heads {
 		if dl := m.del[name]; dl != nil {
@@ -574,7 +583,7 @@ func (m *maintenance) rederive(ps *preparedStratum, si int) error {
 					continue
 				}
 				t := dl.TupleAt(pos) // owned by the deletion log, safe to share
-				ok, err := m.rederivable(ps, si, name, t)
+				ok, err := m.derivesGoal(ps, si, name, t, false, 0)
 				if err != nil {
 					return err
 				}
@@ -583,64 +592,22 @@ func (m *maintenance) rederive(ps *preparedStratum, si int) error {
 				}
 			}
 		}
-	} else {
-		for _, p := range ps.plans {
-			if err := runPlanOpts(p, inst, -1, 0, 0, sink, runOpts{negStep: -1, visTag: maxTag}); err != nil {
-				return err
-			}
-		}
+	} else if err := dr.run(fullItems(ps.plans), sink); err != nil {
+		return err
 	}
 	// Delta propagation over the restore windows.
-	for round := 0; ; round++ {
-		if round > e.limits.MaxIterations {
-			return fmt.Errorf("%w: %d rederivation rounds", ErrNonTermination, round)
-		}
-		cur := localSizes(ps.heads, inst)
-		grew := false
-		for name, n := range cur {
-			if n > prev[name] {
-				grew = true
-				break
-			}
-		}
-		if !grew {
-			return nil
-		}
-		for _, p := range ps.plans {
-			for k := range p.predSteps {
-				run, deltaStep := deltaPlan(p, k, e.variants)
-				name := run.steps[deltaStep].pred.Name
-				if !ps.heads[name] {
-					continue
-				}
-				lo, hi := prev[name], cur[name]
-				if hi <= lo {
-					continue
-				}
-				run.note(&m.planStats, deltaStep)
-				if err := runPlanOpts(run, inst, deltaStep, lo, hi, sink, runOpts{negStep: -1, visTag: maxTag}); err != nil {
-					return err
-				}
-			}
-		}
-		prev = cur
-	}
-}
-
-// rederivable reports whether some rule of the stratum still derives
-// the fact name(t...) from the live state, as seen by stratum si.
-func (m *maintenance) rederivable(ps *preparedStratum, si int, name string, t instance.Tuple) (bool, error) {
-	return m.derivesGoal(ps, si, name, t, false, 0)
+	return dr.fixpoint(ps.heads, prev, sink)
 }
 
 // derivesGoal reports whether some rule of the stratum derives the
 // fact name(t...): the rule head is matched against the fact and the
 // body evaluated against stratum si's view of the live state through
 // the head-bound rederive plan, stopping at the first derivation
-// found. With bound set (the overdeletion pruner), supports read from
-// this stratum's own heads — the relations still in flux — must be
-// born strictly before boundBirth, the well-founded variant of the
-// check. Every rule participates: the stamp order covers mutual
+// found. Unbound, this is the rederive phase's check that the fact is
+// still derivable; with bound set (the overdeletion pruner), supports
+// read from this stratum's own heads — the relations still in flux —
+// must be born strictly before boundBirth, the well-founded variant of
+// the check. Every rule participates: the stamp order covers mutual
 // recursion through sibling relations, and a forward-read body atom
 // sees only settled earlier-stratum facts under the view, so the
 // pre-stamp restriction to self-contained rules is gone.
@@ -663,7 +630,7 @@ func (m *maintenance) derivesGoal(ps *preparedStratum, si int, name string, t in
 				opts.boundHeads = ps.heads
 				opts.boundBirth = boundBirth
 			}
-			err := runPlanOpts(rp, m.e.inst, -1, 0, 0, stop, opts)
+			err := runPlanOpts(rp, m.e.inst, window{}, stop, opts)
 			switch {
 			case err == nil:
 			case errors.Is(err, errStopRun):
@@ -683,151 +650,47 @@ func (m *maintenance) derivesGoal(ps *preparedStratum, si int, name string, t in
 }
 
 // insert is phase 3; see the package comment.
-func (m *maintenance) insert(ps *preparedStratum, si int, insDone, delDone map[string]int) error {
+func (m *maintenance) insert(ps *preparedStratum, si int) error {
 	e := m.e
-	inst, limits := e.inst, e.limits
+	inst := e.inst
 	maxTag := uint64(si + 1)
-	workers := limits.workers()
-	prev := localSizes(ps.heads, inst)
-	eligible := func(name string) []window {
-		var out []window
-		rel := inst.Relation(name)
-		if rel == nil {
-			return nil
-		}
-		for _, w := range m.ins[name][insDone[name]:] {
-			if anyVisible(rel, w.lo, w.hi, maxTag) {
-				out = append(out, w)
-			}
-		}
-		return out
-	}
-	// (a) positive deltas over the unconsumed insertion windows: the
-	// classic incremental round, fanned out when configured. With
-	// variants each window runs the hoisted per-delta plan (delta step
-	// first, rest index-probed) instead of the base plan with a window.
-	if workers > 1 {
-		var items []workItem
-		for _, p := range ps.plans {
-			for k := range p.predSteps {
-				run, deltaStep := deltaPlan(p, k, e.variants)
-				for _, w := range eligible(run.steps[deltaStep].pred.Name) {
-					sl := sliceWindow(run, deltaStep, w.lo, w.hi, workers)
-					for range sl {
-						run.note(&m.planStats, deltaStep)
-					}
-					items = append(items, sl...)
-				}
-			}
-		}
-		if err := runRoundParallel(items, inst, workers, limits, &e.derived, maxTag); err != nil {
-			return err
-		}
-	} else {
-		hb := &headScratch{}
-		sink := func(head ast.Pred, env *Env) error {
-			return derive(head, env, inst, limits, &e.derived, hb, maxTag)
-		}
-		for _, p := range ps.plans {
-			for k := range p.predSteps {
-				run, deltaStep := deltaPlan(p, k, e.variants)
-				for _, w := range eligible(run.steps[deltaStep].pred.Name) {
-					run.note(&m.planStats, deltaStep)
-					if err := runPlanOpts(run, inst, deltaStep, w.lo, w.hi, sink, runOpts{negStep: -1, visTag: maxTag}); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-	// (b) deletions under negation: a derivation blocked only by a fact
-	// this run removed (and did not restore) is new. With variants the
-	// net-deleted tuples are enumerated from the deletion log and the
-	// pre-bound neg variant runs per (tuple, match), mirroring the
-	// overdelete phase's enumeration.
+	dr := &driver{plans: ps.plans, inst: inst, limits: e.limits, opts: runOpts{negStep: -1, visTag: maxTag}, derived: &e.derived}
+	defer func() { m.planStats.add(dr.stats) }()
 	hb := &headScratch{}
 	sink := func(head ast.Pred, env *Env) error {
-		return derive(head, env, inst, limits, &e.derived, hb, maxTag)
+		return derive(head, env, inst, e.limits, &e.derived, hb, maxTag)
 	}
-	for _, p := range ps.plans {
-		negIdx := -1
-		for j, s := range p.steps {
-			if s.kind != stepNegPred {
-				continue
-			}
-			negIdx++
-			name := s.pred.Name
-			dl := m.del[name]
-			if dl == nil {
-				continue
-			}
-			ranges := visibleRanges(dl, delDone[name], dl.Size(), maxTag)
-			if len(ranges) == 0 {
-				continue
-			}
-			probe := func(h uint64, t instance.Tuple) bool {
-				pos := dl.Position(instance.View{}, h, t)
-				if pos < 0 {
-					return false
-				}
-				in := false
-				for _, r := range ranges {
-					if pos >= r[0] && pos < r[1] {
-						in = true
-						break
-					}
-				}
-				if !in {
-					return false
-				}
-				// A fact deleted and later restored is not newly absent.
-				if rel := e.inst.Relation(name); rel != nil && rel.Position(instance.View{}, h, t) >= 0 {
-					return false
-				}
-				return true
-			}
-			if e.variants && negIdx < len(p.negVariants) {
-				nv := p.negVariants[negIdx]
-				rel := e.inst.Relation(name)
-				env := NewEnv()
-				var runErr error
-				for _, rg := range ranges {
-					for pos := rg[0]; pos < rg[1] && runErr == nil; pos++ {
-						// Restored facts are tombstoned in the deletion log
-						// (not net deletions), and a fact re-derived by (a)
-						// is back in the relation — both excluded, exactly
-						// as by the probe above.
-						if !dl.Live(pos) {
-							continue
-						}
-						h, t := dl.HashAt(pos), dl.TupleAt(pos)
-						if rel != nil && rel.Position(instance.View{}, h, t) >= 0 {
-							continue
-						}
-						env.MatchTuple(nv.pred.Args, t, func() {
-							if runErr != nil {
-								return
-							}
-							opts := runOpts{negStep: nv.step, negProbe: probe, env: env, visTag: maxTag}
-							nv.p.note(&m.planStats, -1)
-							runErr = runPlanOpts(nv.p, inst, -1, 0, 0, sink, opts)
-						})
-					}
-				}
-				if runErr != nil {
-					return runErr
-				}
-				continue
-			}
-			opts := runOpts{negStep: j, negProbe: probe, visTag: maxTag}
-			p.note(&m.planStats, -1)
-			if err := runPlanOpts(p, inst, -1, 0, 0, sink, opts); err != nil {
-				return err
-			}
+	prev := localSizes(ps.heads, inst)
+	// (a) positive deltas over the unconsumed insertion windows: the
+	// classic incremental round, fanned out when configured.
+	if err := dr.delta(func(name string) []window { return m.unconsumedIns(si, name) }, sink); err != nil {
+		return err
+	}
+	// (b) deletions under negation: a derivation blocked only by a fact
+	// this run removed (and did not restore) is new. The net-deleted
+	// tuples are the live entries of the deletion log — restored facts
+	// are tombstoned there — minus the facts (a) re-derived, which are
+	// back in the relation.
+	delDone := m.delDone[si]
+	netDeleted := func(name string) changeSet {
+		dl := m.del[name]
+		if dl == nil {
+			return changeSet{}
+		}
+		return changeSet{
+			log:  dl,
+			wins: visibleRanges(dl, delDone[name], dl.Size(), maxTag),
+			skip: func(h uint64, t instance.Tuple) bool {
+				rel := inst.Relation(name)
+				return rel != nil && rel.Position(instance.View{}, h, t) >= 0
+			},
 		}
 	}
+	if err := dr.negDelta(netDeleted, sink); err != nil {
+		return err
+	}
 	// (c) chase the stratum-local consequences.
-	if err := fixpointRounds(ps.plans, ps.heads, inst, limits, &e.derived, prev, e.variants, &m.planStats, maxTag); err != nil {
+	if err := dr.fixpoint(ps.heads, prev, sink); err != nil {
 		return err
 	}
 	// Record the insertion windows for downstream strata, and collapse

@@ -32,17 +32,6 @@ type Engine struct {
 	retracts int
 	last     AssertStats
 	lastRet  RetractStats
-	// variants is the DeltaVariants setting captured at NewEngine time:
-	// maintenance runs the delta-hoisted per-(rule, delta-predicate)
-	// plans when set, the base plans with a window otherwise. Captured
-	// per engine so concurrently used engines (the differential fuzzer
-	// interleaves both settings) never race on the global.
-	variants bool
-	// pruning is the WellFoundedPruning setting captured at NewEngine
-	// time: the overdeletion pruner's stamp-ordered support check runs
-	// when set; otherwise every candidate is overdeleted and rescued by
-	// rederivation (textbook DRed, the benchmark baseline).
-	pruning bool
 	// stamper issues the derivation stamp of every tuple appended to the
 	// materialization: a monotone birth counter plus the producing
 	// stratum's tag (si+1; 0 for base facts of an asserted batch).
@@ -71,13 +60,15 @@ type Engine struct {
 // window slice); the goal-directed rederivation probes are not
 // counted. The step counters classify every positive non-delta
 // predicate step of those executions by its planned access path, so
-// VariantRuns vs BaseRuns says which plan shape maintenance ran and
-// ScanSteps says how often a body atom still had to be scanned.
+// VariantRuns vs BaseRuns splits the runs by which kind of change
+// drove them and ScanSteps says how often a body atom still had to be
+// scanned.
 type PlanStats struct {
-	// VariantRuns counts executions of delta-hoisted variant plans;
-	// BaseRuns counts executions of base plans (windowed at the changed
-	// atom's own step — the pre-variant shape, and the fallback when
-	// DeltaVariants is off).
+	// VariantRuns counts executions of delta-hoisted variant plans: the
+	// runs driven by a change window of a positive body atom's relation.
+	// BaseRuns counts the pre-bound negation-variant runs — one per
+	// (changed tuple of a negated relation, match of the negated atom) —
+	// and nothing else.
 	VariantRuns int
 	BaseRuns    int
 	// IndexProbeSteps / PrefixProbeSteps / SuffixProbeSteps / ScanSteps
@@ -100,22 +91,18 @@ func (s *PlanStats) add(other PlanStats) {
 	s.ScanSteps += other.ScanSteps
 }
 
-// note records one execution of p with the given delta step into st
-// (nil-safe): the plan shape and the access path of every other
-// positive predicate step.
-func (p *plan) note(st *PlanStats, deltaStep int) {
-	if st == nil {
-		return
-	}
+// note records one execution of p into st: the plan shape and the
+// access path of every positive predicate step but a hoisted plan's
+// delta step.
+func (p *plan) note(st *PlanStats) {
+	side := p.predSteps
 	if p.hoisted {
 		st.VariantRuns++
+		side = side[1:]
 	} else {
 		st.BaseRuns++
 	}
-	for _, i := range p.predSteps {
-		if i == deltaStep {
-			continue
-		}
+	for _, i := range side {
 		s := &p.steps[i]
 		switch {
 		case len(s.boundCols) > 0:
@@ -150,7 +137,7 @@ type AssertStats struct {
 	// kept outright: a rule still derives them from supports stamped
 	// strictly before the candidate (earlier stratum, or earlier birth
 	// within the stratum), so they were never tombstoned and never needed
-	// rederivation. 0 when the engine runs with pruning off.
+	// rederivation.
 	StampPruned int
 	// StrataSkipped counts strata left completely untouched because no
 	// relation they read changed; StrataIncremental counts strata
@@ -210,14 +197,6 @@ type EngineStats struct {
 	// Plans accumulates the PlanStats of every maintenance run since the
 	// engine was created.
 	Plans PlanStats
-	// DeltaVariants reports whether the engine maintains with the
-	// delta-hoisted plan variants (captured from eval.DeltaVariants at
-	// NewEngine time).
-	DeltaVariants bool
-	// WellFoundedPruning reports whether the engine's overdeletion
-	// pruner runs the stamp-ordered support check (captured from
-	// eval.WellFoundedPruning at NewEngine time).
-	WellFoundedPruning bool
 	// Clones accumulates the copy-on-write barrier work of every write
 	// since the engine was created (including the initial fixpoint's
 	// clones of frozen EDB seeds): epoch clones made, sealed chunks
@@ -237,13 +216,11 @@ func NewEngine(prep *Prepared, edb *instance.Instance, limits Limits) (*Engine, 
 		edb = instance.New()
 	}
 	e := &Engine{
-		prep:     prep,
-		limits:   limits.orDefault(),
-		inst:     edb.Snapshot(),
-		seeds:    map[string]*instance.Relation{},
-		variants: DeltaVariants,
-		pruning:  WellFoundedPruning,
-		stamper:  &instance.Stamper{},
+		prep:    prep,
+		limits:  limits.orDefault(),
+		inst:    edb.Snapshot(),
+		seeds:   map[string]*instance.Relation{},
+		stamper: &instance.Stamper{},
 	}
 	e.inst.SetStamper(e.stamper)
 	for name := range prep.idb {
@@ -322,16 +299,14 @@ func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return EngineStats{
-		Facts:              e.inst.Facts(),
-		Derived:            e.derived,
-		Asserts:            e.asserts,
-		Retracts:           e.retracts,
-		LastAssert:         e.last,
-		LastRetract:        e.lastRet,
-		Plans:              e.plans,
-		DeltaVariants:      e.variants,
-		WellFoundedPruning: e.pruning,
-		Clones:             e.inst.CloneStats(),
+		Facts:       e.inst.Facts(),
+		Derived:     e.derived,
+		Asserts:     e.asserts,
+		Retracts:    e.retracts,
+		LastAssert:  e.last,
+		LastRetract: e.lastRet,
+		Plans:       e.plans,
+		Clones:      e.inst.CloneStats(),
 	}
 }
 

@@ -15,33 +15,6 @@ import (
 // (§2.3); programs like Example 2.3 trip this error.
 var ErrNonTermination = errors.New("evaluation exceeded limits (program may not terminate)")
 
-// IndexedJoins toggles the indexed join path (exact column indexes and
-// ground-prefix/suffix probes chosen by the planner). It is on by
-// default and exists so benchmarks and tests can compare against the
-// naive scan-every-tuple evaluator; both paths compute the same least
-// model.
-var IndexedJoins = true
-
-// DeltaVariants toggles the delta-hoisted plan variants: per-(rule,
-// delta-predicate) plans compiled alongside the base plan that run the
-// changed atom first and index-probe the rest of the body. It is on by
-// default and exists so benchmarks, tests and the differential fuzzer
-// can compare against base-plan-plus-window maintenance; both settings
-// compute the same fixpoint. An Engine captures the value once at
-// NewEngine time, so concurrently used engines never race on the
-// global; semi-naive rounds inside Prepared.Eval read it per call.
-var DeltaVariants = true
-
-// WellFoundedPruning toggles the overdeletion pruner's well-founded
-// support check (see maintenance.overdelete): with it off, every
-// candidate reached by the deletion chase is overdeleted and must be
-// rescued by rederivation — textbook DRed, the pre-stamp baseline the
-// retract benchmarks compare against. Both settings reach the same
-// fixpoint; pruning only changes how much of the downward closure is
-// touched. Captured once per Engine at NewEngine time, like
-// DeltaVariants.
-var WellFoundedPruning = true
-
 // Limits bound and configure an evaluation. Zero values mean "use the
 // default".
 type Limits struct {
@@ -74,7 +47,7 @@ func (l Limits) orDefault() Limits {
 	return l
 }
 
-// workers normalizes the Parallelism knob to a concrete worker count.
+// workers normalizes Limits.Parallelism to a concrete worker count.
 func (l Limits) workers() int {
 	switch {
 	case l.Parallelism < 0:
@@ -151,86 +124,124 @@ func localSizes(local map[string]bool, inst *instance.Instance) map[string]int {
 	return m
 }
 
-// runStratum runs the semi-naive fixpoint of one compiled stratum from
-// scratch. Deltas are tracked by watermark: relations are append-only,
-// so the facts derived in a round are exactly the insertion window
-// [Size before, Size after), iterated in place by position (TupleAt,
-// skipping tombstones via Live) — no per-round delta instances.
-//
-// With Limits.Parallelism > 1 each round's work — one unit per rule in
-// round 0, one per (rule, delta-restricted predicate, window slice)
-// afterwards — is fanned out across a bounded worker pool. Relations
-// are frozen during the fan-out (workers only read the shared
-// instance, deriving into private buffers) and the buffers are merged
-// single-threaded at the round barrier. Merging in work-unit order
-// keeps the result instance — including its insertion order —
-// independent of goroutine scheduling.
-//
-// visTag is the derivation-stamp tag facts derived by this stratum are
-// born with (si+1 for stratum si; see instance.MakeStamp); 0 means the
-// run neither tags nor filters (Prepared.Eval on a fresh result
-// instance, where strata are already ordered by construction).
-func runStratum(plans []*plan, local map[string]bool, inst *instance.Instance, limits Limits, derived *int, visTag uint64) error {
-	workers := limits.workers()
-	hb := &headScratch{}
-	seqSink := func(head ast.Pred, env *Env) error {
-		return derive(head, env, inst, limits, derived, hb, visTag)
-	}
+// window is a half-open position range [lo, hi) into a relation's
+// tuple log. Who produced the positions — and therefore which strata
+// may see them — is read from their derivation stamps, not tracked on
+// the window.
+type window struct {
+	lo, hi int
+}
 
-	// Round 0: evaluate every rule against the full instance.
-	prev := localSizes(local, inst)
-	if workers > 1 {
-		items := make([]workItem, len(plans))
-		for i, p := range plans {
-			items[i] = workItem{plan: p, deltaStep: -1}
-		}
-		if err := runRoundParallel(items, inst, workers, limits, derived, visTag); err != nil {
+// workItem is one plan run of a round. On a hoisted plan win is the
+// (slice of a) change window the delta step iterates; base plans run
+// over the full relations and leave it zero.
+type workItem struct {
+	plan *plan
+	win  window
+}
+
+// fullItems is round 0's work: every base plan once, over the full
+// relations.
+func fullItems(plans []*plan) []workItem {
+	items := make([]workItem, len(plans))
+	for i, p := range plans {
+		items[i] = workItem{plan: p}
+	}
+	return items
+}
+
+// driver runs one stratum's rules for one evaluation phase: round 0 and
+// the semi-naive rounds of the from-scratch evaluator, and each phase
+// of DRed maintenance. The phases differ in what consumes a derivation
+// (the sink every method takes), in what every run adds to an ordinary
+// one (opts) and in where a round's change windows come from; how the
+// runs are enumerated and executed is the same everywhere.
+type driver struct {
+	plans  []*plan
+	inst   *instance.Instance
+	limits Limits
+	opts   runOpts
+	// stats counts the plan executions of delta and negDelta; the
+	// maintenance phases fold it into their run's stats.
+	stats PlanStats
+	// derived is set when the phase's sink is derive into inst, counting
+	// new facts here: only then can a round fan out to workers, whose
+	// buffers are merged by deriving.
+	derived *int
+
+	items []workItem // the current delta round's work, reused round to round
+}
+
+// workers is how many ways a round of this driver is split.
+func (dr *driver) workers() int {
+	if dr.derived == nil {
+		return 1
+	}
+	return dr.limits.workers()
+}
+
+// run executes one round's work items. With Limits.Parallelism > 1 a
+// deriving round — one item per rule in round 0, one per (rule,
+// delta-restricted predicate, window slice) afterwards — is fanned out
+// across a bounded worker pool. Relations are frozen during the fan-out
+// (workers only read the shared instance, deriving into private
+// buffers) and the buffers are merged single-threaded at the round
+// barrier. Merging in work-item order keeps the result instance —
+// including its insertion order — independent of goroutine scheduling.
+// Otherwise the items run inline, one after the other, into sink.
+func (dr *driver) run(items []workItem, sink sinkFunc) error {
+	if workers := dr.workers(); workers > 1 {
+		return runRoundParallel(items, dr.inst, workers, dr.limits, dr.derived, dr.opts.visTag)
+	}
+	for _, it := range items {
+		if err := runPlanOpts(it.plan, dr.inst, it.win, sink, dr.opts); err != nil {
 			return err
 		}
-	} else {
-		for _, p := range plans {
-			if err := runPlanOpts(p, inst, -1, 0, 0, seqSink, runOpts{negStep: -1, visTag: visTag}); err != nil {
-				return err
+	}
+	return nil
+}
+
+// delta runs one delta round: for every rule and every positive body
+// atom, the atom's hoisted variant (delta step first, the rest of the
+// body index-probed) once per change window of the atom's relation.
+// windows says where the changes come from — the positions a stratum's
+// own heads grew by since the last round (fixpoint), the insertion
+// windows a stratum has not consumed, or the visible ranges of the
+// deletion logs passed as opts.deltaRels — and may reuse the slice it
+// returns: it is consumed before the next call. Each window is cut into
+// one slice per worker (see appendSlices); stats counts one plan
+// execution per slice. The round's items stay in dr.items.
+func (dr *driver) delta(windows func(name string) []window, sink sinkFunc) error {
+	dr.items = dr.items[:0]
+	chunks := dr.workers()
+	for _, p := range dr.plans {
+		for _, run := range p.variants {
+			for _, w := range windows(run.steps[0].pred.Name) {
+				n := len(dr.items)
+				dr.items = appendSlices(dr.items, run, w, chunks)
+				for range dr.items[n:] {
+					run.note(&dr.stats)
+				}
 			}
 		}
 	}
-	return fixpointRounds(plans, local, inst, limits, derived, prev, DeltaVariants, nil, visTag)
+	return dr.run(dr.items, sink)
 }
 
-// deltaPlan resolves which plan runs for the k-th delta-restricted
-// positive predicate of p: with variants enabled and compiled, the
-// hoisted variant (whose delta step is always step 0); otherwise the
-// base plan windowed at the occurrence's own step. The two shapes
-// enumerate exactly the same (rule, changed-atom) pairs — p.variants
-// is indexed by body order, p.predSteps by execution order — so
-// switching between them changes join order only, never coverage.
-func deltaPlan(p *plan, k int, variants bool) (run *plan, deltaStep int) {
-	if variants && len(p.variants) > 0 {
-		return p.variants[k], 0
-	}
-	return p, p.predSteps[k]
-}
-
-// fixpointRounds iterates semi-naive rounds until no local relation
-// grows: each round re-evaluates the stratum's rules with one local
-// positive predicate restricted to the window of facts derived since
-// the window start recorded in prev; the appended facts form the next
-// round's windows. Shared by the from-scratch evaluator (after its
-// round 0) and the incremental maintainer (after its delta round).
-// With variants enabled the delta-restricted runs use the hoisted
-// per-delta plans (see deltaPlan); pstats, when non-nil, accumulates
-// plan-execution counters for the maintenance stats.
-func fixpointRounds(plans []*plan, local map[string]bool, inst *instance.Instance, limits Limits, derived *int, prev map[string]int, variants bool, pstats *PlanStats, visTag uint64) error {
-	workers := limits.workers()
-	hb := &headScratch{}
-	seqSink := func(head ast.Pred, env *Env) error {
-		return derive(head, env, inst, limits, derived, hb, visTag)
-	}
+// fixpoint iterates semi-naive rounds until no local relation grows:
+// each round re-evaluates the stratum's rules with one local positive
+// predicate restricted to the window of facts appended since the
+// window start recorded in prev (see delta); the facts the round
+// appends form the next round's windows. Shared by the from-scratch
+// evaluator (after its round 0), the maintenance insert phase (after
+// its delta round) and the rederive phase (whose sink restores instead
+// of deriving).
+func (dr *driver) fixpoint(local map[string]bool, prev map[string]int, sink sinkFunc) error {
+	var one []window // backs the single window grown returns
 	for iter := 0; ; iter++ {
-		cur := localSizes(local, inst)
 		grew := false
-		for name, n := range cur {
-			if n > prev[name] {
+		for name := range local {
+			if rel := dr.inst.Relation(name); rel != nil && rel.Size() > prev[name] {
 				grew = true
 				break
 			}
@@ -238,34 +249,52 @@ func fixpointRounds(plans []*plan, local map[string]bool, inst *instance.Instanc
 		if !grew {
 			return nil
 		}
-		if iter >= limits.MaxIterations {
+		if iter >= dr.limits.MaxIterations {
 			return fmt.Errorf("%w: %d fixpoint rounds", ErrNonTermination, iter)
 		}
-		if workers > 1 {
-			if err := runRoundParallel(deltaItems(plans, local, prev, cur, workers, variants, pstats), inst, workers, limits, derived, visTag); err != nil {
-				return err
+		cur := localSizes(local, dr.inst)
+		if one == nil {
+			one = make([]window, 1)
+		}
+		// Both maps hold the local relations only, so every other name
+		// reads as an empty window.
+		grown := func(name string) []window {
+			lo, hi := prev[name], cur[name]
+			if hi <= lo {
+				return nil
 			}
-		} else {
-			for _, p := range plans {
-				for k := range p.predSteps {
-					run, deltaStep := deltaPlan(p, k, variants)
-					name := run.steps[deltaStep].pred.Name
-					if !local[name] {
-						continue
-					}
-					lo, hi := prev[name], cur[name]
-					if hi <= lo {
-						continue
-					}
-					run.note(pstats, deltaStep)
-					if err := runPlanOpts(run, inst, deltaStep, lo, hi, seqSink, runOpts{negStep: -1, visTag: visTag}); err != nil {
-						return err
-					}
-				}
-			}
+			one[0] = window{lo, hi}
+			return one
+		}
+		if err := dr.delta(grown, sink); err != nil {
+			return err
 		}
 		prev = cur
 	}
+}
+
+// runStratum runs the semi-naive fixpoint of one compiled stratum from
+// scratch. Deltas are tracked by watermark: relations are append-only,
+// so the facts derived in a round are exactly the insertion window
+// [Size before, Size after), iterated in place by position (TupleAt,
+// skipping tombstones via Live) — no per-round delta instances.
+//
+// visTag is the derivation-stamp tag facts derived by this stratum are
+// born with (si+1 for stratum si; see instance.MakeStamp); 0 means the
+// run neither tags nor filters (Prepared.Eval on a fresh result
+// instance, where strata are already ordered by construction).
+func runStratum(plans []*plan, local map[string]bool, inst *instance.Instance, limits Limits, derived *int, visTag uint64) error {
+	dr := &driver{plans: plans, inst: inst, limits: limits, opts: runOpts{negStep: -1, visTag: visTag}, derived: derived}
+	hb := &headScratch{}
+	sink := func(head ast.Pred, env *Env) error {
+		return derive(head, env, inst, limits, derived, hb, visTag)
+	}
+	// Round 0: evaluate every rule against the full instance.
+	prev := localSizes(local, inst)
+	if err := dr.run(fullItems(plans), sink); err != nil {
+		return err
+	}
+	return dr.fixpoint(local, prev, sink)
 }
 
 // sinkFunc consumes one derivation: the rule head instantiated under
@@ -292,11 +321,12 @@ type stepScratch struct {
 // runOpts extends a plan run for the DRed maintenance phases; the zero
 // value (with negStep -1) is an ordinary run.
 type runOpts struct {
-	// deltaRel substitutes a side relation for the delta step's
-	// relation: the step iterates deltaRel's window instead of the
-	// instance relation of the same name. The overdeletion phase uses it
-	// to join the set of deleted facts against the rest of the body.
-	deltaRel *instance.Relation
+	// deltaRels substitutes side relations for the delta step's
+	// relation: the step iterates the window of deltaRels[name] instead
+	// of the instance relation of the same name. The overdeletion phase
+	// passes the deletion logs, to join the set of deleted facts against
+	// the rest of the body.
+	deltaRels map[string]*instance.Relation
 	// includeDead makes non-delta positive predicate steps match
 	// tombstoned tuples too, so the join sees a superset of the
 	// pre-deletion state: live tuples plus every tombstone not yet
@@ -354,11 +384,11 @@ func (opts *runOpts) stepView(s *step, isDelta bool) instance.View {
 	return v
 }
 
-// runPlanOpts evaluates one rule, feeding every derivation to sink. If
-// deltaStep >= 0, the positive predicate at that step index iterates
-// only the insertion window [deltaLo, deltaHi) of its relation instead
-// of all tuples. opts carries the DRed extensions; see runOpts.
-func runPlanOpts(p *plan, inst *instance.Instance, deltaStep, deltaLo, deltaHi int, sink sinkFunc, opts runOpts) error {
+// runPlanOpts evaluates one rule, feeding every derivation to sink. On
+// a hoisted plan the first step — the delta predicate — iterates only
+// the window win of its relation instead of all tuples; other plans
+// ignore win. opts carries the DRed extensions; see runOpts.
+func runPlanOpts(p *plan, inst *instance.Instance, win window, sink sinkFunc, opts runOpts) error {
 	env := opts.env
 	if env == nil {
 		env = NewEnv()
@@ -378,7 +408,7 @@ func runPlanOpts(p *plan, inst *instance.Instance, deltaStep, deltaLo, deltaHi i
 		case stepPred:
 			scratch[i].vals = make([]value.Path, len(s.boundCols))
 			scratch[i].sub = make([]value.Path, len(s.unboundCols))
-			views[i] = opts.stepView(s, i == deltaStep)
+			views[i] = opts.stepView(s, p.hoisted && i == 0)
 		case stepNegPred:
 			scratch[i].neg = make(instance.Tuple, len(s.pred.Args))
 		}
@@ -386,10 +416,10 @@ func runPlanOpts(p *plan, inst *instance.Instance, deltaStep, deltaLo, deltaHi i
 			continue
 		}
 		rels[i] = inst.Relation(s.pred.Name)
-		if i == deltaStep && opts.deltaRel != nil {
-			rels[i] = opts.deltaRel
+		if p.hoisted && i == 0 && opts.deltaRels != nil {
+			rels[i] = opts.deltaRels[s.pred.Name]
 		}
-		if s.kind == stepPred && IndexedJoins && rels[i] != nil &&
+		if s.kind == stepPred && rels[i] != nil &&
 			rels[i].Arity == len(s.pred.Args) && len(s.boundCols) > 0 {
 			idxs[i] = rels[i].Index(s.boundCols...)
 		}
@@ -416,8 +446,8 @@ func runPlanOpts(p *plan, inst *instance.Instance, deltaStep, deltaLo, deltaHi i
 				return
 			}
 			lo, hi := 0, rel.Size()
-			if i == deltaStep {
-				lo, hi = deltaLo, deltaHi
+			if p.hoisted && i == 0 {
+				lo, hi = win.lo, win.hi
 			}
 			// The step's view carries tombstone visibility (the DRed
 			// overdelete joins against the pre-deletion state), the
@@ -441,13 +471,13 @@ func runPlanOpts(p *plan, inst *instance.Instance, deltaStep, deltaLo, deltaHi i
 				}
 				cands = idxs[i].Lookup(v, sc.vals...)
 			}
-			if !probed && IndexedJoins && s.prefixCol >= 0 {
+			if !probed && s.prefixCol >= 0 {
 				sc.bufA = env.EvalAppend(s.pred.Args[s.prefixCol][:s.prefixLen], sc.bufA[:0])
 				if probed = len(sc.bufA) > 0; probed {
 					cands = rel.PrefixLookup(v, s.prefixCol, sc.bufA)
 				}
 			}
-			if !probed && IndexedJoins && s.suffixCol >= 0 {
+			if !probed && s.suffixCol >= 0 {
 				arg := s.pred.Args[s.suffixCol]
 				sc.bufA = env.EvalAppend(arg[len(arg)-s.suffixLen:], sc.bufA[:0])
 				if probed = len(sc.bufA) > 0; probed {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"seqlog/internal/ast"
 	"seqlog/internal/instance"
 	"seqlog/internal/parser"
 	"seqlog/internal/queries"
@@ -11,16 +12,8 @@ import (
 	"seqlog/internal/workload"
 )
 
-// withScanPath runs f with the indexed join path disabled.
-func withScanPath(t *testing.T, f func()) {
-	t.Helper()
-	IndexedJoins = false
-	defer func() { IndexedJoins = true }()
-	f()
-}
-
 // agreementEDBs maps every terminating example query to a small but
-// non-trivial EDB; TestIndexedAndScanAgree fails if a query is missing
+// non-trivial EDB; TestEvalMatchesNaiveReference fails if a query is missing
 // so the matrix stays complete as queries are added.
 func agreementEDBs(t *testing.T) map[string]*instance.Instance {
 	t.Helper()
@@ -47,45 +40,15 @@ func agreementEDBs(t *testing.T) map[string]*instance.Instance {
 	}
 }
 
-// TestIndexedAndScanAgree checks that the indexed join path and the
-// naive scan path compute the same least model on every terminating
-// example query of the paper.
-func TestIndexedAndScanAgree(t *testing.T) {
-	edbs := agreementEDBs(t)
-	for _, q := range queries.All() {
-		if !q.Terminating {
-			continue
-		}
-		edb, ok := edbs[q.Name]
-		if !ok {
-			t.Fatalf("query %s has no agreement EDB; add one to agreementEDBs", q.Name)
-		}
-		indexed, err := Eval(q.Program, edb, Limits{})
-		if err != nil {
-			t.Fatalf("%s (indexed): %v", q.Name, err)
-		}
-		var scanned *instance.Instance
-		withScanPath(t, func() {
-			scanned, err = Eval(q.Program, edb, Limits{})
-		})
-		if err != nil {
-			t.Fatalf("%s (scan): %v", q.Name, err)
-		}
-		if !indexed.Equal(scanned) {
-			t.Errorf("%s: indexed and scan paths disagree: %s", q.Name, instance.Diff(indexed, scanned))
-		}
-	}
-}
-
 // TestDeriveIntoScannedRelation exercises rules that derive into the
 // relation they are scanning: appends during a scan must not be seen by
 // the live iteration (snapshot semantics) but must be picked up by the
-// next semi-naive round, on both join paths.
+// next round, in the production evaluator and in the naive reference.
 func TestDeriveIntoScannedRelation(t *testing.T) {
-	check := func(t *testing.T) {
+	check := func(t *testing.T, eval func(ast.Program, *instance.Instance) (*instance.Instance, error)) {
 		// Symmetric closure: each derivation scans T while extending it.
 		sym := parser.MustParseProgram(`T(@y.@x) :- T(@x.@y).`)
-		out, err := Eval(sym, parser.MustParseInstance("T(a.b). T(c.d)."), Limits{})
+		out, err := eval(sym, parser.MustParseInstance("T(a.b). T(c.d)."))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +61,7 @@ func TestDeriveIntoScannedRelation(t *testing.T) {
 		tc := parser.MustParseProgram(`
 T(@x.@y) :- R(@x.@y).
 T(@x.@z) :- T(@x.@y), T(@y.@z).`)
-		out, err = Eval(tc, workload.Chain(5), Limits{})
+		out, err = eval(tc, workload.Chain(5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,8 +69,20 @@ T(@x.@z) :- T(@x.@y), T(@y.@z).`)
 			t.Fatalf("closure of 5-chain has %d pairs, want 15", got)
 		}
 	}
-	t.Run("indexed", check)
-	t.Run("scan", func(t *testing.T) { withScanPath(t, func() { check(t) }) })
+	t.Run("eval", func(t *testing.T) {
+		check(t, func(prog ast.Program, edb *instance.Instance) (*instance.Instance, error) {
+			return Eval(prog, edb, Limits{})
+		})
+	})
+	t.Run("naive", func(t *testing.T) {
+		check(t, func(prog ast.Program, edb *instance.Instance) (*instance.Instance, error) {
+			prep, err := Compile(prog)
+			if err != nil {
+				return nil, err
+			}
+			return naiveEval(prep, edb, Limits{})
+		})
+	})
 }
 
 func TestQueryUnknownOutputErrors(t *testing.T) {

@@ -33,65 +33,24 @@ import (
 	"seqlog/internal/instance"
 )
 
-// workItem is one unit of a round's fan-out: a rule to run, with an
-// optional delta restriction (deltaStep < 0 means none) narrowed to
-// the window slice [deltaLo, deltaHi).
-type workItem struct {
-	plan      *plan
-	deltaStep int
-	deltaLo   int
-	deltaHi   int
-}
-
 // minParallelChunk is the smallest delta-window slice worth handing to
 // a worker: below this, the fan-out overhead (buffer instance, channel
 // hop, merge pass) dominates the join work inside the slice.
 const minParallelChunk = 32
 
-// deltaItems builds the work items of one semi-naive round: for each
-// rule and each delta-restricted local predicate, the delta window
-// [prev, cur) sliced into up to `workers` contiguous chunks. With
-// variants each item runs the hoisted per-delta plan (see deltaPlan);
-// pstats, when non-nil, counts one plan execution per item.
-func deltaItems(plans []*plan, local map[string]bool, prev, cur map[string]int, workers int, variants bool, pstats *PlanStats) []workItem {
-	var items []workItem
-	for _, p := range plans {
-		for k := range p.predSteps {
-			run, deltaStep := deltaPlan(p, k, variants)
-			name := run.steps[deltaStep].pred.Name
-			if !local[name] {
-				continue
-			}
-			lo, hi := prev[name], cur[name]
-			if hi <= lo {
-				continue
-			}
-			sl := sliceWindow(run, deltaStep, lo, hi, workers)
-			for range sl {
-				run.note(pstats, deltaStep)
-			}
-			items = append(items, sl...)
-		}
-	}
-	return items
-}
-
-// sliceWindow slices one delta window [lo, hi) of a plan's predicate
-// step into up to `workers` contiguous chunks of at least
-// minParallelChunk tuples, returning one work item per chunk.
-func sliceWindow(p *plan, stepIdx, lo, hi, workers int) []workItem {
-	chunks := workers
-	if most := (hi - lo) / minParallelChunk; chunks > most {
+// appendSlices cuts one change window of a hoisted plan's delta step
+// into up to `chunks` contiguous slices of at least minParallelChunk
+// tuples and appends one work item per slice.
+func appendSlices(items []workItem, p *plan, w window, chunks int) []workItem {
+	if most := (w.hi - w.lo) / minParallelChunk; chunks > most {
 		chunks = most
 	}
 	if chunks < 1 {
 		chunks = 1
 	}
-	items := make([]workItem, 0, chunks)
+	n := w.hi - w.lo
 	for c := 0; c < chunks; c++ {
-		clo := lo + (hi-lo)*c/chunks
-		chi := lo + (hi-lo)*(c+1)/chunks
-		items = append(items, workItem{plan: p, deltaStep: stepIdx, deltaLo: clo, deltaHi: chi})
+		items = append(items, workItem{plan: p, win: window{w.lo + n*c/chunks, w.lo + n*(c+1)/chunks}})
 	}
 	return items
 }
@@ -114,7 +73,7 @@ func freezeIndexes(items []workItem, inst *instance.Instance) {
 				continue
 			}
 			read[rel] = true
-			if s.kind == stepPred && IndexedJoins && rel.Arity == len(s.pred.Args) && len(s.boundCols) > 0 {
+			if s.kind == stepPred && rel.Arity == len(s.pred.Args) && len(s.boundCols) > 0 {
 				rel.Index(s.boundCols...)
 			}
 		}
@@ -159,7 +118,7 @@ func runRoundParallel(items []workItem, inst *instance.Instance, workers int, li
 				it := items[idx]
 				buf := instance.New()
 				bufs[idx] = buf
-				errs[idx] = runPlanOpts(it.plan, inst, it.deltaStep, it.deltaLo, it.deltaHi,
+				errs[idx] = runPlanOpts(it.plan, inst, it.win,
 					bufferSink(inst, buf, limits, budget, &stop, visTag), runOpts{negStep: -1, visTag: visTag})
 				if errs[idx] != nil {
 					stop.Store(true)

@@ -11,44 +11,6 @@ import (
 	"seqlog/internal/workload"
 )
 
-// TestParallelSequentialScanAgree is the three-way differential test of
-// the evaluator: on every terminating example query of the paper, the
-// parallel evaluator (4 workers), the sequential indexed evaluator and
-// the naive scan evaluator must compute the same least model.
-func TestParallelSequentialScanAgree(t *testing.T) {
-	edbs := agreementEDBs(t)
-	for _, q := range queries.All() {
-		if !q.Terminating {
-			continue
-		}
-		edb, ok := edbs[q.Name]
-		if !ok {
-			t.Fatalf("query %s has no agreement EDB; add one to agreementEDBs", q.Name)
-		}
-		sequential, err := Eval(q.Program, edb, Limits{})
-		if err != nil {
-			t.Fatalf("%s (sequential): %v", q.Name, err)
-		}
-		parallel, err := Eval(q.Program, edb, Limits{Parallelism: 4})
-		if err != nil {
-			t.Fatalf("%s (parallel): %v", q.Name, err)
-		}
-		if !parallel.Equal(sequential) {
-			t.Errorf("%s: parallel and sequential disagree: %s", q.Name, instance.Diff(parallel, sequential))
-		}
-		var scanned *instance.Instance
-		withScanPath(t, func() {
-			scanned, err = Eval(q.Program, edb, Limits{Parallelism: 4})
-		})
-		if err != nil {
-			t.Fatalf("%s (parallel scan): %v", q.Name, err)
-		}
-		if !scanned.Equal(sequential) {
-			t.Errorf("%s: parallel scan path disagrees with sequential: %s", q.Name, instance.Diff(scanned, sequential))
-		}
-	}
-}
-
 // TestParallelDeterminism pins the merge-order guarantee: evaluating
 // the same program at workers=8 is not merely set-equal to workers=1 —
 // repeated parallel runs produce byte-identical renderings (insertion

@@ -18,7 +18,7 @@ type preparedStratum struct {
 	// rederive[i] is plans[i]'s rule compiled with its head variables
 	// pre-bound: the access-path plan for goal-directed rederivation
 	// checks, where the head is matched against a candidate fact before
-	// the body runs (see maintenance.rederivable).
+	// the body runs (see maintenance.derivesGoal).
 	rederive []*plan
 	// heads is the set of relation names defined by this stratum.
 	heads map[string]bool
@@ -88,8 +88,7 @@ func Compile(prog ast.Program) (*Prepared, error) {
 			// Delta-hoisted variants: one plan per positive body atom
 			// (run when the delta sits on that atom's relation) and one
 			// pre-bound plan per negated atom, compiled once here so
-			// maintenance never plans at runtime. Whether they are used
-			// is an engine-level decision (eval.DeltaVariants).
+			// maintenance never plans at runtime.
 			if err := pl.compileVariants(); err != nil {
 				return nil, fmt.Errorf("stratum %d (delta variants): %w", si+1, err)
 			}

@@ -1,0 +1,119 @@
+package eval
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"seqlog/internal/ast"
+	"seqlog/internal/fuzztest"
+	"seqlog/internal/instance"
+	"seqlog/internal/parser"
+	"seqlog/internal/queries"
+)
+
+// naiveEval is the reference evaluator the production one is pinned
+// against: textbook naive evaluation. Per stratum it takes a copy of
+// each base plan with every step's access-path annotation cleared, so
+// runPlanOpts scans every relation, and repeats full (non-delta) rounds
+// until no head relation grows. It shares the join order, the matcher
+// and derive with production, and nothing else: no index, no prefix or
+// suffix probe, no delta variant, no window, no parallel merge.
+func naiveEval(prep *Prepared, edb *instance.Instance, limits Limits) (*instance.Instance, error) {
+	limits = limits.orDefault()
+	inst := edb.Clone()
+	derived := 0
+	hb := &headScratch{}
+	sink := func(head ast.Pred, env *Env) error {
+		return derive(head, env, inst, limits, &derived, hb, 0)
+	}
+	for si := range prep.strata {
+		var plans []*plan
+		for _, p := range prep.strata[si].plans {
+			scan := &plan{rule: p.rule, steps: append([]step(nil), p.steps...)}
+			for i := range scan.steps {
+				s := &scan.steps[i]
+				s.boundCols, s.unboundCols, s.unboundArgs = nil, nil, nil
+				s.prefixCol, s.suffixCol = -1, -1
+			}
+			plans = append(plans, scan)
+		}
+		for round := 0; ; round++ {
+			if round >= limits.MaxIterations {
+				return nil, fmt.Errorf("stratum %d: %w: %d naive rounds", si+1, ErrNonTermination, round)
+			}
+			before := derived
+			for _, p := range plans {
+				if err := runPlanOpts(p, inst, window{}, sink, runOpts{negStep: -1}); err != nil {
+					return nil, fmt.Errorf("stratum %d: %w", si+1, err)
+				}
+			}
+			if derived == before {
+				break
+			}
+		}
+	}
+	return inst, nil
+}
+
+// TestEvalMatchesNaiveReference checks that the production evaluator —
+// indexed joins, delta-hoisted variants, sequential and parallel rounds
+// — computes the same least model as the naive reference: on every
+// terminating example query of the paper, and on the shadow EDB of the
+// differential fuzzer's scenarios after every step.
+func TestEvalMatchesNaiveReference(t *testing.T) {
+	t.Run("queries", func(t *testing.T) {
+		edbs := agreementEDBs(t)
+		for _, q := range queries.All() {
+			if !q.Terminating {
+				continue
+			}
+			edb, ok := edbs[q.Name]
+			if !ok {
+				t.Fatalf("query %s has no agreement EDB; add one to agreementEDBs", q.Name)
+			}
+			prep, err := Compile(q.Program)
+			if err != nil {
+				t.Fatalf("%s: %v", q.Name, err)
+			}
+			want, err := naiveEval(prep, edb, Limits{})
+			if err != nil {
+				t.Fatalf("%s (naive): %v", q.Name, err)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				got, err := prep.Eval(edb, Limits{Parallelism: workers})
+				if err != nil {
+					t.Fatalf("%s (workers=%d): %v", q.Name, workers, err)
+				}
+				if !got.Equal(want) {
+					t.Errorf("%s (workers=%d): Eval and the naive reference disagree: %s", q.Name, workers, instance.Diff(got, want))
+				}
+			}
+		}
+	})
+	t.Run("scenarios", func(t *testing.T) {
+		for seed := int64(0); seed < 120; seed++ {
+			sc := fuzztest.GenScenario(rand.New(rand.NewSource(seed)))
+			prep, err := Compile(parser.MustParseProgram(sc.Src))
+			if err != nil {
+				t.Fatalf("seed %d: %v\n%s", seed, err, sc.Src)
+			}
+			sh := fuzztest.NewShadow()
+			for i, st := range sc.Steps {
+				sh.Apply(st)
+				got, err := prep.Eval(sh.EDB(), Limits{Parallelism: sc.Workers})
+				if err != nil {
+					t.Fatalf("seed %d step %d: Eval: %v\n%s%s", seed, i, err, sc.Src, sc.History(i))
+				}
+				want, err := naiveEval(prep, sh.EDB(), Limits{})
+				if err != nil {
+					t.Fatalf("seed %d step %d: naive: %v\n%s%s", seed, i, err, sc.Src, sc.History(i))
+				}
+				if d := instance.Diff(got, want); d != "" {
+					t.Fatalf("seed %d step %d (workers=%d): Eval diverges from the naive reference: %s\n%s%s",
+						seed, i, sc.Workers, d, sc.Src, sc.History(i))
+				}
+			}
+		}
+	})
+}

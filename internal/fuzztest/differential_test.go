@@ -1,21 +1,23 @@
 // The differential maintenance fuzzer: random stratified programs
 // (see scenario.go), random assert/retract interleavings, and after
-// every step three independently computed answers that must agree
-// tuple for tuple —
+// every step two independently computed answers that must agree tuple
+// for tuple —
 //
-//   - an engine maintained incrementally with delta-hoisted plan
-//     variants (eval.DeltaVariants on),
-//   - an engine maintained incrementally with the base plans
-//     (variants off),
+//   - an engine maintained incrementally (delete-and-rederive over the
+//     delta-hoisted plan variants),
 //   - Prepared.Eval from scratch over a shadow copy of the EDB.
 //
-// Any divergence — a missed overdeletion, a rederivation the pruner
-// wrongly kept, a suffix-index probe returning a stale position — is
-// reported with the full program, the step history, and the first
-// differing fact.
+// Both run the one evaluator configuration there is, so the oracle is
+// the code every binary runs; Prepared.Eval itself is pinned against a
+// naive scan evaluator over the same scenarios in internal/eval
+// (TestEvalMatchesNaiveReference). Any divergence — a missed
+// overdeletion, a rederivation the pruner wrongly kept, a suffix-index
+// probe returning a stale position — is reported with the full
+// program, the step history, and the first differing fact.
 package fuzztest
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -25,8 +27,7 @@ import (
 )
 
 // runSeed replays one scenario, checking after every step that the
-// variant-maintained engine, the base-plan engine, and the
-// from-scratch evaluation agree exactly.
+// maintained engine and the from-scratch evaluation agree exactly.
 func runSeed(t *testing.T, seed int64) {
 	t.Helper()
 	sc := GenScenario(rand.New(rand.NewSource(seed)))
@@ -40,36 +41,20 @@ func runSeed(t *testing.T, seed int64) {
 		t.Fatalf("seed %d: generated program does not compile: %v\n%s", seed, err, sc.Src)
 	}
 	limits := eval.Limits{Parallelism: sc.Workers}
-
-	// Engines capture eval.DeltaVariants at construction, so toggling
-	// the global here pins both regimes for the whole interleaving.
-	defer func(old bool) { eval.DeltaVariants = old }(eval.DeltaVariants)
-	eval.DeltaVariants = true
-	engOn, err := eval.NewEngine(prep, nil, limits)
+	eng, err := eval.NewEngine(prep, nil, limits)
 	if err != nil {
-		t.Fatalf("seed %d: NewEngine(variants): %v", seed, err)
-	}
-	eval.DeltaVariants = false
-	engOff, err := eval.NewEngine(prep, nil, limits)
-	if err != nil {
-		t.Fatalf("seed %d: NewEngine(base): %v", seed, err)
+		t.Fatalf("seed %d: NewEngine: %v", seed, err)
 	}
 
 	sh := NewShadow()
 	for i, st := range sc.Steps {
-		apply := func(e *eval.Engine) error {
-			if st.Retract {
-				_, err := e.Retract(Batch(st.Facts))
-				return err
-			}
-			_, err := e.Assert(Batch(st.Facts))
-			return err
+		if st.Retract {
+			_, err = eng.Retract(Batch(st.Facts))
+		} else {
+			_, err = eng.Assert(Batch(st.Facts))
 		}
-		if err := apply(engOn); err != nil {
-			t.Fatalf("seed %d step %d (variants, workers=%d): %v\n%s%s", seed, i, sc.Workers, err, sc.Src, sc.History(i))
-		}
-		if err := apply(engOff); err != nil {
-			t.Fatalf("seed %d step %d (base, workers=%d): %v\n%s%s", seed, i, sc.Workers, err, sc.Src, sc.History(i))
+		if err != nil {
+			t.Fatalf("seed %d step %d (workers=%d): %v\n%s%s", seed, i, sc.Workers, err, sc.Src, sc.History(i))
 		}
 		sh.Apply(st)
 
@@ -77,24 +62,12 @@ func runSeed(t *testing.T, seed int64) {
 		if err != nil {
 			t.Fatalf("seed %d step %d: from-scratch Eval: %v\n%s%s", seed, i, err, sc.Src, sc.History(i))
 		}
-		snapOn, err := engOn.Snapshot()
+		snap, err := eng.Snapshot()
 		if err != nil {
-			t.Fatalf("seed %d step %d: Snapshot(variants): %v", seed, i, err)
+			t.Fatalf("seed %d step %d: Snapshot: %v", seed, i, err)
 		}
-		snapOff, err := engOff.Snapshot()
-		if err != nil {
-			t.Fatalf("seed %d step %d: Snapshot(base): %v", seed, i, err)
-		}
-		if d := instance.Diff(snapOn, want); d != "" {
-			t.Fatalf("seed %d step %d (workers=%d): variant engine diverges from scratch: %s\n%s%s",
-				seed, i, sc.Workers, d, sc.Src, sc.History(i))
-		}
-		if d := instance.Diff(snapOff, want); d != "" {
-			t.Fatalf("seed %d step %d (workers=%d): base engine diverges from scratch: %s\n%s%s",
-				seed, i, sc.Workers, d, sc.Src, sc.History(i))
-		}
-		if d := instance.Diff(snapOn, snapOff); d != "" {
-			t.Fatalf("seed %d step %d (workers=%d): variant and base engines diverge: %s\n%s%s",
+		if d := instance.Diff(snap, want); d != "" {
+			t.Fatalf("seed %d step %d (workers=%d): engine diverges from scratch: %s\n%s%s",
 				seed, i, sc.Workers, d, sc.Src, sc.History(i))
 		}
 	}
@@ -108,8 +81,11 @@ func TestDifferentialMaintenance(t *testing.T) {
 	if testing.Short() {
 		seeds = 40
 	}
-	for seed := 0; seed < seeds; seed++ {
-		runSeed(t, int64(seed))
+	for seed := int64(0); seed < int64(seeds); seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			runSeed(t, seed)
+		})
 	}
 }
 

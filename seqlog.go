@@ -143,7 +143,8 @@ type (
 	// EngineStats is a point-in-time summary of an Engine.
 	EngineStats = eval.EngineStats
 	// PlanStats counts plan executions during maintenance: how often a
-	// delta-hoisted plan variant ran instead of a base plan, and how
+	// delta-hoisted plan variant ran (a positive atom's relation
+	// changed) or a pre-bound base plan (a negated one did), and how
 	// the non-delta join steps were served (exact index probe, ground
 	// prefix probe, ground suffix probe, or full scan). Embedded in
 	// AssertStats, RetractStats and EngineStats.
