@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench vet lint all
+.PHONY: build test race bench vet lint loc all
 
 all: vet lint build test
 
@@ -18,6 +18,11 @@ vet:
 lint:
 	$(GO) run ./cmd/seqlint .
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then echo "gofmt needed:"; echo "$$fmt_out"; exit 1; fi
+
+# loc prints the non-test Go line counts ROADMAP tracks, per top-level
+# package, for the module and for bench/ (see scripts/loc.sh).
+loc:
+	scripts/loc.sh
 
 test:
 	$(GO) test ./...

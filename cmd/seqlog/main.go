@@ -21,7 +21,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"sync"
 
 	"seqlog/internal/analyze"
@@ -234,16 +233,8 @@ func printRelations(inst *instance.Instance, names []string) {
 }
 
 func printRelation(name string, rel *instance.Relation) {
-	for _, t := range rel.Sorted() {
-		if len(t) == 0 {
-			fmt.Printf("%s.\n", name)
-			continue
-		}
-		parts := make([]string, len(t))
-		for i, p := range t {
-			parts[i] = p.String()
-		}
-		fmt.Printf("%s(%s).\n", name, strings.Join(parts, ", "))
+	if err := rel.WriteFacts(os.Stdout, name); err != nil {
+		fail(err)
 	}
 }
 

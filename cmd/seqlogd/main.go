@@ -115,7 +115,7 @@ func main() {
 		rs := l.Recovery()
 		srv.recovered = rs.RecordsReplayed
 		if h.rep.Engine() != nil {
-			srv.installRecovered(&h.rep)
+			srv.install(h.rep.Engine(), h.rep.Source())
 			fmt.Fprintf(os.Stderr, "seqlogd: recovered %d WAL records (checkpoint generation %d)\n",
 				rs.RecordsReplayed, rs.CheckpointGen)
 			if *programFile != "" {
@@ -302,16 +302,18 @@ func (h *walHandler) Replay(rec wal.Record) error {
 	return fmt.Errorf("unknown WAL op %s", rec.Op)
 }
 
-// installRecovered adopts the replayer's engine as the served state.
-func (s *server) installRecovered(rep *eval.Replayer) {
+// install makes e the served engine and src, its program's source
+// text, the current load epoch; the analyzer warnings of the compiled
+// program ride along for load replies and stats.
+func (s *server) install(e *eval.Engine, src string) {
 	var warns []analyze.Diagnostic
-	for _, d := range rep.Prepared().Diagnostics() {
+	for _, d := range e.Prepared().Diagnostics() {
 		if d.Severity == analyze.Warning {
 			warns = append(warns, d)
 		}
 	}
 	s.mu.Lock()
-	s.engine, s.src, s.warnings = rep.Engine(), rep.Source(), warns
+	s.engine, s.src, s.warnings = e, src, warns
 	s.mu.Unlock()
 }
 
@@ -416,45 +418,36 @@ func (s *server) maybeCheckpoint(force bool) {
 	}
 }
 
-// assert logs the batch and applies it to the engine, WAL first: a
-// batch the log cannot make durable never reaches the engine.
-func (s *server) assert(delta *instance.Instance) (eval.AssertStats, error) {
+// writeOp is one direction of the write path: the WAL op that logs the
+// batch, the word that names the changed facts in the reply, and the
+// engine call that applies the batch.
+type writeOp struct {
+	rec   wal.Op
+	word  string
+	apply func(*eval.Engine, *instance.Instance) (int, eval.MaintenanceStats, error)
+}
+
+// write is the one place a batch is logged, applied to the engine and
+// checkpoint-triggered, WAL first: a batch the log cannot make durable
+// never reaches the engine.
+func (s *server) write(op *writeOp, delta *instance.Instance) (int, eval.MaintenanceStats, error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	e, err := s.current()
 	if err != nil {
-		return eval.AssertStats{}, err
+		return 0, eval.MaintenanceStats{}, err
 	}
 	if err := e.Err(); err != nil {
 		// A broken engine rejects the batch itself; don't log a record
 		// replay could never apply.
-		return eval.AssertStats{}, err
+		return 0, eval.MaintenanceStats{}, err
 	}
-	if err := s.logRecord(wal.Record{Op: wal.OpAssert, Batch: delta}); err != nil {
-		return eval.AssertStats{}, err
+	if err := s.logRecord(wal.Record{Op: op.rec, Batch: delta}); err != nil {
+		return 0, eval.MaintenanceStats{}, err
 	}
-	st, err := e.Assert(delta)
+	n, st, err := op.apply(e, delta)
 	s.maybeCheckpoint(false)
-	return st, err
-}
-
-// retract is assert's mirror image on the delete/rederive path.
-func (s *server) retract(delta *instance.Instance) (eval.RetractStats, error) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	e, err := s.current()
-	if err != nil {
-		return eval.RetractStats{}, err
-	}
-	if err := e.Err(); err != nil {
-		return eval.RetractStats{}, err
-	}
-	if err := s.logRecord(wal.Record{Op: wal.OpRetract, Batch: delta}); err != nil {
-		return eval.RetractStats{}, err
-	}
-	st, err := e.Retract(delta)
-	s.maybeCheckpoint(false)
-	return st, err
+	return n, st, err
 }
 
 // durabilityCounters renders the WAL/session counters appended to the
@@ -477,12 +470,11 @@ func (s *server) durabilityCounters() string {
 }
 
 // load compiles src and replaces the served engine with a fresh one.
-// A nil edb means "carry the EDB over": the new engine is seeded from
-// the previous engine's EDB snapshot (its non-IDB relations plus
-// frozen IDB seeds), so a program upgrade keeps the live fact base —
-// snapshots share their chunked storage, so the carry copies no
-// tuples. An explicit edb (the -program/-data startup path) is used as
-// given. The returned count is the number of facts carried over. A
+// A nil edb means "carry the EDB over": the new engine is seeded with
+// what eval.CarryEDB takes from the previous engine, so a program
+// upgrade keeps the live fact base. An explicit edb (the -program/-data
+// startup path) is used as given. The returned count is the number of
+// facts carried over. A
 // program the static analyzer rejects returns an *analyze.DiagError
 // (wrapped or direct) and leaves the previous engine serving; the
 // rejection is counted in stats.
@@ -491,7 +483,7 @@ func (s *server) durabilityCounters() string {
 // the start of a new load epoch — before the engine swap; the record
 // carries only the program, and replay reconstructs the same carried
 // EDB from the engine state the preceding records produced
-// (eval.Replayer.Load does the same carry). The snapshot, the record
+// (eval.Replayer.Load calls the same CarryEDB). The snapshot, the record
 // and the swap all happen under the write lock, so no concurrent
 // assert can slip between the carried state and the logged load.
 // (The startup path with -data additionally cuts a checkpoint.) A
@@ -514,27 +506,14 @@ func (s *server) load(src string, edb *instance.Instance) (int, error) {
 		}
 		return 0, err
 	}
-	var warns []analyze.Diagnostic
-	for _, d := range prep.Diagnostics() {
-		if d.Severity == analyze.Warning {
-			warns = append(warns, d)
-		}
-	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	carried := 0
 	if edb == nil {
-		edb = instance.New()
 		s.mu.Lock()
 		prev := s.engine
 		s.mu.Unlock()
-		if prev != nil && prev.Err() == nil {
-			snap, err := prev.EDBSnapshot()
-			if err != nil {
-				return 0, err
-			}
-			edb, carried = snap, snap.Facts()
-		}
+		edb, carried = eval.CarryEDB(prev)
 	}
 	e, err := eval.NewEngine(prep, edb, s.limits)
 	if err != nil {
@@ -543,11 +522,7 @@ func (s *server) load(src string, edb *instance.Instance) (int, error) {
 	if err := s.logRecord(wal.Record{Op: wal.OpLoad, Program: src}); err != nil {
 		return 0, err
 	}
-	s.mu.Lock()
-	s.engine = e
-	s.src = src
-	s.warnings = warns
-	s.mu.Unlock()
+	s.install(e, src)
 	s.maybeCheckpoint(false)
 	return carried, nil
 }
@@ -577,193 +552,212 @@ func (s *server) current() (*eval.Engine, error) {
 	return s.engine, nil
 }
 
+// session is one connection's protocol state: the server it talks to,
+// its line scanner and its buffered reply writer.
+type session struct {
+	srv *server
+	in  *bufio.Scanner
+	out *bufio.Writer
+	// dl is the transport's read-deadline hook, nil when it has none.
+	dl interface{ SetReadDeadline(time.Time) error }
+	// closed ends the session after the current command's reply.
+	closed bool
+}
+
+// verbs is the protocol, in the order the unknown-command reply lists
+// it. A handler gets the rest of the command line; it either sends its
+// own "ok ..." reply or returns the error serve reports as "err ...".
+var verbs = []struct {
+	name string
+	run  func(c *session, arg string) error
+}{
+	{"load", (*session).load},
+	{"assert", writes(&writeOp{wal.OpAssert, "asserted", func(e *eval.Engine, d *instance.Instance) (int, eval.MaintenanceStats, error) {
+		st, err := e.Assert(d)
+		return st.Asserted, st.MaintenanceStats, err
+	}})},
+	{"retract", writes(&writeOp{wal.OpRetract, "retracted", func(e *eval.Engine, d *instance.Instance) (int, eval.MaintenanceStats, error) {
+		st, err := e.Retract(d)
+		return st.Retracted, st.MaintenanceStats, err
+	}})},
+	{"query", reads(func(c *session, e *eval.Engine, name string) error {
+		rel, err := e.Query(name)
+		if err != nil {
+			return err
+		}
+		if err := rel.WriteFacts(c.out, name); err != nil {
+			return err
+		}
+		return c.reply("ok n=%d", rel.Len())
+	})},
+	{"holds", reads(func(c *session, e *eval.Engine, name string) error {
+		yes, err := e.Holds(name)
+		if err != nil {
+			return err
+		}
+		return c.reply("ok %v", yes)
+	})},
+	{"stats", reads(func(c *session, e *eval.Engine, _ string) error {
+		st := e.Stats()
+		return c.reply("ok facts=%d derived=%d asserts=%d retracts=%d warnings=%d rejected_loads=%d%s%s%s",
+			st.Facts, st.Derived, st.Asserts, st.Retracts,
+			len(c.srv.loadWarnings()), c.srv.rejectedLoads(), planCounters(st.Plans),
+			cloneCounters(st.Clones), c.srv.durabilityCounters())
+	})},
+	{"explain", reads(func(c *session, e *eval.Engine, _ string) error {
+		for _, l := range e.Prepared().Explain() {
+			fmt.Fprintln(c.out, l)
+		}
+		return c.reply("ok")
+	})},
+	{"quit", func(c *session, _ string) error {
+		c.closed = true
+		return c.reply("ok bye")
+	}},
+}
+
 // serve runs the line protocol until EOF or quit. One serve loop is a
 // session; many may run concurrently against the same server.
 func (s *server) serve(r io.Reader, w io.Writer) {
-	in := bufio.NewScanner(r)
-	in.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	out := bufio.NewWriter(w)
-	defer out.Flush()
-	reply := func(format string, args ...any) {
-		fmt.Fprintf(out, format+"\n", args...)
-		out.Flush()
-	}
-	// Idle read deadline: when the transport supports deadlines (TCP,
-	// net.Pipe) and -idle-timeout is set, every read re-arms it; a
-	// session silent past the deadline is closed cleanly and counted.
-	dl, _ := r.(interface{ SetReadDeadline(time.Time) error })
-	scan := func() bool {
-		if dl != nil && s.idleTimeout > 0 {
-			dl.SetReadDeadline(time.Now().Add(s.idleTimeout))
+	c := &session{srv: s, in: bufio.NewScanner(r), out: bufio.NewWriter(w)}
+	c.in.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	c.dl, _ = r.(interface{ SetReadDeadline(time.Time) error })
+	defer c.out.Flush()
+	for !c.closed {
+		if err := c.command(); err != nil {
+			c.reply("err %v", err)
 		}
-		return in.Scan()
-	}
-	for scan() {
-		line := strings.TrimSpace(in.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		cmd, rest, _ := strings.Cut(line, " ")
-		rest = strings.TrimSpace(rest)
-		switch cmd {
-		case "load":
-			var prog strings.Builder
-			terminated := false
-			for scan() {
-				l := in.Text()
-				if strings.TrimSpace(l) == "." {
-					terminated = true
-					break
-				}
-				prog.WriteString(l)
-				prog.WriteByte('\n')
-			}
-			if !terminated {
-				// Input ended before the lone ".": the program arrived
-				// truncated, and loading whatever accumulated would
-				// silently serve half a program. Keep the previous engine
-				// and tell the client. A scanner FAILURE (e.g. a line
-				// beyond the 1 MiB cap) additionally poisons the stream —
-				// scanning on could reinterpret buffered program text as
-				// protocol commands — so close the session; plain EOF just
-				// lets the outer loop wind down.
-				if err := in.Err(); err != nil {
-					if errors.Is(err, os.ErrDeadlineExceeded) {
-						s.bumpIdleTimeouts()
-					}
-					reply("err load: %v (program discarded, previous engine kept)", err)
-					return
-				}
-				reply("err load: input ended before the terminating \".\" (program discarded, previous engine kept)")
-				continue
-			}
-			carried, err := s.load(prog.String(), nil)
-			if err != nil {
-				var de *analyze.DiagError
-				if errors.As(err, &de) {
-					for _, d := range de.Diags {
-						fmt.Fprintf(out, "diag %s\n", d)
-					}
-					reply("err load rejected: %d diagnostic(s) (previous engine kept)", len(de.Diags))
-					continue
-				}
-				reply("err %v", err)
-				continue
-			}
-			warns := s.loadWarnings()
-			for _, d := range warns {
-				fmt.Fprintf(out, "diag %s\n", d)
-			}
-			reply("ok loaded warnings=%d carried=%d", len(warns), carried)
-		case "assert":
-			delta, err := parser.ParseInstance(rest)
-			if err != nil {
-				reply("err %v", err)
-				continue
-			}
-			stats, err := s.assert(delta)
-			if err != nil {
-				reply("err %v", err)
-				continue
-			}
-			reply("ok asserted=%d derived=%d overdeleted=%d stamp_pruned=%d rederived=%d skipped=%d incremental=%d%s%s",
-				stats.Asserted, stats.Derived, stats.Overdeleted, stats.StampPruned, stats.Rederived,
-				stats.StrataSkipped, stats.StrataIncremental, planCounters(stats.Plans),
-				cloneCounters(stats.Clones))
-		case "retract":
-			delta, err := parser.ParseInstance(rest)
-			if err != nil {
-				reply("err %v", err)
-				continue
-			}
-			stats, err := s.retract(delta)
-			if err != nil {
-				reply("err %v", err)
-				continue
-			}
-			reply("ok retracted=%d derived=%d overdeleted=%d stamp_pruned=%d rederived=%d skipped=%d incremental=%d%s%s",
-				stats.Retracted, stats.Derived, stats.Overdeleted, stats.StampPruned, stats.Rederived,
-				stats.StrataSkipped, stats.StrataIncremental, planCounters(stats.Plans),
-				cloneCounters(stats.Clones))
-		case "query":
-			e, err := s.current()
-			if err != nil {
-				reply("err %v", err)
-				continue
-			}
-			rel, err := e.Query(rest)
-			if err != nil {
-				reply("err %v", err)
-				continue
-			}
-			for _, t := range rel.Sorted() {
-				if len(t) == 0 {
-					fmt.Fprintf(out, "%s.\n", rest)
-					continue
-				}
-				parts := make([]string, len(t))
-				for i, p := range t {
-					parts[i] = p.String()
-				}
-				fmt.Fprintf(out, "%s(%s).\n", rest, strings.Join(parts, ", "))
-			}
-			reply("ok n=%d", rel.Len())
-		case "holds":
-			e, err := s.current()
-			if err != nil {
-				reply("err %v", err)
-				continue
-			}
-			yes, err := e.Holds(rest)
-			if err != nil {
-				reply("err %v", err)
-				continue
-			}
-			reply("ok %v", yes)
-		case "stats":
-			e, err := s.current()
-			if err != nil {
-				reply("err %v", err)
-				continue
-			}
-			st := e.Stats()
-			reply("ok facts=%d derived=%d asserts=%d retracts=%d warnings=%d rejected_loads=%d%s%s%s",
-				st.Facts, st.Derived, st.Asserts, st.Retracts,
-				len(s.loadWarnings()), s.rejectedLoads(), planCounters(st.Plans),
-				cloneCounters(st.Clones), s.durabilityCounters())
-		case "explain":
-			e, err := s.current()
-			if err != nil {
-				reply("err %v", err)
-				continue
-			}
-			for _, l := range e.Prepared().Explain() {
-				fmt.Fprintln(out, l)
-			}
-			reply("ok")
-		case "quit":
-			reply("ok bye")
-			return
-		default:
-			reply("err unknown command %q (load, assert, retract, query, holds, stats, explain, quit)", cmd)
-		}
-	}
-	// A scanner failure (e.g. a line beyond the 1 MB cap) must not kill
-	// the session silently mid-protocol: tell the client before closing.
-	if err := in.Err(); err != nil {
-		if errors.Is(err, os.ErrDeadlineExceeded) {
-			s.bumpIdleTimeouts()
-			reply("err idle timeout: closing session")
-			return
-		}
-		reply("err %v", err)
 	}
 }
 
-func (s *server) bumpIdleTimeouts() {
-	s.mu.Lock()
-	s.idleTimeouts++
-	s.mu.Unlock()
+// reply sends the line that ends a command's response.
+func (c *session) reply(format string, args ...any) error {
+	fmt.Fprintf(c.out, format+"\n", args...)
+	return c.out.Flush()
+}
+
+// scan reads the next input line. Idle read deadline: when the
+// transport supports deadlines (TCP, net.Pipe) and -idle-timeout is
+// set, every read re-arms it; a session silent past the deadline is
+// closed cleanly (see command) and counted.
+func (c *session) scan() bool {
+	if c.dl != nil && c.srv.idleTimeout > 0 {
+		c.dl.SetReadDeadline(time.Now().Add(c.srv.idleTimeout))
+	}
+	if c.in.Scan() {
+		return true
+	}
+	if errors.Is(c.in.Err(), os.ErrDeadlineExceeded) {
+		c.srv.mu.Lock()
+		c.srv.idleTimeouts++
+		c.srv.mu.Unlock()
+	}
+	return false
+}
+
+// command reads one line and runs the verb it names.
+func (c *session) command() error {
+	if !c.scan() {
+		c.closed = true
+		// A scanner failure (e.g. a line beyond the 1 MB cap) must not kill
+		// the session silently mid-protocol: tell the client before closing.
+		err := c.in.Err()
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			return errors.New("idle timeout: closing session")
+		}
+		return err
+	}
+	line := strings.TrimSpace(c.in.Text())
+	if line == "" || strings.HasPrefix(line, "#") {
+		return nil
+	}
+	cmd, rest, _ := strings.Cut(line, " ")
+	for _, v := range verbs {
+		if v.name == cmd {
+			return v.run(c, strings.TrimSpace(rest))
+		}
+	}
+	names := make([]string, len(verbs))
+	for i, v := range verbs {
+		names[i] = v.name
+	}
+	return fmt.Errorf("unknown command %q (%s)", cmd, strings.Join(names, ", "))
+}
+
+// load reads program lines until a lone "." and installs the program.
+func (c *session) load(string) error {
+	var prog strings.Builder
+	for {
+		if !c.scan() {
+			// Input ended before the lone ".": the program arrived
+			// truncated, and loading whatever accumulated would silently
+			// serve half a program. Keep the previous engine and tell the
+			// client. A scanner FAILURE (e.g. a line beyond the 1 MiB cap)
+			// additionally poisons the stream — scanning on could
+			// reinterpret buffered program text as protocol commands — so
+			// close the session; plain EOF just lets serve wind down.
+			err := c.in.Err()
+			if err == nil {
+				return errors.New(`load: input ended before the terminating "." (program discarded, previous engine kept)`)
+			}
+			c.closed = true
+			return fmt.Errorf("load: %v (program discarded, previous engine kept)", err)
+		}
+		l := c.in.Text()
+		if strings.TrimSpace(l) == "." {
+			break
+		}
+		prog.WriteString(l)
+		prog.WriteByte('\n')
+	}
+	carried, err := c.srv.load(prog.String(), nil)
+	var de *analyze.DiagError
+	if errors.As(err, &de) {
+		c.diags(de.Diags)
+		return fmt.Errorf("load rejected: %d diagnostic(s) (previous engine kept)", len(de.Diags))
+	}
+	if err != nil {
+		return err
+	}
+	warns := c.srv.loadWarnings()
+	c.diags(warns)
+	return c.reply("ok loaded warnings=%d carried=%d", len(warns), carried)
+}
+
+// diags lists diagnostics ahead of a load's final reply line.
+func (c *session) diags(ds []analyze.Diagnostic) {
+	for _, d := range ds {
+		fmt.Fprintf(c.out, "diag %s\n", d)
+	}
+}
+
+// writes is the handler behind both write verbs: parse the batch, send
+// it down the write path, report what maintenance did.
+func writes(op *writeOp) func(*session, string) error {
+	return func(c *session, arg string) error {
+		delta, err := parser.ParseInstance(arg)
+		if err != nil {
+			return err
+		}
+		n, st, err := c.srv.write(op, delta)
+		if err != nil {
+			return err
+		}
+		return c.reply("ok %s=%d derived=%d overdeleted=%d stamp_pruned=%d rederived=%d skipped=%d incremental=%d%s%s",
+			op.word, n, st.Derived, st.Overdeleted, st.StampPruned, st.Rederived,
+			st.StrataSkipped, st.StrataIncremental, planCounters(st.Plans), cloneCounters(st.Clones))
+	}
+}
+
+// reads is the one prologue of every verb that reads the served engine.
+func reads(run func(c *session, e *eval.Engine, arg string) error) func(*session, string) error {
+	return func(c *session, arg string) error {
+		e, err := c.srv.current()
+		if err != nil {
+			return err
+		}
+		return run(c, e, arg)
+	}
 }
 
 // planCounters renders the plan-execution counters appended to

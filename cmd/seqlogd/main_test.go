@@ -407,7 +407,7 @@ func newWALServer(t *testing.T, dir string, opts wal.Options) *server {
 	}
 	srv := &server{limits: eval.Limits{}, wal: l, recovered: l.Recovery().RecordsReplayed}
 	if h.rep.Engine() != nil {
-		srv.installRecovered(&h.rep)
+		srv.install(h.rep.Engine(), h.rep.Source())
 	}
 	t.Cleanup(func() { l.Close() })
 	return srv

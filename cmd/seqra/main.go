@@ -76,8 +76,8 @@ func main() {
 		fail(err)
 	}
 	fmt.Println("---")
-	for _, t := range rel.Sorted() {
-		fmt.Printf("%s%s\n", *output, t)
+	if err := rel.WriteFacts(os.Stdout, *output); err != nil {
+		fail(err)
 	}
 }
 

@@ -1,15 +1,17 @@
 package analyze
 
 import (
+	"slices"
 	"strings"
 
 	"seqlog/internal/ast"
 )
 
-// PerfAnalyzer simulates the planner's greedy join ordering under
-// semi-naive incremental maintenance. For every positive predicate
-// occurrence Δ of a multi-join rule it asks: when maintenance is
-// driven by a delta on Δ (only Δ's variables bound up front), can the
+// PerfAnalyzer reads the planner's delta-variant join orders — it
+// calls ast.JoinOrder and ast.Pred.Access, the functions eval compiles
+// its plans from, so it cannot disagree with them. For every positive
+// predicate occurrence Δ of a multi-join rule it asks: when maintenance
+// is driven by a delta on Δ (only Δ's variables bound up front), can the
 // remaining predicates all be joined through an exact index probe
 // (some argument position fully bound), a prefix probe (a ground
 // leading term) or a suffix probe (a ground trailing term)? A
@@ -31,15 +33,7 @@ func runPerf(p *Pass) {
 }
 
 func checkRulePerf(p *Pass, r ast.Rule) {
-	var preds []ast.Pred
-	for _, l := range r.Body {
-		if l.Neg {
-			continue
-		}
-		if pr, ok := l.Atom.(ast.Pred); ok {
-			preds = append(preds, pr)
-		}
-	}
+	preds := r.PositivePreds()
 	if len(preds) < 2 {
 		return // single-predicate bodies have no join to index
 	}
@@ -47,147 +41,23 @@ func checkRulePerf(p *Pass, r ast.Rule) {
 	// joined by a full scan, in body order.
 	scanned := make(map[int][]string)
 	for d := range preds {
+		// The planner's own delta-variant order: preds[d] pinned first,
+		// the rest greedy (ast.JoinOrder is what eval compiles from).
+		delta := "Δ" + preds[d].Name
 		bound := map[ast.Var]bool{}
-		for _, a := range preds[d].Args {
-			for _, v := range a.Vars() {
-				bound[v] = true
+		ast.JoinOrder(preds, bound, d, func(i int) {
+			pr := preds[i]
+			if i != d && len(pr.Args) > 0 && pr.Access(bound).Class() == ast.AccessScan &&
+				!slices.Contains(scanned[i], delta) {
+				scanned[i] = append(scanned[i], delta)
 			}
-		}
-		remaining := make([]int, 0, len(preds)-1)
-		for i := range preds {
-			if i != d {
-				remaining = append(remaining, i)
-			}
-		}
-		// Greedy ordering mirroring eval's compilePlan: pick the
-		// predicate with the best (bound columns, ground prefix, ground
-		// suffix, bound occurrences) score, ties keeping body order.
-		for len(remaining) > 0 {
-			best := 0
-			bestScore := joinScore(preds[remaining[0]], bound)
-			for i := 1; i < len(remaining); i++ {
-				if s := joinScore(preds[remaining[i]], bound); scoreLess(bestScore, s) {
-					best, bestScore = i, s
-				}
-			}
-			idx := remaining[best]
-			remaining = append(remaining[:best], remaining[best+1:]...)
-			pr := preds[idx]
-			if bestScore[0] == 0 && bestScore[1] == 0 && bestScore[2] == 0 && len(pr.Args) > 0 {
-				name := preds[d].Name
-				dup := false
-				for _, n := range scanned[idx] {
-					if n == name {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					scanned[idx] = append(scanned[idx], name)
-				}
-			}
-			for _, a := range pr.Args {
-				for _, v := range a.Vars() {
-					bound[v] = true
-				}
-			}
-		}
+		})
 	}
 	for i, pr := range preds {
-		deltas := scanned[i]
-		if len(deltas) == 0 {
-			continue
-		}
-		for j, n := range deltas {
-			deltas[j] = "Δ" + n
-		}
-		p.Reportf(pr.Pos, Warning, "full-scan-delta",
-			"%s is joined by a full scan when maintenance is driven by %s: no argument position becomes fully bound, prefix-ground or suffix-ground, so no index applies (consider reordering shared variables)",
-			pr.Name, strings.Join(deltas, ", "))
-	}
-}
-
-// joinScore mirrors eval's predScore: (fully bound argument positions,
-// longest ground argument term prefix, longest ground argument term
-// suffix, bound variable occurrences).
-func joinScore(pr ast.Pred, bound map[ast.Var]bool) [4]int {
-	var s [4]int
-	for _, a := range pr.Args {
-		if exprBound(a, bound) {
-			s[0]++
-			continue
-		}
-		if n := groundPrefix(a, bound); n > s[1] {
-			s[1] = n
-		}
-		if n := groundSuffix(a, bound); n > s[2] {
-			s[2] = n
+		if deltas := scanned[i]; len(deltas) > 0 {
+			p.Reportf(pr.Pos, Warning, "full-scan-delta",
+				"%s is joined by a full scan when maintenance is driven by %s: no argument position becomes fully bound, prefix-ground or suffix-ground, so no index applies (consider reordering shared variables)",
+				pr.Name, strings.Join(deltas, ", "))
 		}
 	}
-	occ := map[ast.Var]int{}
-	for _, a := range pr.Args {
-		a.VarOccurrences(occ)
-	}
-	for v, n := range occ {
-		if bound[v] {
-			s[3] += n
-		}
-	}
-	return s
-}
-
-func scoreLess(a, b [4]int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
-
-func exprBound(e ast.Expr, bound map[ast.Var]bool) bool {
-	for _, v := range e.Vars() {
-		if !bound[v] {
-			return false
-		}
-	}
-	return true
-}
-
-// groundPrefix counts the leading terms whose variables are all bound,
-// mirroring eval's groundPrefixTerms.
-func groundPrefix(e ast.Expr, bound map[ast.Var]bool) int {
-	n := 0
-	for _, t := range e {
-		if !termGround(t, bound) {
-			return n
-		}
-		n++
-	}
-	return n
-}
-
-// groundSuffix counts the trailing terms whose variables are all
-// bound, mirroring eval's groundSuffixTerms.
-func groundSuffix(e ast.Expr, bound map[ast.Var]bool) int {
-	n := 0
-	for i := len(e) - 1; i >= 0; i-- {
-		if !termGround(e[i], bound) {
-			return n
-		}
-		n++
-	}
-	return n
-}
-
-func termGround(t ast.Term, bound map[ast.Var]bool) bool {
-	switch x := t.(type) {
-	case ast.Const:
-		return true
-	case ast.VarT:
-		return bound[x.V]
-	case ast.Pack:
-		return exprBound(x.E, bound)
-	}
-	return false
 }

@@ -1,6 +1,7 @@
 package ast
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -424,5 +425,52 @@ func TestExprKeyDistinguishes(t *testing.T) {
 	}
 	if !Cat(C("a"), P("x")).Equal(Cat(C("a"), P("x"))) {
 		t.Error("Equal broken")
+	}
+}
+
+// TestAccessAndJoinOrder pins the planner's pure-syntax decisions: the
+// access class a predicate gets under a bound set, and the greedy
+// order (best score next, ties in written order, optional pinned-first
+// atom) with the bound set visit sees.
+func TestAccessAndJoinOrder(t *testing.T) {
+	bound := map[Var]bool{AVar("y"): true}
+	for _, tc := range []struct {
+		pred Pred
+		want AccessClass
+	}{
+		{Pred{Name: "E", Args: []Expr{A("y"), P("z")}}, AccessExact},
+		{Pred{Name: "E", Args: []Expr{Cat(A("y"), P("rest"))}}, AccessPrefix},
+		{Pred{Name: "E", Args: []Expr{Cat(P("rest"), A("y"))}}, AccessSuffix},
+		{Pred{Name: "E", Args: []Expr{Cat(A("y"), P("m"), C("a"), Packed(A("y")))}}, AccessSuffix}, // 2 trailing > 1 leading
+		{Pred{Name: "E", Args: []Expr{Cat(P("l"), A("y"), P("r"))}}, AccessScan},
+		{Pred{Name: "N"}, AccessScan},
+	} {
+		if got := tc.pred.Access(bound).Class(); got != tc.want {
+			t.Errorf("%s under {@y}: class %d, want %d", tc.pred, got, tc.want)
+		}
+	}
+
+	// T(@x.@y), E(@y.@z), F($w): from nothing bound everything ties and
+	// the written order stands; pinning E first makes T (ground suffix)
+	// beat F (nothing shared).
+	preds := []Pred{
+		{Name: "T", Args: []Expr{Cat(A("x"), A("y"))}},
+		{Name: "E", Args: []Expr{Cat(A("y"), A("z"))}},
+		{Name: "F", Args: []Expr{P("w")}},
+	}
+	order := func(first int) (out []int, classes []AccessClass) {
+		b := map[Var]bool{}
+		JoinOrder(preds, b, first, func(i int) {
+			out = append(out, i)
+			classes = append(classes, preds[i].Access(b).Class())
+		})
+		return out, classes
+	}
+	if got, _ := order(-1); !slices.Equal(got, []int{0, 1, 2}) {
+		t.Errorf("greedy order = %v, want [0 1 2]", got)
+	}
+	got, classes := order(1)
+	if !slices.Equal(got, []int{1, 0, 2}) || !slices.Equal(classes, []AccessClass{AccessScan, AccessSuffix, AccessScan}) {
+		t.Errorf("order with E pinned = %v %v, want [1 0 2] [scan suffix scan]", got, classes)
 	}
 }

@@ -252,15 +252,14 @@ func (r Rule) LimitedVars() map[Var]bool {
 			if !ok {
 				continue
 			}
-			lv, rv := eq.L.Vars(), eq.R.Vars()
-			if allLimited(lv, limited) && !allLimited(rv, limited) {
-				for _, v := range rv {
+			if eq.L.BoundIn(limited) && !eq.R.BoundIn(limited) {
+				for _, v := range eq.R.Vars() {
 					limited[v] = true
 				}
 				changed = true
 			}
-			if allLimited(rv, limited) && !allLimited(lv, limited) {
-				for _, v := range lv {
+			if eq.R.BoundIn(limited) && !eq.L.BoundIn(limited) {
+				for _, v := range eq.L.Vars() {
 					limited[v] = true
 				}
 				changed = true
@@ -268,15 +267,6 @@ func (r Rule) LimitedVars() map[Var]bool {
 		}
 	}
 	return limited
-}
-
-func allLimited(vs []Var, limited map[Var]bool) bool {
-	for _, v := range vs {
-		if !limited[v] {
-			return false
-		}
-	}
-	return true
 }
 
 // Safe reports whether all variables occurring in the rule are limited.

@@ -2,11 +2,16 @@ package eval
 
 import (
 	"errors"
+	"maps"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"seqlog/internal/analyze"
+	"seqlog/internal/ast"
 	"seqlog/internal/parser"
+	"seqlog/internal/queries"
 )
 
 // TestCompileRejectsWithStructuredDiagnostics: an unsafe program must
@@ -141,5 +146,70 @@ func TestPreparedDiagnosticsIsACopy(t *testing.T) {
 	first[0].Code = "clobbered"
 	if again := prep.Diagnostics(); again[0].Code == "clobbered" {
 		t.Error("Diagnostics() aliases internal state")
+	}
+}
+
+// TestPerfLintAgreesWithPlanner: the performance lint and the planner
+// are the same code (ast.JoinOrder, ast.Pred.Access), so they must agree
+// rule by rule: a predicate of arity > 0 is reported full-scan-delta
+// under ΔR iff the rule's ΔR variant line of Prepared.Explain marks it
+// [scan]. Checked on every built-in query and every analyzer fixture
+// that compiles.
+func TestPerfLintAgreesWithPlanner(t *testing.T) {
+	programs := map[string]ast.Program{}
+	for _, q := range queries.All() {
+		programs[q.Name] = q.Program
+	}
+	fixtures, err := filepath.Glob("../analyze/testdata/*.sdl")
+	if err != nil || len(fixtures) == 0 {
+		t.Fatalf("no analyzer fixtures: %v", err)
+	}
+	for _, f := range fixtures {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prog, _, err := parser.ParseProgramForAnalysis(string(src)); err == nil {
+			programs[filepath.Base(f)] = prog
+		}
+	}
+	scans := 0
+	for name, prog := range programs {
+		prep, err := Compile(prog)
+		if err != nil {
+			continue // rejected programs have no plans to compare
+		}
+		for _, ps := range prep.strata {
+			for _, pl := range ps.plans {
+				lint := map[string]bool{}
+				for _, d := range analyze.Check(ast.NewProgram(pl.rule), analyze.Options{}) {
+					if d.Code != "full-scan-delta" {
+						continue
+					}
+					pred, rest, _ := strings.Cut(d.Message, " is joined by a full scan when maintenance is driven by ")
+					deltas, _, _ := strings.Cut(rest, ":")
+					for _, delta := range strings.Split(deltas, ", ") {
+						lint[pred+" under "+delta] = true
+					}
+				}
+				planner := map[string]bool{}
+				for _, v := range pl.variants {
+					line := v.describe() // the text after "ΔR:" in Explain
+					for _, i := range v.predSteps[1:] {
+						pr := v.steps[i].pred
+						if len(pr.Args) > 0 && strings.Contains(line, pr.String()+" [scan]") {
+							planner[pr.Name+" under Δ"+v.steps[0].pred.Name] = true
+						}
+					}
+				}
+				scans += len(planner)
+				if !maps.Equal(lint, planner) {
+					t.Errorf("%s: %s\n  lint reports %v\n  planner scans %v", name, pl.rule, lint, planner)
+				}
+			}
+		}
+	}
+	if scans == 0 {
+		t.Fatal("no full-scan-delta case among the programs: the comparison is vacuous")
 	}
 }

@@ -114,9 +114,10 @@ func visibleRanges(dl *instance.Relation, lo, hi int, maxTag uint64) []window {
 // goal-directed rederivation check only needs existence.
 var errStopRun = errors.New("eval: stop after first derivation")
 
-// maintenance is the state of one DRed maintenance run.
-type maintenance struct {
-	e *Engine
+// deltas is what a maintenance run has changed so far. A run starts
+// from the caller's batch — Engine.write builds the seed deltas before
+// any maintenance state exists — and every stratum adds to them.
+type deltas struct {
 	// ins[name] lists the windows of e.inst.Relation(name)'s tuple log
 	// holding facts this run inserted: the asserted batch plus the
 	// insert-phase derivations. Rederived facts are normally not
@@ -134,6 +135,12 @@ type maintenance struct {
 	// (0 for the caller's batch, whose logs are built before delStamper
 	// attaches), read back by visibleRanges.
 	del map[string]*instance.Relation
+}
+
+// maintenance is the state of one DRed maintenance run.
+type maintenance struct {
+	e *Engine
+	deltas
 	// delStamper stamps the deletion logs. It is separate from the
 	// engine's stamper — deletion-log births never interleave with the
 	// materialization's, so replayed runs reassign identical stamps —
@@ -162,12 +169,11 @@ type maintenance struct {
 	planStats PlanStats
 }
 
-func (e *Engine) newMaintenance() *maintenance {
+func (e *Engine) newMaintenance(seed deltas) *maintenance {
 	n := len(e.prep.strata)
 	m := &maintenance{
 		e:          e,
-		ins:        map[string][]window{},
-		del:        map[string]*instance.Relation{},
+		deltas:     seed,
 		delStamper: &instance.Stamper{},
 		insDone:    make([]map[string]int, n),
 		delDone:    make([]map[string]int, n),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"seqlog/internal/ast"
 	"seqlog/internal/instance"
 )
 
@@ -23,15 +24,17 @@ import (
 // immutable and may be read by any number of goroutines while further
 // maintenance proceeds.
 type Engine struct {
-	mu       sync.Mutex
-	prep     *Prepared
-	limits   Limits
-	inst     *instance.Instance
-	derived  int // IDB facts currently materialized beyond the seeds
-	asserts  int
-	retracts int
-	last     AssertStats
-	lastRet  RetractStats
+	mu      sync.Mutex
+	prep    *Prepared
+	limits  Limits
+	inst    *instance.Instance
+	derived int // IDB facts currently materialized beyond the seeds
+	// writes[op] counts the completed calls of one write verb and keeps
+	// the outcome of the latest, for EngineStats.
+	writes [2]struct {
+		calls, changed int
+		last           MaintenanceStats
+	}
 	// stamper issues the derivation stamp of every tuple appended to the
 	// materialization: a monotone birth counter plus the producing
 	// stratum's tag (si+1; 0 for base facts of an asserted batch).
@@ -103,13 +106,12 @@ func (p *plan) note(st *PlanStats) {
 		st.BaseRuns++
 	}
 	for _, i := range side {
-		s := &p.steps[i]
-		switch {
-		case len(s.boundCols) > 0:
+		switch p.steps[i].Class() {
+		case ast.AccessExact:
 			st.IndexProbeSteps++
-		case s.prefixCol >= 0:
+		case ast.AccessPrefix:
 			st.PrefixProbeSteps++
-		case s.suffixCol >= 0:
+		case ast.AccessSuffix:
 			st.SuffixProbeSteps++
 		default:
 			st.ScanSteps++
@@ -117,14 +119,15 @@ func (p *plan) note(st *PlanStats) {
 	}
 }
 
-// AssertStats reports what one Assert call did, stratum by stratum.
-type AssertStats struct {
-	// Asserted counts the facts of the batch that were genuinely new
-	// (already-present facts are dropped and trigger no work).
-	Asserted int
+// MaintenanceStats reports the maintenance work of one write — the
+// part of AssertStats and RetractStats that does not depend on the
+// direction of the change, because both run the same DRed phases.
+type MaintenanceStats struct {
 	// Derived is the net change in materialized IDB facts: facts
-	// derived minus facts invalidated. It is negative when insertions
-	// into negated relations invalidate more than the batch derives.
+	// derived minus facts invalidated. An Assert can drive it negative
+	// (insertions into negated relations invalidate more than the batch
+	// derives) and a Retract positive (deletions enable new derivations
+	// through negation).
 	Derived int
 	// Overdeleted counts the IDB facts tombstoned by the overdeletion
 	// phase (derivations that may depend on a changed fact); Rederived
@@ -155,30 +158,20 @@ type AssertStats struct {
 	Clones instance.CloneStats
 }
 
+// AssertStats reports what one Assert call did, stratum by stratum.
+type AssertStats struct {
+	// Asserted counts the facts of the batch that were genuinely new
+	// (already-present facts are dropped and trigger no work).
+	Asserted int
+	MaintenanceStats
+}
+
 // RetractStats reports what one Retract call did.
 type RetractStats struct {
 	// Retracted counts the facts of the batch actually removed from the
 	// materialization (absent facts are dropped silently).
 	Retracted int
-	// Derived is the net change in materialized IDB facts — usually
-	// negative, but deletions can also enable new derivations through
-	// negation.
-	Derived int
-	// Overdeleted counts the IDB facts tombstoned by the overdeletion
-	// phase (the downward closure of the retracted facts); Rederived
-	// counts those restored by a surviving alternative derivation.
-	Overdeleted int
-	Rederived   int
-	// StampPruned: as in AssertStats — candidates the stamp-ordered
-	// pruner kept without tombstoning.
-	StampPruned int
-	// StrataSkipped / StrataIncremental: as in AssertStats.
-	StrataSkipped     int
-	StrataIncremental int
-	// Plans: as in AssertStats.
-	Plans PlanStats
-	// Clones: as in AssertStats.
-	Clones instance.CloneStats
+	MaintenanceStats
 }
 
 // EngineStats is a point-in-time summary of an engine.
@@ -298,16 +291,38 @@ func (e *Engine) Holds(output string) (bool, error) {
 func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	a, r := &e.writes[assertOp], &e.writes[retractOp]
 	return EngineStats{
 		Facts:       e.inst.Facts(),
 		Derived:     e.derived,
-		Asserts:     e.asserts,
-		Retracts:    e.retracts,
-		LastAssert:  e.last,
-		LastRetract: e.lastRet,
+		Asserts:     a.calls,
+		Retracts:    r.calls,
+		LastAssert:  AssertStats{a.changed, a.last},
+		LastRetract: RetractStats{r.changed, r.last},
 		Plans:       e.plans,
 		Clones:      e.inst.CloneStats(),
 	}
+}
+
+// writeOp is one direction of change. The two differ in what makes a
+// batch fact a change (absent for an assert, present for a retract)
+// and in the step that applies one relation's share of the batch to
+// the materialization and records it in the maintenance run's seed
+// deltas; everything around that step is Engine.write.
+type writeOp int
+
+const (
+	assertOp writeOp = iota
+	retractOp
+)
+
+var writeOps = [...]struct {
+	verb    string // validateBatch's wording
+	present bool   // a batch fact changes something iff it is present
+	step    func(seed deltas, name string, dst, src *instance.Relation) int
+}{
+	assertOp:  {"assert", false, appendBatch},
+	retractOp: {"retract", true, deleteBatch},
 }
 
 // validateBatch checks the semantic boundaries shared by Assert and
@@ -329,6 +344,119 @@ func (e *Engine) validateBatch(delta *instance.Instance, verb string) error {
 	return nil
 }
 
+// changes reports whether src holds a fact whose membership in cur (nil:
+// no such relation) is the opposite of what the batch wants, i.e.
+// whether applying src would change cur at all.
+func changes(cur, src *instance.Relation, present bool) bool {
+	for pos := 0; pos < src.Size(); pos++ {
+		if src.Live(pos) && (cur != nil && cur.Position(instance.View{}, src.HashAt(pos), src.TupleAt(pos)) >= 0) == present {
+			return true
+		}
+	}
+	return false
+}
+
+// appendBatch is Assert's step: the genuinely new facts of src are
+// appended to dst, and the appended positions are the run's insertion
+// window.
+func appendBatch(seed deltas, name string, dst, src *instance.Relation) int {
+	lo := dst.Size()
+	for pos := 0; pos < src.Size(); pos++ {
+		if src.Live(pos) {
+			// AddFromScratch probes with the caller's tuple and copies it
+			// into engine-owned storage only when genuinely new.
+			dst.AddFromScratch(src.HashAt(pos), src.TupleAt(pos))
+		}
+	}
+	hi := dst.Size()
+	seed.ins[name] = []window{{lo: lo, hi: hi}}
+	return hi - lo
+}
+
+// deleteBatch is Retract's step: the facts of src present in dst are
+// tombstoned there and collected into the run's deletion log. The log
+// is built before the maintenance stamper attaches (delFor), so its
+// entries are stamped 0: batch deletions are visible to every stratum,
+// exactly like batch insertions.
+func deleteBatch(seed deltas, name string, dst, src *instance.Relation) int {
+	dl := instance.NewRelation(src.Arity)
+	for pos := 0; pos < src.Size(); pos++ {
+		if !src.Live(pos) {
+			continue
+		}
+		h := src.HashAt(pos)
+		if t := src.TupleAt(pos); dst.DeleteHashed(h, t) {
+			dl.AddFromScratch(h, t)
+		}
+	}
+	seed.del[name] = dl
+	return dl.Len()
+}
+
+// write is the one write path: it applies a batch of EDB changes in
+// op's direction and restores the fixpoint with one DRed maintenance
+// run, returning how many batch facts changed the materialization. On
+// a maintenance error the engine may hold a partial materialization
+// and refuses further use, returning the same error from every later
+// call.
+func (e *Engine) write(op writeOp, delta *instance.Instance) (int, MaintenanceStats, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var stats MaintenanceStats
+	if e.broken != nil {
+		return 0, stats, e.broken
+	}
+	o := &writeOps[op]
+	if err := e.validateBatch(delta, o.verb); err != nil {
+		return 0, stats, err
+	}
+	clonesBefore := e.inst.CloneStats()
+	// Batch facts are base facts: stamped tag 0, visible to every
+	// stratum's view (the pre-stamp "produced by -1").
+	e.stamper.SetTag(0)
+	var seed deltas
+	changed := 0
+	for _, name := range delta.Names() {
+		src := delta.Relation(name)
+		// Probe before the write barrier: a batch that changes nothing in
+		// this relation must not clone its frozen storage.
+		if !changes(e.inst.Relation(name), src, o.present) {
+			continue
+		}
+		if seed.ins == nil {
+			seed = deltas{map[string][]window{}, map[string]*instance.Relation{}}
+		}
+		changed += o.step(seed, name, e.inst.Ensure(name, src.Arity), src)
+	}
+	if changed == 0 {
+		// The all-skipped fast path allocates no maintenance state.
+		stats.StrataSkipped = len(e.prep.strata)
+	} else {
+		m := e.newMaintenance(seed)
+		derivedBefore := e.derived
+		if err := m.run(); err != nil {
+			e.broken = fmt.Errorf("engine: maintenance failed, materialization is partial: %w", err)
+			return changed, stats, e.broken
+		}
+		stats = MaintenanceStats{
+			Derived:           e.derived - derivedBefore,
+			Overdeleted:       m.overdeleted,
+			Rederived:         m.rederived,
+			StampPruned:       m.pruned,
+			StrataSkipped:     m.skipped,
+			StrataIncremental: m.incremental,
+			Plans:             m.planStats,
+		}
+		e.plans.add(m.planStats)
+		e.compactTombstoned()
+	}
+	stats.Clones = e.inst.CloneStats().Sub(clonesBefore)
+	w := &e.writes[op]
+	w.calls++
+	w.changed, w.last = changed, stats
+	return changed, stats, nil
+}
+
 // Assert inserts a batch of new EDB facts and incrementally restores
 // the fixpoint: the inserted facts seed the semi-naive delta, so only
 // their consequences are derived — strata reading no changed relation
@@ -348,69 +476,8 @@ func (e *Engine) validateBatch(delta *instance.Instance, verb string) error {
 // error the engine may hold a partial materialization and refuses
 // further use, returning the same error from every later call.
 func (e *Engine) Assert(delta *instance.Instance) (AssertStats, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.broken != nil {
-		return AssertStats{}, e.broken
-	}
-	var stats AssertStats
-	if err := e.validateBatch(delta, "assert"); err != nil {
-		return stats, err
-	}
-	clonesBefore := e.inst.CloneStats()
-	// Batch facts are base facts: stamped tag 0, visible to every
-	// stratum's view (the pre-stamp "produced by -1").
-	e.stamper.SetTag(0)
-	batch := map[string][]window{}
-	for _, name := range delta.Names() {
-		src := delta.Relation(name)
-		if src.Len() == 0 {
-			continue
-		}
-		dst := e.inst.Ensure(name, src.Arity)
-		lo := dst.Size()
-		for pos := 0; pos < src.Size(); pos++ {
-			if !src.Live(pos) {
-				continue
-			}
-			// AddFromScratch probes with the caller's tuple and copies it
-			// into engine-owned storage only when genuinely new.
-			if dst.AddFromScratch(src.HashAt(pos), src.TupleAt(pos)) {
-				stats.Asserted++
-			}
-		}
-		if hi := dst.Size(); hi > lo {
-			batch[name] = append(batch[name], window{lo: lo, hi: hi})
-		}
-	}
-	if stats.Asserted == 0 {
-		// The all-skipped fast path allocates no maintenance state.
-		stats.StrataSkipped = len(e.prep.strata)
-		stats.Clones = e.inst.CloneStats().Sub(clonesBefore)
-		e.asserts++
-		e.last = stats
-		return stats, nil
-	}
-	m := e.newMaintenance()
-	m.ins = batch
-	derivedBefore := e.derived
-	if err := m.run(); err != nil {
-		e.broken = fmt.Errorf("engine: maintenance failed, materialization is partial: %w", err)
-		return stats, e.broken
-	}
-	stats.Derived = e.derived - derivedBefore
-	stats.Overdeleted = m.overdeleted
-	stats.Rederived = m.rederived
-	stats.StampPruned = m.pruned
-	stats.StrataSkipped = m.skipped
-	stats.StrataIncremental = m.incremental
-	stats.Plans = m.planStats
-	e.plans.add(m.planStats)
-	e.compactTombstoned()
-	stats.Clones = e.inst.CloneStats().Sub(clonesBefore)
-	e.asserts++
-	e.last = stats
-	return stats, nil
+	n, st, err := e.write(assertOp, delta)
+	return AssertStats{n, st}, err
 }
 
 // Retract removes a batch of EDB facts and incrementally restores the
@@ -426,86 +493,8 @@ func (e *Engine) Assert(delta *instance.Instance) (AssertStats, error) {
 // by request), arities must agree, and facts not present are dropped
 // silently. On error the engine refuses further use.
 func (e *Engine) Retract(delta *instance.Instance) (RetractStats, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.broken != nil {
-		return RetractStats{}, e.broken
-	}
-	var stats RetractStats
-	if err := e.validateBatch(delta, "retract"); err != nil {
-		return stats, err
-	}
-	clonesBefore := e.inst.CloneStats()
-	batch := map[string]*instance.Relation{}
-	for _, name := range delta.Names() {
-		src := delta.Relation(name)
-		if src.Len() == 0 {
-			continue
-		}
-		cur := e.inst.Relation(name)
-		if cur == nil {
-			continue
-		}
-		// Probe before the write barrier: a batch that removes nothing
-		// from this relation must not clone its frozen storage.
-		any := false
-		for pos := 0; pos < src.Size() && !any; pos++ {
-			if src.Live(pos) && cur.Position(instance.View{}, src.HashAt(pos), src.TupleAt(pos)) >= 0 {
-				any = true
-			}
-		}
-		if !any {
-			continue
-		}
-		dst := e.inst.Ensure(name, src.Arity)
-		dl := instance.NewRelation(src.Arity)
-		for pos := 0; pos < src.Size(); pos++ {
-			if !src.Live(pos) {
-				continue
-			}
-			h := src.HashAt(pos)
-			if t := src.TupleAt(pos); dst.DeleteHashed(h, t) {
-				dl.AddFromScratch(h, t)
-				stats.Retracted++
-			}
-		}
-		if dl.Len() > 0 {
-			batch[name] = dl
-		}
-	}
-	if stats.Retracted == 0 {
-		// The all-skipped fast path allocates no maintenance state.
-		stats.StrataSkipped = len(e.prep.strata)
-		stats.Clones = e.inst.CloneStats().Sub(clonesBefore)
-		e.retracts++
-		e.lastRet = stats
-		return stats, nil
-	}
-	m := e.newMaintenance()
-	for name, dl := range batch {
-		// The batch logs were built before the maintenance stamper could
-		// attach, so their entries are stamped 0: batch deletions are
-		// visible to every stratum, exactly like batch insertions.
-		m.del[name] = dl
-	}
-	derivedBefore := e.derived
-	if err := m.run(); err != nil {
-		e.broken = fmt.Errorf("engine: maintenance failed, materialization is partial: %w", err)
-		return stats, e.broken
-	}
-	stats.Derived = e.derived - derivedBefore
-	stats.Overdeleted = m.overdeleted
-	stats.Rederived = m.rederived
-	stats.StampPruned = m.pruned
-	stats.StrataSkipped = m.skipped
-	stats.StrataIncremental = m.incremental
-	stats.Plans = m.planStats
-	e.plans.add(m.planStats)
-	e.compactTombstoned()
-	stats.Clones = e.inst.CloneStats().Sub(clonesBefore)
-	e.retracts++
-	e.lastRet = stats
-	return stats, nil
+	n, st, err := e.write(retractOp, delta)
+	return RetractStats{n, st}, err
 }
 
 // compactTombstoned reclaims tombstoned positions after a maintenance

@@ -671,3 +671,126 @@ func TestEngineCloneTelemetry(t *testing.T) {
 		t.Fatalf("engine totals must accumulate per-call deltas: %+v", tot)
 	}
 }
+
+// TestEngineWriteShell runs one table of scenarios through both write
+// verbs: everything around the append/delete step — the sticky-error
+// check, batch validation, the probe before the copy-on-write barrier,
+// the nothing-changed fast path, the call counters — is one code path,
+// and must behave the same whichever direction the batch goes.
+func TestEngineWriteShell(t *testing.T) {
+	type result struct {
+		changed int
+		MaintenanceStats
+	}
+	verbs := []struct {
+		name  string
+		noop  string // a batch that changes nothing: present facts / absent facts
+		write func(*Engine, *instance.Instance) (result, error)
+		calls func(EngineStats) (int, result)
+	}{
+		{"assert", `R(a). R(b).`,
+			func(e *Engine, d *instance.Instance) (result, error) {
+				st, err := e.Assert(d)
+				return result{st.Asserted, st.MaintenanceStats}, err
+			},
+			func(s EngineStats) (int, result) {
+				return s.Asserts, result{s.LastAssert.Asserted, s.LastAssert.MaintenanceStats}
+			}},
+		{"retract", `R(y). R(z).`,
+			func(e *Engine, d *instance.Instance) (result, error) {
+				st, err := e.Retract(d)
+				return result{st.Retracted, st.MaintenanceStats}, err
+			},
+			func(s EngineStats) (int, result) {
+				return s.Retracts, result{s.LastRetract.Retracted, s.LastRetract.MaintenanceStats}
+			}},
+	}
+	scenarios := []struct {
+		name    string
+		batch   string // "" = the verb's no-op batch
+		broken  bool   // break the engine first (MaxFacts trips)
+		wantErr string // substring; "" = success with nothing changed
+	}{
+		{name: "no-op batch after a snapshot"},
+		{name: "empty batch", batch: ` `},
+		{name: "IDB relation", batch: `S(a).`, wantErr: " IDB relation \"S\""},
+		{name: "arity clash", batch: `R(a, b).`, wantErr: "ing arity-2 tuples of relation \"R\" used with arity 1"},
+		{name: "broken engine", broken: true, wantErr: "maintenance failed"},
+	}
+	prep, err := Compile(parser.MustParseProgram(`S($x) :- R($x).`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range verbs {
+		for _, sc := range scenarios {
+			t.Run(v.name+"/"+sc.name, func(t *testing.T) {
+				limits := Limits{}
+				if sc.broken {
+					limits.MaxFacts = 2
+				}
+				e, err := NewEngine(prep, parser.MustParseInstance(`R(a). R(b).`), limits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sc.broken {
+					// The third derived fact trips the limit mid-maintenance.
+					if _, err := e.Assert(parser.MustParseInstance(`R(c).`)); !errors.Is(err, ErrNonTermination) {
+						t.Fatalf("limit did not trip: %v", err)
+					}
+				} else if _, err := e.Snapshot(); err != nil { // freeze every relation
+					t.Fatal(err)
+				}
+				batch := sc.batch
+				if batch == "" {
+					batch = v.noop
+				}
+				got, err := v.write(e, parser.MustParseInstance(batch))
+				calls, last := v.calls(e.Stats())
+				if sc.wantErr != "" {
+					want := sc.wantErr
+					if !sc.broken {
+						want = v.name + want // validation errors name the verb
+					}
+					if err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("err = %v, want %q", err, want)
+					}
+					if calls != 0 {
+						t.Fatalf("a refused batch counted as a completed call: %d", calls)
+					}
+					// A failed validation is not a failed maintenance.
+					if _, qerr := e.Query("S"); (qerr != nil) != sc.broken {
+						t.Fatalf("engine health after the refusal: %v", qerr)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Nothing changed: every stratum skipped and, although every
+				// relation is frozen, nothing passed through the barrier.
+				if want := (result{0, MaintenanceStats{StrataSkipped: 1}}); got != want {
+					t.Fatalf("got %+v, want %+v", got, want)
+				}
+				if calls != 1 || last != got {
+					t.Fatalf("Stats() = %d calls, last %+v; want 1 call, last %+v", calls, last, got)
+				}
+			})
+		}
+	}
+	// A relation the program never mentions: asserting creates it,
+	// retracting from it before that is a no-op — neither is an error.
+	e, err := NewEngine(prep, nil, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := parser.MustParseInstance(`Extra(x.y).`)
+	if st, err := e.Retract(extra); err != nil || st.Retracted != 0 {
+		t.Fatalf("retract from an unknown relation: %+v, %v", st, err)
+	}
+	if st, err := e.Assert(extra); err != nil || st.Asserted != 1 || st.StrataSkipped != 1 {
+		t.Fatalf("assert into an unknown relation: %+v, %v", st, err)
+	}
+	if st, err := e.Retract(extra); err != nil || st.Retracted != 1 {
+		t.Fatalf("retract the fact back out: %+v, %v", st, err)
+	}
+}

@@ -406,7 +406,7 @@ func runPlanOpts(p *plan, inst *instance.Instance, win window, sink sinkFunc, op
 		s := &p.steps[i]
 		switch s.kind {
 		case stepPred:
-			scratch[i].vals = make([]value.Path, len(s.boundCols))
+			scratch[i].vals = make([]value.Path, len(s.BoundCols))
 			scratch[i].sub = make([]value.Path, len(s.unboundCols))
 			views[i] = opts.stepView(s, p.hoisted && i == 0)
 		case stepNegPred:
@@ -420,8 +420,8 @@ func runPlanOpts(p *plan, inst *instance.Instance, win window, sink sinkFunc, op
 			rels[i] = opts.deltaRels[s.pred.Name]
 		}
 		if s.kind == stepPred && rels[i] != nil &&
-			rels[i].Arity == len(s.pred.Args) && len(s.boundCols) > 0 {
-			idxs[i] = rels[i].Index(s.boundCols...)
+			rels[i].Arity == len(s.pred.Args) && len(s.BoundCols) > 0 {
+			idxs[i] = rels[i].Index(s.BoundCols...)
 		}
 	}
 	var evalErr error
@@ -466,22 +466,22 @@ func runPlanOpts(p *plan, inst *instance.Instance, win window, sink sinkFunc, op
 			var cands []int
 			exact, probed := idxs[i] != nil, idxs[i] != nil
 			if exact {
-				for j, c := range s.boundCols {
+				for j, c := range s.BoundCols {
 					sc.vals[j] = env.EvalAppend(s.pred.Args[c], sc.vals[j][:0])
 				}
 				cands = idxs[i].Lookup(v, sc.vals...)
 			}
-			if !probed && s.prefixCol >= 0 {
-				sc.bufA = env.EvalAppend(s.pred.Args[s.prefixCol][:s.prefixLen], sc.bufA[:0])
+			if !probed && s.PrefixCol >= 0 {
+				sc.bufA = env.EvalAppend(s.pred.Args[s.PrefixCol][:s.PrefixLen], sc.bufA[:0])
 				if probed = len(sc.bufA) > 0; probed {
-					cands = rel.PrefixLookup(v, s.prefixCol, sc.bufA)
+					cands = rel.PrefixLookup(v, s.PrefixCol, sc.bufA)
 				}
 			}
-			if !probed && s.suffixCol >= 0 {
-				arg := s.pred.Args[s.suffixCol]
-				sc.bufA = env.EvalAppend(arg[len(arg)-s.suffixLen:], sc.bufA[:0])
+			if !probed && s.SuffixCol >= 0 {
+				arg := s.pred.Args[s.SuffixCol]
+				sc.bufA = env.EvalAppend(arg[len(arg)-s.SuffixLen:], sc.bufA[:0])
 				if probed = len(sc.bufA) > 0; probed {
-					cands = rel.SuffixLookup(v, s.suffixCol, sc.bufA)
+					cands = rel.SuffixLookup(v, s.SuffixCol, sc.bufA)
 				}
 			}
 			if probed {

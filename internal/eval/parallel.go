@@ -73,8 +73,8 @@ func freezeIndexes(items []workItem, inst *instance.Instance) {
 				continue
 			}
 			read[rel] = true
-			if s.kind == stepPred && rel.Arity == len(s.pred.Args) && len(s.boundCols) > 0 {
-				rel.Index(s.boundCols...)
+			if s.kind == stepPred && rel.Arity == len(s.pred.Args) && len(s.BoundCols) > 0 {
+				rel.Index(s.BoundCols...)
 			}
 		}
 	}

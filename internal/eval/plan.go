@@ -18,32 +18,14 @@ type step struct {
 	// For negated equations both sides are ground at execution time.
 	neg bool
 
-	// Join acceleration (stepPred only), computed against the set of
-	// variables bound when the step runs.
-	//
-	// boundCols lists the argument positions whose expressions are fully
-	// ground at that point: the step can probe an exact hash index on
-	// those columns instead of scanning. unboundCols/unboundArgs are the
-	// complementary positions, matched per candidate (the bound ones are
-	// already verified by the index lookup).
-	boundCols   []int
+	// Join acceleration (stepPred only): the access paths open to the
+	// step under the variables bound when it runs; see ast.Access.
+	// unboundCols/unboundArgs are the complement of BoundCols, matched
+	// per candidate (the bound ones are already verified by the index
+	// lookup).
+	ast.Access
 	unboundCols []int
 	unboundArgs []ast.Expr
-	// prefixCol/prefixLen describe the best ground term-prefix of a not
-	// fully bound argument (e.g. @y.$rest with @y bound has a length-1
-	// ground prefix). Used when boundCols is empty: any matching tuple's
-	// column must start with the prefix's value, so the step probes a
-	// prefix index. prefixCol is -1 when no argument qualifies.
-	prefixCol int
-	prefixLen int
-	// suffixCol/suffixLen are the mirror image for ground term-suffixes
-	// (e.g. $rest.@y with @y bound — the paper's bound-suffix patterns,
-	// §2.2): any matching tuple's column must end with the suffix's
-	// value, so the step probes a suffix index. Only one of prefix and
-	// suffix is ever set on a step; annotate keeps the longer one
-	// (prefix on ties). suffixCol is -1 when no argument qualifies.
-	suffixCol int
-	suffixLen int
 }
 
 type stepKind int
@@ -123,51 +105,24 @@ func compilePlan(r ast.Rule, preBound []ast.Var, hoist int) (*plan, error) {
 	for _, v := range preBound {
 		bound[v] = true
 	}
-	// 1. Positive predicates, greedily ordered by bound-variable count:
-	// at each point pick the atom with the most fully bound argument
-	// positions (then the longest ground argument prefix, then suffix,
-	// then the most bound variable occurrences), so later steps arrive
-	// with bindings an index can exploit. Ties keep the written order.
-	// Join order never changes the derived set, only the work to derive
-	// it. A hoisted plan pins one atom first; the greedy order governs
-	// the rest.
-	var preds []ast.Pred
-	for _, l := range r.Body {
-		if l.Neg {
-			continue
-		}
-		if pr, ok := l.Atom.(ast.Pred); ok {
-			preds = append(preds, pr)
-		}
+	// 1. Positive predicates in ast.JoinOrder's greedy order (a hoisted
+	// plan pins one atom first), each annotated with the access paths the
+	// variables bound before it open.
+	preds := r.PositivePreds()
+	if hoist >= len(preds) {
+		return nil, fmt.Errorf("eval: hoist index %d out of range for rule %s", hoist, r)
 	}
-	takePred := func(i int) {
-		pr := preds[i]
-		preds = append(preds[:i], preds[i+1:]...)
-		st := step{kind: stepPred, pred: pr}
-		annotate(&st, bound)
+	ast.JoinOrder(preds, bound, hoist, func(i int) {
+		st := step{kind: stepPred, pred: preds[i], Access: preds[i].Access(bound)}
+		for k, a := range st.pred.Args {
+			if !a.BoundIn(bound) {
+				st.unboundCols = append(st.unboundCols, k)
+				st.unboundArgs = append(st.unboundArgs, a)
+			}
+		}
 		p.predSteps = append(p.predSteps, len(p.steps))
 		p.steps = append(p.steps, st)
-		for _, a := range pr.Args {
-			for _, v := range a.Vars() {
-				bound[v] = true
-			}
-		}
-	}
-	if hoist >= 0 {
-		if hoist >= len(preds) {
-			return nil, fmt.Errorf("eval: hoist index %d out of range for rule %s", hoist, r)
-		}
-		takePred(hoist)
-	}
-	for len(preds) > 0 {
-		best, bestScore := 0, predScore(preds[0], bound)
-		for i := 1; i < len(preds); i++ {
-			if s := predScore(preds[i], bound); scoreLess(bestScore, s) {
-				best, bestScore = i, s
-			}
-		}
-		takePred(best)
-	}
+	})
 	// 2. Positive equations, greedily picking one with a fully bound side.
 	var eqs []ast.Eq
 	for _, l := range r.Body {
@@ -181,7 +136,7 @@ func compilePlan(r ast.Rule, preBound []ast.Var, hoist int) (*plan, error) {
 	for len(eqs) > 0 {
 		progress := false
 		for i, eq := range eqs {
-			lb, rb := varsBound(eq.L, bound), varsBound(eq.R, bound)
+			lb, rb := eq.L.BoundIn(bound), eq.R.BoundIn(bound)
 			if !lb && !rb {
 				continue
 			}
@@ -209,13 +164,13 @@ func compilePlan(r ast.Rule, preBound []ast.Var, hoist int) (*plan, error) {
 		switch x := l.Atom.(type) {
 		case ast.Pred:
 			for _, a := range x.Args {
-				if !varsBound(a, bound) {
+				if !a.BoundIn(bound) {
 					return nil, fmt.Errorf("eval: unsafe negated predicate %s in rule %s", x, r)
 				}
 			}
 			p.steps = append(p.steps, step{kind: stepNegPred, pred: x, neg: true})
 		case ast.Eq:
-			if !varsBound(x.L, bound) || !varsBound(x.R, bound) {
+			if !x.L.BoundIn(bound) || !x.R.BoundIn(bound) {
 				return nil, fmt.Errorf("eval: unsafe nonequality %s != %s in rule %s", x.L, x.R, r)
 			}
 			p.steps = append(p.steps, step{kind: stepNegEq, ground: x.L, pattern: x.R, neg: true})
@@ -223,7 +178,7 @@ func compilePlan(r ast.Rule, preBound []ast.Var, hoist int) (*plan, error) {
 	}
 	// 4. Head variables must be bound.
 	for _, a := range r.Head.Args {
-		if !varsBound(a, bound) {
+		if !a.BoundIn(bound) {
 			return nil, fmt.Errorf("eval: unsafe head %s in rule %s", r.Head, r)
 		}
 	}
@@ -283,123 +238,6 @@ func (p *plan) compileVariants() error {
 	return nil
 }
 
-// predScore ranks a candidate next join step under the current bound
-// set: (fully bound argument positions, longest ground argument term
-// prefix, longest ground argument term suffix, bound variable
-// occurrences).
-func predScore(pr ast.Pred, bound map[ast.Var]bool) [4]int {
-	var s [4]int
-	for _, a := range pr.Args {
-		if varsBound(a, bound) {
-			s[0]++
-			continue
-		}
-		if n := groundPrefixTerms(a, bound); n > s[1] {
-			s[1] = n
-		}
-		if n := groundSuffixTerms(a, bound); n > s[2] {
-			s[2] = n
-		}
-	}
-	occ := map[ast.Var]int{}
-	for _, a := range pr.Args {
-		a.VarOccurrences(occ)
-	}
-	for v, n := range occ {
-		if bound[v] {
-			s[3] += n
-		}
-	}
-	return s
-}
-
-func scoreLess(a, b [4]int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
-
-// annotate records which argument positions of a predicate step are
-// ground (index-probeable) under the bound set in force when the step
-// runs, and the best ground prefix or suffix of a not fully bound
-// argument. At most one of prefix/suffix is kept — the runtime probes
-// a single secondary index per step — preferring the longer one
-// (prefix on ties, matching the historical behavior).
-func annotate(st *step, bound map[ast.Var]bool) {
-	st.prefixCol, st.suffixCol = -1, -1
-	for k, a := range st.pred.Args {
-		if varsBound(a, bound) {
-			st.boundCols = append(st.boundCols, k)
-			continue
-		}
-		st.unboundCols = append(st.unboundCols, k)
-		st.unboundArgs = append(st.unboundArgs, a)
-		if n := groundPrefixTerms(a, bound); n > st.prefixLen {
-			st.prefixCol, st.prefixLen = k, n
-		}
-		if n := groundSuffixTerms(a, bound); n > st.suffixLen {
-			st.suffixCol, st.suffixLen = k, n
-		}
-	}
-	if st.suffixLen > st.prefixLen {
-		st.prefixCol, st.prefixLen = -1, 0
-	} else {
-		st.suffixCol, st.suffixLen = -1, 0
-	}
-}
-
-// groundPrefixTerms counts the leading terms of the expression whose
-// variables are all bound (a packed term counts when its subexpression
-// is fully bound).
-func groundPrefixTerms(e ast.Expr, bound map[ast.Var]bool) int {
-	n := 0
-	for _, t := range e {
-		if !termGround(t, bound) {
-			return n
-		}
-		n++
-	}
-	return n
-}
-
-// groundSuffixTerms counts the trailing terms of the expression whose
-// variables are all bound.
-func groundSuffixTerms(e ast.Expr, bound map[ast.Var]bool) int {
-	n := 0
-	for i := len(e) - 1; i >= 0; i-- {
-		if !termGround(e[i], bound) {
-			return n
-		}
-		n++
-	}
-	return n
-}
-
-// termGround reports whether one term is ground under the bound set.
-func termGround(t ast.Term, bound map[ast.Var]bool) bool {
-	switch x := t.(type) {
-	case ast.Const:
-		return true
-	case ast.VarT:
-		return bound[x.V]
-	case ast.Pack:
-		return varsBound(x.E, bound)
-	}
-	return false
-}
-
-func varsBound(e ast.Expr, bound map[ast.Var]bool) bool {
-	for _, v := range e.Vars() {
-		if !bound[v] {
-			return false
-		}
-	}
-	return true
-}
-
 // describe renders the compiled join plan of the rule: the chosen
 // execution order with, per predicate step, the access path the
 // indexed evaluator uses. On a hoisted (delta-variant) plan the first
@@ -416,17 +254,17 @@ func (p *plan) describe() string {
 		switch s.kind {
 		case stepPred:
 			b.WriteString(s.pred.String())
-			switch {
+			switch class := s.Class(); {
 			case p.hoisted && i == 0:
 				b.WriteString(" [delta]")
-			case len(s.boundCols) == len(s.pred.Args) && len(s.pred.Args) > 0:
-				fmt.Fprintf(&b, " [index%v ground]", s.boundCols)
-			case len(s.boundCols) > 0:
-				fmt.Fprintf(&b, " [index%v]", s.boundCols)
-			case s.prefixCol >= 0:
-				fmt.Fprintf(&b, " [prefix col=%d len=%d]", s.prefixCol, s.prefixLen)
-			case s.suffixCol >= 0:
-				fmt.Fprintf(&b, " [suffix col=%d len=%d]", s.suffixCol, s.suffixLen)
+			case class == ast.AccessExact && len(s.BoundCols) == len(s.pred.Args):
+				fmt.Fprintf(&b, " [index%v ground]", s.BoundCols)
+			case class == ast.AccessExact:
+				fmt.Fprintf(&b, " [index%v]", s.BoundCols)
+			case class == ast.AccessPrefix:
+				fmt.Fprintf(&b, " [prefix col=%d len=%d]", s.PrefixCol, s.PrefixLen)
+			case class == ast.AccessSuffix:
+				fmt.Fprintf(&b, " [suffix col=%d len=%d]", s.SuffixCol, s.SuffixLen)
 			default:
 				b.WriteString(" [scan]")
 			}

@@ -33,8 +33,8 @@ func naiveEval(prep *Prepared, edb *instance.Instance, limits Limits) (*instance
 			scan := &plan{rule: p.rule, steps: append([]step(nil), p.steps...)}
 			for i := range scan.steps {
 				s := &scan.steps[i]
-				s.boundCols, s.unboundCols, s.unboundArgs = nil, nil, nil
-				s.prefixCol, s.suffixCol = -1, -1
+				s.BoundCols, s.unboundCols, s.unboundArgs = nil, nil, nil
+				s.PrefixCol, s.SuffixCol = -1, -1
 			}
 			plans = append(plans, scan)
 		}

@@ -65,9 +65,8 @@ type Replayer struct {
 	// bound the engine whose history is being replayed.
 	Limits Limits
 
-	src  string
-	prep *Prepared
-	eng  *Engine
+	src string
+	eng *Engine
 }
 
 // Restore compiles src and installs a fresh engine over edb (nil for
@@ -87,44 +86,42 @@ func (r *Replayer) Restore(src string, edb *instance.Instance) error {
 	if err != nil {
 		return fmt.Errorf("replay: initial fixpoint: %w", err)
 	}
-	r.src, r.prep, r.eng = src, prep, eng
+	r.src, r.eng = src, eng
 	return nil
 }
 
-// Load replays a logged load record: a program (re)load that carries
-// the current fact base over, exactly as the live protocol does — see
-// LoadCarry. Keeping the carry in this shared path is what keeps WAL
-// recovery equivalent to the acked live history: an OpLoad record
-// stores only the program text, and both sides reconstruct the carried
-// EDB from the engine state the preceding records produced.
-func (r *Replayer) Load(src string) error {
-	_, err := r.LoadCarry(src)
-	return err
+// CarryEDB decides what a program (re)load carries over from the
+// engine it replaces: prev's EDB snapshot (its non-IDB relations plus
+// frozen IDB seeds) and the number of facts in it, so a program upgrade
+// keeps the live fact base instead of dropping it. With no previous
+// healthy engine (nil, or broken — a partial materialization is not a
+// fact base) the load starts empty: (nil, 0). Snapshots share storage
+// with prev, so the carry copies no tuples.
+//
+// This is the one carry rule: the daemon's live load and WAL replay
+// (Replayer.Load) both call it, which is what keeps recovery
+// equivalent to the acked live history — an OpLoad record stores only
+// the program text, and both sides reconstruct the carried EDB from the
+// engine state the preceding records produced.
+func CarryEDB(prev *Engine) (*instance.Instance, int) {
+	if prev == nil {
+		return nil, 0
+	}
+	snap, err := prev.EDBSnapshot()
+	if err != nil { // only ever prev's sticky maintenance failure
+		return nil, 0
+	}
+	return snap, snap.Facts()
 }
 
-// LoadCarry installs a fresh engine for src seeded with the previous
-// engine's EDB snapshot (its non-IDB relations plus frozen IDB seeds):
-// a program upgrade keeps the live fact base instead of dropping it.
-// With no previous healthy engine the load starts empty. It returns
-// the number of facts carried over. Snapshots share storage with the
-// old engine, so the carry itself copies no tuples; on any error
-// (parse, compile, initial fixpoint — e.g. an arity clash between the
-// new program and a carried relation) the previous engine stays
-// installed and serving.
-func (r *Replayer) LoadCarry(src string) (int, error) {
-	var edb *instance.Instance
-	carried := 0
-	if r.eng != nil && r.eng.Err() == nil {
-		snap, err := r.eng.EDBSnapshot()
-		if err != nil {
-			return 0, err
-		}
-		edb, carried = snap, snap.Facts()
-	}
-	if err := r.Restore(src, edb); err != nil {
-		return 0, err
-	}
-	return carried, nil
+// Load replays a logged load record: a fresh engine for src seeded
+// with what CarryEDB carries over from the previous one, exactly as the
+// live protocol does. On any error (parse, compile, initial fixpoint —
+// e.g. an arity clash between the new program and a carried relation)
+// the previous engine stays installed.
+func (r *Replayer) Load(src string) error {
+	edb, _ := CarryEDB(r.eng)
+	return r.Restore(src, edb)
 }
 
 // Assert replays a logged assert batch through incremental
@@ -149,10 +146,6 @@ func (r *Replayer) Retract(batch *instance.Instance) error {
 // Engine returns the recovered engine, nil when no load or checkpoint
 // was replayed.
 func (r *Replayer) Engine() *Engine { return r.eng }
-
-// Prepared returns the compiled form of the recovered program, nil
-// when none was replayed.
-func (r *Replayer) Prepared() *Prepared { return r.prep }
 
 // Source returns the source text of the recovered program ("" when
 // none): the serving layer re-logs it into the next checkpoint.

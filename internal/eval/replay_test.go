@@ -113,7 +113,7 @@ func TestReplayerMatchesLiveEngine(t *testing.T) {
 			t.Fatalf("step %d: replayer diverges: %s", i, d)
 		}
 	}
-	if rep.Source() != src || rep.Prepared() == nil {
+	if rep.Source() != src || rep.Engine().Prepared() == nil {
 		t.Fatal("replayer must retain the recovered program")
 	}
 }

@@ -6,6 +6,7 @@ package instance
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -1385,22 +1386,40 @@ func (i *Instance) MaxPathLen() int {
 	return m
 }
 
+// WriteFacts writes the relation's facts under the given name, sorted,
+// one per line in the syntax the parser reads back: "name(p1, ..., pn)."
+// and "name." for the nullary fact. It is the one fact renderer — the
+// CLIs, the daemon's query reply and Instance.String all print through
+// it. Each line is assembled in a reused buffer and handed to w in a
+// single Write, so an unbuffered w sees one write per fact.
+func (r *Relation) WriteFacts(w io.Writer, name string) error {
+	var line []byte
+	for _, t := range r.Sorted() {
+		line = append(line[:0], name...)
+		for k, p := range t {
+			if k == 0 {
+				line = append(line, '(')
+			} else {
+				line = append(line, ", "...)
+			}
+			line = append(line, p.String()...)
+		}
+		if len(t) > 0 {
+			line = append(line, ')')
+		}
+		line = append(line, ".\n"...)
+		if _, err := w.Write(line); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // String renders all facts sorted, one per line, as "R(p1, ..., pn).".
 func (i *Instance) String() string {
 	var b strings.Builder
 	for _, n := range i.Names() {
-		r := i.rels[n]
-		for _, t := range r.Sorted() {
-			b.WriteString(n)
-			if len(t) > 0 {
-				parts := make([]string, len(t))
-				for k, p := range t {
-					parts[k] = p.String()
-				}
-				b.WriteString("(" + strings.Join(parts, ", ") + ")")
-			}
-			b.WriteString(".\n")
-		}
+		i.rels[n].WriteFacts(&b, n) // a strings.Builder never fails
 	}
 	return b.String()
 }

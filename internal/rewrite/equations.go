@@ -66,11 +66,11 @@ func elimPosEqRule(r ast.Rule, gen *ast.NameGen) ([]ast.Rule, error) {
 		picked := -1
 		var ground, pattern ast.Expr
 		for i, eq := range remaining {
-			if allVarsIn(eq.L, bound) {
+			if eq.L.BoundIn(bound) {
 				picked, ground, pattern = i, eq.L, eq.R
 				break
 			}
-			if allVarsIn(eq.R, bound) {
+			if eq.R.BoundIn(bound) {
 				picked, ground, pattern = i, eq.R, eq.L
 				break
 			}
@@ -97,15 +97,6 @@ func elimPosEqRule(r ast.Rule, gen *ast.NameGen) ([]ast.Rule, error) {
 	}
 	main := ast.Rule{Head: r.Head, Body: append(cur, negs...)}
 	return append(aux, main), nil
-}
-
-func allVarsIn(e ast.Expr, set map[ast.Var]bool) bool {
-	for _, v := range e.Vars() {
-		if !set[v] {
-			return false
-		}
-	}
-	return true
 }
 
 // EliminateNegatedEquations removes every nonequality with the

@@ -267,7 +267,7 @@ func pureVars(r ast.Rule, flat map[string]bool) map[ast.Var]bool {
 				continue
 			}
 			try := func(from, to ast.Expr) {
-				if from.HasPacking() || !allVarsIn(from, pure) {
+				if from.HasPacking() || !from.BoundIn(pure) {
 					return
 				}
 				for _, v := range to.Vars() {
@@ -305,7 +305,7 @@ func findHalfPure(r ast.Rule, pure map[ast.Var]bool) (int, bool) {
 		if !ok {
 			continue
 		}
-		lPure, rPure := allVarsIn(eq.L, pure), allVarsIn(eq.R, pure)
+		lPure, rPure := eq.L.BoundIn(pure), eq.R.BoundIn(pure)
 		if lPure && !rPure {
 			return i, true
 		}

@@ -132,22 +132,26 @@ type (
 	// Retract (delete-and-rederive) and served consistently through
 	// copy-on-write snapshots.
 	Engine = eval.Engine
-	// AssertStats reports what one Engine.Assert did, stratum by
-	// stratum (skipped / incremental, plus the overdelete/rederive work
-	// negation triggers).
+	// AssertStats reports what one Engine.Assert did: the facts
+	// genuinely inserted plus the embedded MaintenanceStats.
 	AssertStats = eval.AssertStats
-	// RetractStats reports what one Engine.Retract did: facts removed,
-	// the overdeleted downward closure, and how much of it was
-	// rederived through surviving alternative derivations.
+	// RetractStats reports what one Engine.Retract did: the facts
+	// genuinely removed plus the embedded MaintenanceStats.
 	RetractStats = eval.RetractStats
+	// MaintenanceStats is the part of AssertStats and RetractStats both
+	// directions share, because both run the same maintenance: net
+	// derived facts, the overdelete / stamp-prune / rederive work,
+	// strata skipped or maintained incrementally, PlanStats, and the
+	// copy-on-write barrier work.
+	MaintenanceStats = eval.MaintenanceStats
 	// EngineStats is a point-in-time summary of an Engine.
 	EngineStats = eval.EngineStats
 	// PlanStats counts plan executions during maintenance: how often a
 	// delta-hoisted plan variant ran (a positive atom's relation
 	// changed) or a pre-bound base plan (a negated one did), and how
 	// the non-delta join steps were served (exact index probe, ground
-	// prefix probe, ground suffix probe, or full scan). Embedded in
-	// AssertStats, RetractStats and EngineStats.
+	// prefix probe, ground suffix probe, or full scan). A field of
+	// MaintenanceStats and EngineStats.
 	PlanStats = eval.PlanStats
 )
 
