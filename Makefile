@@ -13,8 +13,9 @@ vet:
 # lint runs the repository's own static checks: the engine-invariant
 # analyzer (cmd/seqlint: no View.Dead outside the DRed overdeletion
 # path, no relation write that bypasses the Ensure barrier, no exported
-# package-level bool switch in internal/ or cmd/) and a gofmt
-# cleanliness gate. CI runs this target.
+# package-level bool switch in internal/ or cmd/, no second definition
+# of §2.2 in internal/analyze) and a gofmt cleanliness gate. CI runs
+# this target.
 lint:
 	$(GO) run ./cmd/seqlint .
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then echo "gofmt needed:"; echo "$$fmt_out"; exit 1; fi

@@ -6,7 +6,6 @@
 //	seqfrag -lattice -dot       # ... as Graphviz
 //	seqfrag -subsumes EI,NR     # decide {E,I} <= {N,R} (Theorem 6.1)
 //	seqfrag -features prog.sdl  # detect a program's fragment
-//	seqfrag -vet prog.sdl       # run the static analyzer (shared with seqlog -vet)
 //	seqfrag -rewrite AIR -output S -features prog.sdl
 //	                            # plan a rewriting into {A,I,R}
 package main
@@ -17,7 +16,6 @@ import (
 	"os"
 	"strings"
 
-	"seqlog/internal/analyze"
 	"seqlog/internal/ast"
 	"seqlog/internal/core"
 	"seqlog/internal/parser"
@@ -31,34 +29,10 @@ func main() {
 		features = flag.String("features", "", "program file: detect and print its fragment")
 		target   = flag.String("rewrite", "", "with -features: rewrite the program into this fragment")
 		output   = flag.String("output", "S", "output relation for -rewrite")
-		vet      = flag.String("vet", "", "program file: run the static analyzer and print diagnostics")
 	)
 	flag.Parse()
 
 	switch {
-	case *vet != "":
-		src, err := os.ReadFile(*vet)
-		if err != nil {
-			fail(err)
-		}
-		prog, explicit, err := parser.ParseProgramForAnalysis(string(src))
-		if err != nil {
-			fail(fmt.Errorf("%s: %w", *vet, err))
-		}
-		diags := analyze.Check(prog, analyze.Options{
-			ExplicitStrata: explicit,
-			ClassLabel:     func(f ast.FeatureSet) string { return core.ClassOf(f).Label() },
-		})
-		bad := false
-		for _, d := range diags {
-			fmt.Println(d.Format(*vet))
-			if d.Severity != analyze.Info {
-				bad = true
-			}
-		}
-		if bad {
-			os.Exit(1)
-		}
 	case *lattice:
 		l := core.BuildLattice()
 		if *dot {

@@ -26,6 +26,13 @@
 //     second code path every test and benchmark then has to cover, any
 //     importer can flip it under a running engine, and tests that do
 //     cannot run in parallel. Use an option on the call or a constant.
+//   - analyze-redefines: well-formedness (§2.2) is defined once, by
+//     ast.Program.Check; internal/analyze only turns its violations
+//     into diagnostics. A function there that ranges over a program's
+//     Strata or Rules and builds a map[string]int arity table or a
+//     []map[string]bool per-stratum head set is a second definition in
+//     the making — the two shapes safety.go once mirrored — and drifts
+//     from the first in wording and position.
 //
 // Usage:
 //
@@ -40,6 +47,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -150,6 +158,15 @@ func lintFile(fset *token.FileSet, file *ast.File, relPath string) []string {
 			}
 		}
 	}
+	if strings.HasPrefix(relPath, "internal/analyze/") && !strings.HasSuffix(relPath, "_test.go") {
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+				if table := redefinesWellFormedness(fn.Body); table != "" {
+					report(fn.Name.Pos(), "%s walks the program's rules and builds a %s: arity and stratum-order checks are defined once, in ast.Program.Check; report its violations instead of recomputing them", fn.Name.Name, table)
+				}
+			}
+		}
+	}
 	deadOK := tombstoneViewAllowed(relPath)
 	const deadMsg = "View.Dead admits tombstoned positions and is reserved for the DRed overdeletion path (internal/eval/eval.go); probe under a live view"
 	ast.Inspect(file, func(n ast.Node) bool {
@@ -175,6 +192,45 @@ func lintFile(fset *token.FileSet, file *ast.File, relPath string) []string {
 		return true
 	})
 	return findings
+}
+
+// redefinesWellFormedness returns the type of the table a function
+// body builds (by literal or make) when the body also ranges over
+// something's Strata or Rules, "" otherwise: map[string]int is an
+// arity table, []map[string]bool the heads of each stratum and later.
+func redefinesWellFormedness(body *ast.BlockStmt) string {
+	ranges, table := false, ""
+	note := func(typ ast.Expr) {
+		if typ == nil {
+			return
+		}
+		if s := types.ExprString(typ); s == "map[string]int" || s == "[]map[string]bool" {
+			table = s
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.RangeStmt:
+			x := n.X
+			if ix, ok := x.(*ast.IndexExpr); ok {
+				x = ix.X
+			}
+			if sel, ok := x.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Strata" || sel.Sel.Name == "Rules") {
+				ranges = true
+			}
+		case *ast.CompositeLit:
+			note(n.Type)
+		case *ast.CallExpr:
+			if isIdent(n.Fun, "make") && len(n.Args) > 0 {
+				note(n.Args[0])
+			}
+		}
+		return true
+	})
+	if !ranges {
+		return ""
+	}
+	return table
 }
 
 // isIdent reports whether x is the identifier name, bare or

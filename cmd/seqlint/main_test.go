@@ -143,6 +143,60 @@ func f() { var Local = true; _ = Local }
 	}
 }
 
+func TestAnalyzeRedefines(t *testing.T) {
+	// The two shapes internal/analyze/safety.go had before ast.Program.
+	// Check became the one definition of §2.2: a second arity table and a
+	// second per-stratum head set.
+	src := `package analyze
+func checkArities(p *Pass) {
+	arity := map[string]int{}
+	for _, r := range p.Rules {
+		arity[r.Head.Name] = len(r.Head.Args)
+	}
+}
+func runStratification(p *Pass) {
+	headFrom := make([]map[string]bool, len(p.Prog.Strata)+1)
+	for i := len(p.Prog.Strata) - 1; i >= 0; i-- {
+		for _, r := range p.Prog.Strata[i] {
+			headFrom[i][r.Head.Name] = true
+		}
+	}
+}
+func checkSingletons(p *Pass) {
+	for _, r := range p.Rules {
+		occ := map[ast.Var]int{}
+		seen := map[string]bool{}
+		_, _ = occ, seen
+	}
+}
+func count(names []string) map[string]int {
+	n := map[string]int{}
+	for _, s := range names {
+		n[s]++
+	}
+	return n
+}
+`
+	got := lintSrc(t, "internal/analyze/safety.go", src)
+	if len(got) != 2 {
+		t.Fatalf("want checkArities and runStratification flagged, got %v", got)
+	}
+	if !strings.Contains(got[0], "safety.go:2:6: checkArities") || !strings.Contains(got[0], "map[string]int") ||
+		!strings.Contains(got[0], "ast.Program.Check") {
+		t.Fatalf("arity-table finding: %q", got[0])
+	}
+	if !strings.Contains(got[1], "safety.go:8:6: runStratification") || !strings.Contains(got[1], "[]map[string]bool") {
+		t.Fatalf("head-set finding: %q", got[1])
+	}
+	// The definition itself lives in ast, other passes may count things,
+	// and tests may build oracles.
+	for _, path := range []string{"internal/ast/wellformed.go", "internal/rewrite/arity.go", "internal/analyze/gate_test.go"} {
+		if got := lintSrc(t, path, src); len(got) != 0 {
+			t.Fatalf("%s must not be checked, got %v", path, got)
+		}
+	}
+}
+
 func TestLintTreeOnRepo(t *testing.T) {
 	// The repository itself must be clean — this is the same
 	// invariant "make lint" enforces in CI.

@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -85,15 +86,24 @@ func main() {
 	}
 
 	if *vet {
-		os.Exit(runVet(*programFile, *queryName, *output))
+		if *programFile == "" && *queryName == "" {
+			fail(fmt.Errorf("-vet needs -program or -query"))
+		}
+		code, err := runVet(os.Stdout, *programFile, *queryName, *output)
+		if err != nil {
+			fail(err)
+		}
+		os.Exit(code)
 	}
 
-	prog, out, err := loadProgram(*programFile, *queryName, *output)
+	prog, _, out, err := loadProgram(*programFile, *queryName, *output)
 	if err != nil {
 		fail(err)
 	}
-	// Compile once: validation, stratification checks and join planning
-	// are shared by -explain and the evaluation below.
+	// Compile once: it is the one gate (§2.2 check, lints, join planning),
+	// as for seqlogd's load, so an ill-formed program is refused with the
+	// lines -vet prints for it; -explain and the evaluation share the
+	// result.
 	prep, err := eval.Compile(prog)
 	if err != nil {
 		fail(err)
@@ -144,35 +154,14 @@ func main() {
 // The exit status is 1 when any diagnostic has warning or error
 // severity, 0 when the program is clean (info diagnostics — the
 // fragment report — do not fail the vet).
-func runVet(file, query, output string) int {
-	var (
-		prog     ast.Program
-		explicit bool
-		label    = file
-	)
-	switch {
-	case file != "" && query != "":
-		fail(fmt.Errorf("use either -program or -query, not both"))
-	case query != "":
-		q, err := queries.Get(query)
-		if err != nil {
-			fail(err)
-		}
-		if output == "" {
-			output = q.Output
-		}
-		prog, explicit, label = q.Program, true, query
-	case file != "":
-		src, err := os.ReadFile(file)
-		if err != nil {
-			fail(err)
-		}
-		prog, explicit, err = parser.ParseProgramForAnalysis(string(src))
-		if err != nil {
-			fail(fmt.Errorf("%s: %w", file, err))
-		}
-	default:
-		fail(fmt.Errorf("-vet needs -program or -query"))
+func runVet(w io.Writer, file, query, output string) (int, error) {
+	prog, explicit, output, err := loadProgram(file, query, output)
+	if err != nil {
+		return 0, err
+	}
+	label := file
+	if query != "" {
+		label = query
 	}
 	var outputs []string
 	if output != "" {
@@ -183,44 +172,45 @@ func runVet(file, query, output string) int {
 		ExplicitStrata: explicit,
 		ClassLabel:     func(f ast.FeatureSet) string { return core.ClassOf(f).Label() },
 	})
-	bad := 0
+	status := 0
 	for _, d := range diags {
-		fmt.Println(d.Format(label))
+		fmt.Fprintln(w, d.Format(label))
 		if d.Severity != analyze.Info {
-			bad++
+			status = 1
 		}
 	}
-	if bad > 0 {
-		return 1
-	}
-	return 0
+	return status, nil
 }
 
-func loadProgram(file, query, output string) (ast.Program, string, error) {
+// loadProgram reads the program to run or vet — a built-in query
+// (strata as registered, output defaulting to the query's) or a source
+// file — without checking it: eval.Compile and analyze.Check are the
+// gates. explicit reports whether the strata are the author's.
+func loadProgram(file, query, output string) (prog ast.Program, explicit bool, out string, err error) {
 	switch {
 	case file != "" && query != "":
-		return ast.Program{}, "", fmt.Errorf("use either -program or -query, not both")
+		return ast.Program{}, false, "", fmt.Errorf("use either -program or -query, not both")
 	case query != "":
 		q, err := queries.Get(query)
 		if err != nil {
-			return ast.Program{}, "", err
+			return ast.Program{}, false, "", err
 		}
 		if output == "" {
 			output = q.Output
 		}
-		return q.Program, output, nil
+		return q.Program, true, output, nil
 	case file != "":
 		src, err := os.ReadFile(file)
 		if err != nil {
-			return ast.Program{}, "", err
+			return ast.Program{}, false, "", err
 		}
-		prog, err := parser.ParseProgram(string(src))
+		prog, explicit, err := parser.ParseProgramForAnalysis(string(src))
 		if err != nil {
-			return ast.Program{}, "", fmt.Errorf("%s: %w", file, err)
+			return ast.Program{}, false, "", fmt.Errorf("%s: %w", file, err)
 		}
-		return prog, output, nil
+		return prog, explicit, output, nil
 	default:
-		return ast.Program{}, "", fmt.Errorf("one of -program, -query or -list is required")
+		return ast.Program{}, false, "", fmt.Errorf("one of -program, -query or -list is required")
 	}
 }
 

@@ -118,7 +118,7 @@ func (c *compiler) rule(r ast.Rule) (Expr, error) {
 func posOf(args []ast.Expr) map[ast.Var]int {
 	out := map[ast.Var]int{}
 	for i, a := range args {
-		if v, ok := singleVar(a); ok {
+		if v, ok := a.SoleVar(); ok {
 			if _, seen := out[v]; !seen {
 				out[v] = i + 1
 			}
@@ -142,7 +142,7 @@ func toPositional(e ast.Expr, pos map[ast.Var]int) ast.Expr {
 // project onto the variables (the construction sketched after
 // Lemma 7.2).
 func (c *compiler) form1(r ast.Rule) (Expr, error) {
-	body := r.Body[0].Atom.(ast.Pred)
+	body := r.PositivePreds()[0]
 	base, err := c.rel(body.Name)
 	if err != nil {
 		return nil, err
@@ -151,7 +151,7 @@ func (c *compiler) form1(r ast.Rule) (Expr, error) {
 	vars := make([]ast.Var, len(r.Head.Args))
 	seen := map[ast.Var]bool{}
 	for i, a := range r.Head.Args {
-		v, ok := singleVar(a)
+		v, ok := a.SoleVar()
 		if !ok {
 			return nil, fmt.Errorf("algebra: malformed form-1 head %s", r.Head)
 		}
@@ -161,12 +161,9 @@ func (c *compiler) form1(r ast.Rule) (Expr, error) {
 	nHead := len(vars)
 	// Variables occurring only in the body are existential: they get a
 	// domain column too, projected away at the end.
-	for _, a := range body.Args {
-		for _, v := range a.Vars() {
-			if !seen[v] {
-				seen[v] = true
-				vars = append(vars, v)
-			}
+	for _, v := range ast.VarsOf(body.Args...) {
+		if !seen[v] {
+			vars = append(vars, v)
 		}
 	}
 	if m == 0 {
@@ -177,8 +174,10 @@ func (c *compiler) form1(r ast.Rule) (Expr, error) {
 	// unpacking to the patterns' depth.
 	depth := 0
 	for _, a := range body.Args {
-		if d := exprPackingDepth(a); d > depth {
-			depth = d
+		for d, t := range a.Terms() {
+			if _, packed := t.(ast.Pack); packed {
+				depth = max(depth, d+1)
+			}
 		}
 	}
 	var dom Expr
@@ -223,21 +222,9 @@ func (c *compiler) form1(r ast.Rule) (Expr, error) {
 	return Project{E: e, Cols: cols}, nil
 }
 
-func exprPackingDepth(e ast.Expr) int {
-	d := 0
-	for _, t := range e {
-		if p, ok := t.(ast.Pack); ok {
-			if dd := exprPackingDepth(p.E) + 1; dd > d {
-				d = dd
-			}
-		}
-	}
-	return d
-}
-
 // form2 translates R1(v..., e) :- R2(v...) as a generalized projection.
 func (c *compiler) form2(r ast.Rule) (Expr, error) {
-	body := r.Body[0].Atom.(ast.Pred)
+	body := r.PositivePreds()[0]
 	base, err := c.rel(body.Name)
 	if err != nil {
 		return nil, err
@@ -254,8 +241,8 @@ func (c *compiler) form2(r ast.Rule) (Expr, error) {
 // form3 translates a join via product, selection on shared variables,
 // and projection onto the head variables.
 func (c *compiler) form3(r ast.Rule) (Expr, error) {
-	b2 := r.Body[0].Atom.(ast.Pred)
-	b3 := r.Body[1].Atom.(ast.Pred)
+	joined := r.PositivePreds()
+	b2, b3 := joined[0], joined[1]
 	l, err := c.rel(b2.Name)
 	if err != nil {
 		return nil, err
@@ -267,13 +254,13 @@ func (c *compiler) form3(r ast.Rule) (Expr, error) {
 	var e Expr = Product{L: l, R: rr}
 	pos := map[ast.Var]int{}
 	for i, a := range b2.Args {
-		v, _ := singleVar(a)
+		v, _ := a.SoleVar()
 		if _, seen := pos[v]; !seen {
 			pos[v] = i + 1
 		}
 	}
 	for j, a := range b3.Args {
-		v, _ := singleVar(a)
+		v, _ := a.SoleVar()
 		col := len(b2.Args) + j + 1
 		if first, seen := pos[v]; seen {
 			e = Select{E: e, L: Col(first), R: Col(col)}
@@ -283,7 +270,7 @@ func (c *compiler) form3(r ast.Rule) (Expr, error) {
 	}
 	cols := make([]ast.Expr, len(r.Head.Args))
 	for i, a := range r.Head.Args {
-		v, _ := singleVar(a)
+		v, _ := a.SoleVar()
 		cols[i] = Col(pos[v])
 	}
 	return Project{E: e, Cols: cols}, nil
@@ -292,11 +279,11 @@ func (c *compiler) form3(r ast.Rule) (Expr, error) {
 // form4 translates the antijoin R1(v...) :- R2(v...), !R3(v'...) as
 // R2 − π(σ(R2 × R3)).
 func (c *compiler) form4(r ast.Rule) (Expr, error) {
-	b2 := r.Body[0].Atom.(ast.Pred)
+	b2 := r.PositivePreds()[0]
 	var b3 ast.Pred
-	for _, l := range r.Body {
+	for l, pr := range r.Preds() {
 		if l.Neg {
-			b3 = l.Atom.(ast.Pred)
+			b3 = pr
 		}
 	}
 	l, err := c.rel(b2.Name)
@@ -311,7 +298,7 @@ func (c *compiler) form4(r ast.Rule) (Expr, error) {
 	pos := posOf(b2.Args)
 	var e Expr = Product{L: l, R: rr}
 	for j, a := range b3.Args {
-		v, _ := singleVar(a)
+		v, _ := a.SoleVar()
 		e = Select{E: e, L: Col(pos[v]), R: Col(n + j + 1)}
 	}
 	cols := make([]ast.Expr, n)
@@ -323,7 +310,7 @@ func (c *compiler) form4(r ast.Rule) (Expr, error) {
 
 // form5 translates a projection/permutation rule.
 func (c *compiler) form5(r ast.Rule) (Expr, error) {
-	body := r.Body[0].Atom.(ast.Pred)
+	body := r.PositivePreds()[0]
 	base, err := c.rel(body.Name)
 	if err != nil {
 		return nil, err
@@ -331,7 +318,7 @@ func (c *compiler) form5(r ast.Rule) (Expr, error) {
 	pos := posOf(body.Args)
 	cols := make([]ast.Expr, len(r.Head.Args))
 	for i, a := range r.Head.Args {
-		v, _ := singleVar(a)
+		v, _ := a.SoleVar()
 		cols[i] = Col(pos[v])
 	}
 	return Project{E: base, Cols: cols}, nil

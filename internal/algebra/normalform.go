@@ -82,21 +82,10 @@ func FormOf(r ast.Rule) Form {
 	return FormNone
 }
 
-func singleVar(e ast.Expr) (ast.Var, bool) {
-	if len(e) != 1 {
-		return ast.Var{}, false
-	}
-	vt, ok := e[0].(ast.VarT)
-	if !ok {
-		return ast.Var{}, false
-	}
-	return vt.V, true
-}
-
 func distinctVars(args []ast.Expr) bool {
 	seen := map[ast.Var]bool{}
 	for _, a := range args {
-		v, ok := singleVar(a)
+		v, ok := a.SoleVar()
 		if !ok || seen[v] {
 			return false
 		}
@@ -107,7 +96,7 @@ func distinctVars(args []ast.Expr) bool {
 
 func allPathVars(args []ast.Expr) bool {
 	for _, a := range args {
-		v, ok := singleVar(a)
+		v, ok := a.SoleVar()
 		if !ok || v.Atomic {
 			return false
 		}
@@ -118,12 +107,12 @@ func allPathVars(args []ast.Expr) bool {
 func subsetVars(args, of []ast.Expr) bool {
 	set := map[ast.Var]bool{}
 	for _, a := range of {
-		if v, ok := singleVar(a); ok {
+		if v, ok := a.SoleVar(); ok {
 			set[v] = true
 		}
 	}
 	for _, a := range args {
-		v, ok := singleVar(a)
+		v, ok := a.SoleVar()
 		if !ok || !set[v] {
 			return false
 		}
@@ -136,8 +125,8 @@ func sameVars(args, of []ast.Expr) bool {
 		return false
 	}
 	for i := range args {
-		v1, ok1 := singleVar(args[i])
-		v2, ok2 := singleVar(of[i])
+		v1, ok1 := args[i].SoleVar()
+		v2, ok2 := of[i].SoleVar()
 		if !ok1 || !ok2 || v1 != v2 {
 			return false
 		}
@@ -202,10 +191,10 @@ func normalizeRule(r ast.Rule, gen *ast.NameGen) ([]ast.Rule, error) {
 			return nil, fmt.Errorf("algebra: equation in rule %s; eliminate equations first", r)
 		}
 		if l.Neg {
-			negLits = append(negLits, applySubstPred(pr, avToPv))
+			negLits = append(negLits, pr.MapArgs(avToPv.Apply))
 			continue
 		}
-		vars := predVars(pr)
+		vars := ast.VarsOf(pr.Args...)
 		h := gen.Fresh("H")
 		if len(vars) == 0 {
 			// H' :- P(e...).   H(a) :- H'.
@@ -254,7 +243,7 @@ func normalizeRule(r ast.Rule, gen *ast.NameGen) ([]ast.Rule, error) {
 				Head: fnPred,
 				Body: []ast.Literal{
 					ast.Pos(finalPred),
-					ast.Neg(ast.Pred{Name: n.Name, Args: valueVars}),
+					ast.Neg(ast.Pred{Name: n.Name, Args: valueVars, Pos: n.Pos}),
 				},
 			})
 			// HN(v...) :- FN(v..., v'...). (form 5)
@@ -268,10 +257,10 @@ func normalizeRule(r ast.Rule, gen *ast.NameGen) ([]ast.Rule, error) {
 	}
 
 	// Step 4: generate the head expressions by a chain of form-2 rules.
-	head := applySubstPred(r.Head, avToPv)
+	head := r.Head.MapArgs(avToPv.Apply)
 	chainRules, finalPred, valueVars := buildChain(joined, head.Args, gen)
 	acc = append(acc, chainRules...)
-	acc = append(acc, ast.Rule{Head: ast.Pred{Name: head.Name, Args: valueVars}, Body: []ast.Literal{ast.Pos(finalPred)}})
+	acc = append(acc, ast.Rule{Head: ast.Pred{Name: head.Name, Args: valueVars, Pos: head.Pos}, Body: []ast.Literal{ast.Pos(finalPred)}})
 
 	for _, nr := range acc {
 		if FormOf(nr) == FormNone {
@@ -279,30 +268,6 @@ func normalizeRule(r ast.Rule, gen *ast.NameGen) ([]ast.Rule, error) {
 		}
 	}
 	return acc, nil
-}
-
-// predVars returns the variables of a predicate in first-occurrence
-// order.
-func predVars(p ast.Pred) []ast.Var {
-	seen := map[ast.Var]bool{}
-	var out []ast.Var
-	for _, a := range p.Args {
-		for _, v := range a.Vars() {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-	}
-	return out
-}
-
-func applySubstPred(p ast.Pred, s ast.Subst) ast.Pred {
-	args := make([]ast.Expr, len(p.Args))
-	for i, a := range p.Args {
-		args[i] = s.Apply(a)
-	}
-	return ast.Pred{Name: p.Name, Args: args}
 }
 
 // joinAtoms merges predicates pairwise with form-3 rules until one
@@ -314,7 +279,7 @@ func joinAtoms(atoms []ast.Pred, gen *ast.NameGen) (ast.Pred, []ast.Rule) {
 		seen := map[ast.Var]bool{}
 		var mergedArgs []ast.Expr
 		for _, arg := range append(append([]ast.Expr{}, a.Args...), b.Args...) {
-			v, _ := singleVar(arg)
+			v, _ := arg.SoleVar()
 			if !seen[v] {
 				seen[v] = true
 				mergedArgs = append(mergedArgs, arg)

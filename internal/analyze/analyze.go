@@ -32,8 +32,9 @@
 package analyze
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"seqlog/internal/ast"
@@ -84,10 +85,7 @@ type Diagnostic struct {
 }
 
 // Related is a secondary position attached to a diagnostic.
-type Related struct {
-	Pos     ast.Position
-	Message string
-}
+type Related = ast.Note
 
 // String renders "line:col: code: message" without a file name.
 func (d Diagnostic) String() string {
@@ -109,14 +107,14 @@ func (d Diagnostic) Format(file string) string {
 type Options struct {
 	// Outputs lists the declared output relations of the program.
 	// When non-empty, the deadcode analyzer reports rules that are
-	// unreachable from every output (generalizing
-	// rewrite.PruneUnreachable to a diagnostic).
+	// unreachable from every output (the rules rewrite.PruneUnreachable
+	// would drop; both ask ast.Program.Needed).
 	Outputs []string
 	// ExplicitStrata marks the program's strata as author-specified
-	// (or produced by a validated stratification). The stratification
-	// analyzer then enforces the written order exactly as
-	// ast.Program.Validate does, and downgrades a negation cycle to a
-	// warning: the written order still gives the program an
+	// (or produced by a validated stratification). It is the `written`
+	// argument of ast.Program.Check: the written order is enforced as
+	// ast.Program.Validate enforces it, and a negation cycle is only a
+	// warning — the written order still gives the program an
 	// operational meaning. Without it, a negation cycle is an error —
 	// no stratification exists at all.
 	ExplicitStrata bool
@@ -128,8 +126,8 @@ type Options struct {
 }
 
 // Pass carries one analysis run's shared inputs. Analyzers read the
-// program and the precomputed dependency structure and report
-// diagnostics through Report.
+// program, its §2.2 check and its dependency structure — each computed
+// once — and report diagnostics through Report.
 type Pass struct {
 	Prog ast.Program
 	Opts Options
@@ -137,10 +135,13 @@ type Pass struct {
 	Rules []ast.Rule
 	// IDB marks relation names defined by some rule head.
 	IDB map[string]bool
-	// SCC maps IDB relation names to dependency-graph component ids.
-	SCC map[string]int
-	// SCCSize counts the members of each component.
-	SCCSize map[int]int
+	// Deps is the dependency graph with its components.
+	Deps ast.Deps
+	// Arities and Violations are Prog.Check(Opts.ExplicitStrata): the
+	// definition of well-formedness the safety and stratification passes
+	// report from.
+	Arities    map[string]int
+	Violations []ast.Violation
 
 	report func(Diagnostic)
 }
@@ -177,8 +178,23 @@ func Analyzers() []*Analyzer {
 // the diagnostics sorted by position, severity, and code. When an
 // error-severity pass reports, the lint passes are skipped.
 func Check(prog ast.Program, opts Options) []Diagnostic {
+	diags, _ := CheckWithArities(prog, opts)
+	return diags
+}
+
+// CheckWithArities is Check for a caller that goes on to compile the
+// program: it also returns the arity table the §2.2 check built.
+func CheckWithArities(prog ast.Program, opts Options) ([]Diagnostic, map[string]int) {
 	var diags []Diagnostic
-	pass := newPass(prog, opts, func(d Diagnostic) { diags = append(diags, d) })
+	pass := &Pass{
+		Prog:   prog,
+		Opts:   opts,
+		Rules:  prog.Rules(),
+		IDB:    prog.IDB(),
+		Deps:   prog.Deps(),
+		report: func(d Diagnostic) { diags = append(diags, d) },
+	}
+	pass.Arities, pass.Violations = prog.Check(opts.ExplicitStrata)
 	for _, a := range Analyzers() {
 		if a.Errors {
 			a.Run(pass)
@@ -191,46 +207,11 @@ func Check(prog ast.Program, opts Options) []Diagnostic {
 			}
 		}
 	}
-	sortDiagnostics(diags)
-	return diags
-}
-
-func newPass(prog ast.Program, opts Options, report func(Diagnostic)) *Pass {
-	p := &Pass{
-		Prog:    prog,
-		Opts:    opts,
-		Rules:   prog.Rules(),
-		IDB:     map[string]bool{},
-		SCC:     prog.SCCIDs(),
-		SCCSize: map[int]int{},
-		report:  report,
-	}
-	for _, r := range p.Rules {
-		p.IDB[r.Head.Name] = true
-	}
-	for _, id := range p.SCC {
-		p.SCCSize[id]++
-	}
-	return p
-}
-
-func sortDiagnostics(diags []Diagnostic) {
-	sort.SliceStable(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Col != b.Pos.Col {
-			return a.Pos.Col < b.Pos.Col
-		}
-		if a.Severity != b.Severity {
-			return a.Severity > b.Severity
-		}
-		if a.Code != b.Code {
-			return a.Code < b.Code
-		}
-		return a.Message < b.Message
+	slices.SortStableFunc(diags, func(a, b Diagnostic) int {
+		return cmp.Or(a.Pos.Compare(b.Pos), cmp.Compare(b.Severity, a.Severity),
+			strings.Compare(a.Code, b.Code), strings.Compare(a.Message, b.Message))
 	})
+	return diags, pass.Arities
 }
 
 // HasErrors reports whether any diagnostic has error severity.
@@ -280,15 +261,4 @@ func (e *DiagError) Error() string {
 		lines[i] = d.String()
 	}
 	return strings.Join(lines, "\n")
-}
-
-// atomPos extracts the source position of a body atom.
-func atomPos(a ast.Atom) ast.Position {
-	switch x := a.(type) {
-	case ast.Pred:
-		return x.Pos
-	case ast.Eq:
-		return x.Pos
-	}
-	return ast.Position{}
 }

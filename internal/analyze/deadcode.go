@@ -57,48 +57,19 @@ func checkDuplicates(p *Pass) {
 
 func checkSingletons(p *Pass, r ast.Rule) {
 	occ := map[ast.Var]int{}
-	for _, a := range r.Head.Args {
-		a.VarOccurrences(occ)
-	}
-	for _, l := range r.Body {
-		switch x := l.Atom.(type) {
-		case ast.Pred:
-			for _, a := range x.Args {
-				a.VarOccurrences(occ)
-			}
-		case ast.Eq:
-			x.L.VarOccurrences(occ)
-			x.R.VarOccurrences(occ)
-		}
+	for e := range r.Exprs() {
+		e.VarOccurrences(occ)
 	}
 	// Report in the rule's first-occurrence order for determinism.
 	for _, v := range r.Vars() {
 		if occ[v] != 1 || strings.HasPrefix(v.Name, "_") {
 			continue
 		}
-		p.Reportf(varOccurrencePos(r, v), Warning, "singleton-var",
-			"variable %s occurs only once in the rule (rename to %s to mark it deliberate)", v, sigil(v)+"_"+v.Name)
+		marked := v
+		marked.Name = "_" + v.Name
+		p.Reportf(r.FirstOccurrence(v), Warning, "singleton-var",
+			"variable %s occurs only once in the rule (rename to %s to mark it deliberate)", v, marked)
 	}
-}
-
-func sigil(v ast.Var) string {
-	if v.Atomic {
-		return "@"
-	}
-	return "$"
-}
-
-// varOccurrencePos finds the position of the atom containing v's sole
-// occurrence, preferring body atoms (more precise than the rule head).
-func varOccurrencePos(r ast.Rule, v ast.Var) ast.Position {
-	for _, l := range r.Body {
-		for _, u := range atomVars(l.Atom) {
-			if u == v {
-				return atomPos(l.Atom)
-			}
-		}
-	}
-	return r.Head.Pos
 }
 
 // checkNeverDerived runs a fixpoint over "can derive at least one
@@ -109,29 +80,24 @@ func varOccurrencePos(r ast.Rule, v ast.Var) ast.Position {
 func checkNeverDerived(p *Pass) {
 	derivable := map[string]bool{}
 	for _, r := range p.Rules {
-		for _, l := range r.Body {
-			if pr, ok := l.Atom.(ast.Pred); ok && !p.IDB[pr.Name] {
+		for _, pr := range r.Preds() {
+			if !p.IDB[pr.Name] {
 				derivable[pr.Name] = true
 			}
 		}
 	}
+	canFire := func(r ast.Rule) bool {
+		for l, pr := range r.Preds() {
+			if !l.Neg && !derivable[pr.Name] {
+				return false
+			}
+		}
+		return true
+	}
 	for changed := true; changed; {
 		changed = false
 		for _, r := range p.Rules {
-			if derivable[r.Head.Name] {
-				continue
-			}
-			ok := true
-			for _, l := range r.Body {
-				if l.Neg {
-					continue
-				}
-				if pr, isPred := l.Atom.(ast.Pred); isPred && !derivable[pr.Name] {
-					ok = false
-					break
-				}
-			}
-			if ok {
+			if !derivable[r.Head.Name] && canFire(r) {
 				derivable[r.Head.Name] = true
 				changed = true
 			}
@@ -148,32 +114,14 @@ func checkNeverDerived(p *Pass) {
 	}
 }
 
-// checkUnreachable computes the relations needed to evaluate the
-// declared outputs (through positive and negated body atoms alike,
-// matching rewrite.PruneUnreachable) and flags rules whose head is not
-// among them.
+// checkUnreachable flags rules whose head is not among the relations
+// needed to evaluate the declared outputs (ast.Program.Needed: through
+// positive and negated body atoms alike).
 func checkUnreachable(p *Pass) {
 	if len(p.Opts.Outputs) == 0 {
 		return
 	}
-	needed := map[string]bool{}
-	for _, o := range p.Opts.Outputs {
-		needed[o] = true
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, r := range p.Rules {
-			if !needed[r.Head.Name] {
-				continue
-			}
-			for _, l := range r.Body {
-				if pr, ok := l.Atom.(ast.Pred); ok && !needed[pr.Name] {
-					needed[pr.Name] = true
-					changed = true
-				}
-			}
-		}
-	}
+	needed := p.Prog.Needed(p.Opts.Outputs...)
 	outputs := strings.Join(p.Opts.Outputs, ", ")
 	for _, r := range p.Rules {
 		if needed[r.Head.Name] {

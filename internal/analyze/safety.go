@@ -1,15 +1,8 @@
 package analyze
 
-import (
-	"fmt"
-
-	"seqlog/internal/ast"
-)
-
-// SafetyAnalyzer enforces range restriction (§2.2): every variable of
-// a rule must be limited — bound by a positive body predicate, or
-// transitively through a positive equation with one fully-limited
-// side. It reports the reason a variable escapes binding:
+// SafetyAnalyzer reports the per-rule half of ast.Program.Check — the
+// definition of §2.2 lives there, this pass only gives each violation
+// error severity:
 //
 //   - arity-mismatch (error): a relation used with two arities;
 //   - unbound-head-var (error): a head variable never bound by the
@@ -24,192 +17,20 @@ var SafetyAnalyzer = &Analyzer{
 	Name:   "safety",
 	Doc:    "range restriction: head and negated variables must be bound by positive body atoms",
 	Errors: true,
-	Run:    runSafety,
+	Run:    func(p *Pass) { p.reportViolations(false) },
 }
 
-func runSafety(p *Pass) {
-	checkArities(p)
-	for _, r := range p.Rules {
-		checkRuleSafety(p, r)
-	}
-}
-
-// checkArities mirrors ast.Program.Arities as a diagnostic: every
-// conflicting use is reported, not just the first.
-func checkArities(p *Pass) {
-	arity := map[string]int{}
-	first := map[string]ast.Position{}
-	record := func(pr ast.Pred) {
-		if prev, ok := arity[pr.Name]; ok {
-			if prev != len(pr.Args) {
-				p.Report(Diagnostic{
-					Pos:      pr.Pos,
-					Severity: Error,
-					Code:     "arity-mismatch",
-					Message:  fmt.Sprintf("relation %s used with arity %d here but arity %d elsewhere", pr.Name, len(pr.Args), prev),
-					Related:  []Related{{Pos: first[pr.Name], Message: fmt.Sprintf("%s first used with arity %d", pr.Name, prev)}},
-				})
-			}
-			return
-		}
-		arity[pr.Name] = len(pr.Args)
-		first[pr.Name] = pr.Pos
-	}
-	for _, r := range p.Rules {
-		record(r.Head)
-		for _, l := range r.Body {
-			if pr, ok := l.Atom.(ast.Pred); ok {
-				record(pr)
-			}
-		}
-	}
-}
-
-func checkRuleSafety(p *Pass, r ast.Rule) {
-	limited := r.LimitedVars()
-	headVars := map[ast.Var]bool{}
-	for _, a := range r.Head.Args {
-		for _, v := range a.Vars() {
-			headVars[v] = true
-		}
-	}
-	for _, v := range r.Vars() {
-		if limited[v] {
-			continue
-		}
-		switch {
-		case headVars[v]:
-			d := Diagnostic{
-				Pos:      r.Head.Pos,
-				Severity: Error,
-				Code:     "unbound-head-var",
-				Message:  fmt.Sprintf("head variable %s is not bound by any positive body atom (rule is unsafe, §2.2)", v),
-			}
-			if headOccurrenceConstructs(r.Head, v) {
-				d.Related = append(d.Related, Related{
-					Pos:     r.Head.Pos,
-					Message: fmt.Sprintf("%s occurs in the head only inside a constructed sequence term, which cannot bind it", v),
-				})
-			}
-			p.Report(d)
-		case underNegationOnly(r, v):
-			pos, name := negatedOccurrence(r, v)
-			p.Report(Diagnostic{
-				Pos:      pos,
-				Severity: Error,
-				Code:     "unbound-neg-var",
-				Message:  fmt.Sprintf("variable %s occurs under negation in %s but is not bound by any positive body atom (negation does not bind, §2.2)", v, name),
-			})
-		default:
-			p.Reportf(firstBodyOccurrence(r, v), Error, "unbound-var",
-				"variable %s is not limited: no positive predicate contains it and no positive equation side containing it ever becomes fully bound (§2.2)", v)
-		}
-	}
-}
-
-// headOccurrenceConstructs reports whether every head occurrence of v
-// sits inside a longer sequence expression or under packing — i.e. the
-// head builds a sequence around v rather than mentioning it bare.
-func headOccurrenceConstructs(head ast.Pred, v ast.Var) bool {
-	found := false
-	for _, a := range head.Args {
-		for _, u := range a.Vars() {
-			if u == v {
-				found = true
-				if len(a) == 1 {
-					if vt, ok := a[0].(ast.VarT); ok && vt.V == v {
-						return false // bare occurrence
-					}
-				}
-			}
-		}
-	}
-	return found
-}
-
-// underNegationOnly reports whether v's only body occurrences are in
-// negated literals.
-func underNegationOnly(r ast.Rule, v ast.Var) bool {
-	inNeg, inPos := false, false
-	for _, l := range r.Body {
-		for _, u := range atomVars(l.Atom) {
-			if u == v {
-				if l.Neg {
-					inNeg = true
-				} else {
-					inPos = true
-				}
-			}
-		}
-	}
-	return inNeg && !inPos
-}
-
-func negatedOccurrence(r ast.Rule, v ast.Var) (ast.Position, string) {
-	for _, l := range r.Body {
-		if !l.Neg {
-			continue
-		}
-		for _, u := range atomVars(l.Atom) {
-			if u == v {
-				return atomPos(l.Atom), l.String()
-			}
-		}
-	}
-	return r.Head.Pos, r.Head.String()
-}
-
-func firstBodyOccurrence(r ast.Rule, v ast.Var) ast.Position {
-	for _, l := range r.Body {
-		for _, u := range atomVars(l.Atom) {
-			if u == v {
-				return atomPos(l.Atom)
-			}
-		}
-	}
-	return r.Head.Pos
-}
-
-func atomVars(a ast.Atom) []ast.Var {
-	switch x := a.(type) {
-	case ast.Pred:
-		var out []ast.Var
-		seen := map[ast.Var]bool{}
-		for _, e := range x.Args {
-			for _, v := range e.Vars() {
-				if !seen[v] {
-					seen[v] = true
-					out = append(out, v)
-				}
-			}
-		}
-		return out
-	case ast.Eq:
-		var out []ast.Var
-		seen := map[ast.Var]bool{}
-		for _, e := range []ast.Expr{x.L, x.R} {
-			for _, v := range e.Vars() {
-				if !seen[v] {
-					seen[v] = true
-					out = append(out, v)
-				}
-			}
-		}
-		return out
-	}
-	return nil
-}
-
-// StratificationAnalyzer enforces stratified negation (§2.2):
+// StratificationAnalyzer reports the strata-order half of
+// ast.Program.Check and adds the one policy that is the analyzer's own:
 //
+//   - unstratified-negation (error, explicit strata only): a negated
+//     predicate defined in the same or a later stratum;
 //   - negation-cycle: a negated atom whose predicate sits in the same
 //     dependency-graph strongly connected component as the rule's head
 //     — no stratification exists. An error for auto-stratified
-//     programs; a warning when the author wrote explicit strata (the
-//     written order still fixes an operational meaning);
-//   - unstratified-negation (error, explicit strata only): a negated
-//     predicate defined in the same or a later stratum, mirroring
-//     ast.Program.Validate.
+//     programs (Check reports it); a warning when the author wrote
+//     explicit strata (the written order still fixes an operational
+//     meaning).
 var StratificationAnalyzer = &Analyzer{
 	Name:   "stratification",
 	Doc:    "negation must be stratified",
@@ -218,42 +39,23 @@ var StratificationAnalyzer = &Analyzer{
 }
 
 func runStratification(p *Pass) {
-	if head, atom, ok := ast.NegationCycleWitness(p.Rules); ok {
-		sev := Error
-		msg := fmt.Sprintf("no stratification exists: recursion through negation (!%s is reachable from %s)", atom.Name, head)
-		if p.Opts.ExplicitStrata {
-			sev = Warning
-			msg = fmt.Sprintf("recursion through negation (!%s is reachable from %s): the written strata fix an evaluation order, but no stratification exists", atom.Name, head)
-		}
-		p.Reportf(atom.Pos, sev, "negation-cycle", "%s", msg)
-	}
+	p.reportViolations(true)
 	if !p.Opts.ExplicitStrata {
 		return
 	}
-	// headFrom[i] = names used as heads in stratum i or later.
-	headFrom := make([]map[string]bool, len(p.Prog.Strata)+1)
-	headFrom[len(p.Prog.Strata)] = map[string]bool{}
-	for i := len(p.Prog.Strata) - 1; i >= 0; i-- {
-		m := map[string]bool{}
-		for n := range headFrom[i+1] {
-			m[n] = true
-		}
-		for _, r := range p.Prog.Strata[i] {
-			m[r.Head.Name] = true
-		}
-		headFrom[i] = m
+	if head, atom, ok := p.Deps.NegationCycleWitness(p.Rules); ok {
+		p.Reportf(atom.Pos, Warning, "negation-cycle",
+			"recursion through negation (!%s is reachable from %s): the written strata fix an evaluation order, but no stratification exists", atom.Name, head)
 	}
-	for si, s := range p.Prog.Strata {
-		for _, r := range s {
-			for _, l := range r.Body {
-				if !l.Neg {
-					continue
-				}
-				if pr, ok := l.Atom.(ast.Pred); ok && headFrom[si][pr.Name] {
-					p.Reportf(pr.Pos, Error, "unstratified-negation",
-						"stratum %d: negated predicate %s is defined in this or a later stratum (negation not stratified, §2.2)", si+1, pr.Name)
-				}
-			}
+}
+
+// reportViolations turns the §2.2 violations into error diagnostics:
+// those about the order of strata when strata is set, the per-rule
+// ones otherwise.
+func (p *Pass) reportViolations(strata bool) {
+	for _, v := range p.Violations {
+		if (v.Code == "unstratified-negation" || v.Code == "negation-cycle") == strata {
+			p.Report(Diagnostic{Pos: v.Pos, Severity: Error, Code: v.Code, Message: v.Message, Related: v.Notes})
 		}
 	}
 }

@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -57,7 +58,7 @@ func runTermination(p *Pass) {
 }
 
 func reportFragment(p *Pass) {
-	f := p.Prog.Features()
+	f := p.Prog.FeaturesWith(p.Deps)
 	msg := fmt.Sprintf("program is in fragment %s", f)
 	if p.Opts.ClassLabel != nil {
 		msg += "; expressiveness class: " + p.Opts.ClassLabel(f)
@@ -69,27 +70,23 @@ func reportFragment(p *Pass) {
 // dependency-graph component when the rule itself closes a cycle (some
 // positive body predicate is in the head's component), else nil.
 func recursionCycle(p *Pass, r ast.Rule) []string {
-	hid, ok := p.SCC[r.Head.Name]
+	scc := p.Deps.SCC
+	hid, ok := scc[r.Head.Name]
 	if !ok {
 		return nil
 	}
 	closes := false
-	for _, l := range r.Body {
-		if l.Neg {
-			continue
-		}
-		if pr, isPred := l.Atom.(ast.Pred); isPred {
-			if pid, pok := p.SCC[pr.Name]; pok && pid == hid {
-				closes = true
-				break
-			}
+	for l, pr := range r.Preds() {
+		if pid, pok := scc[pr.Name]; !l.Neg && pok && pid == hid {
+			closes = true
+			break
 		}
 	}
 	if !closes {
 		return nil
 	}
 	var members []string
-	for n, id := range p.SCC {
+	for n, id := range scc {
 		if id == hid {
 			members = append(members, n)
 		}
@@ -110,12 +107,7 @@ func growthWitness(r ast.Rule) (string, ast.Position) {
 			return fmt.Sprintf("head term %s", a), r.Head.Pos
 		}
 	}
-	headVars := map[ast.Var]bool{}
-	for _, a := range r.Head.Args {
-		for _, v := range a.Vars() {
-			headVars[v] = true
-		}
-	}
+	headVars := ast.VarsOf(r.Head.Args...)
 	for _, l := range r.Body {
 		if l.Neg {
 			continue
@@ -125,8 +117,8 @@ func growthWitness(r ast.Rule) (string, ast.Position) {
 			continue
 		}
 		for _, side := range [][2]ast.Expr{{eq.L, eq.R}, {eq.R, eq.L}} {
-			v, isVar := soleVar(side[0])
-			if isVar && headVars[v] && !v.Atomic && constructsLongerPath(side[1]) {
+			v, isVar := side[0].SoleVar()
+			if isVar && slices.Contains(headVars, v) && !v.Atomic && constructsLongerPath(side[1]) {
 				return fmt.Sprintf("equation %s", eq), eq.Pos
 			}
 		}
@@ -139,42 +131,13 @@ func growthWitness(r ast.Rule) (string, ast.Position) {
 // around $x grows, while a bare $x, constants, and atomic variables
 // (bounded by the input alphabet) do not.
 func constructsLongerPath(e ast.Expr) bool {
-	if !containsPathVar(e) {
-		return false
+	if v, bare := e.SoleVar(); bare && !v.Atomic {
+		return false // bare $x: pass-through, no growth
 	}
-	if len(e) == 1 {
-		if vt, ok := e[0].(ast.VarT); ok && !vt.V.Atomic {
-			return false // bare $x: pass-through, no growth
-		}
-	}
-	return true
-}
-
-func containsPathVar(e ast.Expr) bool {
-	for _, t := range e {
-		switch x := t.(type) {
-		case ast.VarT:
-			if !x.V.Atomic {
-				return true
-			}
-		case ast.Pack:
-			if containsPathVar(x.E) {
-				return true
-			}
+	for _, t := range e.Terms() {
+		if vt, ok := t.(ast.VarT); ok && !vt.V.Atomic {
+			return true
 		}
 	}
 	return false
-}
-
-// soleVar reports the variable when the expression is exactly one bare
-// variable occurrence.
-func soleVar(e ast.Expr) (ast.Var, bool) {
-	if len(e) != 1 {
-		return ast.Var{}, false
-	}
-	vt, ok := e[0].(ast.VarT)
-	if !ok {
-		return ast.Var{}, false
-	}
-	return vt.V, true
 }

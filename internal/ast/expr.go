@@ -7,6 +7,7 @@ package ast
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"seqlog/internal/value"
@@ -25,6 +26,18 @@ func (v Var) String() string {
 		return "@" + v.Name
 	}
 	return "$" + v.Name
+}
+
+// Compare orders variables deterministically: atomic variables first,
+// then by name.
+func (v Var) Compare(w Var) int {
+	if v.Atomic != w.Atomic {
+		if v.Atomic {
+			return -1
+		}
+		return 1
+	}
+	return strings.Compare(v.Name, w.Name)
 }
 
 // AVar returns the atomic variable @name.
@@ -225,14 +238,9 @@ func termEqual(a, b Term) bool {
 
 // IsGround reports whether the expression contains no variables.
 func (e Expr) IsGround() bool {
-	for _, t := range e {
-		switch x := t.(type) {
-		case VarT:
+	for _, t := range e.Terms() {
+		if _, ok := t.(VarT); ok {
 			return false
-		case Pack:
-			if !x.E.IsGround() {
-				return false
-			}
 		}
 	}
 	return true
@@ -267,36 +275,25 @@ func (e Expr) Eval() value.Path {
 
 // Vars returns the variables of the expression in first-occurrence
 // order, without duplicates.
-func (e Expr) Vars() []Var {
-	var out []Var
-	seen := map[Var]bool{}
-	e.collectVars(&out, seen)
-	return out
-}
+func (e Expr) Vars() []Var { return VarsOf(e) }
 
-func (e Expr) collectVars(out *[]Var, seen map[Var]bool) {
-	for _, t := range e {
-		switch x := t.(type) {
-		case VarT:
-			if !seen[x.V] {
-				seen[x.V] = true
-				*out = append(*out, x.V)
-			}
-		case Pack:
-			x.E.collectVars(out, seen)
+// SoleVar reports the variable when the expression is exactly one bare
+// variable occurrence.
+func (e Expr) SoleVar() (Var, bool) {
+	if len(e) == 1 {
+		if vt, ok := e[0].(VarT); ok {
+			return vt.V, true
 		}
 	}
+	return Var{}, false
 }
 
 // VarOccurrences counts occurrences of each variable (including inside
 // packing). Used for the one-sided nonlinearity check of §4.3.1.
 func (e Expr) VarOccurrences(into map[Var]int) {
-	for _, t := range e {
-		switch x := t.(type) {
-		case VarT:
-			into[x.V]++
-		case Pack:
-			x.E.VarOccurrences(into)
+	for _, t := range e.Terms() {
+		if vt, ok := t.(VarT); ok {
+			into[vt.V]++
 		}
 	}
 }
@@ -304,12 +301,9 @@ func (e Expr) VarOccurrences(into map[Var]int) {
 // Consts collects the distinct atomic constants occurring in the
 // expression (including inside packing).
 func (e Expr) Consts(into map[value.Atom]bool) {
-	for _, t := range e {
-		switch x := t.(type) {
-		case Const:
-			into[x.A] = true
-		case Pack:
-			x.E.Consts(into)
+	for _, t := range e.Terms() {
+		if c, ok := t.(Const); ok {
+			into[c.A] = true
 		}
 	}
 }
@@ -403,29 +397,16 @@ func (s Subst) Valid() bool {
 
 // String renders the substitution deterministically.
 func (s Subst) String() string {
+	// unify's solver keys its solution sets by this string, once per
+	// candidate: one exact-size allocation, no iterator.
 	keys := make([]Var, 0, len(s))
 	for v := range s {
 		keys = append(keys, v)
 	}
-	sortVars(keys)
+	slices.SortFunc(keys, Var.Compare)
 	parts := make([]string, len(keys))
 	for i, v := range keys {
 		parts[i] = v.String() + "->" + s[v].String()
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
-}
-
-func sortVars(vs []Var) {
-	for i := 1; i < len(vs); i++ {
-		for j := i; j > 0 && varLess(vs[j], vs[j-1]); j-- {
-			vs[j], vs[j-1] = vs[j-1], vs[j]
-		}
-	}
-}
-
-func varLess(a, b Var) bool {
-	if a.Atomic != b.Atomic {
-		return a.Atomic
-	}
-	return a.Name < b.Name
 }

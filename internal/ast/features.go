@@ -1,6 +1,10 @@
 package ast
 
-import "strings"
+import (
+	"maps"
+	"slices"
+	"strings"
+)
 
 // Feature is one of the six language features of Section 3.
 type Feature uint8
@@ -81,118 +85,104 @@ func ParseFeatureSet(s string) (FeatureSet, bool) {
 // Features detects the fragment a program belongs to, per the
 // definitions in Section 3: A (arity > 1), E (equations), I (≥ 2 IDB
 // names), N (negated atoms), P (packing), R (dependency-graph cycle).
-func (p Program) Features() FeatureSet {
+func (p Program) Features() FeatureSet { return p.FeaturesWith(p.Deps()) }
+
+// FeaturesWith is Features for a caller that already holds the
+// program's dependency graph.
+func (p Program) FeaturesWith(d Deps) FeatureSet {
 	var f FeatureSet
-	idb := map[string]bool{}
-	for _, r := range p.Rules() {
-		idb[r.Head.Name] = true
-		if len(r.Head.Args) > 1 {
-			f = f.With(FeatArity)
+	set := func(x Feature, on bool) {
+		if on {
+			f = f.With(x)
 		}
-		for _, a := range r.Head.Args {
-			if a.HasPacking() {
-				f = f.With(FeatPacking)
-			}
+	}
+	for _, r := range p.Rules() {
+		set(FeatArity, len(r.Head.Args) > 1)
+		for _, pr := range r.Preds() {
+			set(FeatArity, len(pr.Args) > 1)
+		}
+		for e := range r.Exprs() {
+			set(FeatPacking, e.HasPacking())
 		}
 		for _, l := range r.Body {
-			if l.Neg {
-				f = f.With(FeatNegation)
-			}
-			switch x := l.Atom.(type) {
-			case Pred:
-				if len(x.Args) > 1 {
-					f = f.With(FeatArity)
-				}
-				for _, a := range x.Args {
-					if a.HasPacking() {
-						f = f.With(FeatPacking)
-					}
-				}
-			case Eq:
-				f = f.With(FeatEquations)
-				if x.L.HasPacking() || x.R.HasPacking() {
-					f = f.With(FeatPacking)
-				}
-			}
+			set(FeatNegation, l.Neg)
+			_, isEq := l.Atom.(Eq)
+			set(FeatEquations, isEq)
 		}
 	}
-	if len(idb) >= 2 {
-		f = f.With(FeatIntermediates)
-	}
-	if p.HasRecursion() {
-		f = f.With(FeatRecursion)
-	}
+	set(FeatIntermediates, len(d.Edges) >= 2)
+	set(FeatRecursion, len(d.RecursiveRelations()) > 0)
 	return f
 }
 
-// DependencyGraph returns the edges of the program's dependency graph:
-// the nodes are IDB relation names and there is an edge from R1 to R2 if
-// R2 occurs in the body of a rule with R1 in its head (paper §3, fn 2).
-func (p Program) DependencyGraph() map[string][]string {
-	idb := map[string]bool{}
-	for _, r := range p.Rules() {
-		idb[r.Head.Name] = true
-	}
+// Deps is a program's dependency graph with its strongly connected
+// components, built once (Program.Deps) and shared by every question
+// about recursion: the R feature, the recursive relations, cycles
+// through negation.
+type Deps struct {
+	// Edges has one key per IDB relation name; there is an edge from R1
+	// to R2 if R2 is an IDB name occurring in the body of a rule with R1
+	// in its head (paper §3, fn 2). Targets are sorted.
+	Edges map[string][]string
+	// SCC maps each IDB relation name to a component id. Two names share
+	// an id iff each is reachable from the other. Ids are assigned
+	// deterministically, a component after every component it depends
+	// on, and carry no meaning beyond that order.
+	SCC map[string]int
+}
+
+// Deps builds the program's dependency graph and its components.
+func (p Program) Deps() Deps {
+	idb := p.IDB()
 	edges := map[string]map[string]bool{}
 	for _, r := range p.Rules() {
 		if edges[r.Head.Name] == nil {
 			edges[r.Head.Name] = map[string]bool{}
 		}
-		for _, l := range r.Body {
-			if pr, ok := l.Atom.(Pred); ok && idb[pr.Name] {
+		for _, pr := range r.Preds() {
+			if idb[pr.Name] {
 				edges[r.Head.Name][pr.Name] = true
 			}
 		}
 	}
-	out := map[string][]string{}
+	d := Deps{Edges: make(map[string][]string, len(edges))}
 	for from, tos := range edges {
-		out[from] = sortedKeys(tos)
+		d.Edges[from] = sortedKeys(tos)
 	}
+	d.SCC = sccIDs(d.Edges)
+	return d
+}
+
+// DependencyGraph returns the edges of the program's dependency graph
+// (Deps.Edges).
+func (p Program) DependencyGraph() map[string][]string { return p.Deps().Edges }
+
+// RecursiveRelations returns the IDB relation names on some dependency
+// cycle, self-loops included — those with an edge into their own
+// component — sorted. A stratum's rules are "recursive" when their
+// heads are among these.
+func (d Deps) RecursiveRelations() []string {
+	var out []string
+	for n, tos := range d.Edges {
+		if slices.ContainsFunc(tos, func(m string) bool { return d.SCC[m] == d.SCC[n] }) {
+			out = append(out, n)
+		}
+	}
+	slices.Sort(out)
 	return out
 }
 
+// RecursiveRelations returns the IDB relation names on some dependency
+// cycle, sorted.
+func (p Program) RecursiveRelations() []string { return p.Deps().RecursiveRelations() }
+
 // HasRecursion reports whether the dependency graph has a cycle
 // (including self-loops); this is the R feature.
-func (p Program) HasRecursion() bool {
-	g := p.DependencyGraph()
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := map[string]int{}
-	var visit func(n string) bool
-	visit = func(n string) bool {
-		color[n] = gray
-		for _, m := range g[n] {
-			switch color[m] {
-			case gray:
-				return true
-			case white:
-				if visit(m) {
-					return true
-				}
-			}
-		}
-		color[n] = black
-		return false
-	}
-	for n := range g {
-		if color[n] == white && visit(n) {
-			return true
-		}
-	}
-	return false
-}
+func (p Program) HasRecursion() bool { return len(p.RecursiveRelations()) > 0 }
 
-// SCCIDs computes the strongly connected components of the dependency
-// graph: a map from each IDB relation name to a component id. Two
-// names share an id iff each is reachable from the other. Ids are
-// assigned deterministically but carry no meaning beyond equality.
-func (p Program) SCCIDs() map[string]int { return sccIDs(p.DependencyGraph()) }
-
+// sccIDs is Tarjan's algorithm, recursive (program dependency graphs
+// are small), visiting nodes and edges in sorted order.
 func sccIDs(g map[string][]string) map[string]int {
-	// Tarjan SCC, recursive (program dependency graphs are small).
 	index := map[string]int{}
 	low := map[string]int{}
 	onStack := map[string]bool{}
@@ -230,49 +220,10 @@ func sccIDs(g map[string][]string) map[string]int {
 			comp++
 		}
 	}
-	nodes := make([]string, 0, len(g))
-	for n := range g {
-		nodes = append(nodes, n)
-	}
-	// Deterministic visit order.
-	sortStrings(nodes)
-	for _, n := range nodes {
+	for _, n := range slices.Sorted(maps.Keys(g)) {
 		if _, seen := index[n]; !seen {
 			strongconnect(n)
 		}
 	}
 	return ids
-}
-
-// RecursiveRelations returns the IDB relation names on some dependency
-// cycle, sorted. A stratum's rules are "recursive" when their heads are
-// among these.
-func (p Program) RecursiveRelations() []string {
-	g := p.DependencyGraph()
-	ids := sccIDs(g)
-	size := map[int]int{}
-	for _, id := range ids {
-		size[id]++
-	}
-	out := map[string]bool{}
-	for n, id := range ids {
-		if size[id] > 1 {
-			out[n] = true
-			continue
-		}
-		for _, m := range g[n] {
-			if m == n { // self-loop
-				out[n] = true
-			}
-		}
-	}
-	return sortedKeys(out)
-}
-
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
 }

@@ -10,8 +10,8 @@ package ast
 // BoundIn reports whether every variable of the expression is in
 // bound: the expression is ground once those variables have values.
 func (e Expr) BoundIn(bound map[Var]bool) bool {
-	for _, v := range e.Vars() {
-		if !bound[v] {
+	for _, t := range e.Terms() {
+		if vt, ok := t.(VarT); ok && !bound[vt.V] {
 			return false
 		}
 	}
@@ -186,10 +186,8 @@ func JoinOrder(preds []Pred, bound map[Var]bool, first int, visit func(i int)) {
 		i := rest[best]
 		rest = append(rest[:best], rest[best+1:]...)
 		visit(i)
-		for _, arg := range preds[i].Args {
-			for _, v := range arg.Vars() {
-				bound[v] = true
-			}
+		for _, v := range VarsOf(preds[i].Args...) {
+			bound[v] = true
 		}
 	}
 }
@@ -198,8 +196,8 @@ func JoinOrder(preds []Pred, bound map[Var]bool, first int, visit func(i int)) {
 // written order: the atoms JoinOrder orders.
 func (r Rule) PositivePreds() []Pred {
 	var preds []Pred
-	for _, l := range r.Body {
-		if p, ok := l.Atom.(Pred); ok && !l.Neg {
+	for l, p := range r.Preds() {
+		if !l.Neg {
 			preds = append(preds, p)
 		}
 	}

@@ -1,6 +1,9 @@
 package ast
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+)
 
 // Pos is a 1-based source position. The parser stamps every predicate
 // and equation it builds with the position of its first token;
@@ -15,6 +18,11 @@ type Position struct {
 // IsValid reports whether the position was set (parsed source).
 func (p Position) IsValid() bool { return p.Line > 0 }
 
+// Compare orders positions by line, then column (the zero Pos first).
+func (p Position) Compare(q Position) int {
+	return cmp.Or(cmp.Compare(p.Line, q.Line), cmp.Compare(p.Col, q.Col))
+}
+
 // String renders "line:col", or "-" for the zero Pos.
 func (p Position) String() string {
 	if !p.IsValid() {
@@ -24,10 +32,10 @@ func (p Position) String() string {
 }
 
 // PosError is an error carrying a source position, used by Validate,
-// Arities and AutoStratify so that structural errors report
-// "line:col: msg" exactly like lexer and parser errors do. The
-// position may be the zero Pos for programmatically built programs;
-// then only the message prints.
+// Arities and AutoStratify (it is a Violation without its code and
+// notes) so that structural errors report "line:col: msg" exactly like
+// lexer and parser errors do. The position may be the zero Pos for
+// programmatically built programs; then only the message prints.
 type PosError struct {
 	Pos Position
 	Msg string
@@ -39,9 +47,4 @@ func (e *PosError) Error() string {
 		return e.Pos.String() + ": " + e.Msg
 	}
 	return e.Msg
-}
-
-// posErrorf builds a PosError with a formatted message.
-func posErrorf(pos Position, format string, args ...any) *PosError {
-	return &PosError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }

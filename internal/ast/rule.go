@@ -1,8 +1,8 @@
 package ast
 
 import (
-	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"seqlog/internal/value"
@@ -30,6 +30,11 @@ type Eq struct {
 type Atom interface {
 	isAtom()
 	String() string
+	// Exprs returns the atom's expressions: a predicate's arguments, an
+	// equation's two sides.
+	Exprs() []Expr
+	// Position returns the atom's source position.
+	Position() Position
 }
 
 func (Pred) isAtom() {}
@@ -134,95 +139,29 @@ func (p Program) String() string {
 }
 
 // Clone returns a deep copy of the rule.
-func (r Rule) Clone() Rule {
-	out := Rule{Head: clonePred(r.Head)}
-	out.Body = make([]Literal, len(r.Body))
-	for i, l := range r.Body {
-		out.Body[i] = Literal{Neg: l.Neg, Atom: cloneAtom(l.Atom)}
-	}
-	return out
-}
-
-func clonePred(p Pred) Pred {
-	args := make([]Expr, len(p.Args))
-	for i, a := range p.Args {
-		args[i] = a.Clone()
-	}
-	return Pred{Name: p.Name, Args: args, Pos: p.Pos}
-}
-
-func cloneAtom(a Atom) Atom {
-	switch x := a.(type) {
-	case Pred:
-		return clonePred(x)
-	case Eq:
-		return Eq{L: x.L.Clone(), R: x.R.Clone(), Pos: x.Pos}
-	}
-	return a
-}
+func (r Rule) Clone() Rule { return r.MapExprs(Expr.Clone) }
 
 // Clone returns a deep copy of the program.
-func (p Program) Clone() Program {
-	out := Program{Strata: make([]Stratum, len(p.Strata))}
-	for i, s := range p.Strata {
-		cs := make(Stratum, len(s))
-		for j, r := range s {
-			cs[j] = r.Clone()
-		}
-		out.Strata[i] = cs
-	}
-	return out
-}
+func (p Program) Clone() Program { return p.MapRules(Rule.Clone) }
 
 // Vars returns the variables of the rule in first-occurrence order
 // (head first, then body).
-func (r Rule) Vars() []Var {
-	var out []Var
-	seen := map[Var]bool{}
-	for _, a := range r.Head.Args {
-		a.collectVars(&out, seen)
-	}
+func (r Rule) Vars() []Var { return VarsOf(slices.Collect(r.Exprs())...) }
+
+// FirstOccurrence returns the position of the first atom mentioning v:
+// a body atom when there is one (more precise than the rule head), the
+// head otherwise.
+func (r Rule) FirstOccurrence(v Var) Position {
 	for _, l := range r.Body {
-		switch x := l.Atom.(type) {
-		case Pred:
-			for _, a := range x.Args {
-				a.collectVars(&out, seen)
-			}
-		case Eq:
-			x.L.collectVars(&out, seen)
-			x.R.collectVars(&out, seen)
+		if slices.Contains(VarsOf(l.Atom.Exprs()...), v) {
+			return l.Atom.Position()
 		}
 	}
-	return out
+	return r.Head.Pos
 }
 
 // ApplySubst applies a substitution to every expression in the rule.
-func (r Rule) ApplySubst(s Subst) Rule {
-	out := Rule{Head: applySubstPred(r.Head, s)}
-	out.Body = make([]Literal, len(r.Body))
-	for i, l := range r.Body {
-		out.Body[i] = Literal{Neg: l.Neg, Atom: applySubstAtom(l.Atom, s)}
-	}
-	return out
-}
-
-func applySubstPred(p Pred, s Subst) Pred {
-	args := make([]Expr, len(p.Args))
-	for i, a := range p.Args {
-		args[i] = s.Apply(a)
-	}
-	return Pred{Name: p.Name, Args: args, Pos: p.Pos}
-}
-
-func applySubstAtom(a Atom, s Subst) Atom {
-	switch x := a.(type) {
-	case Pred:
-		return applySubstPred(x, s)
-	case Eq:
-		return Eq{L: s.Apply(x.L), R: s.Apply(x.R), Pos: x.Pos}
-	}
-	return a
-}
+func (r Rule) ApplySubst(s Subst) Rule { return r.MapExprs(s.Apply) }
 
 // LimitedVars computes the limited variables of the rule per §2.2:
 // variables in positive predicates are limited, and if all variables on
@@ -230,15 +169,10 @@ func applySubstAtom(a Atom, s Subst) Atom {
 // other side.
 func (r Rule) LimitedVars() map[Var]bool {
 	limited := map[Var]bool{}
-	for _, l := range r.Body {
-		if l.Neg {
-			continue
-		}
-		if p, ok := l.Atom.(Pred); ok {
-			for _, a := range p.Args {
-				for _, v := range a.Vars() {
-					limited[v] = true
-				}
+	for l, p := range r.Preds() {
+		if !l.Neg {
+			for _, v := range VarsOf(p.Args...) {
+				limited[v] = true
 			}
 		}
 	}
@@ -280,26 +214,26 @@ func (r Rule) Safe() bool {
 	return true
 }
 
-// IDBNames returns the relation names used in some head, sorted.
-func (p Program) IDBNames() []string {
+// IDB returns the set of relation names defined by some rule head.
+func (p Program) IDB() map[string]bool {
 	set := map[string]bool{}
 	for _, r := range p.Rules() {
 		set[r.Head.Name] = true
 	}
-	return sortedKeys(set)
+	return set
 }
+
+// IDBNames returns the relation names used in some head, sorted.
+func (p Program) IDBNames() []string { return sortedKeys(p.IDB()) }
 
 // EDBNames returns the relation names used in bodies but never in heads,
 // sorted.
 func (p Program) EDBNames() []string {
-	idb := map[string]bool{}
-	for _, r := range p.Rules() {
-		idb[r.Head.Name] = true
-	}
+	idb := p.IDB()
 	set := map[string]bool{}
 	for _, r := range p.Rules() {
-		for _, l := range r.Body {
-			if pr, ok := l.Atom.(Pred); ok && !idb[pr.Name] {
+		for _, pr := range r.Preds() {
+			if !idb[pr.Name] {
 				set[pr.Name] = true
 			}
 		}
@@ -309,112 +243,67 @@ func (p Program) EDBNames() []string {
 
 // RelationNames returns every relation name in the program, sorted.
 func (p Program) RelationNames() []string {
-	set := map[string]bool{}
+	set := p.IDB()
 	for _, r := range p.Rules() {
-		set[r.Head.Name] = true
-		for _, l := range r.Body {
-			if pr, ok := l.Atom.(Pred); ok {
-				set[pr.Name] = true
-			}
+		for _, pr := range r.Preds() {
+			set[pr.Name] = true
 		}
 	}
 	return sortedKeys(set)
 }
 
-func sortedKeys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
+// Needed returns the relation names needed to compute the outputs: the
+// outputs themselves and, transitively, every name in the body — under
+// negation or not — of a rule whose head is needed.
+func (p Program) Needed(outputs ...string) map[string]bool {
+	needed := map[string]bool{}
+	for _, o := range outputs {
+		needed[o] = true
 	}
-	sort.Strings(out)
-	return out
-}
-
-// Arities returns the arity of every relation name, or an error if a
-// name is used with inconsistent arities (schemas fix arities, §2.1).
-// The error is a *PosError positioned at the conflicting use when the
-// program was parsed from source.
-func (p Program) Arities() (map[string]int, error) {
-	out := map[string]int{}
-	first := map[string]Position{}
-	record := func(pr Pred) error {
-		if prev, ok := out[pr.Name]; ok && prev != len(pr.Args) {
-			msg := fmt.Sprintf("relation %s used with arities %d and %d", pr.Name, prev, len(pr.Args))
-			if fp := first[pr.Name]; fp.IsValid() {
-				msg += fmt.Sprintf(" (first used at %s)", fp)
+	rules := p.Rules()
+	for changed := true; changed; {
+		changed = false
+		for _, r := range rules {
+			if !needed[r.Head.Name] {
+				continue
 			}
-			return posErrorf(pr.Pos, "%s", msg)
-		}
-		if _, ok := out[pr.Name]; !ok {
-			first[pr.Name] = pr.Pos
-		}
-		out[pr.Name] = len(pr.Args)
-		return nil
-	}
-	for _, r := range p.Rules() {
-		if err := record(r.Head); err != nil {
-			return nil, err
-		}
-		for _, l := range r.Body {
-			if pr, ok := l.Atom.(Pred); ok {
-				if err := record(pr); err != nil {
-					return nil, err
+			for _, pr := range r.Preds() {
+				if !needed[pr.Name] {
+					needed[pr.Name] = true
+					changed = true
 				}
 			}
 		}
 	}
-	return out, nil
+	return needed
 }
+
+func sortedKeys(set map[string]bool) []string { return slices.Sorted(maps.Keys(set)) }
 
 // Consts returns the distinct atomic constants used in the program.
 func (p Program) Consts() []value.Atom {
 	set := map[value.Atom]bool{}
-	collect := func(e Expr) { e.Consts(set) }
 	for _, r := range p.Rules() {
-		for _, a := range r.Head.Args {
-			collect(a)
-		}
-		for _, l := range r.Body {
-			switch x := l.Atom.(type) {
-			case Pred:
-				for _, a := range x.Args {
-					collect(a)
-				}
-			case Eq:
-				collect(x.L)
-				collect(x.R)
-			}
+		for e := range r.Exprs() {
+			e.Consts(set)
 		}
 	}
-	out := make([]value.Atom, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Text() < out[j].Text() })
-	return out
+	return slices.SortedFunc(maps.Keys(set), func(a, b value.Atom) int { return strings.Compare(a.Text(), b.Text()) })
+}
+
+// RenameRelations renames the relation names of the rule's head and
+// body predicates according to the mapping; unmapped names stay.
+func (r Rule) RenameRelations(m map[string]string) Rule {
+	return r.MapPreds(func(pr Pred) Pred {
+		if n, ok := m[pr.Name]; ok {
+			pr.Name = n
+		}
+		return pr
+	})
 }
 
 // RenameRelations renames relation names throughout the program
 // according to the mapping; unmapped names stay.
 func (p Program) RenameRelations(m map[string]string) Program {
-	out := p.Clone()
-	ren := func(name string) string {
-		if n, ok := m[name]; ok {
-			return n
-		}
-		return name
-	}
-	for si, s := range out.Strata {
-		for ri, r := range s {
-			r.Head.Name = ren(r.Head.Name)
-			for li, l := range r.Body {
-				if pr, ok := l.Atom.(Pred); ok {
-					pr.Name = ren(pr.Name)
-					r.Body[li] = Literal{Neg: l.Neg, Atom: pr}
-				}
-			}
-			out.Strata[si][ri] = r
-		}
-	}
-	return out
+	return p.MapRules(func(r Rule) Rule { return r.RenameRelations(m) })
 }

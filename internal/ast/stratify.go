@@ -1,131 +1,50 @@
 package ast
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 )
 
-// Validate checks the well-formedness conditions of Section 2.2:
-// every rule is safe, relation arities are consistent, and negation is
-// stratified — when a negated predicate ¬P occurs in some stratum, no
-// rule in that stratum or a later one has P in its head. Errors are
-// *PosError values positioned at the offending rule or atom when the
-// program was parsed from source.
-func (p Program) Validate() error {
-	if _, err := p.Arities(); err != nil {
-		return err
-	}
-	for si, s := range p.Strata {
-		for ri, r := range s {
-			if !r.Safe() {
-				return posErrorf(r.Head.Pos, "stratum %d rule %d is unsafe: %s", si+1, ri+1, r)
-			}
-		}
-	}
-	// headFrom[i] = names used as heads in stratum i or later.
-	headFrom := make([]map[string]bool, len(p.Strata)+1)
-	headFrom[len(p.Strata)] = map[string]bool{}
-	for i := len(p.Strata) - 1; i >= 0; i-- {
-		m := map[string]bool{}
-		for n := range headFrom[i+1] {
-			m[n] = true
-		}
-		for _, r := range p.Strata[i] {
-			m[r.Head.Name] = true
-		}
-		headFrom[i] = m
-	}
-	for si, s := range p.Strata {
-		for _, r := range s {
-			for _, l := range r.Body {
-				if !l.Neg {
-					continue
-				}
-				if pr, ok := l.Atom.(Pred); ok && headFrom[si][pr.Name] {
-					return posErrorf(pr.Pos, "stratum %d: negated predicate %s is defined in this or a later stratum (negation not stratified)", si+1, pr.Name)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// NegationCycleWitness finds a negated body atom whose predicate is in
-// the same dependency-graph strongly connected component as the rule's
-// head — the witness that no stratification exists (recursion through
-// negation). It returns the zero Pred and false when every negation
-// leaves its component.
-func NegationCycleWitness(rules []Rule) (head string, atom Pred, ok bool) {
-	g := dependencyGraphOf(rules)
-	ids := sccIDs(g)
-	for _, r := range rules {
-		hid, hok := ids[r.Head.Name]
-		if !hok {
-			continue
-		}
-		for _, l := range r.Body {
-			if !l.Neg {
-				continue
-			}
-			if pr, isPred := l.Atom.(Pred); isPred {
-				if pid, pok := ids[pr.Name]; pok && pid == hid {
-					return r.Head.Name, pr, true
-				}
-			}
-		}
-	}
-	return "", Pred{}, false
-}
-
-func dependencyGraphOf(rules []Rule) map[string][]string {
-	return Program{Strata: []Stratum{rules}}.DependencyGraph()
-}
-
 // AutoStratify arranges a flat list of rules into a minimal sequence of
-// strata with stratified negation, or fails when no stratification
-// exists (a cycle through negation). The failure is a *PosError
-// positioned at a negated atom on the offending cycle when the rules
-// were parsed from source.
+// strata with stratified negation and checks the result (Check with
+// derived strata). The failure is the first violation as a *PosError:
+// an arity clash, an unlimited variable, or — when no stratification
+// exists — the negated atom on the offending cycle.
 func AutoStratify(rules []Rule) (Program, error) {
-	prog, err := StratifyLevels(rules)
-	if err != nil {
-		return Program{}, err
+	prog, ok := StratifyLevels(rules)
+	if _, vs := prog.Check(false); len(vs) > 0 {
+		return Program{}, vs[0].Err()
 	}
-	if err := prog.Validate(); err != nil {
-		return Program{}, fmt.Errorf("auto-stratification failed: %w", err)
+	if !ok {
+		return Program{}, fmt.Errorf("no stratification exists: recursion through negation")
 	}
 	return prog, nil
 }
 
 // StratifyLevels arranges rules into strata by the level algorithm
-// alone, without validating rule safety: it fails only when no
-// stratification exists (recursion through negation). Analysis
-// tooling uses it to obtain a well-ordered program for diagnosis even
-// when some rules are unsafe; evaluation goes through AutoStratify.
-func StratifyLevels(rules []Rule) (Program, error) {
-	idb := map[string]bool{}
-	for _, r := range rules {
-		idb[r.Head.Name] = true
-	}
+// alone, without checking them. ok is false when no stratification
+// exists (recursion through negation); the program is then the rules
+// as written, in one stratum, so that Check(false) — behind
+// AutoStratify, or behind the analyzers, which want to diagnose a
+// broken program rather than refuse to look at it — can name the cycle
+// alongside the program's other defects.
+func StratifyLevels(rules []Rule) (prog Program, ok bool) {
+	idb := Program{Strata: []Stratum{rules}}.IDB()
 	// level[P] >= level[Q] for positive deps, >= level[Q]+1 for negative.
 	level := map[string]int{}
-	for n := range idb {
-		level[n] = 0
-	}
 	maxIter := len(idb)*len(idb) + len(idb) + 2
-	for iter := 0; ; iter++ {
+	for iter, changed := 0, true; changed; iter++ {
 		if iter > maxIter {
-			if head, atom, ok := NegationCycleWitness(rules); ok {
-				return Program{}, posErrorf(atom.Pos, "no stratification exists: recursion through negation (!%s is reachable from %s)", atom.Name, head)
-			}
-			return Program{}, fmt.Errorf("no stratification exists: recursion through negation")
+			return Program{Strata: []Stratum{rules}}, false
 		}
-		changed := false
+		changed = false
 		for _, r := range rules {
 			h := r.Head.Name
-			for _, l := range r.Body {
-				pr, ok := l.Atom.(Pred)
-				if !ok || !idb[pr.Name] {
+			for l, pr := range r.Preds() {
+				if !idb[pr.Name] {
 					continue
 				}
 				want := level[pr.Name]
@@ -138,15 +57,10 @@ func StratifyLevels(rules []Rule) (Program, error) {
 				}
 			}
 		}
-		if !changed {
-			break
-		}
 	}
 	maxLevel := 0
 	for _, l := range level {
-		if l > maxLevel {
-			maxLevel = l
-		}
+		maxLevel = max(maxLevel, l)
 	}
 	strata := make([]Stratum, maxLevel+1)
 	for _, r := range rules {
@@ -154,16 +68,11 @@ func StratifyLevels(rules []Rule) (Program, error) {
 		strata[l] = append(strata[l], r)
 	}
 	// Drop empty strata (possible when levels are sparse).
-	var filled []Stratum
-	for _, s := range strata {
-		if len(s) > 0 {
-			filled = append(filled, s)
-		}
-	}
+	filled := slices.DeleteFunc(strata, func(s Stratum) bool { return len(s) == 0 })
 	if len(filled) == 0 {
 		filled = []Stratum{{}}
 	}
-	return Program{Strata: filled}, nil
+	return Program{Strata: filled}, true
 }
 
 // SplitStrataSingleIDB refines a nonrecursive program so that every
@@ -175,28 +84,12 @@ func (p Program) SplitStrataSingleIDB() (Program, error) {
 	}
 	var out []Stratum
 	for _, s := range p.Strata {
-		// Topologically order head names within the stratum by their
-		// positive and negative dependencies restricted to the stratum.
-		heads := map[string]bool{}
-		for _, r := range s {
-			heads[r.Head.Name] = true
-		}
-		deps := map[string]map[string]bool{}
-		for _, r := range s {
-			if deps[r.Head.Name] == nil {
-				deps[r.Head.Name] = map[string]bool{}
-			}
-			for _, l := range r.Body {
-				if pr, ok := l.Atom.(Pred); ok && heads[pr.Name] && pr.Name != r.Head.Name {
-					deps[r.Head.Name][pr.Name] = true
-				}
-			}
-		}
-		order, err := topoOrder(heads, deps)
-		if err != nil {
-			return Program{}, err
-		}
-		for _, h := range order {
+		// Order the stratum's head names by their dependencies restricted
+		// to the stratum: the component numbering of the stratum taken as
+		// a program of its own puts a name after everything it depends on.
+		ids := Program{Strata: []Stratum{s}}.Deps().SCC
+		byDependency := func(a, b string) int { return cmp.Compare(ids[a], ids[b]) }
+		for _, h := range slices.SortedFunc(maps.Keys(ids), byDependency) {
 			var sub Stratum
 			for _, r := range s {
 				if r.Head.Name == h {
@@ -210,35 +103,6 @@ func (p Program) SplitStrataSingleIDB() (Program, error) {
 		out = []Stratum{{}}
 	}
 	return Program{Strata: out}, nil
-}
-
-func topoOrder(nodes map[string]bool, deps map[string]map[string]bool) ([]string, error) {
-	var order []string
-	state := map[string]int{} // 0 unseen, 1 visiting, 2 done
-	var visit func(n string) error
-	visit = func(n string) error {
-		switch state[n] {
-		case 1:
-			return fmt.Errorf("cyclic dependencies within stratum at %s", n)
-		case 2:
-			return nil
-		}
-		state[n] = 1
-		for _, m := range sortedKeys(deps[n]) {
-			if err := visit(m); err != nil {
-				return err
-			}
-		}
-		state[n] = 2
-		order = append(order, n)
-		return nil
-	}
-	for _, n := range sortedKeys(nodes) {
-		if err := visit(n); err != nil {
-			return nil, err
-		}
-	}
-	return order, nil
 }
 
 // NameGen generates fresh relation names and variables that do not

@@ -7,6 +7,7 @@ import (
 	"seqlog/internal/ast"
 	"seqlog/internal/instance"
 	"seqlog/internal/parser"
+	"seqlog/internal/queries"
 	"seqlog/internal/value"
 	"seqlog/internal/workload"
 )
@@ -125,4 +126,42 @@ func concatWorkload(n int) *instance.Instance {
 		inst.AddPath("B", value.Concat(value.PathOf(key), value.Repeat(fmt.Sprintf("b%d", i), 4)))
 	}
 	return inst
+}
+
+// BenchmarkFrontEnd measures the compile-time path over the whole paper
+// corpus: program text to a planned *Prepared for every queries.All()
+// program. "validated" is the library path (parser.ParseProgram checks
+// §2.2, Compile checks again); "gate-once" is what seqlog -program and
+// seqlogd's load do (parse unchecked, Compile is the one gate).
+func BenchmarkFrontEnd(b *testing.B) {
+	var sources []string
+	for _, q := range queries.All() {
+		sources = append(sources, q.Program.String())
+	}
+	parsers := []struct {
+		name  string
+		parse func(string) (ast.Program, error)
+	}{
+		{"validated", parser.ParseProgram},
+		{"gate-once", func(src string) (ast.Program, error) {
+			prog, _, err := parser.ParseProgramForAnalysis(src)
+			return prog, err
+		}},
+	}
+	for _, p := range parsers {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				for _, src := range sources {
+					prog, err := p.parse(src)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := Compile(prog); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
 }

@@ -33,16 +33,6 @@ func (e *Env) Lookup(v ast.Var) (value.Path, bool) {
 	return p, ok
 }
 
-// Bound reports whether all variables of the expression are bound.
-func (e *Env) Bound(x ast.Expr) bool {
-	for _, v := range x.Vars() {
-		if _, ok := e.m[v]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // Snapshot copies the current bindings (for callers that must retain a
 // valuation beyond the match callback).
 func (e *Env) Snapshot() map[ast.Var]value.Path {

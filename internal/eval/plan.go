@@ -196,17 +196,9 @@ func compilePlan(r ast.Rule, preBound []ast.Var, hoist int) (*plan, error) {
 // variables — but errors are propagated defensively.
 func (p *plan) compileVariants() error {
 	negSeen := 0
-	for _, l := range p.rule.Body {
-		pr, ok := l.Atom.(ast.Pred)
-		if !ok {
-			continue
-		}
+	for l, pr := range p.rule.Preds() {
 		if l.Neg {
-			var vars []ast.Var
-			for _, a := range pr.Args {
-				vars = append(vars, a.Vars()...)
-			}
-			v, err := compilePlan(p.rule, vars, -1)
+			v, err := compilePlan(p.rule, ast.VarsOf(pr.Args...), -1)
 			if err != nil {
 				return err
 			}

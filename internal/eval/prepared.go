@@ -58,19 +58,15 @@ type Prepared struct {
 // deep copied, so later mutation of prog cannot corrupt the compiled
 // form.
 func Compile(prog ast.Program) (*Prepared, error) {
-	diags := analyze.Check(prog, analyze.Options{ExplicitStrata: true})
+	diags, arities := analyze.CheckWithArities(prog, analyze.Options{ExplicitStrata: true})
 	if analyze.HasErrors(diags) {
 		return nil, &analyze.DiagError{Diags: diags}
-	}
-	arities, err := prog.Arities()
-	if err != nil {
-		return nil, err
 	}
 	prog = prog.Clone()
 	p := &Prepared{
 		prog:    prog,
 		arities: arities,
-		idb:     map[string]bool{},
+		idb:     prog.IDB(),
 		diags:   diags,
 	}
 	for si, stratum := range prog.Strata {
@@ -92,25 +88,18 @@ func Compile(prog ast.Program) (*Prepared, error) {
 			if err := pl.compileVariants(); err != nil {
 				return nil, fmt.Errorf("stratum %d (delta variants): %w", si+1, err)
 			}
-			var headVars []ast.Var
-			for _, a := range r.Head.Args {
-				headVars = append(headVars, a.Vars()...)
-			}
-			rp, err := compileWith(r, headVars)
+			rp, err := compileWith(r, ast.VarsOf(r.Head.Args...))
 			if err != nil {
 				return nil, fmt.Errorf("stratum %d (rederive plan): %w", si+1, err)
 			}
 			ps.plans = append(ps.plans, pl)
 			ps.rederive = append(ps.rederive, rp)
 			ps.heads[r.Head.Name] = true
-			p.idb[r.Head.Name] = true
-			for _, l := range r.Body {
-				if pr, ok := l.Atom.(ast.Pred); ok {
-					if l.Neg {
-						ps.negReads[pr.Name] = true
-					} else {
-						ps.reads[pr.Name] = true
-					}
+			for l, pr := range r.Preds() {
+				if l.Neg {
+					ps.negReads[pr.Name] = true
+				} else {
+					ps.reads[pr.Name] = true
 				}
 			}
 		}

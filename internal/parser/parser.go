@@ -16,13 +16,6 @@ type parser struct {
 func (p *parser) cur() token  { return p.toks[p.pos] }
 func (p *parser) peek() token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func (p *parser) next() token {
 	t := p.toks[p.pos]
 	if t.kind != tokEOF {
@@ -43,83 +36,51 @@ func (p *parser) expect(k tokenKind) (token, error) {
 	return p.next(), nil
 }
 
-// ParseProgram parses a program. When the source contains stratum
-// separators ("---"), the strata are taken as written and validated;
-// otherwise the rules are auto-stratified.
+// ParseProgram parses a program and checks it against §2.2
+// (ast.Program.Check). When the source contains stratum separators
+// ("---"), the strata are taken as written; otherwise the rules are
+// auto-stratified. An ill-formed program is refused with its first
+// violation as an *ast.PosError — the defect, at the position, the
+// analyzer reports first.
 func ParseProgram(src string) (ast.Program, error) {
 	strata, explicit, err := parseStrata(src)
 	if err != nil {
 		return ast.Program{}, err
 	}
-	if explicit {
-		prog := ast.Program{Strata: strata}
-		if err := prog.Validate(); err != nil {
-			return ast.Program{}, err
-		}
-		return prog, nil
-	}
-	var rules []ast.Rule
-	for _, s := range strata {
-		rules = append(rules, s...)
-	}
-	return ast.AutoStratify(rules)
-}
-
-// ParseProgramExplicit parses a program, keeping the strata exactly as
-// written (a single stratum when no separators occur), and validates.
-func ParseProgramExplicit(src string) (ast.Program, error) {
-	strata, _, err := parseStrata(src)
-	if err != nil {
-		return ast.Program{}, err
-	}
 	prog := ast.Program{Strata: strata}
+	if !explicit {
+		return ast.AutoStratify(prog.Rules())
+	}
 	if err := prog.Validate(); err != nil {
 		return ast.Program{}, err
 	}
 	return prog, nil
 }
 
-// ParseProgramForAnalysis parses a program for static analysis,
-// skipping the safety and stratification validation that ParseProgram
-// performs: analyzers want to diagnose broken programs with positions,
-// not refuse to look at them. Explicit strata are kept exactly as
-// written (explicit reports true); otherwise the rules are arranged by
-// stratification levels when possible and kept as a single stratum
-// when no stratification exists (the analyzer reports the negation
-// cycle itself). Only lexical and grammatical errors are returned.
+// ParseProgramForAnalysis parses a program without checking it, for
+// callers whose gate is the analyzer (eval.Compile, -vet): they want
+// every defect of a broken program with its position, not a refusal to
+// look at it. Explicit strata are kept exactly as written (explicit
+// reports true); otherwise the rules are arranged by stratification
+// levels when possible and kept as a single stratum when no
+// stratification exists (the analyzer reports the negation cycle
+// itself). Only lexical and grammatical errors are returned.
 func ParseProgramForAnalysis(src string) (prog ast.Program, explicit bool, err error) {
 	strata, explicit, err := parseStrata(src)
 	if err != nil {
 		return ast.Program{}, false, err
 	}
-	if explicit {
-		return ast.Program{Strata: strata}, true, nil
+	prog = ast.Program{Strata: strata}
+	if !explicit {
+		prog, _ = ast.StratifyLevels(prog.Rules())
 	}
-	var rules []ast.Rule
-	for _, s := range strata {
-		rules = append(rules, s...)
-	}
-	leveled, err := ast.StratifyLevels(rules)
-	if err != nil {
-		// Recursion through negation: no ordering exists. Hand the
-		// analyzer the rules as written; its negation-cycle pass will
-		// report the cycle with positions.
-		return ast.Program{Strata: []ast.Stratum{rules}}, false, nil
-	}
-	return leveled, false, nil
+	return prog, explicit, nil
 }
 
 // ParseRules parses a flat list of rules, ignoring stratum separators.
 func ParseRules(src string) ([]ast.Rule, error) {
 	strata, _, err := parseStrata(src)
-	if err != nil {
-		return nil, err
-	}
-	var rules []ast.Rule
-	for _, s := range strata {
-		rules = append(rules, s...)
-	}
-	return rules, nil
+	return ast.Program{Strata: strata}.Rules(), err
 }
 
 // MustParseProgram is ParseProgram that panics on error; for tests and

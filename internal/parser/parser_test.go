@@ -107,13 +107,25 @@ func TestParseUnicode(t *testing.T) {
 	}
 }
 
+// parseWritten keeps the strata exactly as written — one stratum when
+// the source has no separator, which ParseProgram would auto-stratify —
+// and validates them.
+func parseWritten(src string) (ast.Program, error) {
+	strata, _, err := parseStrata(src)
+	if err != nil {
+		return ast.Program{}, err
+	}
+	prog := ast.Program{Strata: strata}
+	return prog, prog.Validate()
+}
+
 func TestParseExplicitStrata(t *testing.T) {
 	src := `
 S($x) :- R($x).
 ---
 W($x) :- R($x), !S($x).
 `
-	prog, err := ParseProgramExplicit(src)
+	prog, err := parseWritten(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +135,7 @@ W($x) :- R($x), !S($x).
 	// Same source without separator fails explicit validation (negation
 	// in the stratum that defines S)...
 	bad := strings.ReplaceAll(src, "---", "")
-	if _, err := ParseProgramExplicit(bad); err == nil {
+	if _, err := parseWritten(bad); err == nil {
 		t.Fatal("unstratified program accepted")
 	}
 	// ...but auto-stratification fixes it.
@@ -170,7 +182,7 @@ S(@x) :- R(@x.@y), !W(@x).`,
 		`U($x, $y) :- U($x, @a.$y.@b), !T($x, $y, @a, @b).`,
 	}
 	for _, src := range sources {
-		p1, err := ParseProgramExplicit(src)
+		p1, err := parseWritten(src)
 		if err != nil {
 			// Some are unsafe/unstratified alone; parse rules only.
 			rs, err2 := ParseRules(src)
@@ -190,7 +202,7 @@ S(@x) :- R(@x.@y), !W(@x).`,
 			continue
 		}
 		printed := p1.String()
-		p2, err := ParseProgramExplicit(printed)
+		p2, err := parseWritten(printed)
 		if err != nil {
 			t.Fatalf("reparse of\n%s: %v", printed, err)
 		}

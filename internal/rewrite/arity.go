@@ -37,10 +37,7 @@ func (m ArityMarkers) encodeArgs(args []ast.Expr) ast.Expr {
 	case 1:
 		return args[0]
 	}
-	folded := args[len(args)-2]
-	for i := len(args) - 1; i < len(args); i++ {
-		folded = m.encodePair(folded, args[i])
-	}
+	folded := m.encodePair(args[len(args)-2], args[len(args)-1])
 	rest := append(append([]ast.Expr{}, args[:len(args)-2]...), folded)
 	return m.encodeArgs(rest)
 }
@@ -58,34 +55,20 @@ func EliminateArity(p ast.Program, m ArityMarkers) (ast.Program, error) {
 	if err != nil {
 		return ast.Program{}, errf("arity", "", "%v", err)
 	}
-	idb := map[string]bool{}
-	for _, n := range p.IDBNames() {
-		idb[n] = true
-	}
+	idb := p.IDB()
 	for _, n := range p.EDBNames() {
 		if arities[n] > 1 {
 			return ast.Program{}, errf("arity", "", "EDB relation %s has arity %d; queries are over monadic schemas", n, arities[n])
 		}
 	}
-	out := p.Clone()
-	encodePred := func(pr ast.Pred) ast.Pred {
-		if !idb[pr.Name] || len(pr.Args) <= 1 {
-			return pr
-		}
-		return ast.Pred{Name: pr.Name, Args: []ast.Expr{m.encodeArgs(pr.Args)}}
-	}
-	for si, s := range out.Strata {
-		for ri, r := range s {
-			r.Head = encodePred(r.Head)
-			for li, l := range r.Body {
-				if pr, ok := l.Atom.(ast.Pred); ok {
-					r.Body[li] = ast.Literal{Neg: l.Neg, Atom: encodePred(pr)}
-				}
+	return p.MapRules(func(r ast.Rule) ast.Rule {
+		return r.MapPreds(func(pr ast.Pred) ast.Pred {
+			if idb[pr.Name] && len(pr.Args) > 1 {
+				pr.Args = []ast.Expr{m.encodeArgs(pr.Args)}
 			}
-			out.Strata[si][ri] = r
-		}
-	}
-	return out, nil
+			return pr
+		})
+	}), nil
 }
 
 // EncodeTuplePaths applies the Lemma 4.1 encoding to a concrete tuple,

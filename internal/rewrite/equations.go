@@ -48,10 +48,8 @@ func elimPosEqRule(r ast.Rule, gen *ast.NameGen) ([]ast.Rule, error) {
 	bound := map[ast.Var]bool{}
 	for _, pp := range posPreds {
 		cur = append(cur, ast.Pos(pp))
-		for _, a := range pp.Args {
-			for _, v := range a.Vars() {
-				bound[v] = true
-			}
+		for _, v := range ast.VarsOf(pp.Args...) {
+			bound[v] = true
 		}
 	}
 	var negs []ast.Literal
@@ -132,15 +130,16 @@ func EliminateNegatedEquations(p ast.Program) (ast.Program, error) {
 		for _, r := range s {
 			posAndNegPreds, negEqs := stripNegEqs(r)
 			// ρ(H) :- ρ(B′), for every rule.
-			pre = append(pre, renamePredsInRule(posAndNegPreds, rho))
+			pre = append(pre, posAndNegPreds.RenameRelations(rho))
 			if len(negEqs) == 0 {
 				cur = append(cur, r)
 				continue
 			}
-			vars := bodyVarsFirstOccurrence(posAndNegPreds.Body)
+			// v1..vm: the variables of B′ in first-occurrence order.
+			vars := ast.Rule{Body: posAndNegPreds.Body}.Vars()
 			tName := gen.Fresh("Neq")
 			for _, eq := range negEqs {
-				tRule := renamePredsInRule(posAndNegPreds, rho)
+				tRule := posAndNegPreds.RenameRelations(rho)
 				tRule.Head = ast.Pred{Name: tName, Args: varExprs(vars)}
 				tRule.Body = append(tRule.Body, ast.Pos(eq))
 				pre = append(pre, tRule)
@@ -175,22 +174,6 @@ func stripNegEqs(r ast.Rule) (ast.Rule, []ast.Eq) {
 	return out.Clone(), negEqs
 }
 
-func renamePredsInRule(r ast.Rule, rho map[string]string) ast.Rule {
-	out := r.Clone()
-	if n, ok := rho[out.Head.Name]; ok {
-		out.Head.Name = n
-	}
-	for i, l := range out.Body {
-		if pr, ok := l.Atom.(ast.Pred); ok {
-			if n, renamed := rho[pr.Name]; renamed {
-				pr.Name = n
-				out.Body[i] = ast.Literal{Neg: l.Neg, Atom: pr}
-			}
-		}
-	}
-	return out
-}
-
 // EliminateEquations removes all equations, positive and negated, per
 // Theorem 4.7 (E is redundant in the presence of I): first the
 // Lemma 4.5 stratum splitting for nonequalities, then the auxiliary-
@@ -219,10 +202,7 @@ func EliminateIntermediates(p ast.Program, output string) (ast.Program, error) {
 	if f.Has(ast.FeatNegation) {
 		return ast.Program{}, errf("intermediates", "", "program uses negation; I is primitive in the presence of N (Theorem 5.5)")
 	}
-	idb := map[string]bool{}
-	for _, n := range p.IDBNames() {
-		idb[n] = true
-	}
+	idb := p.IDB()
 	if !idb[output] {
 		return ast.Program{}, errf("intermediates", "", "output relation %s is not an IDB relation", output)
 	}

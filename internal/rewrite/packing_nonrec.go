@@ -1,6 +1,8 @@
 package rewrite
 
 import (
+	"slices"
+
 	"seqlog/internal/ast"
 	"seqlog/internal/unify"
 )
@@ -53,16 +55,12 @@ func EliminatePackingNonrecursive(p ast.Program, output string) (ast.Program, er
 		return ast.Program{}, err
 	}
 	gen := ast.NewNameGen(p)
-	edb := map[string]bool{}
-	for _, n := range p.EDBNames() {
-		edb[n] = true
-	}
 	// structs[Q] lists the per-structure relations of rewritten IDB Q.
 	structs := map[string][]psEntry{}
-	// flat relations: positive predicates over them bind variables to
-	// flat values on flat instances.
+	// flat relations (the EDB ones to begin with): positive predicates
+	// over them bind variables to flat values on flat instances.
 	flat := map[string]bool{}
-	for n := range edb {
+	for _, n := range p.EDBNames() {
 		flat[n] = true
 	}
 
@@ -221,13 +219,7 @@ func cleanFlatPredicates(r ast.Rule, flat map[string]bool) (ast.Rule, bool) {
 			body = append(body, l)
 			continue
 		}
-		packed := false
-		for _, a := range pr.Args {
-			if a.HasPacking() {
-				packed = true
-			}
-		}
-		if !packed {
+		if !slices.ContainsFunc(pr.Args, ast.Expr.HasPacking) {
 			body = append(body, l)
 			continue
 		}
@@ -244,15 +236,10 @@ func cleanFlatPredicates(r ast.Rule, flat map[string]bool) (ast.Rule, bool) {
 // "other side of a positive equation is all-pure and packing-free".
 func pureVars(r ast.Rule, flat map[string]bool) map[ast.Var]bool {
 	pure := map[ast.Var]bool{}
-	for _, l := range r.Body {
-		if l.Neg {
-			continue
-		}
-		if pr, ok := l.Atom.(ast.Pred); ok && flat[pr.Name] {
-			for _, a := range pr.Args {
-				for _, v := range a.Vars() {
-					pure[v] = true
-				}
+	for l, pr := range r.Preds() {
+		if !l.Neg && flat[pr.Name] {
+			for _, v := range ast.VarsOf(pr.Args...) {
+				pure[v] = true
 			}
 		}
 	}
@@ -555,19 +542,11 @@ func simplifyTrivialEquations(r ast.Rule) ast.Rule {
 }
 
 func trivialBinding(side, other ast.Expr) (ast.Subst, bool) {
-	if len(side) != 1 {
+	v, ok := side.SoleVar()
+	if !ok || slices.Contains(other.Vars(), v) {
 		return nil, false
 	}
-	vt, ok := side[0].(ast.VarT)
-	if !ok {
-		return nil, false
-	}
-	for _, v := range other.Vars() {
-		if v == vt.V {
-			return nil, false
-		}
-	}
-	if vt.V.Atomic {
+	if v.Atomic {
 		if len(other) != 1 {
 			return nil, false
 		}
@@ -581,7 +560,7 @@ func trivialBinding(side, other ast.Expr) (ast.Subst, bool) {
 			return nil, false
 		}
 	}
-	return ast.Subst{vt.V: other}, true
+	return ast.Subst{v: other}, true
 }
 
 func dedupeRules(s ast.Stratum) ast.Stratum {

@@ -124,19 +124,12 @@ func SimulatePackingDoubled(p ast.Program, output string, m DoubleMarkers) (ast.
 		bal := gen.Fresh("Bal")
 		var out ast.Stratum
 		for _, r := range s {
-			nr := ast.Rule{Head: encodePred(r.Head, enc, m)}
-			guard := map[ast.Var]bool{}
-			for _, l := range r.Body {
-				pr, ok := l.Atom.(ast.Pred)
-				if !ok {
-					return ast.Program{}, errf("packing", r.String(), "internal: equation survived the precondition check")
-				}
-				nr.Body = append(nr.Body, ast.Literal{Neg: l.Neg, Atom: encodePred(pr, enc, m)})
-			}
+			// Transliterate every predicate into the block code (equations
+			// were refused above).
+			nr := r.RenameRelations(enc).MapExprs(func(e ast.Expr) ast.Expr { return encodeExpr(e, m) })
 			for _, v := range r.Vars() {
-				if !v.Atomic && !guard[v] {
-					guard[v] = true
-					nr.Body = append(nr.Body, ast.Pos(ast.Pred{Name: bal, Args: []ast.Expr{ast.Expr{ast.VarT{V: v}}}}))
+				if !v.Atomic {
+					nr.Body = append(nr.Body, ast.Pos(ast.Pred{Name: bal, Args: varExprs([]ast.Var{v})}))
 				}
 			}
 			out = append(out, nr)
@@ -224,15 +217,6 @@ func SimulatePackingDoubled(p ast.Program, output string, m DoubleMarkers) (ast.
 		return ast.Program{}, errf("packing", "", "doubling produced an invalid program: %v\n%s", err, prog)
 	}
 	return prog, nil
-}
-
-// encodePred transliterates a predicate into the block code.
-func encodePred(p ast.Pred, enc map[string]string, m DoubleMarkers) ast.Pred {
-	args := make([]ast.Expr, len(p.Args))
-	for i, a := range p.Args {
-		args[i] = encodeExpr(a, m)
-	}
-	return ast.Pred{Name: enc[p.Name], Args: args}
 }
 
 // encodeExpr maps a·a for constants, @x·@x for atomic variables, $x for

@@ -9,25 +9,7 @@ import "seqlog/internal/ast"
 // references); pruning keeps programs in the smallest fragment they
 // actually need.
 func PruneUnreachable(p ast.Program, output string) ast.Program {
-	defines := map[string]bool{}
-	for _, r := range p.Rules() {
-		defines[r.Head.Name] = true
-	}
-	needed := map[string]bool{output: true}
-	for changed := true; changed; {
-		changed = false
-		for _, r := range p.Rules() {
-			if !needed[r.Head.Name] {
-				continue
-			}
-			for _, l := range r.Body {
-				if pr, ok := l.Atom.(ast.Pred); ok && defines[pr.Name] && !needed[pr.Name] {
-					needed[pr.Name] = true
-					changed = true
-				}
-			}
-		}
-	}
+	needed := p.Needed(output)
 	var strata []ast.Stratum
 	for _, s := range p.Strata {
 		var keep ast.Stratum

@@ -18,7 +18,8 @@ package rewrite
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"seqlog/internal/ast"
 )
@@ -36,44 +37,7 @@ func varExprs(vars []ast.Var) []ast.Expr {
 // sortedVars returns the variables of the set in deterministic order
 // (atomic variables first, then by name).
 func sortedVars(set map[ast.Var]bool) []ast.Var {
-	out := make([]ast.Var, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Atomic != out[j].Atomic {
-			return out[i].Atomic
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
-// bodyVarsFirstOccurrence returns the variables of the body literals in
-// first-occurrence order (the "v1, ..., vm" of Lemma 4.5).
-func bodyVarsFirstOccurrence(body []ast.Literal) []ast.Var {
-	seen := map[ast.Var]bool{}
-	var out []ast.Var
-	add := func(e ast.Expr) {
-		for _, v := range e.Vars() {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-	}
-	for _, l := range body {
-		switch x := l.Atom.(type) {
-		case ast.Pred:
-			for _, a := range x.Args {
-				add(a)
-			}
-		case ast.Eq:
-			add(x.L)
-			add(x.R)
-		}
-	}
-	return out
+	return slices.SortedFunc(maps.Keys(set), ast.Var.Compare)
 }
 
 // renameRuleVars renames every variable in the rule with fresh names,
@@ -113,12 +77,8 @@ func splitBody(body []ast.Literal) (posPreds []ast.Pred, posEqs []ast.Eq, negPre
 // a nonequality.
 func hasNegatedEquations(s ast.Stratum) bool {
 	for _, r := range s {
-		for _, l := range r.Body {
-			if l.Neg {
-				if _, ok := l.Atom.(ast.Eq); ok {
-					return true
-				}
-			}
+		if _, _, _, negEqs := splitBody(r.Body); len(negEqs) > 0 {
+			return true
 		}
 	}
 	return false

@@ -48,17 +48,7 @@ func (e Equation) hash() uint64 {
 func (e Equation) Equal(f Equation) bool { return e.L.Equal(f.L) && e.R.Equal(f.R) }
 
 // Vars returns the variables of the equation in first-occurrence order.
-func (e Equation) Vars() []ast.Var {
-	seen := map[ast.Var]bool{}
-	var out []ast.Var
-	for _, v := range append(e.L.Vars(), e.R.Vars()...) {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
-}
+func (e Equation) Vars() []ast.Var { return ast.VarsOf(e.L, e.R) }
 
 // OneSidedNonlinear reports whether every variable occurring more than
 // once in the equation occurs in only one side (§4.3.1); pig-pug
