@@ -331,70 +331,157 @@ func BenchmarkSalesRegroup(b *testing.B) {
 	benchQueryOnInstance(b, "sales-by-year", workload.Sales(12, 40, 5))
 }
 
-// Acceptance workload for the serving subsystem: incremental
-// maintenance versus from-scratch re-evaluation on the 1k-edge
-// graphpaths transitive closure. The engine materializes the closure
-// once; each iteration then asserts k fresh edges (a disjoint chain
-// segment, so the consequence set is the same size every iteration)
-// and the engine derives only those consequences. The from-scratch
-// baseline re-runs the full fixpoint on the same EDB plus one new
-// edge, which is what a batch evaluator has to do per update.
-// Measured results are in docs/performance.md ("Incremental
-// maintenance").
-func BenchmarkIncrementalAssert(b *testing.B) {
+// servingBody sets up one k=1-style serving benchmark — the engine over
+// its materialized closure — and returns the measured operation and,
+// where steady state is restored off the clock, that step. The
+// benchmarks below and TestAllocBudgets (budgets_test.go) run the same
+// bodies, so the deterministic gate measures exactly what the series
+// report.
+type servingBody func(tb testing.TB) (op, restore func(i int))
+
+func runServing(b *testing.B, body servingBody) {
+	op, restore := body(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i)
+		if restore != nil {
+			b.StopTimer()
+			restore(i)
+			b.StartTimer()
+		}
+	}
+}
+
+// reachability is the shared fixture: the graphpaths program and the
+// 1k-edge graph.
+func reachability(tb testing.TB) (*eval.Prepared, *Instance) {
 	q, _ := queries.Get("reachability")
 	prep, err := eval.Compile(q.Program)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	edb := workload.Graph(9, 200, 1000)
-	for _, k := range []int{1, 8} {
-		b.Run(fmt.Sprintf("incremental/k=%d", k), func(b *testing.B) {
-			engine, err := eval.NewEngine(prep, edb, eval.Limits{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				delta := NewInstance()
-				for j := 0; j < k; j++ {
-					delta.AddPath("R", PathOf(
-						fmt.Sprintf("f%d_%d", i, j), fmt.Sprintf("f%d_%d", i, j+1)))
-				}
-				if _, err := engine.Assert(delta); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	return prep, workload.Graph(9, 200, 1000)
+}
+
+// serve returns a fresh engine at the fixpoint of prep over edb.
+func serve(tb testing.TB, prep *eval.Prepared, edb *Instance) *eval.Engine {
+	engine, err := eval.NewEngine(prep, edb, eval.Limits{})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	// The serving loop interleaves reads with writes: each Query
-	// freezes the relations it returns, so the next assert's first
-	// write pays one copy-on-write epoch clone per touched relation.
-	// This variant measures that worst case (a freeze before every
-	// assert). The asserted edges form disjoint 64-edge chains (not one
-	// ever-growing chain) so per-op derivation work is bounded and the
-	// series isolates the barrier cost — an unbounded chain would make
-	// B/op a function of b.N and blow past MaxFacts at high iteration
-	// counts now that the barrier no longer dominates.
-	b.Run("incremental-interleaved/k=1", func(b *testing.B) {
-		engine, err := eval.NewEngine(prep, edb, eval.Limits{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.Query("T"); err != nil {
-				b.Fatal(err)
-			}
+	return engine
+}
+
+// write applies one batch in one direction, failing the run on error.
+func write[S any](tb testing.TB, apply func(*Instance) (S, error), delta *Instance) {
+	if _, err := apply(delta); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// assertBody asserts k fresh edges per iteration (a disjoint chain
+// segment, so the consequence set is the same size every iteration).
+func assertBody(k int) servingBody {
+	return func(tb testing.TB) (op, restore func(i int)) {
+		prep, edb := reachability(tb)
+		engine := serve(tb, prep, edb)
+		return func(i int) {
 			delta := NewInstance()
-			delta.AddPath("R", PathOf(
-				fmt.Sprintf("g%d_%d", i/64, i%64), fmt.Sprintf("g%d_%d", i/64, i%64+1)))
-			if _, err := engine.Assert(delta); err != nil {
-				b.Fatal(err)
+			for j := 0; j < k; j++ {
+				delta.AddPath("R", PathOf(
+					fmt.Sprintf("f%d_%d", i, j), fmt.Sprintf("f%d_%d", i, j+1)))
 			}
+			write(tb, engine.Assert, delta)
+		}, nil
+	}
+}
+
+// interleavedBody is the serving loop's worst case: each Query freezes
+// the relations it returns, so the next assert's first write pays one
+// copy-on-write epoch clone per touched relation — a freeze before
+// every assert. The asserted edges form disjoint 64-edge chains (not
+// one ever-growing chain) so per-op derivation work is bounded and the
+// series isolates the barrier cost — an unbounded chain would make
+// B/op a function of b.N and blow past MaxFacts at high iteration
+// counts now that the barrier no longer dominates.
+func interleavedBody(tb testing.TB) (op, restore func(i int)) {
+	prep, edb := reachability(tb)
+	engine := serve(tb, prep, edb)
+	return func(i int) {
+		if _, err := engine.Query("T"); err != nil {
+			tb.Fatal(err)
 		}
-	})
+		delta := NewInstance()
+		delta.AddPath("R", PathOf(
+			fmt.Sprintf("g%d_%d", i/64, i%64), fmt.Sprintf("g%d_%d", i/64, i%64+1)))
+		write(tb, engine.Assert, delta)
+	}, nil
+}
+
+// retractBody retracts one real edge of the graph per iteration —
+// overdeleting its downward closure and rederiving the paths that
+// survive through alternative routes — and re-asserts it to restore
+// steady state.
+func retractBody(tb testing.TB) (op, restore func(i int)) {
+	prep, edb := reachability(tb)
+	engine := serve(tb, prep, edb)
+	edges := edb.Relation("R").Tuples()
+	edgeBatch := func(i int) *Instance {
+		delta := NewInstance()
+		delta.Ensure("R", 1).Add(edges[i%len(edges)])
+		return delta
+	}
+	return func(i int) { write(tb, engine.Retract, edgeBatch(i)) },
+		func(i int) { write(tb, engine.Assert, edgeBatch(i)) }
+}
+
+// mutualBody retracts one edge through a two-relation mutual-recursion
+// closure (P and Q derive each other through alternating edge sets, so
+// every overdeleted P fact cites Q facts and vice versa).
+func mutualBody(tb testing.TB) (op, restore func(i int)) {
+	prep, err := eval.Compile(MustParse(`
+P(@x.@y) :- EA(@x.@y).
+Q(@x.@z) :- P(@x.@y), EB(@y.@z).
+P(@x.@z) :- Q(@x.@y), EA(@y.@z).`))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g := workload.Graph(9, 200, 1000)
+	edb := NewInstance()
+	ea, eb := edb.Ensure("EA", 1), edb.Ensure("EB", 1)
+	for i, t := range g.Relation("R").Tuples() {
+		if i%2 == 0 {
+			ea.Add(t)
+		} else {
+			eb.Add(t)
+		}
+	}
+	engine := serve(tb, prep, edb)
+	eaEdges := edb.Relation("EA").Tuples()
+	edgeBatch := func(i int) *Instance {
+		delta := NewInstance()
+		delta.Ensure("EA", 1).Add(eaEdges[i%len(eaEdges)])
+		return delta
+	}
+	return func(i int) { write(tb, engine.Retract, edgeBatch(i)) },
+		func(i int) { write(tb, engine.Assert, edgeBatch(i)) }
+}
+
+// Acceptance workload for the serving subsystem: incremental
+// maintenance versus from-scratch re-evaluation on the 1k-edge
+// graphpaths transitive closure. The engine materializes the closure
+// once; each iteration then asserts k fresh edges and the engine
+// derives only those consequences. The from-scratch baseline re-runs
+// the full fixpoint on the same EDB plus one new edge, which is what a
+// batch evaluator has to do per update. Measured results are in
+// docs/performance.md ("Incremental maintenance").
+func BenchmarkIncrementalAssert(b *testing.B) {
+	for _, k := range []int{1, 8} {
+		b.Run(fmt.Sprintf("incremental/k=%d", k), func(b *testing.B) { runServing(b, assertBody(k)) })
+	}
+	b.Run("incremental-interleaved/k=1", func(b *testing.B) { runServing(b, interleavedBody) })
 	b.Run("fromscratch/k=1", func(b *testing.B) {
+		prep, edb := reachability(b)
 		full := edb.Clone()
 		full.AddPath("R", PathOf("f0", "f1"))
 		b.ResetTimer()
@@ -407,65 +494,27 @@ func BenchmarkIncrementalAssert(b *testing.B) {
 }
 
 // Acceptance workload for DRed retraction: withdrawing edges from the
-// same materialized 1k-edge graphpaths closure. Each measured
-// iteration retracts one real edge of the graph — overdeleting its
-// downward closure and rederiving the paths that survive through
-// alternative routes — with the re-assert that restores steady state
-// excluded from the timer. The from-scratch baseline is what a batch
-// evaluator must do after a deletion: re-run the full fixpoint on the
-// EDB minus the edge. The retract-assert-cycle variant times the whole
-// withdraw-and-restore loop, the serving pattern for flapping facts.
-// Measured results are in docs/performance.md ("Retraction").
+// same materialized 1k-edge graphpaths closure, with the re-assert
+// that restores steady state excluded from the timer. The from-scratch
+// baseline is what a batch evaluator must do after a deletion: re-run
+// the full fixpoint on the EDB minus the edge. The
+// retract-assert-cycle variant times the whole withdraw-and-restore
+// loop, the serving pattern for flapping facts. Measured results are
+// in docs/performance.md ("Retraction").
 func BenchmarkIncrementalRetract(b *testing.B) {
-	q, _ := queries.Get("reachability")
-	prep, err := eval.Compile(q.Program)
-	if err != nil {
-		b.Fatal(err)
-	}
-	edb := workload.Graph(9, 200, 1000)
-	edges := edb.Relation("R").Tuples()
-	edgeBatch := func(i int) *Instance {
-		delta := NewInstance()
-		delta.Ensure("R", 1).Add(edges[i%len(edges)])
-		return delta
-	}
-	b.Run("retract/k=1", func(b *testing.B) {
-		engine, err := eval.NewEngine(prep, edb, eval.Limits{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.Retract(edgeBatch(i)); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			if _, err := engine.Assert(edgeBatch(i)); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-	})
+	b.Run("retract/k=1", func(b *testing.B) { runServing(b, retractBody) })
 	b.Run("retract-assert-cycle/k=1", func(b *testing.B) {
-		engine, err := eval.NewEngine(prep, edb, eval.Limits{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.Retract(edgeBatch(i)); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := engine.Assert(edgeBatch(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
+		runServing(b, func(tb testing.TB) (op, restore func(i int)) {
+			retract, assert := retractBody(tb)
+			return func(i int) { retract(i); assert(i) }, nil
+		})
 	})
 	b.Run("fromscratch/k=1", func(b *testing.B) {
+		prep, edb := reachability(b)
 		// The post-deletion EDB: everything except edge 0.
 		rest := NewInstance()
 		r := rest.Ensure("R", 1)
-		for _, t := range edges[1:] {
+		for _, t := range edb.Relation("R").Tuples()[1:] {
 			r.Add(t)
 		}
 		b.ResetTimer()
@@ -477,56 +526,14 @@ func BenchmarkIncrementalRetract(b *testing.B) {
 	})
 }
 
-// Acceptance workload for the whole-stratum well-founded pruner:
-// retracting one edge through a two-relation mutual-recursion closure
-// (P and Q derive each other through alternating edge sets, so every
-// overdeleted P fact cites Q facts and vice versa). The pruner walks
-// the stamp order across BOTH relations to keep facts whose support
-// chains bottom out in surviving edges; textbook DRed (overdelete
-// everything reachable, rederive after), which the pre-stamp
-// within-one-relation pruner degenerated to on mutual recursion, was
-// measured as the retired retract-mutual-noprune series at PR 10.
-// Measured results are in docs/performance.md ("Retraction").
+// Acceptance workload for the whole-stratum well-founded pruner (see
+// mutualBody). The pruner walks the stamp order across BOTH relations
+// to keep facts whose support chains bottom out in surviving edges;
+// textbook DRed (overdelete everything reachable, rederive after),
+// which the pre-stamp within-one-relation pruner degenerated to on
+// mutual recursion, was measured as the retired retract-mutual-noprune
+// series at PR 10. Measured results are in docs/performance.md
+// ("Retraction").
 func BenchmarkIncrementalRetractMutual(b *testing.B) {
-	prog := MustParse(`
-P(@x.@y) :- EA(@x.@y).
-Q(@x.@z) :- P(@x.@y), EB(@y.@z).
-P(@x.@z) :- Q(@x.@y), EA(@y.@z).`)
-	prep, err := eval.Compile(prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := workload.Graph(9, 200, 1000)
-	edb := NewInstance()
-	ea, eb := edb.Ensure("EA", 1), edb.Ensure("EB", 1)
-	for i, t := range g.Relation("R").Tuples() {
-		if i%2 == 0 {
-			ea.Add(t)
-		} else {
-			eb.Add(t)
-		}
-	}
-	eaEdges := edb.Relation("EA").Tuples()
-	edgeBatch := func(i int) *Instance {
-		delta := NewInstance()
-		delta.Ensure("EA", 1).Add(eaEdges[i%len(eaEdges)])
-		return delta
-	}
-	b.Run("retract-mutual/k=1", func(b *testing.B) {
-		engine, err := eval.NewEngine(prep, edb, eval.Limits{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.Retract(edgeBatch(i)); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			if _, err := engine.Assert(edgeBatch(i)); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-	})
+	b.Run("retract-mutual/k=1", func(b *testing.B) { runServing(b, mutualBody) })
 }

@@ -11,7 +11,7 @@
 //   - tombstone-view: a probe under an instance.View with Dead set
 //     returns tombstoned (deleted) positions too. The only legal place
 //     to set it outside package instance is the DRed overdeletion path
-//     (stepView in internal/eval/eval.go), which needs the pre-deletion
+//     (stepView in internal/eval/run.go), which needs the pre-deletion
 //     view of a relation; anywhere else the dead rows silently corrupt
 //     results. A Dead key in a View composite literal and an assignment
 //     to a .Dead field are both flagged.
@@ -110,7 +110,7 @@ func lintTree(root string) ([]string, error) {
 // DRed overdeletion path in eval.
 func tombstoneViewAllowed(relPath string) bool {
 	return strings.HasPrefix(relPath, "internal/instance/") ||
-		relPath == "internal/eval/eval.go"
+		relPath == "internal/eval/run.go"
 }
 
 // writeBarrierAllowed reports whether a file may mutate relations
@@ -168,7 +168,7 @@ func lintFile(fset *token.FileSet, file *ast.File, relPath string) []string {
 		}
 	}
 	deadOK := tombstoneViewAllowed(relPath)
-	const deadMsg = "View.Dead admits tombstoned positions and is reserved for the DRed overdeletion path (internal/eval/eval.go); probe under a live view"
+	const deadMsg = "View.Dead admits tombstoned positions and is reserved for the DRed overdeletion path (internal/eval/run.go); probe under a live view"
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CompositeLit:

@@ -63,14 +63,17 @@ func f(ix *Index) {
 	_ = ix.Lookup(v, k)
 }
 `
-	for _, path := range []string{"internal/eval/eval.go", "internal/instance/instance.go", "internal/instance/instance_test.go"} {
+	for _, path := range []string{"internal/eval/run.go", "internal/instance/instance.go", "internal/instance/instance_test.go"} {
 		if got := lintSrc(t, path, src); len(got) != 0 {
 			t.Fatalf("%s must be allowed, got %v", path, got)
 		}
 	}
-	// eval files other than eval.go are not exempt.
-	if got := lintSrc(t, "internal/eval/maintenance.go", src); len(got) != 2 {
-		t.Fatalf("non-eval.go eval file must be flagged twice, got %v", got)
+	// eval files other than run.go (where stepView lives) are not
+	// exempt — eval.go, which held it before the run frame, included.
+	for _, path := range []string{"internal/eval/eval.go", "internal/eval/dred.go"} {
+		if got := lintSrc(t, path, src); len(got) != 2 {
+			t.Fatalf("%s must be flagged twice, got %v", path, got)
+		}
 	}
 }
 

@@ -161,6 +161,45 @@ func TestLoadCarryArityClashKeepsOldEngine(t *testing.T) {
 	}
 }
 
+// TestArityClashesAreErrRepliesNotPanics: three client sequences that
+// used to take the daemon down (or, under negation, answer wrongly)
+// each get one err reply, and the same session then completes a query
+// against the engine that was serving before.
+func TestArityClashesAreErrRepliesNotPanics(t *testing.T) {
+	for _, tc := range []struct{ name, script, wantErr, wantAfter string }{
+		{
+			// One relation at two arities inside one batch: a panic out of
+			// Instance.Add before ParseInstance checked.
+			"mixed batch",
+			"load\nS($x) :- T($x).\n.\nassert T(a).\nassert R(a, b). R(a).\nquery S\n",
+			"err 1:10: relation R used with arity 1 here but arity 2 earlier in the batch",
+			"S(a).\nok n=1",
+		}, {
+			// A carried relation the new program defines at another arity:
+			// a panic in derive's Ensure once F(a, b) reached the head.
+			"head",
+			"load\nT($x) :- E($x).\n.\nassert E(a).\nload\nE($x, $y) :- F($x, $y).\n.\nassert F(a, b).\nquery T\n",
+			`err eval: instance holds arity-1 tuples of relation "E" used with arity 2 by the program`,
+			"T(a).\nok n=1",
+		}, {
+			// A carried relation the new program negates at another arity:
+			// the probe never matched, so S(a) was derived.
+			"negated",
+			"load\nU($x) :- T($x).\n.\nassert T(a). R(a, b).\nload\nS($x) :- T($x), !R($x).\n.\nquery U\n",
+			`err eval: instance holds arity-2 tuples of relation "R" used with arity 1 by the program`,
+			"U(a).\nok n=1",
+		},
+	} {
+		got := run(t, &server{limits: eval.Limits{}}, tc.script)
+		if strings.Count(got, "\nerr ") != 1 || !strings.Contains(got, tc.wantErr+"\n") {
+			t.Errorf("%s: want exactly one err reply, %q:\n%s", tc.name, tc.wantErr, got)
+		}
+		if !strings.HasSuffix(got, tc.wantAfter+"\n") {
+			t.Errorf("%s: the session must keep serving (%q last):\n%s", tc.name, tc.wantAfter, got)
+		}
+	}
+}
+
 func TestServerLoadWithInitialData(t *testing.T) {
 	srv := &server{limits: eval.Limits{}}
 	edb := instance.New()

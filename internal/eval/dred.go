@@ -158,15 +158,9 @@ type maintenance struct {
 	delDone []map[string]int
 	visited []bool
 
-	overdeleted, rederived int
-	// pruned counts overdeletion candidates the well-founded support
-	// check kept outright (surfaced as AssertStats/RetractStats
-	// .StampPruned).
-	pruned               int
-	skipped, incremental int
-	// planStats counts the plan executions of this run and their access
-	// paths, folded into AssertStats/RetractStats.Plans by the caller.
-	planStats PlanStats
+	// stats is the run's outcome so far — what the phases count into (and
+	// their drivers, into stats.Plans) and Engine.write reports.
+	stats MaintenanceStats
 }
 
 func (e *Engine) newMaintenance(seed deltas) *maintenance {
@@ -224,9 +218,9 @@ func (m *maintenance) run() error {
 	}
 	for si := range m.e.prep.strata {
 		if m.visited[si] {
-			m.incremental++
+			m.stats.StrataIncremental++
 		} else {
-			m.skipped++
+			m.stats.StrataSkipped++
 		}
 	}
 	return nil
@@ -301,6 +295,15 @@ func (m *maintenance) stratum(si int) (bool, error) {
 	return true, nil
 }
 
+// driver returns the driver of one maintenance phase of stratum si: it
+// reads the engine's instance through the stratum-exact view (plus
+// whatever opts adds) and counts its plan executions into the run's
+// stats.
+func (m *maintenance) driver(plans []*plan, si int, opts runOpts) *driver {
+	opts.negStep, opts.visTag = -1, uint64(si+1)
+	return &driver{plans: plans, inst: m.e.inst, limits: m.e.limits, opts: opts, stats: &m.stats.Plans}
+}
+
 // unconsumedIns returns the insertion windows of name that stratum si
 // has not consumed yet and can see. A window appended by a later
 // stratum is invisible to this one (its positions carry a later tag);
@@ -352,15 +355,17 @@ func (c *changeSet) has(h uint64, t instance.Tuple) bool {
 // instead of on absence. The runs visit exactly the valuations whose
 // negated atom evaluates into the change set.
 func (dr *driver) negDelta(changes func(name string) changeSet, sink sinkFunc) error {
-	opts := dr.opts
+	defer func() { dr.opts.negStep, dr.opts.negProbe = -1, nil }()
+	// The atom is matched in the frame's own valuation: each run starts
+	// from the binding of one changed tuple.
+	env := dr.valuation()
 	for _, p := range dr.plans {
 		for _, nv := range p.negVariants {
 			c := changes(nv.pred.Name)
 			if len(c.wins) == 0 {
 				continue
 			}
-			env := NewEnv()
-			opts.negStep, opts.negProbe, opts.env = nv.step, c.has, env
+			dr.opts.negStep, dr.opts.negProbe = nv.step, c.has
 			var runErr error
 			for _, w := range c.wins {
 				for pos := w.lo; pos < w.hi && runErr == nil; pos++ {
@@ -375,8 +380,8 @@ func (dr *driver) negDelta(changes func(name string) changeSet, sink sinkFunc) e
 						if runErr != nil {
 							return
 						}
-						nv.p.note(&dr.stats)
-						runErr = runPlanOpts(nv.p, dr.inst, window{}, sink, opts)
+						nv.p.note(dr.stats)
+						runErr = dr.exec(nv.p, window{}, sink)
 					})
 				}
 			}
@@ -391,14 +396,17 @@ func (dr *driver) negDelta(changes func(name string) changeSet, sink sinkFunc) e
 // overdelete is phase 1; see the package comment.
 func (m *maintenance) overdelete(ps *preparedStratum, si int) error {
 	e := m.e
-	maxTag := uint64(si + 1)
-	hb := &headScratch{}
+	// The side atoms of both chases join against the pre-deletion state;
+	// the second one's delta steps read the deletion logs.
+	dr := m.driver(ps.plans, si, runOpts{deltaRels: m.del, includeDead: true})
+	// The pruner's goal checks start from inside the sink, that is inside
+	// a run of dr: they go through a driver, and so a frame, of their own.
+	goal := m.driver(nil, si, runOpts{boundHeads: ps.heads})
 	sink := func(head ast.Pred, env *Env) error {
-		t, err := hb.build(head, env, e.limits)
+		t, h, err := dr.head(head, env)
 		if err != nil {
 			return err
 		}
-		h := t.Hash()
 		rel := e.inst.Relation(head.Name)
 		if rel == nil {
 			return nil
@@ -425,12 +433,12 @@ func (m *maintenance) overdelete(ps *preparedStratum, si int) error {
 		// downward closure: in well-connected data most candidates have
 		// an older alternative derivation and the cascade stops at the
 		// frontier.
-		kept, err := m.derivesGoal(ps, si, head.Name, t, true, instance.StampBirth(rel.StampAt(pos)))
+		kept, err := goal.derivesGoal(ps.rederive, head.Name, t, instance.StampBirth(rel.StampAt(pos)))
 		if err != nil {
 			return err
 		}
 		if kept {
-			m.pruned++
+			m.stats.StampPruned++
 			return nil
 		}
 		dst := e.inst.Ensure(head.Name, len(head.Args))
@@ -439,14 +447,9 @@ func (m *maintenance) overdelete(ps *preparedStratum, si int) error {
 		}
 		m.delFor(head.Name, len(head.Args)).AddFromScratch(h, t)
 		e.derived--
-		m.overdeleted++
+		m.stats.Overdeleted++
 		return nil
 	}
-	// The side atoms of both chases join against the pre-deletion state;
-	// the second one's delta steps read the deletion logs.
-	dr := &driver{plans: ps.plans, inst: e.inst, limits: e.limits,
-		opts: runOpts{deltaRels: m.del, includeDead: true, negStep: -1, visTag: maxTag}}
-	defer func() { m.planStats.add(dr.stats) }()
 	// Insertions under negation: derivations whose negated atom matches
 	// a fact inserted by this run held before the insertion and are
 	// invalid now. Tuples already deleted again are not in the change
@@ -481,7 +484,7 @@ func (m *maintenance) overdelete(ps *preparedStratum, si int) error {
 			if dl == nil {
 				return nil
 			}
-			return visibleRanges(dl, proc[name], cur[name], maxTag)
+			return visibleRanges(dl, proc[name], cur[name], dr.opts.visTag)
 		}
 		if err := dr.delta(deleted, sink); err != nil {
 			return err
@@ -505,15 +508,16 @@ func (m *maintenance) overdelete(ps *preparedStratum, si int) error {
 func (m *maintenance) rederive(ps *preparedStratum, si int) error {
 	e := m.e
 	inst := e.inst
-	maxTag := uint64(si + 1)
-	any := false
+	candidates, liveSize := 0, 0
 	for name := range ps.heads {
-		if dl := m.del[name]; dl != nil && dl.Len() > 0 {
-			any = true
-			break
+		if dl := m.del[name]; dl != nil {
+			candidates += dl.Len()
+		}
+		if rel := inst.Relation(name); rel != nil {
+			liveSize += rel.Len()
 		}
 	}
-	if !any {
+	if candidates == 0 {
 		return nil
 	}
 	prev := localSizes(ps.heads, inst)
@@ -526,7 +530,7 @@ func (m *maintenance) rederive(ps *preparedStratum, si int) error {
 		}
 		m.del[name].DeleteHashed(h, t)
 		e.derived++
-		m.rederived++
+		m.stats.Rederived++
 		// A restored fact is normally invisible to other strata (it was
 		// never really gone). But a stratum that already consumed the
 		// deletion-log entry acted on the deletion; announcing the
@@ -540,9 +544,9 @@ func (m *maintenance) rederive(ps *preparedStratum, si int) error {
 	}
 	// The sink both seeding strategies and the delta rounds share: keep
 	// a derived fact only when it is a still-deleted candidate.
-	hb := &headScratch{}
+	dr := m.driver(ps.plans, si, runOpts{})
 	sink := func(head ast.Pred, env *Env) error {
-		t, err := hb.build(head, env, e.limits)
+		t, h, err := dr.head(head, env)
 		if err != nil {
 			return err
 		}
@@ -550,7 +554,6 @@ func (m *maintenance) rederive(ps *preparedStratum, si int) error {
 		if dl == nil {
 			return nil
 		}
-		h := t.Hash()
 		pos := dl.Position(instance.View{}, h, t)
 		if pos < 0 {
 			return nil // not a candidate: the fact already exists (or never did)
@@ -566,17 +569,6 @@ func (m *maintenance) rederive(ps *preparedStratum, si int) error {
 	// state, restoring every derived fact that is still deleted — its
 	// cost is bounded by a from-scratch round 0, which beats touching
 	// every candidate individually.
-	dr := &driver{plans: ps.plans, inst: inst, limits: e.limits, opts: runOpts{negStep: -1, visTag: maxTag}}
-	defer func() { m.planStats.add(dr.stats) }()
-	candidates, liveSize := 0, 0
-	for name := range ps.heads {
-		if dl := m.del[name]; dl != nil {
-			candidates += dl.Len()
-		}
-		if rel := inst.Relation(name); rel != nil {
-			liveSize += rel.Len()
-		}
-	}
 	if candidates*4 <= liveSize {
 		for _, name := range sortedNames(ps.heads) {
 			dl := m.del[name]
@@ -589,7 +581,7 @@ func (m *maintenance) rederive(ps *preparedStratum, si int) error {
 					continue
 				}
 				t := dl.TupleAt(pos) // owned by the deletion log, safe to share
-				ok, err := m.derivesGoal(ps, si, name, t, false, 0)
+				ok, err := dr.derivesGoal(ps.rederive, name, t, 0)
 				if err != nil {
 					return err
 				}
@@ -606,50 +598,35 @@ func (m *maintenance) rederive(ps *preparedStratum, si int) error {
 }
 
 // derivesGoal reports whether some rule of the stratum derives the
-// fact name(t...): the rule head is matched against the fact and the
-// body evaluated against stratum si's view of the live state through
-// the head-bound rederive plan, stopping at the first derivation
-// found. Unbound, this is the rederive phase's check that the fact is
-// still derivable; with bound set (the overdeletion pruner), supports
-// read from this stratum's own heads — the relations still in flux —
-// must be born strictly before boundBirth, the well-founded variant of
-// the check. Every rule participates: the stamp order covers mutual
-// recursion through sibling relations, and a forward-read body atom
-// sees only settled earlier-stratum facts under the view, so the
+// fact name(t...): the rule head is matched against the fact (in the
+// frame's own valuation, which the run starts from) and the body
+// evaluated against the driver's view of the live state through the
+// head-bound rederive plan, stopping at the first derivation found. On
+// a plain driver this is the rederive phase's check that the fact is
+// still derivable; on the overdeletion pruner's (opts.boundHeads set),
+// supports read from the stratum's own heads — the relations still in
+// flux — must be born strictly before boundBirth, the well-founded
+// variant of the check. Every rule participates: the stamp order covers
+// mutual recursion through sibling relations, and a forward-read body
+// atom sees only settled earlier-stratum facts under the view, so the
 // pre-stamp restriction to self-contained rules is gone.
-func (m *maintenance) derivesGoal(ps *preparedStratum, si int, name string, t instance.Tuple, bound bool, boundBirth uint64) (bool, error) {
-	stop := func(ast.Pred, *Env) error { return errStopRun }
-	for i, p := range ps.plans {
-		if p.rule.Head.Name != name {
+func (dr *driver) derivesGoal(plans []*plan, name string, t instance.Tuple, boundBirth uint64) (bool, error) {
+	dr.opts.boundBirth = boundBirth
+	for _, rp := range plans {
+		if rp.rule.Head.Name != name {
 			continue
 		}
-		rp := ps.rederive[i]
-		env := NewEnv()
-		found := false
 		var runErr error
-		env.MatchTuple(rp.rule.Head.Args, t, func() {
-			if found || runErr != nil {
-				return
-			}
-			opts := runOpts{negStep: -1, env: env, visTag: uint64(si + 1)}
-			if bound {
-				opts.boundHeads = ps.heads
-				opts.boundBirth = boundBirth
-			}
-			err := runPlanOpts(rp, m.e.inst, window{}, stop, opts)
-			switch {
-			case err == nil:
-			case errors.Is(err, errStopRun):
-				found = true
-			default:
-				runErr = err
+		dr.valuation().MatchTuple(rp.rule.Head.Args, t, func() {
+			if runErr == nil {
+				runErr = dr.exec(rp, window{}, func(ast.Pred, *Env) error { return errStopRun })
 			}
 		})
+		if errors.Is(runErr, errStopRun) {
+			return true, nil
+		}
 		if runErr != nil {
 			return false, runErr
-		}
-		if found {
-			return true, nil
 		}
 	}
 	return false, nil
@@ -657,15 +634,10 @@ func (m *maintenance) derivesGoal(ps *preparedStratum, si int, name string, t in
 
 // insert is phase 3; see the package comment.
 func (m *maintenance) insert(ps *preparedStratum, si int) error {
-	e := m.e
-	inst := e.inst
-	maxTag := uint64(si + 1)
-	dr := &driver{plans: ps.plans, inst: inst, limits: e.limits, opts: runOpts{negStep: -1, visTag: maxTag}, derived: &e.derived}
-	defer func() { m.planStats.add(dr.stats) }()
-	hb := &headScratch{}
-	sink := func(head ast.Pred, env *Env) error {
-		return derive(head, env, inst, e.limits, &e.derived, hb, maxTag)
-	}
+	inst := m.e.inst
+	dr := m.driver(ps.plans, si, runOpts{})
+	dr.derived = &m.e.derived
+	sink := dr.derive
 	prev := localSizes(ps.heads, inst)
 	// (a) positive deltas over the unconsumed insertion windows: the
 	// classic incremental round, fanned out when configured.
@@ -685,7 +657,7 @@ func (m *maintenance) insert(ps *preparedStratum, si int) error {
 		}
 		return changeSet{
 			log:  dl,
-			wins: visibleRanges(dl, delDone[name], dl.Size(), maxTag),
+			wins: visibleRanges(dl, delDone[name], dl.Size(), dr.opts.visTag),
 			skip: func(h uint64, t instance.Tuple) bool {
 				rel := inst.Relation(name)
 				return rel != nil && rel.Position(instance.View{}, h, t) >= 0
@@ -723,7 +695,7 @@ func (m *maintenance) insert(ps *preparedStratum, si int) error {
 			h := dl.HashAt(pos)
 			if t := dl.TupleAt(pos); rel.Position(instance.View{}, h, t) >= 0 {
 				dl.DeleteHashed(h, t)
-				m.rederived++
+				m.stats.Rederived++
 			}
 		}
 	}

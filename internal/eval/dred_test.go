@@ -175,6 +175,44 @@ R(a.b). R(b.d). R(a.c). R(c.d).`), Limits{})
 	}
 }
 
+// TestEngineRetractPrunesInsideTheChase: the pruner's goal check runs
+// from inside the overdeletion chase's sink — a plan run inside a plan
+// run, over the same relations T and R — and the rederive phase then
+// runs goal checks of its own. One retraction here needs all of it:
+// T(a.h) is pruned (its other derivation, T(a.g)+R(g.h), is older than
+// the fact), T(a.d) is not (its other derivation goes through T(a.c),
+// born after it), so it is overdeleted and comes back by rederivation.
+// A chase and a goal check sharing one run frame would continue the
+// chase in the goal plan's steps; the result would not be Eval's.
+func TestEngineRetractPrunesInsideTheChase(t *testing.T) {
+	q, _ := queries.Get("reachability")
+	prep, err := Compile(q.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(prep, parser.MustParseInstance(`R(a.b). R(b.d). R(b.h). R(a.g). R(g.h).`), Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Assert(parser.MustParseInstance(`R(a.c). R(c.d).`)); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := e.Retract(parser.MustParseInstance(`R(a.b).`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.StampPruned == 0 || stats.Rederived == 0 {
+		t.Fatalf("stats = %+v, want T(a.h) pruned inside the chase and T(a.d) rederived", stats)
+	}
+	want, err := prep.Eval(parser.MustParseInstance(`R(b.d). R(b.h). R(a.g). R(g.h). R(a.c). R(c.d).`), Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mustSnapshot(t, e); !got.Equal(want) {
+		t.Fatal(instance.Diff(got, want))
+	}
+}
+
 // TestEngineRetractUnfoundedCycle pins the well-foundedness of the
 // overdeletion pruner. With edges b->c, c->b (a cycle) and a->b (the
 // only way in from a), retracting a->b must remove T(a.b) and T(a.c):

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"seqlog/internal/ast"
 	"seqlog/internal/instance"
 )
 
@@ -94,10 +93,13 @@ func (s *PlanStats) add(other PlanStats) {
 	s.ScanSteps += other.ScanSteps
 }
 
-// note records one execution of p into st: the plan shape and the
-// access path of every positive predicate step but a hoisted plan's
-// delta step.
+// note records one execution of p into st (nil: nobody is counting):
+// the plan shape and the access path of every positive predicate step
+// but a hoisted plan's delta step.
 func (p *plan) note(st *PlanStats) {
+	if st == nil {
+		return
+	}
 	side := p.predSteps
 	if p.hoisted {
 		st.VariantRuns++
@@ -106,16 +108,7 @@ func (p *plan) note(st *PlanStats) {
 		st.BaseRuns++
 	}
 	for _, i := range side {
-		switch p.steps[i].Class() {
-		case ast.AccessExact:
-			st.IndexProbeSteps++
-		case ast.AccessPrefix:
-			st.PrefixProbeSteps++
-		case ast.AccessSuffix:
-			st.SuffixProbeSteps++
-		default:
-			st.ScanSteps++
-		}
+		*accessPaths[p.steps[i].Class()].counter(st)++
 	}
 }
 
@@ -221,17 +214,8 @@ func NewEngine(prep *Prepared, edb *instance.Instance, limits Limits) (*Engine, 
 			e.seeds[name] = r // frozen by the snapshot above
 		}
 	}
-	for si := range prep.strata {
-		ps := &prep.strata[si]
-		// Tag this stratum's derivations si+1, but filter nothing
-		// (visTag 0): the initial fixpoint runs the strata in order over
-		// a state where no later-stratum fact exists yet, and a carried
-		// EDB may hold stamps from a previous engine's run that must stay
-		// fully visible.
-		e.stamper.SetTag(uint64(si + 1))
-		if err := runStratum(ps.plans, ps.heads, e.inst, e.limits, &e.derived, 0); err != nil {
-			return nil, fmt.Errorf("stratum %d: %w", si+1, err)
-		}
+	if err := prep.fixpoint(e.inst, e.limits, &e.derived, e.stamper); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
@@ -267,14 +251,11 @@ func (e *Engine) Query(output string) (*instance.Relation, error) {
 	if e.broken != nil {
 		return nil, e.broken
 	}
-	if r := e.inst.Relation(output); r != nil {
+	r, err := e.prep.output(e.inst, output)
+	if err == nil {
 		r.Freeze()
-		return r, nil
 	}
-	if a, ok := e.prep.arities[output]; ok {
-		return instance.NewRelation(a), nil
-	}
-	return nil, fmt.Errorf("eval: unknown output relation %q (not defined by the program and absent from the instance)", output)
+	return r, err
 }
 
 // Holds reports whether the nullary output relation holds in the
@@ -334,8 +315,8 @@ func (e *Engine) validateBatch(delta *instance.Instance, verb string) error {
 		if e.prep.idb[name] {
 			return fmt.Errorf("eval: cannot %s IDB relation %q (defined by the program; derived facts are maintained, not %sed)", verb, name, verb)
 		}
-		if a, ok := e.prep.arities[name]; ok && a != r.Arity {
-			return fmt.Errorf("eval: %sing arity-%d tuples of relation %q used with arity %d by the program", verb, r.Arity, name, a)
+		if err := e.prep.checkArity(name, r, verb+"ing"); err != nil {
+			return err
 		}
 		if cur := e.inst.Relation(name); cur != nil && cur.Arity != r.Arity {
 			return fmt.Errorf("eval: %sing arity-%d tuples of existing arity-%d relation %q", verb, r.Arity, cur.Arity, name)
@@ -438,16 +419,9 @@ func (e *Engine) write(op writeOp, delta *instance.Instance) (int, MaintenanceSt
 			e.broken = fmt.Errorf("engine: maintenance failed, materialization is partial: %w", err)
 			return changed, stats, e.broken
 		}
-		stats = MaintenanceStats{
-			Derived:           e.derived - derivedBefore,
-			Overdeleted:       m.overdeleted,
-			Rederived:         m.rederived,
-			StampPruned:       m.pruned,
-			StrataSkipped:     m.skipped,
-			StrataIncremental: m.incremental,
-			Plans:             m.planStats,
-		}
-		e.plans.add(m.planStats)
+		stats = m.stats
+		stats.Derived = e.derived - derivedBefore
+		e.plans.add(stats.Plans)
 		e.compactTombstoned()
 	}
 	stats.Clones = e.inst.CloneStats().Sub(clonesBefore)

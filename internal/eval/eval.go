@@ -7,7 +7,6 @@ import (
 
 	"seqlog/internal/ast"
 	"seqlog/internal/instance"
-	"seqlog/internal/value"
 )
 
 // ErrNonTermination reports that evaluation exceeded its limits. The
@@ -45,18 +44,6 @@ func (l Limits) orDefault() Limits {
 		l.MaxIterations = DefaultLimits.MaxIterations
 	}
 	return l
-}
-
-// workers normalizes Limits.Parallelism to a concrete worker count.
-func (l Limits) workers() int {
-	switch {
-	case l.Parallelism < 0:
-		return runtime.GOMAXPROCS(0)
-	case l.Parallelism <= 1:
-		return 1
-	default:
-		return l.Parallelism
-	}
 }
 
 // Eval computes P(I): the least instance extending edb that satisfies
@@ -155,46 +142,56 @@ func fullItems(plans []*plan) []workItem {
 // of DRed maintenance. The phases differ in what consumes a derivation
 // (the sink every method takes), in what every run adds to an ordinary
 // one (opts) and in where a round's change windows come from; how the
-// runs are enumerated and executed is the same everywhere.
+// runs are enumerated and executed is the same everywhere. The driver
+// owns what its runs share, down to the frame and head scratch they
+// execute in: it serves one goroutine, one run at a time, never copied.
 type driver struct {
 	plans  []*plan
 	inst   *instance.Instance
 	limits Limits
 	opts   runOpts
-	// stats counts the plan executions of delta and negDelta; the
-	// maintenance phases fold it into their run's stats.
-	stats PlanStats
+	// stats, when set, counts the plan executions of delta and negDelta:
+	// the maintenance run's PlanStats.
+	stats *PlanStats
 	// derived is set when the phase's sink is derive into inst, counting
 	// new facts here: only then can a round fan out to workers, whose
 	// buffers are merged by deriving.
 	derived *int
 
 	items []workItem // the current delta round's work, reused round to round
+	frame run        // the one plan execution in flight; see exec
+	// headBuf is the reusable tuple rule heads are instantiated into:
+	// rebuilt in place for every derivation, and only tuples that turn
+	// out to be new are copied into stable storage (instance.CopyTuple).
+	// In the hot fixpoint rounds most derivations rediscover known facts,
+	// so most derivations allocate nothing.
+	headBuf instance.Tuple
 }
 
-// workers is how many ways a round of this driver is split.
+// workers is how many ways a round of this driver is split:
+// Limits.Parallelism as a concrete count, for a deriving driver.
 func (dr *driver) workers() int {
-	if dr.derived == nil {
+	switch p := dr.limits.Parallelism; {
+	case dr.derived == nil || p == 0 || p == 1:
 		return 1
+	case p < 0:
+		return runtime.GOMAXPROCS(0)
+	default:
+		return p
 	}
-	return dr.limits.workers()
 }
 
 // run executes one round's work items. With Limits.Parallelism > 1 a
 // deriving round — one item per rule in round 0, one per (rule,
 // delta-restricted predicate, window slice) afterwards — is fanned out
-// across a bounded worker pool. Relations are frozen during the fan-out
-// (workers only read the shared instance, deriving into private
-// buffers) and the buffers are merged single-threaded at the round
-// barrier. Merging in work-item order keeps the result instance —
-// including its insertion order — independent of goroutine scheduling.
-// Otherwise the items run inline, one after the other, into sink.
+// across a bounded worker pool (runParallel). Otherwise the items run
+// inline, one after the other, into sink.
 func (dr *driver) run(items []workItem, sink sinkFunc) error {
 	if workers := dr.workers(); workers > 1 {
-		return runRoundParallel(items, dr.inst, workers, dr.limits, dr.derived, dr.opts.visTag)
+		return dr.runParallel(items, workers)
 	}
 	for _, it := range items {
-		if err := runPlanOpts(it.plan, dr.inst, it.win, sink, dr.opts); err != nil {
+		if err := dr.exec(it.plan, it.win, sink); err != nil {
 			return err
 		}
 	}
@@ -220,7 +217,7 @@ func (dr *driver) delta(windows func(name string) []window, sink sinkFunc) error
 				n := len(dr.items)
 				dr.items = appendSlices(dr.items, run, w, chunks)
 				for range dr.items[n:] {
-					run.note(&dr.stats)
+					run.note(dr.stats)
 				}
 			}
 		}
@@ -273,355 +270,73 @@ func (dr *driver) fixpoint(local map[string]bool, prev map[string]int, sink sink
 	}
 }
 
-// runStratum runs the semi-naive fixpoint of one compiled stratum from
-// scratch. Deltas are tracked by watermark: relations are append-only,
-// so the facts derived in a round are exactly the insertion window
-// [Size before, Size after), iterated in place by position (TupleAt,
-// skipping tombstones via Live) — no per-round delta instances.
+// fixpoint runs the semi-naive fixpoint of every stratum in order, from
+// scratch, over inst (Prepared.Eval, NewEngine), after the door check.
+// Deltas are tracked by watermark: relations are append-only, so the
+// facts derived in a round are exactly the insertion window [Size
+// before, Size after), iterated in place by position (TupleAt, skipping
+// tombstones via Live) — no per-round delta instances.
 //
-// visTag is the derivation-stamp tag facts derived by this stratum are
-// born with (si+1 for stratum si; see instance.MakeStamp); 0 means the
-// run neither tags nor filters (Prepared.Eval on a fresh result
-// instance, where strata are already ordered by construction).
-func runStratum(plans []*plan, local map[string]bool, inst *instance.Instance, limits Limits, derived *int, visTag uint64) error {
-	dr := &driver{plans: plans, inst: inst, limits: limits, opts: runOpts{negStep: -1, visTag: visTag}, derived: derived}
-	hb := &headScratch{}
-	sink := func(head ast.Pred, env *Env) error {
-		return derive(head, env, inst, limits, derived, hb, visTag)
+// The runs do not filter by stamp (visTag 0): a from-scratch pass
+// builds its result stratum by stratum, so the ordering the stamps
+// encode holds by construction — and carried EDB relations may hold
+// stamps from a previous engine's run, which must stay fully visible.
+// An engine's stamper tags stratum si's derivations si+1 (see
+// instance.MakeStamp) for the maintenance runs that follow.
+func (p *Prepared) fixpoint(inst *instance.Instance, limits Limits, derived *int, stamper *instance.Stamper) error {
+	for _, name := range inst.Names() {
+		if err := p.checkArity(name, inst.Relation(name), "instance holds"); err != nil {
+			return err
+		}
 	}
-	// Round 0: evaluate every rule against the full instance.
-	prev := localSizes(local, inst)
-	if err := dr.run(fullItems(plans), sink); err != nil {
-		return err
+	for si := range p.strata {
+		ps := &p.strata[si]
+		if stamper != nil {
+			stamper.SetTag(uint64(si + 1))
+		}
+		dr := &driver{plans: ps.plans, inst: inst, limits: limits, opts: runOpts{negStep: -1}, derived: derived}
+		// Round 0: evaluate every rule against the full instance.
+		prev := localSizes(ps.heads, inst)
+		err := dr.run(fullItems(ps.plans), dr.derive)
+		if err == nil {
+			err = dr.fixpoint(ps.heads, prev, dr.derive)
+		}
+		if err != nil {
+			return fmt.Errorf("stratum %d: %w", si+1, err)
+		}
 	}
-	return dr.fixpoint(local, prev, sink)
+	return nil
 }
 
-// sinkFunc consumes one derivation: the rule head instantiated under
-// the valuation the body search arrived at. The sequential evaluator
-// derives straight into the shared instance; parallel workers derive
-// into private buffers merged at the round barrier.
-type sinkFunc func(head ast.Pred, env *Env) error
-
-// stepScratch holds the per-step reusable buffers of one plan run:
-// probe values, unbound-column projections, and negated-literal
-// evaluation results are rebuilt in place for every binding reaching
-// the step instead of being reallocated. Safe because the buffers are
-// private to the run (worker-private under the parallel protocol) and
-// nothing downstream retains them: index and membership probes compare
-// inside the call, and head tuples are copied on insert.
-type stepScratch struct {
-	vals []value.Path   // exact-index probe values (one per bound column)
-	sub  []value.Path   // unbound-column projection of a candidate tuple
-	neg  instance.Tuple // negated-predicate probe tuple
-	bufA value.Path     // ground side of equations; prefix probes
-	bufB value.Path     // right side of negated equations
-}
-
-// runOpts extends a plan run for the DRed maintenance phases; the zero
-// value (with negStep -1) is an ordinary run.
-type runOpts struct {
-	// deltaRels substitutes side relations for the delta step's
-	// relation: the step iterates the window of deltaRels[name] instead
-	// of the instance relation of the same name. The overdeletion phase
-	// passes the deletion logs, to join the set of deleted facts against
-	// the rest of the body.
-	deltaRels map[string]*instance.Relation
-	// includeDead makes non-delta positive predicate steps match
-	// tombstoned tuples too, so the join sees a superset of the
-	// pre-deletion state: live tuples plus every tombstone not yet
-	// compacted (this run's deletions, and any stale ones below the
-	// engine's amortized-compaction threshold). A superset is exactly
-	// the direction DRed's overdeletion needs — extra candidates are
-	// restored by rederivation — and the stale tombstones only cost
-	// churn, never correctness. The delta step always skips tombstones.
-	includeDead bool
-	// negStep, when >= 0, turns the negated predicate step at that index
-	// into a positive delta probe: the step succeeds exactly when
-	// negProbe accepts the ground tuple (instead of when the relation
-	// does not contain it). Used to restrict a run to derivations that
-	// depend on a change of the negated relation.
-	negStep  int
-	negProbe func(h uint64, t instance.Tuple) bool
-	// visTag, when nonzero, restricts every positive step and negation
-	// probe to the stratum-exact view: only tuple-log positions whose
-	// derivation stamp carries a tag at most visTag (si+1 for stratum
-	// si; base facts are tagged 0) are visible. This is how maintenance
-	// reproduces Prepared.Eval's stratum-ordered pass — a side atom or
-	// negated atom never sees facts a later stratum produced. 0 (the
-	// from-scratch evaluator) reads everything.
-	visTag uint64
-	// boundHeads/boundBirth are the overdeletion pruner's well-founded
-	// support check: positive non-delta steps over a relation named in
-	// boundHeads (the candidate's stratum's heads — the relations still
-	// in flux) only accept supports stamped before the candidate:
-	// produced by an earlier stratum (tag < visTag), or born earlier in
-	// this stratum (birth < boundBirth). Birth stamps are issued by one
-	// monotone counter, so justification chains strictly decrease and
-	// circular keep-alives are impossible — including cycles through
-	// sibling relations of the same stratum, which a per-relation
-	// position measure could not order.
-	boundHeads map[string]bool
-	boundBirth uint64
-	// env pre-seeds the valuation (goal-directed rederivation binds the
-	// head against a candidate fact before running the body). Nil means
-	// a fresh environment.
-	env *Env
-}
-
-// stepView builds the stamp/tombstone view one positive step probes
-// under: the delta step never includes tombstones (a deleted fact is
-// no longer part of the delta) and never carries the pruner's birth
-// bound (the delta is the change set itself, not a support).
-func (opts *runOpts) stepView(s *step, isDelta bool) instance.View {
-	v := instance.View{MaxTag: opts.visTag}
-	if !isDelta {
-		v.Dead = opts.includeDead
-		if opts.boundHeads != nil && opts.boundHeads[s.pred.Name] {
-			v.MaxBirth = opts.boundBirth
-		}
-	}
-	return v
-}
-
-// runPlanOpts evaluates one rule, feeding every derivation to sink. On
-// a hoisted plan the first step — the delta predicate — iterates only
-// the window win of its relation instead of all tuples; other plans
-// ignore win. opts carries the DRed extensions; see runOpts.
-func runPlanOpts(p *plan, inst *instance.Instance, win window, sink sinkFunc, opts runOpts) error {
-	env := opts.env
-	if env == nil {
-		env = NewEnv()
-	}
-	// Resolve each step's relation and exact index once per run: exec
-	// fires once per binding reaching the step, far too hot for map and
-	// index-signature lookups. A relation first created by this very
-	// run's derivations stays unseen until the next semi-naive round,
-	// whose delta window covers the new facts.
-	rels := make([]*instance.Relation, len(p.steps))
-	idxs := make([]*instance.Index, len(p.steps))
-	views := make([]instance.View, len(p.steps))
-	scratch := make([]stepScratch, len(p.steps))
-	for i := range p.steps {
-		s := &p.steps[i]
-		switch s.kind {
-		case stepPred:
-			scratch[i].vals = make([]value.Path, len(s.BoundCols))
-			scratch[i].sub = make([]value.Path, len(s.unboundCols))
-			views[i] = opts.stepView(s, p.hoisted && i == 0)
-		case stepNegPred:
-			scratch[i].neg = make(instance.Tuple, len(s.pred.Args))
-		}
-		if s.kind != stepPred && s.kind != stepNegPred {
-			continue
-		}
-		rels[i] = inst.Relation(s.pred.Name)
-		if p.hoisted && i == 0 && opts.deltaRels != nil {
-			rels[i] = opts.deltaRels[s.pred.Name]
-		}
-		if s.kind == stepPred && rels[i] != nil &&
-			rels[i].Arity == len(s.pred.Args) && len(s.BoundCols) > 0 {
-			idxs[i] = rels[i].Index(s.BoundCols...)
-		}
-	}
-	var evalErr error
-	var exec func(i int)
-	exec = func(i int) {
-		if evalErr != nil {
-			return
-		}
-		if i == len(p.steps) {
-			evalErr = sink(p.rule.Head, env)
-			return
-		}
-		s := p.steps[i]
-		switch s.kind {
-		case stepPred:
-			rel := rels[i]
-			if rel == nil {
-				return
-			}
-			if rel.Arity != len(s.pred.Args) {
-				evalErr = fmt.Errorf("predicate %s used with arity %d but relation has arity %d", s.pred.Name, len(s.pred.Args), rel.Arity)
-				return
-			}
-			lo, hi := 0, rel.Size()
-			if p.hoisted && i == 0 {
-				lo, hi = win.lo, win.hi
-			}
-			// The step's view carries tombstone visibility (the DRed
-			// overdelete joins against the pre-deletion state), the
-			// stamp tag bound (stratum-exact reads), and the pruner's
-			// birth bound (well-founded support check); see stepView.
-			v := views[i]
-			sc := &scratch[i]
-			// Resolve the candidate positions from the best access path
-			// the bindings make ground: the exact index over the bound
-			// columns, else the ground prefix of one argument, else its
-			// ground trailing terms (the paper's bound-suffix patterns;
-			// term evaluation concatenates, so the evaluated trailing
-			// terms ARE the suffix of the evaluated argument). An affix
-			// that evaluates to the empty path selects nothing: try the
-			// next path, finally the scan.
-			var cands []int
-			exact, probed := idxs[i] != nil, idxs[i] != nil
-			if exact {
-				for j, c := range s.BoundCols {
-					sc.vals[j] = env.EvalAppend(s.pred.Args[c], sc.vals[j][:0])
-				}
-				cands = idxs[i].Lookup(v, sc.vals...)
-			}
-			if !probed && s.PrefixCol >= 0 {
-				sc.bufA = env.EvalAppend(s.pred.Args[s.PrefixCol][:s.PrefixLen], sc.bufA[:0])
-				if probed = len(sc.bufA) > 0; probed {
-					cands = rel.PrefixLookup(v, s.PrefixCol, sc.bufA)
-				}
-			}
-			if !probed && s.SuffixCol >= 0 {
-				arg := s.pred.Args[s.SuffixCol]
-				sc.bufA = env.EvalAppend(arg[len(arg)-s.SuffixLen:], sc.bufA[:0])
-				if probed = len(sc.bufA) > 0; probed {
-					cands = rel.SuffixLookup(v, s.SuffixCol, sc.bufA)
-				}
-			}
-			if probed {
-				// An exact probe fixed the bound columns, so only the
-				// others need matching (none: the candidate is the match);
-				// an affix probe verifies candidates with a full MatchTuple.
-				for _, pos := range cands {
-					if pos < lo || pos >= hi {
-						continue
-					}
-					switch {
-					case !exact:
-						env.MatchTuple(s.pred.Args, rel.TupleAt(pos), func() { exec(i + 1) })
-					case len(s.unboundCols) == 0:
-						exec(i + 1)
-					default:
-						t := rel.TupleAt(pos)
-						for j, c := range s.unboundCols {
-							sc.sub[j] = t[c]
-						}
-						env.MatchTuple(s.unboundArgs, sc.sub, func() { exec(i + 1) })
-					}
-					if evalErr != nil {
-						return
-					}
-				}
-				return
-			}
-			for pos := lo; pos < hi; pos++ {
-				if !v.Dead && !rel.Live(pos) {
-					continue
-				}
-				if !v.Admits(rel.StampAt(pos)) {
-					continue
-				}
-				env.MatchTuple(s.pred.Args, rel.TupleAt(pos), func() { exec(i + 1) })
-				if evalErr != nil {
-					return
-				}
-			}
-		case stepEq:
-			// The match binds pattern variables to subslices of the
-			// scratch; by the time this step runs again the match has
-			// unwound, so reuse is safe.
-			sc := &scratch[i]
-			sc.bufA = env.EvalAppend(s.ground, sc.bufA[:0])
-			env.Match(s.pattern, sc.bufA, func() { exec(i + 1) })
-		case stepNegPred:
-			// All arguments are ground by safety: a single probe of the
-			// relation's built-in full-tuple hash index. Negated
-			// relations live in earlier strata, so the resolution
-			// hoisted above cannot go stale mid-run.
-			sc := &scratch[i]
-			if i == opts.negStep {
-				// Delta probe: the run is restricted to derivations that
-				// depend on a change of this negated relation, so the
-				// step succeeds exactly when the ground tuple is in the
-				// change set (and fails otherwise, replacing the normal
-				// absence check; the probe itself encodes the required
-				// relationship to the live relation).
-				for k, a := range s.pred.Args {
-					sc.neg[k] = env.EvalAppend(a, sc.neg[k][:0])
-				}
-				if opts.negProbe(sc.neg.Hash(), sc.neg) {
-					exec(i + 1)
-				}
-				return
-			}
-			if rel := rels[i]; rel != nil {
-				for k, a := range s.pred.Args {
-					sc.neg[k] = env.EvalAppend(a, sc.neg[k][:0])
-				}
-				// Negated relations live in earlier strata, so under a
-				// stratum-exact view the probe must not see facts a later
-				// handwritten stratum re-derives into the same head.
-				if rel.Position(instance.View{MaxTag: opts.visTag}, sc.neg.Hash(), sc.neg) >= 0 {
-					return
-				}
-			}
-			exec(i + 1)
-		case stepNegEq:
-			sc := &scratch[i]
-			sc.bufA = env.EvalAppend(s.ground, sc.bufA[:0])
-			sc.bufB = env.EvalAppend(s.pattern, sc.bufB[:0])
-			if !sc.bufA.Equal(sc.bufB) {
-				exec(i + 1)
-			}
-		}
-	}
-	exec(0)
-	return evalErr
-}
-
-// headScratch owns the reusable buffers one sink uses to instantiate
-// rule heads: the tuple and its per-argument path buffers are rebuilt
-// in place for every derivation, and only tuples that turn out to be
-// new are copied into stable storage (instance.CopyTuple). In the hot
-// fixpoint rounds most derivations rediscover known facts, so most
-// derivations allocate nothing.
-type headScratch struct {
-	tuple instance.Tuple
-	bufs  []value.Path
-}
-
-// build instantiates the rule head under the current valuation into
-// the scratch, enforcing MaxPathLen. The returned tuple aliases the
-// scratch: probe with it, then CopyTuple before inserting. Shared by
-// the sequential derive and the parallel bufferSink so the two
-// evaluators cannot drift.
-func (hb *headScratch) build(head ast.Pred, env *Env, limits Limits) (instance.Tuple, error) {
-	for len(hb.bufs) < len(head.Args) {
-		hb.bufs = append(hb.bufs, nil)
-	}
-	hb.tuple = hb.tuple[:0]
+// head instantiates a rule head under the valuation into the driver's
+// scratch, enforcing MaxPathLen, and hashes it. The returned tuple
+// aliases the scratch: probe with it, then CopyTuple before inserting.
+// Every sink builds its head here, so the evaluators cannot drift.
+func (dr *driver) head(head ast.Pred, env *Env) (instance.Tuple, uint64, error) {
+	t := sized(dr.headBuf, len(head.Args))
+	dr.headBuf = t
 	for i, a := range head.Args {
-		hb.bufs[i] = env.EvalAppend(a, hb.bufs[i][:0])
-		if limits.MaxPathLen > 0 && len(hb.bufs[i]) > limits.MaxPathLen {
-			return nil, fmt.Errorf("%w: derived path of length %d exceeds limit %d", ErrNonTermination, len(hb.bufs[i]), limits.MaxPathLen)
+		t[i] = env.EvalAppend(a, t[i][:0])
+		if max := dr.limits.MaxPathLen; max > 0 && len(t[i]) > max {
+			return nil, 0, fmt.Errorf("%w: derived path of length %d exceeds limit %d", ErrNonTermination, len(t[i]), max)
 		}
-		hb.tuple = append(hb.tuple, hb.bufs[i])
 	}
-	return hb.tuple, nil
+	return t, t.Hash(), nil
 }
 
-func derive(head ast.Pred, env *Env, inst *instance.Instance, limits Limits, derived *int, hb *headScratch, visTag uint64) error {
-	t, err := hb.build(head, env, limits)
+// derive is the sink of a deriving driver: the instantiated head is
+// added to the instance (copied only when it is new) and counted.
+func (dr *driver) derive(head ast.Pred, env *Env) error {
+	t, h, err := dr.head(head, env)
 	if err != nil {
 		return err
 	}
-	rel := inst.Ensure(head.Name, len(head.Args))
-	h := t.Hash()
+	rel := dr.inst.Ensure(head.Name, len(head.Args))
 	if !rel.AddFromScratch(h, t) {
-		promote(rel, h, t, visTag)
+		dr.promote(rel, h, t)
 		return nil
 	}
-	*derived++
-	if *derived > limits.MaxFacts {
-		return fmt.Errorf("%w: more than %d derived facts", ErrNonTermination, limits.MaxFacts)
-	}
-	return nil
+	return dr.count()
 }
 
 // promote handles a derivation whose fact already exists. If a later
@@ -632,12 +347,12 @@ func derive(head ast.Pred, env *Env, inst *instance.Instance, limits Limits, der
 // Prepared.Eval's stratum-ordered pass would have put it. The fact set
 // is unchanged, so callers do not count it as derived. The sequential
 // derive and the parallel round merge both come through here.
-func promote(rel *instance.Relation, h uint64, t instance.Tuple, visTag uint64) {
-	if visTag == 0 {
+func (dr *driver) promote(rel *instance.Relation, h uint64, t instance.Tuple) {
+	if dr.opts.visTag == 0 {
 		return
 	}
 	pos := rel.Position(instance.View{}, h, t)
-	if instance.StampTag(rel.StampAt(pos)) <= visTag {
+	if instance.StampTag(rel.StampAt(pos)) <= dr.opts.visTag {
 		return
 	}
 	stored := rel.TupleAt(pos)
@@ -645,6 +360,11 @@ func promote(rel *instance.Relation, h uint64, t instance.Tuple, visTag uint64) 
 	rel.AddHashed(h, stored)
 }
 
-// Valuation is an immutable snapshot valuation, used by tests and by
-// the rewrite engine's equivalence checks.
-type Valuation map[ast.Var]value.Path
+// count records one new fact against MaxFacts.
+func (dr *driver) count() error {
+	*dr.derived++
+	if *dr.derived > dr.limits.MaxFacts {
+		return fmt.Errorf("%w: more than %d derived facts", ErrNonTermination, dr.limits.MaxFacts)
+	}
+	return nil
+}

@@ -153,7 +153,10 @@ func (e *Env) matchSeq(items []ast.Term, p value.Path, cont func()) {
 				}
 				return
 			}
-			e.m[v] = value.Path{a}
+			// Bind the subslice, like the path-variable case below; the
+			// capacity is clipped so that an append on a binding can never
+			// write into tuple storage.
+			e.m[v] = p[:1:1]
 			e.matchSeq(rest, p[1:], cont)
 			delete(e.m, v)
 			return

@@ -25,7 +25,6 @@ package eval
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -56,25 +55,18 @@ func appendSlices(items []workItem, p *plan, w window, chunks int) []workItem {
 }
 
 // freezeIndexes prepares the shared instance for a read-only fan-out:
-// every exact index a work item's plan will probe is created, then
-// every index of each relation the round reads absorbs its pending
-// tuples. After this, the common worker probes are pure map reads;
-// only an index shape first probed mid-round (a new ground-prefix
-// length) still builds lazily, under the relation's internal lock.
-func freezeIndexes(items []workItem, inst *instance.Instance) {
+// every exact index a work item's plan will probe is created (resolve
+// does, exactly as the workers' own runs will), then every index of
+// each relation the round reads absorbs its pending tuples. After this,
+// the common worker probes are pure map reads; only an index shape
+// first probed mid-round (a new ground-prefix length) still builds
+// lazily, under the relation's internal lock.
+func (dr *driver) freezeIndexes(items []workItem) {
 	read := map[*instance.Relation]bool{}
 	for _, it := range items {
-		for _, s := range it.plan.steps {
-			if s.kind != stepPred && s.kind != stepNegPred {
-				continue
-			}
-			rel := inst.Relation(s.pred.Name)
-			if rel == nil {
-				continue
-			}
-			read[rel] = true
-			if s.kind == stepPred && rel.Arity == len(s.pred.Args) && len(s.BoundCols) > 0 {
-				rel.Index(s.BoundCols...)
+		for i := range it.plan.steps {
+			if rel, _ := dr.resolve(it.plan, i); rel != nil {
+				read[rel] = true
 			}
 		}
 	}
@@ -83,24 +75,27 @@ func freezeIndexes(items []workItem, inst *instance.Instance) {
 	}
 }
 
-// runRoundParallel evaluates one round's work items on a pool of
-// `workers` goroutines and merges the derivations at the barrier; see
-// the package comment at the top of this file for the protocol.
-func runRoundParallel(items []workItem, inst *instance.Instance, workers int, limits Limits, derived *int, visTag uint64) error {
+// runParallel evaluates one round's work items on a pool of `workers`
+// goroutines and merges the derivations at the barrier; see the package
+// comment at the top of this file for the protocol. Relations are
+// frozen during the fan-out (workers only read the shared instance,
+// deriving into private buffers) and the buffers are merged
+// single-threaded at the round barrier.
+func (dr *driver) runParallel(items []workItem, workers int) error {
 	if len(items) == 0 {
 		return nil
 	}
-	freezeIndexes(items, inst)
+	dr.freezeIndexes(items)
 	if workers > len(items) {
 		workers = len(items)
 	}
-	// budget caps each item's private buffer at the facts still
-	// admissible under MaxFacts, so a runaway rule trips
-	// ErrNonTermination inside the round; the shared stop flag then
-	// aborts the other items (pending ones never start, in-flight ones
-	// bail at their next derivation) instead of letting each buffer up
-	// to the full budget.
-	budget := limits.MaxFacts - *derived
+	// Each item's private buffer is capped at the facts still admissible
+	// under MaxFacts (its count starts where the shared one stands), so a
+	// runaway rule trips ErrNonTermination inside the round; the shared
+	// stop flag then aborts the other items (pending ones never start,
+	// in-flight ones bail at their next derivation) instead of letting
+	// each buffer up to the full budget.
+	base := *dr.derived
 	var stop atomic.Bool
 	bufs := make([]*instance.Instance, len(items))
 	errs := make([]error, len(items))
@@ -110,16 +105,18 @@ func runRoundParallel(items []workItem, inst *instance.Instance, workers int, li
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// A worker is a driver of its own over the shared instance:
+			// private frame, private head scratch, private count.
+			count := 0
+			wk := &driver{inst: dr.inst, limits: dr.limits, opts: dr.opts, derived: &count}
 			for idx := range next {
 				if stop.Load() {
 					errs[idx] = errRoundAborted
 					continue
 				}
 				it := items[idx]
-				buf := instance.New()
-				bufs[idx] = buf
-				errs[idx] = runPlanOpts(it.plan, inst, it.win,
-					bufferSink(inst, buf, limits, budget, &stop, visTag), runOpts{negStep: -1, visTag: visTag})
+				count, bufs[idx] = base, instance.New()
+				errs[idx] = wk.exec(it.plan, it.win, wk.bufferSink(bufs[idx], &stop))
 				if errs[idx] != nil {
 					stop.Store(true)
 				}
@@ -152,7 +149,7 @@ func runRoundParallel(items []workItem, inst *instance.Instance, workers int, li
 	for _, buf := range bufs {
 		for _, name := range buf.Names() {
 			rel := buf.Relation(name)
-			dst := inst.Ensure(name, rel.Arity)
+			dst := dr.inst.Ensure(name, rel.Arity)
 			for pos := 0; pos < rel.Size(); pos++ {
 				if !rel.Live(pos) {
 					continue
@@ -163,13 +160,10 @@ func runRoundParallel(items []workItem, inst *instance.Instance, workers int, li
 				// position-based loop keeps tuple↔hash pairing correct
 				// even if that ever changes.)
 				h, t := rel.HashAt(pos), rel.TupleAt(pos)
-				if dst.AddHashed(h, t) {
-					*derived++
-					if *derived > limits.MaxFacts {
-						return fmt.Errorf("%w: more than %d derived facts", ErrNonTermination, limits.MaxFacts)
-					}
-				} else {
-					promote(dst, h, t, visTag)
+				if !dst.AddHashed(h, t) {
+					dr.promote(dst, h, t)
+				} else if err := dr.count(); err != nil {
+					return err
 				}
 			}
 		}
@@ -181,38 +175,32 @@ func runRoundParallel(items []workItem, inst *instance.Instance, workers int, li
 // sibling item already failed; the sibling's error is the one reported.
 var errRoundAborted = errors.New("eval: round aborted after a sibling work item failed")
 
-// bufferSink returns a sink that derives into a worker-private buffer.
-// Facts the shared instance already holds are dropped via a read-only
-// membership probe; the rest are deduplicated locally, so a buffer
-// never exceeds the number of genuinely new facts it contributes. The
-// shared-instance probe is view-bounded by visTag: a fact present only
-// with a later stratum's stamp is buffered anyway, so the merge can
-// promote it into this stratum's view.
-func bufferSink(inst, buf *instance.Instance, limits Limits, budget int, stop *atomic.Bool, visTag uint64) sinkFunc {
-	added := 0
-	hb := &headScratch{}
+// bufferSink returns a worker's sink for one work item: it derives into
+// the item's private buffer. Facts the shared instance already holds
+// are dropped via a read-only membership probe; the rest are
+// deduplicated locally, so a buffer never exceeds the number of
+// genuinely new facts it contributes. The shared-instance probe is
+// view-bounded by visTag: a fact present only with a later stratum's
+// stamp is buffered anyway, so the merge can promote it into this
+// stratum's view.
+func (wk *driver) bufferSink(buf *instance.Instance, stop *atomic.Bool) sinkFunc {
 	return func(head ast.Pred, env *Env) error {
 		if stop.Load() {
 			return errRoundAborted
 		}
-		t, err := hb.build(head, env, limits)
+		// One hash serves both membership probes and the insert; the
+		// scratch tuple is copied only when the fact is genuinely new.
+		t, h, err := wk.head(head, env)
 		if err != nil {
 			return err
 		}
-		// One hash serves both membership probes and the insert; the
-		// scratch tuple is copied only when the fact is genuinely new.
-		h := t.Hash()
-		if shared := inst.Relation(head.Name); shared != nil &&
-			shared.Position(instance.View{MaxTag: visTag}, h, t) >= 0 {
+		if shared := wk.inst.Relation(head.Name); shared != nil &&
+			shared.Position(instance.View{MaxTag: wk.opts.visTag}, h, t) >= 0 {
 			return nil
 		}
 		if !buf.Ensure(head.Name, len(head.Args)).AddFromScratch(h, t) {
 			return nil
 		}
-		added++
-		if added > budget {
-			return fmt.Errorf("%w: more than %d derived facts", ErrNonTermination, limits.MaxFacts)
-		}
-		return nil
+		return wk.count()
 	}
 }

@@ -230,6 +230,37 @@ func (p *plan) compileVariants() error {
 	return nil
 }
 
+// accessPaths is the one table of the access classes a positive
+// predicate step can probe through: how explain labels a step of the
+// class and which PlanStats counter an execution of one bumps. (What
+// the runner does per class is run.candidates.)
+var accessPaths = [...]struct {
+	label   func(s *step) string
+	counter func(st *PlanStats) *int
+}{
+	ast.AccessScan: {
+		func(*step) string { return " [scan]" },
+		func(st *PlanStats) *int { return &st.ScanSteps },
+	},
+	ast.AccessExact: {
+		func(s *step) string {
+			if len(s.BoundCols) == len(s.pred.Args) {
+				return fmt.Sprintf(" [index%v ground]", s.BoundCols)
+			}
+			return fmt.Sprintf(" [index%v]", s.BoundCols)
+		},
+		func(st *PlanStats) *int { return &st.IndexProbeSteps },
+	},
+	ast.AccessPrefix: {
+		func(s *step) string { return fmt.Sprintf(" [prefix col=%d len=%d]", s.PrefixCol, s.PrefixLen) },
+		func(st *PlanStats) *int { return &st.PrefixProbeSteps },
+	},
+	ast.AccessSuffix: {
+		func(s *step) string { return fmt.Sprintf(" [suffix col=%d len=%d]", s.SuffixCol, s.SuffixLen) },
+		func(st *PlanStats) *int { return &st.SuffixProbeSteps },
+	},
+}
+
 // describe renders the compiled join plan of the rule: the chosen
 // execution order with, per predicate step, the access path the
 // indexed evaluator uses. On a hoisted (delta-variant) plan the first
@@ -246,19 +277,10 @@ func (p *plan) describe() string {
 		switch s.kind {
 		case stepPred:
 			b.WriteString(s.pred.String())
-			switch class := s.Class(); {
-			case p.hoisted && i == 0:
+			if p.hoisted && i == 0 {
 				b.WriteString(" [delta]")
-			case class == ast.AccessExact && len(s.BoundCols) == len(s.pred.Args):
-				fmt.Fprintf(&b, " [index%v ground]", s.BoundCols)
-			case class == ast.AccessExact:
-				fmt.Fprintf(&b, " [index%v]", s.BoundCols)
-			case class == ast.AccessPrefix:
-				fmt.Fprintf(&b, " [prefix col=%d len=%d]", s.PrefixCol, s.PrefixLen)
-			case class == ast.AccessSuffix:
-				fmt.Fprintf(&b, " [suffix col=%d len=%d]", s.SuffixCol, s.SuffixLen)
-			default:
-				b.WriteString(" [scan]")
+			} else {
+				b.WriteString(accessPaths[s.Class()].label(&s))
 			}
 		case stepEq:
 			fmt.Fprintf(&b, "%s = %s [match]", s.ground, s.pattern)

@@ -167,32 +167,34 @@ func (p *Prepared) Explain() []string {
 // clone, while a *Relation handle obtained before Eval panics if
 // written directly afterwards; re-fetch it via Instance.Ensure.
 func (p *Prepared) Eval(edb *instance.Instance, limits Limits) (*instance.Instance, error) {
-	limits = limits.orDefault()
 	inst := edb.Snapshot()
 	derived := 0
-	for si := range p.strata {
-		ps := &p.strata[si]
-		// visTag 0: a fresh result instance is built stratum by stratum,
-		// so the ordering the stamps encode holds by construction — and
-		// carried EDB relations may hold stamps from a previous engine's
-		// run, which a from-scratch pass must read unconditionally.
-		if err := runStratum(ps.plans, ps.heads, inst, limits, &derived, 0); err != nil {
-			return nil, fmt.Errorf("stratum %d: %w", si+1, err)
-		}
+	if err := p.fixpoint(inst, limits.orDefault(), &derived, nil); err != nil {
+		return nil, err
 	}
 	return inst, nil
 }
 
-// Query evaluates the compiled program and returns the contents of one
-// output relation (possibly empty, with arity taken from the program).
-// An output relation unknown to both the program and the instance is
-// an error: it almost always indicates a misspelled relation name.
-func (p *Prepared) Query(edb *instance.Instance, output string, limits Limits) (*instance.Relation, error) {
-	out, err := p.Eval(edb, limits)
-	if err != nil {
-		return nil, err
+// checkArity is the door check between the program and one relation of
+// the facts it is about to meet — an EDB (what = "instance holds") or a
+// write batch ("asserting", "retracting"): a relation the program names
+// must hold tuples of the program's arity. Past the door the plan steps
+// take arities for granted; a clash let through would read as "no
+// match" under negation and panic in Ensure under a head.
+func (p *Prepared) checkArity(name string, r *instance.Relation, what string) error {
+	if a, ok := p.arities[name]; ok && a != r.Arity {
+		return fmt.Errorf("eval: %s arity-%d tuples of relation %q used with arity %d by the program", what, r.Arity, name, a)
 	}
-	if r := out.Relation(output); r != nil {
+	return nil
+}
+
+// output is the one rule for reading an output relation out of a
+// fixpoint of the program: the relation itself, or an empty one of the
+// program's arity when the program names it but nothing was derived. A
+// name unknown to both the program and the instance is an error: it
+// almost always indicates a misspelled relation name.
+func (p *Prepared) output(inst *instance.Instance, output string) (*instance.Relation, error) {
+	if r := inst.Relation(output); r != nil {
 		return r, nil
 	}
 	if a, ok := p.arities[output]; ok {
@@ -201,13 +203,23 @@ func (p *Prepared) Query(edb *instance.Instance, output string, limits Limits) (
 	return nil, fmt.Errorf("eval: unknown output relation %q (not defined by the program and absent from the instance)", output)
 }
 
+// Query evaluates the compiled program and returns the contents of one
+// output relation (possibly empty, with arity taken from the program);
+// see output for an unknown one.
+func (p *Prepared) Query(edb *instance.Instance, output string, limits Limits) (*instance.Relation, error) {
+	out, err := p.Eval(edb, limits)
+	if err != nil {
+		return nil, err
+	}
+	return p.output(out, output)
+}
+
 // Holds evaluates the compiled program and reports whether the nullary
 // output relation holds (boolean queries, §5.1.1).
 func (p *Prepared) Holds(edb *instance.Instance, output string, limits Limits) (bool, error) {
-	out, err := p.Eval(edb, limits)
+	r, err := p.Query(edb, output, limits)
 	if err != nil {
 		return false, err
 	}
-	r := out.Relation(output)
-	return r != nil && r.Len() > 0, nil
+	return r.Len() > 0, nil
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"seqlog/internal/ast"
 	"seqlog/internal/fuzztest"
 	"seqlog/internal/instance"
 	"seqlog/internal/parser"
@@ -15,18 +14,16 @@ import (
 // naiveEval is the reference evaluator the production one is pinned
 // against: textbook naive evaluation. Per stratum it takes a copy of
 // each base plan with every step's access-path annotation cleared, so
-// runPlanOpts scans every relation, and repeats full (non-delta) rounds
-// until no head relation grows. It shares the join order, the matcher
-// and derive with production, and nothing else: no index, no prefix or
-// suffix probe, no delta variant, no window, no parallel merge.
+// exec scans every relation, and repeats full (non-delta) rounds until
+// no head relation grows. It shares the join order, the run frame, the
+// matcher and derive with production, and nothing else: no index, no
+// prefix or suffix probe, no delta variant, no window, no parallel
+// merge.
 func naiveEval(prep *Prepared, edb *instance.Instance, limits Limits) (*instance.Instance, error) {
 	limits = limits.orDefault()
 	inst := edb.Clone()
 	derived := 0
-	hb := &headScratch{}
-	sink := func(head ast.Pred, env *Env) error {
-		return derive(head, env, inst, limits, &derived, hb, 0)
-	}
+	dr := &driver{inst: inst, limits: limits, opts: runOpts{negStep: -1}, derived: &derived}
 	for si := range prep.strata {
 		var plans []*plan
 		for _, p := range prep.strata[si].plans {
@@ -44,7 +41,7 @@ func naiveEval(prep *Prepared, edb *instance.Instance, limits Limits) (*instance
 			}
 			before := derived
 			for _, p := range plans {
-				if err := runPlanOpts(p, inst, window{}, sink, runOpts{negStep: -1}); err != nil {
+				if err := dr.exec(p, window{}, dr.derive); err != nil {
 					return nil, fmt.Errorf("stratum %d: %w", si+1, err)
 				}
 			}

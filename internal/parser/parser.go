@@ -295,6 +295,11 @@ func ParseInstance(src string) (*instance.Instance, error) {
 			}
 			t[i] = a.Eval()
 		}
+		// Instance.Add panics on an arity clash (a programming-error
+		// contract); a batch is input from outside, so check here.
+		if r := inst.Relation(pred.Name); r != nil && r.Arity != len(t) {
+			return nil, p.errf(start, "relation %s used with arity %d here but arity %d earlier in the batch", pred.Name, len(t), r.Arity)
+		}
 		inst.Add(pred.Name, t)
 	}
 	return inst, nil

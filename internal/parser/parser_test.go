@@ -239,8 +239,16 @@ T(a.<b.c>.d).
 	if !inst.Has("T", []value.Path{want}) {
 		t.Fatalf("packed fact missing; have %s", inst)
 	}
-	if _, err := ParseInstance(`R($x).`); err == nil {
-		t.Fatal("non-ground fact accepted")
+	// A batch is outside input: every defect is a positioned error, never
+	// a panic out of Instance.Add.
+	for _, tc := range []struct{ src, want string }{
+		{`R($x).`, "1:1: fact R has a non-ground argument $x"},
+		{"R(a, b).\nS(c). R(a).", "2:7: relation R used with arity 1 here but arity 2 earlier in the batch"},
+		{`A. A(a).`, "1:4: relation A used with arity 1 here but arity 0 earlier in the batch"},
+	} {
+		if _, err := ParseInstance(tc.src); err == nil || err.Error() != tc.want {
+			t.Errorf("ParseInstance(%q): error %v, want %q", tc.src, err, tc.want)
+		}
 	}
 }
 

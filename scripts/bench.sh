@@ -83,24 +83,8 @@ for series in $(printf '%s\n' "$required" | sort -u); do
     fi
 done
 
-# Regression guard on the snapshot-sharing worst case: the interleaved
-# assert+query cycle is the series the epoch-shared tuple log exists
-# for, and a copying regression shows up in bytes_per_op long before it
-# shows up in wall time on a noisy runner. Fail if its median B/op
-# grew more than 20% over the newest committed snapshot. (Time is
-# tracked by the archive; bytes are deterministic enough to gate on.)
-guard_series='BenchmarkIncrementalAssert/incremental-interleaved/k=1'
-median_bytes() {
-    sed -n 's/.*"benchmark": "'"$(printf '%s' "$2" | sed 's/\//\\\//g')"'".*"bytes_per_op": \([0-9]*\).*/\1/p' "$1" |
-        sort -n | awk '{ v[NR] = $1 } END { if (NR) print v[int((NR + 1) / 2)] }'
-}
-if [ -n "$prev" ]; then
-    prev_b="$(median_bytes "$prev" "$guard_series")"
-    new_b="$(median_bytes "$out" "$guard_series")"
-    if [ -n "$prev_b" ] && [ -n "$new_b" ] && [ "$new_b" -gt $((prev_b + prev_b / 5)) ]; then
-        echo "bench.sh: $guard_series bytes_per_op regressed: $new_b B/op vs $prev_b B/op in $prev (>20%)" >&2
-        exit 1
-    fi
-fi
+# The deterministic gates (allocs/op of the k=1 serving series, B/op of
+# the interleaved assert+query cycle) are TestAllocBudgets in the root
+# package: plain `go test`, every platform, no snapshot to diff against.
 
 echo "wrote $out"
