@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench vet lint loc all
+.PHONY: build test race vet lint loc all
 
 all: vet lint build test
 
@@ -30,10 +30,3 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# bench runs the perf-tracked benchmarks (graphpaths transitive
-# closure, concat workload, unification, value microbenchmarks) with
-# -benchmem and writes BENCH_<date>.json (see scripts/bench.sh and
-# docs/performance.md). CI runs this target and archives the output.
-bench:
-	COUNT=$(or $(COUNT),5) scripts/bench.sh $(or $(OUT),)

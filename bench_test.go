@@ -1,6 +1,8 @@
-// Benchmarks regenerating the paper's figures and worked examples; the
-// mapping to the paper is the per-experiment index in DESIGN.md, and
-// measured results are recorded in EXPERIMENTS.md.
+// Benchmarks regenerating the paper's figures and worked examples (E1 to
+// E12 below name the figure, example or theorem each one runs), then
+// the evaluator and serving series. Measured results are recorded in
+// docs/performance.md; wall-clock claims are made with seqbench
+// (bench/README.md), allocation gates are TestAllocBudgets.
 package seqlog
 
 import (
@@ -28,20 +30,21 @@ func BenchmarkFigure1Lattice(b *testing.B) {
 }
 
 // E2 — Figure 2: associative unification of $x.<@y.$z>.@w = $u.$v.$u.
-func BenchmarkFigure2Unify(b *testing.B) {
+// ROADMAP item 4 gates on its allocations; TestAllocBudgets holds them.
+func BenchmarkFigure2Unify(b *testing.B) { runServing(b, figure2Body) }
+
+func figure2Body(tb testing.TB) (op, restore func(i int)) {
 	rules, err := parser.ParseRules(`X($x.<@y.$z>.@w, $u.$v.$u).`)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	head := rules[0].Head
 	eq := unify.Equation{L: head.Args[0], R: head.Args[1]}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := unify.Solve(eq, unify.Options{})
-		if len(res.Solutions) != 4 {
-			b.Fatalf("got %d solutions", len(res.Solutions))
+	return func(int) {
+		if res := unify.Solve(eq, unify.Options{}); len(res.Solutions) != 4 {
+			tb.Fatalf("got %d solutions", len(res.Solutions))
 		}
-	}
+	}, nil
 }
 
 // E3 — Figure 3: the rewrite planner across fragment targets.
@@ -331,12 +334,12 @@ func BenchmarkSalesRegroup(b *testing.B) {
 	benchQueryOnInstance(b, "sales-by-year", workload.Sales(12, 40, 5))
 }
 
-// servingBody sets up one k=1-style serving benchmark — the engine over
-// its materialized closure — and returns the measured operation and,
-// where steady state is restored off the clock, that step. The
-// benchmarks below and TestAllocBudgets (budgets_test.go) run the same
-// bodies, so the deterministic gate measures exactly what the series
-// report.
+// servingBody sets up one benchmark whose allocations are budgeted — a
+// k=1-style serving series, the engine over its materialized closure,
+// or Figure 2 — and returns the measured operation and, where steady
+// state is restored off the clock, that step. The benchmarks and
+// TestAllocBudgets (budgets_test.go) run the same bodies, so the
+// deterministic gate measures exactly what the series report.
 type servingBody func(tb testing.TB) (op, restore func(i int))
 
 func runServing(b *testing.B, body servingBody) {

@@ -5,12 +5,13 @@ import (
 	"testing"
 )
 
-// TestAllocBudgets is the deterministic half of the perf archive:
+// TestAllocBudgets is the deterministic half of the perf record:
 // allocations (and, for the snapshot-sharing worst case, bytes) per
-// operation of the k=1 serving benchmark bodies, over a fixed 20
-// iterations, against fixed budgets. Wall time belongs to the archive
-// and to bench/; allocation counts are a pure function of the code, so
-// they gate here, on every platform `go test` runs on. A budget is the
+// operation of the k=1 serving benchmark bodies and of Figure 2's
+// unification, over a fixed 20 iterations, against fixed budgets. Wall
+// time belongs to seqbench (bench/); allocation counts are a pure
+// function of the code, so they gate here, on every platform `go test`
+// runs on. A budget is the
 // measured figure plus headroom (docs/performance.md "PR 20" has the
 // figures); raise one only with the reason in that section.
 func TestAllocBudgets(t *testing.T) {
@@ -28,6 +29,9 @@ func TestAllocBudgets(t *testing.T) {
 		{"IncrementalAssert/incremental-interleaved/k=1", interleavedBody, 4600, 480_000},
 		{"IncrementalRetract/retract/k=1", retractBody, 2500, 0},
 		{"IncrementalRetractMutual/retract-mutual/k=1", mutualBody, 6000, 0},
+		// ROADMAP item 4: a new path representation must leave associative
+		// unification where it is (713 allocs/op measured).
+		{"Figure2Unify", figure2Body, 800, 0},
 	} {
 		op, restore := tc.body(t)
 		var before, after runtime.MemStats

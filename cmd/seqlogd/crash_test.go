@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -12,6 +13,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"seqlog/internal/eval"
 )
 
 // buildDaemon compiles the seqlogd binary once per test run.
@@ -276,5 +279,24 @@ func TestShutdownCheckpointRecovery(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("restart stats missing %q: %s", want, out)
 		}
+	}
+}
+
+// TestNegativeMaxFactsIsUsageError: the daemon refuses a negative
+// -max-facts at the command line — exit status 2, before it listens,
+// in the words seqlog uses (eval.Limits.SetMaxFacts) — rather than
+// starting and then rejecting every load against the bound.
+func TestNegativeMaxFactsIsUsageError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the daemon binary")
+	}
+	out, err := exec.Command(buildDaemon(t), "-max-facts", "-5").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("seqlogd -max-facts -5: %v, want exit status 2\n%s", err, out)
+	}
+	want := `invalid value "-5" for flag -max-facts: ` + new(eval.Limits).SetMaxFacts("-5").Error() + "\n"
+	if !strings.HasPrefix(string(out), want) {
+		t.Errorf("output %q does not start with %q", out, want)
 	}
 }

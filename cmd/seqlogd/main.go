@@ -70,24 +70,20 @@ import (
 )
 
 func main() {
+	srv := &server{limits: eval.Limits{MaxFacts: eval.DefaultLimits.MaxFacts}}
+	flag.Func("max-facts", fmt.Sprintf("termination guard: maximum materialized derived facts (default %d)", srv.limits.MaxFacts), srv.limits.SetMaxFacts)
+	flag.IntVar(&srv.limits.Parallelism, "workers", 1, "fixpoint workers per maintenance round (1 = sequential, -1 = all CPUs)")
+	flag.DurationVar(&srv.idleTimeout, "idle-timeout", 0, "close sessions idle longer than this (0: never)")
 	var (
 		programFile = flag.String("program", "", "file holding the program to load at startup")
 		dataFile    = flag.String("data", "", "file holding the initial EDB facts")
-		maxFacts    = flag.Int("max-facts", eval.DefaultLimits.MaxFacts, "termination guard: maximum materialized derived facts")
-		workers     = flag.Int("workers", 1, "fixpoint workers per maintenance round (1 = sequential, -1 = all CPUs)")
 		listen      = flag.String("listen", "", "serve the protocol on this TCP address instead of stdin/stdout")
 		walDir      = flag.String("wal-dir", "", "directory for the write-ahead log and checkpoints (empty: no durability)")
 		syncMode    = flag.String("sync", "always", "WAL fsync policy: always, interval, never")
 		syncEvery   = flag.Duration("sync-interval", 100*time.Millisecond, "maximum sync staleness under -sync interval")
 		ckptEvery   = flag.Int("checkpoint-every", 4096, "WAL records between checkpoints (0 disables the record trigger)")
-		idleTimeout = flag.Duration("idle-timeout", 0, "close sessions idle longer than this (0: never)")
 	)
 	flag.Parse()
-
-	srv := &server{
-		limits:      eval.Limits{MaxFacts: *maxFacts, Parallelism: *workers},
-		idleTimeout: *idleTimeout,
-	}
 
 	recovered := false
 	if *walDir != "" {

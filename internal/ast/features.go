@@ -153,10 +153,6 @@ func (p Program) Deps() Deps {
 	return d
 }
 
-// DependencyGraph returns the edges of the program's dependency graph
-// (Deps.Edges).
-func (p Program) DependencyGraph() map[string][]string { return p.Deps().Edges }
-
 // RecursiveRelations returns the IDB relation names on some dependency
 // cycle, self-loops included — those with an edge into their own
 // component — sorted. A stratum's rules are "recursive" when their

@@ -247,8 +247,8 @@ func (l *Lattice) DOT() string {
 	for i, c := range l.Classes {
 		fmt.Fprintf(&b, "  c%d [label=%q];\n", i, c.Label())
 	}
-	for up, downs := range l.Edges {
-		for _, down := range downs {
+	for up := range l.Classes { // not range l.Edges: map order would differ run to run
+		for _, down := range l.Edges[up] {
 			fmt.Fprintf(&b, "  c%d -> c%d;\n", down, up)
 		}
 	}

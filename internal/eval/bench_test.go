@@ -12,15 +12,35 @@ import (
 	"seqlog/internal/workload"
 )
 
+// matchBody returns one Match of e against p under a warm Env: what the
+// matcher benchmarks time and TestMatchAllocs (run_test.go) pins at
+// zero allocations, on the same inputs.
+func matchBody(e ast.Expr, p value.Path) func() {
+	env := NewEnv()
+	count := 0
+	return func() { env.Match(e, p, func() { count++ }) }
+}
+
+// twoPathVars is $x.m.$y against a^(n/2).m.b^(n/2): one split matches.
+func twoPathVars(n int) func() {
+	return matchBody(ast.Cat(ast.P("x"), ast.C("m"), ast.P("y")),
+		value.Concat(value.Repeat("a", n/2), value.PathOf("m"), value.Repeat("b", n/2)))
+}
+
+// packedMatch is $u.<$s>.$v against x^8.<a^8>.y^8.
+func packedMatch() func() {
+	return matchBody(ast.Cat(ast.P("u"), ast.Packed(ast.P("s")), ast.P("v")),
+		value.Concat(value.Repeat("x", 8), value.Path{value.Pack(value.Repeat("a", 8))}, value.Repeat("y", 8)))
+}
+
+var matchLens = []int{8, 64, 256}
+
 func BenchmarkMatchTwoPathVars(b *testing.B) {
-	e := ast.Cat(ast.P("x"), ast.C("m"), ast.P("y"))
-	for _, n := range []int{8, 64, 256} {
-		p := value.Concat(value.Repeat("a", n/2), value.PathOf("m"), value.Repeat("b", n/2))
+	for _, n := range matchLens {
+		op := twoPathVars(n)
 		b.Run(fmt.Sprintf("len=%d", n), func(b *testing.B) {
-			env := NewEnv()
-			count := 0
 			for i := 0; i < b.N; i++ {
-				env.Match(e, p, func() { count++ })
+				op()
 			}
 		})
 	}
@@ -28,25 +48,18 @@ func BenchmarkMatchTwoPathVars(b *testing.B) {
 
 func BenchmarkMatchBacktracking(b *testing.B) {
 	// Three unanchored path variables: quadratic split enumeration.
-	e := ast.Cat(ast.P("x"), ast.P("y"), ast.P("z"))
-	p := value.Repeat("a", 64)
-	env := NewEnv()
+	op := matchBody(ast.Cat(ast.P("x"), ast.P("y"), ast.P("z")), value.Repeat("a", 64))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		count := 0
-		env.Match(e, p, func() { count++ })
+		op()
 	}
 }
 
 func BenchmarkMatchPacked(b *testing.B) {
-	e := ast.Cat(ast.P("u"), ast.Packed(ast.P("s")), ast.P("v"))
-	inner := value.Repeat("a", 8)
-	p := value.Concat(value.Repeat("x", 8), value.Path{value.Pack(inner)}, value.Repeat("y", 8))
-	env := NewEnv()
+	op := packedMatch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		count := 0
-		env.Match(e, p, func() { count++ })
+		op()
 	}
 }
 

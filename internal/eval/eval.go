@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 
 	"seqlog/internal/ast"
 	"seqlog/internal/instance"
@@ -44,6 +45,18 @@ func (l Limits) orDefault() Limits {
 		l.MaxIterations = DefaultLimits.MaxIterations
 	}
 	return l
+}
+
+// SetMaxFacts is the -max-facts flag of seqlog and seqlogd (flag.Func),
+// so both refuse a negative bound at the command line, in the same
+// words: orDefault replaces only 0, and every evaluation would fail.
+func (l *Limits) SetMaxFacts(s string) error {
+	n, err := strconv.Atoi(s)
+	if err == nil && n < 0 {
+		err = errors.New("the bound on derived facts cannot be negative")
+	}
+	l.MaxFacts = n
+	return err
 }
 
 // Eval computes P(I): the least instance extending edb that satisfies

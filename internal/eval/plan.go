@@ -77,28 +77,15 @@ type plan struct {
 	negVariants []negVariant
 }
 
-// compile orders the body literals of a safe rule per §2.2's limited
-// variable closure. It fails on unsafe rules.
-func compile(r ast.Rule) (*plan, error) {
-	return compileWith(r, nil)
-}
-
-// compileWith is compile with a set of variables assumed bound before
-// the first step runs. The rederivation planner passes the head
-// variables: goal-directed rederivation checks execute the body under
-// an environment where the head has already been matched against a
-// candidate fact, so argument positions mentioning only head variables
-// are ground there and the ordering/annotation should exploit them
-// (index and prefix probes instead of scans).
-func compileWith(r ast.Rule, preBound []ast.Var) (*plan, error) {
-	return compilePlan(r, preBound, -1)
-}
-
-// compilePlan is the shared planner. hoist, when >= 0, forces the
-// hoist-th positive body predicate (in written body order) to the
-// first join position — the delta-variant shape, where that atom
-// iterates a change window and the rest of the body is ordered
-// greedily with its variables bound.
+// compilePlan orders the body literals of a safe rule per §2.2's
+// limited variable closure; it fails on unsafe rules. preBound lists
+// variables bound before the first step runs, so that positions
+// mentioning only them count as ground and get index or prefix probes
+// instead of scans (the rederive plans pass the head variables, see
+// preparedStratum.rederive). hoist, when >= 0, forces the hoist-th
+// positive body predicate (in written order) to the first join
+// position — the delta-variant shape: that atom iterates a change
+// window, the rest is ordered greedily with its variables bound.
 func compilePlan(r ast.Rule, preBound []ast.Var, hoist int) (*plan, error) {
 	p := &plan{rule: r, hoisted: hoist >= 0}
 	bound := map[ast.Var]bool{}

@@ -77,7 +77,7 @@ func Compile(prog ast.Program) (*Prepared, error) {
 			negReads: map[string]bool{},
 		}
 		for _, r := range stratum {
-			pl, err := compile(r)
+			pl, err := compilePlan(r, nil, -1)
 			if err != nil {
 				return nil, fmt.Errorf("stratum %d: %w", si+1, err)
 			}
@@ -88,7 +88,7 @@ func Compile(prog ast.Program) (*Prepared, error) {
 			if err := pl.compileVariants(); err != nil {
 				return nil, fmt.Errorf("stratum %d (delta variants): %w", si+1, err)
 			}
-			rp, err := compileWith(r, ast.VarsOf(r.Head.Args...))
+			rp, err := compilePlan(r, ast.VarsOf(r.Head.Args...), -1)
 			if err != nil {
 				return nil, fmt.Errorf("stratum %d (rederive plan): %w", si+1, err)
 			}

@@ -49,6 +49,21 @@ func TestWarmFrameAllocs(t *testing.T) {
 	}
 }
 
+// TestMatchAllocs pins the other two zero-allocation gates (ROADMAP
+// items 1 and 4): a warm Env matches $x.m.$y and $u.<$s>.$v without
+// allocating, at every length BenchmarkMatchTwoPathVars sweeps. The
+// bodies are the benchmarks' own (bench_test.go).
+func TestMatchAllocs(t *testing.T) {
+	for _, n := range matchLens {
+		if got := testing.AllocsPerRun(100, twoPathVars(n)); got != 0 {
+			t.Errorf("MatchTwoPathVars/len=%d: %v allocs per Match, want none", n, got)
+		}
+	}
+	if got := testing.AllocsPerRun(100, packedMatch()); got != 0 {
+		t.Errorf("MatchPacked: %v allocs per Match, want none", got)
+	}
+}
+
 // TestArityClashStopsAtTheDoor: a relation the instance holds with
 // another arity than the program uses it with is an error from every
 // way into the evaluator, wherever the program uses it — a positive

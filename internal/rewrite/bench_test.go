@@ -6,17 +6,9 @@ import (
 	"seqlog/internal/parser"
 )
 
-func BenchmarkEliminateArity(b *testing.B) {
-	prog := parser.MustParseProgram(`
-T($x, eps) :- R($x).
-T($x, $y.@u) :- T($x.@u, $y).
-S($x) :- T(eps, $x).`)
-	for i := 0; i < b.N; i++ {
-		if _, err := EliminateArity(prog, DefaultArityMarkers); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// Arity elimination on reverse-arity and packing elimination on
+// three-occurrences are timed by seqbench (rewrite.eliminate_us); the
+// latter also at the root (BenchmarkPackingEliminationTransform).
 
 func BenchmarkEliminateEquations(b *testing.B) {
 	prog := parser.MustParseProgram(`
@@ -26,21 +18,6 @@ S($x) :- U($x, eps).`)
 	for i := 0; i < b.N; i++ {
 		if _, err := EliminateEquations(prog); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEliminatePackingNonrecursive(b *testing.B) {
-	prog := parser.MustParseProgram(`
-T($u.<$s>.$v) :- R($u.$s.$v), S($s).
-A :- T($x), T($y), T($z), $x != $y, $x != $z, $y != $z.`)
-	for i := 0; i < b.N; i++ {
-		p, err := EliminatePackingNonrecursive(prog, "A")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(p.Rules()) != 28 {
-			b.Fatal("expected the 28 rules of Example 4.14")
 		}
 	}
 }

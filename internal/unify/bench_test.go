@@ -6,17 +6,8 @@ import (
 	"seqlog/internal/ast"
 )
 
-func BenchmarkFigure2Equation(b *testing.B) {
-	eq := Equation{
-		L: ast.Cat(ast.P("x"), ast.Packed(ast.Cat(ast.A("y"), ast.P("z"))), ast.A("w")),
-		R: ast.Cat(ast.P("u"), ast.P("v"), ast.P("u")),
-	}
-	for i := 0; i < b.N; i++ {
-		if res := Solve(eq, Options{}); len(res.Solutions) != 4 {
-			b.Fatal("wrong solution count")
-		}
-	}
-}
+// The Figure 2 equation is timed at the root (BenchmarkFigure2Unify,
+// budgeted by TestAllocBudgets) and by seqbench's unify.solve_us.
 
 func BenchmarkEmptyClosure(b *testing.B) {
 	eq := Equation{

@@ -221,13 +221,6 @@ func Holds(p Program, edb *Instance, output string, limits Limits) (bool, error)
 	return eval.Holds(p, edb, output, limits)
 }
 
-// ExplainJoins returns, rule by rule, the join plan the indexed
-// evaluator chooses for the program: predicate execution order and,
-// per predicate, the access path (exact index, ground-prefix index,
-// ground-suffix index, or scan). After each rule's base plan come its
-// delta-hoisted maintenance variants, indented.
-func ExplainJoins(p Program) ([]string, error) { return eval.Explain(p) }
-
 // Classification (§3, §6).
 type (
 	// Fragment is a set of features.
