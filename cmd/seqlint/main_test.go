@@ -136,7 +136,7 @@ func f() { var Local = true; _ = Local }
 	}
 	// Tests may keep switches of their own, and the rule covers shipped
 	// code only (internal/, cmd/).
-	for _, path := range []string{"internal/eval/eval_test.go", "cmd/seqlogd/main_test.go", "examples/nfa/main.go", "bench_test.go"} {
+	for _, path := range []string{"internal/eval/eval_test.go", "cmd/seqlogd/main_test.go", "examples/quickstart/main.go", "bench_test.go"} {
 		if got := lintSrc(t, path, src); len(got) != 0 {
 			t.Fatalf("%s must not be checked, got %v", path, got)
 		}

@@ -18,7 +18,7 @@ var updateTranscript = flag.Bool("update", false, "rewrite testdata/transcript.g
 // transcript; sessions run in order against the server they name.
 type transcriptSession struct {
 	name   string
-	server string // "durable" (WAL attached) or "bounded" (MaxFacts 3, no WAL)
+	server string // "durable" (WAL attached), "bounded" (MaxFacts 3, no WAL) or "fresh"
 	script string
 	// before runs ahead of the session; the read-only session uses it to
 	// make the WAL's disk die.
@@ -29,7 +29,8 @@ type transcriptSession struct {
 // byte: one scripted run over unknown commands, the no-program state,
 // parse errors, IDB and arity rejections, no-op batches, nullary and
 // unknown relations, rejected and warned loads, the EDB carry, a
-// truncated load, read-only degradation and a broken engine. The
+// truncated load, read-only degradation, a broken engine and a negation
+// cycle with and without written strata. The
 // golden was recorded before the write path and the verb switch were
 // unified; regenerate with
 // `go test ./cmd/seqlogd -run TestProtocolTranscript -update` only when
@@ -43,6 +44,7 @@ func TestProtocolTranscript(t *testing.T) {
 				return fw
 			}}),
 		"bounded": {limits: eval.Limits{MaxFacts: 3}},
+		"fresh":   {},
 	}
 	sessions := []transcriptSession{
 		{name: "no program loaded", server: "durable", script: `# comments and blank lines are skipped
@@ -135,6 +137,18 @@ load
 T(@x.@y) :- E(@x.@y).
 .
 query T
+`},
+		// The same negation cycle with and without a "---": only strata
+		// somebody wrote are an order to hold a negation against.
+		{name: "strata nobody wrote", server: "fresh", script: `load
+T :- !T2.
+T2 :- !T.
+.
+load
+T :- !T2.
+---
+T2 :- !T.
+.
 `},
 	}
 	var got strings.Builder

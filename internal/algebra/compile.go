@@ -142,7 +142,7 @@ func toPositional(e ast.Expr, pos map[ast.Var]int) ast.Expr {
 // project onto the variables (the construction sketched after
 // Lemma 7.2).
 func (c *compiler) form1(r ast.Rule) (Expr, error) {
-	body := r.PositivePreds()[0]
+	body := r.Parts().Preds[0]
 	base, err := c.rel(body.Name)
 	if err != nil {
 		return nil, err
@@ -224,7 +224,7 @@ func (c *compiler) form1(r ast.Rule) (Expr, error) {
 
 // form2 translates R1(v..., e) :- R2(v...) as a generalized projection.
 func (c *compiler) form2(r ast.Rule) (Expr, error) {
-	body := r.PositivePreds()[0]
+	body := r.Parts().Preds[0]
 	base, err := c.rel(body.Name)
 	if err != nil {
 		return nil, err
@@ -241,7 +241,7 @@ func (c *compiler) form2(r ast.Rule) (Expr, error) {
 // form3 translates a join via product, selection on shared variables,
 // and projection onto the head variables.
 func (c *compiler) form3(r ast.Rule) (Expr, error) {
-	joined := r.PositivePreds()
+	joined := r.Parts().Preds
 	b2, b3 := joined[0], joined[1]
 	l, err := c.rel(b2.Name)
 	if err != nil {
@@ -279,13 +279,8 @@ func (c *compiler) form3(r ast.Rule) (Expr, error) {
 // form4 translates the antijoin R1(v...) :- R2(v...), !R3(v'...) as
 // R2 − π(σ(R2 × R3)).
 func (c *compiler) form4(r ast.Rule) (Expr, error) {
-	b2 := r.PositivePreds()[0]
-	var b3 ast.Pred
-	for l, pr := range r.Preds() {
-		if l.Neg {
-			b3 = pr
-		}
-	}
+	parts := r.Parts()
+	b2, b3 := parts.Preds[0], parts.NegPreds[0]
 	l, err := c.rel(b2.Name)
 	if err != nil {
 		return nil, err
@@ -310,7 +305,7 @@ func (c *compiler) form4(r ast.Rule) (Expr, error) {
 
 // form5 translates a projection/permutation rule.
 func (c *compiler) form5(r ast.Rule) (Expr, error) {
-	body := r.PositivePreds()[0]
+	body := r.Parts().Preds[0]
 	base, err := c.rel(body.Name)
 	if err != nil {
 		return nil, err

@@ -30,19 +30,11 @@ func FormOf(r ast.Rule) Form {
 		}
 		return Form6
 	}
-	var pos []ast.Pred
-	var neg []ast.Pred
-	for _, l := range r.Body {
-		pr, ok := l.Atom.(ast.Pred)
-		if !ok {
-			return FormNone
-		}
-		if l.Neg {
-			neg = append(neg, pr)
-		} else {
-			pos = append(pos, pr)
-		}
+	parts := r.Parts()
+	if len(parts.Eqs)+len(parts.NegEqs) > 0 {
+		return FormNone
 	}
+	pos, neg := parts.Preds, parts.NegPreds
 	switch {
 	case len(pos) == 1 && len(neg) == 0:
 		b := pos[0]
@@ -146,17 +138,9 @@ func NormalForm(p ast.Program) (ast.Program, error) {
 		return ast.Program{}, fmt.Errorf("algebra: NormalForm requires an equation-free program (Lemma 7.2); eliminate equations first")
 	}
 	gen := ast.NewNameGen(p)
-	out := ast.Program{Strata: make([]ast.Stratum, 0, len(p.Strata))}
-	for _, s := range p.Strata {
-		var stratum ast.Stratum
-		for _, r := range s {
-			normalized, err := normalizeRule(r.Clone(), gen)
-			if err != nil {
-				return ast.Program{}, err
-			}
-			stratum = append(stratum, normalized...)
-		}
-		out.Strata = append(out.Strata, stratum)
+	out, err := p.ExpandRules(func(r ast.Rule) ([]ast.Rule, error) { return normalizeRule(r.Clone(), gen) })
+	if err != nil {
+		return ast.Program{}, err
 	}
 	if err := out.Validate(); err != nil {
 		return ast.Program{}, fmt.Errorf("algebra: normal form produced an invalid program: %w", err)
@@ -182,18 +166,17 @@ func normalizeRule(r ast.Rule, gen *ast.NameGen) ([]ast.Rule, error) {
 		}
 	}
 
+	parts := r.Parts()
+	if len(parts.Eqs)+len(parts.NegEqs) > 0 {
+		return nil, fmt.Errorf("algebra: equation in rule %s; eliminate equations first", r)
+	}
+	negLits := make([]ast.Pred, len(parts.NegPreds))
+	for i, pr := range parts.NegPreds {
+		negLits[i] = pr.MapArgs(avToPv.Apply)
+	}
 	// Step 1.1: one extraction rule per positive atom.
 	var posAtoms []ast.Pred // the H predicates, over main-rule variables
-	var negLits []ast.Pred
-	for _, l := range r.Body {
-		pr, ok := l.Atom.(ast.Pred)
-		if !ok {
-			return nil, fmt.Errorf("algebra: equation in rule %s; eliminate equations first", r)
-		}
-		if l.Neg {
-			negLits = append(negLits, pr.MapArgs(avToPv.Apply))
-			continue
-		}
+	for _, pr := range parts.Preds {
 		vars := ast.VarsOf(pr.Args...)
 		h := gen.Fresh("H")
 		if len(vars) == 0 {

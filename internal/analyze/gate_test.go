@@ -11,6 +11,7 @@ import (
 
 	"seqlog/internal/analyze"
 	"seqlog/internal/ast"
+	"seqlog/internal/eval"
 	"seqlog/internal/fuzztest"
 	"seqlog/internal/parser"
 	"seqlog/internal/queries"
@@ -49,9 +50,11 @@ func agree(t *testing.T, label string, gateErr error, diags []analyze.Diagnostic
 	}
 }
 
-// agreeOnSource runs both gates over program text the way the binaries
+// agreeOnSource runs the gates over program text the way the binaries
 // do: parser.ParseProgram on one side, ParseProgramForAnalysis plus
-// Check on the other.
+// Check (seqlog -vet) and plus eval.Compile (seqlog -program, seqlogd
+// load) on the other. Compile is not told whether the strata were
+// written; it must work that out and still word the defect the same.
 func agreeOnSource(t *testing.T, label, src string) {
 	t.Helper()
 	prog, explicit, err := parser.ParseProgramForAnalysis(src)
@@ -60,6 +63,14 @@ func agreeOnSource(t *testing.T, label, src string) {
 	}
 	_, gateErr := parser.ParseProgram(src)
 	agree(t, label, gateErr, analyze.Check(prog, analyze.Options{ExplicitStrata: explicit}))
+	var compiled []analyze.Diagnostic
+	var de *analyze.DiagError
+	if _, err := eval.Compile(prog); errors.As(err, &de) {
+		compiled = de.Diags
+	} else if err != nil {
+		t.Errorf("%s: Compile refused without diagnostics: %v", label, err)
+	}
+	agree(t, label+" (Compile)", gateErr, compiled)
 }
 
 // goldenPrograms extracts the program texts of
@@ -129,6 +140,10 @@ func TestGatesAgree(t *testing.T) {
 		}
 		agreeOnSource(t, f, string(src))
 	}
+
+	// A negation cycle in a source without "---": nobody wrote the one
+	// stratum it is parsed into, so no gate may blame the strata.
+	agreeOnSource(t, "negation cycle, no written strata", "T :- !T2.\nT2 :- !T.\n")
 
 	for _, q := range queries.All() {
 		agree(t, q.Name, q.Program.Validate(), analyze.Check(q.Program, analyze.Options{ExplicitStrata: true}))

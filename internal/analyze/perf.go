@@ -33,7 +33,7 @@ func runPerf(p *Pass) {
 }
 
 func checkRulePerf(p *Pass, r ast.Rule) {
-	preds := r.PositivePreds()
+	preds := r.Parts().Preds
 	if len(preds) < 2 {
 		return // single-predicate bodies have no join to index
 	}

@@ -108,14 +108,7 @@ func growthWitness(r ast.Rule) (string, ast.Position) {
 		}
 	}
 	headVars := ast.VarsOf(r.Head.Args...)
-	for _, l := range r.Body {
-		if l.Neg {
-			continue
-		}
-		eq, ok := l.Atom.(ast.Eq)
-		if !ok {
-			continue
-		}
+	for _, eq := range r.Parts().Eqs {
 		for _, side := range [][2]ast.Expr{{eq.L, eq.R}, {eq.R, eq.L}} {
 			v, isVar := side[0].SoleVar()
 			if isVar && slices.Contains(headVars, v) && !v.Atomic && constructsLongerPath(side[1]) {

@@ -106,8 +106,9 @@ func (p Program) FeaturesWith(d Deps) FeatureSet {
 		}
 		for _, l := range r.Body {
 			set(FeatNegation, l.Neg)
-			_, isEq := l.Atom.(Eq)
-			set(FeatEquations, isEq)
+		}
+		for range r.Eqs() {
+			set(FeatEquations, true)
 		}
 	}
 	set(FeatIntermediates, len(d.Edges) >= 2)

@@ -191,15 +191,3 @@ func JoinOrder(preds []Pred, bound map[Var]bool, first int, visit func(i int)) {
 		}
 	}
 }
-
-// PositivePreds returns the positive body predicates of the rule in
-// written order: the atoms JoinOrder orders.
-func (r Rule) PositivePreds() []Pred {
-	var preds []Pred
-	for l, p := range r.Preds() {
-		if !l.Neg {
-			preds = append(preds, p)
-		}
-	}
-	return preds
-}

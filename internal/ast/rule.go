@@ -114,6 +114,17 @@ func NewProgram(rules ...Rule) Program {
 	return Program{Strata: []Stratum{rules}}
 }
 
+// Stratified builds a program from strata in evaluation order. A
+// stratum without rules computes nothing and is dropped; a program
+// without rules is one empty stratum.
+func Stratified(strata ...Stratum) Program {
+	strata = slices.DeleteFunc(slices.Clone(strata), func(s Stratum) bool { return len(s) == 0 })
+	if len(strata) == 0 {
+		strata = []Stratum{{}}
+	}
+	return Program{Strata: strata}
+}
+
 // Rules returns all rules of the program in stratum order.
 func (p Program) Rules() []Rule {
 	var out []Rule
@@ -166,40 +177,16 @@ func (r Rule) ApplySubst(s Subst) Rule { return r.MapExprs(s.Apply) }
 // LimitedVars computes the limited variables of the rule per §2.2:
 // variables in positive predicates are limited, and if all variables on
 // one side of a positive equation are limited then so are those on the
-// other side.
+// other side (BindOrder).
 func (r Rule) LimitedVars() map[Var]bool {
+	parts := r.Parts()
 	limited := map[Var]bool{}
-	for l, p := range r.Preds() {
-		if !l.Neg {
-			for _, v := range VarsOf(p.Args...) {
-				limited[v] = true
-			}
+	for _, p := range parts.Preds {
+		for _, v := range VarsOf(p.Args...) {
+			limited[v] = true
 		}
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, l := range r.Body {
-			if l.Neg {
-				continue
-			}
-			eq, ok := l.Atom.(Eq)
-			if !ok {
-				continue
-			}
-			if eq.L.BoundIn(limited) && !eq.R.BoundIn(limited) {
-				for _, v := range eq.R.Vars() {
-					limited[v] = true
-				}
-				changed = true
-			}
-			if eq.R.BoundIn(limited) && !eq.L.BoundIn(limited) {
-				for _, v := range eq.L.Vars() {
-					limited[v] = true
-				}
-				changed = true
-			}
-		}
-	}
+	BindOrder(parts.Eqs, limited, nil)
 	return limited
 }
 

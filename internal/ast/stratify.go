@@ -67,12 +67,8 @@ func StratifyLevels(rules []Rule) (prog Program, ok bool) {
 		l := level[r.Head.Name]
 		strata[l] = append(strata[l], r)
 	}
-	// Drop empty strata (possible when levels are sparse).
-	filled := slices.DeleteFunc(strata, func(s Stratum) bool { return len(s) == 0 })
-	if len(filled) == 0 {
-		filled = []Stratum{{}}
-	}
-	return Program{Strata: filled}, true
+	// Levels can be sparse; Stratified drops the empty ones.
+	return Stratified(strata...), true
 }
 
 // SplitStrataSingleIDB refines a nonrecursive program so that every
@@ -99,10 +95,7 @@ func (p Program) SplitStrataSingleIDB() (Program, error) {
 			out = append(out, sub)
 		}
 	}
-	if len(out) == 0 {
-		out = []Stratum{{}}
-	}
-	return Program{Strata: out}, nil
+	return Stratified(out...), nil
 }
 
 // NameGen generates fresh relation names and variables that do not

@@ -115,6 +115,115 @@ func TestRuleExprsAndPredsOrder(t *testing.T) {
 	}
 }
 
+// TestBodyPartsEqsAndSplice: Parts is the body by sign and kind in body
+// order, Eqs yields the equations with their body index, and Splice
+// drops or replaces one literal in a fresh body.
+func TestBodyPartsEqsAndSplice(t *testing.T) {
+	r := mustRule(t, "H($a) :- $i != $j, P($a, $d), !Q($a), $e = $a.<$g>, N, !M, $d != $e, $x = $d.")
+	parts := r.Parts()
+	got := fmt.Sprint(parts.Preds, parts.Eqs, parts.NegPreds, parts.NegEqs)
+	if want := "[P($a, $d) N] [$e = $a.<$g> $x = $d] [Q($a) M] [$i = $j $d = $e]"; got != want {
+		t.Fatalf("Parts = %s, want %s", got, want)
+	}
+	var eqs []string
+	for i, eq := range r.Eqs() {
+		if r.Body[i].Atom.String() != eq.String() {
+			t.Fatalf("Eqs yielded index %d with %s, the body has %s there", i, eq, r.Body[i])
+		}
+		eqs = append(eqs, fmt.Sprint(i))
+	}
+	if want := "0 3 6 7"; strings.Join(eqs, " ") != want {
+		t.Fatalf("Eqs indices = %v, want %s", eqs, want)
+	}
+	before := r.String()
+	if got, want := r.Splice(3).String(), "H($a) :- $i != $j, P($a, $d), !Q($a), N, !M, $d != $e, $x = $d."; got != want {
+		t.Errorf("Splice(3) = %s, want %s", got, want)
+	}
+	two := r.Splice(0, ast.Pos(ast.Pred{Name: "A"}), ast.Neg(ast.Pred{Name: "B"}))
+	if !strings.HasPrefix(two.String(), "H($a) :- A, !B, P($a, $d), ") || len(two.Body) != len(r.Body)+1 {
+		t.Errorf("Splice(0, A, !B) = %s", two)
+	}
+	two.Body[2] = ast.Pos(ast.Pred{Name: "Clobbered"})
+	if r.String() != before {
+		t.Fatalf("mutating a spliced body changed the original: %s", r)
+	}
+}
+
+// TestBindOrder: equations come out in §2.2's closure order — the first
+// one with a bound side each time, left side preferred, starting over
+// after every binding — try sees the variables bound before each, a
+// vetoed orientation falls through to the other, and what never gets a
+// bound side is returned in the given order.
+func TestBindOrder(t *testing.T) {
+	r := mustRule(t, "H :- R($a), $c = $b.x, $b = $a.y, $a.$a = $b, $u = $v, $w.z = $v.")
+	bound := map[ast.Var]bool{ast.PVar("a"): true}
+	var steps []string
+	stuck := ast.BindOrder(r.Parts().Eqs, bound, func(ground, pattern ast.Expr) bool {
+		if !ground.BoundIn(bound) {
+			t.Errorf("offered %s as ground with %v bound", ground, bound)
+		}
+		steps = append(steps, fmt.Sprintf("%s => %s", ground, pattern))
+		return true
+	})
+	if got, want := strings.Join(steps, "; "), "$a.y => $b; $b.x => $c; $a.$a => $b"; got != want {
+		t.Errorf("order = %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprint(stuck), "[$u = $v $w.z = $v]"; got != want {
+		t.Errorf("stuck = %s, want %s", got, want)
+	}
+	for _, v := range []string{"a", "b", "c"} {
+		if !bound[ast.PVar(v)] {
+			t.Errorf("$%s not bound afterwards", v)
+		}
+	}
+	// A veto on packed ground sides: <$a> = $p cannot run left to right,
+	// $q = <$a> runs right to left only when $q is bound — it is not.
+	packed := mustRule(t, "H :- R($a), <$a> = $p, $r = $a, $q = <$a>.")
+	bound = map[ast.Var]bool{ast.PVar("a"): true}
+	stuck = ast.BindOrder(packed.Parts().Eqs, bound, func(ground, _ ast.Expr) bool { return !ground.HasPacking() })
+	if got, want := fmt.Sprint(stuck), "[<$a> = $p $q = <$a>]"; got != want || !bound[ast.PVar("r")] || bound[ast.PVar("p")] {
+		t.Errorf("with packed sides vetoed: stuck = %s (want %s), bound = %v", got, want, bound)
+	}
+	// nil accepts everything, and that is LimitedVars.
+	if limited := packed.LimitedVars(); len(limited) != 4 {
+		t.Errorf("LimitedVars = %v, want $a $p $q $r", limited)
+	}
+}
+
+// TestExpandRules: rules are replaced stratum by stratum by what f
+// returns, a stratum left empty is dropped (a program left empty keeps
+// one), and the first error stops the walk.
+func TestExpandRules(t *testing.T) {
+	prog, err := parser.ParseProgram("A(a).\nB(b).\n---\nC(c).\n---\nD(d).\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := prog.ExpandRules(func(r ast.Rule) ([]ast.Rule, error) {
+		switch r.Head.Name {
+		case "A":
+			return []ast.Rule{r, r}, nil
+		case "C":
+			return nil, nil
+		}
+		return []ast.Rule{r}, nil
+	})
+	if got, want := out.String(), "A(a).\nA(a).\nB(b).\n---\nD(d).\n"; err != nil || got != want {
+		t.Errorf("ExpandRules = %q, %v; want %q", got, err, want)
+	}
+	none, err := prog.ExpandRules(func(ast.Rule) ([]ast.Rule, error) { return nil, nil })
+	if err != nil || len(none.Strata) != 1 || len(none.Strata[0]) != 0 {
+		t.Errorf("dropping every rule: %v, %v; want one empty stratum", none.Strata, err)
+	}
+	calls := 0
+	_, err = prog.ExpandRules(func(r ast.Rule) ([]ast.Rule, error) {
+		calls++
+		return nil, fmt.Errorf("refused %s", r.Head.Name)
+	})
+	if err == nil || err.Error() != "refused A" || calls != 1 {
+		t.Errorf("error = %v after %d calls, want refused A after 1", err, calls)
+	}
+}
+
 // TestMapIdentity: rebuilding with the identity is deep-equal to the
 // original and owns its slices — replacing an element of the copy's
 // body or argument lists leaves the original alone. Positions survive.

@@ -46,21 +46,23 @@ func (v Violation) compare(w Violation) int {
 //     defined in its own or a later stratum;
 //   - negation-cycle (derived strata): recursion through negation.
 //
-// written says whose order the strata are. When the author wrote them,
-// every negation is checked against that order. When StratifyLevels
-// derived them, the only way stratification fails is that no order
-// exists at all, and the negated atom on the cycle is reported.
+// written says whose order the strata are. Every negation is checked
+// against them either way — evaluation follows them. When they fail
+// and nobody wrote them (StratifyLevels gave up), the defect is that no
+// order exists, and the negated atom on the cycle is reported instead.
 func (p Program) Check(written bool) (map[string]int, []Violation) {
 	rules := p.Rules()
 	arities, vs := arityTable(rules)
 	for _, r := range rules {
 		vs = append(vs, r.unlimited()...)
 	}
-	if written {
-		vs = append(vs, p.unstratified()...)
-	} else if head, atom, ok := p.Deps().NegationCycleWitness(rules); ok {
-		vs = append(vs, NegationCycle(head, atom))
+	strata := p.unstratified()
+	if !written && len(strata) > 0 {
+		if head, atom, ok := p.Deps().NegationCycleWitness(rules); ok {
+			strata = []Violation{NegationCycle(head, atom)}
+		}
 	}
+	vs = append(vs, strata...)
 	slices.SortStableFunc(vs, Violation.compare)
 	return arities, vs
 }

@@ -9,6 +9,7 @@ import (
 	"seqlog/internal/eval"
 	"seqlog/internal/instance"
 	"seqlog/internal/parser"
+	"seqlog/internal/queries"
 	"seqlog/internal/value"
 )
 
@@ -262,5 +263,71 @@ func TestRewriteToCarriesJoinPlan(t *testing.T) {
 				t.Fatalf("target %s: join-plan line lacks an access path: %s", target, line)
 			}
 		}
+	}
+}
+
+// TestSeparationWitnesses ties every strict edge of Figure 1 to the
+// query that separates its two classes and to the theorem that says
+// so: the witness is written in a fragment the upper class subsumes,
+// RewriteTo moves it into the upper class's representative, and
+// RewriteTo into the lower one is refused in the words of the
+// Theorem 6.1 condition that fails. (TestFigure1Lattice pins the edges
+// themselves; this pins why each one is strict.)
+func TestSeparationWitnesses(t *testing.T) {
+	const (
+		negation  = "condition 1: negation is primitive"
+		recursion = "condition 2: recursion is primitive (Theorem 5.3)"
+		equations = "condition 3: E is primitive in the absence of I (Theorem 5.7)"
+		intermed  = "condition 5: I is primitive in the presence of N or R (Theorems 5.5, 5.6)"
+	)
+	witnesses := map[string]struct{ query, reason string }{
+		"{} < {E}":              {"only-as-equation", equations},
+		"{} < {N}":              {"deep-unequal", negation},
+		"{} < {R}":              {"non-terminating", recursion},
+		"{E} < {E, N}":          {"deep-unequal", negation},
+		"{E} < {E, R}":          {"non-terminating", recursion},
+		"{N} < {E, N}":          {"only-as-equation", equations},
+		"{N} < {N, R}":          {"non-terminating", recursion},
+		"{R} < {E, R}":          {"only-as-equation", equations},
+		"{R} < {N, R}":          {"deep-unequal", negation},
+		"{E, N} < {E, N, R}":    {"non-terminating", recursion},
+		"{E, N} < {I, N}":       {"black-nodes", intermed},
+		"{E, R} < {E, N, R}":    {"deep-unequal", negation},
+		"{E, R} < {I, R}":       {"only-as-recursion", intermed},
+		"{N, R} < {E, N, R}":    {"only-as-equation", equations},
+		"{E, N, R} < {I, N, R}": {"black-nodes", intermed},
+		"{I, N} < {I, N, R}":    {"squaring", recursion},
+		"{I, R} < {I, N, R}":    {"black-nodes", negation},
+	}
+	l := BuildLattice()
+	edges := 0
+	for up, downs := range l.Edges {
+		for _, down := range downs {
+			edges++
+			lower, upper := l.Classes[down].Representative, l.Classes[up].Representative
+			edge := lower.String() + " < " + upper.String()
+			w, ok := witnesses[edge]
+			if !ok {
+				t.Errorf("edge %s has no separation witness", edge)
+				continue
+			}
+			q, err := queries.Get(w.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !Subsumes(q.Fragment(), upper) {
+				t.Errorf("%s: witness %s is written in %s, which %s does not subsume", edge, w.query, q.Fragment(), upper)
+			}
+			if _, err := RewriteTo(q.Program, q.Output, upper); err != nil {
+				t.Errorf("%s: %s does not rewrite into %s: %v", edge, w.query, upper, err)
+			}
+			_, err = RewriteTo(q.Program, q.Output, lower)
+			if want := "(" + w.reason + ")"; err == nil || !strings.HasSuffix(err.Error(), want) {
+				t.Errorf("%s: rewriting %s into %s: got %v, want a refusal ending %s", edge, w.query, lower, err, want)
+			}
+		}
+	}
+	if edges != len(witnesses) {
+		t.Errorf("%d witnesses for %d edges", len(witnesses), edges)
 	}
 }

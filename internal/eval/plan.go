@@ -95,7 +95,8 @@ func compilePlan(r ast.Rule, preBound []ast.Var, hoist int) (*plan, error) {
 	// 1. Positive predicates in ast.JoinOrder's greedy order (a hoisted
 	// plan pins one atom first), each annotated with the access paths the
 	// variables bound before it open.
-	preds := r.PositivePreds()
+	parts := r.Parts()
+	preds := parts.Preds
 	if hoist >= len(preds) {
 		return nil, fmt.Errorf("eval: hoist index %d out of range for rule %s", hoist, r)
 	}
@@ -110,38 +111,13 @@ func compilePlan(r ast.Rule, preBound []ast.Var, hoist int) (*plan, error) {
 		p.predSteps = append(p.predSteps, len(p.steps))
 		p.steps = append(p.steps, st)
 	})
-	// 2. Positive equations, greedily picking one with a fully bound side.
-	var eqs []ast.Eq
-	for _, l := range r.Body {
-		if l.Neg {
-			continue
-		}
-		if eq, ok := l.Atom.(ast.Eq); ok {
-			eqs = append(eqs, eq)
-		}
-	}
-	for len(eqs) > 0 {
-		progress := false
-		for i, eq := range eqs {
-			lb, rb := eq.L.BoundIn(bound), eq.R.BoundIn(bound)
-			if !lb && !rb {
-				continue
-			}
-			g, pat := eq.L, eq.R
-			if !lb {
-				g, pat = eq.R, eq.L
-			}
-			p.steps = append(p.steps, step{kind: stepEq, ground: g, pattern: pat})
-			for _, v := range pat.Vars() {
-				bound[v] = true
-			}
-			eqs = append(eqs[:i], eqs[i+1:]...)
-			progress = true
-			break
-		}
-		if !progress {
-			return nil, fmt.Errorf("eval: rule is unsafe (equations cannot be ordered): %s", r)
-		}
+	// 2. Positive equations in §2.2's binding order.
+	stuck := ast.BindOrder(parts.Eqs, bound, func(ground, pattern ast.Expr) bool {
+		p.steps = append(p.steps, step{kind: stepEq, ground: ground, pattern: pattern})
+		return true
+	})
+	if len(stuck) > 0 {
+		return nil, fmt.Errorf("eval: rule is unsafe (equations cannot be ordered): %s", r)
 	}
 	// 3. Negative literals; all their variables must now be bound.
 	for _, l := range r.Body {

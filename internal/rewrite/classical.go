@@ -30,41 +30,22 @@ func ToClassical(p ast.Program) (ast.Program, error) {
 		return ast.Program{}, errf("classical", "", "arity > 1 is not allowed in Lemma 5.4 (monadic schemas)")
 	}
 	gen := ast.NewNameGen(p)
-	out := ast.Program{Strata: make([]ast.Stratum, 0, len(p.Strata))}
-	for _, s := range p.Strata {
-		var stratum ast.Stratum
-		for _, r := range s {
-			expanded, err := expandPathVars(r.Clone(), gen)
-			if err != nil {
-				return ast.Program{}, err
-			}
-			for _, er := range expanded {
-				crs, alive, err := classicalize(er)
-				if err != nil {
-					return ast.Program{}, err
-				}
-				if alive {
-					stratum = append(stratum, crs...)
-				}
-			}
+	out, _ := p.ExpandRules(func(r ast.Rule) ([]ast.Rule, error) { // neither step can fail
+		var rules []ast.Rule
+		for _, er := range expandPathVars(r.Clone(), gen) {
+			rules = append(rules, classicalize(er)...)
 		}
-		stratum = dedupeRules(stratum)
-		if len(stratum) > 0 {
-			out.Strata = append(out.Strata, stratum)
-		}
+		return rules, nil
+	})
+	for i, s := range out.Strata {
+		out.Strata[i] = dedupeRules(s)
 	}
-	if len(out.Strata) == 0 {
-		out.Strata = []ast.Stratum{{}}
-	}
-	if err := out.Validate(); err != nil {
-		return ast.Program{}, errf("classical", "", "translation produced an invalid program: %v\n%s", err, out)
-	}
-	return out, nil
+	return wellFormed("classical", out, 0)
 }
 
 // expandPathVars replaces every path variable by ε, @x, or @x1·@x2
 // (three rule versions per variable), per the proof of Lemma 5.4.
-func expandPathVars(r ast.Rule, gen *ast.NameGen) ([]ast.Rule, error) {
+func expandPathVars(r ast.Rule, gen *ast.NameGen) []ast.Rule {
 	var pathVar *ast.Var
 	for _, v := range r.Vars() {
 		if !v.Atomic {
@@ -73,7 +54,7 @@ func expandPathVars(r ast.Rule, gen *ast.NameGen) ([]ast.Rule, error) {
 		}
 	}
 	if pathVar == nil {
-		return []ast.Rule{r}, nil
+		return []ast.Rule{r}
 	}
 	a1 := gen.FreshVar("c", true)
 	a2 := gen.FreshVar("c", true)
@@ -84,130 +65,93 @@ func expandPathVars(r ast.Rule, gen *ast.NameGen) ([]ast.Rule, error) {
 	}
 	var out []ast.Rule
 	for _, sub := range subs {
-		rest, err := expandPathVars(r.ApplySubst(sub), gen)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rest...)
+		out = append(out, expandPathVars(r.ApplySubst(sub), gen)...)
 	}
-	return out, nil
+	return out
 }
 
 // classicalize resolves atomic equations, drops unsatisfiable or
 // vacuous literals, and renames predicates to their R1/R2 forms;
 // nonequalities between longer sequences split the rule into copies.
-// alive=false means the rule can never fire on two-bounded instances.
-func classicalize(r ast.Rule) ([]ast.Rule, bool, error) {
-	// Resolve positive equations by substitution or constant checks.
-	for changed := true; changed; {
-		changed = false
-		for i, l := range r.Body {
-			if l.Neg {
-				continue
-			}
-			eq, ok := l.Atom.(ast.Eq)
-			if !ok {
+// No rules means the rule can never fire on two-bounded instances.
+func classicalize(r ast.Rule) []ast.Rule {
+	// Resolve positive equations by substitution or constant checks,
+	// the first one left each time, until none is.
+resolve:
+	for {
+		for i, eq := range r.Eqs() {
+			if r.Body[i].Neg {
 				continue
 			}
 			if len(eq.L) != len(eq.R) {
-				return nil, false, nil // unsatisfiable lengths
+				return nil // unsatisfiable lengths
 			}
 			if len(eq.L) == 0 {
-				r.Body = append(r.Body[:i], r.Body[i+1:]...)
-				changed = true
-				break
+				r = r.Splice(i)
+				continue resolve
 			}
 			// Split multi-atom equations into the first pair plus rest.
-			first := ast.Eq{L: eq.L[:1], R: eq.R[:1]}
-			rest := ast.Eq{L: eq.L[1:], R: eq.R[1:]}
-			sub, ok, sat := resolveAtomicEq(first)
+			sub, ok, sat := resolveAtomicEq(ast.Eq{L: eq.L[:1], R: eq.R[:1]})
 			if !sat {
-				return nil, false, nil
+				return nil
 			}
-			var newBody []ast.Literal
-			newBody = append(newBody, r.Body[:i]...)
-			if len(rest.L) > 0 {
-				newBody = append(newBody, ast.Pos(rest))
+			var rest []ast.Literal
+			if len(eq.L) > 1 {
+				rest = []ast.Literal{ast.Pos(ast.Eq{L: eq.L[1:], R: eq.R[1:]})}
 			}
-			newBody = append(newBody, r.Body[i+1:]...)
-			r = ast.Rule{Head: r.Head, Body: newBody}
+			r = r.Splice(i, rest...)
 			if ok {
 				r = r.ApplySubst(sub)
 			}
-			changed = true
-			break
+			continue resolve
 		}
+		break
 	}
-	// Negated equations: drop vacuous ones, keep atomic nonequalities;
-	// a nonequality between longer atomic sequences is a disjunction of
-	// position-wise nonequalities, so the rule splits into copies.
-	var body []ast.Literal
-	var splits [][]ast.Literal
-	for _, l := range r.Body {
-		eq, ok := l.Atom.(ast.Eq)
-		if !ok || !l.Neg {
-			body = append(body, l)
-			continue
-		}
-		if len(eq.L) != len(eq.R) {
-			continue // always true on atomic sequences
-		}
-		if len(eq.L) == 0 {
-			return nil, false, nil // eps != eps never holds
-		}
-		if len(eq.L) == 1 {
-			if c1, ok1 := eq.L[0].(ast.Const); ok1 {
-				if c2, ok2 := eq.R[0].(ast.Const); ok2 {
-					if c1.A == c2.A {
-						return nil, false, nil
-					}
-					continue // distinct constants: always true
-				}
-			}
-			body = append(body, l)
-			continue
-		}
-		var alts []ast.Literal
-		for i := range eq.L {
-			alts = append(alts, ast.Neg(ast.Eq{L: eq.L[i : i+1], R: eq.R[i : i+1]}))
-		}
-		splits = append(splits, alts)
-	}
-	r = ast.Rule{Head: r.Head, Body: body}
 	// Predicates: rename by length; drop impossible/vacuous ones.
+	// Equations (only nonequalities are left): drop vacuous ones, keep
+	// atomic ones; a nonequality between longer atomic sequences is a
+	// disjunction of position-wise nonequalities, so the rule splits into
+	// copies.
 	head, ok := renameByLength(r.Head)
 	if !ok {
-		return nil, false, nil
+		return nil
 	}
 	out := ast.Rule{Head: head}
+	var splits [][]ast.Literal
 	for _, l := range r.Body {
-		pr, isPred := l.Atom.(ast.Pred)
-		if !isPred {
-			out.Body = append(out.Body, l)
-			continue
-		}
-		np, ok := renameByLength(pr)
-		if !ok {
-			if l.Neg {
-				continue // negated impossible predicate: always true
+		switch x := l.Atom.(type) {
+		case ast.Pred:
+			np, possible := renameByLength(x)
+			if !possible && !l.Neg {
+				return nil
 			}
-			return nil, false, nil
-		}
-		out.Body = append(out.Body, ast.Literal{Neg: l.Neg, Atom: np})
-	}
-	rules := []ast.Rule{out}
-	for _, alts := range splits {
-		var next []ast.Rule
-		for _, base := range rules {
-			for _, alt := range alts {
-				cp := base.Clone()
-				cp.Body = append(cp.Body, alt)
-				next = append(next, cp)
+			if possible { // a negated impossible predicate is always true
+				out.Body = append(out.Body, ast.Literal{Neg: l.Neg, Atom: np})
+			}
+		case ast.Eq:
+			switch {
+			case len(x.L) != len(x.R): // always true on atomic sequences
+			case len(x.L) == 0:
+				return nil // eps != eps never holds
+			case len(x.L) == 1:
+				c1, ok1 := x.L[0].(ast.Const)
+				c2, ok2 := x.R[0].(ast.Const)
+				if ok1 && ok2 && c1.A == c2.A {
+					return nil
+				}
+				if !ok1 || !ok2 { // distinct constants are always unequal
+					out.Body = append(out.Body, l)
+				}
+			default:
+				var alts []ast.Literal
+				for i := range x.L {
+					alts = append(alts, ast.Neg(ast.Eq{L: x.L[i : i+1], R: x.R[i : i+1]}))
+				}
+				splits = append(splits, alts)
 			}
 		}
-		rules = next
 	}
-	return rules, true, nil
+	return disjoin(out, splits)
 }
 
 // resolveAtomicEq handles an equation between single atomic terms:

@@ -1,6 +1,8 @@
 package rewrite
 
 import (
+	"slices"
+
 	"seqlog/internal/ast"
 )
 
@@ -21,79 +23,48 @@ import (
 // positive predicates.
 func EliminatePositiveEquations(p ast.Program) (ast.Program, error) {
 	gen := ast.NewNameGen(p)
-	out := ast.Program{Strata: make([]ast.Stratum, len(p.Strata))}
-	for si, s := range p.Strata {
-		var stratum ast.Stratum
-		for _, r := range s {
-			rules, err := elimPosEqRule(r.Clone(), gen)
-			if err != nil {
-				return ast.Program{}, err
-			}
-			stratum = append(stratum, rules...)
-		}
-		out.Strata[si] = stratum
-	}
-	return out, nil
+	return p.ExpandRules(func(r ast.Rule) ([]ast.Rule, error) { return elimPosEqRule(r.Clone(), gen) })
 }
 
 func elimPosEqRule(r ast.Rule, gen *ast.NameGen) ([]ast.Rule, error) {
-	posPreds, posEqs, _, _ := splitBody(r.Body)
-	if len(posEqs) == 0 {
+	parts := r.Parts()
+	if len(parts.Eqs) == 0 {
 		return []ast.Rule{r}, nil
 	}
 	// Current positive subgoals; after each replacement this collapses
 	// to the single auxiliary subgoal, which carries all bound
 	// variables (the paper drops the original body, as in Example 4.4).
-	cur := make([]ast.Literal, 0, len(posPreds))
+	cur := make([]ast.Literal, 0, len(parts.Preds))
 	bound := map[ast.Var]bool{}
-	for _, pp := range posPreds {
+	for _, pp := range parts.Preds {
 		cur = append(cur, ast.Pos(pp))
 		for _, v := range ast.VarsOf(pp.Args...) {
 			bound[v] = true
 		}
 	}
-	var negs []ast.Literal
-	for _, l := range r.Body {
-		if l.Neg {
-			negs = append(negs, l)
-		}
-	}
+	// One auxiliary predicate per equation, in binding order. An
+	// equation ground on both sides gets one too: that keeps the
+	// rewriting uniform and correct.
 	var aux []ast.Rule
-	remaining := append([]ast.Eq{}, posEqs...)
-	for len(remaining) > 0 {
-		picked := -1
-		var ground, pattern ast.Expr
-		for i, eq := range remaining {
-			if eq.L.BoundIn(bound) {
-				picked, ground, pattern = i, eq.L, eq.R
-				break
-			}
-			if eq.R.BoundIn(bound) {
-				picked, ground, pattern = i, eq.R, eq.L
-				break
-			}
-		}
-		if picked < 0 {
-			return nil, errf("equations", r.String(), "positive equations cannot be ordered; rule is unsafe")
-		}
-		remaining = append(remaining[:picked], remaining[picked+1:]...)
-		// Ground on both sides: fold the equation away entirely by
-		// still creating the auxiliary predicate (keeps the rewriting
-		// uniform and correct).
-		vars := sortedVars(bound)
+	stuck := ast.BindOrder(parts.Eqs, bound, func(ground, pattern ast.Expr) bool {
+		vars := varExprs(sortedVars(bound))
 		name := gen.Fresh("Eq")
-		headArgs := append([]ast.Expr{ground}, varExprs(vars)...)
 		aux = append(aux, ast.Rule{
-			Head: ast.Pred{Name: name, Args: headArgs},
+			Head: ast.Pred{Name: name, Args: append([]ast.Expr{ground}, vars...)},
 			Body: cur,
 		})
-		callArgs := append([]ast.Expr{pattern}, varExprs(vars)...)
-		cur = []ast.Literal{ast.Pos(ast.Pred{Name: name, Args: callArgs})}
-		for _, v := range pattern.Vars() {
-			bound[v] = true
+		cur = []ast.Literal{ast.Pos(ast.Pred{Name: name, Args: append([]ast.Expr{pattern}, vars...)})}
+		return true
+	})
+	if len(stuck) > 0 {
+		return nil, errf("equations", r.String(), "positive equations cannot be ordered; rule is unsafe")
+	}
+	main := ast.Rule{Head: r.Head, Body: cur}
+	for _, l := range r.Body {
+		if l.Neg {
+			main.Body = append(main.Body, l)
 		}
 	}
-	main := ast.Rule{Head: r.Head, Body: append(cur, negs...)}
 	return append(aux, main), nil
 }
 
@@ -115,7 +86,7 @@ func EliminateNegatedEquations(p ast.Program) (ast.Program, error) {
 	gen := ast.NewNameGen(p)
 	var out []ast.Stratum
 	for _, s := range p.Strata {
-		if !hasNegatedEquations(s) {
+		if !slices.ContainsFunc(s, func(r ast.Rule) bool { return len(r.Parts().NegEqs) > 0 }) {
 			out = append(out, s)
 			continue
 		}
@@ -128,7 +99,14 @@ func EliminateNegatedEquations(p ast.Program) (ast.Program, error) {
 		}
 		var pre, cur ast.Stratum
 		for _, r := range s {
-			posAndNegPreds, negEqs := stripNegEqs(r)
+			// B′: each Splice moves the later nonequalities one to the left.
+			posAndNegPreds, negEqs := r.Clone(), []ast.Eq(nil)
+			for i, eq := range r.Eqs() {
+				if r.Body[i].Neg {
+					posAndNegPreds = posAndNegPreds.Splice(i - len(negEqs))
+					negEqs = append(negEqs, eq)
+				}
+			}
 			// ρ(H) :- ρ(B′), for every rule.
 			pre = append(pre, posAndNegPreds.RenameRelations(rho))
 			if len(negEqs) == 0 {
@@ -150,28 +128,7 @@ func EliminateNegatedEquations(p ast.Program) (ast.Program, error) {
 		}
 		out = append(out, pre, cur)
 	}
-	prog := ast.Program{Strata: out}
-	if err := prog.Validate(); err != nil {
-		return ast.Program{}, errf("equations", "", "negated-equation elimination produced an invalid program: %v", err)
-	}
-	return prog, nil
-}
-
-// stripNegEqs returns the rule without its nonequalities, plus the
-// stripped nonequalities.
-func stripNegEqs(r ast.Rule) (ast.Rule, []ast.Eq) {
-	out := ast.Rule{Head: r.Head}
-	var negEqs []ast.Eq
-	for _, l := range r.Body {
-		if l.Neg {
-			if eq, ok := l.Atom.(ast.Eq); ok {
-				negEqs = append(negEqs, eq)
-				continue
-			}
-		}
-		out.Body = append(out.Body, l)
-	}
-	return out.Clone(), negEqs
+	return wellFormed("equations", ast.Program{Strata: out}, 0)
 }
 
 // EliminateEquations removes all equations, positive and negated, per
@@ -234,10 +191,9 @@ func EliminateIntermediates(p ast.Program, output string) (ast.Program, error) {
 			done = append(done, r)
 			continue
 		}
-		rest := append(append([]ast.Literal{}, r.Body[:idx]...), r.Body[idx+1:]...)
 		for _, def := range defs[sub.Name] {
 			fresh := renameRuleVars(def, gen)
-			body := append(append([]ast.Literal{}, rest...), fresh.Body...)
+			body := append(r.Splice(idx).Body, fresh.Body...)
 			for i := range sub.Args {
 				body = append(body, ast.Pos(ast.Eq{L: sub.Args[i], R: fresh.Head.Args[i]}))
 			}
@@ -245,9 +201,5 @@ func EliminateIntermediates(p ast.Program, output string) (ast.Program, error) {
 		}
 		// No defining rules: the subgoal is unsatisfiable; drop the rule.
 	}
-	prog := ast.NewProgram(done...)
-	if err := prog.Validate(); err != nil {
-		return ast.Program{}, errf("intermediates", "", "folding produced an invalid program: %v", err)
-	}
-	return prog, nil
+	return wellFormed("intermediates", ast.NewProgram(done...), 0)
 }

@@ -11,9 +11,9 @@ import (
 	"seqlog/internal/value"
 )
 
-// oracleInstances is how many generated instances every (paper query,
+// oracleDraws is how many generated instances every (paper query,
 // rewrite) pair must agree on.
-const oracleInstances = 200
+const oracleDraws = 200
 
 // oracleInstance draws one flat instance over the query's EDB
 // relations, at the arities the program uses them with: up to four
@@ -62,7 +62,7 @@ func encodeArity(rel *instance.Relation) *instance.Relation {
 // rewrites.golden: the golden pins what every rewrite prints on every
 // paper query, this pins that what it prints computes the same query.
 // For every section of the golden that is not a refusal, source and
-// rewritten program are evaluated on oracleInstances generated
+// rewritten program are evaluated on oracleDraws generated
 // instances over Query.EDB and must produce the same output relation.
 // Three rewrites change the representation, and are compared through
 // their codecs:
@@ -115,8 +115,8 @@ func TestRewritesAgreeWithSource(t *testing.T) {
 				}
 				r := rand.New(rand.NewSource(22))
 				agreed := 0
-				for draw := 0; agreed < oracleInstances; draw++ {
-					if draw >= 50*oracleInstances {
+				for draw := 0; agreed < oracleDraws; draw++ {
+					if draw >= 50*oracleDraws {
 						t.Fatalf("only %d of %d draws met Lemma 5.4's premise", agreed, draw)
 					}
 					edb := oracleInstance(r, q, arities, minLen, maxLen)

@@ -64,59 +64,34 @@ func EliminatePackingNonrecursive(p ast.Program, output string) (ast.Program, er
 		flat[n] = true
 	}
 
-	var outStrata []ast.Stratum
+	var strata []ast.Stratum
 	for _, stratum := range p.Strata {
-		var newStratum ast.Stratum
-		for _, rule := range stratum {
-			rules, err := expandStructRefs(rule.Clone(), structs, gen)
-			if err != nil {
-				return ast.Program{}, err
-			}
-			for _, r := range rules {
-				processed, err := processPackingRule(r, flat, structs, gen)
-				if err != nil {
-					return ast.Program{}, err
-				}
-				newStratum = append(newStratum, processed...)
-			}
+		rules, err := ast.Expand(stratum, func(rule ast.Rule) ([]ast.Rule, error) {
+			return ast.Expand(expandStructRefs(rule.Clone(), 0, structs, gen), func(r ast.Rule) ([]ast.Rule, error) {
+				return processPackingRule(r, flat, structs, gen)
+			})
+		})
+		if err != nil {
+			return ast.Program{}, err
 		}
 		// Head rewriting: register structures and rename heads.
-		for i, r := range newStratum {
-			h, err := rewriteHead(r, structs, flat, gen)
-			if err != nil {
+		for i, r := range rules {
+			if rules[i], err = rewriteHead(r, structs, flat, gen); err != nil {
 				return ast.Program{}, err
 			}
-			newStratum[i] = h
 		}
-		newStratum = dedupeRules(newStratum)
-		if len(newStratum) > 0 {
-			outStrata = append(outStrata, newStratum)
-		}
+		strata = append(strata, dedupeRules(rules))
 	}
-	if len(outStrata) == 0 {
-		outStrata = []ast.Stratum{{}}
-	}
-	prog := ast.Program{Strata: outStrata}
-	if prog.Features().Has(ast.FeatPacking) {
-		return ast.Program{}, errf("packing", "", "internal: packing survived the rewriting:\n%s", prog)
-	}
-	if err := prog.Validate(); err != nil {
-		return ast.Program{}, errf("packing", "", "rewriting produced an invalid program: %v\n%s", err, prog)
-	}
-	return prog, nil
+	return wellFormed("packing", ast.Stratified(strata...), ast.FeatureSet(ast.FeatPacking))
 }
 
 // expandStructRefs replaces positive references to already-rewritten
 // relations by their per-structure relations plus a structure equation
-// (step 2 above); one rule copy per combination of structures.
-func expandStructRefs(r ast.Rule, structs map[string][]psEntry, gen *ast.NameGen) ([]ast.Rule, error) {
-	return expandStructRefsFrom(r, 0, structs, gen)
-}
-
-// expandStructRefsFrom scans body literals starting at index from;
-// replacements are final (the ∗ structure keeps the original relation
-// name, so a replaced literal must not be rescanned).
-func expandStructRefsFrom(r ast.Rule, from int, structs map[string][]psEntry, gen *ast.NameGen) ([]ast.Rule, error) {
+// (step 2 above); one rule copy per combination of structures. It scans
+// body literals starting at index from; replacements are final (the ∗
+// structure keeps the original relation name, so a replaced literal
+// must not be rescanned).
+func expandStructRefs(r ast.Rule, from int, structs map[string][]psEntry, gen *ast.NameGen) []ast.Rule {
 	for i := from; i < len(r.Body); i++ {
 		l := r.Body[i]
 		pr, ok := l.Atom.(ast.Pred)
@@ -146,17 +121,13 @@ func expandStructRefsFrom(r ast.Rule, from int, structs map[string][]psEntry, ge
 				cp.Body[i] = ast.Pos(ast.Pred{Name: ent.name, Args: fresh})
 				cp.Body = append(cp.Body, ast.Pos(ast.Eq{L: pr.Args[0].Clone(), R: ent.ps.Reconstruct(fresh)}))
 			}
-			rest, err := expandStructRefsFrom(cp, i+1, structs, gen)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, rest...)
+			out = append(out, expandStructRefs(cp, i+1, structs, gen)...)
 		}
 		// Zero entries: the relation can never hold a fact; the rule is
 		// unsatisfiable.
-		return out, nil
+		return out
 	}
-	return []ast.Rule{r}, nil
+	return []ast.Rule{r}
 }
 
 // processPackingRule applies purification (Lemma 4.10), trivial-
@@ -181,9 +152,8 @@ func processPackingRule(r ast.Rule, flat map[string]bool, structs map[string][]p
 			continue
 		}
 		pure := pureVars(cur, flat)
-		idx, e1IsLeft := findHalfPure(cur, pure)
-		if idx >= 0 {
-			branches, err := solveHalfPure(cur, idx, e1IsLeft, pure, gen)
+		if idx, e1, e2 := findHalfPure(cur, pure); idx >= 0 {
+			branches, err := solveHalfPure(cur, idx, e1, e2, pure, gen)
 			if err != nil {
 				return nil, err
 			}
@@ -194,14 +164,7 @@ func processPackingRule(r ast.Rule, flat map[string]bool, structs map[string][]p
 		if v, ok := firstImpureVar(cur, pure); ok {
 			return nil, errf("packing", cur.String(), "internal: variable %s is impure after purification", v)
 		}
-		decomposed, alive, err := decomposeStructures(cur, structs)
-		if err != nil {
-			return nil, err
-		}
-		if !alive {
-			continue
-		}
-		for _, d := range decomposed {
+		for _, d := range decomposeStructures(cur, structs) {
 			out = append(out, simplifyTrivialEquations(d))
 		}
 	}
@@ -233,41 +196,19 @@ func cleanFlatPredicates(r ast.Rule, flat map[string]bool) (ast.Rule, bool) {
 
 // pureVars computes the pure variables of the rule (§4.3.3): source
 // variables (in positive predicates over flat relations), closed under
-// "other side of a positive equation is all-pure and packing-free".
+// "other side of a positive equation is all-pure and packing-free" —
+// §2.2's binding order, with a packed side never taken as ground.
 func pureVars(r ast.Rule, flat map[string]bool) map[ast.Var]bool {
+	parts := r.Parts()
 	pure := map[ast.Var]bool{}
-	for l, pr := range r.Preds() {
-		if !l.Neg && flat[pr.Name] {
+	for _, pr := range parts.Preds {
+		if flat[pr.Name] {
 			for _, v := range ast.VarsOf(pr.Args...) {
 				pure[v] = true
 			}
 		}
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, l := range r.Body {
-			if l.Neg {
-				continue
-			}
-			eq, ok := l.Atom.(ast.Eq)
-			if !ok {
-				continue
-			}
-			try := func(from, to ast.Expr) {
-				if from.HasPacking() || !from.BoundIn(pure) {
-					return
-				}
-				for _, v := range to.Vars() {
-					if !pure[v] {
-						pure[v] = true
-						changed = true
-					}
-				}
-			}
-			try(eq.L, eq.R)
-			try(eq.R, eq.L)
-		}
-	}
+	ast.BindOrder(parts.Eqs, pure, func(from, _ ast.Expr) bool { return !from.HasPacking() })
 	return pure
 }
 
@@ -282,25 +223,19 @@ func firstImpureVar(r ast.Rule, pure map[ast.Var]bool) (ast.Var, bool) {
 
 // findHalfPure locates a positive equation with one all-pure side and
 // at least one impure variable on the other; it returns the literal
-// index and whether the pure side is the left one.
-func findHalfPure(r ast.Rule, pure map[ast.Var]bool) (int, bool) {
-	for i, l := range r.Body {
-		if l.Neg {
-			continue
-		}
-		eq, ok := l.Atom.(ast.Eq)
-		if !ok {
-			continue
-		}
+// index (-1 when there is none), the pure side and the other side.
+func findHalfPure(r ast.Rule, pure map[ast.Var]bool) (idx int, e1, e2 ast.Expr) {
+	for i, eq := range r.Eqs() {
 		lPure, rPure := eq.L.BoundIn(pure), eq.R.BoundIn(pure)
-		if lPure && !rPure {
-			return i, true
+		if r.Body[i].Neg || lPure == rPure {
+			continue
 		}
-		if rPure && !lPure {
-			return i, false
+		if lPure {
+			return i, eq.L, eq.R
 		}
+		return i, eq.R, eq.L
 	}
-	return -1, false
+	return -1, nil, nil
 }
 
 // solveHalfPure implements one induction step of Lemma 4.10: linearize
@@ -309,12 +244,7 @@ func findHalfPure(r ast.Rule, pure map[ast.Var]bool) (int, bool) {
 // pure set is the rule's pure variables; in r” the fresh linearization
 // variables v_i are also pure, and a solution is valid when it maps
 // every pure variable to a packing-free expression.
-func solveHalfPure(r ast.Rule, idx int, pureLeft bool, pure map[ast.Var]bool, gen *ast.NameGen) ([]ast.Rule, error) {
-	eq := r.Body[idx].Atom.(ast.Eq)
-	e1, e2 := eq.L, eq.R
-	if !pureLeft {
-		e1, e2 = eq.R, eq.L
-	}
+func solveHalfPure(r ast.Rule, idx int, e1, e2 ast.Expr, pure map[ast.Var]bool, gen *ast.NameGen) ([]ast.Rule, error) {
 	lin, bindEqs := linearize(e1, gen)
 	uniEq := unify.Equation{L: lin, R: e2}
 	if !uniEq.OneSidedNonlinear() {
@@ -326,9 +256,7 @@ func solveHalfPure(r ast.Rule, idx int, pureLeft bool, pure map[ast.Var]bool, ge
 	}
 	// r'' = r with the half-pure equation replaced by the occurrence
 	// bindings u_i = v_i.
-	base := ast.Rule{Head: r.Head}
-	base.Body = append(base.Body, r.Body[:idx]...)
-	base.Body = append(base.Body, r.Body[idx+1:]...)
+	base := r.Splice(idx)
 	for _, be := range bindEqs {
 		base.Body = append(base.Body, ast.Pos(be))
 	}
@@ -391,9 +319,9 @@ func linearizeExpr(e ast.Expr, gen *ast.NameGen, eqs *[]ast.Eq) ast.Expr {
 
 // decomposeStructures applies Lemma 4.12 and the negated-reference step
 // of Lemma 4.13 to a rule whose variables are all pure. It returns the
-// resulting rules (one per nonequality disjunct) or alive=false when
-// the rule is unsatisfiable on flat instances.
-func decomposeStructures(r ast.Rule, structs map[string][]psEntry) ([]ast.Rule, bool, error) {
+// resulting rules (one per nonequality disjunct), none when the rule
+// is unsatisfiable on flat instances.
+func decomposeStructures(r ast.Rule, structs map[string][]psEntry) []ast.Rule {
 	var body []ast.Literal
 	var splits [][]ast.Literal // alternatives from nonequalities
 	for _, l := range r.Body {
@@ -408,7 +336,7 @@ func decomposeStructures(r ast.Rule, structs map[string][]psEntry) ([]ast.Rule, 
 				if l.Neg {
 					continue // always true on flat instances
 				}
-				return nil, false, nil // unsatisfiable
+				return nil // unsatisfiable
 			}
 			compsL, compsR := Components(x.L), Components(x.R)
 			if !l.Neg {
@@ -446,23 +374,9 @@ func decomposeStructures(r ast.Rule, structs map[string][]psEntry) ([]ast.Rule, 
 			if !matched {
 				continue // no structure matches: literal is true on flat instances
 			}
-		default:
-			body = append(body, l)
 		}
 	}
-	rules := []ast.Rule{{Head: r.Head, Body: body}}
-	for _, alts := range splits {
-		var next []ast.Rule
-		for _, base := range rules {
-			for _, alt := range alts {
-				cp := base.Clone()
-				cp.Body = append(cp.Body, alt)
-				next = append(next, cp)
-			}
-		}
-		rules = next
-	}
-	return rules, true, nil
+	return disjoin(ast.Rule{Head: r.Head, Body: body}, splits)
 }
 
 // rewriteHead splits the head per its packing structure (Lemma 4.13),
@@ -511,33 +425,20 @@ func hasEntry(structs map[string][]psEntry, name string) bool {
 // single atomic term when v is atomic). This keeps rewritten programs
 // close to the paper's hand-derived outputs (Example 4.14).
 func simplifyTrivialEquations(r ast.Rule) ast.Rule {
+next:
 	for {
-		idx := -1
-		var sub ast.Subst
-		for i, l := range r.Body {
-			if l.Neg {
+		for i, eq := range r.Eqs() {
+			if r.Body[i].Neg {
 				continue
 			}
-			eq, ok := l.Atom.(ast.Eq)
-			if !ok {
-				continue
-			}
-			if s, ok := trivialBinding(eq.L, eq.R); ok {
-				idx, sub = i, s
-				break
-			}
-			if s, ok := trivialBinding(eq.R, eq.L); ok {
-				idx, sub = i, s
-				break
+			for _, side := range [2][2]ast.Expr{{eq.L, eq.R}, {eq.R, eq.L}} {
+				if sub, ok := trivialBinding(side[0], side[1]); ok {
+					r = r.Splice(i).ApplySubst(sub)
+					continue next
+				}
 			}
 		}
-		if idx < 0 {
-			return r
-		}
-		next := ast.Rule{Head: r.Head}
-		next.Body = append(next.Body, r.Body[:idx]...)
-		next.Body = append(next.Body, r.Body[idx+1:]...)
-		r = next.ApplySubst(sub)
+		return r
 	}
 }
 
@@ -561,17 +462,4 @@ func trivialBinding(side, other ast.Expr) (ast.Subst, bool) {
 		}
 	}
 	return ast.Subst{v: other}, true
-}
-
-func dedupeRules(s ast.Stratum) ast.Stratum {
-	seen := map[string]bool{}
-	var out ast.Stratum
-	for _, r := range s {
-		k := r.String()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -209,14 +209,7 @@ func SimulatePackingDoubled(p ast.Program, output string, m DoubleMarkers) (ast.
 	}
 	strata = append(strata, und)
 
-	prog := ast.Program{Strata: strata}
-	if prog.Features().Has(ast.FeatPacking) {
-		return ast.Program{}, errf("packing", "", "internal: packing survived the doubling simulation")
-	}
-	if err := prog.Validate(); err != nil {
-		return ast.Program{}, errf("packing", "", "doubling produced an invalid program: %v\n%s", err, prog)
-	}
-	return prog, nil
+	return wellFormed("packing", ast.Program{Strata: strata}, ast.FeatureSet(ast.FeatPacking))
 }
 
 // encodeExpr maps a·a for constants, @x·@x for atomic variables, $x for

@@ -10,20 +10,11 @@ import "seqlog/internal/ast"
 // actually need.
 func PruneUnreachable(p ast.Program, output string) ast.Program {
 	needed := p.Needed(output)
-	var strata []ast.Stratum
-	for _, s := range p.Strata {
-		var keep ast.Stratum
-		for _, r := range s {
-			if needed[r.Head.Name] {
-				keep = append(keep, r.Clone())
-			}
+	out, _ := p.ExpandRules(func(r ast.Rule) ([]ast.Rule, error) { // a filter; it cannot fail
+		if !needed[r.Head.Name] {
+			return nil, nil
 		}
-		if len(keep) > 0 {
-			strata = append(strata, keep)
-		}
-	}
-	if len(strata) == 0 {
-		strata = []ast.Stratum{{}}
-	}
-	return ast.Program{Strata: strata}
+		return []ast.Rule{r.Clone()}, nil
+	})
+	return out
 }

@@ -51,37 +51,50 @@ func renameRuleVars(r ast.Rule, g *ast.NameGen) ast.Rule {
 	return r.ApplySubst(sub)
 }
 
-// splitBody partitions a body into positive predicates, positive
-// equations, negated predicates and negated equations.
-func splitBody(body []ast.Literal) (posPreds []ast.Pred, posEqs []ast.Eq, negPreds []ast.Pred, negEqs []ast.Eq) {
-	for _, l := range body {
-		switch x := l.Atom.(type) {
-		case ast.Pred:
-			if l.Neg {
-				negPreds = append(negPreds, x)
-			} else {
-				posPreds = append(posPreds, x)
-			}
-		case ast.Eq:
-			if l.Neg {
-				negEqs = append(negEqs, x)
-			} else {
-				posEqs = append(posEqs, x)
+// disjoin distributes a rule over disjunctions its body must also
+// satisfy: one copy of r per way of choosing one alternative from each
+// split, the chosen literals appended to the body.
+func disjoin(r ast.Rule, splits [][]ast.Literal) []ast.Rule {
+	rules := []ast.Rule{r}
+	for _, alts := range splits {
+		var next []ast.Rule
+		for _, base := range rules {
+			for _, alt := range alts {
+				cp := base.Clone()
+				cp.Body = append(cp.Body, alt)
+				next = append(next, cp)
 			}
 		}
+		rules = next
 	}
-	return
+	return rules
 }
 
-// hasNegatedEquations reports whether any rule of the stratum contains
-// a nonequality.
-func hasNegatedEquations(s ast.Stratum) bool {
+// dedupeRules drops the textual repetitions of a stratum's rules.
+func dedupeRules(s ast.Stratum) ast.Stratum {
+	seen := map[string]bool{}
+	var out ast.Stratum
 	for _, r := range s {
-		if _, _, _, negEqs := splitBody(r.Body); len(negEqs) > 0 {
-			return true
+		if k := r.String(); !seen[k] {
+			seen[k] = true
+			out = append(out, r)
 		}
 	}
-	return false
+	return out
+}
+
+// wellFormed is the last step of a rewrite that builds rules: what it
+// built must be free of the features it exists to remove (gone) and a
+// program in the sense of §2.2. A failure is a defect of the rewrite,
+// not of its input.
+func wellFormed(op string, p ast.Program, gone ast.FeatureSet) (ast.Program, error) {
+	if left := p.Features() & gone; left != 0 {
+		return ast.Program{}, errf(op, "", "internal: %s survived the rewriting:\n%s", left, p)
+	}
+	if err := p.Validate(); err != nil {
+		return ast.Program{}, errf(op, "", "internal: rewriting produced an invalid program: %v\n%s", err, p)
+	}
+	return p, nil
 }
 
 // Error wraps transformation failures with the offending rule.
