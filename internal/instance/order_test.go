@@ -1,0 +1,179 @@
+package instance
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"seqlog/internal/value"
+)
+
+// The order oracle: whatever a relation lineage has been through —
+// appends, tombstones, re-adds of a deleted tuple, freezes, barrier
+// clones, compactions, deep clones — Sorted and WriteFacts must agree
+// with sorting Tuples() by Tuple.Compare from scratch, on the live
+// relation and on every older snapshot still held. It states the
+// presentation contract of a query reply independently of how the
+// canonical order is produced.
+
+// oracleAtoms mixes bare atoms with ones the renderer must quote.
+var oracleAtoms = []string{"a", "b", "c1", "Z_9", "eps", "", "x.y", "<", "it's", "é", "a b"}
+
+func oraclePath(rng *rand.Rand, depth int) value.Path {
+	p := make(value.Path, rng.Intn(4))
+	for i := range p {
+		if depth < 3 && rng.Intn(5) == 0 {
+			p[i] = value.Pack(oraclePath(rng, depth+1))
+		} else {
+			p[i] = value.Intern(oracleAtoms[rng.Intn(len(oracleAtoms))])
+		}
+	}
+	return p
+}
+
+// oracleUniverse returns up to n tuples of the given arity with
+// distinct hashes (arity 0 has exactly one tuple).
+func oracleUniverse(rng *rand.Rand, arity, n int) []Tuple {
+	seen := map[uint64]bool{}
+	var out []Tuple
+	for tries := 0; len(out) < n && tries < 20*n; tries++ {
+		t := make(Tuple, arity)
+		for i := range t {
+			t[i] = oraclePath(rng, 0)
+		}
+		if k := t.Hash(); !seen[k] {
+			seen[k] = true
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// factLine prints one fact the way the parser reads it back, sharing
+// nothing with WriteFacts but Path.String.
+func factLine(name string, t Tuple) string {
+	if len(t) == 0 {
+		return name + ".\n"
+	}
+	parts := make([]string, len(t))
+	for i, p := range t {
+		parts[i] = p.String()
+	}
+	return name + "(" + strings.Join(parts, ", ") + ").\n"
+}
+
+// checkOrder asserts Sorted and WriteFacts of r against the reference —
+// the live tuples sorted from scratch, each printed by line — and
+// returns the printed facts.
+func checkOrder(t *testing.T, state string, r *Relation, line func(Tuple) string) string {
+	t.Helper()
+	want := r.Tuples()
+	slices.SortStableFunc(want, Tuple.Compare)
+	var wantText strings.Builder
+	for _, tup := range want {
+		wantText.WriteString(line(tup))
+	}
+	got := r.Sorted()
+	if len(got) != len(want) {
+		t.Fatalf("%s: Sorted has %d tuples, want %d", state, len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("%s: Sorted[%d] = %v, want %v", state, i, got[i], want[i])
+		}
+	}
+	var b bytes.Buffer
+	if err := r.WriteFacts(&b, "R"); err != nil {
+		t.Fatalf("%s: WriteFacts: %v", state, err)
+	}
+	if b.String() != wantText.String() {
+		t.Fatalf("%s: WriteFacts printed\n%swant\n%s", state, b.String(), wantText.String())
+	}
+	return b.String()
+}
+
+func TestOrderOracle(t *testing.T) {
+	for seed := 0; seed < 20; seed++ {
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
+			t.Parallel()
+			orderOracle(t, seed)
+		})
+	}
+}
+
+func orderOracle(t *testing.T, seed int) {
+	const steps = 2000
+	rng := rand.New(rand.NewSource(int64(seed)))
+	arity := seed % 4
+	// Most seeds stay small so deletes and re-adds collide often; two
+	// outgrow a chunk so sealed chunks, tombstone pages and tails larger
+	// than the already-ordered prefix all occur.
+	n := 24 + 8*(seed%10)
+	if seed%10 == 9 {
+		n = chunkSize + chunkSize/4
+	}
+	universe := oracleUniverse(rng, arity, n)
+	pick := func() Tuple { return universe[rng.Intn(len(universe))] }
+	// The reference line of each tuple is printed once, up front: the
+	// oracle re-sorts at every step but need not re-print.
+	lines := map[uint64]string{}
+	for _, tup := range universe {
+		lines[tup.Hash()] = factLine("R", tup)
+	}
+	line := func(tup Tuple) string { return lines[tup.Hash()] }
+
+	inst := New()
+	inst.Ensure("R", arity)
+	// held are older epochs of the lineage with the facts each printed
+	// when it was frozen: nothing done to a later epoch may change them.
+	type epoch struct {
+		rel   *Relation
+		facts string
+	}
+	var held []epoch
+
+	for step := 0; step < steps; step++ {
+		state := fmt.Sprintf("step %d", step)
+		switch op := rng.Intn(100); {
+		case op < 40:
+			inst.Add("R", pick())
+		case op < 50:
+			for k := rng.Intn(chunkSize / 2); k >= 0; k-- {
+				inst.Add("R", pick())
+			}
+		case op < 70:
+			inst.Delete("R", pick())
+		case op < 80:
+			// Delete then re-add: the tuple now occupies two positions,
+			// the earlier one dead on this epoch and alive on older ones.
+			if live := inst.Relation("R").Tuples(); len(live) > 0 {
+				tup := live[rng.Intn(len(live))]
+				inst.Delete("R", tup)
+				inst.Add("R", tup)
+			}
+		case op < 88:
+			r := inst.Relation("R")
+			r.Freeze()
+			if len(held) == 3 {
+				held = append(held[:0], held[1:]...)
+			}
+			held = append(held, epoch{r, checkOrder(t, state+" (freeze)", r, line)})
+		case op < 93:
+			inst.Ensure("R", arity) // the barrier clone, when frozen
+		case op < 97:
+			inst.Ensure("R", arity).Compact()
+		default:
+			inst.Put("R", inst.Relation("R").Clone())
+		}
+
+		checkOrder(t, state, inst.Relation("R"), line)
+		for k, h := range held {
+			if got := checkOrder(t, fmt.Sprintf("%s, epoch held -%d", state, len(held)-k), h.rel, line); got != h.facts {
+				t.Fatalf("%s: an epoch frozen earlier now prints\n%swhen frozen it printed\n%s", state, got, h.facts)
+			}
+		}
+	}
+}
