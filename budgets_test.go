@@ -1,6 +1,8 @@
 package seqlog
 
 import (
+	"fmt"
+	"io"
 	"runtime"
 	"testing"
 )
@@ -32,6 +34,16 @@ func TestAllocBudgets(t *testing.T) {
 		// ROADMAP item 4: a new path representation must leave associative
 		// unification where it is (713 allocs/op measured).
 		{"Figure2Unify", figure2Body, 800, 0},
+		// ISSUE 23: a query reply costs what changed. Warm, the order is
+		// there and facts render into one reused line, whatever the row
+		// count (3 allocs/op measured: the line growing). After an assert
+		// the reply pays the barrier — tail chunk, membership catch-up, one
+		// flatten of its overlay in these 20 epochs — and ONE new order
+		// array of 4 bytes per position (≤ 17.7 kB of the 60 843 B/op
+		// measured, 156 allocs/op); a second array, or a []Tuple of the
+		// relation (24 B a row), does not fit under the bound.
+		{"QueryReply/warm", queryReplyBody(false), 4, 0},
+		{"QueryReply/after-assert", queryReplyBody(true), 200, 72_000},
 	} {
 		op, restore := tc.body(t)
 		var before, after runtime.MemStats
@@ -54,5 +66,49 @@ func TestAllocBudgets(t *testing.T) {
 		if tc.bytes > 0 && bytes > tc.bytes {
 			t.Errorf("%s: %d B/op, budget %d", tc.series, bytes, tc.bytes)
 		}
+	}
+}
+
+// queryReplyBody is the read half of a serving loop on a 4 096-row
+// binary relation that has been printed before: WriteFacts into
+// io.Discard, either of the unchanged relation (warm) or — afterAssert —
+// of the epoch a writer made from the frozen one with 16 fresh rows,
+// which are built off the clock.
+func queryReplyBody(afterAssert bool) servingBody {
+	return func(tb testing.TB) (op, restore func(i int)) {
+		inst := NewInstance()
+		rows := func(tag string, n int) []Tuple {
+			out := make([]Tuple, n)
+			for k := range out {
+				out[k] = Tuple{PathOf(fmt.Sprintf("%s%d", tag, k*2654435761%4096)), PathOf(fmt.Sprintf("%s%d", tag, k))}
+			}
+			return out
+		}
+		for _, t := range rows("n", 4096) {
+			inst.Add("T", t)
+		}
+		reply := func() {
+			r := inst.Relation("T")
+			r.Freeze() // what Engine.Query does to the relation it hands out
+			if err := r.WriteFacts(io.Discard, "T"); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		reply()
+		if !afterAssert {
+			return func(int) { reply() }, nil
+		}
+		fresh := rows("warmup", 16)
+		assertAndReply := func(int) {
+			for _, t := range fresh {
+				inst.Add("T", t) // the first one pays the barrier clone
+			}
+			reply()
+		}
+		// The first barrier of a relation's life flattens its whole
+		// membership overlay; steady state is every epoch after it.
+		assertAndReply(0)
+		fresh = rows("e0_", 16)
+		return assertAndReply, func(i int) { fresh = rows(fmt.Sprintf("e%d_", i+1), 16) }
 	}
 }

@@ -29,6 +29,7 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -95,14 +96,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// drive run in process; fs itself prints the error and the usage.
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	body := cmd(fs, stdout)
+	// Buffered: Relation.WriteFacts hands its writer one line per fact,
+	// which straight to os.Stdout is one write(2) each. Nothing is written
+	// before body runs, and it is flushed before an error goes to stderr.
+	out := bufio.NewWriter(stdout)
+	body := cmd(fs, out)
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0
 	} else if err != nil {
 		return 2
 	}
+	err := body()
+	if ferr := out.Flush(); err == nil {
+		err = ferr
+	}
 	var status exit
-	switch err := body(); {
+	switch {
 	case err == nil:
 		return 0
 	case errors.As(err, &status):

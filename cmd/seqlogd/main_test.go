@@ -595,3 +595,68 @@ func TestDrainForceClosesStuckSessions(t *testing.T) {
 		t.Fatalf("%d sessions still tracked after drain", left)
 	}
 }
+
+// TestSlowQueryReaderStallsNoOne (ROADMAP 5 (b), 7 (c)): a session that
+// asks for a reply larger than its transport buffers and stops reading
+// holds a snapshot and nothing else — no server, engine or relation
+// lock is held across a socket write — so another session's assert and
+// query complete beside it, and when the slow one reads on it gets the
+// rows of the epoch it asked about.
+func TestSlowQueryReaderStallsNoOne(t *testing.T) {
+	srv := &server{limits: eval.Limits{}}
+	const chain = 60 // 60·61/2 = 1830 facts, some 25 kB of reply
+	var edges strings.Builder
+	for i := 0; i < chain; i++ {
+		edges.WriteString(" E(n" + num(i) + ".n" + num(i+1) + ").")
+	}
+	if out := run(t, srv, "load\nT(@x.@y) :- E(@x.@y).\nT(@x.@z) :- T(@x.@y), E(@y.@z).\n.\nassert"+edges.String()+"\n"); !strings.Contains(out, "ok asserted=60") {
+		t.Fatalf("setup: %q", out)
+	}
+
+	client, served := net.Pipe() // unbuffered: an unread byte blocks the writer
+	defer client.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer served.Close()
+		srv.serve(served, served)
+	}()
+	if _, err := client.Write([]byte("query T\n")); err != nil {
+		t.Fatal(err)
+	}
+	slow := bufio.NewReader(client)
+	if line, err := slow.ReadString('\n'); err != nil || line != "T(n00.n01).\n" {
+		t.Fatalf("first reply line: %q, %v", line, err)
+	}
+	// The slow session now sits in a pipe write, most of its reply unsent.
+
+	beside := make(chan string, 1)
+	go func() { beside <- run(t, srv, "assert E(n60.n61).\nquery T\n") }()
+	select {
+	case out := <-beside:
+		for _, want := range []string{"ok asserted=1 derived=61", "T(n00.n61).\n", "ok n=1891"} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("the session beside the slow reader: reply missing %q", want)
+			}
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("an assert and a query stalled behind a session that stopped reading its reply")
+	}
+	select {
+	case <-done:
+		t.Fatal("the slow session finished: its reply never outgrew the transport's buffers")
+	default:
+	}
+
+	rest, err := slow.ReadString('k') // up to the "ok n=..." line's k
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, err := slow.ReadString('\n')
+	if err != nil || tail != " n=1830\n" || strings.Contains(rest, "n61") || strings.Count(rest, "\n") != 1829 {
+		t.Fatalf("the slow reader's reply is not its epoch's: %d lines, ends %q (%v), mentions n61: %v",
+			strings.Count(rest, "\n"), tail, err, strings.Contains(rest, "n61"))
+	}
+	client.Close()
+	<-done
+}

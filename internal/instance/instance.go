@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -61,12 +62,18 @@ func (t Tuple) Compare(u Tuple) int {
 }
 
 // String renders the tuple as (p1, ..., pn).
-func (t Tuple) String() string {
-	parts := make([]string, len(t))
+func (t Tuple) String() string { return string(t.appendText(nil)) }
+
+// appendText appends the tuple as String renders it.
+func (t Tuple) appendText(dst []byte) []byte {
+	dst = append(dst, '(')
 	for i, p := range t {
-		parts[i] = p.String()
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = p.AppendText(dst)
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	return append(dst, ')')
 }
 
 // The tuple log is chunked: positions pos map to
@@ -307,7 +314,11 @@ type Index = index
 // later Adds, so they are never stale. All of these share their bulk
 // across epochs the same way the tuple log is shared: an immutable
 // base postings plus a small private overlay, flattened at the write
-// barrier only when the overlay has grown past flattenThreshold.
+// barrier only when the overlay has grown past flattenThreshold. The
+// canonical order behind Sorted and WriteFacts is the fifth shared
+// part: an immutable sorted array of positions, built on first use,
+// extended by merging in what was appended since, inherited by pointer
+// at the barrier and renumbered by Compact (see canonical).
 //
 // Deletion is tombstone-based: Delete marks the tuple's position dead
 // in a copy-on-write bitmap page, but the position itself stays
@@ -327,12 +338,15 @@ type Index = index
 // Index(...).Lookup, PrefixLookup and SuffixLookup — even when a probe
 // lazily builds or catches up an index: index construction is internally
 // synchronized (a mutex guards building, an atomic watermark makes the
-// caught-up fast path lock-free). Writers — Add, and Clone or Sorted of
-// a relation being Added to — require exclusive access; they are NOT
-// synchronized against readers. The parallel evaluator relies on
-// exactly this split: within a fixpoint round relations are frozen
-// (read-only fan-out, workers derive into private buffers) and all
-// writes happen single-threaded at the round barrier.
+// caught-up fast path lock-free). On a frozen relation Sorted and
+// WriteFacts are reads too, the call that first builds or extends the
+// order included (same mutex; nothing is held while facts are written).
+// Writers — Add, and Clone, Sorted or WriteFacts of a relation being
+// Added to — require exclusive access; they are NOT synchronized
+// against readers. The parallel evaluator relies on exactly this
+// split: within a fixpoint round relations are frozen (read-only
+// fan-out, workers derive into private buffers) and all writes happen
+// single-threaded at the round barrier.
 //
 // Freeze makes the reader/writer split permanent for one relation
 // object: a frozen relation rejects writes forever, so its storage can
@@ -379,10 +393,18 @@ type Relation struct {
 
 	// mu guards creation of secondary indexes (the map below), the
 	// build step that absorbs pending tuples into one (membership
-	// included), and the barrier's read of their base/overlay state;
-	// see the concurrency contract above.
+	// included), the barrier's read of their base/overlay state, and
+	// the canonical order; see the concurrency contract above.
 	mu      sync.RWMutex
 	indexes map[indexKey]*index
+
+	// order is the canonical order of tuple-log positions [0,
+	// len(order)) — tombstoned ones included, readers filter through
+	// their own tombstone view — at 4 bytes a position, built by the
+	// first Sorted or WriteFacts (see canonical). A published array is
+	// never written again: the barrier clone inherits it by pointer like
+	// an index base, and a later epoch extends it into a fresh one.
+	order []uint32
 }
 
 // NewRelation creates an empty relation of the given arity.
@@ -554,8 +576,9 @@ func (r *Relation) Live(pos int) bool {
 func (r *Relation) Tombstones() int { return r.tombs }
 
 // Compact reclaims tombstoned positions: live tuples are renumbered
-// densely into fresh chunks and every secondary index is dropped (they
-// rebuild lazily on next use). The old chunks are never touched — they
+// densely into fresh chunks, every secondary index is dropped (they
+// rebuild lazily on next use) and the canonical order, when there is
+// one, is renumbered with them. The old chunks are never touched — they
 // may be shared with older snapshot epochs, which keep reading them
 // unchanged; compaction is the epoch fence that stops referencing
 // shared storage rather than rewriting it. Positions change, so
@@ -573,6 +596,10 @@ func (r *Relation) Compact() {
 	oldSize := r.size
 	r.chunks, r.size = nil, 0
 	m := make(map[uint64][]int, oldSize-r.tombs)
+	// The renumbering is monotone, so the canonical order survives it
+	// without a comparison: drop the dead positions, rename the rest.
+	// renamed holds each ordered live position's new one plus 1.
+	renamed := make([]uint32, len(r.order))
 	for pos := 0; pos < oldSize; pos++ {
 		pg := (*deadPage)(nil)
 		if pi := pos >> chunkShift; pi < len(r.dead) {
@@ -585,6 +612,15 @@ func (r *Relation) Compact() {
 		h := c.hashes[pos&chunkMask]
 		r.appendStamped(h, c.tuples[pos&chunkMask], c.stamps[pos&chunkMask])
 		m[h] = append(m[h], r.size-1)
+		if pos < len(renamed) {
+			renamed[pos] = uint32(r.size)
+		}
+	}
+	order := make([]uint32, 0, min(len(r.order), r.size))
+	for _, pos := range r.order {
+		if renamed[pos] > 0 {
+			order = append(order, renamed[pos]-1)
+		}
 	}
 	r.dead, r.deadOwned, r.tombs = nil, nil, 0
 	// The rebuilt membership becomes an immutable base: the next write
@@ -593,7 +629,7 @@ func (r *Relation) Compact() {
 	r.member.over, r.member.overCount = nil, 0
 	r.member.upto.Store(int64(r.size))
 	r.mu.Lock()
-	r.indexes = nil
+	r.indexes, r.order = nil, order
 	r.mu.Unlock()
 }
 
@@ -701,9 +737,73 @@ func (r *Relation) TupleAt(i int) Tuple { return r.tupleAt(i) }
 
 // Sorted returns the live tuples in canonical order.
 func (r *Relation) Sorted() []Tuple {
-	out := r.Tuples()
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	out := make([]Tuple, 0, r.Len())
+	for _, pos := range r.canonical() {
+		if r.Live(int(pos)) {
+			out = append(out, r.tupleAt(int(pos)))
+		}
+	}
 	return out
+}
+
+// comparePos totally orders tuple-log positions: by Tuple.Compare, then
+// by position (a tuple deleted and re-added holds two, at most one of
+// them live in any epoch's view).
+func (r *Relation) comparePos(a, b uint32) int {
+	if c := r.tupleAt(int(a)).Compare(r.tupleAt(int(b))); c != 0 {
+		return c
+	}
+	return int(a) - int(b)
+}
+
+// canonical returns every tuple-log position [0, size) in canonical
+// order; the caller skips the ones dead in its view. The order rides
+// the epochs like an index: what an earlier call (on this relation or
+// on the frozen epoch it was cloned from) already ordered is kept, and
+// only the positions appended since are sorted and merged in, so a
+// reader pays for what changed. The merge gallops — a doubling probe,
+// then a binary search, for each new position's place in what is left
+// of the old order, which is then copied as a block — so it costs
+// O(t·log(n/t)) comparisons for t new positions over n old ones,
+// whatever their ratio. Building runs under mu and nothing else does:
+// the returned array is immutable and is read, and written to a slow
+// client, with no lock held.
+func (r *Relation) canonical() []uint32 {
+	r.mu.RLock()
+	ord := r.order
+	r.mu.RUnlock()
+	if len(ord) == r.size {
+		return ord
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	old := r.order
+	if len(old) == r.size { // another reader built it meanwhile
+		return old
+	}
+	tail := make([]uint32, r.size-len(old))
+	for i := range tail {
+		tail[i] = uint32(len(old) + i)
+	}
+	slices.SortFunc(tail, r.comparePos)
+	ord = tail
+	if len(old) > 0 {
+		ord = make([]uint32, 0, r.size)
+		for _, p := range tail {
+			hi := 1
+			for hi < len(old) && r.comparePos(old[hi-1], p) < 0 {
+				hi *= 2
+			}
+			lo := hi / 2
+			hi = min(hi, len(old))
+			k := lo + sort.Search(hi-lo, func(i int) bool { return r.comparePos(old[lo+i], p) > 0 })
+			ord = append(append(ord, old[:k]...), p)
+			old = old[k:]
+		}
+		ord = append(ord, old...)
+	}
+	r.order = ord
+	return ord
 }
 
 // Clone returns an independent, compacted copy of the relation:
@@ -739,8 +839,8 @@ type cloneCost struct {
 }
 
 // cloneShared is the epoch write barrier: an O(size/chunkSize) clone
-// that shares every sealed chunk, tombstone page and index base with
-// the frozen original and copies only the partial tail chunk, the
+// that shares every sealed chunk, tombstone page, index base and the
+// canonical order with the frozen original and copies only the tail, the
 // pointer slices, and — when an overlay outgrew flattenThreshold — a
 // flattened index base. Tuple-log positions, tombstones included, are
 // preserved exactly, so delta windows recorded against the frozen
@@ -773,6 +873,7 @@ func (r *Relation) cloneShared() (*Relation, cloneCost) {
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	out.order = r.order
 	cost.copiedBytes += out.member.inherit(&r.member)
 	if len(r.indexes) > 0 {
 		out.indexes = make(map[indexKey]*index, len(r.indexes))
@@ -1394,18 +1495,13 @@ func (i *Instance) MaxPathLen() int {
 // single Write, so an unbuffered w sees one write per fact.
 func (r *Relation) WriteFacts(w io.Writer, name string) error {
 	var line []byte
-	for _, t := range r.Sorted() {
-		line = append(line[:0], name...)
-		for k, p := range t {
-			if k == 0 {
-				line = append(line, '(')
-			} else {
-				line = append(line, ", "...)
-			}
-			line = append(line, p.String()...)
+	for _, pos := range r.canonical() {
+		if !r.Live(int(pos)) {
+			continue
 		}
-		if len(t) > 0 {
-			line = append(line, ')')
+		line = append(line[:0], name...)
+		if r.Arity > 0 {
+			line = r.tupleAt(int(pos)).appendText(line)
 		}
 		line = append(line, ".\n"...)
 		if _, err := w.Write(line); err != nil {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"seqlog/internal/value"
@@ -65,17 +66,34 @@ func factLine(name string, t Tuple) string {
 	return name + "(" + strings.Join(parts, ", ") + ").\n"
 }
 
-// checkOrder asserts Sorted and WriteFacts of r against the reference —
-// the live tuples sorted from scratch, each printed by line — and
-// returns the printed facts.
-func checkOrder(t *testing.T, state string, r *Relation, line func(Tuple) string) string {
-	t.Helper()
+// scratchFacts is the reference: the live tuples sorted from scratch,
+// and each printed by line. It reads the tuple log and nothing else.
+func scratchFacts(r *Relation, line func(Tuple) string) ([]Tuple, string) {
 	want := r.Tuples()
 	slices.SortStableFunc(want, Tuple.Compare)
-	var wantText strings.Builder
+	var text strings.Builder
 	for _, tup := range want {
-		wantText.WriteString(line(tup))
+		text.WriteString(line(tup))
 	}
+	return want, text.String()
+}
+
+// checkOrder asserts Sorted and WriteFacts of r against the reference
+// and returns the printed facts.
+func checkOrder(t *testing.T, state string, r *Relation, line func(Tuple) string) string {
+	t.Helper()
+	// Bounded memory: 4 bytes per tuple-log position, never more — as the
+	// step left it (inherited, renumbered by Compact) and as the read
+	// below extends it.
+	defer func() {
+		if len(r.order) != r.Size() {
+			t.Fatalf("%s: the order holds %d positions after a read, the log %d", state, len(r.order), r.Size())
+		}
+	}()
+	if len(r.order) > r.Size() {
+		t.Fatalf("%s: the order holds %d positions, the log only %d", state, len(r.order), r.Size())
+	}
+	want, wantText := scratchFacts(r, line)
 	got := r.Sorted()
 	if len(got) != len(want) {
 		t.Fatalf("%s: Sorted has %d tuples, want %d", state, len(got), len(want))
@@ -89,8 +107,8 @@ func checkOrder(t *testing.T, state string, r *Relation, line func(Tuple) string
 	if err := r.WriteFacts(&b, "R"); err != nil {
 		t.Fatalf("%s: WriteFacts: %v", state, err)
 	}
-	if b.String() != wantText.String() {
-		t.Fatalf("%s: WriteFacts printed\n%swant\n%s", state, b.String(), wantText.String())
+	if b.String() != wantText {
+		t.Fatalf("%s: WriteFacts printed\n%swant\n%s", state, b.String(), wantText)
 	}
 	return b.String()
 }
@@ -176,4 +194,55 @@ func orderOracle(t *testing.T, seed int) {
 			}
 		}
 	}
+}
+
+// TestOrderReadersBesideWriter: readers of a frozen epoch race each
+// other to build its order on first use while the owner clones it at
+// the barrier (inheriting the order, or not yet), appends, deletes and
+// freezes the next epoch; every reader sees exactly its epoch's rows.
+// The schedule coverage under -race is the point.
+func TestOrderReadersBesideWriter(t *testing.T) {
+	const epochs, readers = 12, 4
+	row := func(k int) Tuple {
+		return tup(value.PathOf("k"+fmt.Sprint(k*7919%1000)), value.PathOf("v"+fmt.Sprint(k)))
+	}
+	line := func(tup Tuple) string { return factLine("R", tup) }
+	inst := New()
+	next := 0
+	for ; next < 2*chunkSize+17; next++ {
+		inst.Add("R", row(next))
+	}
+	var wg sync.WaitGroup
+	for e := 0; e < epochs; e++ {
+		snap := inst.Relation("R")
+		snap.Freeze()
+		wantRows, want := scratchFacts(snap, line)
+		for g := 0; g < readers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for round := 0; round < 3; round++ {
+					var b bytes.Buffer
+					if err := snap.WriteFacts(&b, "R"); err != nil || b.String() != want {
+						t.Errorf("epoch %d reader %d: WriteFacts (err %v) did not print its epoch's %d rows", e, g, err, len(wantRows))
+					}
+					got := snap.Sorted()
+					if !slices.EqualFunc(got, wantRows, Tuple.Equal) {
+						t.Errorf("epoch %d reader %d: Sorted returned %d rows, not its epoch's %d", e, g, len(got), len(wantRows))
+					}
+				}
+			}()
+		}
+		for k := 0; k < 40; k++ {
+			inst.Add("R", row(next))
+			next++
+		}
+		for k := 0; k < 10; k++ {
+			inst.Delete("R", row((e*53+k*31)%next))
+		}
+		if e%5 == 4 {
+			inst.Ensure("R", 2).Compact()
+		}
+	}
+	wg.Wait()
 }

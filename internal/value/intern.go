@@ -25,11 +25,14 @@ import (
 // and are NOT ordered like their texts; ordering goes through Text.
 type Sym uint32
 
-// symEntry is the immutable per-symbol record: the atom text and its
-// precomputed structural hash.
+// symEntry is the immutable per-symbol record: the atom text, the form
+// it prints in (quoted when it would not lex bare; otherwise the same
+// string, so a plain atom pays one string header) and its precomputed
+// structural hash.
 type symEntry struct {
-	text string
-	hash uint64
+	text  string
+	shown string
+	hash  uint64
 }
 
 // symTable is the global symbol table. entries holds the published
@@ -75,7 +78,7 @@ func (t *symTable) intern(text string) Atom {
 	}
 	entries := *t.entries.Load()
 	id = Sym(len(entries))
-	next := append(entries, symEntry{text: text, hash: atomHashOf(text)})
+	next := append(entries, symEntry{text: text, shown: renderAtom(text), hash: atomHashOf(text)})
 	t.entries.Store(&next)
 	t.ids[text] = id
 	return Atom{sym: id}

@@ -61,8 +61,9 @@ func (a Atom) Text() string { return symtab.entry(a.sym).text }
 // interning time; a table lookup afterwards).
 func (a Atom) Hash() uint64 { return symtab.entry(a.sym).hash }
 
-// String implements Value.
-func (a Atom) String() string { return renderAtom(a.Text()) }
+// String implements Value: the text the atom was given at interning
+// time, quoted unless it lexes as a bare identifier.
+func (a Atom) String() string { return symtab.entry(a.sym).shown }
 
 // Packed is a packed value <p>: a path temporarily treated as atomic
 // (the P feature of the paper). Packed values are hash-consed by Pack:
@@ -100,7 +101,7 @@ func (p Packed) Unpack() Path { return p.node().path }
 func (p Packed) Hash() uint64 { return p.node().hash }
 
 // String implements Value.
-func (p Packed) String() string { return "<" + p.Unpack().String() + ">" }
+func (p Packed) String() string { return Path{p}.String() }
 
 // Path is a finite sequence of values. The empty path is the paper's ε.
 type Path []Value
@@ -134,19 +135,38 @@ func Concat(paths ...Path) Path {
 	return out
 }
 
-// String renders the path in the paper's dotted notation; ε for empty.
+// String renders the path in the paper's dotted notation; eps for ε.
 func (p Path) String() string {
-	if len(p) == 0 {
-		return "eps"
-	}
-	parts := make([]string, len(p))
-	for i, v := range p {
-		parts[i] = v.String()
-	}
-	return strings.Join(parts, ".")
+	var buf [64]byte // most paths print shorter: one allocation, the result
+	return string(p.AppendText(buf[:0]))
 }
 
-// renderAtom quotes an atom when it would not lex as a bare identifier.
+// AppendText appends the path as String prints it and the parser reads
+// it back — values joined by dots, packing as <...>, eps for ε — and
+// returns the extended buffer. It is the one renderer of values: every
+// String of this package and instance's fact printer go through it, and
+// it allocates only when dst must grow.
+func (p Path) AppendText(dst []byte) []byte {
+	if len(p) == 0 {
+		return append(dst, "eps"...)
+	}
+	for i, v := range p {
+		if i > 0 {
+			dst = append(dst, '.')
+		}
+		switch x := v.(type) {
+		case Atom:
+			dst = append(dst, x.String()...)
+		case Packed:
+			dst = append(x.Unpack().AppendText(append(dst, '<')), '>')
+		}
+	}
+	return dst
+}
+
+// renderAtom quotes an atom when it would not lex as a bare identifier;
+// a bare one is returned as is, sharing its bytes. Interning calls it
+// once per symbol.
 func renderAtom(s string) string {
 	if s == "" {
 		return "''"
