@@ -284,26 +284,6 @@ func BenchmarkTwoBoundedSimulation(b *testing.B) {
 	})
 }
 
-// Acceptance workload for the parallel evaluator: the same 200-node /
-// 1000-edge graphpaths workload, swept across worker counts. Workers=1
-// is the sequential evaluator (no pool, no buffers); higher counts
-// fan each round's delta-window slices across the pool and merge at
-// the barrier. Measured results are in README.md ("Parallel
-// evaluation").
-func BenchmarkGraphPathsParallel(b *testing.B) {
-	q, _ := queries.Get("reachability")
-	edb := workload.Graph(9, 200, 1000)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := eval.Eval(q.Program, edb, eval.Limits{Parallelism: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // Evaluator scaling: transitive closure over chains (semi-naive
 // fixpoint depth).
 func BenchmarkTransitiveClosure(b *testing.B) {

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	seqlog -program prog.sdl -data facts.sdl [-output S] [-max-facts N] [-workers N]
+//	seqlog -program prog.sdl -data facts.sdl [-output S] [-max-facts N]
 //	seqlog -query nfa-accept -data facts.sdl
 //	seqlog -vet -program prog.sdl [-output S]
 //	seqlog -list
@@ -125,7 +125,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 func evalCmd(fs *flag.FlagSet, stdout io.Writer) func() error {
 	limits := eval.Limits{MaxFacts: eval.DefaultLimits.MaxFacts}
 	fs.Func("max-facts", fmt.Sprintf("termination guard: maximum derived facts (default %d)", limits.MaxFacts), limits.SetMaxFacts)
-	fs.IntVar(&limits.Parallelism, "workers", 1, "fixpoint workers per round (1 = sequential, -1 = all CPUs)")
 	var (
 		programFile = fs.String("program", "", "file holding the program")
 		queryName   = fs.String("query", "", "run a built-in paper query instead of -program")

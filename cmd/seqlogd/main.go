@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	seqlogd [-program prog.sdl] [-data facts.sdl] [-workers N] [-max-facts N]
+//	seqlogd [-program prog.sdl] [-data facts.sdl] [-max-facts N]
 //	seqlogd -listen :7690 ...
 //	seqlogd -wal-dir ./wal -sync always -checkpoint-every 4096 ...
 //
@@ -72,7 +72,6 @@ import (
 func main() {
 	srv := &server{limits: eval.Limits{MaxFacts: eval.DefaultLimits.MaxFacts}}
 	flag.Func("max-facts", fmt.Sprintf("termination guard: maximum materialized derived facts (default %d)", srv.limits.MaxFacts), srv.limits.SetMaxFacts)
-	flag.IntVar(&srv.limits.Parallelism, "workers", 1, "fixpoint workers per maintenance round (1 = sequential, -1 = all CPUs)")
 	flag.DurationVar(&srv.idleTimeout, "idle-timeout", 0, "close sessions idle longer than this (0: never)")
 	var (
 		programFile = flag.String("program", "", "file holding the program to load at startup")

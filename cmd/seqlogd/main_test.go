@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -161,11 +162,12 @@ func TestLoadCarryArityClashKeepsOldEngine(t *testing.T) {
 	}
 }
 
-// TestArityClashesAreErrRepliesNotPanics: three client sequences that
-// used to take the daemon down (or, under negation, answer wrongly)
-// each get one err reply, and the same session then completes a query
-// against the engine that was serving before.
+// TestArityClashesAreErrRepliesNotPanics: client sequences that used to
+// take the daemon down (or, under negation, answer wrongly) each get one
+// err reply, and the same session then completes a query against the
+// engine that was serving before.
 func TestArityClashesAreErrRepliesNotPanics(t *testing.T) {
+	deep := value.MaxPackingDepth + 1
 	for _, tc := range []struct{ name, script, wantErr, wantAfter string }{
 		{
 			// One relation at two arities inside one batch: a panic out of
@@ -188,6 +190,14 @@ func TestArityClashesAreErrRepliesNotPanics(t *testing.T) {
 			"load\nU($x) :- T($x).\n.\nassert T(a). R(a, b).\nload\nS($x) :- T($x), !R($x).\n.\nquery U\n",
 			`err eval: instance holds arity-2 tuples of relation "R" used with arity 1 by the program`,
 			"U(a).\nok n=1",
+		}, {
+			// Packing one level past the bound: the parser recursed once per
+			// '<', and a few million levels overflowed the stack, which no
+			// recover catches.
+			"over-deep packing",
+			"load\nS($x) :- T($x).\n.\nassert T(a).\nload\nT(" + strings.Repeat("<", deep) + "a" + strings.Repeat(">", deep) + ").\n.\nquery S\n",
+			fmt.Sprintf("err 1:%d: packing nested deeper than %d", 2+deep, value.MaxPackingDepth),
+			"S(a).\nok n=1",
 		},
 	} {
 		got := run(t, &server{limits: eval.Limits{}}, tc.script)

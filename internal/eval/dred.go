@@ -26,9 +26,9 @@ package eval
 //     then propagate semi-naively over the restore windows.
 //  3. insert: new consequences are derived delta-first — insertion
 //     windows joined through positive literals (the classic semi-naive
-//     incremental round, parallel when configured), net deletions
-//     probed through negated literals (derivations blocked only by a
-//     fact this run removed are new), then the stratum-local fixpoint.
+//     incremental round), net deletions probed through negated literals
+//     (derivations blocked only by a fact this run removed are new),
+//     then the stratum-local fixpoint.
 //
 // Net insertions are tracked as windows into the relations' tuple
 // logs, net deletions as side relations; each stratum keeps cursors
@@ -640,7 +640,7 @@ func (m *maintenance) insert(ps *preparedStratum, si int) error {
 	sink := dr.derive
 	prev := localSizes(ps.heads, inst)
 	// (a) positive deltas over the unconsumed insertion windows: the
-	// classic incremental round, fanned out when configured.
+	// classic incremental round.
 	if err := dr.delta(func(name string) []window { return m.unconsumedIns(si, name) }, sink); err != nil {
 		return err
 	}

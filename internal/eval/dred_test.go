@@ -50,16 +50,16 @@ func TestEngineRetractMatchesEval(t *testing.T) {
 		// everything the engine can retract and re-assert.
 		seeds, facts := splitEDB(edb, prep, 0, nil)
 		for _, cfg := range []struct {
-			batch, workers int
-			seed           int64
+			batch int
+			seed  int64
 		}{
-			{batch: 1, workers: 1, seed: 11},
-			{batch: 3, workers: 2, seed: 12},
-			{batch: 2, workers: 4, seed: 13},
-			{batch: 1 << 30, workers: 1, seed: 14}, // one big batch
+			{batch: 1, seed: 11},
+			{batch: 3, seed: 12},
+			{batch: 2, seed: 13},
+			{batch: 1 << 30, seed: 14}, // one big batch
 		} {
 			rng := rand.New(rand.NewSource(cfg.seed))
-			e, err := NewEngine(prep, edb, Limits{Parallelism: cfg.workers})
+			e, err := NewEngine(prep, edb, Limits{})
 			if err != nil {
 				t.Fatalf("%s %+v: NewEngine: %v", q.Name, cfg, err)
 			}
@@ -512,7 +512,7 @@ func TestEngineConcurrentSnapshotQueryDuringRetract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(prep, chainEDB(0, 32), Limits{Parallelism: 2})
+	e, err := NewEngine(prep, chainEDB(0, 32), Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,13 +58,12 @@ type Engine struct {
 // PlanStats reports which compiled plans a maintenance run executed
 // and the access paths their non-delta join steps used. A "plan
 // execution" is one delta-restricted run of a rule (per change window,
-// per changed atom, per semi-naive round; parallel runs count each
-// window slice); the goal-directed rederivation probes are not
-// counted. The step counters classify every positive non-delta
-// predicate step of those executions by its planned access path, so
-// VariantRuns vs BaseRuns splits the runs by which kind of change
-// drove them and ScanSteps says how often a body atom still had to be
-// scanned.
+// per changed atom, per semi-naive round); the goal-directed
+// rederivation probes are not counted. The step counters classify every
+// positive non-delta predicate step of those executions by its planned
+// access path, so VariantRuns vs BaseRuns splits the runs by which kind
+// of change drove them and ScanSteps says how often a body atom still
+// had to be scanned.
 type PlanStats struct {
 	// VariantRuns counts executions of delta-hoisted variant plans: the
 	// runs driven by a change window of a positive body atom's relation.

@@ -106,21 +106,21 @@ func TestEngineAssertMatchesEval(t *testing.T) {
 			t.Fatalf("%s: Eval: %v", q.Name, err)
 		}
 		for _, cfg := range []struct {
-			keep, batch, workers int
-			seed                 int64 // 0 = keep EDB order
+			keep, batch int
+			seed        int64 // 0 = keep EDB order
 		}{
 			{keep: 0, batch: 1},
 			{keep: 0, batch: 5, seed: 1},
 			{keep: 7, batch: 3, seed: 2},
 			{keep: 3, batch: 1 << 30, seed: 3}, // one big batch
-			{keep: 0, batch: 4, seed: 4, workers: 4},
+			{keep: 0, batch: 4, seed: 4},
 		} {
 			var rng *rand.Rand
 			if cfg.seed != 0 {
 				rng = rand.New(rand.NewSource(cfg.seed))
 			}
 			initial, rest := splitEDB(edb, prep, cfg.keep, rng)
-			e, err := NewEngine(prep, initial, Limits{Parallelism: cfg.workers})
+			e, err := NewEngine(prep, initial, Limits{})
 			if err != nil {
 				t.Fatalf("%s %+v: NewEngine: %v", q.Name, cfg, err)
 			}
@@ -162,14 +162,13 @@ func TestEngineRandomizedInsertionOrders(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
 		initial, rest := splitEDB(edb, prep, rng.Intn(10), rng)
-		workers := []int{1, 2, 4}[trial%3]
-		e, err := NewEngine(prep, initial, Limits{Parallelism: workers})
+		e, err := NewEngine(prep, initial, Limits{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		assertInBatches(t, e, rest, 1+rng.Intn(7))
 		if got := mustSnapshot(t, e); !got.Equal(want) {
-			t.Fatalf("trial %d (workers=%d): %s", trial, workers, instance.Diff(got, want))
+			t.Fatalf("trial %d: %s", trial, instance.Diff(got, want))
 		}
 	}
 }
@@ -443,7 +442,7 @@ func TestEngineConcurrentSnapshotQueryDuringAssert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(prep, chainEDB(0, 8), Limits{Parallelism: 2})
+	e, err := NewEngine(prep, chainEDB(0, 8), Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,7 +552,7 @@ func TestEngineEpochHammerWithRetracts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(prep, chainEDB(0, 16), Limits{Parallelism: 2})
+	e, err := NewEngine(prep, chainEDB(0, 16), Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,7 @@ import (
 // (§2.3); programs like Example 2.3 trip this error.
 var ErrNonTermination = errors.New("evaluation exceeded limits (program may not terminate)")
 
-// Limits bound and configure an evaluation. Zero values mean "use the
-// default".
+// Limits bound an evaluation. Zero values mean "use the default".
 type Limits struct {
 	// MaxFacts bounds the total number of derived facts.
 	MaxFacts int
@@ -24,13 +23,10 @@ type Limits struct {
 	MaxIterations int
 	// MaxPathLen bounds the length of any derived path (0 = unbounded).
 	MaxPathLen int
-	// Parallelism sets the number of worker goroutines evaluating each
-	// fixpoint round. 0 and 1 select the sequential evaluator; values
-	// above 1 select the parallel evaluator with that many workers; a
-	// negative value uses runtime.GOMAXPROCS(0). Both evaluators
-	// compute the same least model (the parallel one deterministically,
-	// independent of scheduling); parallelism only changes the
-	// wall-clock cost of getting there.
+	// Deprecated: Parallelism is ignored. A from-scratch fixpoint splits
+	// its rounds runtime.GOMAXPROCS(0) ways and maintenance runs
+	// sequentially (see Prepared.fixpoint); the field stays only while
+	// bench/mirror.go:45 names it.
 	Parallelism int
 }
 
@@ -167,9 +163,12 @@ type driver struct {
 	// the maintenance run's PlanStats.
 	stats *PlanStats
 	// derived is set when the phase's sink is derive into inst, counting
-	// new facts here: only then can a round fan out to workers, whose
-	// buffers are merged by deriving.
+	// new facts here.
 	derived *int
+	// workers is how many ways a round is split: runtime.GOMAXPROCS(0)
+	// for the from-scratch pass, 0 (inline) for every maintenance phase;
+	// see Prepared.fixpoint.
+	workers int
 
 	items []workItem // the current delta round's work, reused round to round
 	frame run        // the one plan execution in flight; see exec
@@ -181,27 +180,12 @@ type driver struct {
 	headBuf instance.Tuple
 }
 
-// workers is how many ways a round of this driver is split:
-// Limits.Parallelism as a concrete count, for a deriving driver.
-func (dr *driver) workers() int {
-	switch p := dr.limits.Parallelism; {
-	case dr.derived == nil || p == 0 || p == 1:
-		return 1
-	case p < 0:
-		return runtime.GOMAXPROCS(0)
-	default:
-		return p
-	}
-}
-
-// run executes one round's work items. With Limits.Parallelism > 1 a
-// deriving round — one item per rule in round 0, one per (rule,
-// delta-restricted predicate, window slice) afterwards — is fanned out
-// across a bounded worker pool (runParallel). Otherwise the items run
-// inline, one after the other, into sink.
+// run executes one round's work items: inline, one after the other,
+// into sink, or — a round worth splitting (fansOut) — across the
+// driver's workers (runParallel), which derive.
 func (dr *driver) run(items []workItem, sink sinkFunc) error {
-	if workers := dr.workers(); workers > 1 {
-		return dr.runParallel(items, workers)
+	if dr.fansOut(items) {
+		return dr.runParallel(items)
 	}
 	for _, it := range items {
 		if err := dr.exec(it.plan, it.win, sink); err != nil {
@@ -223,12 +207,11 @@ func (dr *driver) run(items []workItem, sink sinkFunc) error {
 // execution per slice. The round's items stay in dr.items.
 func (dr *driver) delta(windows func(name string) []window, sink sinkFunc) error {
 	dr.items = dr.items[:0]
-	chunks := dr.workers()
 	for _, p := range dr.plans {
 		for _, run := range p.variants {
 			for _, w := range windows(run.steps[0].pred.Name) {
 				n := len(dr.items)
-				dr.items = appendSlices(dr.items, run, w, chunks)
+				dr.items = appendSlices(dr.items, run, w, dr.workers)
 				for range dr.items[n:] {
 					run.note(dr.stats)
 				}
@@ -296,18 +279,23 @@ func (dr *driver) fixpoint(local map[string]bool, prev map[string]int, sink sink
 // stamps from a previous engine's run, which must stay fully visible.
 // An engine's stamper tags stratum si's derivations si+1 (see
 // instance.MakeStamp) for the maintenance runs that follow.
+//
+// Its rounds are the only ones split across runtime.GOMAXPROCS(0)
+// workers: every maintenance phase runs inline (the measurements are in
+// docs/evaluation.md, "Worker partitioning").
 func (p *Prepared) fixpoint(inst *instance.Instance, limits Limits, derived *int, stamper *instance.Stamper) error {
 	for _, name := range inst.Names() {
 		if err := p.checkArity(name, inst.Relation(name), "instance holds"); err != nil {
 			return err
 		}
 	}
+	workers := runtime.GOMAXPROCS(0)
 	for si := range p.strata {
 		ps := &p.strata[si]
 		if stamper != nil {
 			stamper.SetTag(uint64(si + 1))
 		}
-		dr := &driver{plans: ps.plans, inst: inst, limits: limits, opts: runOpts{negStep: -1}, derived: derived}
+		dr := &driver{plans: ps.plans, inst: inst, limits: limits, opts: runOpts{negStep: -1}, derived: derived, workers: workers}
 		// Round 0: evaluate every rule against the full instance.
 		prev := localSizes(ps.heads, inst)
 		err := dr.run(fullItems(ps.plans), dr.derive)
@@ -358,8 +346,8 @@ func (dr *driver) derive(head ast.Pred, env *Env) error {
 // born here: the fresh position lands in the current insertion window,
 // and downstream strata and negation probes see it exactly where
 // Prepared.Eval's stratum-ordered pass would have put it. The fact set
-// is unchanged, so callers do not count it as derived. The sequential
-// derive and the parallel round merge both come through here.
+// is unchanged, so callers do not count it as derived. Only maintenance
+// has a nonzero visTag, and it never fans out.
 func (dr *driver) promote(rel *instance.Relation, h uint64, t instance.Tuple) {
 	if dr.opts.visTag == 0 {
 		return

@@ -1,27 +1,26 @@
 package eval
 
-// Parallel semi-naive evaluation: within one fixpoint round the work
-// partitions cleanly — by rule in round 0, by (rule, delta-restricted
-// predicate, delta-window slice) in the semi-naive rounds — because a
-// join is a union over bindings and the delta window is a union of its
-// slices. The round protocol is freeze → fan-out → barrier → merge:
+// Parallel semi-naive evaluation: a semi-naive round partitions cleanly
+// by (rule, delta-restricted predicate, delta-window slice), because a
+// join is a union over bindings and a window is a union of its slices.
+// Only the from-scratch pass fans out (see Prepared.fixpoint), so every
+// run here reads the whole instance (visTag 0). A round runs
+// fan-out → barrier → merge:
 //
-//  1. freeze: no relation of the shared instance is written for the
-//     rest of the round; every secondary index built so far is caught
-//     up single-threaded so worker probes hit the lock-free fast path;
-//  2. fan-out: a bounded pool of workers drains the round's work
-//     items, each deriving into a worker-private buffer instance
-//     (facts already in the shared instance are dropped by a read-only
-//     membership probe);
-//  3. barrier: all workers finish (the first error wins);
-//  4. merge: the buffers are folded into the shared instance
+//  1. fan-out: workers take the round's items in order, each deriving
+//     into a private buffer the facts the shared instance lacks. Nobody
+//     writes the shared instance until the merge, so workers only read
+//     it; an index a probe finds behind catches up under its relation's
+//     lock (the Relation concurrency contract);
+//  2. barrier: all workers finish (the first error wins);
+//  3. merge: the buffers are folded into the shared instance
 //     single-threaded, in work-item order, deduplicated by the
 //     relations' full-tuple hash indexes. The appended facts form the
 //     next round's delta windows, exactly as in sequential evaluation.
 //
 // Merging in work-item order makes the result instance — including
-// its insertion order — a pure function of the program and input,
-// independent of how goroutines were scheduled.
+// its insertion order — a pure function of the program, the input and
+// the worker count, independent of how goroutines were scheduled.
 
 import (
 	"errors"
@@ -33,136 +32,92 @@ import (
 )
 
 // minParallelChunk is the smallest delta-window slice worth handing to
-// a worker: below this, the fan-out overhead (buffer instance, channel
-// hop, merge pass) dominates the join work inside the slice.
+// a worker: below this, the fan-out overhead (buffer, merge pass)
+// dominates the join work inside the slice.
 const minParallelChunk = 32
 
 // appendSlices cuts one change window of a hoisted plan's delta step
 // into up to `chunks` contiguous slices of at least minParallelChunk
 // tuples and appends one work item per slice.
 func appendSlices(items []workItem, p *plan, w window, chunks int) []workItem {
-	if most := (w.hi - w.lo) / minParallelChunk; chunks > most {
-		chunks = most
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
 	n := w.hi - w.lo
+	chunks = max(1, min(chunks, n/minParallelChunk))
 	for c := 0; c < chunks; c++ {
 		items = append(items, workItem{plan: p, win: window{w.lo + n*c/chunks, w.lo + n*(c+1)/chunks}})
 	}
 	return items
 }
 
-// freezeIndexes prepares the shared instance for a read-only fan-out:
-// every exact index a work item's plan will probe is created (resolve
-// does, exactly as the workers' own runs will), then every index of
-// each relation the round reads absorbs its pending tuples. After this,
-// the common worker probes are pure map reads; only an index shape
-// first probed mid-round (a new ground-prefix length) still builds
-// lazily, under the relation's internal lock.
-func (dr *driver) freezeIndexes(items []workItem) {
-	read := map[*instance.Relation]bool{}
+// fansOut reports whether a round is worth splitting across the
+// driver's workers: its change windows hold at least one
+// minParallelChunk of tuples per worker. Round 0, whose base plans run
+// over the full relations with no window, always runs inline.
+func (dr *driver) fansOut(items []workItem) bool {
+	tuples := 0
 	for _, it := range items {
-		for i := range it.plan.steps {
-			if rel, _ := dr.resolve(it.plan, i); rel != nil {
-				read[rel] = true
-			}
-		}
+		tuples += it.win.hi - it.win.lo
 	}
-	for rel := range read {
-		rel.CatchUpIndexes()
-	}
+	return dr.workers > 1 && tuples >= dr.workers*minParallelChunk
 }
 
-// runParallel evaluates one round's work items on a pool of `workers`
-// goroutines and merges the derivations at the barrier; see the package
-// comment at the top of this file for the protocol. Relations are
-// frozen during the fan-out (workers only read the shared instance,
-// deriving into private buffers) and the buffers are merged
-// single-threaded at the round barrier.
-func (dr *driver) runParallel(items []workItem, workers int) error {
-	if len(items) == 0 {
-		return nil
-	}
-	dr.freezeIndexes(items)
-	if workers > len(items) {
-		workers = len(items)
-	}
-	// Each item's private buffer is capped at the facts still admissible
-	// under MaxFacts (its count starts where the shared one stands), so a
+// runParallel evaluates one round's work items on up to dr.workers
+// goroutines, the caller's among them, and merges the derivations at
+// the barrier; see the comment at the top of this file for the
+// protocol.
+func (dr *driver) runParallel(items []workItem) error {
+	workers := min(dr.workers, len(items))
+	// Each item's buffer is capped at the facts still admissible under
+	// MaxFacts (its count starts where the shared one stands), so a
 	// runaway rule trips ErrNonTermination inside the round; the shared
 	// stop flag then aborts the other items (pending ones never start,
 	// in-flight ones bail at their next derivation) instead of letting
 	// each buffer up to the full budget.
 	base := *dr.derived
 	var stop atomic.Bool
-	bufs := make([]*instance.Instance, len(items))
+	var next atomic.Int64
+	bufs := make([]roundBuffer, len(items))
 	errs := make([]error, len(items))
-	next := make(chan int)
+	work := func() {
+		// A worker is a driver of its own over the shared instance:
+		// private frame, private head scratch, private count.
+		count := 0
+		wk := &driver{inst: dr.inst, limits: dr.limits, opts: dr.opts, derived: &count}
+		for idx := int(next.Add(1)) - 1; idx < len(items); idx = int(next.Add(1)) - 1 {
+			if stop.Load() {
+				errs[idx] = errRoundAborted
+				continue
+			}
+			count, bufs[idx].first = base, map[uint64]int32{}
+			errs[idx] = wk.exec(items[idx].plan, items[idx].win, wk.bufferSink(&bufs[idx], &stop))
+			if errs[idx] != nil {
+				stop.Store(true)
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// A worker is a driver of its own over the shared instance:
-			// private frame, private head scratch, private count.
-			count := 0
-			wk := &driver{inst: dr.inst, limits: dr.limits, opts: dr.opts, derived: &count}
-			for idx := range next {
-				if stop.Load() {
-					errs[idx] = errRoundAborted
-					continue
-				}
-				it := items[idx]
-				count, bufs[idx] = base, instance.New()
-				errs[idx] = wk.exec(it.plan, it.win, wk.bufferSink(bufs[idx], &stop))
-				if errs[idx] != nil {
-					stop.Store(true)
-				}
-			}
+			work()
 		}()
 	}
-	for i := range items {
-		next <- i
-	}
-	close(next)
+	work()
 	wg.Wait()
-	var aborted error
+	// An aborted item implies a sibling that failed for real.
 	for _, err := range errs {
-		if err == nil {
-			continue
+		if err != nil && !errors.Is(err, errRoundAborted) {
+			return err
 		}
-		if errors.Is(err, errRoundAborted) {
-			aborted = err
-			continue
-		}
-		return err
 	}
-	if aborted != nil {
-		return aborted
-	}
-	// Merge at the barrier, single-threaded. Work-item order (then the
-	// buffer's sorted relation names, then buffer insertion order) is
-	// deterministic, so the merged instance does not depend on which
-	// worker ran what when.
+	// Merge at the barrier, single-threaded, in work-item order (then
+	// derivation order within an item), so the merged instance does not
+	// depend on which worker ran what when. The merge reuses the hash the
+	// worker computed and never rehashes.
 	for _, buf := range bufs {
-		for _, name := range buf.Names() {
-			rel := buf.Relation(name)
-			dst := dr.inst.Ensure(name, rel.Arity)
-			for pos := 0; pos < rel.Size(); pos++ {
-				if !rel.Live(pos) {
-					continue
-				}
-				// Reuse the hash the buffer computed when the worker
-				// derived the tuple; the merge never rehashes. (Worker
-				// buffers are never deleted from today, but the
-				// position-based loop keeps tuple↔hash pairing correct
-				// even if that ever changes.)
-				h, t := rel.HashAt(pos), rel.TupleAt(pos)
-				if !dst.AddHashed(h, t) {
-					dr.promote(dst, h, t)
-				} else if err := dr.count(); err != nil {
+		for _, f := range buf.facts {
+			if dr.inst.Ensure(f.name, len(f.t)).AddHashed(f.h, f.t) {
+				if err := dr.count(); err != nil {
 					return err
 				}
 			}
@@ -175,15 +130,29 @@ func (dr *driver) runParallel(items []workItem, workers int) error {
 // sibling item already failed; the sibling's error is the one reported.
 var errRoundAborted = errors.New("eval: round aborted after a sibling work item failed")
 
+// roundBuffer is one work item's derivations: the facts the shared
+// instance lacked, each once, in derivation order. An instance would
+// do, but its chunks, stamps and per-hash position lists cost a
+// fanned-out round more in allocation and GC than the join work a
+// second worker takes on.
+type roundBuffer struct {
+	facts []bufFact
+	first map[uint64]int32 // hash → its latest fact; bufFact.prev chains the others
+}
+
+type bufFact struct {
+	name string
+	h    uint64
+	t    instance.Tuple
+	prev int32
+}
+
 // bufferSink returns a worker's sink for one work item: it derives into
-// the item's private buffer. Facts the shared instance already holds
-// are dropped via a read-only membership probe; the rest are
-// deduplicated locally, so a buffer never exceeds the number of
-// genuinely new facts it contributes. The shared-instance probe is
-// view-bounded by visTag: a fact present only with a later stratum's
-// stamp is buffered anyway, so the merge can promote it into this
-// stratum's view.
-func (wk *driver) bufferSink(buf *instance.Instance, stop *atomic.Bool) sinkFunc {
+// the item's buffer. Facts the shared instance already holds are
+// dropped via a read-only membership probe; the rest are deduplicated
+// in the buffer, so it never exceeds the genuinely new facts the item
+// contributes.
+func (wk *driver) bufferSink(buf *roundBuffer, stop *atomic.Bool) sinkFunc {
 	return func(head ast.Pred, env *Env) error {
 		if stop.Load() {
 			return errRoundAborted
@@ -194,13 +163,20 @@ func (wk *driver) bufferSink(buf *instance.Instance, stop *atomic.Bool) sinkFunc
 		if err != nil {
 			return err
 		}
-		if shared := wk.inst.Relation(head.Name); shared != nil &&
-			shared.Position(instance.View{MaxTag: wk.opts.visTag}, h, t) >= 0 {
+		if shared := wk.inst.Relation(head.Name); shared != nil && shared.Position(instance.View{}, h, t) >= 0 {
 			return nil
 		}
-		if !buf.Ensure(head.Name, len(head.Args)).AddFromScratch(h, t) {
-			return nil
+		prev, ok := buf.first[h]
+		if !ok {
+			prev = -1
 		}
+		for i := prev; i >= 0; i = buf.facts[i].prev {
+			if f := &buf.facts[i]; f.name == head.Name && f.t.Equal(t) {
+				return nil
+			}
+		}
+		buf.first[h] = int32(len(buf.facts))
+		buf.facts = append(buf.facts, bufFact{head.Name, h, instance.CopyTuple(t), prev})
 		return wk.count()
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"seqlog/internal/instance"
 	"seqlog/internal/parser"
 	"seqlog/internal/queries"
+	"seqlog/internal/workload"
 )
 
 // naiveEval is the reference evaluator the production one is pinned
@@ -54,11 +55,34 @@ func naiveEval(prep *Prepared, edb *instance.Instance, limits Limits) (*instance
 }
 
 // TestEvalMatchesNaiveReference checks that the production evaluator —
-// indexed joins, delta-hoisted variants, sequential and parallel rounds
+// indexed joins, delta-hoisted variants, rounds split GOMAXPROCS ways
+// (go test -cpu 1,4 runs both the sequential and the fanned-out pass)
 // — computes the same least model as the naive reference: on every
-// terminating example query of the paper, and on the shadow EDB of the
-// differential fuzzer's scenarios after every step.
+// terminating example query of the paper, on inputs wide enough for
+// their rounds to fan out, and on the shadow EDB of the differential
+// fuzzer's scenarios after every step.
 func TestEvalMatchesNaiveReference(t *testing.T) {
+	agree := func(t *testing.T, name string, edb *instance.Instance) {
+		q, err := queries.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep, err := Compile(q.Program)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := naiveEval(prep, edb, Limits{})
+		if err != nil {
+			t.Fatalf("%s (naive): %v", name, err)
+		}
+		got, err := prep.Eval(edb, Limits{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s: Eval and the naive reference disagree: %s", name, instance.Diff(got, want))
+		}
+	}
 	t.Run("queries", func(t *testing.T) {
 		edbs := agreementEDBs(t)
 		for _, q := range queries.All() {
@@ -69,24 +93,14 @@ func TestEvalMatchesNaiveReference(t *testing.T) {
 			if !ok {
 				t.Fatalf("query %s has no agreement EDB; add one to agreementEDBs", q.Name)
 			}
-			prep, err := Compile(q.Program)
-			if err != nil {
-				t.Fatalf("%s: %v", q.Name, err)
-			}
-			want, err := naiveEval(prep, edb, Limits{})
-			if err != nil {
-				t.Fatalf("%s (naive): %v", q.Name, err)
-			}
-			for _, workers := range []int{1, 2, 4} {
-				got, err := prep.Eval(edb, Limits{Parallelism: workers})
-				if err != nil {
-					t.Fatalf("%s (workers=%d): %v", q.Name, workers, err)
-				}
-				if !got.Equal(want) {
-					t.Errorf("%s (workers=%d): Eval and the naive reference disagree: %s", q.Name, workers, instance.Diff(got, want))
-				}
-			}
+			agree(t, q.Name, edb)
 		}
+	})
+	t.Run("wide", func(t *testing.T) {
+		agree(t, "reachability", workload.Graph(9, 40, 160))
+		agree(t, "nfa-accept", workload.NFA(4, 80, 6))
+		agree(t, "reverse-arity", workload.Strings(2, "R", 80, 4, workload.Alphabet(3)))
+		agree(t, "mirror-nonequal", workload.Strings(3, "R", 80, 4, workload.Alphabet(3)))
 	})
 	t.Run("scenarios", func(t *testing.T) {
 		for seed := int64(0); seed < 120; seed++ {
@@ -98,7 +112,7 @@ func TestEvalMatchesNaiveReference(t *testing.T) {
 			sh := fuzztest.NewShadow()
 			for i, st := range sc.Steps {
 				sh.Apply(st)
-				got, err := prep.Eval(sh.EDB(), Limits{Parallelism: sc.Workers})
+				got, err := prep.Eval(sh.EDB(), Limits{})
 				if err != nil {
 					t.Fatalf("seed %d step %d: Eval: %v\n%s%s", seed, i, err, sc.Src, sc.History(i))
 				}
@@ -107,8 +121,8 @@ func TestEvalMatchesNaiveReference(t *testing.T) {
 					t.Fatalf("seed %d step %d: naive: %v\n%s%s", seed, i, err, sc.Src, sc.History(i))
 				}
 				if d := instance.Diff(got, want); d != "" {
-					t.Fatalf("seed %d step %d (workers=%d): Eval diverges from the naive reference: %s\n%s%s",
-						seed, i, sc.Workers, d, sc.Src, sc.History(i))
+					t.Fatalf("seed %d step %d: Eval diverges from the naive reference: %s\n%s%s",
+						seed, i, d, sc.Src, sc.History(i))
 				}
 			}
 		}

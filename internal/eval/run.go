@@ -133,8 +133,7 @@ func (dr *driver) valuation() *Env {
 
 // resolve returns the relation step i of p reads and, when the step
 // probes one, its exact index: once per run, because map and
-// index-signature lookups are far too slow for once per binding. The
-// parallel round's freeze resolves through here too.
+// index-signature lookups are far too slow for once per binding.
 func (dr *driver) resolve(p *plan, i int) (*instance.Relation, *instance.Index) {
 	s := &p.steps[i]
 	if s.kind != stepPred && s.kind != stepNegPred {

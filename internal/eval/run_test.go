@@ -157,7 +157,7 @@ func TestEngineQueryBetweenWrites(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, sc.Src)
 		}
-		eng, err := NewEngine(prep, nil, Limits{Parallelism: sc.Workers})
+		eng, err := NewEngine(prep, nil, Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}

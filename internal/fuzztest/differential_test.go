@@ -40,7 +40,7 @@ func runSeed(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatalf("seed %d: generated program does not compile: %v\n%s", seed, err, sc.Src)
 	}
-	limits := eval.Limits{Parallelism: sc.Workers}
+	limits := eval.Limits{}
 	eng, err := eval.NewEngine(prep, nil, limits)
 	if err != nil {
 		t.Fatalf("seed %d: NewEngine: %v", seed, err)
@@ -54,7 +54,7 @@ func runSeed(t *testing.T, seed int64) {
 			_, err = eng.Assert(Batch(st.Facts))
 		}
 		if err != nil {
-			t.Fatalf("seed %d step %d (workers=%d): %v\n%s%s", seed, i, sc.Workers, err, sc.Src, sc.History(i))
+			t.Fatalf("seed %d step %d: %v\n%s%s", seed, i, err, sc.Src, sc.History(i))
 		}
 		sh.Apply(st)
 
@@ -67,8 +67,8 @@ func runSeed(t *testing.T, seed int64) {
 			t.Fatalf("seed %d step %d: Snapshot: %v", seed, i, err)
 		}
 		if d := instance.Diff(snap, want); d != "" {
-			t.Fatalf("seed %d step %d (workers=%d): engine diverges from scratch: %s\n%s%s",
-				seed, i, sc.Workers, d, sc.Src, sc.History(i))
+			t.Fatalf("seed %d step %d: engine diverges from scratch: %s\n%s%s",
+				seed, i, d, sc.Src, sc.History(i))
 		}
 	}
 }

@@ -45,12 +45,11 @@ func (s Step) String() string {
 	return verb + " " + strings.Join(parts, " ")
 }
 
-// Scenario is one generated fuzz case: a program, an interleaving of
-// assert/retract batches, and the engines' worker count.
+// Scenario is one generated fuzz case: a program and an interleaving
+// of assert/retract batches.
 type Scenario struct {
-	Src     string
-	Steps   []Step
-	Workers int
+	Src   string
+	Steps []Step
 }
 
 // History renders steps [0, i] of the scenario, one per line, for
@@ -114,11 +113,7 @@ func GenScenario(r *rand.Rand) Scenario {
 		steps = append(steps, st)
 	}
 
-	return Scenario{
-		Src:     src,
-		Steps:   steps,
-		Workers: []int{1, 2, 4}[r.Intn(3)],
-	}
+	return Scenario{Src: src, Steps: steps}
 }
 
 // genAutoStratified assembles a program without explicit strata (the

@@ -344,9 +344,10 @@ type Index = index
 // Writers — Add, and Clone, Sorted or WriteFacts of a relation being
 // Added to — require exclusive access; they are NOT synchronized
 // against readers. The parallel evaluator relies on exactly this
-// split: within a fixpoint round relations are frozen (read-only
-// fan-out, workers derive into private buffers) and all writes happen
-// single-threaded at the round barrier.
+// split: within a fixpoint round no relation is written (workers read
+// the shared instance, catching indexes up under the lock, and derive
+// into private buffers) and all writes happen single-threaded at the
+// round barrier.
 //
 // Freeze makes the reader/writer split permanent for one relation
 // object: a frozen relation rejects writes forever, so its storage can
@@ -1182,24 +1183,6 @@ func (r *Relation) affixLookup(kind indexKind, v View, col int, affix value.Path
 		}
 		return p[len(p)-len(affix):].Equal(affix)
 	})
-}
-
-// CatchUpIndexes absorbs pending tuples into the membership index and
-// every secondary index built so far. The parallel evaluator calls it
-// on each relation a round will read before fanning out, so worker
-// probes of already-known index shapes run lock-free; an index shape
-// first probed mid-round still builds safely under the internal lock.
-func (r *Relation) CatchUpIndexes() {
-	r.member.catchUp()
-	r.mu.RLock()
-	built := make([]*index, 0, len(r.indexes))
-	for _, ix := range r.indexes {
-		built = append(built, ix)
-	}
-	r.mu.RUnlock()
-	for _, ix := range built {
-		ix.catchUp()
-	}
 }
 
 // CloneStats accumulates the work the Ensure write barrier has done on

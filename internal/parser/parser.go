@@ -9,8 +9,9 @@ import (
 )
 
 type parser struct {
-	toks []token
-	pos  int
+	toks  []token
+	pos   int
+	depth int // packings parseExpr is inside of
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
@@ -243,8 +244,13 @@ func (p *parser) parseExpr() (ast.Expr, error) {
 			p.next()
 			e = append(e, ast.VarT{V: ast.PVar(t.text)})
 		case tokLAngle:
+			if p.depth == value.MaxPackingDepth {
+				return nil, p.errf(t, "packing nested deeper than %d", value.MaxPackingDepth)
+			}
 			p.next()
+			p.depth++
 			inner, err := p.parseExpr()
+			p.depth--
 			if err != nil {
 				return nil, err
 			}

@@ -54,9 +54,15 @@ func AppendPath(b []byte, p Path) []byte {
 // and the remaining bytes. Atoms are re-interned and packed values
 // re-canonicalized, so the result is structurally equal to the encoded
 // path regardless of the symbol-table state of the decoding process. A
-// truncated or malformed encoding returns an error; the durability
-// layer treats that as a corrupt record.
-func ConsumePath(b []byte) (Path, []byte, error) {
+// truncated or malformed encoding, or one nesting packed values deeper
+// than MaxPackingDepth, returns an error; the durability layer treats
+// that as a corrupt record.
+func ConsumePath(b []byte) (Path, []byte, error) { return consumePath(b, 0) }
+
+// consumePath is ConsumePath for a path nested inside depth packed
+// values. An inner error is returned as is: wrapping it once per level
+// would cost time quadratic in the depth.
+func consumePath(b []byte, depth int) (Path, []byte, error) {
 	n, w := binary.Uvarint(b)
 	if w <= 0 {
 		return nil, b, fmt.Errorf("value: truncated path length")
@@ -85,9 +91,12 @@ func ConsumePath(b []byte) (Path, []byte, error) {
 			p = append(p, Intern(string(b[:l])))
 			b = b[l:]
 		case codecPacked:
-			inner, rest, err := ConsumePath(b)
+			if depth == MaxPackingDepth {
+				return nil, b, fmt.Errorf("value: packed values nested deeper than %d", MaxPackingDepth)
+			}
+			inner, rest, err := consumePath(b, depth+1)
 			if err != nil {
-				return nil, rest, fmt.Errorf("value: packed value %d of %d: %w", i+1, n, err)
+				return nil, rest, err
 			}
 			p = append(p, Pack(inner))
 			b = rest

@@ -88,3 +88,49 @@ func TestPathCodecRejectsCorruption(t *testing.T) {
 		t.Fatal("absurd count decoded silently")
 	}
 }
+
+// nested returns the path a packed depth times: <…<a>…>.
+func nested(depth int) Path {
+	p := PathOf("a")
+	for i := 0; i < depth; i++ {
+		p = Path{Pack(p)}
+	}
+	return p
+}
+
+// TestPathCodecBoundsNesting: 16 MiB of 01 01 pairs — one packed value
+// inside another, eight million deep, well within a WAL payload — used
+// to overflow the goroutine stack, a fatal error no caller can recover
+// from; it is refused as corrupt. A path packed MaxPackingDepth deep
+// round trips and one level deeper is refused.
+func TestPathCodecBoundsNesting(t *testing.T) {
+	if _, _, err := ConsumePath(bytes.Repeat([]byte{1, 1}, 8<<20)); err == nil {
+		t.Fatal("16 MiB of nested packings decoded silently")
+	}
+	deepest := nested(MaxPackingDepth)
+	got, rest, err := ConsumePath(AppendPath(nil, deepest))
+	if err != nil || len(rest) != 0 || !got.Equal(deepest) {
+		t.Fatalf("depth %d: %v (%d leftover)", MaxPackingDepth, err, len(rest))
+	}
+	if _, _, err := ConsumePath(AppendPath(nil, nested(MaxPackingDepth+1))); err == nil {
+		t.Fatalf("depth %d decoded silently", MaxPackingDepth+1)
+	}
+}
+
+// FuzzConsumePath feeds arbitrary bytes to the path decoder, which
+// reads WAL records and checkpoints: it never panics, and a path it
+// accepts encodes and decodes again to an equal path. The seed corpus
+// under testdata/fuzz holds the longest path of a generated EDB for
+// each paper query, with truncations and bit flips of it.
+func FuzzConsumePath(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, _, err := ConsumePath(b)
+		if err != nil {
+			return
+		}
+		q, rest, err := ConsumePath(AppendPath(nil, p))
+		if err != nil || len(rest) != 0 || !q.Equal(p) {
+			t.Fatalf("%s re-decoded as %s (%v, %d leftover)", p, q, err, len(rest))
+		}
+	})
+}

@@ -17,7 +17,7 @@ import (
 // depth lookups) are lock-free against a published snapshot; writers
 // (interning a new atom, consing a new packed node) serialize on a
 // mutex and publish atomically. This matches the evaluator's
-// freeze→fan-out→barrier protocol, under which workers intern and pack
+// fan-out→barrier→merge protocol, under which workers intern and pack
 // concurrently while deriving into private buffers.
 
 // Sym is a dense identifier of an interned atom text. Two atoms are

@@ -164,24 +164,21 @@ func (p Path) AppendText(dst []byte) []byte {
 	return dst
 }
 
-// renderAtom quotes an atom when it would not lex as a bare identifier;
-// a bare one is returned as is, sharing its bytes. Interning calls it
-// once per symbol.
+// renderAtom quotes an atom that would not lex as a bare identifier (or
+// lexes as the keyword eps or not), escaping \ and '; a bare one is
+// returned as is, sharing its bytes. Interning calls it once per symbol.
 func renderAtom(s string) string {
-	if s == "" {
-		return "''"
-	}
-	plain := true
+	plain := s != "" && s != "eps" && s != "not"
 	for _, r := range s {
 		if !(r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r == '_') {
 			plain = false
 			break
 		}
 	}
-	if plain && s != "eps" {
+	if plain {
 		return s
 	}
-	return "'" + strings.ReplaceAll(s, "'", "\\'") + "'"
+	return "'" + strings.ReplaceAll(strings.ReplaceAll(s, `\`, `\\`), "'", `\'`) + "'"
 }
 
 // Key returns a canonical injective encoding of the path, suitable as a
@@ -343,6 +340,12 @@ func (p Path) IsFlat() bool {
 	}
 	return true
 }
+
+// MaxPackingDepth bounds the packing depth of paths the parser reads
+// and ConsumePath decodes: both recurse once per level, and a stack
+// overflow is fatal, not a panic. The paper nests a few levels; a few
+// million overflow.
+const MaxPackingDepth = 1 << 16
 
 // PackingDepth returns the maximum packing nesting depth in the path
 // (0 for flat paths). Depths are cached on the hash-consed nodes, so

@@ -187,7 +187,7 @@ func wantAfter(t *testing.T, sc fuzztest.Scenario, k int) *instance.Instance {
 	for i := 0; i < k-1; i++ {
 		sh.Apply(sc.Steps[i])
 	}
-	want, err := prep.Eval(sh.EDB(), eval.Limits{Parallelism: sc.Workers})
+	want, err := prep.Eval(sh.EDB(), eval.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,8 @@
 //     parser for programs and instances (§2);
 //   - a stratified, semi-naive evaluator with termination guards
 //     (§2.3), hash-indexed joins chosen by a binding-aware planner,
-//     and optional intra-round parallelism (Limits.Parallelism);
+//     and from-scratch fixpoint rounds split across GOMAXPROCS
+//     workers;
 //   - a serving layer: Compile splits evaluation into a reusable
 //     compiled form (Prepared), and Engine keeps a materialized
 //     instance at fixpoint under incremental Assert and Retract
@@ -110,12 +111,11 @@ func MustParseInstance(src string) *Instance { return parser.MustParseInstance(s
 // ParsePath parses a ground path like "a.<b.c>.d".
 func ParsePath(src string) (Path, error) { return parser.ParsePath(src) }
 
-// Limits bounds and configures an evaluation (§2.3): MaxFacts,
-// MaxIterations and MaxPathLen turn runaway evaluations into
-// ErrNonTermination, and Parallelism sets the number of worker
-// goroutines per fixpoint round (0 or 1 sequential, N > 1 a pool of N,
-// negative all CPUs). The zero value uses defaults: generous bounds,
-// sequential evaluation.
+// Limits bounds an evaluation (§2.3): MaxFacts, MaxIterations and
+// MaxPathLen turn runaway evaluations into ErrNonTermination. The zero
+// value uses generous defaults. How many goroutines compute a fixpoint
+// is not a limit: Eval, Prepared.Eval and NewEngine split their rounds
+// runtime.GOMAXPROCS(0) ways, and Engine maintenance runs sequentially.
 type Limits = eval.Limits
 
 // ErrNonTermination reports evaluation exceeding its limits.

@@ -2,7 +2,10 @@ package seqlog
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+
+	"seqlog/internal/workload"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -43,8 +46,8 @@ func TestFacadeRewrite(t *testing.T) {
 	}
 }
 
-// TestFacadeParallelEvaluation exercises the Parallelism knob through
-// the public surface: parallel and sequential evaluation agree on a
+// TestFacadeParallelEvaluation exercises the fan-out through the public
+// surface: evaluation on one and on eight GOMAXPROCS agrees on a
 // recursive query, and the deterministic PlanResult stats (Steps,
 // Achieved, JoinPlan) of a fragment rewrite are bit-identical across
 // repeated runs interleaved with parallel evaluations.
@@ -52,14 +55,16 @@ func TestFacadeParallelEvaluation(t *testing.T) {
 	prog := MustParse(`
 T(@x.@y) :- R(@x.@y).
 T(@x.@z) :- T(@x.@y), R(@y.@z).`)
-	edb := MustParseInstance(`R(a.b). R(b.c). R(c.d). R(d.a). R(b.d).`)
+	edb := workload.Graph(9, 30, 120)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	seq, err := Eval(prog, edb, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	runtime.GOMAXPROCS(8)
 	var first PlanResult
 	for i := 0; i < 10; i++ {
-		par, err := Eval(prog, edb, Limits{Parallelism: 8})
+		par, err := Eval(prog, edb, Limits{})
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
