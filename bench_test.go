@@ -54,7 +54,7 @@ func BenchmarkFigure3Planner(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, tgt := range targets {
-			if _, err := core.RewriteTo(prog, "S", tgt); err != nil {
+			if _, err := rewrite.ToFragment(prog, "S", tgt); err != nil {
 				b.Fatal(err)
 			}
 		}

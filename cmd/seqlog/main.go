@@ -179,7 +179,7 @@ func evalCmd(fs *flag.FlagSet, stdout io.Writer) func() error {
 			return runVet(stdout, *programFile, *queryName, *output)
 		}
 
-		prog, _, out, err := loadProgram(*programFile, *queryName, *output)
+		prog, out, err := loadProgram(*programFile, *queryName, *output)
 		if err != nil {
 			return err
 		}
@@ -244,7 +244,7 @@ func evalCmd(fs *flag.FlagSet, stdout io.Writer) func() error {
 // severity, nil when the program is clean (info diagnostics — the
 // fragment report — do not fail the vet).
 func runVet(w io.Writer, file, query, output string) error {
-	prog, explicit, output, err := loadProgram(file, query, output)
+	prog, output, err := loadProgram(file, query, output)
 	if err != nil {
 		return err
 	}
@@ -256,11 +256,7 @@ func runVet(w io.Writer, file, query, output string) error {
 	if output != "" {
 		outputs = []string{output}
 	}
-	diags := analyze.Check(prog, analyze.Options{
-		Outputs:        outputs,
-		ExplicitStrata: explicit,
-		ClassLabel:     func(f ast.FeatureSet) string { return core.ClassOf(f).Label() },
-	})
+	diags := analyze.Check(prog, analyze.Options{Outputs: outputs})
 	var status error
 	for _, d := range diags {
 		fmt.Fprintln(w, d.Format(label))
@@ -274,32 +270,32 @@ func runVet(w io.Writer, file, query, output string) error {
 // loadProgram reads the program to run or vet — a built-in query
 // (strata as registered, output defaulting to the query's) or a source
 // file — without checking it: eval.Compile and analyze.Check are the
-// gates. explicit reports whether the strata are the author's.
-func loadProgram(file, query, output string) (prog ast.Program, explicit bool, out string, err error) {
+// gates.
+func loadProgram(file, query, output string) (prog ast.Program, out string, err error) {
 	switch {
 	case file != "" && query != "":
-		return ast.Program{}, false, "", fmt.Errorf("use either -program or -query, not both")
+		return ast.Program{}, "", fmt.Errorf("use either -program or -query, not both")
 	case query != "":
 		q, err := queries.Get(query)
 		if err != nil {
-			return ast.Program{}, false, "", err
+			return ast.Program{}, "", err
 		}
 		if output == "" {
 			output = q.Output
 		}
-		return q.Program, true, output, nil
+		return q.Program, output, nil
 	case file != "":
 		src, err := os.ReadFile(file)
 		if err != nil {
-			return ast.Program{}, false, "", err
+			return ast.Program{}, "", err
 		}
-		prog, explicit, err := parser.ParseProgramForAnalysis(string(src))
+		prog, _, err := parser.ParseProgramForAnalysis(string(src))
 		if err != nil {
-			return ast.Program{}, false, "", fmt.Errorf("%s: %w", file, err)
+			return ast.Program{}, "", fmt.Errorf("%s: %w", file, err)
 		}
-		return prog, explicit, output, nil
+		return prog, output, nil
 	default:
-		return ast.Program{}, false, "", fmt.Errorf("one of -program, -query or -list is required")
+		return ast.Program{}, "", fmt.Errorf("one of -program, -query or -list is required")
 	}
 }
 
@@ -357,7 +353,7 @@ func fragCmd(fs *flag.FlagSet, stdout io.Writer) func() error {
 			if !ok {
 				return fmt.Errorf("bad target fragment %q", *target)
 			}
-			res, err := core.RewriteTo(prog, *output, tf)
+			res, err := rewrite.ToFragment(prog, *output, tf)
 			if err != nil {
 				return err
 			}

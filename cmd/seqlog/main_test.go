@@ -55,7 +55,7 @@ func TestSameDefectSameWords(t *testing.T) {
 				t.Errorf("-vet's first line and ParseProgram's error differ\n  vet:   %s\n  parse: %s", vetLine, want)
 			}
 
-			prog, _, _, err := loadProgram(file, "", "")
+			prog, _, err := loadProgram(file, "", "")
 			if err != nil {
 				t.Fatal(err)
 			}

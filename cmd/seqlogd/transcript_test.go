@@ -20,34 +20,15 @@ type transcriptSession struct {
 	name   string
 	server string // "durable" (WAL attached), "bounded" (MaxFacts 3, no WAL) or "fresh"
 	script string
-	// before runs ahead of the session; the read-only session uses it to
-	// make the WAL's disk die.
-	before func()
+	// before runs ahead of the session with the durable server's WAL
+	// writer; the read-only session uses it to make the disk die.
+	before func(fw *walfault.Writer)
 }
 
-// TestProtocolTranscript pins every verb's ok and err reply byte for
-// byte: one scripted run over unknown commands, the no-program state,
-// parse errors, IDB and arity rejections, no-op batches, nullary and
-// unknown relations, rejected and warned loads, the EDB carry, a
-// truncated load, read-only degradation, a broken engine and a negation
-// cycle with and without written strata. The
-// golden was recorded before the write path and the verb switch were
-// unified; regenerate with
-// `go test ./cmd/seqlogd -run TestProtocolTranscript -update` only when
-// a reply is meant to change.
-func TestProtocolTranscript(t *testing.T) {
-	var fw *walfault.Writer
-	servers := map[string]*server{
-		"durable": newWALServer(t, t.TempDir(), wal.Options{Sync: wal.SyncNever,
-			WrapWriter: func(w io.Writer) io.Writer {
-				fw = &walfault.Writer{W: w, FailAfter: -1}
-				return fw
-			}}),
-		"bounded": {limits: eval.Limits{MaxFacts: 3}},
-		"fresh":   {},
-	}
-	sessions := []transcriptSession{
-		{name: "no program loaded", server: "durable", script: `# comments and blank lines are skipped
+// transcript is the scripted run TestProtocolTranscript pins, and the
+// seed corpus of FuzzSession.
+var transcript = []transcriptSession{
+	{name: "no program loaded", server: "durable", script: `# comments and blank lines are skipped
 
 bogus
 assert E(a.b).
@@ -57,7 +38,7 @@ holds S
 stats
 explain
 `},
-		{name: "every verb", server: "durable", script: `load
+	{name: "every verb", server: "durable", script: `load
 T(@x.@y) :- E(@x.@y).
 T(@x.@z) :- T(@x.@y), E(@y.@z).
 S :- T(a.c).
@@ -108,11 +89,11 @@ stats
 quit
 query T
 `},
-		{name: "truncated load", server: "durable", script: `query T
+	{name: "truncated load", server: "durable", script: `query T
 load
 Broken($x) :- E($x).
 `},
-		{name: "read-only", server: "durable", before: func() { fw.FailAfter = fw.Written() }, script: `assert E(b.c).
+	{name: "read-only", server: "durable", before: func(fw *walfault.Writer) { fw.FailAfter = fw.Written() }, script: `assert E(b.c).
 retract E(a.b).
 load
 T(@x.@y) :- E(@x.@y).
@@ -122,7 +103,7 @@ query T
 holds T
 stats
 `},
-		{name: "broken engine", server: "bounded", script: `load
+	{name: "broken engine", server: "bounded", script: `load
 T(@x.@y) :- E(@x.@y).
 T(@x.@z) :- T(@x.@y), E(@y.@z).
 .
@@ -138,9 +119,9 @@ T(@x.@y) :- E(@x.@y).
 .
 query T
 `},
-		// The same negation cycle with and without a "---": only strata
-		// somebody wrote are an order to hold a negation against.
-		{name: "strata nobody wrote", server: "fresh", script: `load
+	// The same negation cycle with and without a "---": only strata
+	// somebody wrote are an order to hold a negation against.
+	{name: "strata nobody wrote", server: "fresh", script: `load
 T :- !T2.
 T2 :- !T.
 .
@@ -150,11 +131,33 @@ T :- !T2.
 T2 :- !T.
 .
 `},
+}
+
+// TestProtocolTranscript pins every verb's ok and err reply byte for
+// byte: one scripted run over unknown commands, the no-program state,
+// parse errors, IDB and arity rejections, no-op batches, nullary and
+// unknown relations, rejected and warned loads, the EDB carry, a
+// truncated load, read-only degradation, a broken engine and a negation
+// cycle with and without written strata. The
+// golden was recorded before the write path and the verb switch were
+// unified; regenerate with
+// `go test ./cmd/seqlogd -run TestProtocolTranscript -update` only when
+// a reply is meant to change.
+func TestProtocolTranscript(t *testing.T) {
+	var fw *walfault.Writer
+	servers := map[string]*server{
+		"durable": newWALServer(t, t.TempDir(), wal.Options{Sync: wal.SyncNever,
+			WrapWriter: func(w io.Writer) io.Writer {
+				fw = &walfault.Writer{W: w, FailAfter: -1}
+				return fw
+			}}),
+		"bounded": {limits: eval.Limits{MaxFacts: 3}},
+		"fresh":   {},
 	}
 	var got strings.Builder
-	for _, s := range sessions {
+	for _, s := range transcript {
 		if s.before != nil {
-			s.before()
+			s.before(fw)
 		}
 		got.WriteString("== " + s.name + " ==\n")
 		for _, l := range strings.Split(strings.TrimSuffix(s.script, "\n"), "\n") {
@@ -180,4 +183,54 @@ T2 :- !T.
 	if got.String() != string(want) {
 		t.Errorf("protocol transcript changed (run with -update if intended)\n--- got ---\n%s--- want ---\n%s", got.String(), want)
 	}
+}
+
+// FuzzSession feeds arbitrary text to a server serving the transitive
+// closure, one command per session as serve frames them (a load runs
+// to its lone "."), and holds the protocol to three things: nothing
+// panics, every command's reply ends in an ok or err line, and a
+// following session's `query T` still gets its reply. The transcript's
+// scripts are the seed corpus.
+func FuzzSession(f *testing.F) {
+	for _, s := range transcript {
+		f.Add(s.script)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		srv := &server{limits: eval.Limits{MaxFacts: 2000}}
+		run(t, srv, "load\nT(@x.@y) :- E(@x.@y).\nT(@x.@z) :- T(@x.@y), E(@y.@z).\n.\nassert E(a.b). E(b.c).\n")
+		for _, cmd := range append(commands(text), "query T\n") {
+			reply := run(t, srv, cmd)
+			lines := strings.Split(strings.TrimSuffix(reply, "\n"), "\n")
+			last := lines[len(lines)-1]
+			if !strings.HasSuffix(reply, "\n") || !(last == "ok" || strings.HasPrefix(last, "ok ") || strings.HasPrefix(last, "err ")) {
+				t.Fatalf("command %q: reply does not end in an ok/err line:\n%s", cmd, reply)
+			}
+		}
+	})
+}
+
+// commands splits protocol text into the commands serve would run, each
+// with its line ending: lines that are blank or start with "#" are
+// skipped, and a load takes every following line up to its lone ".".
+func commands(text string) []string {
+	var cmds []string
+	lines := strings.Split(text, "\n")
+	for i := 0; i < len(lines); i++ {
+		line := strings.TrimSpace(lines[i])
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		cmd := lines[i] + "\n"
+		if verb, _, _ := strings.Cut(line, " "); verb == "load" {
+			for i+1 < len(lines) {
+				i++
+				cmd += lines[i] + "\n"
+				if strings.TrimSpace(lines[i]) == "." {
+					break
+				}
+			}
+		}
+		cmds = append(cmds, cmd)
+	}
+	return cmds
 }

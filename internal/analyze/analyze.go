@@ -110,19 +110,6 @@ type Options struct {
 	// unreachable from every output (the rules rewrite.PruneUnreachable
 	// would drop; both ask ast.Program.Needed).
 	Outputs []string
-	// ExplicitStrata marks the program's strata as author-specified
-	// (or produced by a validated stratification). It is the `written`
-	// argument of ast.Program.Check: the written order is enforced as
-	// ast.Program.Validate enforces it, and a negation cycle is only a
-	// warning — the written order still gives the program an
-	// operational meaning. Without it, a negation cycle is an error —
-	// no stratification exists at all.
-	ExplicitStrata bool
-	// ClassLabel, when set, renders a fragment's expressiveness class
-	// for the termination analyzer's fragment report. Callers pass a
-	// closure over core.ClassOf; analyze cannot import package core
-	// itself (core depends on eval, and eval runs this analysis).
-	ClassLabel func(ast.FeatureSet) string
 }
 
 // Pass carries one analysis run's shared inputs. Analyzers read the
@@ -137,9 +124,13 @@ type Pass struct {
 	IDB map[string]bool
 	// Deps is the dependency graph with its components.
 	Deps ast.Deps
-	// Arities and Violations are Prog.Check(Opts.ExplicitStrata): the
-	// definition of well-formedness the safety and stratification passes
-	// report from.
+	// Written reports whether somebody wrote the strata. One stratum is
+	// an order nobody wrote: the library's constructors build it, and
+	// ParseProgramForAnalysis leaves a source without "---" that way
+	// exactly when it has no stratification; a "---" always makes two.
+	Written bool
+	// Arities and Violations are Prog.Check(Written): the definition of
+	// well-formedness the safety and stratification passes report from.
 	Arities    map[string]int
 	Violations []ast.Violation
 
@@ -187,14 +178,15 @@ func Check(prog ast.Program, opts Options) []Diagnostic {
 func CheckWithArities(prog ast.Program, opts Options) ([]Diagnostic, map[string]int) {
 	var diags []Diagnostic
 	pass := &Pass{
-		Prog:   prog,
-		Opts:   opts,
-		Rules:  prog.Rules(),
-		IDB:    prog.IDB(),
-		Deps:   prog.Deps(),
-		report: func(d Diagnostic) { diags = append(diags, d) },
+		Prog:    prog,
+		Opts:    opts,
+		Rules:   prog.Rules(),
+		IDB:     prog.IDB(),
+		Deps:    prog.Deps(),
+		Written: len(prog.Strata) > 1,
+		report:  func(d Diagnostic) { diags = append(diags, d) },
 	}
-	pass.Arities, pass.Violations = prog.Check(opts.ExplicitStrata)
+	pass.Arities, pass.Violations = prog.Check(pass.Written)
 	for _, a := range Analyzers() {
 		if a.Errors {
 			a.Run(pass)
@@ -233,17 +225,6 @@ func Errors(diags []Diagnostic) []Diagnostic {
 		}
 	}
 	return out
-}
-
-// Count returns how many diagnostics have the given severity.
-func Count(diags []Diagnostic, sev Severity) int {
-	n := 0
-	for _, d := range diags {
-		if d.Severity == sev {
-			n++
-		}
-	}
-	return n
 }
 
 // DiagError is the error eval.Compile returns when analysis rejects a

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"seqlog/internal/analyze"
-	"seqlog/internal/ast"
-	"seqlog/internal/core"
 	"seqlog/internal/queries"
 )
 
@@ -21,11 +19,7 @@ func TestPaperQueriesVetClean(t *testing.T) {
 		t.Fatal("no registered queries")
 	}
 	for _, q := range all {
-		diags := analyze.Check(q.Program, analyze.Options{
-			Outputs:        []string{q.Output},
-			ExplicitStrata: true,
-			ClassLabel:     func(f ast.FeatureSet) string { return core.ClassOf(f).Label() },
-		})
+		diags := analyze.Check(q.Program, analyze.Options{Outputs: []string{q.Output}})
 		for _, d := range diags {
 			if d.Severity == analyze.Error {
 				t.Errorf("%s (%s): %s", q.Name, q.Source, d)

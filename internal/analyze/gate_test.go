@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,24 +55,46 @@ func agree(t *testing.T, label string, gateErr error, diags []analyze.Diagnostic
 // agreeOnSource runs the gates over program text the way the binaries
 // do: parser.ParseProgram on one side, ParseProgramForAnalysis plus
 // Check (seqlog -vet) and plus eval.Compile (seqlog -program, seqlogd
-// load) on the other. Compile is not told whether the strata were
-// written; it must work that out and still word the defect the same.
+// load) on the other. Nobody tells the analyzer whether the strata were
+// written or how to name a class; it reads both off the program, so
+// when Compile accepts, its Prepared.Diagnostics are exactly the
+// non-error diagnostics -vet prints, fragment report and class included.
 func agreeOnSource(t *testing.T, label, src string) {
 	t.Helper()
-	prog, explicit, err := parser.ParseProgramForAnalysis(src)
+	prog, _, err := parser.ParseProgramForAnalysis(src)
 	if err != nil {
 		t.Fatalf("%s: %v\n%s", label, err, src)
 	}
 	_, gateErr := parser.ParseProgram(src)
-	agree(t, label, gateErr, analyze.Check(prog, analyze.Options{ExplicitStrata: explicit}))
+	vetted := analyze.Check(prog, analyze.Options{})
+	agree(t, label, gateErr, vetted)
 	var compiled []analyze.Diagnostic
 	var de *analyze.DiagError
-	if _, err := eval.Compile(prog); errors.As(err, &de) {
+	prep, err := eval.Compile(prog)
+	if errors.As(err, &de) {
 		compiled = de.Diags
 	} else if err != nil {
 		t.Errorf("%s: Compile refused without diagnostics: %v", label, err)
 	}
 	agree(t, label+" (Compile)", gateErr, compiled)
+	if prep == nil {
+		return
+	}
+	var lints []analyze.Diagnostic
+	for _, d := range vetted {
+		if d.Severity != analyze.Error {
+			lints = append(lints, d)
+		}
+	}
+	got := prep.Diagnostics()
+	if !slices.EqualFunc(got, lints, func(a, b analyze.Diagnostic) bool { return reflect.DeepEqual(a, b) }) {
+		t.Errorf("%s: Prepared.Diagnostics differ from the analyzer's\n  Compile: %v\n  Check:   %v", label, got, lints)
+	}
+	for _, d := range got {
+		if d.Code == "fragment" && !strings.Contains(d.Message, "; expressiveness class: {") {
+			t.Errorf("%s: fragment report names no expressiveness class: %s", label, d)
+		}
+	}
 }
 
 // goldenPrograms extracts the program texts of
@@ -127,7 +151,8 @@ func mutations(r ast.Rule) []ast.Rule {
 // rewrites.golden and 500 seeded fuzz programs with their single-token
 // mutations, Validate() == nil iff the analyzer reports no error, and
 // when both refuse they point at the same position with the same
-// message.
+// message; when they accept, Compile and -vet report the same lints
+// and the same named class.
 func TestGatesAgree(t *testing.T) {
 	fixtures, err := filepath.Glob(filepath.Join("testdata", "*.sdl"))
 	if err != nil || len(fixtures) == 0 {
@@ -146,7 +171,7 @@ func TestGatesAgree(t *testing.T) {
 	agreeOnSource(t, "negation cycle, no written strata", "T :- !T2.\nT2 :- !T.\n")
 
 	for _, q := range queries.All() {
-		agree(t, q.Name, q.Program.Validate(), analyze.Check(q.Program, analyze.Options{ExplicitStrata: true}))
+		agree(t, q.Name, q.Program.Validate(), analyze.Check(q.Program, analyze.Options{}))
 		agreeOnSource(t, q.Name+" (source)", q.Program.String())
 	}
 

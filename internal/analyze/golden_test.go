@@ -9,8 +9,6 @@ import (
 	"testing"
 
 	"seqlog/internal/analyze"
-	"seqlog/internal/ast"
-	"seqlog/internal/core"
 	"seqlog/internal/parser"
 )
 
@@ -37,15 +35,11 @@ func TestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog, explicit, err := parser.ParseProgramForAnalysis(string(src))
+			prog, _, err := parser.ParseProgramForAnalysis(string(src))
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
-			diags := analyze.Check(prog, analyze.Options{
-				Outputs:        fixtureOutputs(string(src)),
-				ExplicitStrata: explicit,
-				ClassLabel:     func(f ast.FeatureSet) string { return core.ClassOf(f).Label() },
-			})
+			diags := analyze.Check(prog, analyze.Options{Outputs: fixtureOutputs(string(src))})
 			var b strings.Builder
 			for _, d := range diags {
 				b.WriteString(d.Format(filepath.Base(fixture)))

@@ -40,7 +40,7 @@ var StratificationAnalyzer = &Analyzer{
 
 func runStratification(p *Pass) {
 	p.reportViolations(true)
-	if !p.Opts.ExplicitStrata {
+	if !p.Written {
 		return
 	}
 	if head, atom, ok := p.Deps.NegationCycleWitness(p.Rules); ok {

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"seqlog/internal/ast"
+	"seqlog/internal/core"
 )
 
 // TerminationAnalyzer implements the paper's central observation as a
@@ -15,8 +16,7 @@ import (
 // sequences. It reports:
 //
 //   - fragment (info): the program's minimal fragment of {A, E, I, N,
-//     P, R} and, when the caller supplies Options.ClassLabel, its
-//     expressiveness class under Theorem 6.1;
+//     P, R} and its expressiveness class under Theorem 6.1;
 //   - seq-growth (warning): a recursive rule whose head (or an
 //     equation defining a head variable) builds a sequence strictly
 //     longer than a path variable it recurses on. Such a rule can grow
@@ -59,11 +59,7 @@ func runTermination(p *Pass) {
 
 func reportFragment(p *Pass) {
 	f := p.Prog.FeaturesWith(p.Deps)
-	msg := fmt.Sprintf("program is in fragment %s", f)
-	if p.Opts.ClassLabel != nil {
-		msg += "; expressiveness class: " + p.Opts.ClassLabel(f)
-	}
-	p.Reportf(p.Rules[0].Head.Pos, Info, "fragment", "%s", msg)
+	p.Reportf(p.Rules[0].Head.Pos, Info, "fragment", "program is in fragment %s; expressiveness class: %s", f, core.ClassOf(f).Label())
 }
 
 // recursionCycle returns the sorted members of the head's recursive

@@ -85,21 +85,6 @@ func TestSubstCompose(t *testing.T) {
 	}
 }
 
-func TestSubstValid(t *testing.T) {
-	if !(Subst{AVar("x"): C("a")}).Valid() {
-		t.Error("atomic->const should be valid")
-	}
-	if !(Subst{AVar("x"): A("y")}).Valid() {
-		t.Error("atomic->atomicvar should be valid")
-	}
-	if (Subst{AVar("x"): P("y")}).Valid() {
-		t.Error("atomic->pathvar should be invalid")
-	}
-	if (Subst{AVar("x"): Cat(C("a"), C("b"))}).Valid() {
-		t.Error("atomic->length2 should be invalid")
-	}
-}
-
 func TestVarsOrderAndDedup(t *testing.T) {
 	e := Cat(P("x"), A("y"), P("x"), Packed(P("z")))
 	vs := e.Vars()

@@ -363,38 +363,6 @@ func (s Subst) Compose(t Subst) Subst {
 	return out
 }
 
-// Restrict keeps only bindings for the given variables.
-func (s Subst) Restrict(vars []Var) Subst {
-	out := Subst{}
-	for _, v := range vars {
-		if e, ok := s[v]; ok {
-			out[v] = e
-		}
-	}
-	return out
-}
-
-// Valid reports whether atomic variables are bound to single atomic
-// terms, as required for a well-formed substitution.
-func (s Subst) Valid() bool {
-	for v, e := range s {
-		if v.Atomic {
-			if len(e) != 1 {
-				return false
-			}
-			switch e[0].(type) {
-			case Const, VarT:
-				if vt, ok := e[0].(VarT); ok && !vt.V.Atomic {
-					return false
-				}
-			default:
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // String renders the substitution deterministically.
 func (s Subst) String() string {
 	// unify's solver keys its solution sets by this string, once per

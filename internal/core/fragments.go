@@ -3,10 +3,11 @@
 // power (Sections 3 and 6). It provides
 //
 //   - Subsumes: the Theorem 6.1 decision procedure for F1 ≤ F2;
-//   - the equivalence classes and the Figure 1 Hasse diagram;
-//   - RewriteTo: a Figure 3-style planner composing the constructive
-//     rewritings of internal/rewrite to move a program into a target
-//     fragment.
+//   - the equivalence classes and the Figure 1 Hasse diagram.
+//
+// It depends on internal/ast alone, so the analyzer can name a
+// program's class and internal/rewrite can plan against the lattice
+// (rewrite.ToFragment, the Figure 3 planner).
 //
 // Fragments are subsets of Φ = {A, E, I, N, P, R}; queries are the flat
 // unary queries of §3.1 (monadic flat instances in, a flat relation of
@@ -15,8 +16,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"seqlog/internal/ast"
 )
@@ -43,8 +46,8 @@ func Frag(letters string) Fragment {
 	return f
 }
 
-// Subsumes decides F1 ≤ F2 — every query computable in F1 is
-// computable in F2 — by the five conditions of Theorem 6.1:
+// Violated names the first of the five conditions of Theorem 6.1 that
+// F1 ≤ F2 breaks, or returns "" when F2 subsumes F1:
 //
 //  1. N ∈ F1 ⇒ N ∈ F2
 //  2. R ∈ F1 ⇒ R ∈ F2
@@ -54,24 +57,25 @@ func Frag(letters string) Fragment {
 //
 // A and P never matter: they are redundant regardless of the other
 // features (Theorems 4.2 and 4.15).
-func Subsumes(f1, f2 Fragment) bool {
-	if f1.Has(N) && !f2.Has(N) {
-		return false
+func Violated(f1, f2 Fragment) string {
+	switch {
+	case f1.Has(N) && !f2.Has(N):
+		return "condition 1: negation is primitive"
+	case f1.Has(R) && !f2.Has(R):
+		return "condition 2: recursion is primitive (Theorem 5.3)"
+	case f1.Has(E) && !(f2.Has(E) || f2.Has(I)):
+		return "condition 3: E is primitive in the absence of I (Theorem 5.7)"
+	case f1.Has(I) && !f1.Has(R) && !f1.Has(N) && !(f2.Has(I) || f2.Has(E)):
+		return "condition 4: I without N,R still needs I or E"
+	case f1.Has(I) && (f1.Has(R) || f1.Has(N)) && !f2.Has(I):
+		return "condition 5: I is primitive in the presence of N or R (Theorems 5.5, 5.6)"
 	}
-	if f1.Has(R) && !f2.Has(R) {
-		return false
-	}
-	if f1.Has(E) && !(f2.Has(E) || f2.Has(I)) {
-		return false
-	}
-	if f1.Has(I) && !f1.Has(R) && !f1.Has(N) && !(f2.Has(I) || f2.Has(E)) {
-		return false
-	}
-	if f1.Has(I) && (f1.Has(R) || f1.Has(N)) && !f2.Has(I) {
-		return false
-	}
-	return true
+	return ""
 }
+
+// Subsumes decides F1 ≤ F2 — every query computable in F1 is
+// computable in F2 — by Theorem 6.1 (see Violated).
+func Subsumes(f1, f2 Fragment) bool { return Violated(f1, f2) == "" }
 
 // Equivalent reports mutual subsumption.
 func Equivalent(f1, f2 Fragment) bool { return Subsumes(f1, f2) && Subsumes(f2, f1) }
@@ -119,17 +123,15 @@ type Class struct {
 	Members []Fragment
 	// Representative is the smallest member.
 	Representative Fragment
+
+	// label is rendered once, by Classes: every compiled program's
+	// fragment report reads it.
+	label string
 }
 
 // Label renders the class like the paper's Figure 1 nodes, e.g.
 // "{I, N} = {E, I, N}".
-func (c Class) Label() string {
-	parts := make([]string, len(c.Members))
-	for i, m := range c.Members {
-		parts[i] = m.String()
-	}
-	return strings.Join(parts, " = ")
-}
+func (c Class) Label() string { return c.label }
 
 // Classes partitions the 16 core fragments into equivalence classes
 // (the paper finds exactly 11).
@@ -142,30 +144,34 @@ func Classes() []Class {
 			continue
 		}
 		var cls Class
+		var labels []string
 		for _, g := range frags {
 			if Equivalent(f, g) {
 				cls.Members = append(cls.Members, g)
+				labels = append(labels, g.String())
 				assigned[g] = true
 			}
 		}
 		cls.Representative = cls.Members[0]
+		cls.label = strings.Join(labels, " = ")
 		out = append(out, cls)
 	}
 	return out
 }
 
-// ClassOf returns the equivalence class of a fragment.
-func ClassOf(f Fragment) Class {
-	c := Core(f)
-	for _, cls := range Classes() {
-		for _, m := range cls.Members {
-			if m == c {
-				return cls
-			}
-		}
+// classOf maps each of the 64 fragments to its class, partitioned once:
+// every compiled program's fragment report reads it.
+var classOf = sync.OnceValue(func() (table [64]Class) {
+	classes := Classes()
+	for _, f := range AllFragments() {
+		i := slices.IndexFunc(classes, func(c Class) bool { return slices.Contains(c.Members, Core(f)) })
+		table[f] = classes[i]
 	}
-	panic(fmt.Sprintf("core: fragment %s has no class", f))
-}
+	return table
+})
+
+// ClassOf returns the equivalence class of a fragment.
+func ClassOf(f Fragment) Class { return classOf()[f] }
 
 // Lattice is the Hasse diagram of Figure 1: the covering relation over
 // the equivalence classes.

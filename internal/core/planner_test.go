@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"math/rand"
@@ -6,12 +6,17 @@ import (
 	"testing"
 
 	"seqlog/internal/ast"
+	"seqlog/internal/core"
 	"seqlog/internal/eval"
 	"seqlog/internal/instance"
 	"seqlog/internal/parser"
 	"seqlog/internal/queries"
+	"seqlog/internal/rewrite"
 	"seqlog/internal/value"
 )
+
+// The Figure 3 planner, rewrite.ToFragment, is tested here, beside the
+// lattice it plans against: it refuses exactly what Theorem 6.1 refuses.
 
 func mustParse(t *testing.T, src string) ast.Program {
 	t.Helper()
@@ -62,14 +67,14 @@ func checkEquivalent(t *testing.T, p1, p2 ast.Program, output string, instances 
 func TestRewriteToEquationIntoRecursionFragment(t *testing.T) {
 	// Example 3.1: the {E} only-a's program into the {A,I,R} fragment.
 	prog := mustParse(t, `S($x) :- R($x), a.$x = $x.a.`)
-	res, err := RewriteTo(prog, "S", Frag("AIR"))
+	res, err := rewrite.ToFragment(prog, "S", core.Frag("AIR"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Exact {
 		t.Fatalf("not exact: %s (%s)", res.Achieved, res.Note)
 	}
-	if res.Achieved.Has(E) {
+	if res.Achieved.Has(core.E) {
 		t.Fatalf("achieved %s still has E", res.Achieved)
 	}
 	checkEquivalent(t, prog, res.Program, "S",
@@ -80,14 +85,14 @@ func TestRewriteToIOnly(t *testing.T) {
 	// {E} -> {I}: equations fold into auxiliary predicates, then arity
 	// is eliminated.
 	prog := mustParse(t, `S($x) :- R($x), a.$x = $x.a.`)
-	res, err := RewriteTo(prog, "S", Frag("I"))
+	res, err := rewrite.ToFragment(prog, "S", core.Frag("I"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Exact {
 		t.Fatalf("not exact: %s (%s)", res.Achieved, res.Note)
 	}
-	if res.Achieved != Frag("I") && res.Achieved != Frag("") {
+	if res.Achieved != core.Frag("I") && res.Achieved != core.Frag("") {
 		t.Fatalf("achieved %s", res.Achieved)
 	}
 	checkEquivalent(t, prog, res.Program, "S",
@@ -99,14 +104,14 @@ func TestRewriteToEOnlyFoldsIntermediates(t *testing.T) {
 	prog := mustParse(t, `
 T(a.$x, $x) :- R($x).
 S($x) :- T($x.a, $x).`)
-	res, err := RewriteTo(prog, "S", Frag("E"))
+	res, err := rewrite.ToFragment(prog, "S", core.Frag("E"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Exact {
 		t.Fatalf("not exact: %s (%s)", res.Achieved, res.Note)
 	}
-	if res.Achieved.Has(I) || res.Achieved.Has(A) {
+	if res.Achieved.Has(core.I) || res.Achieved.Has(core.A) {
 		t.Fatalf("achieved %s", res.Achieved)
 	}
 	checkEquivalent(t, prog, res.Program, "S",
@@ -118,11 +123,11 @@ func TestRewriteToDropArity(t *testing.T) {
 T($x, eps) :- R($x).
 T($x, $y.@u) :- T($x.@u, $y).
 S($x) :- T(eps, $x).`)
-	res, err := RewriteTo(prog, "S", Frag("IR"))
+	res, err := rewrite.ToFragment(prog, "S", core.Frag("IR"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Exact || res.Achieved.Has(A) {
+	if !res.Exact || res.Achieved.Has(core.A) {
 		t.Fatalf("achieved %s exact=%v", res.Achieved, res.Exact)
 	}
 	checkEquivalent(t, prog, res.Program, "S",
@@ -133,14 +138,14 @@ func TestRewriteToPackingElimination(t *testing.T) {
 	prog := mustParse(t, `
 T($u.<$s>.$v) :- R($u.$s.$v), S($s).
 A :- T($x), T($y), T($z), $x != $y, $x != $z, $y != $z.`)
-	res, err := RewriteTo(prog, "A", Frag("AEIN"))
+	res, err := rewrite.ToFragment(prog, "A", core.Frag("AEIN"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Exact {
 		t.Fatalf("not exact: %s (%s)", res.Achieved, res.Note)
 	}
-	if res.Achieved.Has(P) {
+	if res.Achieved.Has(core.P) {
 		t.Fatalf("achieved %s still has P", res.Achieved)
 	}
 	instances := randomInstances(5, 10, []string{"R", "S"}, []string{"a", "b"}, 4, 4)
@@ -175,7 +180,7 @@ S(@x) :- R(@x.@y), !W(@x).`, "S", "EN"},
 	}
 	for i, c := range cases {
 		prog := mustParse(t, c.src)
-		if _, err := RewriteTo(prog, c.output, Frag(c.target)); err == nil {
+		if _, err := rewrite.ToFragment(prog, c.output, core.Frag(c.target)); err == nil {
 			t.Errorf("case %d: rewrite into {%s} must be refused", i, c.target)
 		} else if !strings.Contains(err.Error(), "condition") {
 			t.Errorf("case %d: error lacks explanation: %v", i, err)
@@ -192,7 +197,7 @@ func TestRewriteToGapDocumented(t *testing.T) {
 	prog := mustParse(t, `
 S($x) :- R($x).
 S($y) :- S(<$y>.$z).`)
-	res, err := RewriteTo(prog, "S", Frag("AR"))
+	res, err := rewrite.ToFragment(prog, "S", core.Frag("AR"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +207,7 @@ S($y) :- S(<$y>.$z).`)
 	if res.Note == "" {
 		t.Fatal("gap must be explained in Note")
 	}
-	if res.Achieved.Has(P) {
+	if res.Achieved.Has(core.P) {
 		t.Fatal("packing must still be eliminated")
 	}
 	checkEquivalent(t, prog, res.Program, "S",
@@ -211,7 +216,7 @@ S($y) :- S(<$y>.$z).`)
 
 func TestRewriteToNoop(t *testing.T) {
 	prog := mustParse(t, `S($x) :- R($x).`)
-	res, err := RewriteTo(prog, "S", Frag("EINR"))
+	res, err := rewrite.ToFragment(prog, "S", core.Frag("EINR"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +230,7 @@ func TestPruneKeepsNegatedDependencies(t *testing.T) {
 B($x) :- R($x.$x).
 ---
 S($x) :- R($x), !B($x).`)
-	res, err := RewriteTo(prog, "S", Frag("EINR"))
+	res, err := rewrite.ToFragment(prog, "S", core.Frag("EINR"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,32 +241,33 @@ S($x) :- R($x), !B($x).`)
 		randomInstances(7, 10, []string{"R"}, []string{"a", "b"}, 4, 4))
 }
 
-// TestRewriteToCarriesJoinPlan checks that fragment-aware rewrites are
-// threaded through the indexed evaluator's planner: every rewritten
-// program carries the join plan the engine will execute.
+// TestRewriteToCarriesJoinPlan checks that fragment-aware rewrites
+// land on the indexed evaluator: every rewritten program compiles, to
+// one base join plan per rule, each step with an access path.
 func TestRewriteToCarriesJoinPlan(t *testing.T) {
 	prog := mustParse(t, `S($x) :- R($x), a.$x = $x.a.`)
-	for _, target := range []Fragment{Frag("EINR"), Frag("AIR"), Frag("I")} {
-		res, err := RewriteTo(prog, "S", target)
+	for _, target := range []core.Fragment{core.Frag("EINR"), core.Frag("AIR"), core.Frag("I")} {
+		res, err := rewrite.ToFragment(prog, "S", target)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// One base-plan line per rule; indented lines are the rule's
-		// delta-hoisted variants.
-		base := 0
-		for _, line := range res.JoinPlan {
+		prep, err := eval.Compile(res.Program)
+		if err != nil {
+			t.Fatalf("target %s: rewritten program does not compile: %v", target, err)
+		}
+		// Indented lines are a rule's delta-hoisted variants.
+		plan, base := prep.Explain(), 0
+		for _, line := range plan {
 			if !strings.HasPrefix(line, " ") {
 				base++
+			}
+			if !strings.Contains(line, "[") {
+				t.Fatalf("target %s: join-plan line lacks an access path: %s", target, line)
 			}
 		}
 		if base != len(res.Program.Rules()) {
 			t.Fatalf("target %s: %d base join-plan lines for %d rules:\n%s",
-				target, base, len(res.Program.Rules()), strings.Join(res.JoinPlan, "\n"))
-		}
-		for _, line := range res.JoinPlan {
-			if !strings.Contains(line, "[") {
-				t.Fatalf("target %s: join-plan line lacks an access path: %s", target, line)
-			}
+				target, base, len(res.Program.Rules()), strings.Join(plan, "\n"))
 		}
 	}
 }
@@ -269,8 +275,8 @@ func TestRewriteToCarriesJoinPlan(t *testing.T) {
 // TestSeparationWitnesses ties every strict edge of Figure 1 to the
 // query that separates its two classes and to the theorem that says
 // so: the witness is written in a fragment the upper class subsumes,
-// RewriteTo moves it into the upper class's representative, and
-// RewriteTo into the lower one is refused in the words of the
+// ToFragment moves it into the upper class's representative, and
+// ToFragment into the lower one is refused in the words of the
 // Theorem 6.1 condition that fails. (TestFigure1Lattice pins the edges
 // themselves; this pins why each one is strict.)
 func TestSeparationWitnesses(t *testing.T) {
@@ -299,7 +305,7 @@ func TestSeparationWitnesses(t *testing.T) {
 		"{I, N} < {I, N, R}":    {"squaring", recursion},
 		"{I, R} < {I, N, R}":    {"black-nodes", negation},
 	}
-	l := BuildLattice()
+	l := core.BuildLattice()
 	edges := 0
 	for up, downs := range l.Edges {
 		for _, down := range downs {
@@ -315,13 +321,13 @@ func TestSeparationWitnesses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !Subsumes(q.Fragment(), upper) {
+			if !core.Subsumes(q.Fragment(), upper) {
 				t.Errorf("%s: witness %s is written in %s, which %s does not subsume", edge, w.query, q.Fragment(), upper)
 			}
-			if _, err := RewriteTo(q.Program, q.Output, upper); err != nil {
+			if _, err := rewrite.ToFragment(q.Program, q.Output, upper); err != nil {
 				t.Errorf("%s: %s does not rewrite into %s: %v", edge, w.query, upper, err)
 			}
-			_, err = RewriteTo(q.Program, q.Output, lower)
+			_, err = rewrite.ToFragment(q.Program, q.Output, lower)
 			if want := "(" + w.reason + ")"; err == nil || !strings.HasSuffix(err.Error(), want) {
 				t.Errorf("%s: rewriting %s into %s: got %v, want a refusal ending %s", edge, w.query, lower, err, want)
 			}

@@ -49,13 +49,13 @@ func TestCompileRejectsWithStructuredDiagnostics(t *testing.T) {
 // TestCompileRejectsUnstratifiedExplicitStrata: explicit strata that
 // negate a later stratum are rejected with unstratified-negation.
 func TestCompileRejectsUnstratifiedExplicitStrata(t *testing.T) {
-	prog, explicit, err := parser.ParseProgramForAnalysis(
+	prog, _, err := parser.ParseProgramForAnalysis(
 		"Odd($x) :- Next($x), !Even($x).\n---\nEven($x) :- Next($x).\n")
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if !explicit {
-		t.Fatal("expected explicit strata")
+	if len(prog.Strata) != 2 {
+		t.Fatalf("expected the two written strata, got %d", len(prog.Strata))
 	}
 	_, err = Compile(prog)
 	var de *analyze.DiagError

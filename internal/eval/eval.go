@@ -93,18 +93,6 @@ func Holds(prog ast.Program, edb *instance.Instance, output string, limits Limit
 	return p.Holds(edb, output, limits)
 }
 
-// Explain compiles every rule of the program and returns, in rule
-// order, a one-line description of the join plan the evaluator will
-// execute: the chosen predicate order and, per predicate, the access
-// path (exact index, ground-prefix index, or scan).
-func Explain(prog ast.Program) ([]string, error) {
-	p, err := Compile(prog)
-	if err != nil {
-		return nil, err
-	}
-	return p.Explain(), nil
-}
-
 // localSizes returns the current tuple-log high-water mark (Size, not
 // the live count) of every local (head) relation present in the
 // instance; absent relations are simply not in the map, which reads as

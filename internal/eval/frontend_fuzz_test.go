@@ -27,8 +27,8 @@ func planBinds(p *plan) map[ast.Var]bool {
 }
 
 // FuzzFrontEnd feeds arbitrary text to the front end the way seqlog
-// -program and seqlogd load do — ParseProgramForAnalysis, the §2.2
-// check, Compile, Explain — and holds it to three things: nothing
+// -program and seqlogd load do — ParseProgramForAnalysis, Compile (and
+// with it the §2.2 check), Explain — and holds it to three things: nothing
 // panics; a program Compile accepts prints to text that parses back to
 // the same program; and for every rule of it, the variables §2.2 calls
 // limited (ast.Rule.LimitedVars) are exactly the ones the compiled plan
@@ -37,11 +37,10 @@ func planBinds(p *plan) map[ast.Var]bool {
 // test programs.
 func FuzzFrontEnd(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
-		prog, explicit, err := parser.ParseProgramForAnalysis(src)
+		prog, _, err := parser.ParseProgramForAnalysis(src)
 		if err != nil {
 			return
 		}
-		prog.Check(explicit)
 		prep, err := Compile(prog)
 		if err != nil {
 			return

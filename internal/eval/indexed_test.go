@@ -115,11 +115,11 @@ func TestExplainShowsAccessPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines, err := Explain(q.Program)
+	prep, err := Compile(q.Program)
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined := strings.Join(lines, "\n")
+	joined := strings.Join(prep.Explain(), "\n")
 	for _, want := range []string{"[scan]", "[prefix col=0 len=1]", "[index[0] ground]"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("join plan lacks %q:\n%s", want, joined)
@@ -132,10 +132,11 @@ func TestExplainShowsAccessPaths(t *testing.T) {
 // is the only source of bindings.
 func TestPlannerReordersByBoundVariables(t *testing.T) {
 	prog := parser.MustParseProgram(`S(@x) :- Q(@x, @y), R(@x.@y).`)
-	lines, err := Explain(prog)
+	prep, err := Compile(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
+	lines := prep.Explain()
 	// Q binds both variables, so R becomes fully ground and probes an
 	// exact index rather than scanning.
 	if !strings.Contains(lines[0], "R(@x.@y) [index[0] ground]") {

@@ -57,25 +57,26 @@ func TestParallelDeterminism(t *testing.T) {
 
 // TestParallelJoinPlansStable checks that parallelism is invisible to
 // planning: the join plans Explain reports are a property of the
-// program alone, so rounds partitioned across workers execute the very
-// same access paths as the sequential evaluator.
+// program alone — compiling reads no GOMAXPROCS — so rounds partitioned
+// across workers execute the very same access paths as the sequential
+// evaluator.
 func TestParallelJoinPlansStable(t *testing.T) {
 	q, err := queries.Get("reachability")
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := Explain(q.Program)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		again, err := Explain(q.Program)
+	explain := func() string {
+		prep, err := Compile(q.Program)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if strings.Join(again, "\n") != strings.Join(first, "\n") {
-			t.Fatalf("join plans changed between compilations:\n%s\nvs\n%s", first, again)
-		}
+		return strings.Join(prep.Explain(), "\n")
+	}
+	setProcs(t, 1)
+	first := explain()
+	runtime.GOMAXPROCS(4)
+	if again := explain(); again != first {
+		t.Fatalf("join plans depend on GOMAXPROCS:\n%s\nvs\n%s", first, again)
 	}
 }
 

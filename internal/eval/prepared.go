@@ -58,10 +58,7 @@ type Prepared struct {
 // deep copied, so later mutation of prog cannot corrupt the compiled
 // form.
 func Compile(prog ast.Program) (*Prepared, error) {
-	// One stratum is an order nobody wrote: the library's constructors
-	// build it, and ParseProgramForAnalysis leaves a source without
-	// "---" that way exactly when it has no stratification.
-	diags, arities := analyze.CheckWithArities(prog, analyze.Options{ExplicitStrata: len(prog.Strata) > 1})
+	diags, arities := analyze.CheckWithArities(prog, analyze.Options{})
 	if analyze.HasErrors(diags) {
 		return nil, &analyze.DiagError{Diags: diags}
 	}

@@ -77,7 +77,7 @@ func GenScenario(r *rand.Rand) Scenario {
 
 	var src string
 	if r.Float64() < 0.35 {
-		src = genExplicitStrata(r)
+		src = genWrittenStrata(r)
 	} else {
 		src = genAutoStratified(r)
 	}
@@ -155,7 +155,7 @@ func genAutoStratified(r *rand.Rand) string {
 	return strings.Join(rules, "\n") + "\n"
 }
 
-// genExplicitStrata assembles a program with explicit `---` strata
+// genWrittenStrata assembles a program with explicit `---` strata
 // around the shapes derivation stamps exist for. Stratum 1 defines F
 // and a pair of mutually recursive siblings RA/RB; stratum 2 reads F
 // (a positive forward reference, since stratum 3 defines F again) and
@@ -163,7 +163,7 @@ func genAutoStratified(r *rand.Rand) string {
 // optionally a join over both earlier strata. The maintained engines
 // must keep stratum 2's reads of F bounded to stratum 1's facts —
 // exactly what Prepared.Eval's stratum-ordered pass computes.
-func genExplicitStrata(r *rand.Rand) string {
+func genWrittenStrata(r *rand.Rand) string {
 	s1 := []string{
 		"F(@x) :- E1(@x.@y).",
 		"RA(@x.@y) :- E1(@x.@y).",

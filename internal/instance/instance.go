@@ -1234,9 +1234,6 @@ func (i *Instance) Relation(name string) *Relation { return i.rels[name] }
 // retags it as maintenance moves through the strata.
 func (i *Instance) SetStamper(s *Stamper) { i.stamper = s }
 
-// Stamper returns the instance's attached stamper, or nil.
-func (i *Instance) Stamper() *Stamper { return i.stamper }
-
 // CloneStats reports the accumulated write-barrier work of this
 // instance; see CloneStats.
 func (i *Instance) CloneStats() CloneStats { return i.clones }
@@ -1443,31 +1440,6 @@ func (i *Instance) IsFlat() bool {
 		}
 	}
 	return true
-}
-
-// IsMonadic reports whether every relation has arity zero or one.
-func (i *Instance) IsMonadic() bool {
-	for _, r := range i.rels {
-		if r.Arity > 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// MaxPathLen returns the maximal length of a path in the instance.
-func (i *Instance) MaxPathLen() int {
-	m := 0
-	for _, r := range i.rels {
-		for _, t := range r.Tuples() {
-			for _, p := range t {
-				if len(p) > m {
-					m = len(p)
-				}
-			}
-		}
-	}
-	return m
 }
 
 // WriteFacts writes the relation's facts under the given name, sorted,

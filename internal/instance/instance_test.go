@@ -71,16 +71,12 @@ func TestInstanceEqualAndDiff(t *testing.T) {
 func TestInstanceFlatMonadic(t *testing.T) {
 	i := New()
 	i.AddPath("R", value.PathOf("a", "b"))
-	if !i.IsFlat() || !i.IsMonadic() {
-		t.Fatal("flat monadic misdetected")
+	if !i.IsFlat() {
+		t.Fatal("flat instance misdetected")
 	}
 	i.AddPath("P", value.Path{value.Pack(value.PathOf("a"))})
 	if i.IsFlat() {
 		t.Fatal("packed value not detected")
-	}
-	i.Add("D", tup(value.PathOf("a"), value.PathOf("b")))
-	if i.IsMonadic() {
-		t.Fatal("binary relation not detected")
 	}
 }
 
@@ -118,15 +114,6 @@ func TestSortedDeterministic(t *testing.T) {
 	s := r.Sorted()
 	if s[0].String() != "(a)" || s[1].String() != "(a.a)" || s[2].String() != "(b)" {
 		t.Fatalf("Sorted = %v", s)
-	}
-}
-
-func TestMaxPathLen(t *testing.T) {
-	i := New()
-	i.AddPath("R", value.PathOf("a", "b", "c"))
-	i.AddFact("A")
-	if i.MaxPathLen() != 3 {
-		t.Fatalf("MaxPathLen = %d", i.MaxPathLen())
 	}
 }
 

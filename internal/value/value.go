@@ -11,7 +11,6 @@
 package value
 
 import (
-	"sort"
 	"strings"
 )
 
@@ -117,10 +116,6 @@ func PathOf(atoms ...string) Path {
 	}
 	return p
 }
-
-// Singleton returns the one-element path holding v. The paper identifies
-// a value v with the length-one sequence v.
-func Singleton(v Value) Path { return Path{v} }
 
 // Concat concatenates paths into a fresh path.
 func Concat(paths ...Path) Path {
@@ -367,30 +362,6 @@ func (p Path) Clone() Path {
 	out := make(Path, len(p))
 	copy(out, p)
 	return out
-}
-
-// Atoms collects the distinct atomic values occurring anywhere in the
-// path (including inside packed values), in text-sorted order.
-func (p Path) Atoms() []Atom {
-	set := map[Atom]struct{}{}
-	p.collectAtoms(set)
-	out := make([]Atom, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Text() < out[j].Text() })
-	return out
-}
-
-func (p Path) collectAtoms(set map[Atom]struct{}) {
-	for _, v := range p {
-		switch x := v.(type) {
-		case Atom:
-			set[x] = struct{}{}
-		case Packed:
-			x.Unpack().collectAtoms(set)
-		}
-	}
 }
 
 // Repeat returns the path consisting of n copies of atom a (the a^n

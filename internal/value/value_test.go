@@ -174,26 +174,21 @@ func TestConcat(t *testing.T) {
 	}
 }
 
-func TestAtoms(t *testing.T) {
-	p := Path{Intern("b"), Pack(Path{Intern("a"), Pack(PathOf("c"))}), Intern("a")}
-	got := p.Atoms()
-	want := []Atom{Intern("a"), Intern("b"), Intern("c")}
-	if len(got) != len(want) {
-		t.Fatalf("Atoms = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Atoms = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestRepeat(t *testing.T) {
 	if !Repeat("a", 3).Equal(PathOf("a", "a", "a")) {
 		t.Fatal("Repeat broken")
 	}
 	if !Repeat("a", 0).Equal(Epsilon) {
 		t.Fatal("Repeat(0) should be epsilon")
+	}
+}
+
+func TestSingletonAndClone(t *testing.T) {
+	p := Path{Intern("v")}
+	c := p.Clone()
+	c[0] = Intern("w")
+	if p[0] != Intern("v") {
+		t.Fatal("Clone aliases")
 	}
 }
 
@@ -206,17 +201,5 @@ func TestQuickKeyRoundtripLength(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSingletonAndClone(t *testing.T) {
-	p := Singleton(Intern("v"))
-	if len(p) != 1 || p[0] != Intern("v") {
-		t.Fatal("Singleton broken")
-	}
-	c := p.Clone()
-	c[0] = Intern("w")
-	if p[0] != Intern("v") {
-		t.Fatal("Clone aliases")
 	}
 }

@@ -28,3 +28,23 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeCheckpoint feeds arbitrary bytes to the checkpoint decoder,
+// which recovery runs on every checkpoint file it finds: it never
+// panics, and a checkpoint it accepts encodes and decodes again to the
+// same program text and an Equal EDB. The seed corpus under
+// testdata/fuzz holds a checkpoint of each paper query with the
+// generated EDB of FuzzDecodeInstance's corpus, with truncations and bit
+// flips of it.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		program, edb, err := decodeCheckpoint(b)
+		if err != nil {
+			return
+		}
+		again, edbAgain, err := decodeCheckpoint(encodeCheckpoint(program, edb))
+		if err != nil || again != program || !edbAgain.Equal(edb) {
+			t.Fatalf("re-decoded checkpoint differs (%v): program equal %v", err, again == program)
+		}
+	})
+}

@@ -457,13 +457,8 @@ func (l *Log) Checkpoint(program string, edb *instance.Instance) error {
 		return l.failed
 	}
 	next := l.gen + 1
-
-	payload := binary.AppendUvarint(nil, uint64(len(program)))
-	payload = append(payload, program...)
-	payload = edb.AppendBinary(payload)
-
 	tmp := ckptPath(l.dir, next) + ".tmp"
-	if err := writeFileSynced(tmp, append([]byte(ckptMagic), appendFrame(nil, payload)...)); err != nil {
+	if err := writeFileSynced(tmp, encodeCheckpoint(program, edb)); err != nil {
 		return fmt.Errorf("wal: writing checkpoint %d: %w", next, err)
 	}
 	if err := os.Rename(tmp, ckptPath(l.dir, next)); err != nil {
@@ -515,13 +510,28 @@ func (l *Log) Close() error {
 	return err
 }
 
-// readCheckpoint reads and validates one checkpoint file, returning
-// the program source and the decoded base-fact instance.
+// encodeCheckpoint renders a checkpoint file: the magic, then one frame
+// holding the program source and the base facts.
+func encodeCheckpoint(program string, edb *instance.Instance) []byte {
+	payload := binary.AppendUvarint(nil, uint64(len(program)))
+	payload = append(payload, program...)
+	payload = edb.AppendBinary(payload)
+	return append([]byte(ckptMagic), appendFrame(nil, payload)...)
+}
+
+// readCheckpoint reads and validates one checkpoint file; a file that
+// cannot be read is as invalid as one that does not decode.
 func readCheckpoint(path string) (string, *instance.Instance, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return "", nil, err
 	}
+	return decodeCheckpoint(data)
+}
+
+// decodeCheckpoint validates a checkpoint file's contents, returning the
+// program source and the decoded base-fact instance.
+func decodeCheckpoint(data []byte) (string, *instance.Instance, error) {
 	if len(data) < len(ckptMagic) || string(data[:len(ckptMagic)]) != ckptMagic {
 		return "", nil, fmt.Errorf("bad magic")
 	}

@@ -186,14 +186,11 @@ const (
 // returns the diagnostics sorted by position: range-restriction and
 // stratification errors, sequence-growth (nontermination) and dead-code
 // warnings, incremental-maintenance performance lints, and the
-// program's fragment. Compile runs the same analysis; Vet is for tools
+// program's fragment and expressiveness class. Compile runs the same
+// analysis (without Outputs, so without the unreachable-rule lint) and
+// keeps the non-error part on Prepared.Diagnostics; Vet is for tools
 // that want the full report without compiling.
-func Vet(p Program, opts VetOptions) []Diagnostic {
-	if opts.ClassLabel == nil {
-		opts.ClassLabel = func(f FeatureSet) string { return core.ClassOf(f).Label() }
-	}
-	return analyze.Check(p, opts)
-}
+func Vet(p Program, opts VetOptions) []Diagnostic { return analyze.Check(p, opts) }
 
 // NewEngine runs the initial fixpoint of a compiled program over edb
 // (shared copy-on-write; a nil edb means empty) and returns the live
@@ -230,7 +227,7 @@ type (
 	// Lattice is the Figure 1 Hasse diagram.
 	Lattice = core.Lattice
 	// PlanResult is the outcome of RewriteTo.
-	PlanResult = core.PlanResult
+	PlanResult = rewrite.PlanResult
 )
 
 // Frag builds a fragment from feature letters, e.g. Frag("EIN").
@@ -252,7 +249,7 @@ func BuildLattice() *Lattice { return core.BuildLattice() }
 // RewriteTo moves a program into the target fragment by composing the
 // paper's constructive rewritings (Figure 3).
 func RewriteTo(p Program, output string, target Fragment) (PlanResult, error) {
-	return core.RewriteTo(p, output, target)
+	return rewrite.ToFragment(p, output, target)
 }
 
 // Transformations (§4).

@@ -3,6 +3,7 @@ package seqlog
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 
 	"seqlog/internal/workload"
@@ -48,9 +49,9 @@ func TestFacadeRewrite(t *testing.T) {
 
 // TestFacadeParallelEvaluation exercises the fan-out through the public
 // surface: evaluation on one and on eight GOMAXPROCS agrees on a
-// recursive query, and the deterministic PlanResult stats (Steps,
-// Achieved, JoinPlan) of a fragment rewrite are bit-identical across
-// repeated runs interleaved with parallel evaluations.
+// recursive query, and the deterministic PlanResult (Steps, Achieved,
+// the rewritten program's text) of a fragment rewrite is bit-identical
+// across repeated runs interleaved with parallel evaluations.
 func TestFacadeParallelEvaluation(t *testing.T) {
 	prog := MustParse(`
 T(@x.@y) :- R(@x.@y).
@@ -79,14 +80,11 @@ T(@x.@z) :- T(@x.@y), R(@y.@z).`)
 			first = res
 			continue
 		}
-		if res.Achieved != first.Achieved || len(res.Steps) != len(first.Steps) ||
-			len(res.JoinPlan) != len(first.JoinPlan) {
+		if res.Achieved != first.Achieved || !slices.Equal(res.Steps, first.Steps) {
 			t.Fatalf("run %d: PlanResult stats drifted: %+v vs %+v", i, res, first)
 		}
-		for j := range res.JoinPlan {
-			if res.JoinPlan[j] != first.JoinPlan[j] {
-				t.Fatalf("run %d: join plan %d drifted: %q vs %q", i, j, res.JoinPlan[j], first.JoinPlan[j])
-			}
+		if got, want := res.Program.String(), first.Program.String(); got != want {
+			t.Fatalf("run %d: rewritten program drifted:\n%s\nvs\n%s", i, got, want)
 		}
 	}
 }

@@ -29,7 +29,7 @@ func TestExamplesVetClean(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		for _, d := range Vet(prog, VetOptions{ExplicitStrata: true}) {
+		for _, d := range Vet(prog, VetOptions{}) {
 			if d.Severity > SeverityInfo {
 				t.Errorf("%s: %s", path, d)
 			}
