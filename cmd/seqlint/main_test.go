@@ -21,8 +21,8 @@ func TestTombstoneViewOutsideDRed(t *testing.T) {
 	src := `package x
 func f(ix *Index, r *Relation) {
 	_ = ix.Lookup(instance.View{Dead: true}, k)
-	_ = r.SuffixLookup(View{MaxTag: 2, Dead: dead}, 0, p)
-	v := instance.View{MaxTag: 2}
+	_ = r.SuffixLookup(View{MaxBirth: 2, Dead: dead}, 0, p)
+	v := instance.View{MaxBirth: 2}
 	v.Dead = true
 	_ = r.PrefixLookup(v, 0, p)
 }
@@ -34,7 +34,7 @@ func f(ix *Index, r *Relation) {
 	if !strings.Contains(got[0], "internal/rewrite/bad.go:3:30: View.Dead") {
 		t.Fatalf("finding position/message: %q", got[0])
 	}
-	if !strings.Contains(got[1], "bad.go:4:37:") || !strings.Contains(got[2], "bad.go:6:4:") {
+	if !strings.Contains(got[1], "bad.go:4:39:") || !strings.Contains(got[2], "bad.go:6:4:") {
 		t.Fatalf("literal-key and assignment findings: %q", got[1:])
 	}
 }
@@ -45,7 +45,7 @@ func TestTombstoneViewLegalPatterns(t *testing.T) {
 	src := `package x
 func f(ix *Index, v instance.View) {
 	_ = ix.Lookup(instance.View{}, k)
-	_ = ix.Lookup(instance.View{MaxTag: 2, MaxBirth: 9}, k)
+	_ = ix.Lookup(instance.View{MaxBirth: 9}, k)
 	if !v.Dead { _ = ix.Lookup(v, k) }
 	_ = stats{Dead: 3}
 }

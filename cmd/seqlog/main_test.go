@@ -32,6 +32,8 @@ func TestSameDefectSameWords(t *testing.T) {
 		{name: "arity clash", src: "P(a, b).\nQ($x) :- P($x).\n", code: "arity-mismatch"},
 		{name: "unstratified explicit strata", src: "Odd($x) :- Next($x), !Even($x).\n---\nEven($x) :- Next($x), !Odd($x).\n", code: "unstratified-negation"},
 		{name: "negation cycle", src: "P($x) :- R($x), !Q($x).\nQ($x) :- R($x), !P($x).\n", code: "negation-cycle"},
+		{name: "head in two strata", src: "H($x) :- A($x).\n---\nH($x) :- B($x).\n", code: "stratum-order"},
+		{name: "read before defined", src: "P($x) :- H($x).\n---\nH($x) :- A($x).\n", code: "stratum-order"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -115,6 +117,8 @@ func TestCLIGolden(t *testing.T) {
 		// One defect, the same words at both gates: nobody wrote strata.
 		{"-vet", "-program", "testdata/negcycle.sdl"},
 		{"-program", "testdata/negcycle.sdl"},
+		// A relation defined in two written strata: refused, naming both.
+		{"-vet", "-program", "testdata/stratum-order.sdl"},
 		// What examples/README.md runs in place of two example mains.
 		{"-query", "nfa-accept", "-data", "../../examples/nfa/facts.sdl"},
 		{"-query", "process-mining", "-data", "../../examples/processmining/facts.sdl"},

@@ -131,6 +131,19 @@ T :- !T2.
 T2 :- !T.
 .
 `},
+	// A relation defined in two written strata is refused at load; the
+	// engine loaded before keeps serving.
+	{name: "stratum order", server: "fresh", script: `load
+T(@x) :- E(@x).
+.
+assert E(a). E(b).
+load
+T(@x) :- E(@x).
+---
+T(@x) :- F(@x).
+.
+query T
+`},
 }
 
 // TestProtocolTranscript pins every verb's ok and err reply byte for

@@ -89,7 +89,7 @@ func fixtureOutputs(src string) []string {
 func TestEveryCodeCovered(t *testing.T) {
 	want := []string{
 		"arity-mismatch", "unbound-head-var", "unbound-neg-var", "unbound-var",
-		"negation-cycle", "unstratified-negation",
+		"negation-cycle", "unstratified-negation", "stratum-order",
 		"fragment", "seq-growth",
 		"duplicate-rule", "singleton-var", "never-derived", "unreachable-rule",
 		"full-scan-delta",

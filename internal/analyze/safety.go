@@ -23,8 +23,8 @@ var SafetyAnalyzer = &Analyzer{
 // StratificationAnalyzer reports the strata-order half of
 // ast.Program.Check and adds the one policy that is the analyzer's own:
 //
-//   - unstratified-negation (error, explicit strata only): a negated
-//     predicate defined in the same or a later stratum;
+//   - stratum-order, unstratified-negation (errors, explicit strata
+//     only): the written order is not a stratification (see Check);
 //   - negation-cycle: a negated atom whose predicate sits in the same
 //     dependency-graph strongly connected component as the rule's head
 //     — no stratification exists. An error for auto-stratified
@@ -54,7 +54,7 @@ func runStratification(p *Pass) {
 // ones otherwise.
 func (p *Pass) reportViolations(strata bool) {
 	for _, v := range p.Violations {
-		if (v.Code == "unstratified-negation" || v.Code == "negation-cycle") == strata {
+		if (v.Code == "stratum-order" || v.Code == "unstratified-negation" || v.Code == "negation-cycle") == strata {
 			p.Report(Diagnostic{Pos: v.Pos, Severity: Error, Code: v.Code, Message: v.Message, Related: v.Notes})
 		}
 	}

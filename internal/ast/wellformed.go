@@ -42,6 +42,8 @@ func (v Violation) compare(w Violation) int {
 //     its first use (schemas fix arities, §2.1);
 //   - unbound-head-var, unbound-neg-var, unbound-var: a variable that
 //     is not limited, classified by why it escapes binding;
+//   - stratum-order (written strata): a relation defined in two strata,
+//     or read positively before the stratum that defines it;
 //   - unstratified-negation (written strata): a negated predicate
 //     defined in its own or a later stratum;
 //   - negation-cycle (derived strata): recursion through negation.
@@ -182,24 +184,37 @@ func (r Rule) unlimited() []Violation {
 	return vs
 }
 
-// unstratified reports every negated predicate defined in its own or a
-// later stratum: walking the strata last to first, defined holds the
-// head names of the current stratum and all later ones.
+// unstratified reports where the strata break the classical
+// stratification (Abiteboul–Hull–Vianu, Def. 15.2.1): a relation
+// defined by a second stratum, a positive body atom whose relation only
+// a later stratum defines, and a negated predicate defined in its own
+// or a later stratum. first and last are the first and the last
+// stratum defining each head.
 func (p Program) unstratified() []Violation {
-	var vs []Violation
-	defined := map[string]bool{}
-	for si := len(p.Strata) - 1; si >= 0; si-- {
-		for _, r := range p.Strata[si] {
-			defined[r.Head.Name] = true
+	first, last := map[string]int{}, map[string]int{}
+	for si, s := range p.Strata {
+		for _, r := range s {
+			if _, ok := first[r.Head.Name]; !ok {
+				first[r.Head.Name] = si
+			}
+			last[r.Head.Name] = si
 		}
-		for _, r := range p.Strata[si] {
+	}
+	var vs []Violation
+	add := func(pos Position, code, format string, args ...any) {
+		vs = append(vs, Violation{Pos: pos, Code: code, Message: fmt.Sprintf(format, args...)})
+	}
+	for si, s := range p.Strata {
+		for _, r := range s {
+			if d := first[r.Head.Name]; d < si {
+				add(r.Head.Pos, "stratum-order", "stratum %d: %s is already defined in stratum %d, and all rules for a relation belong to one stratum (give this definition its own name, §2.2)", si+1, r.Head.Name, d+1)
+			}
 			for l, pr := range r.Preds() {
-				if l.Neg && defined[pr.Name] {
-					vs = append(vs, Violation{
-						Pos:     pr.Pos,
-						Code:    "unstratified-negation",
-						Message: fmt.Sprintf("stratum %d: negated predicate %s is defined in this or a later stratum (negation not stratified, §2.2)", si+1, pr.Name),
-					})
+				if d, ok := first[pr.Name]; ok && !l.Neg && d > si {
+					add(pr.Pos, "stratum-order", "stratum %d: predicate %s is read before stratum %d, which defines it (move this rule to stratum %d or later, §2.2)", si+1, pr.Name, d+1, d+1)
+				}
+				if d, ok := last[pr.Name]; ok && l.Neg && d >= si {
+					add(pr.Pos, "unstratified-negation", "stratum %d: negated predicate %s is defined in this or a later stratum (negation not stratified, §2.2)", si+1, pr.Name)
 				}
 			}
 		}

@@ -252,105 +252,6 @@ func TestEngineRetractUnfoundedCycle(t *testing.T) {
 	}
 }
 
-// TestEngineRetractSharedHeadAcrossStrata: a head name defined in
-// several handwritten strata must keep a fact alive as long as ANY
-// defining stratum still derives it — and readers must see exactly
-// the stratum-order views Prepared.Eval gives them. Retracting A(t)
-// overdeletes H(t) at stratum 1; the reader G between the defining
-// strata loses G(t) for good (its view of H is H-after-stratum-1,
-// which no longer has t), stratum 3 rederives H(t) from B(t), and the
-// reader G2 after the restorer keeps G2(t). Every checkpoint must
-// equal from-scratch evaluation, which pins those per-stratum views.
-func TestEngineRetractSharedHeadAcrossStrata(t *testing.T) {
-	prog := parser.MustParseProgram(`
-H($x) :- A($x).
----
-G($x) :- H($x).
----
-H($x) :- B($x).
----
-G2($x) :- H($x).`)
-	prep, err := Compile(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(prep, parser.MustParseInstance(`A(t). B(t).`), Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := e.Retract(parser.MustParseInstance(`A(t).`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, _ := e.Query("H"); h.Len() != 1 {
-		t.Fatalf("H = %v, want H(t) restored via stratum 3 (stats %+v)", h.Sorted(), stats)
-	}
-	if g, _ := e.Query("G"); g.Len() != 0 {
-		t.Fatalf("G = %v, want G(t) gone (its view of H lost t; stats %+v)", g.Sorted(), stats)
-	}
-	if g2, _ := e.Query("G2"); g2.Len() != 1 {
-		t.Fatalf("G2 = %v, want G2(t) kept (its view of H never lost t; stats %+v)", g2.Sorted(), stats)
-	}
-	want, err := prep.Eval(parser.MustParseInstance(`B(t).`), Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mustSnapshot(t, e); !got.Equal(want) {
-		t.Fatal(instance.Diff(got, want))
-	}
-	// Retracting the remaining support kills everything for good.
-	if _, err := e.Retract(parser.MustParseInstance(`B(t).`)); err != nil {
-		t.Fatal(err)
-	}
-	want, err = prep.Eval(instance.New(), Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mustSnapshot(t, e); !got.Equal(want) {
-		t.Fatal(instance.Diff(got, want))
-	}
-}
-
-// TestEngineAssertForwardReadMatchesEval pins that the forward-read
-// divergence is closed: with derivation stamps, a side atom of a delta
-// join at stratum 2 reads a stamp-bounded view of H, so the stratum-3
-// fact H(c) is invisible to it — exactly as in Prepared.Eval's
-// stratum-ordered pass. A positive forward reference (an earlier
-// stratum reading a head a LATER stratum also defines — something
-// auto-stratification never produces) used to make Assert derive the
-// extra P(c); now Assert and Eval must agree on the full
-// materialization. The delta join runs through the hoisted ΔB variant,
-// so this also pins that the variants keep the stamp-bounded views.
-func TestEngineAssertForwardReadMatchesEval(t *testing.T) {
-	prog := parser.MustParseProgram(`
-H($x) :- A($x).
----
-P($x) :- H($x), B($x).
----
-H($x) :- C($x).`)
-	prep, err := Compile(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(prep, parser.MustParseInstance(`C(c).`), Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Assert(parser.MustParseInstance(`B(c).`)); err != nil {
-		t.Fatal(err)
-	}
-	want, err := prep.Eval(parser.MustParseInstance(`C(c). B(c).`), Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wp := want.Relation("P"); wp != nil && wp.Len() > 0 {
-		t.Fatalf("Eval derived P = %v; the premise of this forward-read test no longer holds", wp.Sorted())
-	}
-	if got := mustSnapshot(t, e); !got.Equal(want) {
-		t.Fatal(instance.Diff(got, want))
-	}
-}
-
 // TestEngineRetractNegationEnablesDerivations: deleting a fact a rule
 // negates must create the derivations the fact was blocking, and the
 // new facts must cascade through later strata.

@@ -34,14 +34,6 @@ type Engine struct {
 		calls, changed int
 		last           MaintenanceStats
 	}
-	// stamper issues the derivation stamp of every tuple appended to the
-	// materialization: a monotone birth counter plus the producing
-	// stratum's tag (si+1; 0 for base facts of an asserted batch).
-	// Maintenance retags it as it moves through the strata. Stamps are
-	// what give maintenance stratum-exact views of the materialization
-	// and the pruner its whole-stratum well-founded order; they are
-	// recomputed on replay, never serialized.
-	stamper *instance.Stamper
 	// plans accumulates the PlanStats of every maintenance run, for
 	// EngineStats.
 	plans PlanStats
@@ -201,19 +193,21 @@ func NewEngine(prep *Prepared, edb *instance.Instance, limits Limits) (*Engine, 
 		edb = instance.New()
 	}
 	e := &Engine{
-		prep:    prep,
-		limits:  limits.orDefault(),
-		inst:    edb.Snapshot(),
-		seeds:   map[string]*instance.Relation{},
-		stamper: &instance.Stamper{},
+		prep:   prep,
+		limits: limits.orDefault(),
+		inst:   edb.Snapshot(),
+		seeds:  map[string]*instance.Relation{},
 	}
-	e.inst.SetStamper(e.stamper)
+	// Every tuple appended to the materialization is born from one
+	// counter: the order the overdeletion pruner reads (see dred.go).
+	// Stamps are recomputed on replay, never serialized.
+	e.inst.SetStamper(&instance.Stamper{})
 	for name := range prep.idb {
 		if r := e.inst.Relation(name); r != nil {
 			e.seeds[name] = r // frozen by the snapshot above
 		}
 	}
-	if err := prep.fixpoint(e.inst, e.limits, &e.derived, e.stamper); err != nil {
+	if err := prep.fixpoint(e.inst, e.limits, &e.derived); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -354,10 +348,7 @@ func appendBatch(seed deltas, name string, dst, src *instance.Relation) int {
 }
 
 // deleteBatch is Retract's step: the facts of src present in dst are
-// tombstoned there and collected into the run's deletion log. The log
-// is built before the maintenance stamper attaches (delFor), so its
-// entries are stamped 0: batch deletions are visible to every stratum,
-// exactly like batch insertions.
+// tombstoned there and collected into the run's deletion log.
 func deleteBatch(seed deltas, name string, dst, src *instance.Relation) int {
 	dl := instance.NewRelation(src.Arity)
 	for pos := 0; pos < src.Size(); pos++ {
@@ -391,9 +382,6 @@ func (e *Engine) write(op writeOp, delta *instance.Instance) (int, MaintenanceSt
 		return 0, stats, err
 	}
 	clonesBefore := e.inst.CloneStats()
-	// Batch facts are base facts: stamped tag 0, visible to every
-	// stratum's view (the pre-stamp "produced by -1").
-	e.stamper.SetTag(0)
 	var seed deltas
 	changed := 0
 	for _, name := range delta.Names() {
@@ -412,7 +400,7 @@ func (e *Engine) write(op writeOp, delta *instance.Instance) (int, MaintenanceSt
 		// The all-skipped fast path allocates no maintenance state.
 		stats.StrataSkipped = len(e.prep.strata)
 	} else {
-		m := e.newMaintenance(seed)
+		m := &maintenance{e: e, deltas: seed}
 		derivedBefore := e.derived
 		if err := m.run(); err != nil {
 			e.broken = fmt.Errorf("engine: maintenance failed, materialization is partial: %w", err)

@@ -109,9 +109,7 @@ func localSizes(local map[string]bool, inst *instance.Instance) map[string]int {
 }
 
 // window is a half-open position range [lo, hi) into a relation's
-// tuple log. Who produced the positions — and therefore which strata
-// may see them — is read from their derivation stamps, not tracked on
-// the window.
+// tuple log.
 type window struct {
 	lo, hi int
 }
@@ -187,12 +185,12 @@ func (dr *driver) run(items []workItem, sink sinkFunc) error {
 // atom, the atom's hoisted variant (delta step first, the rest of the
 // body index-probed) once per change window of the atom's relation.
 // windows says where the changes come from — the positions a stratum's
-// own heads grew by since the last round (fixpoint), the insertion
-// windows a stratum has not consumed, or the visible ranges of the
-// deletion logs passed as opts.deltaRels — and may reuse the slice it
-// returns: it is consumed before the next call. Each window is cut into
-// one slice per worker (see appendSlices); stats counts one plan
-// execution per slice. The round's items stay in dr.items.
+// own heads grew by since the last round (fixpoint), the run's
+// insertion windows, or the unchased tails of the deletion logs passed
+// as opts.deltaRels — and may reuse the slice it returns: it is
+// consumed before the next call. Each window is cut into one slice per
+// worker (see appendSlices); stats counts one plan execution per slice.
+// The round's items stay in dr.items.
 func (dr *driver) delta(windows func(name string) []window, sink sinkFunc) error {
 	dr.items = dr.items[:0]
 	for _, p := range dr.plans {
@@ -261,17 +259,10 @@ func (dr *driver) fixpoint(local map[string]bool, prev map[string]int, sink sink
 // before, Size after), iterated in place by position (TupleAt, skipping
 // tombstones via Live) — no per-round delta instances.
 //
-// The runs do not filter by stamp (visTag 0): a from-scratch pass
-// builds its result stratum by stratum, so the ordering the stamps
-// encode holds by construction — and carried EDB relations may hold
-// stamps from a previous engine's run, which must stay fully visible.
-// An engine's stamper tags stratum si's derivations si+1 (see
-// instance.MakeStamp) for the maintenance runs that follow.
-//
 // Its rounds are the only ones split across runtime.GOMAXPROCS(0)
 // workers: every maintenance phase runs inline (the measurements are in
 // docs/evaluation.md, "Worker partitioning").
-func (p *Prepared) fixpoint(inst *instance.Instance, limits Limits, derived *int, stamper *instance.Stamper) error {
+func (p *Prepared) fixpoint(inst *instance.Instance, limits Limits, derived *int) error {
 	for _, name := range inst.Names() {
 		if err := p.checkArity(name, inst.Relation(name), "instance holds"); err != nil {
 			return err
@@ -280,9 +271,6 @@ func (p *Prepared) fixpoint(inst *instance.Instance, limits Limits, derived *int
 	workers := runtime.GOMAXPROCS(0)
 	for si := range p.strata {
 		ps := &p.strata[si]
-		if stamper != nil {
-			stamper.SetTag(uint64(si + 1))
-		}
 		dr := &driver{plans: ps.plans, inst: inst, limits: limits, opts: runOpts{negStep: -1}, derived: derived, workers: workers}
 		// Round 0: evaluate every rule against the full instance.
 		prev := localSizes(ps.heads, inst)
@@ -320,33 +308,10 @@ func (dr *driver) derive(head ast.Pred, env *Env) error {
 	if err != nil {
 		return err
 	}
-	rel := dr.inst.Ensure(head.Name, len(head.Args))
-	if !rel.AddFromScratch(h, t) {
-		dr.promote(rel, h, t)
+	if !dr.inst.Ensure(head.Name, len(head.Args)).AddFromScratch(h, t) {
 		return nil
 	}
 	return dr.count()
-}
-
-// promote handles a derivation whose fact already exists. If a later
-// stratum produced it (its stamp tag exceeds visTag) it is invisible
-// under this stratum's exact view, so it is deleted and re-added to be
-// born here: the fresh position lands in the current insertion window,
-// and downstream strata and negation probes see it exactly where
-// Prepared.Eval's stratum-ordered pass would have put it. The fact set
-// is unchanged, so callers do not count it as derived. Only maintenance
-// has a nonzero visTag, and it never fans out.
-func (dr *driver) promote(rel *instance.Relation, h uint64, t instance.Tuple) {
-	if dr.opts.visTag == 0 {
-		return
-	}
-	pos := rel.Position(instance.View{}, h, t)
-	if instance.StampTag(rel.StampAt(pos)) <= dr.opts.visTag {
-		return
-	}
-	stored := rel.TupleAt(pos)
-	rel.DeleteHashed(h, stored)
-	rel.AddHashed(h, stored)
 }
 
 // count records one new fact against MaxFacts.

@@ -4,7 +4,7 @@ package eval
 // by (rule, delta-restricted predicate, delta-window slice), because a
 // join is a union over bindings and a window is a union of its slices.
 // Only the from-scratch pass fans out (see Prepared.fixpoint), so every
-// run here reads the whole instance (visTag 0). A round runs
+// run here reads the whole instance. A round runs
 // fan-out → barrier → merge:
 //
 //  1. fan-out: workers take the round's items in order, each deriving

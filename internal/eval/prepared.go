@@ -169,7 +169,7 @@ func (p *Prepared) Explain() []string {
 func (p *Prepared) Eval(edb *instance.Instance, limits Limits) (*instance.Instance, error) {
 	inst := edb.Snapshot()
 	derived := 0
-	if err := p.fixpoint(inst, limits.orDefault(), &derived, nil); err != nil {
+	if err := p.fixpoint(inst, limits.orDefault(), &derived); err != nil {
 		return nil, err
 	}
 	return inst, nil

@@ -39,24 +39,16 @@ type runOpts struct {
 	// depend on a change of the negated relation.
 	negStep  int
 	negProbe func(h uint64, t instance.Tuple) bool
-	// visTag, when nonzero, restricts every positive step and negation
-	// probe to the stratum-exact view: only tuple-log positions whose
-	// derivation stamp carries a tag at most visTag (si+1 for stratum
-	// si; base facts are tagged 0) are visible. This is how maintenance
-	// reproduces Prepared.Eval's stratum-ordered pass — a side atom or
-	// negated atom never sees facts a later stratum produced. 0 (the
-	// from-scratch evaluator) reads everything.
-	visTag uint64
 	// boundHeads/boundBirth are the overdeletion pruner's well-founded
 	// support check: positive non-delta steps over a relation named in
 	// boundHeads (the candidate's stratum's heads — the relations still
-	// in flux) only accept supports stamped before the candidate:
-	// produced by an earlier stratum (tag < visTag), or born earlier in
-	// this stratum (birth < boundBirth). Birth stamps are issued by one
-	// monotone counter, so justification chains strictly decrease and
-	// circular keep-alives are impossible — including cycles through
-	// sibling relations of the same stratum, which a per-relation
-	// position measure could not order.
+	// in flux) only accept supports born before the candidate (birth <
+	// boundBirth); every other relation belongs to an earlier stratum or
+	// the EDB and is settled. Births are issued by one monotone counter,
+	// so justification chains strictly decrease and circular keep-alives
+	// are impossible — including cycles through sibling relations of the
+	// same stratum, which a per-relation position measure could not
+	// order.
 	boundHeads map[string]bool
 	boundBirth uint64
 }
@@ -66,12 +58,12 @@ type runOpts struct {
 // no longer part of the delta) and never carries the pruner's birth
 // bound (the delta is the change set itself, not a support).
 func (opts *runOpts) stepView(s *step, isDelta bool) instance.View {
-	v := instance.View{MaxTag: opts.visTag}
-	if !isDelta {
-		v.Dead = opts.includeDead
-		if opts.boundHeads != nil && opts.boundHeads[s.pred.Name] {
-			v.MaxBirth = opts.boundBirth
-		}
+	if isDelta {
+		return instance.View{}
+	}
+	v := instance.View{Dead: opts.includeDead}
+	if opts.boundHeads[s.pred.Name] {
+		v.MaxBirth = opts.boundBirth
 	}
 	return v
 }
@@ -217,8 +209,8 @@ func (r *run) pred(i int, s *step, sl *slot) {
 	cands, probed := r.candidates(s, sl)
 	if !probed {
 		// The view carries tombstone visibility (the DRed overdelete joins
-		// against the pre-deletion state), the stamp tag bound
-		// (stratum-exact reads) and the pruner's birth bound; see stepView.
+		// against the pre-deletion state) and the pruner's birth bound;
+		// see stepView.
 		// The probes apply it themselves.
 		for pos := lo; pos < hi && r.err == nil; pos++ {
 			if (sl.view.Dead || rel.Live(pos)) && sl.view.Admits(rel.StampAt(pos)) {
@@ -295,9 +287,7 @@ func (r *run) eq(s *step, sl *slot) {
 // negPred tests a negated predicate. All arguments are ground by
 // safety: a single probe of the relation's built-in full-tuple hash
 // index. Negated relations live in earlier strata, so the relation
-// resolved by exec cannot go stale mid-run, and under a stratum-exact
-// view the probe must not see facts a later handwritten stratum
-// re-derives into the same head.
+// resolved by exec cannot go stale mid-run.
 //
 // On the run's negStep the step is a delta probe instead: the run is
 // restricted to derivations that depend on a change of this negated
@@ -318,7 +308,7 @@ func (r *run) negPred(i int, s *step, sl *slot) {
 		if opts.negProbe(h, sl.neg) {
 			r.step(i + 1)
 		}
-	} else if sl.rel.Position(instance.View{MaxTag: opts.visTag}, h, sl.neg) < 0 {
+	} else if sl.rel.Position(instance.View{}, h, sl.neg) < 0 {
 		r.step(i + 1)
 	}
 }

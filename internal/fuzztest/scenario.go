@@ -65,11 +65,10 @@ func (sc Scenario) History(i int) string {
 // GenScenario draws a random scenario. Two program families alternate:
 // auto-stratified templates covering the classic maintenance paths
 // (recursion, multi-way joins with exact/prefix/suffix probes, negation
-// over earlier strata), and explicit-strata templates covering the
-// shapes auto-stratification never produces — a head shared by two
-// strata with a positive forward reference, and mutually recursive
-// sibling relations inside one stratum (the shapes the stratum-exact
-// derivation-stamp views are accountable for). Every rule is
+// over earlier strata), and explicit-strata templates — written `---`
+// strata with mutually recursive sibling relations inside one stratum,
+// negation of an earlier stratum and a join across two earlier strata.
+// Every rule is
 // non-growing (heads only rearrange bound atom variables), so all
 // fixpoints are finite.
 func GenScenario(r *rand.Rand) Scenario {
@@ -155,14 +154,13 @@ func genAutoStratified(r *rand.Rand) string {
 	return strings.Join(rules, "\n") + "\n"
 }
 
-// genWrittenStrata assembles a program with explicit `---` strata
-// around the shapes derivation stamps exist for. Stratum 1 defines F
-// and a pair of mutually recursive siblings RA/RB; stratum 2 reads F
-// (a positive forward reference, since stratum 3 defines F again) and
-// optionally negates RA; stratum 3 adds the second F rule and
-// optionally a join over both earlier strata. The maintained engines
-// must keep stratum 2's reads of F bounded to stratum 1's facts —
-// exactly what Prepared.Eval's stratum-ordered pass computes.
+// genWrittenStrata assembles a program with explicit `---` strata in
+// classical order (each relation defined in one stratum and read only
+// there or later). Stratum 1 defines F and a pair of mutually
+// recursive siblings RA/RB, whose retractions lean on the pruner's
+// cross-relation birth order; stratum 2 reads F and optionally negates
+// RA; stratum 3 defines a fresh head F2 and optionally joins over both
+// earlier strata.
 func genWrittenStrata(r *rand.Rand) string {
 	s1 := []string{
 		"F(@x) :- E1(@x.@y).",
@@ -174,7 +172,7 @@ func genWrittenStrata(r *rand.Rand) string {
 	if r.Float64() < 0.5 {
 		s2 = append(s2, "G($x) :- E2($x), !RA($x).")
 	}
-	s3 := []string{"F(@x) :- E2(@y.@x)."}
+	s3 := []string{"F2(@x) :- E2(@y.@x)."}
 	if r.Float64() < 0.5 {
 		s3 = append(s3, "P(@x) :- Q(@x), RB(@x.@y).")
 	}

@@ -235,14 +235,12 @@ func TestStampsSurviveEpochSharing(t *testing.T) {
 	n := chunkSize + chunkSize/2
 	want := map[string]uint64{}
 	for k := 0; k < n; k++ {
-		st.SetTag(uint64(k % 3))
 		tu := tup(value.PathOf("t" + fmt.Sprint(k)))
 		i.Add("R", tu)
 		r := i.Relation("R")
 		s := r.StampAt(r.Size() - 1)
-		if StampTag(s) != uint64(k%3) || StampBirth(s) != uint64(k+1) {
-			t.Fatalf("append %d: stamp tag=%d birth=%d, want tag=%d birth=%d",
-				k, StampTag(s), StampBirth(s), k%3, k+1)
+		if s != uint64(k+1) {
+			t.Fatalf("append %d: birth %d, want %d", k, s, k+1)
 		}
 		want[tu.Key()] = s
 	}
@@ -265,13 +263,11 @@ func TestStampsSurviveEpochSharing(t *testing.T) {
 	}
 
 	snap := i.Snapshot()
-	st.SetTag(0)
 	extra := tup(value.PathOf("extra"))
 	i.Add("R", extra) // write barrier: sealed chunks shared, tail copied
 	last := i.Relation("R")
-	if s := last.StampAt(last.Size() - 1); StampBirth(s) != uint64(n+1) {
-		t.Fatalf("birth counter did not continue across the barrier: birth %d, want %d",
-			StampBirth(s), n+1)
+	if s := last.StampAt(last.Size() - 1); s != uint64(n+1) {
+		t.Fatalf("birth counter did not continue across the barrier: birth %d, want %d", s, n+1)
 	}
 	check("frozen snapshot", snap.Relation("R"), want)
 
@@ -279,7 +275,7 @@ func TestStampsSurviveEpochSharing(t *testing.T) {
 	for k, v := range want {
 		wantW[k] = v
 	}
-	wantW[extra.Key()] = MakeStamp(uint64(n+1), 0)
+	wantW[extra.Key()] = uint64(n + 1)
 	// Tombstone a scattering of tuples, then Compact: every surviving
 	// tuple keeps its stamp at its new position, and the frozen epoch
 	// still sees the original assignment untouched.

@@ -101,78 +101,39 @@ type chunk struct {
 	stamps []uint64
 }
 
-// Derivation stamps. Every tuple-log position carries a stamp packed
-// as birth<<StampTagBits | tag: a monotone per-Stamper birth counter
-// and a small visibility tag (the evaluator uses 0 for base/EDB facts
-// and si+1 for facts produced by stratum si). Stamps are assigned at
-// append time by the relation's Stamper and live beside the cached
-// hashes, so they survive the copy-on-write barrier, Compact and
-// Clone exactly like the hashes do. They are never serialized: a
-// relation rebuilt by replay re-earns its stamps from the same
-// deterministic append order.
-const StampTagBits = 16
-
-// MakeStamp packs a (birth, tag) pair into one stamp.
-func MakeStamp(birth, tag uint64) uint64 { return birth<<StampTagBits | tag }
-
-// StampTag extracts the visibility tag of a stamp.
-func StampTag(s uint64) uint64 { return s & (1<<StampTagBits - 1) }
-
-// StampBirth extracts the monotone birth counter of a stamp.
-func StampBirth(s uint64) uint64 { return s >> StampTagBits }
-
-// Stamper issues derivation stamps: a monotone birth counter shared by
-// every relation it is attached to, combined with a caller-set tag.
-// The evaluation engine attaches one Stamper to its whole instance and
-// retags it as it moves through the strata, so stamps totally order
-// all appends of one engine and record which stratum produced each.
+// Stamper issues derivation stamps. Every tuple-log position carries
+// a stamp — its birth, drawn at append time from the relation's
+// Stamper (0 for a tuple appended without one) — beside its cached
+// hash, so stamps survive the copy-on-write barrier, Compact and Clone
+// exactly like the hashes do. They are never serialized: a relation
+// rebuilt by replay re-earns its stamps from the same deterministic
+// append order. The evaluation engine attaches one Stamper to its
+// whole instance, so stamps totally order all appends of one engine.
 // A Stamper is not synchronized; stamped appends are single-threaded
 // by the relation write contract.
 type Stamper struct {
 	birth uint64
-	tag   uint64
 }
-
-// SetTag sets the visibility tag stamped onto subsequent appends.
-func (s *Stamper) SetTag(tag uint64) { s.tag = tag }
 
 // next issues the stamp for one append.
 func (s *Stamper) next() uint64 {
 	s.birth++
-	return MakeStamp(s.birth, s.tag)
+	return s.birth
 }
 
 // View selects which tuple-log positions a probe may see. The zero
 // View is the plain live view. Dead additionally admits tombstoned
-// positions (the DRed pre-deletion state). MaxTag, when nonzero,
-// restricts to positions whose stamp tag is at most MaxTag — the
-// stratum-exact view: a reader at stratum si (MaxTag si+1) never sees
-// facts produced by a later stratum. MaxBirth, when nonzero, further
-// requires positions stamped exactly MaxTag to have birth strictly
-// below MaxBirth — the well-founded overdeletion pruner's whole-
-// stratum support ordering (earlier-tag positions are settled and pass
-// regardless of birth).
+// positions (the DRed pre-deletion state). MaxBirth, when nonzero,
+// restricts to positions born strictly before it — the well-founded
+// overdeletion pruner's support order.
 type View struct {
 	Dead     bool
-	MaxTag   uint64
 	MaxBirth uint64
 }
 
 // Admits reports whether the view admits a position with this stamp.
 // Tombstone visibility is checked separately by the probe.
-func (v View) Admits(stamp uint64) bool {
-	if v.MaxTag == 0 {
-		return true
-	}
-	tag := StampTag(stamp)
-	if tag > v.MaxTag {
-		return false
-	}
-	if tag == v.MaxTag && v.MaxBirth != 0 && StampBirth(stamp) >= v.MaxBirth {
-		return false
-	}
-	return true
-}
+func (v View) Admits(stamp uint64) bool { return v.MaxBirth == 0 || stamp < v.MaxBirth }
 
 // deadPage is the tombstone bitmap for one chunk: bit off marks
 // position (chunkIndex<<chunkShift)|off dead. Pages are copy-on-write
@@ -430,12 +391,6 @@ func (r *Relation) tupleAt(pos int) Tuple  { return r.chunks[pos>>chunkShift].tu
 func (r *Relation) hashAt(pos int) uint64  { return r.chunks[pos>>chunkShift].hashes[pos&chunkMask] }
 func (r *Relation) stampAt(pos int) uint64 { return r.chunks[pos>>chunkShift].stamps[pos&chunkMask] }
 
-// SetStamper attaches a stamper to the relation: every later append is
-// stamped from it. Attaching is a write-path operation (the engine
-// attaches stampers to relations it exclusively owns, and Ensure
-// re-attaches at the write barrier).
-func (r *Relation) SetStamper(s *Stamper) { r.stamper = s }
-
 // StampAt returns the derivation stamp of the tuple at position pos
 // (0 for tuples appended without a stamper: base facts).
 func (r *Relation) StampAt(pos int) uint64 { return r.stampAt(pos) }
@@ -646,9 +601,7 @@ func (r *Relation) Contains(t Tuple) bool {
 // inserting — pass the hash once and never rehash. Under the zero View
 // this is plain membership: a tuple deleted and re-added resolves to its
 // live position. The DRed maintainer uses the position to test whether a
-// fact lies inside an insertion window; the evaluator's negation probes
-// pass a stamp-bounded view so a fact produced by a later stratum reads
-// as absent from an earlier stratum's view.
+// fact lies inside an insertion window.
 func (r *Relation) Position(v View, h uint64, t Tuple) int {
 	if m := r.member.probe(v, h, true, t.Equal); len(m) > 0 {
 		return m[0]

@@ -9,29 +9,24 @@ import (
 )
 
 func TestViewAdmitsBoundaries(t *testing.T) {
-	const maxTag, maxBirth = 3, 100
+	const maxBirth = 100
 	cases := []struct {
-		name       string
-		v          View
-		tag, birth uint64
-		want       bool
+		name  string
+		v     View
+		birth uint64
+		want  bool
 	}{
-		{"zero view admits anything", View{}, 9, 999, true},
-		{"birth bound without a tag bound is inert", View{MaxBirth: maxBirth}, 9, 999, true},
-		{"tag below MaxTag", View{MaxTag: maxTag}, maxTag - 1, 999, true},
-		{"tag at MaxTag", View{MaxTag: maxTag}, maxTag, 999, true},
-		{"tag above MaxTag", View{MaxTag: maxTag}, maxTag + 1, 1, false},
-		{"base fact (stamp 0)", View{MaxTag: maxTag, MaxBirth: 1}, 0, 0, true},
-		{"earlier tag ignores the birth bound", View{MaxTag: maxTag, MaxBirth: maxBirth}, maxTag - 1, maxBirth + 50, true},
-		{"tag at MaxTag, birth below MaxBirth", View{MaxTag: maxTag, MaxBirth: maxBirth}, maxTag, maxBirth - 1, true},
-		{"tag at MaxTag, birth at MaxBirth", View{MaxTag: maxTag, MaxBirth: maxBirth}, maxTag, maxBirth, false},
-		{"tag at MaxTag, birth above MaxBirth", View{MaxTag: maxTag, MaxBirth: maxBirth}, maxTag, maxBirth + 1, false},
-		{"tag above MaxTag, birth below MaxBirth", View{MaxTag: maxTag, MaxBirth: maxBirth}, maxTag + 1, 1, false},
-		{"Dead does not widen the stamp bound", View{Dead: true, MaxTag: maxTag}, maxTag + 1, 1, false},
+		{"zero view admits anything", View{}, 999, true},
+		{"base fact (stamp 0) under the tightest bound", View{MaxBirth: 1}, 0, true},
+		{"base fact (stamp 0) under any bound", View{MaxBirth: maxBirth}, 0, true},
+		{"birth below MaxBirth", View{MaxBirth: maxBirth}, maxBirth - 1, true},
+		{"birth at MaxBirth", View{MaxBirth: maxBirth}, maxBirth, false},
+		{"birth above MaxBirth", View{MaxBirth: maxBirth}, maxBirth + 1, false},
+		{"Dead does not widen the birth bound", View{Dead: true, MaxBirth: maxBirth}, maxBirth, false},
 	}
 	for _, c := range cases {
-		if got := c.v.Admits(MakeStamp(c.birth, c.tag)); got != c.want {
-			t.Errorf("%s: %+v.Admits(birth %d, tag %d) = %v, want %v", c.name, c.v, c.birth, c.tag, got, c.want)
+		if got := c.v.Admits(c.birth); got != c.want {
+			t.Errorf("%s: %+v.Admits(%d) = %v, want %v", c.name, c.v, c.birth, got, c.want)
 		}
 	}
 }
@@ -47,8 +42,7 @@ func probeTuple(k int) Tuple {
 }
 
 // probeWriter appends the tuples of one generator to one relation of
-// an instance whose stamper it retags as it goes, so stamps spread over
-// tags 0..3.
+// a stamped instance, so every position has its own birth.
 type probeWriter struct {
 	inst  *Instance
 	st    *Stamper
@@ -64,7 +58,6 @@ func newProbeWriter(tuple func(k int) Tuple) *probeWriter {
 
 func (w *probeWriter) add(n int) {
 	for ; n > 0; n-- {
-		w.st.SetTag(uint64(w.next % 4))
 		w.inst.Add("R", w.tuple(w.next))
 		w.next++
 	}
@@ -76,7 +69,6 @@ func (w *probeWriter) churn() {
 	for k := 0; k < w.next; k += 3 {
 		w.inst.Delete("R", w.tuple(k))
 	}
-	w.st.SetTag(2)
 	for k := 0; k < w.next; k += 9 {
 		w.inst.Add("R", w.tuple(k))
 	}
@@ -130,13 +122,12 @@ func hasSuffix(p, suffix value.Path) bool {
 // keys no tuple has.
 func checkProbes(t *testing.T, state string, r *Relation) {
 	t.Helper()
-	mid := StampBirth(r.StampAt(r.Size() / 2))
+	mid := r.StampAt(r.Size() / 2)
 	views := []View{
 		{},
 		{Dead: true},
-		{MaxTag: 2},
-		{MaxTag: 2, MaxBirth: mid},
-		{Dead: true, MaxTag: 1, MaxBirth: mid},
+		{MaxBirth: mid},
+		{Dead: true, MaxBirth: mid},
 	}
 	keys := []Tuple{
 		tup(value.PathOf("a0", "nope"), value.PathOf("x0", "m", "nope", "y0")),
@@ -293,7 +284,7 @@ func BenchmarkProbe(b *testing.B) {
 					hashes[k] = keys[k].Hash()
 				}
 				ix := r.Index(0)
-				v := View{MaxTag: 3}
+				v := View{MaxBirth: 2 * n} // a bound that admits every position
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
