@@ -21,7 +21,8 @@ lint:
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then echo "gofmt needed:"; echo "$$fmt_out"; exit 1; fi
 
 # loc prints the non-test Go line counts ROADMAP tracks, per top-level
-# package, for the module and for bench/ (see scripts/loc.sh).
+# package, for the module and for bench/, and fails when the module is
+# over its ceiling (see scripts/loc.sh).
 loc:
 	scripts/loc.sh
 

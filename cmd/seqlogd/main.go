@@ -740,7 +740,7 @@ func writes(op *writeOp) func(*session, string) error {
 		}
 		return c.reply("ok %s=%d derived=%d overdeleted=%d stamp_pruned=%d rederived=%d skipped=%d incremental=%d%s%s",
 			op.word, n, st.Derived, st.Overdeleted, st.StampPruned, st.Rederived,
-			st.StrataSkipped, st.StrataIncremental, planCounters(st.Plans), cloneCounters(st.Clones))
+			st.Skipped, st.Incremental, planCounters(st.Plans), cloneCounters(st.Clones))
 	}
 }
 

@@ -47,8 +47,9 @@ E(a.b). E(b.c). E(c.d).`), seqlog.Limits{})
 	}
 
 	// Assert new edges one batch at a time. The stats show the
-	// incremental regime: strata whose inputs didn't change are
-	// skipped, the rest derive only the new consequences.
+	// incremental regime: dependency components (here the recursive T)
+	// whose inputs didn't change are skipped, the rest derive only the
+	// new consequences.
 	for _, batch := range []string{
 		`E(d.e).`,         // extends the chain: 4 new facts, one per source
 		`E(x.y).`,         // disjoint edge: exactly 1 new fact
@@ -60,7 +61,7 @@ E(a.b). E(b.c). E(c.d).`), seqlog.Limits{})
 		}
 		fmt.Printf("assert %-20s -> asserted=%d derived=%d (skipped=%d incremental=%d)\n",
 			batch, stats.Asserted, stats.Derived,
-			stats.StrataSkipped, stats.StrataIncremental)
+			stats.Skipped, stats.Incremental)
 	}
 
 	// Retract withdraws facts with delete-and-rederive maintenance: the

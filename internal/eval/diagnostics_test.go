@@ -179,8 +179,8 @@ func TestPerfLintAgreesWithPlanner(t *testing.T) {
 		if err != nil {
 			continue // rejected programs have no plans to compare
 		}
-		for _, ps := range prep.strata {
-			for _, pl := range ps.plans {
+		for _, c := range prep.comps {
+			for _, pl := range c.plans {
 				lint := map[string]bool{}
 				for _, d := range analyze.Check(ast.NewProgram(pl.rule), analyze.Options{}) {
 					if d.Code != "full-scan-delta" {

@@ -1,10 +1,11 @@
 package eval
 
 // Delete-and-rederive (DRed) incremental maintenance. One maintenance
-// run — an Engine.Assert or Engine.Retract — walks the strata once, in
-// order, applying three phases per stratum:
+// run — an Engine.Assert or Engine.Retract — walks the program's
+// dependency components (see component) once, in dependency order,
+// applying three phases per component:
 //
-//  1. overdelete: tombstone every materialized fact of the stratum's
+//  1. overdelete: tombstone every materialized fact of the component's
 //     heads whose known derivations may involve a changed fact — a
 //     deleted fact used positively (chased semi-naively over the
 //     deletion log, so deletions cascade through recursion), or an
@@ -27,26 +28,28 @@ package eval
 //     windows joined through positive literals (the classic semi-naive
 //     incremental round), net deletions probed through negated literals
 //     (derivations blocked only by a fact this run removed are new),
-//     then the stratum-local fixpoint.
+//     then the component-local fixpoint.
 //
 // Net insertions are tracked as windows into the relations' tuple
-// logs, net deletions as side relations. The strata are classical
-// (ast.Program.Check refuses any other order): every rule for a
-// relation sits in one stratum, which reads it only there or later. So
-// when a stratum runs, every change it reads is final — the caller's
-// batch or an earlier stratum made it — and it consumes the whole
-// logs; a stratum none of whose reads changed is skipped.
+// logs, net deletions as side relations. Every rule for a relation sits
+// in its relation's component, and a component reads only its own
+// heads and those of earlier components. So when a component runs,
+// every change it reads outside its heads is final — the caller's
+// batch or an earlier component made it — and it consumes the whole
+// logs; a component none of whose reads changed is skipped. For a
+// non-recursive component the chase and the round loops end after one
+// pass, since no rule reads its own heads.
 //
 // Provenance is carried by derivation stamps: every position of the
 // materialization's tuple log records its birth, issued by one
 // monotone counter across ALL relations (instance.Stamper). They give
 // the overdeletion pruner its well-founded order: a candidate is kept
 // when some rule derives it from supports that are either settled (a
-// relation of an earlier stratum, or the EDB) or, in one of the
-// stratum's own heads, born strictly before the candidate.
+// relation of an earlier component, or the EDB) or, in one of the
+// component's own heads, born strictly before the candidate.
 // Justification chains strictly decrease, so circular keep-alives are
 // impossible — even through mutually recursive sibling relations of
-// the same stratum, which a per-relation position measure could not
+// the same component, which a per-relation position measure could not
 // order.
 
 import (
@@ -64,13 +67,13 @@ var errStopRun = errors.New("eval: stop after first derivation")
 
 // deltas is what a maintenance run has changed so far. A run starts
 // from the caller's batch — Engine.write builds the seed deltas before
-// any maintenance state exists — and every stratum adds to them.
+// any maintenance state exists — and every component adds to them.
 type deltas struct {
 	// ins[name] lists the windows of e.inst.Relation(name)'s tuple log
 	// holding facts this run inserted: the asserted batch plus the
 	// insert-phase derivations. Rederived facts are not recorded: a fact
 	// that was overdeleted and then restored is unchanged as far as
-	// later strata are concerned.
+	// later components are concerned.
 	ins map[string][]window
 	// del[name] holds the facts this run removed from the
 	// materialization and has not restored; entries are tombstoned in
@@ -99,25 +102,26 @@ func (m *maintenance) delFor(name string, arity int) *instance.Relation {
 	return dl
 }
 
-// run walks the strata once, in order, applying the DRed phases to
-// every stratum that reads a changed relation and skipping the rest.
+// run walks the components once, in dependency order, applying the
+// DRed phases to every component that reads a changed relation and
+// skipping the rest.
 func (m *maintenance) run() error {
-	for si := range m.e.prep.strata {
-		ps := &m.e.prep.strata[si]
-		if !m.changed(ps.reads) && !m.changed(ps.negReads) {
-			m.stats.StrataSkipped++
+	for i := range m.e.prep.comps {
+		c := &m.e.prep.comps[i]
+		if !m.changed(c.reads) {
+			m.stats.Skipped++
 			continue
 		}
-		m.stats.StrataIncremental++
-		err := m.overdelete(ps)
+		m.stats.Incremental++
+		err := m.overdelete(c)
 		if err == nil {
-			err = m.rederive(ps)
+			err = m.rederive(c)
 		}
 		if err == nil {
-			err = m.insert(ps)
+			err = m.insert(c)
 		}
 		if err != nil {
-			return fmt.Errorf("stratum %d: %w", si+1, err)
+			return fmt.Errorf("%s: %w", c, err)
 		}
 	}
 	return nil
@@ -167,7 +171,7 @@ func (c *changeSet) has(h uint64, t instance.Tuple) bool {
 }
 
 // negDelta runs the derivations that depend on a change of a negated
-// relation. For every negated body atom of the stratum's rules the
+// relation. For every negated body atom of the component's rules the
 // changed tuples of its relation (changes) are enumerated, the atom is
 // matched against each one, and the atom's pre-bound variant runs once
 // per (tuple, match) — the binding grounds the rest of the body into
@@ -214,14 +218,14 @@ func (dr *driver) negDelta(changes func(name string) changeSet, sink sinkFunc) e
 }
 
 // overdelete is phase 1; see the package comment.
-func (m *maintenance) overdelete(ps *preparedStratum) error {
+func (m *maintenance) overdelete(c *component) error {
 	e := m.e
 	// The side atoms of both chases join against the pre-deletion state;
 	// the second one's delta steps read the deletion logs.
-	dr := m.driver(ps.plans, runOpts{deltaRels: m.del, includeDead: true})
+	dr := m.driver(c.plans, runOpts{deltaRels: m.del, includeDead: true})
 	// The pruner's goal checks start from inside the sink, that is inside
 	// a run of dr: they go through a driver, and so a frame, of their own.
-	goal := m.driver(nil, runOpts{boundHeads: ps.heads})
+	goal := m.driver(nil, runOpts{boundHeads: c.heads})
 	sink := func(head ast.Pred, env *Env) error {
 		t, h, err := dr.head(head, env)
 		if err != nil {
@@ -243,7 +247,7 @@ func (m *maintenance) overdelete(ps *preparedStratum) error {
 		// Well-founded pruning: keep the candidate outright when some
 		// rule still derives it from live facts that are settled or born
 		// before it. Births come from one monotone counter, so the
-		// measure totally orders the whole stratum's facts (sibling
+		// measure totally orders the whole component's facts (sibling
 		// relations included) and circular keep-alives are impossible;
 		// if a justifying support dies later, its deletion delta
 		// re-derives this candidate and the check runs again. Pruning
@@ -252,7 +256,7 @@ func (m *maintenance) overdelete(ps *preparedStratum) error {
 		// downward closure: in well-connected data most candidates have
 		// an older alternative derivation and the cascade stops at the
 		// frontier.
-		kept, err := goal.derivesGoal(ps.rederive, head.Name, t, rel.StampAt(pos))
+		kept, err := goal.derivesGoal(c.rederive, head.Name, t, rel.StampAt(pos))
 		if err != nil {
 			return err
 		}
@@ -280,7 +284,7 @@ func (m *maintenance) overdelete(ps *preparedStratum) error {
 		return err
 	}
 	// Deletions used positively: the downward closure of the deletion
-	// logs, chased semi-naively (the stratum's own overdeletions feed
+	// logs, chased semi-naively (the component's own overdeletions feed
 	// back through recursive rules). proc[name] is the prefix of name's
 	// log already chased.
 	proc := map[string]int{}
@@ -290,7 +294,7 @@ func (m *maintenance) overdelete(ps *preparedStratum) error {
 			return fmt.Errorf("%w: %d overdeletion rounds", ErrNonTermination, round)
 		}
 		cur := map[string]int{}
-		for name := range ps.reads {
+		for name := range c.reads {
 			if dl := m.del[name]; dl != nil {
 				cur[name] = dl.Size()
 			}
@@ -319,11 +323,11 @@ func (m *maintenance) overdelete(ps *preparedStratum) error {
 // candidate its derivation back, so the restore windows are joined
 // delta-first with a sink that only restores still-deleted facts —
 // never a second full pass over the candidate set.
-func (m *maintenance) rederive(ps *preparedStratum) error {
+func (m *maintenance) rederive(c *component) error {
 	e := m.e
 	inst := e.inst
 	candidates := 0
-	for name := range ps.heads {
+	for name := range c.heads {
 		if dl := m.del[name]; dl != nil {
 			candidates += dl.Len()
 		}
@@ -331,7 +335,7 @@ func (m *maintenance) rederive(ps *preparedStratum) error {
 	if candidates == 0 {
 		return nil
 	}
-	prev := localSizes(ps.heads, inst)
+	prev := localSizes(c.heads, inst)
 	restore := func(name string, arity int, h uint64, t instance.Tuple) {
 		if inst.Ensure(name, arity).AddHashed(h, t) {
 			e.derived++
@@ -339,8 +343,8 @@ func (m *maintenance) rederive(ps *preparedStratum) error {
 		}
 		m.del[name].DeleteHashed(h, t) // restored, or already back
 	}
-	dr := m.driver(ps.plans, runOpts{})
-	for _, name := range sortedNames(ps.heads) {
+	dr := m.driver(c.plans, runOpts{})
+	for _, name := range sortedNames(c.heads) {
 		dl := m.del[name]
 		if dl == nil {
 			continue
@@ -351,7 +355,7 @@ func (m *maintenance) rederive(ps *preparedStratum) error {
 				continue
 			}
 			t := dl.TupleAt(pos) // owned by the deletion log, safe to share
-			ok, err := dr.derivesGoal(ps.rederive, name, t, 0)
+			ok, err := dr.derivesGoal(c.rederive, name, t, 0)
 			if err != nil {
 				return err
 			}
@@ -378,17 +382,17 @@ func (m *maintenance) rederive(ps *preparedStratum) error {
 		restore(head.Name, len(head.Args), dl.HashAt(pos), dl.TupleAt(pos))
 		return nil
 	}
-	return dr.fixpoint(ps.heads, prev, sink)
+	return dr.fixpoint(c.heads, prev, sink)
 }
 
-// derivesGoal reports whether some rule of the stratum derives the
+// derivesGoal reports whether some rule of the component derives the
 // fact name(t...): the rule head is matched against the fact (in the
 // frame's own valuation, which the run starts from) and the body
 // evaluated against the live state through the head-bound rederive
 // plan, stopping at the first derivation found. On a plain driver this
 // is the rederive phase's check that the fact is still derivable; on
 // the overdeletion pruner's (opts.boundHeads set), supports read from
-// the stratum's own heads — the relations still in flux — must be born
+// the component's own heads — the relations still in flux — must be born
 // strictly before boundBirth, the well-founded variant of the check.
 // Every rule participates: the birth order covers mutual recursion
 // through sibling relations.
@@ -415,12 +419,12 @@ func (dr *driver) derivesGoal(plans []*plan, name string, t instance.Tuple, boun
 }
 
 // insert is phase 3; see the package comment.
-func (m *maintenance) insert(ps *preparedStratum) error {
+func (m *maintenance) insert(c *component) error {
 	inst := m.e.inst
-	dr := m.driver(ps.plans, runOpts{})
+	dr := m.driver(c.plans, runOpts{})
 	dr.derived = &m.e.derived
 	sink := dr.derive
-	prev := localSizes(ps.heads, inst)
+	prev := localSizes(c.heads, inst)
 	// (a) positive deltas over the insertion windows: the classic
 	// incremental round.
 	if err := dr.delta(func(name string) []window { return m.ins[name] }, sink); err != nil {
@@ -448,16 +452,16 @@ func (m *maintenance) insert(ps *preparedStratum) error {
 	if err := dr.negDelta(netDeleted, sink); err != nil {
 		return err
 	}
-	// (c) chase the stratum-local consequences.
-	if err := dr.fixpoint(ps.heads, prev, sink); err != nil {
+	// (c) chase the component-local consequences.
+	if err := dr.fixpoint(c.heads, prev, sink); err != nil {
 		return err
 	}
-	// Record the insertion windows for later strata, and collapse facts
+	// Record the insertion windows for later components, and collapse facts
 	// that were both overdeleted and re-derived by (a)–(c) back to
 	// "unchanged": their deletion-log entry dies. (The insertion window
 	// still over-approximates by covering the re-derived positions;
 	// downstream overdeletion plus rederivation absorbs that.)
-	for _, name := range sortedNames(ps.heads) {
+	for _, name := range sortedNames(c.heads) {
 		rel := inst.Relation(name)
 		if rel == nil {
 			continue

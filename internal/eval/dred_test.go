@@ -252,9 +252,45 @@ func TestEngineRetractUnfoundedCycle(t *testing.T) {
 	}
 }
 
+// TestEngineRetractSettledReader pins the unit of maintenance: the
+// dependency component, not the stratum. S reads the recursive T but
+// is not part of its recursion, so by the time S is maintained T is
+// settled, and the pruner accepts any live T as support, whatever its
+// birth. Retracting E(a.b) overdeletes T(a.b) alone; S(a) keeps its
+// support T(a.d) even though T(a.d) was born after S(a). Had S shared
+// a unit with T, T(a.d) would count as still in flux: S(a) would be
+// overdeleted with T(a.b) and then rederived.
+func TestEngineRetractSettledReader(t *testing.T) {
+	prep, err := Compile(parser.MustParseProgram(`
+T(@x.@y) :- E(@x.@y).
+S(@x) :- T(@x.@y), M(@y).
+T(@x.@z) :- T(@x.@y), E(@y.@z).`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(prep, parser.MustParseInstance(`E(a.b). E(a.c). E(c.d). M(b). M(d).`), Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := e.Retract(parser.MustParseInstance(`E(a.b).`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Overdeleted != 1 || stats.Rederived != 0 || stats.StampPruned != 1 {
+		t.Fatalf("stats = %+v, want T(a.b) overdeleted and S(a) kept by the pruner", stats)
+	}
+	want, err := prep.Eval(parser.MustParseInstance(`E(a.c). E(c.d). M(b). M(d).`), Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mustSnapshot(t, e); !got.Equal(want) {
+		t.Fatal(instance.Diff(got, want))
+	}
+}
+
 // TestEngineRetractNegationEnablesDerivations: deleting a fact a rule
 // negates must create the derivations the fact was blocking, and the
-// new facts must cascade through later strata.
+// new facts must cascade through later components.
 func TestEngineRetractNegationEnablesDerivations(t *testing.T) {
 	prog := parser.MustParseProgram(`
 W(@x) :- R(@x.@y), !B(@y).
@@ -330,7 +366,7 @@ func TestEngineRetractSeedsSurvive(t *testing.T) {
 
 // TestEngineRetractValidation pins the Retract boundary: IDB names and
 // arity clashes are rejected without breaking the engine, and batches
-// of absent facts are silent no-ops that skip every stratum.
+// of absent facts are silent no-ops that skip every component.
 func TestEngineRetractValidation(t *testing.T) {
 	prep, err := Compile(parser.MustParseProgram(`S($x) :- R($x).`))
 	if err != nil {
@@ -352,7 +388,7 @@ func TestEngineRetractValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("absent facts must be dropped silently: %v", err)
 	}
-	if stats.Retracted != 0 || stats.StrataSkipped != 1 || stats.StrataIncremental != 0 {
+	if stats.Retracted != 0 || stats.Skipped != 1 || stats.Incremental != 0 {
 		t.Fatalf("stats = %+v, want a full skip", stats)
 	}
 	// The engine stays healthy throughout.

@@ -121,17 +121,18 @@ type MaintenanceStats struct {
 	Overdeleted int
 	Rederived   int
 	// StampPruned counts overdeletion candidates the well-founded pruner
-	// kept outright: a rule still derives them from supports stamped
-	// strictly before the candidate (earlier stratum, or earlier birth
-	// within the stratum), so they were never tombstoned and never needed
+	// kept outright: a rule still derives them from supports that are
+	// settled (an earlier component) or born strictly before the
+	// candidate, so they were never tombstoned and never needed
 	// rederivation.
 	StampPruned int
-	// StrataSkipped counts strata left completely untouched because no
-	// relation they read changed; StrataIncremental counts strata
-	// maintained delta-first. Nothing is ever recomputed from scratch:
-	// negation is handled by targeted overdelete + rederive.
-	StrataSkipped     int
-	StrataIncremental int
+	// Skipped counts the program's dependency components (see
+	// ast.Deps) left completely untouched because no relation they read
+	// changed; Incremental counts components maintained delta-first.
+	// Nothing is ever recomputed from scratch: negation is handled by
+	// targeted overdelete + rederive.
+	Skipped     int
+	Incremental int
 	// Plans reports which plan shapes the run executed and their access
 	// paths; see PlanStats.
 	Plans PlanStats
@@ -142,7 +143,7 @@ type MaintenanceStats struct {
 	Clones instance.CloneStats
 }
 
-// AssertStats reports what one Assert call did, stratum by stratum.
+// AssertStats reports what one Assert call did.
 type AssertStats struct {
 	// Asserted counts the facts of the batch that were genuinely new
 	// (already-present facts are dropped and trigger no work).
@@ -398,7 +399,7 @@ func (e *Engine) write(op writeOp, delta *instance.Instance) (int, MaintenanceSt
 	}
 	if changed == 0 {
 		// The all-skipped fast path allocates no maintenance state.
-		stats.StrataSkipped = len(e.prep.strata)
+		stats.Skipped = len(e.prep.comps)
 	} else {
 		m := &maintenance{e: e, deltas: seed}
 		derivedBefore := e.derived
@@ -420,15 +421,16 @@ func (e *Engine) write(op writeOp, delta *instance.Instance) (int, MaintenanceSt
 
 // Assert inserts a batch of new EDB facts and incrementally restores
 // the fixpoint: the inserted facts seed the semi-naive delta, so only
-// their consequences are derived — strata reading no changed relation
-// are skipped outright, and the cost of an Assert scales with the
-// consequences of the batch, not with the size of the materialization.
+// their consequences are derived — components reading no changed
+// relation are skipped outright, and the cost of an Assert scales with
+// the consequences of the batch, not with the size of the
+// materialization.
 //
-// A stratum that negates a changed relation is maintained by targeted
+// A component that negates a changed relation is maintained by targeted
 // delete-and-rederive instead of recomputation: derivations whose
 // negated atom matches an inserted fact are overdeleted, candidates
 // with surviving alternative derivations are restored, and the
-// resulting net deletions cascade to later strata exactly like a
+// resulting net deletions cascade to later components exactly like a
 // Retract. AssertStats.Overdeleted/Rederived report that work.
 //
 // Facts may only be asserted into relations the program does not
@@ -443,11 +445,11 @@ func (e *Engine) Assert(delta *instance.Instance) (AssertStats, error) {
 
 // Retract removes a batch of EDB facts and incrementally restores the
 // fixpoint by delete-and-rederive: the downward closure of the
-// retracted facts is overdeleted stratum by stratum, facts with
+// retracted facts is overdeleted component by component, facts with
 // surviving alternative derivations are restored, and derivations that
 // were blocked only by a removed fact (negation) are added. The cost
-// scales with the consequences of the batch; strata reading no changed
-// relation are skipped.
+// scales with the consequences of the batch; components reading no
+// changed relation are skipped.
 //
 // The same boundaries as Assert apply: only non-IDB relations may be
 // retracted from (derived facts disappear when their support does, not

@@ -174,11 +174,12 @@ func TestEngineRandomizedInsertionOrders(t *testing.T) {
 }
 
 // TestEngineSkipsUntouchedStrata pins the stats contract: asserting
-// facts that only one stratum reads leaves the other strata untouched.
+// facts that only one dependency component reads leaves the other
+// components untouched, even though both share the program's one
+// stratum.
 func TestEngineSkipsUntouchedStrata(t *testing.T) {
 	prog := parser.MustParseProgram(`
 S($x) :- R($x).
----
 U($x) :- Q($x).`)
 	prep, err := Compile(prog)
 	if err != nil {
@@ -192,24 +193,24 @@ U($x) :- Q($x).`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Asserted != 2 || stats.StrataSkipped != 1 || stats.StrataIncremental != 1 {
+	if stats.Asserted != 2 || stats.Skipped != 1 || stats.Incremental != 1 {
 		t.Fatalf("stats = %+v, want 2 asserted, 1 skipped, 1 incremental", stats)
 	}
 	if stats.Derived != 2 || stats.Overdeleted != 0 || stats.Rederived != 0 {
 		t.Fatalf("stats = %+v, want Derived=2 and no DRed work", stats)
 	}
-	// A batch of already-known facts is a no-op: every stratum skipped.
+	// A batch of already-known facts is a no-op: every component skipped.
 	stats, err = e.Assert(parser.MustParseInstance(`Q(c). R(a).`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Asserted != 0 || stats.StrataSkipped != 2 || stats.Derived != 0 {
+	if stats.Asserted != 0 || stats.Skipped != 2 || stats.Derived != 0 {
 		t.Fatalf("noop stats = %+v", stats)
 	}
 }
 
 // TestEngineNegationMaintenance checks both negation regimes:
-// asserting into a relation an earlier stratum negates invalidates
+// asserting into a relation an earlier component negates invalidates
 // previously derived facts — maintained by targeted overdelete +
 // rederive, never recomputation — while asserting facts no negation
 // touches derives delta-first only.
@@ -245,14 +246,14 @@ S(@x) :- R(@x.@y), !W(@x).`)
 	// c becomes black: a's last non-black edge target goes away. W(a)
 	// is overdeleted (its only derivations used !B(c) or !B(b)), no
 	// alternative derivation rederives it, and the net deletion of W(a)
-	// enables S(a) through stratum 2's negation — all without
-	// recomputing either stratum.
+	// enables S(a) through S's negation — all without recomputing
+	// either component.
 	stats, err := e.Assert(parser.MustParseInstance(`B(c).`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.StrataIncremental != 2 || stats.Overdeleted != 1 || stats.Rederived != 0 {
-		t.Fatalf("stats = %+v, want 2 incremental strata with 1 overdeletion", stats)
+	if stats.Incremental != 2 || stats.Overdeleted != 1 || stats.Rederived != 0 {
+		t.Fatalf("stats = %+v, want 2 incremental components with 1 overdeletion", stats)
 	}
 	if stats.Derived != 0 { // -W(a) +S(a)
 		t.Fatalf("stats = %+v, want net Derived=0 (one fact lost, one gained)", stats)
@@ -260,15 +261,15 @@ S(@x) :- R(@x.@y), !W(@x).`)
 	if got() != "[a d]" {
 		t.Fatalf("after B(c): S = %s, want [a d]", got())
 	}
-	// Asserting an edge only changes R: stratum 1 derives W(e)
-	// delta-first; stratum 2 sees the W insertion under negation but
+	// Asserting an edge only changes R: W's component derives W(e)
+	// delta-first; S's sees the W insertion under negation but
 	// finds no materialized fact to invalidate (S(e) never held).
 	stats, err = e.Assert(parser.MustParseInstance(`R(e.f).`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.StrataIncremental != 2 || stats.Overdeleted != 0 || stats.Derived != 1 {
-		t.Fatalf("stats = %+v, want 2 incremental strata, 1 derived (W(e)), nothing overdeleted", stats)
+	if stats.Incremental != 2 || stats.Overdeleted != 0 || stats.Derived != 1 {
+		t.Fatalf("stats = %+v, want 2 incremental components, 1 derived (W(e)), nothing overdeleted", stats)
 	}
 	if got() != "[a d]" {
 		t.Fatalf("after R(e.f): S = %s, want [a d]", got())
@@ -522,8 +523,8 @@ func TestEngineIncrementalIsDeltaDriven(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Derived != 1 || stats.StrataIncremental != 1 {
-		t.Fatalf("stats = %+v, want exactly 1 derived fact via the incremental path", stats)
+	if stats.Derived != 1 || stats.Incremental != 2 {
+		t.Fatalf("stats = %+v, want exactly 1 derived fact, T and its reader S maintained incrementally", stats)
 	}
 	// Extending the 64-chain at the tail: 65 new reachability facts
 	// (one per node that now reaches the new endpoint), no more.
@@ -765,9 +766,9 @@ func TestEngineWriteShell(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Nothing changed: every stratum skipped and, although every
+				// Nothing changed: every component skipped and, although every
 				// relation is frozen, nothing passed through the barrier.
-				if want := (result{0, MaintenanceStats{StrataSkipped: 1}}); got != want {
+				if want := (result{0, MaintenanceStats{Skipped: 1}}); got != want {
 					t.Fatalf("got %+v, want %+v", got, want)
 				}
 				if calls != 1 || last != got {
@@ -786,7 +787,7 @@ func TestEngineWriteShell(t *testing.T) {
 	if st, err := e.Retract(extra); err != nil || st.Retracted != 0 {
 		t.Fatalf("retract from an unknown relation: %+v, %v", st, err)
 	}
-	if st, err := e.Assert(extra); err != nil || st.Asserted != 1 || st.StrataSkipped != 1 {
+	if st, err := e.Assert(extra); err != nil || st.Asserted != 1 || st.Skipped != 1 {
 		t.Fatalf("assert into an unknown relation: %+v, %v", st, err)
 	}
 	if st, err := e.Retract(extra); err != nil || st.Retracted != 1 {

@@ -19,7 +19,7 @@ var ErrNonTermination = errors.New("evaluation exceeded limits (program may not 
 type Limits struct {
 	// MaxFacts bounds the total number of derived facts.
 	MaxFacts int
-	// MaxIterations bounds fixpoint rounds per stratum.
+	// MaxIterations bounds fixpoint rounds per component.
 	MaxIterations int
 	// MaxPathLen bounds the length of any derived path (0 = unbounded).
 	MaxPathLen int
@@ -56,10 +56,10 @@ func (l *Limits) SetMaxFacts(s string) error {
 }
 
 // Eval computes P(I): the least instance extending edb that satisfies
-// every rule, stratum by stratum (paper §2.3). The input instance is
-// not modified (its relations are shared copy-on-write with the
-// result, see Prepared.Eval). The result contains the EDB facts plus
-// all derived IDB facts.
+// every rule, one dependency component at a time (paper §2.3). The
+// input instance is not modified (its relations are shared
+// copy-on-write with the result, see Prepared.Eval). The result
+// contains the EDB facts plus all derived IDB facts.
 //
 // Eval compiles the program on every call; callers evaluating the same
 // program repeatedly should Compile once and reuse the *Prepared, or
@@ -132,7 +132,7 @@ func fullItems(plans []*plan) []workItem {
 	return items
 }
 
-// driver runs one stratum's rules for one evaluation phase: round 0 and
+// driver runs one component's rules for one evaluation phase: round 0 and
 // the semi-naive rounds of the from-scratch evaluator, and each phase
 // of DRed maintenance. The phases differ in what consumes a derivation
 // (the sink every method takes), in what every run adds to an ordinary
@@ -184,10 +184,10 @@ func (dr *driver) run(items []workItem, sink sinkFunc) error {
 // delta runs one delta round: for every rule and every positive body
 // atom, the atom's hoisted variant (delta step first, the rest of the
 // body index-probed) once per change window of the atom's relation.
-// windows says where the changes come from — the positions a stratum's
-// own heads grew by since the last round (fixpoint), the run's
-// insertion windows, or the unchased tails of the deletion logs passed
-// as opts.deltaRels — and may reuse the slice it returns: it is
+// windows says where the changes come from — the positions a
+// component's own heads grew by since the last round (fixpoint), the
+// run's insertion windows, or the unchased tails of the deletion logs
+// passed as opts.deltaRels — and may reuse the slice it returns: it is
 // consumed before the next call. Each window is cut into one slice per
 // worker (see appendSlices); stats counts one plan execution per slice.
 // The round's items stay in dr.items.
@@ -208,7 +208,7 @@ func (dr *driver) delta(windows func(name string) []window, sink sinkFunc) error
 }
 
 // fixpoint iterates semi-naive rounds until no local relation grows:
-// each round re-evaluates the stratum's rules with one local positive
+// each round re-evaluates the component's rules with one local positive
 // predicate restricted to the window of facts appended since the
 // window start recorded in prev (see delta); the facts the round
 // appends form the next round's windows. Shared by the from-scratch
@@ -252,8 +252,9 @@ func (dr *driver) fixpoint(local map[string]bool, prev map[string]int, sink sink
 	}
 }
 
-// fixpoint runs the semi-naive fixpoint of every stratum in order, from
-// scratch, over inst (Prepared.Eval, NewEngine), after the door check.
+// fixpoint runs the semi-naive fixpoint of every component in
+// dependency order, from scratch, over inst (Prepared.Eval, NewEngine),
+// after the door check.
 // Deltas are tracked by watermark: relations are append-only, so the
 // facts derived in a round are exactly the insertion window [Size
 // before, Size after), iterated in place by position (TupleAt, skipping
@@ -269,17 +270,17 @@ func (p *Prepared) fixpoint(inst *instance.Instance, limits Limits, derived *int
 		}
 	}
 	workers := runtime.GOMAXPROCS(0)
-	for si := range p.strata {
-		ps := &p.strata[si]
-		dr := &driver{plans: ps.plans, inst: inst, limits: limits, opts: runOpts{negStep: -1}, derived: derived, workers: workers}
+	for i := range p.comps {
+		c := &p.comps[i]
+		dr := &driver{plans: c.plans, inst: inst, limits: limits, opts: runOpts{negStep: -1}, derived: derived, workers: workers}
 		// Round 0: evaluate every rule against the full instance.
-		prev := localSizes(ps.heads, inst)
-		err := dr.run(fullItems(ps.plans), dr.derive)
+		prev := localSizes(c.heads, inst)
+		err := dr.run(fullItems(c.plans), dr.derive)
 		if err == nil {
-			err = dr.fixpoint(ps.heads, prev, dr.derive)
+			err = dr.fixpoint(c.heads, prev, dr.derive)
 		}
 		if err != nil {
-			return fmt.Errorf("stratum %d: %w", si+1, err)
+			return fmt.Errorf("%s: %w", c, err)
 		}
 	}
 	return nil

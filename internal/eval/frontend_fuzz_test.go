@@ -54,8 +54,8 @@ func FuzzFrontEnd(f *testing.F) {
 		if again.String() != text {
 			t.Fatalf("print → parse → print changed the program:\n%s\n--- became ---\n%s", text, again)
 		}
-		for _, ps := range prep.strata {
-			for _, pl := range ps.plans {
+		for _, c := range prep.comps {
+			for _, pl := range c.plans {
 				limited, bound := pl.rule.LimitedVars(), planBinds(pl)
 				for _, v := range pl.rule.Vars() {
 					if limited[v] != bound[v] {

@@ -1,9 +1,9 @@
 // Package eval implements the semantics of Sequence Datalog programs
 // (paper §2.3): valuations, satisfaction of literals, and the least
-// model of a program on an instance, computed stratum by stratum with
-// semi-naive iteration. Termination is not guaranteed for arbitrary
-// programs (Ex 2.3); configurable limits turn runaway evaluations into
-// ErrNonTermination errors.
+// model of a program on an instance, computed one dependency component
+// at a time with semi-naive iteration. Termination is not guaranteed
+// for arbitrary programs (Ex 2.3); configurable limits turn runaway
+// evaluations into ErrNonTermination errors.
 package eval
 
 import (

@@ -82,7 +82,7 @@ type plan struct {
 // variables bound before the first step runs, so that positions
 // mentioning only them count as ground and get index or prefix probes
 // instead of scans (the rederive plans pass the head variables, see
-// preparedStratum.rederive). hoist, when >= 0, forces the hoist-th
+// component.rederive). hoist, when >= 0, forces the hoist-th
 // positive body predicate (in written order) to the first join
 // position — the delta-variant shape: that atom iterates a change
 // window, the rest is ordered greedily with its variables bound.

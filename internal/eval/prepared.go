@@ -2,44 +2,48 @@ package eval
 
 import (
 	"fmt"
+	"strings"
 
 	"seqlog/internal/analyze"
 	"seqlog/internal/ast"
 	"seqlog/internal/instance"
 )
 
-// preparedStratum is one stratum of a compiled program: its rules'
-// join plans plus the dependency metadata the incremental maintainer
-// needs to decide whether the stratum can be skipped, maintained
-// delta-first, or must be recomputed.
-type preparedStratum struct {
-	rules ast.Stratum
+// component is one strongly connected component of the program's
+// dependency graph (ast.Deps), the unit the fixpoint and DRed
+// maintenance evaluate: its rules' join plans plus what maintenance
+// needs to decide whether the component can be skipped. Components run
+// in dependency order, so every relation a component reads outside its
+// own heads is settled before it runs; a stratifiable program has no
+// negative edge inside a component, so every negated relation is such
+// a settled one.
+type component struct {
 	plans []*plan
 	// rederive[i] is plans[i]'s rule compiled with its head variables
 	// pre-bound: the access-path plan for goal-directed rederivation
 	// checks, where the head is matched against a candidate fact before
 	// the body runs (see maintenance.derivesGoal).
 	rederive []*plan
-	// heads is the set of relation names defined by this stratum.
+	// heads is the set of relation names defined by this component.
 	heads map[string]bool
-	// reads is the set of relation names occurring in positive body
-	// predicates of this stratum (including the stratum's own heads for
-	// recursive rules).
+	// reads is the set of relation names occurring in body predicates
+	// of this component, positive or negated (including its own heads
+	// for recursive rules).
 	reads map[string]bool
-	// negReads is the set of relation names occurring under negation.
-	// New facts in one of these invalidate previously derived facts, so
-	// insertions cannot be maintained incrementally past this stratum.
-	negReads map[string]bool
 }
 
-// Prepared is a compiled program: validated, stratified, with every
-// rule's join plan and the relation arities computed once. A Prepared
-// is immutable and safe for concurrent use; it is the unit of reuse
-// for repeated evaluation (Eval/Query/Holds methods) and the program
-// half of an Engine.
+// String names the component by its sorted head relations, as its
+// errors do.
+func (c *component) String() string { return strings.Join(sortedNames(c.heads), ", ") }
+
+// Prepared is a compiled program: validated, split into its dependency
+// components in evaluation order, with every rule's join plan and the
+// relation arities computed once. A Prepared is immutable and safe for
+// concurrent use; it is the unit of reuse for repeated evaluation
+// (Eval/Query/Holds methods) and the program half of an Engine.
 type Prepared struct {
-	prog   ast.Program
-	strata []preparedStratum
+	prog  ast.Program
+	comps []component
 	// arities maps every relation name of the program to its arity.
 	arities map[string]int
 	// idb marks the relation names defined by some rule head.
@@ -69,41 +73,35 @@ func Compile(prog ast.Program) (*Prepared, error) {
 		idb:     prog.IDB(),
 		diags:   diags,
 	}
-	for si, stratum := range prog.Strata {
-		ps := preparedStratum{
-			rules:    stratum,
-			heads:    map[string]bool{},
-			reads:    map[string]bool{},
-			negReads: map[string]bool{},
+	deps := prog.Deps()
+	for _, r := range prog.Rules() {
+		// Component ids are dense and come in dependency order.
+		id := deps.SCC[r.Head.Name]
+		for len(p.comps) <= id {
+			p.comps = append(p.comps, component{heads: map[string]bool{}, reads: map[string]bool{}})
 		}
-		for _, r := range stratum {
-			pl, err := compilePlan(r, nil, -1)
-			if err != nil {
-				return nil, fmt.Errorf("stratum %d: %w", si+1, err)
-			}
-			// Delta-hoisted variants: one plan per positive body atom
-			// (run when the delta sits on that atom's relation) and one
-			// pre-bound plan per negated atom, compiled once here so
-			// maintenance never plans at runtime.
-			if err := pl.compileVariants(); err != nil {
-				return nil, fmt.Errorf("stratum %d (delta variants): %w", si+1, err)
-			}
-			rp, err := compilePlan(r, ast.VarsOf(r.Head.Args...), -1)
-			if err != nil {
-				return nil, fmt.Errorf("stratum %d (rederive plan): %w", si+1, err)
-			}
-			ps.plans = append(ps.plans, pl)
-			ps.rederive = append(ps.rederive, rp)
-			ps.heads[r.Head.Name] = true
-			for l, pr := range r.Preds() {
-				if l.Neg {
-					ps.negReads[pr.Name] = true
-				} else {
-					ps.reads[pr.Name] = true
-				}
-			}
+		c := &p.comps[id]
+		pl, err := compilePlan(r, nil, -1)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", r.Head.Name, err)
 		}
-		p.strata = append(p.strata, ps)
+		// Delta-hoisted variants: one plan per positive body atom (run
+		// when the delta sits on that atom's relation) and one pre-bound
+		// plan per negated atom, compiled once here so maintenance never
+		// plans at runtime.
+		if err := pl.compileVariants(); err != nil {
+			return nil, fmt.Errorf("%s (delta variants): %w", r.Head.Name, err)
+		}
+		rp, err := compilePlan(r, ast.VarsOf(r.Head.Args...), -1)
+		if err != nil {
+			return nil, fmt.Errorf("%s (rederive plan): %w", r.Head.Name, err)
+		}
+		c.plans = append(c.plans, pl)
+		c.rederive = append(c.rederive, rp)
+		c.heads[r.Head.Name] = true
+		for _, pr := range r.Preds() {
+			c.reads[pr.Name] = true
+		}
 	}
 	return p, nil
 }
@@ -133,18 +131,18 @@ func (p *Prepared) Arity(name string) (int, bool) {
 // some rule head).
 func (p *Prepared) IsIDB(name string) bool { return p.idb[name] }
 
-// Explain returns, in rule order, a one-line description of each
-// compiled join plan: the chosen predicate order and, per predicate,
-// the access path (exact index, ground-prefix index, ground-suffix
-// index, or scan). After each rule's base plan come its delta-hoisted
+// Explain returns, in evaluation order (component by component, rule
+// order within one), a one-line description of each compiled join
+// plan: the chosen predicate order and, per predicate, the access path
+// (exact index, ground-prefix index, ground-suffix index, or scan). After each rule's base plan come its delta-hoisted
 // variants, indented: one "Δname:" line per positive body atom (the
 // plan maintenance runs when the delta sits on that relation, with the
 // delta atom first) and one "Δ!name:" line per negated atom (run with
 // the atom's variables pre-bound against each changed tuple).
 func (p *Prepared) Explain() []string {
 	var out []string
-	for _, ps := range p.strata {
-		for _, pl := range ps.plans {
+	for _, c := range p.comps {
+		for _, pl := range c.plans {
 			out = append(out, pl.describe())
 			for _, v := range pl.variants {
 				out = append(out, fmt.Sprintf("  Δ%s: %s", v.steps[0].pred.Name, v.describe()))
@@ -158,8 +156,9 @@ func (p *Prepared) Explain() []string {
 }
 
 // Eval computes P(I) for the compiled program: the least instance
-// extending edb satisfying every rule, stratum by stratum (paper
-// §2.3). The input is shared copy-on-write (instance.Snapshot), so the
+// extending edb satisfying every rule, one dependency component at a
+// time — a refinement of the paper's stratum-by-stratum evaluation
+// (§2.3). The input is shared copy-on-write (instance.Snapshot), so the
 // EDB relations are never copied: the result aliases their (frozen)
 // storage and only derived relations allocate. The input instance is
 // not modified, but its relations become frozen — writes routed

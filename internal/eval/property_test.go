@@ -142,7 +142,7 @@ func TestMatchNoDuplicates(t *testing.T) {
 			key := ""
 			for _, v := range vars {
 				b, _ := env.Lookup(v)
-				key += v.String() + "=" + b.Key() + ";"
+				key += v.String() + "=" + b.String() + ";"
 			}
 			if seen[key] {
 				t.Fatalf("duplicate valuation %s for %s on %s", key, e, p)

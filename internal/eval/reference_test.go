@@ -13,10 +13,10 @@ import (
 )
 
 // naiveEval is the reference evaluator the production one is pinned
-// against: textbook naive evaluation. Per stratum it takes a copy of
-// each base plan with every step's access-path annotation cleared, so
-// exec scans every relation, and repeats full (non-delta) rounds until
-// no head relation grows. It shares the join order, the run frame, the
+// against: textbook naive evaluation. Stratum by stratum, as the
+// program holds them, it plans each rule afresh with every step's
+// access-path annotation cleared, so exec scans every relation, and
+// repeats full (non-delta) rounds until no head relation grows. It shares the join order, the run frame, the
 // matcher and derive with production, and nothing else: no index, no
 // prefix or suffix probe, no delta variant, no window, no parallel
 // merge.
@@ -25,10 +25,13 @@ func naiveEval(prep *Prepared, edb *instance.Instance, limits Limits) (*instance
 	inst := edb.Clone()
 	derived := 0
 	dr := &driver{inst: inst, limits: limits, opts: runOpts{negStep: -1}, derived: &derived}
-	for si := range prep.strata {
+	for si, stratum := range prep.prog.Strata {
 		var plans []*plan
-		for _, p := range prep.strata[si].plans {
-			scan := &plan{rule: p.rule, steps: append([]step(nil), p.steps...)}
+		for _, r := range stratum {
+			scan, err := compilePlan(r, nil, -1)
+			if err != nil {
+				return nil, err
+			}
 			for i := range scan.steps {
 				s := &scan.steps[i]
 				s.BoundCols, s.unboundCols, s.unboundArgs = nil, nil, nil

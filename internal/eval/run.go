@@ -41,14 +41,14 @@ type runOpts struct {
 	negProbe func(h uint64, t instance.Tuple) bool
 	// boundHeads/boundBirth are the overdeletion pruner's well-founded
 	// support check: positive non-delta steps over a relation named in
-	// boundHeads (the candidate's stratum's heads — the relations still
-	// in flux) only accept supports born before the candidate (birth <
-	// boundBirth); every other relation belongs to an earlier stratum or
-	// the EDB and is settled. Births are issued by one monotone counter,
-	// so justification chains strictly decrease and circular keep-alives
-	// are impossible — including cycles through sibling relations of the
-	// same stratum, which a per-relation position measure could not
-	// order.
+	// boundHeads (the candidate's component's heads — the relations
+	// still in flux) only accept supports born before the candidate
+	// (birth < boundBirth); every other relation belongs to an earlier
+	// component or the EDB and is settled. Births are issued by one
+	// monotone counter, so justification chains strictly decrease and
+	// circular keep-alives are impossible — including cycles through
+	// sibling relations of the same component, which a per-relation
+	// position measure could not order.
 	boundHeads map[string]bool
 	boundBirth uint64
 }
@@ -286,7 +286,7 @@ func (r *run) eq(s *step, sl *slot) {
 
 // negPred tests a negated predicate. All arguments are ground by
 // safety: a single probe of the relation's built-in full-tuple hash
-// index. Negated relations live in earlier strata, so the relation
+// index. Negated relations live in earlier components, so the relation
 // resolved by exec cannot go stale mid-run.
 //
 // On the run's negStep the step is a delta probe instead: the run is

@@ -31,7 +31,7 @@ func TestWarmFrameAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		dr := &driver{inst: parser.MustParseInstance(`T(a.b). R(b.c). R(b.d). B(q.r).`), limits: DefaultLimits, opts: runOpts{negStep: -1}}
-		v := prep.strata[0].plans[0].variants[0]
+		v := prep.comps[0].plans[0].variants[0]
 		reached := 0
 		run := func(sink sinkFunc) {
 			if err := dr.exec(v, window{0, 1}, sink); err != nil {

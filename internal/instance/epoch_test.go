@@ -242,7 +242,7 @@ func TestStampsSurviveEpochSharing(t *testing.T) {
 		if s != uint64(k+1) {
 			t.Fatalf("append %d: birth %d, want %d", k, s, k+1)
 		}
-		want[tu.Key()] = s
+		want[tu.String()] = s
 	}
 	check := func(label string, r *Relation, want map[string]uint64) {
 		t.Helper()
@@ -252,7 +252,7 @@ func TestStampsSurviveEpochSharing(t *testing.T) {
 				continue
 			}
 			live++
-			k := r.TupleAt(pos).Key()
+			k := r.TupleAt(pos).String()
 			if got := r.StampAt(pos); got != want[k] {
 				t.Fatalf("%s: stamp of %s = %#x, want %#x", label, r.TupleAt(pos), got, want[k])
 			}
@@ -275,14 +275,14 @@ func TestStampsSurviveEpochSharing(t *testing.T) {
 	for k, v := range want {
 		wantW[k] = v
 	}
-	wantW[extra.Key()] = uint64(n + 1)
+	wantW[extra.String()] = uint64(n + 1)
 	// Tombstone a scattering of tuples, then Compact: every surviving
 	// tuple keeps its stamp at its new position, and the frozen epoch
 	// still sees the original assignment untouched.
 	for k := 0; k < n; k += 7 {
 		tu := tup(value.PathOf("t" + fmt.Sprint(k)))
 		i.Delete("R", tu)
-		delete(wantW, tu.Key())
+		delete(wantW, tu.String())
 	}
 	check("writer before compact", i.Relation("R"), wantW)
 	i.Relation("R").Compact()

@@ -19,17 +19,6 @@ import (
 // Tuple is one row of a relation: a fixed-arity list of paths.
 type Tuple []value.Path
 
-// Key returns a canonical injective encoding of the tuple. It is kept
-// for debugging and external canonicalisation; the membership path of
-// Relation uses the allocation-free Hash instead.
-func (t Tuple) Key() string {
-	parts := make([]string, len(t))
-	for i, p := range t {
-		parts[i] = p.Key()
-	}
-	return strings.Join(parts, "\x00")
-}
-
 // Hash returns a structural FNV-1a hash of the tuple. Equal tuples hash
 // equally; distinct tuples may collide, so callers confirm with Equal.
 func (t Tuple) Hash() uint64 { return hashPaths(t) }

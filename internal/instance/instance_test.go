@@ -34,15 +34,6 @@ func TestRelationArityPanic(t *testing.T) {
 	NewRelation(2).Add(tup(value.PathOf("a")))
 }
 
-func TestTupleKeyDistinguishesComponents(t *testing.T) {
-	a := tup(value.PathOf("a"), value.PathOf("b"))
-	b := tup(value.PathOf("a", "b"), value.Epsilon)
-	c := tup(value.Epsilon, value.PathOf("a", "b"))
-	if a.Key() == b.Key() || b.Key() == c.Key() || a.Key() == c.Key() {
-		t.Fatal("tuple keys collide")
-	}
-}
-
 func TestInstanceEqualAndDiff(t *testing.T) {
 	i := New()
 	i.AddPath("R", value.PathOf("a"))

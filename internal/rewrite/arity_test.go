@@ -26,7 +26,7 @@ func TestLemma41EncodingInjective(t *testing.T) {
 	seen := map[string]pair{}
 	for i, s1 := range paths {
 		for j, s2 := range paths {
-			k := m.EncodeTuplePaths([]value.Path{s1, s2}).Key()
+			k := m.EncodeTuplePaths([]value.Path{s1, s2}).String()
 			if prev, dup := seen[k]; dup && (prev.i != i || prev.j != j) {
 				t.Fatalf("collision: (%v,%v) and (%v,%v)", paths[prev.i], paths[prev.j], s1, s2)
 			}

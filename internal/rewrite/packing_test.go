@@ -217,10 +217,10 @@ func TestDoubledPathCodec(t *testing.T) {
 		if !ok || !back.Equal(p) {
 			t.Fatalf("roundtrip failed: %v -> %v -> %v (%v)", p, e, back, ok)
 		}
-		if seen[e.Key()] {
+		if seen[e.String()] {
 			t.Fatalf("encoding collision at %v", p)
 		}
-		seen[e.Key()] = true
+		seen[e.String()] = true
 	}
 	// Unbalanced inputs fail to decode.
 	if _, ok := DecodeDoubledPath(value.PathOf("0", "1"), m); ok {

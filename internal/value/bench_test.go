@@ -14,14 +14,6 @@ func benchPath(n int) Path {
 	return p
 }
 
-func BenchmarkKey(b *testing.B) {
-	p := benchPath(64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = p.Key()
-	}
-}
-
 func BenchmarkEqual(b *testing.B) {
 	p, q := benchPath(64), benchPath(64)
 	for i := 0; i < b.N; i++ {

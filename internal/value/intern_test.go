@@ -84,26 +84,26 @@ func TestPackCopiesScratch(t *testing.T) {
 }
 
 // TestHashEqualAgree checks that the cached-hash representation keeps
-// the fundamental Hash/Equal/Key contract: Equal paths hash and encode
-// identically, and Key stays injective on random paths.
+// the fundamental Hash/Equal/String contract: Equal paths hash and
+// print identically, and String stays injective on random paths.
 func TestHashEqualAgree(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	byKey := map[string]Path{}
+	byText := map[string]Path{}
 	for i := 0; i < 20000; i++ {
 		p, q := randomPath(r, 2), randomPath(r, 2)
 		if p.Equal(q) {
 			if p.Hash(HashSeed) != q.Hash(HashSeed) {
 				t.Fatalf("equal paths hash differently: %v vs %v", p, q)
 			}
-			if p.Key() != q.Key() {
-				t.Fatalf("equal paths key differently: %v vs %v", p, q)
+			if p.String() != q.String() {
+				t.Fatalf("equal paths print differently: %v vs %v", p, q)
 			}
 		}
-		k := p.Key()
-		if prev, dup := byKey[k]; dup && !prev.Equal(p) {
-			t.Fatalf("Key not injective: %v vs %v", prev, p)
+		k := p.String()
+		if prev, dup := byText[k]; dup && !prev.Equal(p) {
+			t.Fatalf("String not injective: %v vs %v", prev, p)
 		}
-		byKey[k] = p
+		byText[k] = p
 	}
 }
 
@@ -179,7 +179,7 @@ func TestInternConcurrent(t *testing.T) {
 	nodes := map[string]Packed{}
 	for g := range packs {
 		for _, p := range packs[g] {
-			k := Path{p}.Key()
+			k := Path{p}.String()
 			if prev, ok := nodes[k]; ok && prev != p {
 				t.Fatalf("packed value %s consed to two nodes", p)
 			}

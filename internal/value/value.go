@@ -24,9 +24,6 @@ type Value interface {
 	Kind() Kind
 	// String renders the value in the paper's notation (packing as <...>).
 	String() string
-	// appendKey appends the canonical injective encoding used for
-	// hashing and ordering.
-	appendKey(b *strings.Builder)
 }
 
 // Kind discriminates the two sorts of values.
@@ -174,47 +171,6 @@ func renderAtom(s string) string {
 		return s
 	}
 	return "'" + strings.ReplaceAll(strings.ReplaceAll(s, `\`, `\\`), "'", `\'`) + "'"
-}
-
-// Key returns a canonical injective encoding of the path, suitable as a
-// map key. Distinct paths always have distinct keys.
-func (p Path) Key() string {
-	var b strings.Builder
-	p.appendKey(&b)
-	return b.String()
-}
-
-func (p Path) appendKey(b *strings.Builder) {
-	for i, v := range p {
-		if i > 0 {
-			b.WriteByte('.')
-		}
-		v.appendKey(b)
-	}
-}
-
-func (a Atom) appendKey(b *strings.Builder) {
-	// Escape the structural bytes so the encoding stays injective even
-	// when atoms contain '.', '<', '>' or '\'.
-	s := a.Text()
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '.', '<', '>', '\\':
-			b.WriteByte('\\')
-			b.WriteByte(c)
-		default:
-			b.WriteByte(c)
-		}
-	}
-	// A trailing '$' distinguishes the empty atom from the empty path
-	// and an atom "x" from sub-encodings; every atom is terminated.
-	b.WriteByte('$')
-}
-
-func (p Packed) appendKey(b *strings.Builder) {
-	b.WriteByte('<')
-	p.Unpack().appendKey(b)
-	b.WriteByte('>')
 }
 
 // HashSeed is the FNV-1a offset basis, the canonical seed for Hash.

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func TestPathOfAndString(t *testing.T) {
@@ -45,35 +44,6 @@ func TestEqual(t *testing.T) {
 	}
 }
 
-func TestKeyInjective(t *testing.T) {
-	// Paths crafted to collide under naive encodings.
-	paths := []Path{
-		PathOf("a", "b"),
-		PathOf("a.b"),
-		PathOf("ab"),
-		PathOf("a", "", "b"),
-		PathOf("a", "b", ""),
-		PathOf(""),
-		Epsilon,
-		Path{Pack(PathOf("a", "b"))},
-		Path{Pack(PathOf("a")), Intern("b")},
-		Path{Intern("a"), Pack(PathOf("b"))},
-		Path{Pack(Epsilon)},
-		Path{Pack(Path{Pack(Epsilon)})},
-		PathOf("<a>"),
-		PathOf("a\\", "b"),
-		PathOf("a\\.b"),
-	}
-	seen := map[string]Path{}
-	for _, p := range paths {
-		k := p.Key()
-		if q, dup := seen[k]; dup && !p.Equal(q) {
-			t.Fatalf("key collision: %v and %v both have key %q", p, q, k)
-		}
-		seen[k] = p
-	}
-}
-
 func randomPath(r *rand.Rand, depth int) Path {
 	n := r.Intn(4)
 	p := make(Path, 0, n)
@@ -86,29 +56,6 @@ func randomPath(r *rand.Rand, depth int) Path {
 		}
 	}
 	return p
-}
-
-func TestKeyInjectiveQuick(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	seen := map[string]Path{}
-	for i := 0; i < 20000; i++ {
-		p := randomPath(r, 2)
-		k := p.Key()
-		if q, dup := seen[k]; dup && !p.Equal(q) {
-			t.Fatalf("key collision: %v vs %v (key %q)", p, q, k)
-		}
-		seen[k] = p
-	}
-}
-
-func TestKeyEqualAgree(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	for i := 0; i < 5000; i++ {
-		p, q := randomPath(r, 2), randomPath(r, 2)
-		if (p.Key() == q.Key()) != p.Equal(q) {
-			t.Fatalf("Key/Equal disagree on %v vs %v", p, q)
-		}
-	}
 }
 
 func TestCompareTotalOrder(t *testing.T) {
@@ -189,17 +136,5 @@ func TestSingletonAndClone(t *testing.T) {
 	c[0] = Intern("w")
 	if p[0] != Intern("v") {
 		t.Fatal("Clone aliases")
-	}
-}
-
-func TestQuickKeyRoundtripLength(t *testing.T) {
-	// Property: appending a value changes the key.
-	f := func(s string, n uint8) bool {
-		p := Repeat("a", int(n%8))
-		q := Concat(p, Path{Intern(s)})
-		return p.Key() != q.Key()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -173,7 +173,7 @@ T(@x.@z) :- T(@x.@y), E(@y.@z).`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Asserted != 2 || stats.StrataIncremental != 1 {
+	if stats.Asserted != 2 || stats.Incremental != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
 	rel, err := e.Query("T")
