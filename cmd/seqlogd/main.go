@@ -269,9 +269,6 @@ type server struct {
 
 	wmu sync.Mutex
 	wal *wal.Log
-	// readonly is the sticky degradation error: once the WAL fails,
-	// every write is refused with it while queries keep serving.
-	readonly error
 	// recovered is the number of WAL records replayed at startup.
 	recovered int
 
@@ -360,7 +357,7 @@ func (s *server) finalize() {
 	// A checkpoint pays off whenever the next start would otherwise
 	// replay records — ones appended this session or ones recovery
 	// already replayed once.
-	if (s.wal.Records() > 0 || s.recovered > 0) && s.readonly == nil {
+	if (s.wal.Records() > 0 || s.recovered > 0) && s.wal.Err() == nil {
 		s.maybeCheckpoint(true)
 	}
 	if err := s.wal.Close(); err != nil {
@@ -368,22 +365,34 @@ func (s *server) finalize() {
 	}
 }
 
+// readonly is the daemon's degradation, read off the WAL's sticky
+// failure (nil while the log is healthy or absent): once an append, a
+// sync or a checkpoint's rotation fails, durability can no longer be
+// promised, so every write is refused while queries keep serving the
+// last durable state. Callers hold wmu.
+func (s *server) readonly() error {
+	if s.wal == nil || s.wal.Err() == nil {
+		return nil
+	}
+	return fmt.Errorf("readonly: write-ahead log failed, serving reads only: %v", s.wal.Err())
+}
+
 // logRecord appends rec to the WAL (a no-op without -wal-dir). The
-// first append failure degrades the daemon to read-only: the record's
-// durability can no longer be promised, so this write is refused and
-// every later one fails fast, while queries keep serving the last
-// durable state. Callers hold wmu.
+// first append failure degrades the daemon to read-only: this write is
+// refused and every later one fails fast. Callers hold wmu.
 func (s *server) logRecord(rec wal.Record) error {
 	if s.wal == nil {
 		return nil
 	}
-	if s.readonly != nil {
-		return s.readonly
+	if err := s.readonly(); err != nil {
+		return err
 	}
 	if err := s.wal.Append(rec); err != nil {
-		s.readonly = fmt.Errorf("readonly: write-ahead log failed, serving reads only: %v", err)
-		fmt.Fprintf(os.Stderr, "seqlogd: WAL append failed, degrading to read-only: %v\n", err)
-		return s.readonly
+		if ro := s.readonly(); ro != nil {
+			fmt.Fprintf(os.Stderr, "seqlogd: WAL append failed, degrading to read-only: %v\n", err)
+			return ro
+		}
+		return err // an encoding error: nothing was written, the log stays healthy
 	}
 	return nil
 }
@@ -394,7 +403,7 @@ func (s *server) logRecord(rec wal.Record) error {
 // is logged and non-fatal — the WAL alone keeps the state
 // recoverable. Callers hold wmu.
 func (s *server) maybeCheckpoint(force bool) {
-	if s.wal == nil || s.readonly != nil || (!force && !s.wal.ShouldCheckpoint()) {
+	if s.wal == nil || s.wal.Err() != nil || (!force && !s.wal.ShouldCheckpoint()) {
 		return
 	}
 	s.mu.Lock()
@@ -454,7 +463,7 @@ func (s *server) durabilityCounters() string {
 	if s.wal != nil {
 		records, bytes, checkpoints = s.wal.Records(), s.wal.Bytes(), s.wal.Checkpoints()
 	}
-	ro := s.readonly != nil
+	ro := s.readonly() != nil
 	recovered := s.recovered
 	s.wmu.Unlock()
 	s.mu.Lock()

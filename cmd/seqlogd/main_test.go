@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -541,6 +543,26 @@ func TestReadonlyDegradation(t *testing.T) {
 	for _, want := range []string{"S(a).\nok n=1", "readonly=true"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("degraded server missing %q:\n%s", want, got)
+		}
+	}
+}
+
+// TestReadonlyAfterFailedRotation: a checkpoint that cannot start the
+// next generation's WAL file leaves the log failed, and the daemon is
+// read-only from then on — stats says so at once, and writes are
+// refused with the same "err readonly: ..." as after a failed append.
+func TestReadonlyAfterFailedRotation(t *testing.T) {
+	dir := t.TempDir()
+	srv := newWALServer(t, dir, wal.Options{Sync: wal.SyncNever, CheckpointRecords: 2})
+	// The second record triggers a checkpoint, whose rotation opens this
+	// path for appending: a directory there makes it fail.
+	if err := os.Mkdir(filepath.Join(dir, "wal-00000001.log"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	got := run(t, srv, "load\nS($x) :- R($x).\n.\nassert R(a).\nstats\nassert R(b).\nquery S\n")
+	for _, want := range []string{"ok asserted=1 ", "readonly=true", "err readonly: ", "S(a).\nok n=1"} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("server after a failed rotation missing %q:\n%s", want, got)
 		}
 	}
 }

@@ -26,9 +26,16 @@ package eval
 //     restore windows.
 //  3. insert: new consequences are derived delta-first — insertion
 //     windows joined through positive literals (the classic semi-naive
-//     incremental round), net deletions probed through negated literals
+//     incremental round), net deletions joined through negated literals
 //     (derivations blocked only by a fact this run removed are new),
 //     then the component-local fixpoint.
+//
+// Both signs run through the same delta-hoisted variants (see
+// plan.compileVariants): a negated atom's variant is the rule with that
+// literal made positive and hoisted, so its delta step iterates the
+// changes of the negated relation. Overdeletion feeds it the
+// insertions, the insert phase the net deletions — the reverse of what
+// the positive atoms read.
 //
 // Net insertions are tracked as windows into the relations' tuple
 // logs, net deletions as side relations. Every rule for a relation sits
@@ -142,87 +149,14 @@ func (m *maintenance) changed(names map[string]bool) bool {
 // engine's instance (through whatever view opts adds) and counts its
 // plan executions into the run's stats.
 func (m *maintenance) driver(plans []*plan, opts runOpts) *driver {
-	opts.negStep = -1
 	return &driver{plans: plans, inst: m.e.inst, limits: m.e.limits, opts: opts, stats: &m.stats.Plans}
-}
-
-// changeSet names the changed tuples of one negated relation: the live
-// entries of log inside wins, minus those skip rejects (nil rejects
-// none). No windows means nothing changed.
-type changeSet struct {
-	log  *instance.Relation
-	wins []window
-	skip func(h uint64, t instance.Tuple) bool
-}
-
-// has is the set's delta probe (runOpts.negProbe): it encodes the
-// relationship to the live relation a changed tuple must have.
-func (c *changeSet) has(h uint64, t instance.Tuple) bool {
-	pos := c.log.Position(instance.View{}, h, t)
-	if pos < 0 {
-		return false
-	}
-	for _, w := range c.wins {
-		if pos >= w.lo && pos < w.hi {
-			return c.skip == nil || !c.skip(h, t)
-		}
-	}
-	return false
-}
-
-// negDelta runs the derivations that depend on a change of a negated
-// relation. For every negated body atom of the component's rules the
-// changed tuples of its relation (changes) are enumerated, the atom is
-// matched against each one, and the atom's pre-bound variant runs once
-// per (tuple, match) — the binding grounds the rest of the body into
-// probes — with the negated step succeeding exactly on the change set
-// instead of on absence. The runs visit exactly the valuations whose
-// negated atom evaluates into the change set.
-func (dr *driver) negDelta(changes func(name string) changeSet, sink sinkFunc) error {
-	defer func() { dr.opts.negStep, dr.opts.negProbe = -1, nil }()
-	// The atom is matched in the frame's own valuation: each run starts
-	// from the binding of one changed tuple.
-	env := dr.valuation()
-	for _, p := range dr.plans {
-		for _, nv := range p.negVariants {
-			c := changes(nv.pred.Name)
-			if len(c.wins) == 0 {
-				continue
-			}
-			dr.opts.negStep, dr.opts.negProbe = nv.step, c.has
-			var runErr error
-			for _, w := range c.wins {
-				for pos := w.lo; pos < w.hi && runErr == nil; pos++ {
-					if !c.log.Live(pos) {
-						continue
-					}
-					h, t := c.log.HashAt(pos), c.log.TupleAt(pos)
-					if c.skip != nil && c.skip(h, t) {
-						continue
-					}
-					env.MatchTuple(nv.pred.Args, t, func() {
-						if runErr != nil {
-							return
-						}
-						nv.p.note(dr.stats)
-						runErr = dr.exec(nv.p, window{}, sink)
-					})
-				}
-			}
-			if runErr != nil {
-				return runErr
-			}
-		}
-	}
-	return nil
 }
 
 // overdelete is phase 1; see the package comment.
 func (m *maintenance) overdelete(c *component) error {
 	e := m.e
-	// The side atoms of both chases join against the pre-deletion state;
-	// the second one's delta steps read the deletion logs.
-	dr := m.driver(c.plans, runOpts{deltaRels: m.del, includeDead: true})
+	// The side atoms join against the pre-deletion state.
+	dr := m.driver(c.plans, runOpts{includeDead: true})
 	// The pruner's goal checks start from inside the sink, that is inside
 	// a run of dr: they go through a driver, and so a frame, of their own.
 	goal := m.driver(nil, runOpts{boundHeads: c.heads})
@@ -273,22 +207,17 @@ func (m *maintenance) overdelete(c *component) error {
 		m.stats.Overdeleted++
 		return nil
 	}
-	// Insertions under negation: derivations whose negated atom matches
-	// a fact inserted by this run held before the insertion and are
-	// invalid now. Tuples already deleted again are not in the change
-	// set.
-	inserted := func(name string) changeSet {
-		return changeSet{log: e.inst.Relation(name), wins: m.ins[name]}
-	}
-	if err := dr.negDelta(inserted, sink); err != nil {
-		return err
-	}
 	// Deletions used positively: the downward closure of the deletion
 	// logs, chased semi-naively (the component's own overdeletions feed
-	// back through recursive rules). proc[name] is the prefix of name's
-	// log already chased.
+	// back through recursive rules); proc[name] is the prefix of name's
+	// log already chased. Insertions under negation: derivations whose
+	// negated atom matches a fact inserted by this run held before the
+	// insertion and are invalid now. A negated relation belongs to an
+	// earlier component, so its insertions are final and round 0 reads
+	// them all; tuples already deleted again are tombstones the delta
+	// step skips.
 	proc := map[string]int{}
-	var one [1]window // backs the single window deleted returns
+	var one [1]window // backs the single window changes returns
 	for round := 0; ; round++ {
 		if round > e.limits.MaxIterations {
 			return fmt.Errorf("%w: %d overdeletion rounds", ErrNonTermination, round)
@@ -299,14 +228,20 @@ func (m *maintenance) overdelete(c *component) error {
 				cur[name] = dl.Size()
 			}
 		}
-		deleted := func(name string) []window {
+		changes := func(name string, neg bool) (*instance.Relation, []window) {
+			if neg {
+				if round > 0 {
+					return nil, nil
+				}
+				return nil, m.ins[name]
+			}
 			if lo, hi := proc[name], cur[name]; hi > lo {
 				one[0] = window{lo, hi}
-				return one[:]
+				return m.del[name], one[:]
 			}
-			return nil
+			return nil, nil
 		}
-		if err := dr.delta(deleted, sink); err != nil {
+		if err := dr.delta(changes, sink); err != nil {
 			return err
 		}
 		if len(dr.items) == 0 {
@@ -405,7 +340,7 @@ func (dr *driver) derivesGoal(plans []*plan, name string, t instance.Tuple, boun
 		var runErr error
 		dr.valuation().MatchTuple(rp.rule.Head.Args, t, func() {
 			if runErr == nil {
-				runErr = dr.exec(rp, window{}, func(ast.Pred, *Env) error { return errStopRun })
+				runErr = dr.exec(workItem{plan: rp}, func(ast.Pred, *Env) error { return errStopRun })
 			}
 		})
 		if errors.Is(runErr, errStopRun) {
@@ -425,39 +360,32 @@ func (m *maintenance) insert(c *component) error {
 	dr.derived = &m.e.derived
 	sink := dr.derive
 	prev := localSizes(c.heads, inst)
-	// (a) positive deltas over the insertion windows: the classic
-	// incremental round.
-	if err := dr.delta(func(name string) []window { return m.ins[name] }, sink); err != nil {
+	// One delta round over both changes that enable derivations: the
+	// insertion windows through positive atoms (the classic incremental
+	// round), and the net deletions through negated atoms — a derivation
+	// blocked only by a fact this run removed (and did not restore) is
+	// new. The net deletions are the live entries of the deletion log:
+	// restored facts are tombstoned there.
+	var one [1]window // backs the single window changes returns
+	changes := func(name string, neg bool) (*instance.Relation, []window) {
+		if !neg {
+			return nil, m.ins[name]
+		}
+		if dl := m.del[name]; dl != nil && dl.Len() > 0 {
+			one[0] = window{0, dl.Size()}
+			return dl, one[:]
+		}
+		return nil, nil
+	}
+	if err := dr.delta(changes, sink); err != nil {
 		return err
 	}
-	// (b) deletions under negation: a derivation blocked only by a fact
-	// this run removed (and did not restore) is new. The net-deleted
-	// tuples are the live entries of the deletion log — restored facts
-	// are tombstoned there — minus the facts (a) re-derived, which are
-	// back in the relation.
-	netDeleted := func(name string) changeSet {
-		dl := m.del[name]
-		if dl == nil {
-			return changeSet{}
-		}
-		return changeSet{
-			log:  dl,
-			wins: []window{{0, dl.Size()}},
-			skip: func(h uint64, t instance.Tuple) bool {
-				rel := inst.Relation(name)
-				return rel != nil && rel.Position(instance.View{}, h, t) >= 0
-			},
-		}
-	}
-	if err := dr.negDelta(netDeleted, sink); err != nil {
-		return err
-	}
-	// (c) chase the component-local consequences.
+	// Then chase the component-local consequences.
 	if err := dr.fixpoint(c.heads, prev, sink); err != nil {
 		return err
 	}
 	// Record the insertion windows for later components, and collapse facts
-	// that were both overdeleted and re-derived by (a)–(c) back to
+	// that were both overdeleted and re-derived by this phase back to
 	// "unchanged": their deletion-log entry dies. (The insertion window
 	// still over-approximates by covering the re-derived positions;
 	// downstream overdeletion plus rederivation absorbs that.)

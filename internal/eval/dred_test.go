@@ -335,6 +335,43 @@ S(@x) :- R(@x.@y), !W(@x).`)
 	}
 }
 
+// TestEngineRetractRestoredUnderNegation pins what a negated atom's
+// delta reads in the insert phase: the net deletions, the live entries
+// of the deletion log. Retracting A(b) overdeletes C(b) (born before
+// its other support C(a), so the pruner cannot keep it) and rederives
+// it through C(a), L(a.b): its deletion-log entry dies, and N(b), which
+// C(b) blocks, must not appear.
+func TestEngineRetractRestoredUnderNegation(t *testing.T) {
+	prep, err := Compile(parser.MustParseProgram(`
+C($x) :- A($x).
+C($y) :- C($x), L($x.$y).
+N($x) :- E($x), !C($x).`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(prep, parser.MustParseInstance(`A(b). A(a). L(a.b). E(b).`), Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := e.Retract(parser.MustParseInstance(`A(b).`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Overdeleted != 1 || stats.Rederived != 1 {
+		t.Fatalf("stats = %+v, want C(b) overdeleted and rederived", stats)
+	}
+	if rel, err := e.Query("N"); err != nil || rel.Len() != 0 {
+		t.Fatalf("N = %v, %v; want empty", rel.Sorted(), err)
+	}
+	want, err := prep.Eval(parser.MustParseInstance(`A(a). L(a.b). E(b).`), Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mustSnapshot(t, e); !got.Equal(want) {
+		t.Fatal(instance.Diff(got, want))
+	}
+}
+
 // TestEngineRetractSeedsSurvive: retraction can never remove
 // EDB-provided facts of IDB relations through the maintenance cascade,
 // and retracting them directly is rejected like any IDB write.

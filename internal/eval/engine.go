@@ -49,7 +49,7 @@ type Engine struct {
 
 // PlanStats reports which compiled plans a maintenance run executed
 // and the access paths their non-delta join steps used. A "plan
-// execution" is one delta-restricted run of a rule (per change window,
+// execution" is one delta-hoisted run of a rule (per change window,
 // per changed atom, per semi-naive round); the goal-directed
 // rederivation probes are not counted. The step counters classify every
 // positive non-delta predicate step of those executions by its planned
@@ -57,11 +57,9 @@ type Engine struct {
 // of change drove them and ScanSteps says how often a body atom still
 // had to be scanned.
 type PlanStats struct {
-	// VariantRuns counts executions of delta-hoisted variant plans: the
-	// runs driven by a change window of a positive body atom's relation.
-	// BaseRuns counts the pre-bound negation-variant runs — one per
-	// (changed tuple of a negated relation, match of the negated atom) —
-	// and nothing else.
+	// VariantRuns counts the runs driven by a change window of a
+	// positive body atom's relation, BaseRuns those driven by a change
+	// window of a negated atom's relation: one run per window.
 	VariantRuns int
 	BaseRuns    int
 	// IndexProbeSteps / PrefixProbeSteps / SuffixProbeSteps / ScanSteps
@@ -84,21 +82,19 @@ func (s *PlanStats) add(other PlanStats) {
 	s.ScanSteps += other.ScanSteps
 }
 
-// note records one execution of p into st (nil: nobody is counting):
-// the plan shape and the access path of every positive predicate step
-// but a hoisted plan's delta step.
+// note records one execution of the delta variant p into st (nil:
+// nobody is counting): the sign of its delta atom and the access path
+// of every positive predicate step but the delta step.
 func (p *plan) note(st *PlanStats) {
 	if st == nil {
 		return
 	}
-	side := p.predSteps
-	if p.hoisted {
-		st.VariantRuns++
-		side = side[1:]
-	} else {
+	if p.neg {
 		st.BaseRuns++
+	} else {
+		st.VariantRuns++
 	}
-	for _, i := range side {
+	for _, i := range p.predSteps[1:] {
 		*accessPaths[p.steps[i].Class()].counter(st)++
 	}
 }

@@ -115,10 +115,14 @@ type window struct {
 }
 
 // workItem is one plan run of a round. On a hoisted plan win is the
-// (slice of a) change window the delta step iterates; base plans run
-// over the full relations and leave it zero.
+// (slice of a) change window the delta step iterates, in log — or, when
+// log is nil, in the instance's own relation of the delta step's name,
+// resolved when the run starts (a sink's Ensure may epoch-clone a
+// relation, so no instance relation is carried from one run to the
+// next). Base plans run over the full relations and leave both zero.
 type workItem struct {
 	plan *plan
+	log  *instance.Relation
 	win  window
 }
 
@@ -145,8 +149,8 @@ type driver struct {
 	inst   *instance.Instance
 	limits Limits
 	opts   runOpts
-	// stats, when set, counts the plan executions of delta and negDelta:
-	// the maintenance run's PlanStats.
+	// stats, when set, counts the plan executions of delta: the
+	// maintenance run's PlanStats.
 	stats *PlanStats
 	// derived is set when the phase's sink is derive into inst, counting
 	// new facts here.
@@ -174,30 +178,31 @@ func (dr *driver) run(items []workItem, sink sinkFunc) error {
 		return dr.runParallel(items)
 	}
 	for _, it := range items {
-		if err := dr.exec(it.plan, it.win, sink); err != nil {
+		if err := dr.exec(it, sink); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// delta runs one delta round: for every rule and every positive body
-// atom, the atom's hoisted variant (delta step first, the rest of the
-// body index-probed) once per change window of the atom's relation.
-// windows says where the changes come from — the positions a
-// component's own heads grew by since the last round (fixpoint), the
-// run's insertion windows, or the unchased tails of the deletion logs
-// passed as opts.deltaRels — and may reuse the slice it returns: it is
-// consumed before the next call. Each window is cut into one slice per
-// worker (see appendSlices); stats counts one plan execution per slice.
-// The round's items stay in dr.items.
-func (dr *driver) delta(windows func(name string) []window, sink sinkFunc) error {
+// delta runs one delta round: for every rule and every body atom, the
+// atom's hoisted variant (delta step first, the rest of the body
+// index-probed) once per change window of the atom's relation. changes
+// says where the changes of a relation read with sign neg come from —
+// the positions a component's own heads grew by since the last round
+// (fixpoint), the run's insertion windows, or the deletion logs — as
+// windows into log (nil: the instance's own relation). It may reuse the
+// slice it returns: it is consumed before the next call. Each window is
+// cut into one slice per worker (see appendSlices); stats counts one
+// plan execution per slice. The round's items stay in dr.items.
+func (dr *driver) delta(changes func(name string, neg bool) (log *instance.Relation, wins []window), sink sinkFunc) error {
 	dr.items = dr.items[:0]
 	for _, p := range dr.plans {
 		for _, run := range p.variants {
-			for _, w := range windows(run.steps[0].pred.Name) {
+			log, wins := changes(run.steps[0].pred.Name, run.neg)
+			for _, w := range wins {
 				n := len(dr.items)
-				dr.items = appendSlices(dr.items, run, w, dr.workers)
+				dr.items = appendSlices(dr.items, workItem{plan: run, log: log, win: w}, dr.workers)
 				for range dr.items[n:] {
 					run.note(dr.stats)
 				}
@@ -236,14 +241,15 @@ func (dr *driver) fixpoint(local map[string]bool, prev map[string]int, sink sink
 			one = make([]window, 1)
 		}
 		// Both maps hold the local relations only, so every other name
-		// reads as an empty window.
-		grown := func(name string) []window {
+		// reads as an empty window — every negated one among them: it
+		// belongs to an earlier component.
+		grown := func(name string, _ bool) (*instance.Relation, []window) {
 			lo, hi := prev[name], cur[name]
 			if hi <= lo {
-				return nil
+				return nil, nil
 			}
 			one[0] = window{lo, hi}
-			return one
+			return nil, one
 		}
 		if err := dr.delta(grown, sink); err != nil {
 			return err
@@ -272,7 +278,7 @@ func (p *Prepared) fixpoint(inst *instance.Instance, limits Limits, derived *int
 	workers := runtime.GOMAXPROCS(0)
 	for i := range p.comps {
 		c := &p.comps[i]
-		dr := &driver{plans: c.plans, inst: inst, limits: limits, opts: runOpts{negStep: -1}, derived: derived, workers: workers}
+		dr := &driver{plans: c.plans, inst: inst, limits: limits, derived: derived, workers: workers}
 		// Round 0: evaluate every rule against the full instance.
 		prev := localSizes(c.heads, inst)
 		err := dr.run(fullItems(c.plans), dr.derive)

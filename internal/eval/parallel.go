@@ -36,14 +36,16 @@ import (
 // dominates the join work inside the slice.
 const minParallelChunk = 32
 
-// appendSlices cuts one change window of a hoisted plan's delta step
+// appendSlices cuts the change window of a hoisted plan's work item
 // into up to `chunks` contiguous slices of at least minParallelChunk
 // tuples and appends one work item per slice.
-func appendSlices(items []workItem, p *plan, w window, chunks int) []workItem {
+func appendSlices(items []workItem, it workItem, chunks int) []workItem {
+	w := it.win
 	n := w.hi - w.lo
 	chunks = max(1, min(chunks, n/minParallelChunk))
 	for c := 0; c < chunks; c++ {
-		items = append(items, workItem{plan: p, win: window{w.lo + n*c/chunks, w.lo + n*(c+1)/chunks}})
+		it.win = window{w.lo + n*c/chunks, w.lo + n*(c+1)/chunks}
+		items = append(items, it)
 	}
 	return items
 }
@@ -88,7 +90,7 @@ func (dr *driver) runParallel(items []workItem) error {
 				continue
 			}
 			count, bufs[idx].first = base, map[uint64]int32{}
-			errs[idx] = wk.exec(items[idx].plan, items[idx].win, wk.bufferSink(&bufs[idx], &stop))
+			errs[idx] = wk.exec(items[idx], wk.bufferSink(&bufs[idx], &stop))
 			if errs[idx] != nil {
 				stop.Store(true)
 			}

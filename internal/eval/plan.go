@@ -37,19 +37,6 @@ const (
 	stepNegEq                   // negated equation: ground comparison
 )
 
-// negVariant is a delta-hoisted plan for one negated body predicate:
-// the rule recompiled with that atom's variables assumed bound, so
-// that when maintenance enumerates the changed tuples of the negated
-// relation and matches the atom against each one, the remaining body
-// runs with every position the binding grounds served by index or
-// prefix/suffix probes. step is the index of this atom's stepNegPred
-// within p.steps.
-type negVariant struct {
-	pred ast.Pred
-	p    *plan
-	step int
-}
-
 // plan is a compiled rule: steps execute left to right; positive
 // predicates first (greedily reordered so that steps with more bound
 // variables run later and can use index probes), then positive
@@ -67,14 +54,15 @@ type plan struct {
 	// relation), and the remaining body was ordered and annotated with
 	// that atom's variables bound.
 	hoisted bool
-	// variants[k] is the rule recompiled with its k-th positive body
-	// predicate (in written body order) hoisted to the first join
+	// neg marks the delta variant of a negated body atom: the rule with
+	// that literal made positive and hoisted, so its delta step iterates
+	// the changes of the negated relation.
+	neg bool
+	// variants[k] is the rule recompiled with its k-th body predicate
+	// (in written body order, either sign) hoisted to the first join
 	// position — the plan maintenance runs when the delta sits on that
 	// atom's relation. Populated by compileVariants on base plans only.
 	variants []*plan
-	// negVariants holds one delta-hoisted plan per negated body
-	// predicate, in written body order; see negVariant.
-	negVariants []negVariant
 }
 
 // compilePlan orders the body literals of a safe rule per §2.2's
@@ -148,46 +136,36 @@ func compilePlan(r ast.Rule, preBound []ast.Var, hoist int) (*plan, error) {
 	return p, nil
 }
 
-// compileVariants populates p.variants and p.negVariants: one hoisted
-// plan per positive body predicate (the plan maintenance runs when the
-// delta sits on that atom's relation) and one pre-bound plan per
-// negated body predicate (run per changed tuple of the negated
-// relation, with the atom matched against the tuple first). Compiled
-// once at Compile time on base plans; rederive plans never need them.
-// Variant compilation cannot fail on a rule the base compile accepted
-// — hoisting only changes join order, and pre-binding only adds bound
-// variables — but errors are propagated defensively.
+// compileVariants populates p.variants: one hoisted plan per body
+// predicate, in body order — the plan maintenance runs when the delta
+// sits on that atom's relation. A negated atom's variant is the rule
+// with the literal made positive and hoisted: it joins the changed
+// tuples of the negated relation against the rest of the body, so it
+// visits exactly the valuations whose negated atom evaluates into the
+// change. Compiled once at Compile time on base plans; rederive plans
+// never need them. Variant compilation cannot fail on a rule the base
+// compile accepted — hoisting only changes join order, and a negated
+// atom's variables are bound by the positive body anyway — but errors
+// are propagated defensively.
 func (p *plan) compileVariants() error {
-	negSeen := 0
-	for l, pr := range p.rule.Preds() {
+	pos := 0 // positive body predicates before literal i
+	for i, l := range p.rule.Body {
+		pr, ok := l.Atom.(ast.Pred)
+		if !ok {
+			continue
+		}
+		r := p.rule
 		if l.Neg {
-			v, err := compilePlan(p.rule, ast.VarsOf(pr.Args...), -1)
-			if err != nil {
-				return err
-			}
-			// Negated literals keep their written order in every plan, so
-			// the negSeen-th stepNegPred of the variant is this atom.
-			stepIdx, seen := -1, 0
-			for i, s := range v.steps {
-				if s.kind == stepNegPred {
-					if seen == negSeen {
-						stepIdx = i
-						break
-					}
-					seen++
-				}
-			}
-			if stepIdx < 0 {
-				return fmt.Errorf("eval: internal: negated atom %s lost in variant of %s", pr, p.rule)
-			}
-			p.negVariants = append(p.negVariants, negVariant{pred: pr, p: v, step: stepIdx})
-			negSeen++
-		} else {
-			v, err := compilePlan(p.rule, nil, len(p.variants))
-			if err != nil {
-				return err
-			}
-			p.variants = append(p.variants, v)
+			r = r.Splice(i, ast.Pos(pr))
+		}
+		v, err := compilePlan(r, nil, pos)
+		if err != nil {
+			return err
+		}
+		v.neg = l.Neg
+		p.variants = append(p.variants, v)
+		if !l.Neg {
+			pos++
 		}
 	}
 	return nil

@@ -85,10 +85,9 @@ func Compile(prog ast.Program) (*Prepared, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", r.Head.Name, err)
 		}
-		// Delta-hoisted variants: one plan per positive body atom (run
-		// when the delta sits on that atom's relation) and one pre-bound
-		// plan per negated atom, compiled once here so maintenance never
-		// plans at runtime.
+		// Delta-hoisted variants: one plan per body atom, either sign (run
+		// when the delta sits on that atom's relation), compiled once here
+		// so maintenance never plans at runtime.
 		if err := pl.compileVariants(); err != nil {
 			return nil, fmt.Errorf("%s (delta variants): %w", r.Head.Name, err)
 		}
@@ -134,21 +133,23 @@ func (p *Prepared) IsIDB(name string) bool { return p.idb[name] }
 // Explain returns, in evaluation order (component by component, rule
 // order within one), a one-line description of each compiled join
 // plan: the chosen predicate order and, per predicate, the access path
-// (exact index, ground-prefix index, ground-suffix index, or scan). After each rule's base plan come its delta-hoisted
-// variants, indented: one "Δname:" line per positive body atom (the
-// plan maintenance runs when the delta sits on that relation, with the
-// delta atom first) and one "Δ!name:" line per negated atom (run with
-// the atom's variables pre-bound against each changed tuple).
+// (exact index, ground-prefix index, ground-suffix index, or scan).
+// After each rule's base plan come its delta-hoisted variants,
+// indented, in body order: one "Δname:" line per positive body atom
+// and one "Δ!name:" line per negated one — the plan maintenance runs
+// when the delta sits on that relation, with the delta atom first (a
+// negated atom made positive) as the [delta] step.
 func (p *Prepared) Explain() []string {
 	var out []string
 	for _, c := range p.comps {
 		for _, pl := range c.plans {
 			out = append(out, pl.describe())
 			for _, v := range pl.variants {
-				out = append(out, fmt.Sprintf("  Δ%s: %s", v.steps[0].pred.Name, v.describe()))
-			}
-			for _, nv := range pl.negVariants {
-				out = append(out, fmt.Sprintf("  Δ!%s: %s", nv.pred.Name, nv.p.describe()))
+				sign := ""
+				if v.neg {
+					sign = "!"
+				}
+				out = append(out, fmt.Sprintf("  Δ%s%s: %s", sign, v.steps[0].pred.Name, v.describe()))
 			}
 		}
 	}

@@ -24,7 +24,7 @@ func naiveEval(prep *Prepared, edb *instance.Instance, limits Limits) (*instance
 	limits = limits.orDefault()
 	inst := edb.Clone()
 	derived := 0
-	dr := &driver{inst: inst, limits: limits, opts: runOpts{negStep: -1}, derived: &derived}
+	dr := &driver{inst: inst, limits: limits, derived: &derived}
 	for si, stratum := range prep.prog.Strata {
 		var plans []*plan
 		for _, r := range stratum {
@@ -45,7 +45,7 @@ func naiveEval(prep *Prepared, edb *instance.Instance, limits Limits) (*instance
 			}
 			before := derived
 			for _, p := range plans {
-				if err := dr.exec(p, window{}, dr.derive); err != nil {
+				if err := dr.exec(workItem{plan: p}, dr.derive); err != nil {
 					return nil, fmt.Errorf("stratum %d: %w", si+1, err)
 				}
 			}

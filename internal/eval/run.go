@@ -15,14 +15,8 @@ import (
 type sinkFunc func(head ast.Pred, env *Env) error
 
 // runOpts extends a plan run for the DRed maintenance phases; the zero
-// value (with negStep -1) is an ordinary run.
+// value is an ordinary run.
 type runOpts struct {
-	// deltaRels substitutes side relations for the delta step's
-	// relation: the step iterates the window of deltaRels[name] instead
-	// of the instance relation of the same name. The overdeletion phase
-	// passes the deletion logs, to join the set of deleted facts against
-	// the rest of the body.
-	deltaRels map[string]*instance.Relation
 	// includeDead makes non-delta positive predicate steps match
 	// tombstoned tuples too, so the join sees a superset of the
 	// pre-deletion state: live tuples plus every tombstone not yet
@@ -32,13 +26,6 @@ type runOpts struct {
 	// restored by rederivation — and the stale tombstones only cost
 	// churn, never correctness. The delta step always skips tombstones.
 	includeDead bool
-	// negStep, when >= 0, turns the negated predicate step at that index
-	// into a positive delta probe: the step succeeds exactly when
-	// negProbe accepts the ground tuple (instead of when the relation
-	// does not contain it). Used to restrict a run to derivations that
-	// depend on a change of the negated relation.
-	negStep  int
-	negProbe func(h uint64, t instance.Tuple) bool
 	// boundHeads/boundBirth are the overdeletion pruner's well-founded
 	// support check: positive non-delta steps over a relation named in
 	// boundHeads (the candidate's component's heads — the relations
@@ -85,7 +72,7 @@ type run struct {
 	err  error // the first error; every step returns at once after it
 	// env is the run's valuation. Matching undoes its bindings as it
 	// unwinds, so between runs it is empty — or holds exactly what the
-	// caller bound before exec (negDelta, derivesGoal).
+	// caller bound before exec (derivesGoal).
 	env   *Env
 	slots []slot // one per step of the longest plan run so far
 }
@@ -123,17 +110,19 @@ func (dr *driver) valuation() *Env {
 	return dr.frame.env
 }
 
-// resolve returns the relation step i of p reads and, when the step
-// probes one, its exact index: once per run, because map and
-// index-signature lookups are far too slow for once per binding.
-func (dr *driver) resolve(p *plan, i int) (*instance.Relation, *instance.Index) {
-	s := &p.steps[i]
+// resolve returns the relation step i of the item's plan reads — a
+// hoisted plan's delta step reads the item's log, when it has one —
+// and, when the step probes one, its exact index: once per run,
+// because map and index-signature lookups are far too slow for once
+// per binding.
+func (dr *driver) resolve(it workItem, i int) (*instance.Relation, *instance.Index) {
+	s := &it.plan.steps[i]
 	if s.kind != stepPred && s.kind != stepNegPred {
 		return nil, nil
 	}
-	rel := dr.inst.Relation(s.pred.Name)
-	if p.hoisted && i == 0 && dr.opts.deltaRels != nil {
-		rel = dr.opts.deltaRels[s.pred.Name]
+	rel := it.log
+	if i > 0 || rel == nil {
+		rel = dr.inst.Relation(s.pred.Name)
 	}
 	if rel == nil || s.kind != stepPred || len(s.BoundCols) == 0 {
 		return rel, nil
@@ -141,15 +130,16 @@ func (dr *driver) resolve(p *plan, i int) (*instance.Relation, *instance.Index) 
 	return rel, rel.Index(s.BoundCols...)
 }
 
-// exec evaluates one rule, feeding every derivation to sink. On a
+// exec runs one work item, feeding every derivation to sink. On a
 // hoisted plan the first step — the delta predicate — iterates only the
-// window win of its relation instead of all tuples; other plans ignore
-// win. A relation first created by this very run's derivations stays
-// unseen until the next semi-naive round, whose delta window covers the
-// new facts.
-func (dr *driver) exec(p *plan, win window, sink sinkFunc) error {
+// item's window of its relation instead of all tuples; other plans
+// ignore it. A relation first created by this very run's derivations
+// stays unseen until the next semi-naive round, whose delta window
+// covers the new facts.
+func (dr *driver) exec(it workItem, sink sinkFunc) error {
+	p := it.plan
 	r := &dr.frame
-	r.dr, r.plan, r.win, r.sink = dr, p, win, sink
+	r.dr, r.plan, r.win, r.sink = dr, p, it.win, sink
 	dr.valuation() // r.env: fresh, or what the caller bound into it
 	for len(r.slots) < len(p.steps) {
 		i := len(r.slots)
@@ -157,7 +147,7 @@ func (dr *driver) exec(p *plan, win window, sink sinkFunc) error {
 	}
 	for i := range p.steps {
 		s, sl := &p.steps[i], &r.slots[i]
-		sl.rel, sl.idx = dr.resolve(p, i)
+		sl.rel, sl.idx = dr.resolve(it, i)
 		switch s.kind {
 		case stepPred:
 			sl.view = dr.opts.stepView(s, p.hoisted && i == 0)
@@ -288,29 +278,16 @@ func (r *run) eq(s *step, sl *slot) {
 // safety: a single probe of the relation's built-in full-tuple hash
 // index. Negated relations live in earlier components, so the relation
 // resolved by exec cannot go stale mid-run.
-//
-// On the run's negStep the step is a delta probe instead: the run is
-// restricted to derivations that depend on a change of this negated
-// relation, so the step succeeds exactly when the ground tuple is in
-// the change set (replacing the absence check; the probe itself encodes
-// the required relationship to the live relation).
 func (r *run) negPred(i int, s *step, sl *slot) {
-	opts := &r.dr.opts
-	if i != opts.negStep && sl.rel == nil {
-		r.step(i + 1)
-		return
-	}
-	for k, a := range s.pred.Args {
-		sl.neg[k] = r.env.EvalAppend(a, sl.neg[k][:0])
-	}
-	h := sl.neg.Hash()
-	if i == opts.negStep {
-		if opts.negProbe(h, sl.neg) {
-			r.step(i + 1)
+	if sl.rel != nil {
+		for k, a := range s.pred.Args {
+			sl.neg[k] = r.env.EvalAppend(a, sl.neg[k][:0])
 		}
-	} else if sl.rel.Position(instance.View{}, h, sl.neg) < 0 {
-		r.step(i + 1)
+		if sl.rel.Position(instance.View{}, sl.neg.Hash(), sl.neg) >= 0 {
+			return
+		}
 	}
+	r.step(i + 1)
 }
 
 // negEq compares the two sides of a nonequality, both ground by safety.

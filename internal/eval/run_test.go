@@ -18,34 +18,43 @@ import (
 // binding. Before the frame one such run made 14 allocations on the
 // 2-step plan and 19 on the 4-step one (four slices and an Env per run,
 // scratch per predicate step, a closure per candidate, a path per
-// atomic binding).
+// atomic binding). A negated atom's variant is held to the same gate.
 func TestWarmFrameAllocs(t *testing.T) {
+	const negated = `T(@x.@z) :- T(@x.@y), R(@y.@z), !B(@x.@z), @x != @z.`
 	discard := func(ast.Pred, *Env) error { return nil }
-	var got []float64
-	for _, src := range []string{
-		`T(@x.@z) :- T(@x.@y), R(@y.@z).`,
-		`T(@x.@z) :- T(@x.@y), R(@y.@z), !B(@x.@z), @x != @z.`,
+	for _, tc := range []struct {
+		src     string
+		variant int    // which delta variant of the rule runs
+		log     string // the facts its window reads, when not the instance's own
+		want    int    // derivations reaching the sink
+	}{
+		{`T(@x.@z) :- T(@x.@y), R(@y.@z).`, 0, "", 2}, // T(a.c), T(a.d)
+		{negated, 0, "", 2},
+		// Δ!B over a deletion log holding B(a.d): T(a.d) is unblocked.
+		{negated, 2, `B(a.d).`, 1},
 	} {
-		prep, err := Compile(parser.MustParseProgram(src))
+		prep, err := Compile(parser.MustParseProgram(tc.src))
 		if err != nil {
 			t.Fatal(err)
 		}
-		dr := &driver{inst: parser.MustParseInstance(`T(a.b). R(b.c). R(b.d). B(q.r).`), limits: DefaultLimits, opts: runOpts{negStep: -1}}
-		v := prep.comps[0].plans[0].variants[0]
+		dr := &driver{inst: parser.MustParseInstance(`T(a.b). R(b.c). R(b.d). B(q.r).`), limits: DefaultLimits}
+		it := workItem{plan: prep.comps[0].plans[0].variants[tc.variant], win: window{0, 1}}
+		if tc.log != "" {
+			it.log = parser.MustParseInstance(tc.log).Relation("B")
+		}
 		reached := 0
 		run := func(sink sinkFunc) {
-			if err := dr.exec(v, window{0, 1}, sink); err != nil {
+			if err := dr.exec(it, sink); err != nil {
 				t.Fatal(err)
 			}
 		}
 		run(func(ast.Pred, *Env) error { reached++; return nil })
-		if reached != 2 {
-			t.Fatalf("%s: %d derivations reached the sink, want T(a.c) and T(a.d)", src, reached)
+		if reached != tc.want {
+			t.Fatalf("%s (%s): %d derivations reached the sink, want %d", tc.src, it.plan.describe(), reached, tc.want)
 		}
-		got = append(got, testing.AllocsPerRun(100, func() { run(discard) }))
-	}
-	if got[0] != 0 || got[1] != 0 {
-		t.Fatalf("warm run allocations: %v on the 2-step plan, %v on the 4-step plan; want none", got[0], got[1])
+		if got := testing.AllocsPerRun(100, func() { run(discard) }); got != 0 {
+			t.Errorf("%s: warm run of %s allocates %v; want none", tc.src, it.plan.describe(), got)
+		}
 	}
 }
 

@@ -884,9 +884,12 @@ func (r *Relation) Equal(s *Relation) bool {
 
 // indexSig encodes a column list as a compact map key (one uvarint per
 // column) without fmt or a strings.Builder: Index is called once per
-// (rule run, step), hot enough under parallel fan-out to matter.
+// (rule run, step), hot enough under parallel fan-out to matter. The
+// bytes are built on the stack, so a one-column key — a one-byte
+// string, which Go does not allocate — costs no allocation at all.
 func indexSig(cols []int) string {
-	b := make([]byte, 0, 2*len(cols))
+	var buf [16]byte
+	b := buf[:0]
 	for _, c := range cols {
 		b = binary.AppendUvarint(b, uint64(c))
 	}

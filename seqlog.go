@@ -123,9 +123,10 @@ var ErrNonTermination = eval.ErrNonTermination
 
 // Serving (the compile/execute split and the persistent engine).
 type (
-	// Prepared is a compiled program: validated, stratified, with every
-	// rule's join plan and the relation arities computed once. Reuse it
-	// to evaluate the same program repeatedly without re-planning.
+	// Prepared is a compiled program: validated, split into its
+	// dependency components in evaluation order, with every rule's join
+	// plan and the relation arities computed once. Reuse it to evaluate
+	// the same program repeatedly without re-planning.
 	Prepared = eval.Prepared
 	// Engine is a persistent evaluator: a Prepared program plus a live
 	// materialized instance, maintained incrementally under Assert and
@@ -141,17 +142,17 @@ type (
 	// MaintenanceStats is the part of AssertStats and RetractStats both
 	// directions share, because both run the same maintenance: net
 	// derived facts, the overdelete / stamp-prune / rederive work,
-	// strata skipped or maintained incrementally, PlanStats, and the
-	// copy-on-write barrier work.
+	// dependency components skipped or maintained incrementally,
+	// PlanStats, and the copy-on-write barrier work.
 	MaintenanceStats = eval.MaintenanceStats
 	// EngineStats is a point-in-time summary of an Engine.
 	EngineStats = eval.EngineStats
-	// PlanStats counts plan executions during maintenance: how often a
-	// delta-hoisted plan variant ran (a positive atom's relation
-	// changed) or a pre-bound base plan (a negated one did), and how
-	// the non-delta join steps were served (exact index probe, ground
-	// prefix probe, ground suffix probe, or full scan). A field of
-	// MaintenanceStats and EngineStats.
+	// PlanStats counts plan executions during maintenance: how many
+	// runs of delta-hoisted plan variants a positive atom's change
+	// windows drove (VariantRuns) and how many a negated atom's did
+	// (BaseRuns), one per window, and how the non-delta join steps were
+	// served (exact index probe, ground prefix probe, ground suffix
+	// probe, or full scan). A field of MaintenanceStats and EngineStats.
 	PlanStats = eval.PlanStats
 )
 
@@ -201,7 +202,7 @@ func NewEngine(p *Prepared, edb *Instance, limits Limits) (*Engine, error) {
 	return eval.NewEngine(p, edb, limits)
 }
 
-// Eval computes P(I) stratum by stratum. It compiles the program per
+// Eval computes P(I) one dependency component at a time. It compiles the program per
 // call; use Compile + Prepared.Eval (or an Engine) for repeated
 // evaluation of the same program.
 func Eval(p Program, edb *Instance, limits Limits) (*Instance, error) {
