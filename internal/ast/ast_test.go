@@ -445,9 +445,9 @@ func TestAccessAndJoinOrder(t *testing.T) {
 	}
 	order := func(first int) (out []int, classes []AccessClass) {
 		b := map[Var]bool{}
-		JoinOrder(preds, b, first, func(i int) {
+		JoinOrder(preds, nil, b, first, func(i int, probe Pred) {
 			out = append(out, i)
-			classes = append(classes, preds[i].Access(b).Class())
+			classes = append(classes, probe.Access(b).Class())
 		})
 		return out, classes
 	}

@@ -1,5 +1,7 @@
 package ast
 
+import "slices"
+
 // The join planner's pure-syntax decisions: what a predicate can be
 // probed with once a set of variables is bound, how candidates for the
 // next join step rank, and the greedy order that ranking produces. eval
@@ -155,18 +157,59 @@ func (p Pred) JoinScore(bound map[Var]bool) JoinScore {
 	return s
 }
 
+// Defs maps each variable a positive equation of a rule body defines to
+// its definition: $x = E, either side, where $x is a single variable
+// that does not occur in E (so $x = a.$x defines nothing). The first
+// equation defining a variable wins.
+type Defs map[Var]Expr
+
+// Definitions reads the definitions off a body's positive equations.
+func Definitions(eqs []Eq) Defs {
+	d := Defs{}
+	for _, eq := range eqs {
+		for _, side := range [2][2]Expr{{eq.L, eq.R}, {eq.R, eq.L}} {
+			v, ok := side[0].SoleVar()
+			if _, dup := d[v]; ok && !dup && !slices.Contains(side[1].Vars(), v) {
+				d[v] = side[1]
+			}
+		}
+	}
+	return d
+}
+
+// Probe is the predicate's probe form under bound: every argument that
+// is one unbound defined variable replaced by its definition. The form
+// keys index probes — any valuation satisfying the body makes such a
+// column equal its definition's value — while matching still uses the
+// predicate's own arguments, so the variable is bound from the tuple
+// and the equation is still checked.
+func (d Defs) Probe(p Pred, bound map[Var]bool) Pred {
+	if len(d) == 0 {
+		return p
+	}
+	return p.MapArgs(func(arg Expr) Expr {
+		if v, ok := arg.SoleVar(); ok && !bound[v] {
+			if def, ok := d[v]; ok {
+				return def
+			}
+		}
+		return arg
+	})
+}
+
 // JoinOrder visits preds in the planner's greedy join order: at each
-// point the predicate with the highest JoinScore under the variables
-// bound so far, ties keeping the given order, so later steps arrive
-// with bindings an index can exploit. first >= 0 pins preds[first] to
-// the first position (the delta-hoisted shape, where that atom iterates
-// a change window); the greedy order governs the rest. Join order never
-// changes the derived set, only the work to derive it.
+// point the predicate whose probe form (defs.Probe) has the highest
+// JoinScore under the variables bound so far, ties keeping the given
+// order, so later steps arrive with bindings an index can exploit.
+// first >= 0 pins preds[first] to the first position (the delta-hoisted
+// shape, where that atom iterates a change window); the greedy order
+// governs the rest. Join order never changes the derived set, only the
+// work to derive it.
 //
-// visit(i) runs with bound holding exactly the variables bound when
-// preds[i]'s step executes; JoinOrder adds preds[i]'s own variables to
-// bound after visit returns.
-func JoinOrder(preds []Pred, bound map[Var]bool, first int, visit func(i int)) {
+// visit(i, probe) runs with bound holding exactly the variables bound
+// when preds[i]'s step executes and probe its probe form under them;
+// JoinOrder adds preds[i]'s own variables to bound after visit returns.
+func JoinOrder(preds []Pred, defs Defs, bound map[Var]bool, first int, visit func(i int, probe Pred)) {
 	rest := make([]int, len(preds))
 	for i := range rest {
 		rest[i] = i
@@ -176,18 +219,44 @@ func JoinOrder(preds []Pred, bound map[Var]bool, first int, visit func(i int)) {
 		if first >= 0 {
 			best, first = first, -1
 		} else {
-			bestScore := preds[rest[0]].JoinScore(bound)
+			bestScore := defs.Probe(preds[rest[0]], bound).JoinScore(bound)
 			for k := 1; k < len(rest); k++ {
-				if s := preds[rest[k]].JoinScore(bound); bestScore.Less(s) {
+				if s := defs.Probe(preds[rest[k]], bound).JoinScore(bound); bestScore.Less(s) {
 					best, bestScore = k, s
 				}
 			}
 		}
 		i := rest[best]
 		rest = append(rest[:best], rest[best+1:]...)
-		visit(i)
+		visit(i, defs.Probe(preds[i], bound))
 		for _, v := range VarsOf(preds[i].Args...) {
 			bound[v] = true
+		}
+	}
+}
+
+// DeltaVariants visits the rule's delta variants in body order, one
+// per body predicate i: the rule with literal i made positive (a
+// negated atom is spliced in positive, so the variant joins the changes
+// of the negated relation against the rest of the body) and hoist, i's
+// index among the variant's positive predicates — the atom JoinOrder
+// pins first. It stops when visit returns false.
+func (r Rule) DeltaVariants(visit func(i, hoist int, v Rule) bool) {
+	hoist := 0
+	for i, l := range r.Body {
+		pr, ok := l.Atom.(Pred)
+		if !ok {
+			continue
+		}
+		v := r
+		if l.Neg {
+			v = r.Splice(i, Pos(pr))
+		}
+		if !visit(i, hoist, v) {
+			return
+		}
+		if !l.Neg {
+			hoist++
 		}
 	}
 }

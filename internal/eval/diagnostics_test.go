@@ -150,9 +150,10 @@ func TestPreparedDiagnosticsIsACopy(t *testing.T) {
 }
 
 // TestPerfLintAgreesWithPlanner: the performance lint and the planner
-// are the same code (ast.JoinOrder, ast.Pred.Access), so they must agree
-// rule by rule: a predicate of arity > 0 is reported full-scan-delta
-// under ΔR iff the rule's ΔR variant line of Prepared.Explain marks it
+// are the same code (ast.Rule.DeltaVariants, ast.JoinOrder,
+// ast.Pred.Access on the probe form), so they must agree rule by rule:
+// a predicate of arity > 0 is reported full-scan-delta under ΔR (Δ!R)
+// iff the rule's ΔR (Δ!R) variant line of Prepared.Explain marks it
 // [scan]. Checked on every built-in query and every analyzer fixture
 // that compiles.
 func TestPerfLintAgreesWithPlanner(t *testing.T) {
@@ -194,14 +195,15 @@ func TestPerfLintAgreesWithPlanner(t *testing.T) {
 				}
 				planner := map[string]bool{}
 				for _, v := range pl.variants {
+					delta := "Δ" + v.steps[0].pred.Name
 					if v.neg {
-						continue // full-scan-delta reads positive deltas only
+						delta = "Δ!" + v.steps[0].pred.Name
 					}
-					line := v.describe() // the text after "ΔR:" in Explain
+					line := v.describe() // the text after "ΔR:" or "Δ!R:" in Explain
 					for _, i := range v.predSteps[1:] {
 						pr := v.steps[i].pred
 						if len(pr.Args) > 0 && strings.Contains(line, pr.String()+" [scan]") {
-							planner[pr.Name+" under Δ"+v.steps[0].pred.Name] = true
+							planner[pr.Name+" under "+delta] = true
 						}
 					}
 				}

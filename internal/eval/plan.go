@@ -19,11 +19,15 @@ type step struct {
 	neg bool
 
 	// Join acceleration (stepPred only): the access paths open to the
-	// step under the variables bound when it runs; see ast.Access.
-	// unboundCols/unboundArgs are the complement of BoundCols, matched
-	// per candidate (the bound ones are already verified by the index
-	// lookup).
+	// step's probe form under the variables bound when it runs (see
+	// ast.Access and ast.Defs.Probe); probe holds that form's arguments,
+	// from which run.candidates evaluates the index keys. unboundCols/
+	// unboundArgs are the columns whose own arguments are not ground,
+	// matched per candidate (the others are already verified by the
+	// index lookup); a column probed through a definition is among
+	// them, so matching binds its variable.
 	ast.Access
+	probe       []ast.Expr
 	unboundCols []int
 	unboundArgs []ast.Expr
 }
@@ -88,8 +92,8 @@ func compilePlan(r ast.Rule, preBound []ast.Var, hoist int) (*plan, error) {
 	if hoist >= len(preds) {
 		return nil, fmt.Errorf("eval: hoist index %d out of range for rule %s", hoist, r)
 	}
-	ast.JoinOrder(preds, bound, hoist, func(i int) {
-		st := step{kind: stepPred, pred: preds[i], Access: preds[i].Access(bound)}
+	ast.JoinOrder(preds, ast.Definitions(parts.Eqs), bound, hoist, func(i int, probe ast.Pred) {
+		st := step{kind: stepPred, pred: preds[i], probe: probe.Args, Access: probe.Access(bound)}
 		for k, a := range st.pred.Args {
 			if !a.BoundIn(bound) {
 				st.unboundCols = append(st.unboundCols, k)
@@ -137,38 +141,27 @@ func compilePlan(r ast.Rule, preBound []ast.Var, hoist int) (*plan, error) {
 }
 
 // compileVariants populates p.variants: one hoisted plan per body
-// predicate, in body order — the plan maintenance runs when the delta
-// sits on that atom's relation. A negated atom's variant is the rule
-// with the literal made positive and hoisted: it joins the changed
-// tuples of the negated relation against the rest of the body, so it
-// visits exactly the valuations whose negated atom evaluates into the
-// change. Compiled once at Compile time on base plans; rederive plans
-// never need them. Variant compilation cannot fail on a rule the base
-// compile accepted — hoisting only changes join order, and a negated
-// atom's variables are bound by the positive body anyway — but errors
-// are propagated defensively.
-func (p *plan) compileVariants() error {
-	pos := 0 // positive body predicates before literal i
-	for i, l := range p.rule.Body {
-		pr, ok := l.Atom.(ast.Pred)
-		if !ok {
-			continue
+// predicate, in body order (ast.Rule.DeltaVariants) — the plan
+// maintenance runs when the delta sits on that atom's relation. A
+// negated atom's variant joins the changed tuples of the negated
+// relation against the rest of the body, so it visits exactly the
+// valuations whose negated atom evaluates into the change. Compiled
+// once at Compile time on base plans; rederive plans never need them.
+// Variant compilation cannot fail on a rule the base compile accepted
+// — hoisting only changes join order, and a negated atom's variables
+// are bound by the positive body anyway — but errors are propagated
+// defensively.
+func (p *plan) compileVariants() (err error) {
+	p.rule.DeltaVariants(func(i, hoist int, r ast.Rule) bool {
+		var v *plan
+		if v, err = compilePlan(r, nil, hoist); err != nil {
+			return false
 		}
-		r := p.rule
-		if l.Neg {
-			r = r.Splice(i, ast.Pos(pr))
-		}
-		v, err := compilePlan(r, nil, pos)
-		if err != nil {
-			return err
-		}
-		v.neg = l.Neg
+		v.neg = p.rule.Body[i].Neg
 		p.variants = append(p.variants, v)
-		if !l.Neg {
-			pos++
-		}
-	}
-	return nil
+		return true
+	})
+	return err
 }
 
 // accessPaths is the one table of the access classes a positive
@@ -180,26 +173,49 @@ var accessPaths = [...]struct {
 	counter func(st *PlanStats) *int
 }{
 	ast.AccessScan: {
-		func(*step) string { return " [scan]" },
+		func(*step) string { return "scan" },
 		func(st *PlanStats) *int { return &st.ScanSteps },
 	},
 	ast.AccessExact: {
 		func(s *step) string {
 			if len(s.BoundCols) == len(s.pred.Args) {
-				return fmt.Sprintf(" [index%v ground]", s.BoundCols)
+				return fmt.Sprintf("index%v ground", s.BoundCols)
 			}
-			return fmt.Sprintf(" [index%v]", s.BoundCols)
+			return fmt.Sprintf("index%v", s.BoundCols)
 		},
 		func(st *PlanStats) *int { return &st.IndexProbeSteps },
 	},
 	ast.AccessPrefix: {
-		func(s *step) string { return fmt.Sprintf(" [prefix col=%d len=%d]", s.PrefixCol, s.PrefixLen) },
+		func(s *step) string { return fmt.Sprintf("prefix col=%d len=%d", s.PrefixCol, s.PrefixLen) },
 		func(st *PlanStats) *int { return &st.PrefixProbeSteps },
 	},
 	ast.AccessSuffix: {
-		func(s *step) string { return fmt.Sprintf(" [suffix col=%d len=%d]", s.SuffixCol, s.SuffixLen) },
+		func(s *step) string { return fmt.Sprintf("suffix col=%d len=%d", s.SuffixCol, s.SuffixLen) },
 		func(st *PlanStats) *int { return &st.SuffixProbeSteps },
 	},
+}
+
+// origin names where a step's probe comes from when it is not the
+// step's own arguments: " of E" for every probed column that probes
+// through the definition E.
+func (s *step) origin() string {
+	cols := s.BoundCols
+	switch s.Class() {
+	case ast.AccessPrefix:
+		cols = []int{s.PrefixCol}
+	case ast.AccessSuffix:
+		cols = []int{s.SuffixCol}
+	}
+	var of []string
+	for _, c := range cols {
+		if !s.probe[c].Equal(s.pred.Args[c]) {
+			of = append(of, s.probe[c].String())
+		}
+	}
+	if len(of) == 0 {
+		return ""
+	}
+	return " of " + strings.Join(of, ", ")
 }
 
 // describe renders the compiled join plan of the rule: the chosen
@@ -221,7 +237,7 @@ func (p *plan) describe() string {
 			if p.hoisted && i == 0 {
 				b.WriteString(" [delta]")
 			} else {
-				b.WriteString(accessPaths[s.Class()].label(&s))
+				fmt.Fprintf(&b, " [%s%s]", accessPaths[s.Class()].label(&s), s.origin())
 			}
 		case stepEq:
 			fmt.Fprintf(&b, "%s = %s [match]", s.ground, s.pattern)

@@ -245,18 +245,18 @@ func (r *run) pred(i int, s *step, sl *slot) {
 func (r *run) candidates(s *step, sl *slot) (cands []int, probed bool) {
 	if sl.idx != nil {
 		for j, c := range s.BoundCols {
-			sl.vals[j] = r.env.EvalAppend(s.pred.Args[c], sl.vals[j][:0])
+			sl.vals[j] = r.env.EvalAppend(s.probe[c], sl.vals[j][:0])
 		}
 		return sl.idx.Lookup(sl.view, sl.vals...), true
 	}
 	if s.PrefixCol >= 0 {
-		sl.bufA = r.env.EvalAppend(s.pred.Args[s.PrefixCol][:s.PrefixLen], sl.bufA[:0])
+		sl.bufA = r.env.EvalAppend(s.probe[s.PrefixCol][:s.PrefixLen], sl.bufA[:0])
 		if len(sl.bufA) > 0 {
 			return sl.rel.PrefixLookup(sl.view, s.PrefixCol, sl.bufA), true
 		}
 	}
 	if s.SuffixCol >= 0 {
-		arg := s.pred.Args[s.SuffixCol]
+		arg := s.probe[s.SuffixCol]
 		sl.bufA = r.env.EvalAppend(arg[len(arg)-s.SuffixLen:], sl.bufA[:0])
 		if len(sl.bufA) > 0 {
 			return sl.rel.SuffixLookup(sl.view, s.SuffixCol, sl.bufA), true

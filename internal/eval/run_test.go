@@ -18,29 +18,37 @@ import (
 // binding. Before the frame one such run made 14 allocations on the
 // 2-step plan and 19 on the 4-step one (four slices and an Env per run,
 // scratch per predicate step, a closure per candidate, a path per
-// atomic binding). A negated atom's variant is held to the same gate.
+// atomic binding). A negated atom's variant is held to the same gate,
+// and so is a suffix probe through a definition (process-mining's
+// Δ!After, which probes L($x) with $x's definition).
 func TestWarmFrameAllocs(t *testing.T) {
 	const negated = `T(@x.@z) :- T(@x.@y), R(@y.@z), !B(@x.@z), @x != @z.`
+	const edb = `T(a.b). R(b.c). R(b.d). B(q.r).`
 	discard := func(ast.Pred, *Env) error { return nil }
 	for _, tc := range []struct {
 		src     string
+		edb     string
 		variant int    // which delta variant of the rule runs
 		log     string // the facts its window reads, when not the instance's own
 		want    int    // derivations reaching the sink
 	}{
-		{`T(@x.@z) :- T(@x.@y), R(@y.@z).`, 0, "", 2}, // T(a.c), T(a.d)
-		{negated, 0, "", 2},
+		{`T(@x.@z) :- T(@x.@y), R(@y.@z).`, edb, 0, "", 2}, // T(a.c), T(a.d)
+		{negated, edb, 0, "", 2},
 		// Δ!B over a deletion log holding B(a.d): T(a.d) is unblocked.
-		{negated, 2, `B(a.d).`, 1},
+		{negated, edb, 2, `B(a.d).`, 1},
+		// Δ!After over a log holding After(p): the two logs ending in
+		// 'complete order'.p, found by the suffix probe, not a scan of L.
+		{`Bad($x) :- L($x), $x = $u.'complete order'.$v, !After($v).`,
+			`L(a.'complete order'.p). L(b.'complete order'.p). L(c.'complete order'.q). L(p).`, 1, `After(p).`, 2},
 	} {
 		prep, err := Compile(parser.MustParseProgram(tc.src))
 		if err != nil {
 			t.Fatal(err)
 		}
-		dr := &driver{inst: parser.MustParseInstance(`T(a.b). R(b.c). R(b.d). B(q.r).`), limits: DefaultLimits}
+		dr := &driver{inst: parser.MustParseInstance(tc.edb), limits: DefaultLimits}
 		it := workItem{plan: prep.comps[0].plans[0].variants[tc.variant], win: window{0, 1}}
 		if tc.log != "" {
-			it.log = parser.MustParseInstance(tc.log).Relation("B")
+			it.log = parser.MustParseInstance(tc.log).Relation(it.plan.steps[0].pred.Name)
 		}
 		reached := 0
 		run := func(sink sinkFunc) {
