@@ -12,13 +12,15 @@ import (
 	"seqlog/internal/workload"
 )
 
-// matchBody returns one Match of e against p under a warm Env: what the
-// matcher benchmarks time and TestMatchAllocs (run_test.go) pins at
-// zero allocations, on the same inputs.
+// matchBody returns one match of e against p under a warm Env, e
+// compiled once as a plan step's argument is: what the matcher
+// benchmarks time and TestMatchAllocs (run_test.go) pins at zero
+// allocations, on the same inputs.
 func matchBody(e ast.Expr, p value.Path) func() {
 	env := NewEnv()
+	x := env.number(e)[0]
 	count := 0
-	return func() { env.Match(e, p, func() { count++ }) }
+	return func() { env.matchSeq(x, p, func() { count++ }) }
 }
 
 // twoPathVars is $x.m.$y against a^(n/2).m.b^(n/2): one split matches.
@@ -33,12 +35,45 @@ func packedMatch() func() {
 		value.Concat(value.Repeat("x", 8), value.Path{value.Pack(value.Repeat("a", 8))}, value.Repeat("y", 8)))
 }
 
+// tupleAtomic is the recursive transitive-closure step R(@y.@z) of
+// T(@x.@z) :- T(@x.@y), R(@y.@z): four 2-atom tuples matched against
+// @y.@z, with @y bound by the T step before it, or free as when R is
+// the delta step.
+func tupleAtomic(bound bool) func() {
+	env := NewEnv()
+	args := env.number(ast.Cat(ast.A("x"), ast.A("y")), ast.Cat(ast.A("y"), ast.A("z")))[1:]
+	if bound {
+		env.vals[1], env.bound[1] = value.PathOf("b"), true // slot 1 is @y
+	}
+	var tuples [][]value.Path
+	for _, edge := range []string{"a.b", "b.c", "b.d", "c.d"} {
+		tuples = append(tuples, []value.Path{parser.MustParsePath(edge)})
+	}
+	count := 0
+	return func() {
+		for _, t := range tuples {
+			env.matchTuple(args, t, func() { count++ })
+		}
+	}
+}
+
 var matchLens = []int{8, 64, 256}
 
 func BenchmarkMatchTwoPathVars(b *testing.B) {
 	for _, n := range matchLens {
 		op := twoPathVars(n)
 		b.Run(fmt.Sprintf("len=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
+	}
+}
+
+func BenchmarkMatchTupleAtomic(b *testing.B) {
+	for _, bound := range []bool{true, false} {
+		op := tupleAtomic(bound)
+		b.Run(fmt.Sprintf("bound=%v", bound), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				op()
 			}

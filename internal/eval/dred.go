@@ -64,7 +64,6 @@ import (
 	"fmt"
 	"sort"
 
-	"seqlog/internal/ast"
 	"seqlog/internal/instance"
 )
 
@@ -160,12 +159,13 @@ func (m *maintenance) overdelete(c *component) error {
 	// The pruner's goal checks start from inside the sink, that is inside
 	// a run of dr: they go through a driver, and so a frame, of their own.
 	goal := m.driver(nil, runOpts{boundHeads: c.heads})
-	sink := func(head ast.Pred, env *Env) error {
-		t, h, err := dr.head(head, env)
+	sink := func(p *plan, env *Env) error {
+		t, h, err := dr.head(p, env)
 		if err != nil {
 			return err
 		}
-		rel := e.inst.Relation(head.Name)
+		name := p.rule.Head.Name
+		rel := e.inst.Relation(name)
 		if rel == nil {
 			return nil
 		}
@@ -175,7 +175,7 @@ func (m *maintenance) overdelete(c *component) error {
 		}
 		// EDB-provided facts of IDB relations are base facts, not
 		// derivations: they survive every overdeletion.
-		if s := e.seeds[head.Name]; s != nil && s.Position(instance.View{}, h, t) >= 0 {
+		if s := e.seeds[name]; s != nil && s.Position(instance.View{}, h, t) >= 0 {
 			return nil
 		}
 		// Well-founded pruning: keep the candidate outright when some
@@ -190,7 +190,7 @@ func (m *maintenance) overdelete(c *component) error {
 		// downward closure: in well-connected data most candidates have
 		// an older alternative derivation and the cascade stops at the
 		// frontier.
-		kept, err := goal.derivesGoal(c.rederive, head.Name, t, rel.StampAt(pos))
+		kept, err := goal.derivesGoal(c.rederive, name, t, rel.StampAt(pos))
 		if err != nil {
 			return err
 		}
@@ -198,11 +198,11 @@ func (m *maintenance) overdelete(c *component) error {
 			m.stats.StampPruned++
 			return nil
 		}
-		dst := e.inst.Ensure(head.Name, len(head.Args))
+		dst := e.inst.Ensure(name, len(t))
 		if !dst.DeleteHashed(h, t) {
 			return nil
 		}
-		m.delFor(head.Name, len(head.Args)).AddFromScratch(h, t)
+		m.delFor(name, len(t)).AddFromScratch(h, t)
 		e.derived--
 		m.stats.Overdeleted++
 		return nil
@@ -301,12 +301,12 @@ func (m *maintenance) rederive(c *component) error {
 	}
 	// Delta propagation over the restore windows: keep a derived fact
 	// only when it is a still-deleted candidate.
-	sink := func(head ast.Pred, env *Env) error {
-		t, h, err := dr.head(head, env)
+	sink := func(p *plan, env *Env) error {
+		t, h, err := dr.head(p, env)
 		if err != nil {
 			return err
 		}
-		dl := m.del[head.Name]
+		dl := m.del[p.rule.Head.Name]
 		if dl == nil {
 			return nil
 		}
@@ -314,15 +314,16 @@ func (m *maintenance) rederive(c *component) error {
 		if pos < 0 {
 			return nil // not a candidate: the fact already exists (or never did)
 		}
-		restore(head.Name, len(head.Args), dl.HashAt(pos), dl.TupleAt(pos))
+		restore(p.rule.Head.Name, len(t), dl.HashAt(pos), dl.TupleAt(pos))
 		return nil
 	}
 	return dr.fixpoint(c.heads, prev, sink)
 }
 
 // derivesGoal reports whether some rule of the component derives the
-// fact name(t...): the rule head is matched against the fact (in the
-// frame's own valuation, which the run starts from) and the body
+// fact name(t...): the rule head is matched against the fact (into
+// the rederive plan's slots of the frame's own valuation, which the
+// run starts from) and the body
 // evaluated against the live state through the head-bound rederive
 // plan, stopping at the first derivation found. On a plain driver this
 // is the rederive phase's check that the fact is still derivable; on
@@ -338,9 +339,9 @@ func (dr *driver) derivesGoal(plans []*plan, name string, t instance.Tuple, boun
 			continue
 		}
 		var runErr error
-		dr.valuation().MatchTuple(rp.rule.Head.Args, t, func() {
+		dr.valuation(rp.vars).matchTuple(rp.head, t, func() {
 			if runErr == nil {
-				runErr = dr.exec(workItem{plan: rp}, func(ast.Pred, *Env) error { return errStopRun })
+				runErr = dr.exec(workItem{plan: rp}, func(*plan, *Env) error { return errStopRun })
 			}
 		})
 		if errors.Is(runErr, errStopRun) {

@@ -292,15 +292,16 @@ func (p *Prepared) fixpoint(inst *instance.Instance, limits Limits, derived *int
 	return nil
 }
 
-// head instantiates a rule head under the valuation into the driver's
-// scratch, enforcing MaxPathLen, and hashes it. The returned tuple
-// aliases the scratch: probe with it, then CopyTuple before inserting.
-// Every sink builds its head here, so the evaluators cannot drift.
-func (dr *driver) head(head ast.Pred, env *Env) (instance.Tuple, uint64, error) {
-	t := sized(dr.headBuf, len(head.Args))
+// head instantiates the plan's compiled rule head under the valuation
+// into the driver's scratch, enforcing MaxPathLen, and hashes it. The
+// returned tuple aliases the scratch: probe with it, then CopyTuple
+// before inserting. Every sink builds its head here, so the evaluators
+// cannot drift.
+func (dr *driver) head(p *plan, env *Env) (instance.Tuple, uint64, error) {
+	t := sized(dr.headBuf, len(p.head))
 	dr.headBuf = t
-	for i, a := range head.Args {
-		t[i] = env.EvalAppend(a, t[i][:0])
+	for i, a := range p.head {
+		t[i] = env.evalInto(a, t[i][:0], 0)
 		if max := dr.limits.MaxPathLen; max > 0 && len(t[i]) > max {
 			return nil, 0, fmt.Errorf("%w: derived path of length %d exceeds limit %d", ErrNonTermination, len(t[i]), max)
 		}
@@ -310,12 +311,12 @@ func (dr *driver) head(head ast.Pred, env *Env) (instance.Tuple, uint64, error) 
 
 // derive is the sink of a deriving driver: the instantiated head is
 // added to the instance (copied only when it is new) and counted.
-func (dr *driver) derive(head ast.Pred, env *Env) error {
-	t, h, err := dr.head(head, env)
+func (dr *driver) derive(p *plan, env *Env) error {
+	t, h, err := dr.head(p, env)
 	if err != nil {
 		return err
 	}
-	if !dr.inst.Ensure(head.Name, len(head.Args)).AddFromScratch(h, t) {
+	if !dr.inst.Ensure(p.rule.Head.Name, len(t)).AddFromScratch(h, t) {
 		return nil
 	}
 	return dr.count()

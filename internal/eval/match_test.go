@@ -124,18 +124,20 @@ func TestMatchBoundVariableChecks(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("count = %d, want 1", count)
 	}
-	// Pre-bound variable restricts matches.
+	// Pre-bound variable restricts matches (bound by an enclosing Match).
 	env2 := NewEnv()
-	env2.m[ast.PVar("x")] = value.PathOf("a")
 	count = 0
-	env2.Match(ast.Cat(ast.P("x"), ast.P("y")), parser.MustParsePath("a.b"), func() { count++ })
+	env2.Match(ast.P("x"), value.PathOf("a"), func() {
+		env2.Match(ast.Cat(ast.P("x"), ast.P("y")), parser.MustParsePath("a.b"), func() { count++ })
+	})
 	if count != 1 {
 		t.Fatalf("prebound count = %d, want 1", count)
 	}
 	env3 := NewEnv()
-	env3.m[ast.PVar("x")] = value.PathOf("z")
 	count = 0
-	env3.Match(ast.Cat(ast.P("x"), ast.P("y")), parser.MustParsePath("a.b"), func() { count++ })
+	env3.Match(ast.P("x"), value.PathOf("z"), func() {
+		env3.Match(ast.Cat(ast.P("x"), ast.P("y")), parser.MustParsePath("a.b"), func() { count++ })
+	})
 	if count != 0 {
 		t.Fatalf("conflicting prebound count = %d, want 0", count)
 	}
@@ -165,12 +167,16 @@ func TestMatchDistinctValuationCounts(t *testing.T) {
 
 func TestEnvEval(t *testing.T) {
 	env := NewEnv()
-	env.m[ast.PVar("x")] = value.PathOf("a", "b")
-	env.m[ast.AVar("u")] = value.PathOf("c")
 	e := ast.Cat(ast.P("x"), ast.A("u"), ast.Packed(ast.P("x")))
-	got := env.Eval(e)
 	want := value.Path{value.Intern("a"), value.Intern("b"), value.Intern("c"), value.Pack(value.PathOf("a", "b"))}
-	if !got.Equal(want) {
-		t.Fatalf("Eval = %v, want %v", got, want)
+	evaluated := false
+	env.MatchTuple([]ast.Expr{ast.P("x"), ast.A("u")}, []value.Path{value.PathOf("a", "b"), value.PathOf("c")}, func() {
+		if got := env.Eval(e); !got.Equal(want) {
+			t.Fatalf("Eval = %v, want %v", got, want)
+		}
+		evaluated = true
+	})
+	if !evaluated {
+		t.Fatal("binding $x and @u did not match")
 	}
 }

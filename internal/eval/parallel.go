@@ -27,7 +27,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"seqlog/internal/ast"
 	"seqlog/internal/instance"
 )
 
@@ -155,17 +154,18 @@ type bufFact struct {
 // in the buffer, so it never exceeds the genuinely new facts the item
 // contributes.
 func (wk *driver) bufferSink(buf *roundBuffer, stop *atomic.Bool) sinkFunc {
-	return func(head ast.Pred, env *Env) error {
+	return func(p *plan, env *Env) error {
 		if stop.Load() {
 			return errRoundAborted
 		}
 		// One hash serves both membership probes and the insert; the
 		// scratch tuple is copied only when the fact is genuinely new.
-		t, h, err := wk.head(head, env)
+		t, h, err := wk.head(p, env)
 		if err != nil {
 			return err
 		}
-		if shared := wk.inst.Relation(head.Name); shared != nil && shared.Position(instance.View{}, h, t) >= 0 {
+		name := p.rule.Head.Name
+		if shared := wk.inst.Relation(name); shared != nil && shared.Position(instance.View{}, h, t) >= 0 {
 			return nil
 		}
 		prev, ok := buf.first[h]
@@ -173,12 +173,12 @@ func (wk *driver) bufferSink(buf *roundBuffer, stop *atomic.Bool) sinkFunc {
 			prev = -1
 		}
 		for i := prev; i >= 0; i = buf.facts[i].prev {
-			if f := &buf.facts[i]; f.name == head.Name && f.t.Equal(t) {
+			if f := &buf.facts[i]; f.name == name && f.t.Equal(t) {
 				return nil
 			}
 		}
 		buf.first[h] = int32(len(buf.facts))
-		buf.facts = append(buf.facts, bufFact{head.Name, h, instance.CopyTuple(t), prev})
+		buf.facts = append(buf.facts, bufFact{name, h, instance.CopyTuple(t), prev})
 		return wk.count()
 	}
 }

@@ -7,7 +7,10 @@ import (
 	"seqlog/internal/ast"
 )
 
-// step is one planned body literal.
+// step is one planned body literal. Its ast forms are what describe
+// and origin print (and pred names the relation the step reads); the
+// runner executes the compiled forms, numbered by the rule's slot
+// table (plan.vars).
 type step struct {
 	kind stepKind
 	pred ast.Pred // for predicate steps
@@ -21,15 +24,20 @@ type step struct {
 	// Join acceleration (stepPred only): the access paths open to the
 	// step's probe form under the variables bound when it runs (see
 	// ast.Access and ast.Defs.Probe); probe holds that form's arguments,
-	// from which run.candidates evaluates the index keys. unboundCols/
-	// unboundArgs are the columns whose own arguments are not ground,
-	// matched per candidate (the others are already verified by the
-	// index lookup); a column probed through a definition is among
-	// them, so matching binds its variable.
+	// compiled into keys, from which run.candidates evaluates the index
+	// keys. unboundCols/unboundArgs are the columns whose own arguments
+	// are not ground, matched per candidate (the others are already
+	// verified by the index lookup); a column probed through a
+	// definition is among them, so matching binds its variable.
 	ast.Access
 	probe       []ast.Expr
 	unboundCols []int
-	unboundArgs []ast.Expr
+
+	// The compiled forms: args of pred.Args, keys of probe, unboundArgs
+	// of the unbound columns' arguments, lhs and rhs of ground and
+	// pattern.
+	args, keys, unboundArgs []expr
+	lhs, rhs                expr
 }
 
 type stepKind int
@@ -47,7 +55,12 @@ const (
 // equations in limited-closure order, then negative literals (whose
 // variables are bound by safety).
 type plan struct {
-	rule  ast.Rule
+	rule ast.Rule
+	// vars numbers the rule's variables: variable vars[i] is slot i of
+	// the valuation every plan of the rule runs in (base, delta variants
+	// and rederive plan alike). head is the compiled head.
+	vars  []ast.Var
+	head  []expr
 	steps []step
 	// predSteps lists the offsets of the stepPred steps within p.steps,
 	// in execution order. Used by semi-naive deltas.
@@ -70,7 +83,9 @@ type plan struct {
 }
 
 // compilePlan orders the body literals of a safe rule per §2.2's
-// limited variable closure; it fails on unsafe rules. preBound lists
+// limited variable closure; it fails on unsafe rules. vars numbers the
+// rule's variables (it holds them all), and every expression the runner
+// evaluates or matches is compiled against it. preBound lists
 // variables bound before the first step runs, so that positions
 // mentioning only them count as ground and get index or prefix probes
 // instead of scans (the rederive plans pass the head variables, see
@@ -78,8 +93,8 @@ type plan struct {
 // positive body predicate (in written order) to the first join
 // position — the delta-variant shape: that atom iterates a change
 // window, the rest is ordered greedily with its variables bound.
-func compilePlan(r ast.Rule, preBound []ast.Var, hoist int) (*plan, error) {
-	p := &plan{rule: r, hoisted: hoist >= 0}
+func compilePlan(r ast.Rule, vars, preBound []ast.Var, hoist int) (*plan, error) {
+	p := &plan{rule: r, vars: vars, head: compileAll(r.Head.Args, vars), hoisted: hoist >= 0}
 	bound := map[ast.Var]bool{}
 	for _, v := range preBound {
 		bound[v] = true
@@ -93,11 +108,12 @@ func compilePlan(r ast.Rule, preBound []ast.Var, hoist int) (*plan, error) {
 		return nil, fmt.Errorf("eval: hoist index %d out of range for rule %s", hoist, r)
 	}
 	ast.JoinOrder(preds, ast.Definitions(parts.Eqs), bound, hoist, func(i int, probe ast.Pred) {
-		st := step{kind: stepPred, pred: preds[i], probe: probe.Args, Access: probe.Access(bound)}
+		st := step{kind: stepPred, pred: preds[i], probe: probe.Args, Access: probe.Access(bound),
+			args: compileAll(preds[i].Args, vars), keys: compileAll(probe.Args, vars)}
 		for k, a := range st.pred.Args {
 			if !a.BoundIn(bound) {
 				st.unboundCols = append(st.unboundCols, k)
-				st.unboundArgs = append(st.unboundArgs, a)
+				st.unboundArgs = append(st.unboundArgs, st.args[k])
 			}
 		}
 		p.predSteps = append(p.predSteps, len(p.steps))
@@ -105,7 +121,8 @@ func compilePlan(r ast.Rule, preBound []ast.Var, hoist int) (*plan, error) {
 	})
 	// 2. Positive equations in §2.2's binding order.
 	stuck := ast.BindOrder(parts.Eqs, bound, func(ground, pattern ast.Expr) bool {
-		p.steps = append(p.steps, step{kind: stepEq, ground: ground, pattern: pattern})
+		p.steps = append(p.steps, step{kind: stepEq, ground: ground, pattern: pattern,
+			lhs: compile(ground, vars), rhs: compile(pattern, vars)})
 		return true
 	})
 	if len(stuck) > 0 {
@@ -123,12 +140,13 @@ func compilePlan(r ast.Rule, preBound []ast.Var, hoist int) (*plan, error) {
 					return nil, fmt.Errorf("eval: unsafe negated predicate %s in rule %s", x, r)
 				}
 			}
-			p.steps = append(p.steps, step{kind: stepNegPred, pred: x, neg: true})
+			p.steps = append(p.steps, step{kind: stepNegPred, pred: x, neg: true, args: compileAll(x.Args, vars)})
 		case ast.Eq:
 			if !x.L.BoundIn(bound) || !x.R.BoundIn(bound) {
 				return nil, fmt.Errorf("eval: unsafe nonequality %s != %s in rule %s", x.L, x.R, r)
 			}
-			p.steps = append(p.steps, step{kind: stepNegEq, ground: x.L, pattern: x.R, neg: true})
+			p.steps = append(p.steps, step{kind: stepNegEq, ground: x.L, pattern: x.R, neg: true,
+				lhs: compile(x.L, vars), rhs: compile(x.R, vars)})
 		}
 	}
 	// 4. Head variables must be bound.
@@ -154,7 +172,7 @@ func compilePlan(r ast.Rule, preBound []ast.Var, hoist int) (*plan, error) {
 func (p *plan) compileVariants() (err error) {
 	p.rule.DeltaVariants(func(i, hoist int, r ast.Rule) bool {
 		var v *plan
-		if v, err = compilePlan(r, nil, hoist); err != nil {
+		if v, err = compilePlan(r, p.vars, nil, hoist); err != nil {
 			return false
 		}
 		v.neg = p.rule.Body[i].Neg

@@ -81,7 +81,9 @@ func Compile(prog ast.Program) (*Prepared, error) {
 			p.comps = append(p.comps, component{heads: map[string]bool{}, reads: map[string]bool{}})
 		}
 		c := &p.comps[id]
-		pl, err := compilePlan(r, nil, -1)
+		// One numbering of the rule's variables serves all its plans.
+		vars := r.Vars()
+		pl, err := compilePlan(r, vars, nil, -1)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", r.Head.Name, err)
 		}
@@ -91,7 +93,7 @@ func Compile(prog ast.Program) (*Prepared, error) {
 		if err := pl.compileVariants(); err != nil {
 			return nil, fmt.Errorf("%s (delta variants): %w", r.Head.Name, err)
 		}
-		rp, err := compilePlan(r, ast.VarsOf(r.Head.Args...), -1)
+		rp, err := compilePlan(r, vars, ast.VarsOf(r.Head.Args...), -1)
 		if err != nil {
 			return nil, fmt.Errorf("%s (rederive plan): %w", r.Head.Name, err)
 		}

@@ -151,3 +151,69 @@ func TestMatchNoDuplicates(t *testing.T) {
 		})
 	}
 }
+
+// FuzzMatch holds the matcher to the three properties above under a
+// pre-bound valuation, the way derivesGoal and every index-probed step
+// match: a tuple of one to three expressions drawn by randomExpr (the
+// small vocabulary repeats variables across columns), the paths a
+// random valuation gives them, and the variables the mask picks bound
+// to that valuation beforehand. Every enumerated valuation must
+// re-evaluate to the tuple, the generating valuation must be among
+// them, and none may repeat. The seeds are the property tests' own.
+func FuzzMatch(f *testing.F) {
+	for _, seed := range []int64{101, 202, 303} {
+		for cols := range uint8(3) {
+			for _, mask := range []uint8{0, 0x55, 0xff} {
+				f.Add(seed, cols, mask)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, cols, mask uint8) {
+		r := rand.New(rand.NewSource(seed))
+		exprs := make([]ast.Expr, 1+int(cols)%3)
+		for i := range exprs {
+			exprs[i] = randomExpr(r, 2, false, map[ast.Var]bool{})
+		}
+		vars := ast.VarsOf(exprs...)
+		nu := randomValuation(r, vars)
+		tuple := make([]value.Path, len(exprs))
+		for i, e := range exprs {
+			tuple[i] = applyValuation(e, nu)
+		}
+		var pre []ast.Expr
+		var prePaths []value.Path
+		for i, v := range vars {
+			if mask>>(i%8)&1 == 1 {
+				pre = append(pre, ast.Expr{ast.VarT{V: v}})
+				prePaths = append(prePaths, nu[v])
+			}
+		}
+		env := NewEnv()
+		found, seen := false, map[string]bool{}
+		env.MatchTuple(pre, prePaths, func() {
+			env.MatchTuple(exprs, tuple, func() {
+				key, generating := "", true
+				for _, v := range vars {
+					b, bound := env.Lookup(v)
+					if !bound {
+						t.Fatalf("%v on %v: %s unbound in a match", exprs, tuple, v)
+					}
+					key += v.String() + "=" + b.String() + ";"
+					generating = generating && b.Equal(nu[v])
+				}
+				for i, e := range exprs {
+					if got := env.Eval(e); !got.Equal(tuple[i]) {
+						t.Fatalf("unsound match: %s on %s gives %s (env %v)", e, tuple[i], got, env.Snapshot())
+					}
+				}
+				if seen[key] {
+					t.Fatalf("duplicate valuation %s for %v on %v", key, exprs, tuple)
+				}
+				seen[key], found = true, found || generating
+			})
+		})
+		if !found {
+			t.Fatalf("incomplete match: %v with %v (pre-bound %v) on %v", exprs, nu, pre, tuple)
+		}
+	})
+}

@@ -28,7 +28,7 @@ func naiveEval(prep *Prepared, edb *instance.Instance, limits Limits) (*instance
 	for si, stratum := range prep.prog.Strata {
 		var plans []*plan
 		for _, r := range stratum {
-			scan, err := compilePlan(r, nil, -1)
+			scan, err := compilePlan(r, r.Vars(), nil, -1)
 			if err != nil {
 				return nil, err
 			}

@@ -8,11 +8,12 @@ import (
 	"seqlog/internal/value"
 )
 
-// sinkFunc consumes one derivation: the rule head instantiated under
-// the valuation the body search arrived at. The sequential evaluator
-// derives straight into the shared instance; parallel workers derive
-// into private buffers merged at the round barrier.
-type sinkFunc func(head ast.Pred, env *Env) error
+// sinkFunc consumes one derivation: the head of the plan's rule
+// instantiated under the valuation the body search arrived at (see
+// driver.head). The sequential evaluator derives straight into the
+// shared instance; parallel workers derive into private buffers merged
+// at the round barrier.
+type sinkFunc func(p *plan, env *Env) error
 
 // runOpts extends a plan run for the DRed maintenance phases; the zero
 // value is an ordinary run.
@@ -70,19 +71,22 @@ type run struct {
 	win  window // a hoisted plan's delta step iterates only this window
 	sink sinkFunc
 	err  error // the first error; every step returns at once after it
-	// env is the run's valuation. Matching undoes its bindings as it
-	// unwinds, so between runs it is empty — or holds exactly what the
-	// caller bound before exec (derivesGoal).
-	env   *Env
-	slots []slot // one per step of the longest plan run so far
+	// env is the run's valuation, one slot per variable of the plan's
+	// rule. Matching undoes its bindings as it unwinds, so between runs
+	// every slot is unbound — or holds exactly what the caller bound
+	// before exec (derivesGoal). A slot left bound would read as another
+	// variable in the next plan's numbering.
+	env     *Env
+	scratch []stepScratch // one per step of the longest plan run so far
 }
 
-// slot is what the frame holds for one step: where the step reads and
-// the buffers it evaluates into, rebuilt in place for every binding
-// reaching the step. Reuse is safe because the buffers are private to
-// the frame and nothing downstream retains them: index and membership
-// probes compare inside the call, and head tuples are copied on insert.
-type slot struct {
+// stepScratch is what the frame holds for one step: where the step
+// reads and the buffers it evaluates into, rebuilt in place for every
+// binding reaching the step. Reuse is safe because the buffers are
+// private to the frame and nothing downstream retains them: index and
+// membership probes compare inside the call, and head tuples are copied
+// on insert.
+type stepScratch struct {
 	rel  *instance.Relation
 	idx  *instance.Index // the exact index over the step's BoundCols, if any
 	view instance.View
@@ -101,12 +105,13 @@ type slot struct {
 // (and so the buffers they own).
 func sized[S ~[]E, E any](s S, n int) S { return slices.Grow(s[:0], n)[:n] }
 
-// valuation returns the frame's Env, for callers that bind variables
-// before a run.
-func (dr *driver) valuation() *Env {
+// valuation returns the frame's Env pointed at the numbering vars (see
+// Env.use), for exec and for callers that bind variables before a run.
+func (dr *driver) valuation(vars []ast.Var) *Env {
 	if dr.frame.env == nil {
 		dr.frame.env = NewEnv()
 	}
+	dr.frame.env.use(vars)
 	return dr.frame.env
 }
 
@@ -140,20 +145,20 @@ func (dr *driver) exec(it workItem, sink sinkFunc) error {
 	p := it.plan
 	r := &dr.frame
 	r.dr, r.plan, r.win, r.sink = dr, p, it.win, sink
-	dr.valuation() // r.env: fresh, or what the caller bound into it
-	for len(r.slots) < len(p.steps) {
-		i := len(r.slots)
-		r.slots = append(r.slots, slot{next: func() { r.step(i + 1) }})
+	dr.valuation(p.vars) // keeps what the caller bound into it
+	for len(r.scratch) < len(p.steps) {
+		i := len(r.scratch)
+		r.scratch = append(r.scratch, stepScratch{next: func() { r.step(i + 1) }})
 	}
 	for i := range p.steps {
-		s, sl := &p.steps[i], &r.slots[i]
+		s, sl := &p.steps[i], &r.scratch[i]
 		sl.rel, sl.idx = dr.resolve(it, i)
 		switch s.kind {
 		case stepPred:
 			sl.view = dr.opts.stepView(s, p.hoisted && i == 0)
 			sl.vals, sl.sub = sized(sl.vals, len(s.BoundCols)), sized(sl.sub, len(s.unboundCols))
 		case stepNegPred:
-			sl.neg = sized(sl.neg, len(s.pred.Args))
+			sl.neg = sized(sl.neg, len(s.args))
 		}
 	}
 	r.step(0)
@@ -169,10 +174,10 @@ func (r *run) step(i int) {
 		return
 	}
 	if i == len(r.plan.steps) {
-		r.err = r.sink(r.plan.rule.Head, r.env)
+		r.err = r.sink(r.plan, r.env)
 		return
 	}
-	switch s, sl := &r.plan.steps[i], &r.slots[i]; s.kind {
+	switch s, sl := &r.plan.steps[i], &r.scratch[i]; s.kind {
 	case stepPred:
 		r.pred(i, s, sl)
 	case stepEq:
@@ -187,7 +192,7 @@ func (r *run) step(i int) {
 // pred joins a positive predicate: every tuple of the step's relation
 // (of the window, on a delta step) that the view admits and the
 // arguments match continues the run.
-func (r *run) pred(i int, s *step, sl *slot) {
+func (r *run) pred(i int, s *step, sl *stepScratch) {
 	rel := sl.rel
 	if rel == nil {
 		return
@@ -204,7 +209,7 @@ func (r *run) pred(i int, s *step, sl *slot) {
 		// The probes apply it themselves.
 		for pos := lo; pos < hi && r.err == nil; pos++ {
 			if (sl.view.Dead || rel.Live(pos)) && sl.view.Admits(rel.StampAt(pos)) {
-				r.env.MatchTuple(s.pred.Args, rel.TupleAt(pos), sl.next)
+				r.env.matchTuple(s.args, rel.TupleAt(pos), sl.next)
 			}
 		}
 		return
@@ -218,7 +223,7 @@ func (r *run) pred(i int, s *step, sl *slot) {
 		}
 		switch {
 		case sl.idx == nil:
-			r.env.MatchTuple(s.pred.Args, rel.TupleAt(pos), sl.next)
+			r.env.matchTuple(s.args, rel.TupleAt(pos), sl.next)
 		case len(s.unboundCols) == 0:
 			r.step(i + 1)
 		default:
@@ -226,7 +231,7 @@ func (r *run) pred(i int, s *step, sl *slot) {
 			for j, c := range s.unboundCols {
 				sl.sub[j] = t[c]
 			}
-			r.env.MatchTuple(s.unboundArgs, sl.sub, sl.next)
+			r.env.matchTuple(s.unboundArgs, sl.sub, sl.next)
 		}
 		if r.err != nil {
 			return
@@ -242,22 +247,22 @@ func (r *run) pred(i int, s *step, sl *slot) {
 // suffix of the evaluated argument). An affix that evaluates to the
 // empty path selects nothing: the step falls back to the scan, which is
 // what probed == false asks of the caller.
-func (r *run) candidates(s *step, sl *slot) (cands []int, probed bool) {
+func (r *run) candidates(s *step, sl *stepScratch) (cands []int, probed bool) {
 	if sl.idx != nil {
 		for j, c := range s.BoundCols {
-			sl.vals[j] = r.env.EvalAppend(s.probe[c], sl.vals[j][:0])
+			sl.vals[j] = r.env.evalInto(s.keys[c], sl.vals[j][:0], 0)
 		}
 		return sl.idx.Lookup(sl.view, sl.vals...), true
 	}
 	if s.PrefixCol >= 0 {
-		sl.bufA = r.env.EvalAppend(s.probe[s.PrefixCol][:s.PrefixLen], sl.bufA[:0])
+		sl.bufA = r.env.evalInto(s.keys[s.PrefixCol][:s.PrefixLen], sl.bufA[:0], 0)
 		if len(sl.bufA) > 0 {
 			return sl.rel.PrefixLookup(sl.view, s.PrefixCol, sl.bufA), true
 		}
 	}
 	if s.SuffixCol >= 0 {
-		arg := s.probe[s.SuffixCol]
-		sl.bufA = r.env.EvalAppend(arg[len(arg)-s.SuffixLen:], sl.bufA[:0])
+		arg := s.keys[s.SuffixCol]
+		sl.bufA = r.env.evalInto(arg[len(arg)-s.SuffixLen:], sl.bufA[:0], 0)
 		if len(sl.bufA) > 0 {
 			return sl.rel.SuffixLookup(sl.view, s.SuffixCol, sl.bufA), true
 		}
@@ -269,19 +274,19 @@ func (r *run) candidates(s *step, sl *slot) (cands []int, probed bool) {
 // other side against it. The match binds pattern variables to subslices
 // of the scratch; by the time this step runs again the match has
 // unwound, so reuse is safe.
-func (r *run) eq(s *step, sl *slot) {
-	sl.bufA = r.env.EvalAppend(s.ground, sl.bufA[:0])
-	r.env.Match(s.pattern, sl.bufA, sl.next)
+func (r *run) eq(s *step, sl *stepScratch) {
+	sl.bufA = r.env.evalInto(s.lhs, sl.bufA[:0], 0)
+	r.env.matchSeq(s.rhs, sl.bufA, sl.next)
 }
 
 // negPred tests a negated predicate. All arguments are ground by
 // safety: a single probe of the relation's built-in full-tuple hash
 // index. Negated relations live in earlier components, so the relation
 // resolved by exec cannot go stale mid-run.
-func (r *run) negPred(i int, s *step, sl *slot) {
+func (r *run) negPred(i int, s *step, sl *stepScratch) {
 	if sl.rel != nil {
-		for k, a := range s.pred.Args {
-			sl.neg[k] = r.env.EvalAppend(a, sl.neg[k][:0])
+		for k, a := range s.args {
+			sl.neg[k] = r.env.evalInto(a, sl.neg[k][:0], 0)
 		}
 		if sl.rel.Position(instance.View{}, sl.neg.Hash(), sl.neg) >= 0 {
 			return
@@ -291,9 +296,9 @@ func (r *run) negPred(i int, s *step, sl *slot) {
 }
 
 // negEq compares the two sides of a nonequality, both ground by safety.
-func (r *run) negEq(i int, s *step, sl *slot) {
-	sl.bufA = r.env.EvalAppend(s.ground, sl.bufA[:0])
-	sl.bufB = r.env.EvalAppend(s.pattern, sl.bufB[:0])
+func (r *run) negEq(i int, s *step, sl *stepScratch) {
+	sl.bufA = r.env.evalInto(s.lhs, sl.bufA[:0], 0)
+	sl.bufB = r.env.evalInto(s.rhs, sl.bufB[:0], 0)
 	if !sl.bufA.Equal(sl.bufB) {
 		r.step(i + 1)
 	}

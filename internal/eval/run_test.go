@@ -1,15 +1,17 @@
 package eval
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
-	"seqlog/internal/ast"
 	"seqlog/internal/fuzztest"
 	"seqlog/internal/instance"
 	"seqlog/internal/parser"
+	"seqlog/internal/queries"
 )
 
 // TestWarmFrameAllocs pins what the run frame is for: re-running a
@@ -24,7 +26,7 @@ import (
 func TestWarmFrameAllocs(t *testing.T) {
 	const negated = `T(@x.@z) :- T(@x.@y), R(@y.@z), !B(@x.@z), @x != @z.`
 	const edb = `T(a.b). R(b.c). R(b.d). B(q.r).`
-	discard := func(ast.Pred, *Env) error { return nil }
+	discard := func(*plan, *Env) error { return nil }
 	for _, tc := range []struct {
 		src     string
 		edb     string
@@ -56,7 +58,7 @@ func TestWarmFrameAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		run(func(ast.Pred, *Env) error { reached++; return nil })
+		run(func(*plan, *Env) error { reached++; return nil })
 		if reached != tc.want {
 			t.Fatalf("%s (%s): %d derivations reached the sink, want %d", tc.src, it.plan.describe(), reached, tc.want)
 		}
@@ -68,9 +70,15 @@ func TestWarmFrameAllocs(t *testing.T) {
 
 // TestMatchAllocs pins the other two zero-allocation gates (ROADMAP
 // items 1 and 4): a warm Env matches $x.m.$y and $u.<$s>.$v without
-// allocating, at every length BenchmarkMatchTwoPathVars sweeps. The
-// bodies are the benchmarks' own (bench_test.go).
+// allocating, at every length BenchmarkMatchTwoPathVars sweeps, and
+// the transitive-closure join step's 2-atom tuples against @y.@z, @y
+// bound or free. The bodies are the benchmarks' own (bench_test.go).
 func TestMatchAllocs(t *testing.T) {
+	for _, bound := range []bool{true, false} {
+		if got := testing.AllocsPerRun(100, tupleAtomic(bound)); got != 0 {
+			t.Errorf("MatchTupleAtomic/bound=%v: %v allocs per match, want none", bound, got)
+		}
+	}
 	for _, n := range matchLens {
 		if got := testing.AllocsPerRun(100, twoPathVars(n)); got != 0 {
 			t.Errorf("MatchTwoPathVars/len=%d: %v allocs per Match, want none", n, got)
@@ -78,6 +86,100 @@ func TestMatchAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, packedMatch()); got != 0 {
 		t.Errorf("MatchPacked: %v allocs per Match, want none", got)
+	}
+}
+
+// assertUnbound fails when the driver's frame has a slot of its
+// valuation bound, over the slots' whole capacity: the next plan run in
+// the frame would read a leftover binding as one of its own variables.
+func assertUnbound(t *testing.T, what string, dr *driver) {
+	t.Helper()
+	if env := dr.frame.env; env != nil && slices.Contains(env.bound[:cap(env.bound)], true) {
+		t.Errorf("%s: the frame's valuation keeps a bound slot after the run: %v", what, env.Snapshot())
+	}
+}
+
+// TestFrameUnboundAfterRun pins the invariant the slot valuation rests
+// on: whichever way exec returns, the frame's valuation has every slot
+// unbound — after a normal run, after derivesGoal's errStopRun, after a
+// MaxFacts error from a sink, after a MaxPathLen error in driver.head,
+// and in both frames of the overdeletion pruner's run inside a run
+// (TestEngineRetractPrunesInsideTheChase's program and facts).
+func TestFrameUnboundAfterRun(t *testing.T) {
+	q, _ := queries.Get("reachability")
+	prep, err := Compile(q.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(prep, parser.MustParseInstance(`R(a.b). R(b.d). R(b.h). R(a.g). R(g.h).`), Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Assert(parser.MustParseInstance(`R(a.c). R(c.d).`)); err != nil {
+		t.Fatal(err)
+	}
+	c := &prep.comps[0]
+	if !c.heads["T"] {
+		t.Fatalf("component 0 is %s, want T", c)
+	}
+	// derive runs p in a fresh deriving driver over inst and checks its
+	// frame afterwards.
+	derive := func(what string, limits Limits, inst *instance.Instance, p *plan) error {
+		t.Helper()
+		derived := 0
+		dr := &driver{inst: inst, limits: limits, derived: &derived}
+		err := dr.exec(workItem{plan: p}, dr.derive)
+		assertUnbound(t, what, dr)
+		return err
+	}
+	base, recursive := c.plans[0], c.plans[1]
+
+	if err := derive("normal run", DefaultLimits, eng.inst.Clone(), recursive); err != nil {
+		t.Fatal(err)
+	}
+	goal := &driver{inst: eng.inst, limits: DefaultLimits}
+	if ok, err := goal.derivesGoal(c.rederive, "T", parser.MustParseInstance(`T(a.d).`).Relation("T").TupleAt(0), 0); !ok || err != nil {
+		t.Fatalf("derivesGoal(T(a.d)) = %v, %v; want true", ok, err)
+	}
+	assertUnbound(t, "derivesGoal's errStopRun", goal)
+	if err := derive("MaxFacts", Limits{MaxFacts: 1}, parser.MustParseInstance(`R(a.b). R(b.c).`), base); !errors.Is(err, ErrNonTermination) {
+		t.Fatalf("MaxFacts run: %v, want ErrNonTermination", err)
+	}
+	if err := derive("MaxPathLen", Limits{MaxPathLen: 1}.orDefault(), eng.inst.Clone(), recursive); !errors.Is(err, ErrNonTermination) {
+		t.Fatalf("MaxPathLen run: %v, want ErrNonTermination", err)
+	}
+
+	// The pruner: the chase's sink runs a goal check in a frame of its
+	// own, and each goal check must leave that frame clean as well. With
+	// R(a.b) tombstoned, as its retraction leaves it, the chase (which
+	// still sees it) reaches T(a.b), which no live support derives.
+	eng.inst.Delete("R", parser.MustParseInstance(`R(a.b).`).Relation("R").TupleAt(0))
+	chase := &driver{inst: eng.inst, limits: DefaultLimits, opts: runOpts{includeDead: true}}
+	goal = &driver{inst: eng.inst, limits: DefaultLimits, opts: runOpts{boundHeads: c.heads}}
+	kept, dropped := 0, 0
+	pruner := func(p *plan, env *Env) error {
+		h, _, err := chase.head(p, env)
+		if err != nil {
+			return err
+		}
+		rel := eng.inst.Relation("T")
+		ok, err := goal.derivesGoal(c.rederive, "T", h, rel.StampAt(rel.Position(instance.View{}, h.Hash(), h)))
+		assertUnbound(t, "pruner's goal check", goal)
+		if ok {
+			kept++
+		} else {
+			dropped++
+		}
+		return err
+	}
+	for _, p := range c.plans {
+		if err := chase.exec(workItem{plan: p}, pruner); err != nil {
+			t.Fatal(err)
+		}
+		assertUnbound(t, "pruner's chase", chase)
+	}
+	if kept == 0 || dropped == 0 {
+		t.Fatalf("goal checks kept %d and dropped %d; want both", kept, dropped)
 	}
 }
 
