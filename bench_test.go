@@ -199,7 +199,7 @@ func BenchmarkAlgebraVsDatalog(b *testing.B) {
 T($x, $y) :- R($x.m.$y).
 S($y) :- T($x, $y), Q($x).`)
 	edb := workload.Strings(6, "R", 8, 5, []string{"a", "b", "m"})
-	edb.Merge(workload.Strings(7, "Q", 8, 3, []string{"a", "b", "m"}))
+	edb.Put("Q", workload.Strings(7, "Q", 8, 3, []string{"a", "b", "m"}).Relation("Q"))
 	expr, err := algebra.Compile(prog, "S")
 	if err != nil {
 		b.Fatal(err)

@@ -515,7 +515,7 @@ func TestEngineConcurrentSnapshotQueryDuringRetract(t *testing.T) {
 				live := tr.Tuples()
 				for k := 0; k < 8; k++ {
 					tu := live[rng.Intn(len(live))]
-					if pos := tr.Index(0).Lookup(instance.View{}, tu[0]); len(pos) == 0 {
+					if pos := tr.Index(0).Lookup(nil, instance.View{}, tu[0]); len(pos) == 0 {
 						panic("index lost a live tuple present in the snapshot")
 					}
 					if !tr.Contains(tu) {

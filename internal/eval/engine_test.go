@@ -473,7 +473,7 @@ func TestEngineConcurrentSnapshotQueryDuringAssert(t *testing.T) {
 				// Exercise probe paths, including lazy index builds, on
 				// the shared frozen storage.
 				for k := 0; k < 8; k++ {
-					pos := tr.Index(0).Lookup(instance.View{}, tr.TupleAt(rng.Intn(n))[0])
+					pos := tr.Index(0).Lookup(nil, instance.View{}, tr.TupleAt(rng.Intn(n))[0])
 					if len(pos) == 0 {
 						panic("index lost a tuple present in the snapshot")
 					}
@@ -589,7 +589,7 @@ func TestEngineEpochHammerWithRetracts(t *testing.T) {
 					if tr.Live(tr.Position(instance.View{}, probe.Hash(), probe)) != tr.Contains(probe) {
 						panic("position/membership disagree on the snapshot")
 					}
-					if len(tr.Index(0).Lookup(instance.View{}, probe[0])) == 0 && tr.Contains(probe) {
+					if len(tr.Index(0).Lookup(nil, instance.View{}, probe[0])) == 0 && tr.Contains(probe) {
 						panic("lazy index lost a live snapshot tuple")
 					}
 				}

@@ -88,7 +88,7 @@ func (dr *driver) runParallel(items []workItem) error {
 				errs[idx] = errRoundAborted
 				continue
 			}
-			count, bufs[idx].first = base, map[uint64]int32{}
+			count = base
 			errs[idx] = wk.exec(items[idx], wk.bufferSink(&bufs[idx], &stop))
 			if errs[idx] != nil {
 				stop.Store(true)
@@ -133,19 +133,19 @@ var errRoundAborted = errors.New("eval: round aborted after a sibling work item 
 
 // roundBuffer is one work item's derivations: the facts the shared
 // instance lacked, each once, in derivation order. An instance would
-// do, but its chunks, stamps and per-hash position lists cost a
-// fanned-out round more in allocation and GC than the join work a
-// second worker takes on.
+// do, but its chunks, stamps and membership index cost a fanned-out
+// round more in allocation and GC than the join work a second worker
+// takes on.
 type roundBuffer struct {
 	facts []bufFact
-	first map[uint64]int32 // hash → its latest fact; bufFact.prev chains the others
+	index instance.Table // each fact's index in facts, filed under its hash
+	same  []int          // scratch: the facts sharing a derivation's hash
 }
 
 type bufFact struct {
 	name string
 	h    uint64
 	t    instance.Tuple
-	prev int32
 }
 
 // bufferSink returns a worker's sink for one work item: it derives into
@@ -168,17 +168,14 @@ func (wk *driver) bufferSink(buf *roundBuffer, stop *atomic.Bool) sinkFunc {
 		if shared := wk.inst.Relation(name); shared != nil && shared.Position(instance.View{}, h, t) >= 0 {
 			return nil
 		}
-		prev, ok := buf.first[h]
-		if !ok {
-			prev = -1
-		}
-		for i := prev; i >= 0; i = buf.facts[i].prev {
+		buf.same = buf.index.Lookup(buf.same[:0], h)
+		for _, i := range buf.same {
 			if f := &buf.facts[i]; f.name == name && f.t.Equal(t) {
 				return nil
 			}
 		}
-		buf.first[h] = int32(len(buf.facts))
-		buf.facts = append(buf.facts, bufFact{name, h, instance.CopyTuple(t), prev})
+		buf.index.Add(h, len(buf.facts))
+		buf.facts = append(buf.facts, bufFact{name, h, instance.CopyTuple(t)})
 		return wk.count()
 	}
 }

@@ -94,11 +94,12 @@ type stepScratch struct {
 	// call it per binding; it is made once per slot, not per candidate.
 	next func()
 
-	vals []value.Path   // exact-index probe values (one per bound column)
-	sub  []value.Path   // unbound-column projection of a candidate tuple
-	neg  instance.Tuple // negated-predicate probe tuple
-	bufA value.Path     // ground side of equations; affix probes
-	bufB value.Path     // right side of negated equations
+	vals  []value.Path   // exact-index probe values (one per bound column)
+	cands []int          // the positions a probe returned
+	sub   []value.Path   // unbound-column projection of a candidate tuple
+	neg   instance.Tuple // negated-predicate probe tuple
+	bufA  value.Path     // ground side of equations; affix probes
+	bufB  value.Path     // right side of negated equations
 }
 
 // sized returns s with length n, keeping the elements it already has
@@ -201,8 +202,7 @@ func (r *run) pred(i int, s *step, sl *stepScratch) {
 	if r.plan.hoisted && i == 0 {
 		lo, hi = r.win.lo, r.win.hi
 	}
-	cands, probed := r.candidates(s, sl)
-	if !probed {
+	if !r.candidates(s, sl) {
 		// The view carries tombstone visibility (the DRed overdelete joins
 		// against the pre-deletion state) and the pruner's birth bound;
 		// see stepView.
@@ -217,7 +217,7 @@ func (r *run) pred(i int, s *step, sl *stepScratch) {
 	// An exact probe fixed the bound columns, so only the others need
 	// matching (none: the candidate is the match); an affix probe
 	// verifies candidates with a full MatchTuple.
-	for _, pos := range cands {
+	for _, pos := range sl.cands {
 		if pos < lo || pos >= hi {
 			continue
 		}
@@ -239,35 +239,38 @@ func (r *run) pred(i int, s *step, sl *stepScratch) {
 	}
 }
 
-// candidates resolves a predicate step's candidate positions from the
-// best access path the bindings make ground: the exact index over the
+// candidates probes a predicate step's candidate positions into
+// sl.cands through the best access path the bindings make ground: the exact index over the
 // bound columns, else the ground prefix of one argument, else its
 // ground trailing terms (the paper's bound-suffix patterns; term
 // evaluation concatenates, so the evaluated trailing terms ARE the
 // suffix of the evaluated argument). An affix that evaluates to the
 // empty path selects nothing: the step falls back to the scan, which is
-// what probed == false asks of the caller.
-func (r *run) candidates(s *step, sl *stepScratch) (cands []int, probed bool) {
+// what a false result asks of the caller.
+func (r *run) candidates(s *step, sl *stepScratch) bool {
 	if sl.idx != nil {
 		for j, c := range s.BoundCols {
 			sl.vals[j] = r.env.evalInto(s.keys[c], sl.vals[j][:0], 0)
 		}
-		return sl.idx.Lookup(sl.view, sl.vals...), true
+		sl.cands = sl.idx.Lookup(sl.cands[:0], sl.view, sl.vals...)
+		return true
 	}
 	if s.PrefixCol >= 0 {
 		sl.bufA = r.env.evalInto(s.keys[s.PrefixCol][:s.PrefixLen], sl.bufA[:0], 0)
 		if len(sl.bufA) > 0 {
-			return sl.rel.PrefixLookup(sl.view, s.PrefixCol, sl.bufA), true
+			sl.cands = sl.rel.PrefixLookup(sl.cands[:0], sl.view, s.PrefixCol, sl.bufA)
+			return true
 		}
 	}
 	if s.SuffixCol >= 0 {
 		arg := s.keys[s.SuffixCol]
 		sl.bufA = r.env.evalInto(arg[len(arg)-s.SuffixLen:], sl.bufA[:0], 0)
 		if len(sl.bufA) > 0 {
-			return sl.rel.SuffixLookup(sl.view, s.SuffixCol, sl.bufA), true
+			sl.cands = sl.rel.SuffixLookup(sl.cands[:0], sl.view, s.SuffixCol, sl.bufA)
+			return true
 		}
 	}
-	return nil, false
+	return false
 }
 
 // eq evaluates the ground side of a positive equation and matches the

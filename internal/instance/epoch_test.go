@@ -137,24 +137,25 @@ func TestShareOrFlattenPolicy(t *testing.T) {
 	// A gap below the absolute floor is inherited lazily (base shared
 	// by pointer); so is a gap below 1/16 of the covered prefix; a gap
 	// clearing both thresholds is flattened into a fresh base.
-	base := &postings{m: map[uint64][]int{}, n: 10_000, upto: 10_000}
+	base := &Table{upto: 10_000}
 	for p := 0; p < 10_000; p++ {
-		base.m[uint64(p)] = []int{p}
+		base.Add(uint64(p), p)
 	}
-	small := map[uint64][]int{1: {10_000}}
-	if got, upto, _ := shareOrFlatten(base, small, 1, 10_001); got != base || upto != 10_000 {
+	small := &Table{}
+	small.Add(1, 10_000)
+	if got, upto, _ := shareOrFlatten(base, small, 10_001); got != base || upto != 10_000 {
 		t.Fatal("tiny gap must share the base and keep its watermark")
 	}
 	// 500 new positions: over the absolute floor but under 10000/16.
-	if got, _, _ := shareOrFlatten(base, small, 1, 10_500); got != base {
+	if got, _, _ := shareOrFlatten(base, small, 10_500); got != base {
 		t.Fatal("gap under 1/16 of covered must still share")
 	}
 	// 700 new positions over a 10000 prefix: both triggers cleared.
-	big := map[uint64][]int{}
+	big := &Table{}
 	for p := 10_000; p < 10_700; p++ {
-		big[uint64(p)] = []int{p}
+		big.Add(uint64(p), p)
 	}
-	got, upto, bytes := shareOrFlatten(base, big, 700, 10_700)
+	got, upto, bytes := shareOrFlatten(base, big, 10_700)
 	if got == base {
 		t.Fatal("large gap must flatten into a fresh base")
 	}
@@ -173,19 +174,19 @@ func TestIndexBaseSharedAcrossBarrier(t *testing.T) {
 	}
 	// Build and fully absorb an exact index and a prefix lookup before
 	// freezing, so the clone has non-nil bases to inherit.
-	i.Relation("E").Index(0).Lookup(View{}, value.PathOf("a1"))
-	i.Relation("E").PrefixLookup(View{}, 0, value.PathOf("a1"))
+	i.Relation("E").Index(0).Lookup(nil, View{}, value.PathOf("a1"))
+	i.Relation("E").PrefixLookup(nil, View{}, 0, value.PathOf("a1"))
 	snap := i.Snapshot()
 	i.Add("E", tup(value.PathOf("a1"), value.PathOf("fresh")))
 	clone := i.Relation("E")
 
-	if got := len(clone.Index(0).Lookup(View{}, value.PathOf("a1"))); got != chunkSize/16+1 {
+	if got := len(clone.Index(0).Lookup(nil, View{}, value.PathOf("a1"))); got != chunkSize/16+1 {
 		t.Fatalf("clone index sees %d a1 rows, want %d", got, chunkSize/16+1)
 	}
-	if got := len(snap.Relation("E").Index(0).Lookup(View{}, value.PathOf("a1"))); got != chunkSize/16 {
+	if got := len(snap.Relation("E").Index(0).Lookup(nil, View{}, value.PathOf("a1"))); got != chunkSize/16 {
 		t.Fatalf("snapshot index sees %d a1 rows, want %d", got, chunkSize/16)
 	}
-	if got := len(clone.PrefixLookup(View{}, 0, value.PathOf("a1"))); got != chunkSize/16+1 {
+	if got := len(clone.PrefixLookup(nil, View{}, 0, value.PathOf("a1"))); got != chunkSize/16+1 {
 		t.Fatalf("clone prefix lookup sees %d rows, want %d", got, chunkSize/16+1)
 	}
 }
@@ -318,7 +319,7 @@ func TestEpochHammer(t *testing.T) {
 					panic(fmt.Sprintf("snapshot Len drifted: %d -> %d", want, got))
 				}
 				key := value.PathOf("k" + fmt.Sprint(rng.Intn(32)))
-				for _, pos := range r.Index(0).Lookup(View{}, key) {
+				for _, pos := range r.Index(0).Lookup(nil, View{}, key) {
 					if !r.Live(pos) {
 						panic("index handed out a dead position")
 					}
@@ -326,7 +327,7 @@ func TestEpochHammer(t *testing.T) {
 						panic("index handed out a mismatched position")
 					}
 				}
-				for _, pos := range r.PrefixLookup(View{}, 0, key) {
+				for _, pos := range r.PrefixLookup(nil, View{}, 0, key) {
 					if !r.Live(pos) {
 						panic("prefix index handed out a dead position")
 					}

@@ -134,19 +134,6 @@ type deadPage [chunkSize / 64]uint64
 func (p *deadPage) get(off int) bool { return p[off>>6]&(1<<(off&63)) != 0 }
 func (p *deadPage) set(off int)      { p[off>>6] |= 1 << (off & 63) }
 
-// postings is an immutable hash → ascending tuple-log positions table
-// covering positions [0, upto). Once published (installed as the base
-// of a membership or secondary index) a postings is never mutated:
-// epochs extend it with private overlays and occasionally flatten
-// base+overlay into a fresh postings at the write barrier. Buckets may
-// be shared between generations of postings, so they are read-only
-// too.
-type postings struct {
-	m    map[uint64][]int
-	n    int // total entries, for sizing the next flatten
-	upto int // positions [0, upto) are covered
-}
-
 // flattenThreshold bounds the position gap an epoch clone is willing
 // to inherit lazily: at the write barrier an index whose base trails
 // the absorbed watermark by fewer positions is shared as (base,
@@ -158,38 +145,6 @@ type postings struct {
 // grows, like a plain hash index — so the uncontended write path is
 // untouched.
 const flattenThreshold = 256
-
-// flattenPostings builds a fresh immutable postings from a base (may
-// be nil) plus an overlay covering [base.upto, upto). Base buckets
-// that the overlay does not extend are shared; extended or new buckets
-// are freshly allocated, so the result never aliases a slice that some
-// other epoch may still append to.
-func flattenPostings(base *postings, over map[uint64][]int, overCount, upto int) *postings {
-	baseN, baseBuckets := 0, 0
-	if base != nil {
-		baseN, baseBuckets = base.n, len(base.m)
-	}
-	m := make(map[uint64][]int, baseBuckets+len(over))
-	if base != nil {
-		for h, bucket := range base.m {
-			if ovb, ok := over[h]; ok {
-				merged := make([]int, 0, len(bucket)+len(ovb))
-				merged = append(merged, bucket...)
-				merged = append(merged, ovb...)
-				m[h] = merged
-			} else {
-				m[h] = bucket
-			}
-		}
-	}
-	for h, ovb := range over {
-		if _, ok := m[h]; ok {
-			continue
-		}
-		m[h] = append([]int(nil), ovb...)
-	}
-	return &postings{m: m, n: baseN + overCount, upto: upto}
-}
 
 // indexKind names the four access paths a relation serves. They share
 // one implementation (index) and differ only in the key a tuple is
@@ -220,8 +175,10 @@ type indexKey struct {
 }
 
 // index is the one index implementation behind all four kinds, in
-// epoch-shared form: an immutable base postings shared across snapshot
-// generations plus a private overlay for the positions absorbed since.
+// epoch-shared form: an immutable base Table shared across snapshot
+// generations plus a private overlay Table for the positions absorbed
+// since. Both map a key hash to the ascending tuple-log positions filed
+// under it, and base positions all precede overlay positions.
 // It is built lazily: creation is free, and every probe first absorbs
 // the tuples Added since the last one (catchUp), so an index is never
 // stale. Probes are safe from multiple goroutines while the relation is
@@ -231,11 +188,10 @@ type indexKey struct {
 type index struct {
 	r *Relation
 	indexKey
-	cols      []int     // exact: the key columns
-	base      *postings // immutable, shared across epochs; nil when none
-	over      map[uint64][]int
-	overCount int
-	upto      atomic.Int64 // positions [0, upto) are absorbed
+	cols []int        // exact: the key columns
+	base *Table       // immutable, shared across epochs; nil when none
+	over Table        // private to this epoch
+	upto atomic.Int64 // positions [0, upto) are absorbed
 }
 
 // Index is the handle Relation.Index returns: an exact index keyed on a
@@ -263,7 +219,7 @@ type Index = index
 // (SuffixLookup) are built lazily on first lookup and caught up after
 // later Adds, so they are never stale. All of these share their bulk
 // across epochs the same way the tuple log is shared: an immutable
-// base postings plus a small private overlay, flattened at the write
+// base Table plus a small private overlay Table, flattened at the write
 // barrier only when the overlay has grown past flattenThreshold. The
 // canonical order behind Sorted and WriteFacts is the fifth shared
 // part: an immutable sorted array of positions, built on first use,
@@ -417,11 +373,7 @@ func (r *Relation) appendStamped(h uint64, t Tuple, stamp uint64) {
 // recordMember registers a freshly appended position in the membership
 // overlay. Caller is the exclusive writer and has already caught up.
 func (r *Relation) recordMember(h uint64, pos int) {
-	if r.member.over == nil {
-		r.member.over = map[uint64][]int{}
-	}
-	r.member.over[h] = append(r.member.over[h], pos)
-	r.member.overCount++
+	r.member.over.Add(h, pos)
 	r.member.upto.Store(int64(pos + 1))
 }
 
@@ -540,7 +492,8 @@ func (r *Relation) Compact() {
 	old := r.chunks
 	oldSize := r.size
 	r.chunks, r.size = nil, 0
-	m := make(map[uint64][]int, oldSize-r.tombs)
+	m := &Table{}
+	m.reserve(oldSize-r.tombs, oldSize-r.tombs)
 	// The renumbering is monotone, so the canonical order survives it
 	// without a comparison: drop the dead positions, rename the rest.
 	// renamed holds each ordered live position's new one plus 1.
@@ -556,7 +509,7 @@ func (r *Relation) Compact() {
 		c := old[pos>>chunkShift]
 		h := c.hashes[pos&chunkMask]
 		r.appendStamped(h, c.tuples[pos&chunkMask], c.stamps[pos&chunkMask])
-		m[h] = append(m[h], r.size-1)
+		m.add(tagOf(h), r.size-1)
 		if pos < len(renamed) {
 			renamed[pos] = uint32(r.size)
 		}
@@ -569,9 +522,9 @@ func (r *Relation) Compact() {
 	}
 	r.dead, r.deadOwned, r.tombs = nil, nil, 0
 	// The rebuilt membership becomes an immutable base: the next write
-	// barrier shares it for free instead of flattening the whole map.
-	r.member.base = &postings{m: m, n: r.size, upto: r.size}
-	r.member.over, r.member.overCount = nil, 0
+	// barrier shares it for free instead of flattening it.
+	m.upto = r.size
+	r.member.base, r.member.over = m, Table{}
 	r.member.upto.Store(int64(r.size))
 	r.mu.Lock()
 	r.indexes, r.order = nil, order
@@ -592,7 +545,8 @@ func (r *Relation) Contains(t Tuple) bool {
 // live position. The DRed maintainer uses the position to test whether a
 // fact lies inside an insertion window.
 func (r *Relation) Position(v View, h uint64, t Tuple) int {
-	if m := r.member.probe(v, h, true, t.Equal); len(m) > 0 {
+	var one [1]int
+	if m := r.member.probe(one[:0], v, h, true, t.Equal); len(m) > 0 {
 		return m[0]
 	}
 	return -1
@@ -758,16 +712,18 @@ func (r *Relation) canonical() []uint32 {
 // tuples themselves, which are immutable.
 func (r *Relation) Clone() *Relation {
 	out := NewRelation(r.Arity)
-	m := make(map[uint64][]int, r.Len())
+	m := &Table{}
+	m.reserve(r.Len(), r.Len())
 	for pos := 0; pos < r.size; pos++ {
 		if !r.Live(pos) {
 			continue
 		}
 		h := r.hashAt(pos)
 		out.appendStamped(h, r.tupleAt(pos), r.stampAt(pos))
-		m[h] = append(m[h], out.size-1)
+		m.add(tagOf(h), out.size-1)
 	}
-	out.member.base = &postings{m: m, n: out.size, upto: out.size}
+	m.upto = out.size
+	out.member.base = m
 	out.member.upto.Store(int64(out.size))
 	return out
 }
@@ -775,7 +731,8 @@ func (r *Relation) Clone() *Relation {
 // cloneCost reports what one write-barrier clone actually did, for the
 // instance's CloneStats: how many sealed chunks were shared by pointer
 // and approximately how many bytes the barrier had to copy (tail
-// chunk, pointer slices, tombstone pages, index flattening).
+// chunk, pointer slices, tombstone pages) or allocate (the slot and
+// entry arrays of a flattened index base).
 type cloneCost struct {
 	sharedChunks int64
 	copiedBytes  int64
@@ -831,10 +788,10 @@ func (r *Relation) cloneShared() (*Relation, cloneCost) {
 
 // inherit makes ix the epoch clone of src: it shares src's base, or a
 // flattened base+overlay (see shareOrFlatten), and starts with an empty
-// overlay. It returns the approximate bytes a flatten copied. Caller
-// holds the source relation's mutex.
+// overlay. It returns the bytes a flatten allocated. Caller holds the
+// source relation's mutex.
 func (ix *index) inherit(src *index) int64 {
-	base, upto, flattened := shareOrFlatten(src.base, src.over, src.overCount, int(src.upto.Load()))
+	base, upto, flattened := shareOrFlatten(src.base, &src.over, int(src.upto.Load()))
 	ix.base = base
 	ix.upto.Store(int64(upto))
 	return flattened
@@ -843,13 +800,13 @@ func (ix *index) inherit(src *index) int64 {
 // shareOrFlatten decides how an epoch clone inherits one index: a
 // small position gap above the base is dropped (the clone re-absorbs
 // it lazily), a large one is flattened with the base into a fresh
-// immutable postings covering everything absorbed so far. The decision
+// immutable Table covering everything absorbed so far. The decision
 // is on positions, not entries, so even a sparse index (say a prefix
 // index most tuples are too short for) advances its shared watermark
 // instead of rescanning the log every epoch. It returns the clone's
-// base, its absorbed watermark, and the approximate bytes copied by a
-// flatten.
-func shareOrFlatten(base *postings, over map[uint64][]int, overCount, upto int) (*postings, int, int64) {
+// base, its absorbed watermark, and the bytes a flatten allocated (its
+// slot and entry arrays).
+func shareOrFlatten(base, over *Table, upto int) (*Table, int, int64) {
 	covered := 0
 	if base != nil {
 		covered = base.upto
@@ -862,8 +819,8 @@ func shareOrFlatten(base *postings, over map[uint64][]int, overCount, upto int) 
 	if gap := upto - covered; gap < flattenThreshold || gap*16 < covered {
 		return base, covered, 0
 	}
-	flat := flattenPostings(base, over, overCount, upto)
-	return flat, flat.upto, int64(overCount)*32 + 64
+	flat := flatten(base, over, upto)
+	return flat, upto, flat.bytes()
 }
 
 // Equal reports set equality of two relations (live tuples only).
@@ -975,80 +932,47 @@ func (ix *index) catchUp() {
 	}
 	ix.r.mu.Lock()
 	defer ix.r.mu.Unlock()
-	if ix.over == nil {
-		ix.over = map[uint64][]int{}
+	from := int(ix.upto.Load())
+	if from >= n { // absorbed meanwhile: growing now would race lock-free probes
+		return
 	}
-	for i := int(ix.upto.Load()); i < n; i++ {
+	ix.over.reserve(n-from, n-from)
+	for i := from; i < n; i++ {
 		if h, ok := ix.keyHash(i); ok {
-			ix.over[h] = append(ix.over[h], i)
-			ix.overCount++
+			ix.over.add(tagOf(h), i)
 		}
 	}
 	ix.upto.Store(int64(n))
 }
 
-// probe is the one bucket probe every index kind shares: it returns
-// the tuple-log positions (ascending) filed under hash h that are
-// visible under the view (tombstones per v.Dead, stamp per v.Admits)
-// and whose tuples satisfy equal, the kind's comparison against the
-// probe key (this is where hash collisions are filtered) — only the
-// first of them when first is set, which is all a membership probe
-// needs. The shared base and the private overlay are both probed; base
-// positions all precede overlay positions (the base covers a position
-// prefix), so base-then-overlay preserves ascending order. The result
-// may alias a bucket (the common case where every position of a single
-// bucket is a true match allocates nothing); callers must not mutate
-// it.
-func (ix *index) probe(v View, h uint64, first bool, equal func(Tuple) bool) []int {
+// probe is the one probe every index kind shares: it appends to dst
+// the tuple-log positions filed under hash h that are visible under the
+// view (tombstones per v.Dead, stamp per v.Admits) and whose tuples
+// satisfy equal, the kind's comparison against the probe key (this is
+// where hash and tag collisions are filtered), and returns the extended
+// slice — only the first of them when first is set, which is all a
+// membership probe needs. The base is walked before the overlay, and
+// base positions all precede overlay positions, so the positions come
+// out ascending, and the membership probe of a settled fact stops at
+// the base.
+func (ix *index) probe(dst []int, v View, h uint64, first bool, equal func(Tuple) bool) []int {
 	ix.catchUp()
 	r := ix.r
-	match := func(pos int) bool {
-		return (v.Dead || r.Live(pos)) && v.Admits(r.stampAt(pos)) && equal(r.tupleAt(pos))
-	}
-	var base []int
-	if ix.base != nil {
-		base = ix.base.m[h]
-	}
-	if first {
-		// The overlay is consulted only once the base has no match: the
-		// membership probe of a settled fact stops at the base.
-		for k, pos := range base {
-			if match(pos) {
-				return base[k : k+1]
+	for _, t := range [2]*Table{ix.base, &ix.over} {
+		if t == nil {
+			continue
+		}
+		for e := t.chain(h); e != 0; e = t.entries[e-1].next {
+			pos := int(t.entries[e-1].val)
+			if (v.Dead || r.Live(pos)) && v.Admits(r.stampAt(pos)) && equal(r.tupleAt(pos)) {
+				dst = append(dst, pos)
+				if first {
+					return dst
+				}
 			}
 		}
-		over := ix.over[h]
-		for k, pos := range over {
-			if match(pos) {
-				return over[k : k+1]
-			}
-		}
-		return nil
 	}
-	over := ix.over[h]
-	if len(base) == 0 {
-		base, over = over, nil
-	}
-	k := 0
-	for k < len(base) && match(base[k]) {
-		k++
-	}
-	if k == len(base) && len(over) == 0 {
-		return base
-	}
-	out := make([]int, k, len(base)+len(over))
-	copy(out, base[:k])
-	for ; k < len(base); k++ {
-		if match(base[k]) {
-			out = append(out, base[k])
-		}
-	}
-	for _, pos := range over {
-		if match(pos) {
-			out = append(out, pos)
-		}
-	}
-	return out
+	return dst
 }
 
 // Index returns the (shared, lazily maintained) exact index keyed on
@@ -1063,24 +987,25 @@ func (r *Relation) Index(cols ...int) *Index {
 	return r.secondary(indexKey{kind: kindExact, sig: indexSig(cols)}, cols)
 }
 
-// Lookup returns the tuple-log positions (ascending) of the tuples
-// whose indexed columns equal vals component-wise and that the view
-// admits: live tuples only unless v.Dead, and only positions whose
-// derivation stamp passes v.Admits. The zero View is the plain live
-// view. Hash collisions are verified, so every returned position is a
-// true match. The returned slice may be shared with the index; callers
-// must not mutate it.
+// Lookup appends to dst the tuple-log positions (ascending) of the
+// tuples whose indexed columns equal vals component-wise and that the
+// view admits, and returns the extended slice: live tuples only unless
+// v.Dead, and only positions whose derivation stamp passes v.Admits.
+// The zero View is the plain live view. Hash collisions are verified,
+// so every appended position is a true match. The index never retains
+// dst, so a caller that reuses one buffer per probe site allocates
+// nothing once it has grown.
 //
 // v.Dead is reserved for the DRed overdeletion phase, which joins
 // against the pre-deletion state of a relation (live tuples plus
 // everything deleted during the current maintenance run, which is
 // exactly the set still occupying positions); cmd/seqlint rejects it
 // anywhere else.
-func (ix *Index) Lookup(v View, vals ...value.Path) []int {
+func (ix *Index) Lookup(dst []int, v View, vals ...value.Path) []int {
 	if len(vals) != len(ix.cols) {
 		panic(fmt.Sprintf("instance: index over %d columns probed with %d values", len(ix.cols), len(vals)))
 	}
-	return ix.probe(v, hashPaths(vals), false, func(t Tuple) bool {
+	return ix.probe(dst, v, hashPaths(vals), false, func(t Tuple) bool {
 		for j, c := range ix.cols {
 			if !t[c].Equal(vals[j]) {
 				return false
@@ -1090,27 +1015,27 @@ func (ix *Index) Lookup(v View, vals ...value.Path) []int {
 	})
 }
 
-// PrefixLookup returns the tuple-log positions (ascending) of the
-// tuples the view admits (see Lookup) whose column col starts with the
-// given non-empty prefix. A separate index per (col, len(prefix)) is
-// built lazily and caught up after Adds.
+// PrefixLookup appends to dst (see Lookup) the tuple-log positions
+// (ascending) of the tuples the view admits whose column col starts
+// with the given non-empty prefix. A separate index per (col,
+// len(prefix)) is built lazily and caught up after Adds.
 //
 // This is the probe the evaluator uses when a join argument like
 // @y.$rest has a ground prefix under the current valuation: any
 // matching tuple's column must begin with exactly that prefix.
-func (r *Relation) PrefixLookup(v View, col int, prefix value.Path) []int {
-	return r.affixLookup(kindPrefix, v, col, prefix)
+func (r *Relation) PrefixLookup(dst []int, v View, col int, prefix value.Path) []int {
+	return r.affixLookup(dst, kindPrefix, v, col, prefix)
 }
 
 // SuffixLookup is PrefixLookup for the last len(suffix) values of the
 // column: the probe the evaluator uses when a join argument like
 // $rest.@y has its trailing terms ground under the current valuation
 // (the paper's bound-suffix patterns, §2.2).
-func (r *Relation) SuffixLookup(v View, col int, suffix value.Path) []int {
-	return r.affixLookup(kindSuffix, v, col, suffix)
+func (r *Relation) SuffixLookup(dst []int, v View, col int, suffix value.Path) []int {
+	return r.affixLookup(dst, kindSuffix, v, col, suffix)
 }
 
-func (r *Relation) affixLookup(kind indexKind, v View, col int, affix value.Path) []int {
+func (r *Relation) affixLookup(dst []int, kind indexKind, v View, col int, affix value.Path) []int {
 	if col < 0 || col >= r.Arity {
 		panic(fmt.Sprintf("instance: %s column %d out of range for arity-%d relation", kind, col, r.Arity))
 	}
@@ -1118,7 +1043,7 @@ func (r *Relation) affixLookup(kind indexKind, v View, col int, affix value.Path
 		panic(fmt.Sprintf("instance: empty %s probe (caller should scan)", kind))
 	}
 	ix := r.secondary(indexKey{kind: kind, col: col, n: len(affix)}, nil)
-	return ix.probe(v, affix.Hash(value.HashSeed), false, func(t Tuple) bool {
+	return ix.probe(dst, v, affix.Hash(value.HashSeed), false, func(t Tuple) bool {
 		p := t[col]
 		if len(p) < len(affix) {
 			return false
@@ -1133,8 +1058,9 @@ func (r *Relation) affixLookup(kind indexKind, v View, col int, affix value.Path
 // CloneStats accumulates the work the Ensure write barrier has done on
 // behalf of one instance: how many frozen relations were replaced by
 // epoch clones, how many sealed chunks those clones shared by pointer
-// instead of copying, and approximately how many bytes they did copy
-// (partial tail chunks, pointer slices, flattened index bases). The
+// instead of copying, and approximately how many bytes they copied or
+// allocated (partial tail chunks, pointer slices, flattened index bases
+// at their full size). The
 // ratio of SharedChunks to CloneBytes is what makes snapshot-epoch
 // write barriers O(1)-ish instead of O(relation).
 type CloneStats struct {
@@ -1314,38 +1240,6 @@ func (i *Instance) Remove(name string) { delete(i.rels, name) }
 // engine's recompute path uses it to reinstate a (frozen) seed relation
 // before re-deriving; writes through Ensure will clone it as needed.
 func (i *Instance) Put(name string, rel *Relation) { i.rels[name] = rel }
-
-// Restrict returns a copy containing only the named relations. Frozen
-// relations are shared rather than cloned — their storage is immutable,
-// so the restriction reads them for free and the first write on either
-// side goes through the Ensure barrier, exactly as after Snapshot;
-// only unfrozen relations are deep-cloned.
-func (i *Instance) Restrict(names ...string) *Instance {
-	out := New()
-	for _, n := range names {
-		if r, ok := i.rels[n]; ok {
-			if r.Frozen() {
-				out.rels[n] = r
-			} else {
-				out.rels[n] = r.Clone()
-			}
-		}
-	}
-	return out
-}
-
-// Merge adds all facts of j into i.
-func (i *Instance) Merge(j *Instance) {
-	for _, n := range j.Names() {
-		r := j.rels[n]
-		dst := i.Ensure(n, r.Arity)
-		for pos := 0; pos < r.Size(); pos++ {
-			if r.Live(pos) {
-				dst.AddHashed(r.HashAt(pos), r.TupleAt(pos))
-			}
-		}
-	}
-}
 
 // Equal reports whether two instances hold exactly the same facts.
 // Empty relations are equivalent to absent ones.

@@ -81,17 +81,45 @@ func TestInstanceCloneIndependent(t *testing.T) {
 	}
 }
 
+// restrict returns a copy of i holding only the named relations:
+// frozen ones are shared, so the first write on either side goes
+// through the Ensure barrier, and the others are deep-cloned.
+func restrict(i *Instance, names ...string) *Instance {
+	out := New()
+	for _, n := range names {
+		if r := i.Relation(n); r != nil && r.Frozen() {
+			out.Put(n, r)
+		} else if r != nil {
+			out.Put(n, r.Clone())
+		}
+	}
+	return out
+}
+
+// merge adds all facts of j into i.
+func merge(i, j *Instance) {
+	for _, n := range j.Names() {
+		r := j.Relation(n)
+		dst := i.Ensure(n, r.Arity)
+		for pos := 0; pos < r.Size(); pos++ {
+			if r.Live(pos) {
+				dst.AddHashed(r.HashAt(pos), r.TupleAt(pos))
+			}
+		}
+	}
+}
+
 func TestMergeRestrictFacts(t *testing.T) {
 	i := New()
 	i.AddPath("R", value.PathOf("a"))
 	j := New()
 	j.AddPath("R", value.PathOf("b"))
 	j.AddPath("S", value.PathOf("c"))
-	i.Merge(j)
+	merge(i, j)
 	if i.Facts() != 3 {
 		t.Fatalf("Facts = %d", i.Facts())
 	}
-	r := i.Restrict("S")
+	r := restrict(i, "S")
 	if r.Facts() != 1 || r.Relation("R") != nil {
 		t.Fatal("Restrict broken")
 	}
@@ -129,20 +157,20 @@ func TestIndexLookup(t *testing.T) {
 	r.Add(tup(value.PathOf("a"), value.PathOf("y")))
 	r.Add(tup(value.PathOf("b"), value.PathOf("x")))
 	ix := r.Index(0)
-	got := ix.Lookup(View{}, value.PathOf("a"))
+	got := ix.Lookup(nil, View{}, value.PathOf("a"))
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("Lookup(a) = %v", got)
 	}
-	if len(ix.Lookup(View{}, value.PathOf("zzz"))) != 0 {
+	if len(ix.Lookup(nil, View{}, value.PathOf("zzz"))) != 0 {
 		t.Fatal("missing key must yield no positions")
 	}
 	// The index catches up after later Adds (never stale).
 	r.Add(tup(value.PathOf("a"), value.PathOf("z")))
-	if got := ix.Lookup(View{}, value.PathOf("a")); len(got) != 3 || got[2] != 3 {
+	if got := ix.Lookup(nil, View{}, value.PathOf("a")); len(got) != 3 || got[2] != 3 {
 		t.Fatalf("post-Add Lookup(a) = %v", got)
 	}
 	// Multi-column probe.
-	both := r.Index(0, 1).Lookup(View{}, value.PathOf("a"), value.PathOf("y"))
+	both := r.Index(0, 1).Lookup(nil, View{}, value.PathOf("a"), value.PathOf("y"))
 	if len(both) != 1 || both[0] != 1 {
 		t.Fatalf("Lookup(a, y) = %v", both)
 	}
@@ -167,21 +195,21 @@ func TestPrefixLookup(t *testing.T) {
 	r.Add(tup(value.PathOf("a", "c")))
 	r.Add(tup(value.PathOf("b", "b")))
 	r.Add(tup(value.PathOf("a")))
-	got := r.PrefixLookup(View{}, 0, value.PathOf("a"))
+	got := r.PrefixLookup(nil, View{}, 0, value.PathOf("a"))
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 3 {
 		t.Fatalf("PrefixLookup(a) = %v", got)
 	}
-	got = r.PrefixLookup(View{}, 0, value.PathOf("a", "b"))
+	got = r.PrefixLookup(nil, View{}, 0, value.PathOf("a", "b"))
 	if len(got) != 1 || got[0] != 0 {
 		t.Fatalf("PrefixLookup(a.b) = %v", got)
 	}
 	// Tuples shorter than the prefix never match.
-	if got := r.PrefixLookup(View{}, 0, value.PathOf("a", "b", "c", "d")); len(got) != 0 {
+	if got := r.PrefixLookup(nil, View{}, 0, value.PathOf("a", "b", "c", "d")); len(got) != 0 {
 		t.Fatalf("over-long prefix = %v", got)
 	}
 	// Catch-up after Add.
 	r.Add(tup(value.PathOf("a", "b")))
-	if got := r.PrefixLookup(View{}, 0, value.PathOf("a", "b")); len(got) != 2 || got[1] != 4 {
+	if got := r.PrefixLookup(nil, View{}, 0, value.PathOf("a", "b")); len(got) != 2 || got[1] != 4 {
 		t.Fatalf("post-Add PrefixLookup(a.b) = %v", got)
 	}
 }
@@ -221,10 +249,10 @@ func TestCloneKeepsHashedMembership(t *testing.T) {
 		t.Fatal("clone shares membership state")
 	}
 	// Indexes built on the original do not leak into the clone.
-	r.Index(0).Lookup(View{}, value.PathOf("a"))
+	r.Index(0).Lookup(nil, View{}, value.PathOf("a"))
 	c2 := r.Clone()
 	c2.Add(tup(value.PathOf("d")))
-	if got := c2.Index(0).Lookup(View{}, value.PathOf("d")); len(got) != 1 {
+	if got := c2.Index(0).Lookup(nil, View{}, value.PathOf("d")); len(got) != 1 {
 		t.Fatalf("clone index = %v", got)
 	}
 }
@@ -303,7 +331,7 @@ func TestSnapshotConcurrentReadsDuringWrites(t *testing.T) {
 			if !r.Contains(tup(value.PathOf("n"+fmt.Sprint(k)), value.PathOf("n"+fmt.Sprint(k+1)))) {
 				panic("snapshot lost a fact")
 			}
-			if got := r.Index(0).Lookup(View{}, value.PathOf("n"+fmt.Sprint(k))); len(got) != 1 {
+			if got := r.Index(0).Lookup(nil, View{}, value.PathOf("n"+fmt.Sprint(k))); len(got) != 1 {
 				panic("snapshot index lookup failed")
 			}
 		}
@@ -384,25 +412,25 @@ func TestRelationDeleteEqualAndIndexes(t *testing.T) {
 	// Build both index kinds, then delete: lookups must skip the
 	// tombstone while the *All variants keep seeing it.
 	key := value.PathOf("k3")
-	if got := r.Index(0).Lookup(View{}, key); len(got) != 1 {
+	if got := r.Index(0).Lookup(nil, View{}, key); len(got) != 1 {
 		t.Fatalf("pre-delete Lookup = %v", got)
 	}
-	if got := r.PrefixLookup(View{}, 0, key); len(got) != 1 {
+	if got := r.PrefixLookup(nil, View{}, 0, key); len(got) != 1 {
 		t.Fatalf("pre-delete PrefixLookup = %v", got)
 	}
 	if !r.Delete(tup(key, value.PathOf("v"))) {
 		t.Fatal("delete failed")
 	}
-	if got := r.Index(0).Lookup(View{}, key); len(got) != 0 {
+	if got := r.Index(0).Lookup(nil, View{}, key); len(got) != 0 {
 		t.Fatalf("Lookup must skip tombstones, got %v", got)
 	}
-	if got := r.Index(0).Lookup(View{Dead: true}, key); len(got) != 1 {
+	if got := r.Index(0).Lookup(nil, View{Dead: true}, key); len(got) != 1 {
 		t.Fatalf("Lookup under View{Dead: true} must include tombstones, got %v", got)
 	}
-	if got := r.PrefixLookup(View{}, 0, key); len(got) != 0 {
+	if got := r.PrefixLookup(nil, View{}, 0, key); len(got) != 0 {
 		t.Fatalf("PrefixLookup must skip tombstones, got %v", got)
 	}
-	if got := r.PrefixLookup(View{Dead: true}, 0, key); len(got) != 1 {
+	if got := r.PrefixLookup(nil, View{Dead: true}, 0, key); len(got) != 1 {
 		t.Fatalf("PrefixLookup under View{Dead: true} must include tombstones, got %v", got)
 	}
 	// Set equality ignores tombstones.
@@ -461,7 +489,7 @@ func TestRelationCloneCompactsEnsurePreserves(t *testing.T) {
 	if w.Len() != 6 || w.Size() != 6 || w.Tombstones() != 0 {
 		t.Fatalf("Compact: Len/Size/Tombstones = %d/%d/%d", w.Len(), w.Size(), w.Tombstones())
 	}
-	if got := w.Index(0).Lookup(View{}, value.PathOf("x7")); len(got) != 1 || got[0] >= 6 {
+	if got := w.Index(0).Lookup(nil, View{}, value.PathOf("x7")); len(got) != 1 || got[0] >= 6 {
 		t.Fatalf("post-compact index lookup = %v", got)
 	}
 }
@@ -502,7 +530,7 @@ func TestRestrictSharesFrozen(t *testing.T) {
 	i.Add("R", tup(value.PathOf("a")))
 	i.Add("S", tup(value.PathOf("b")))
 	i.Relation("R").Freeze()
-	out := i.Restrict("R", "S", "Nope")
+	out := restrict(i, "R", "S", "Nope")
 	if out.Relation("R") != i.Relation("R") {
 		t.Fatal("Restrict must share frozen relations")
 	}

@@ -80,13 +80,13 @@ func (w *probeWriter) rel() *Relation { return w.inst.Relation("R") }
 // following barrier has bases and overlays to share or flatten.
 func buildAll(r *Relation) {
 	t := r.TupleAt(0)
-	r.Index(0).Lookup(View{}, t[0])
-	r.Index(0, 1).Lookup(View{}, t[0], t[1])
+	r.Index(0).Lookup(nil, View{}, t[0])
+	r.Index(0, 1).Lookup(nil, View{}, t[0], t[1])
 	for n := 1; n <= 2; n++ {
-		r.PrefixLookup(View{}, 1, t[1][:n])
-		r.SuffixLookup(View{}, 1, t[1][len(t[1])-n:])
+		r.PrefixLookup(nil, View{}, 1, t[1][:n])
+		r.SuffixLookup(nil, View{}, 1, t[1][len(t[1])-n:])
 	}
-	r.PrefixLookup(View{}, 0, t[0])
+	r.PrefixLookup(nil, View{}, 0, t[0])
 }
 
 // barrier builds every index shape, freezes the relation behind a
@@ -148,18 +148,18 @@ func checkProbes(t *testing.T, state string, r *Relation) {
 					t.Fatalf("%s: %s %v under %+v:\n got %v\nwant %v", state, kind, key, v, got, want)
 				}
 			}
-			check("exact[0]", r.Index(0).Lookup(v, key[0]),
+			check("exact[0]", r.Index(0).Lookup(nil, v, key[0]),
 				func(u Tuple) bool { return u[0].Equal(key[0]) })
-			check("exact[0 1]", r.Index(0, 1).Lookup(v, key[0], key[1]),
+			check("exact[0 1]", r.Index(0, 1).Lookup(nil, v, key[0], key[1]),
 				func(u Tuple) bool { return u.Equal(key) })
 			for n := 1; n <= 2 && n <= len(key[1]); n++ {
 				prefix, suffix := key[1][:n], key[1][len(key[1])-n:]
-				check(fmt.Sprint("prefix col=1 len=", n), r.PrefixLookup(v, 1, prefix),
+				check(fmt.Sprint("prefix col=1 len=", n), r.PrefixLookup(nil, v, 1, prefix),
 					func(u Tuple) bool { return hasPrefix(u[1], prefix) })
-				check(fmt.Sprint("suffix col=1 len=", n), r.SuffixLookup(v, 1, suffix),
+				check(fmt.Sprint("suffix col=1 len=", n), r.SuffixLookup(nil, v, 1, suffix),
 					func(u Tuple) bool { return hasSuffix(u[1], suffix) })
 			}
-			check("prefix col=0 whole", r.PrefixLookup(v, 0, key[0]),
+			check("prefix col=0 whole", r.PrefixLookup(nil, v, 0, key[0]),
 				func(u Tuple) bool { return hasPrefix(u[0], key[0]) })
 
 			// Membership is the first-match form of the same probe.
@@ -285,20 +285,22 @@ func BenchmarkProbe(b *testing.B) {
 				}
 				ix := r.Index(0)
 				v := View{MaxBirth: 2 * n} // a bound that admits every position
+				var dst []int              // reused, so the series measures the probe, not append growth
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					key := keys[i%len(keys)]
 					switch kind {
 					case "exact":
-						probeSink += len(ix.Lookup(v, key[0]))
+						dst = ix.Lookup(dst[:0], v, key[0])
 					case "prefix":
-						probeSink += len(r.PrefixLookup(v, 1, key[1][:1]))
+						dst = r.PrefixLookup(dst[:0], v, 1, key[1][:1])
 					case "suffix":
-						probeSink += len(r.SuffixLookup(v, 1, key[1][3:]))
+						dst = r.SuffixLookup(dst[:0], v, 1, key[1][3:])
 					case "member":
 						probeSink += r.Position(v, hashes[i%len(keys)], key)
 					}
+					probeSink += len(dst)
 				}
 			})
 		}

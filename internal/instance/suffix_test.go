@@ -14,29 +14,29 @@ func TestSuffixLookup(t *testing.T) {
 	r.Add(tup(value.PathOf("b", "c")))
 	r.Add(tup(value.PathOf("c", "b")))
 	r.Add(tup(value.PathOf("c")))
-	got := r.SuffixLookup(View{}, 0, value.PathOf("c"))
+	got := r.SuffixLookup(nil, View{}, 0, value.PathOf("c"))
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 3 {
 		t.Fatalf("SuffixLookup(c) = %v", got)
 	}
-	got = r.SuffixLookup(View{}, 0, value.PathOf("b", "c"))
+	got = r.SuffixLookup(nil, View{}, 0, value.PathOf("b", "c"))
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("SuffixLookup(b.c) = %v", got)
 	}
 	// Tuples shorter than the suffix never match.
-	if got := r.SuffixLookup(View{}, 0, value.PathOf("a", "b", "c", "d")); len(got) != 0 {
+	if got := r.SuffixLookup(nil, View{}, 0, value.PathOf("a", "b", "c", "d")); len(got) != 0 {
 		t.Fatalf("over-long suffix = %v", got)
 	}
 	// Catch-up after Add.
 	r.Add(tup(value.PathOf("x", "b", "c")))
-	if got := r.SuffixLookup(View{}, 0, value.PathOf("b", "c")); len(got) != 3 || got[2] != 4 {
+	if got := r.SuffixLookup(nil, View{}, 0, value.PathOf("b", "c")); len(got) != 3 || got[2] != 4 {
 		t.Fatalf("post-Add SuffixLookup(b.c) = %v", got)
 	}
 	// Prefix and suffix indexes of the same (col, len) are independent:
 	// a.b.c starts with a.b but does not end with it.
-	if got := r.PrefixLookup(View{}, 0, value.PathOf("a", "b")); len(got) != 1 || got[0] != 0 {
+	if got := r.PrefixLookup(nil, View{}, 0, value.PathOf("a", "b")); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("PrefixLookup(a.b) = %v", got)
 	}
-	if got := r.SuffixLookup(View{}, 0, value.PathOf("a", "b")); len(got) != 0 {
+	if got := r.SuffixLookup(nil, View{}, 0, value.PathOf("a", "b")); len(got) != 0 {
 		t.Fatalf("SuffixLookup(a.b) = %v", got)
 	}
 }
@@ -47,7 +47,7 @@ func TestSuffixLookupColumnOutOfRangePanics(t *testing.T) {
 			t.Fatal("out-of-range suffix column must panic")
 		}
 	}()
-	NewRelation(1).SuffixLookup(View{}, 1, value.PathOf("a"))
+	NewRelation(1).SuffixLookup(nil, View{}, 1, value.PathOf("a"))
 }
 
 func TestSuffixLookupEmptySuffixPanics(t *testing.T) {
@@ -56,7 +56,7 @@ func TestSuffixLookupEmptySuffixPanics(t *testing.T) {
 			t.Fatal("empty suffix probe must panic (caller should scan)")
 		}
 	}()
-	NewRelation(1).SuffixLookup(View{}, 0, nil)
+	NewRelation(1).SuffixLookup(nil, View{}, 0, nil)
 }
 
 // TestSuffixLookupTombstones: deletions filter out of SuffixLookup
@@ -66,22 +66,22 @@ func TestSuffixLookupTombstones(t *testing.T) {
 	r := NewRelation(1)
 	r.Add(tup(value.PathOf("a", "z")))
 	r.Add(tup(value.PathOf("b", "z")))
-	if got := r.SuffixLookup(View{}, 0, value.PathOf("z")); len(got) != 2 {
+	if got := r.SuffixLookup(nil, View{}, 0, value.PathOf("z")); len(got) != 2 {
 		t.Fatalf("pre-delete SuffixLookup = %v", got)
 	}
 	if !r.Delete(tup(value.PathOf("a", "z"))) {
 		t.Fatal("delete failed")
 	}
-	if got := r.SuffixLookup(View{}, 0, value.PathOf("z")); len(got) != 1 || got[0] != 1 {
+	if got := r.SuffixLookup(nil, View{}, 0, value.PathOf("z")); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("SuffixLookup must skip tombstones, got %v", got)
 	}
-	if got := r.SuffixLookup(View{Dead: true}, 0, value.PathOf("z")); len(got) != 2 {
+	if got := r.SuffixLookup(nil, View{Dead: true}, 0, value.PathOf("z")); len(got) != 2 {
 		t.Fatalf("SuffixLookup under View{Dead: true} must include tombstones, got %v", got)
 	}
 	// Re-adding appends at a fresh position; the index catches up and
 	// the live probe sees exactly the live copies.
 	r.Add(tup(value.PathOf("a", "z")))
-	if got := r.SuffixLookup(View{}, 0, value.PathOf("z")); len(got) != 2 || got[1] != 2 {
+	if got := r.SuffixLookup(nil, View{}, 0, value.PathOf("z")); len(got) != 2 || got[1] != 2 {
 		t.Fatalf("post-re-add SuffixLookup = %v", got)
 	}
 }
@@ -94,7 +94,7 @@ func TestSuffixLookupCompact(t *testing.T) {
 	for k := 0; k < 8; k++ {
 		r.Add(tup(value.PathOf(fmt.Sprint("x", k), "end")))
 	}
-	if got := r.SuffixLookup(View{}, 0, value.PathOf("end")); len(got) != 8 {
+	if got := r.SuffixLookup(nil, View{}, 0, value.PathOf("end")); len(got) != 8 {
 		t.Fatalf("SuffixLookup = %v", got)
 	}
 	r.Delete(tup(value.PathOf("x2", "end")))
@@ -103,7 +103,7 @@ func TestSuffixLookupCompact(t *testing.T) {
 	if r.Size() != 6 || r.Tombstones() != 0 {
 		t.Fatalf("Compact: Size/Tombstones = %d/%d", r.Size(), r.Tombstones())
 	}
-	got := r.SuffixLookup(View{}, 0, value.PathOf("end"))
+	got := r.SuffixLookup(nil, View{}, 0, value.PathOf("end"))
 	if len(got) != 6 {
 		t.Fatalf("post-compact SuffixLookup = %v", got)
 	}
@@ -127,16 +127,16 @@ func TestSuffixLookupFrozenShared(t *testing.T) {
 	if !shared.Frozen() {
 		t.Fatal("snapshot relation must be frozen")
 	}
-	if got := shared.SuffixLookup(View{}, 0, value.PathOf("z")); len(got) != 2 {
+	if got := shared.SuffixLookup(nil, View{}, 0, value.PathOf("z")); len(got) != 2 {
 		t.Fatalf("frozen SuffixLookup = %v", got)
 	}
 	// A write on the owning instance clones; the clone answers its own
 	// suffix probes and the frozen original is undisturbed.
 	i.Add("R", tup(value.PathOf("c", "z")))
-	if got := i.Relation("R").SuffixLookup(View{}, 0, value.PathOf("z")); len(got) != 3 {
+	if got := i.Relation("R").SuffixLookup(nil, View{}, 0, value.PathOf("z")); len(got) != 3 {
 		t.Fatalf("clone SuffixLookup = %v", got)
 	}
-	if got := shared.SuffixLookup(View{}, 0, value.PathOf("z")); len(got) != 2 {
+	if got := shared.SuffixLookup(nil, View{}, 0, value.PathOf("z")); len(got) != 2 {
 		t.Fatalf("frozen relation's index grew: %v", got)
 	}
 }
@@ -160,7 +160,7 @@ func TestSuffixLookupConcurrentLazyBuild(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 64; k++ {
 				suffix := value.PathOf(fmt.Sprint("s", k%4))
-				if got := r.SuffixLookup(View{}, 0, suffix); len(got) != n/4 {
+				if got := r.SuffixLookup(nil, View{}, 0, suffix); len(got) != n/4 {
 					select {
 					case errs <- fmt.Sprintf("goroutine %d: SuffixLookup(%s) = %d positions, want %d", g, suffix, len(got), n/4):
 					default:
@@ -168,7 +168,7 @@ func TestSuffixLookupConcurrentLazyBuild(t *testing.T) {
 					return
 				}
 				long := value.PathOf("mid", fmt.Sprint("s", k%4))
-				if got := r.SuffixLookup(View{}, 0, long); len(got) != n/4 {
+				if got := r.SuffixLookup(nil, View{}, 0, long); len(got) != n/4 {
 					select {
 					case errs <- fmt.Sprintf("goroutine %d: SuffixLookup(%s) = %d positions, want %d", g, long, len(got), n/4):
 					default:
