@@ -190,17 +190,6 @@ func (r Rule) LimitedVars() map[Var]bool {
 	return limited
 }
 
-// Safe reports whether all variables occurring in the rule are limited.
-func (r Rule) Safe() bool {
-	limited := r.LimitedVars()
-	for _, v := range r.Vars() {
-		if !limited[v] {
-			return false
-		}
-	}
-	return true
-}
-
 // IDB returns the set of relation names defined by some rule head.
 func (p Program) IDB() map[string]bool {
 	set := map[string]bool{}

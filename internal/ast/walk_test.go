@@ -291,11 +291,16 @@ func TestHelpersUnchanged(t *testing.T) {
 		fmt.Fprintf(&b, "idb %v edb %v all %v recursive %v\n", p.IDBNames(), p.EDBNames(), p.RelationNames(), p.RecursiveRelations())
 		for _, r := range p.Rules() {
 			var limited []ast.Var
-			for v := range r.LimitedVars() {
+			lim := r.LimitedVars()
+			for v := range lim {
 				limited = append(limited, v)
 			}
 			slices.SortFunc(limited, func(a, b ast.Var) int { return strings.Compare(a.String(), b.String()) })
-			fmt.Fprintf(&b, "vars %v limited %v safe %v ground-head %v\n", r.Vars(), limited, r.Safe(), allGround(r.Head.Args))
+			safe := true
+			for _, v := range r.Vars() {
+				safe = safe && lim[v]
+			}
+			fmt.Fprintf(&b, "vars %v limited %v safe %v ground-head %v\n", r.Vars(), limited, safe, allGround(r.Head.Args))
 		}
 	}
 	got := b.String()

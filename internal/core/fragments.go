@@ -212,40 +212,6 @@ func BuildLattice() *Lattice {
 	return &Lattice{Classes: classes, Edges: edges}
 }
 
-// Top returns the index of the maximum class ({I, N, R}).
-func (l *Lattice) Top() int {
-	for i, c := range l.Classes {
-		isTop := true
-		for j := range l.Classes {
-			if !Subsumes(l.Classes[j].Representative, c.Representative) {
-				isTop = false
-				break
-			}
-		}
-		if isTop {
-			return i
-		}
-	}
-	return -1
-}
-
-// Bottom returns the index of the minimum class ({}).
-func (l *Lattice) Bottom() int {
-	for i, c := range l.Classes {
-		isBot := true
-		for j := range l.Classes {
-			if !Subsumes(c.Representative, l.Classes[j].Representative) {
-				isBot = false
-				break
-			}
-		}
-		if isBot {
-			return i
-		}
-	}
-	return -1
-}
-
 // DOT renders the diagram in Graphviz format.
 func (l *Lattice) DOT() string {
 	var b strings.Builder

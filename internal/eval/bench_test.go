@@ -47,7 +47,7 @@ func tupleAtomic(bound bool) func() {
 	}
 	var tuples [][]value.Path
 	for _, edge := range []string{"a.b", "b.c", "b.d", "c.d"} {
-		tuples = append(tuples, []value.Path{parser.MustParsePath(edge)})
+		tuples = append(tuples, []value.Path{mustPath(edge)})
 	}
 	count := 0
 	return func() {

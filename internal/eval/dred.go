@@ -3,7 +3,7 @@ package eval
 // Delete-and-rederive (DRed) incremental maintenance. One maintenance
 // run — an Engine.Assert or Engine.Retract — walks the program's
 // dependency components (see component) once, in dependency order,
-// applying three phases per component:
+// applying two phases per component:
 //
 //  1. overdelete: tombstone every materialized fact of the component's
 //     heads whose known derivations may involve a changed fact — a
@@ -19,23 +19,24 @@ package eval
 //     candidates that plainly keep a derivation from supports born
 //     strictly before them (see the stamp paragraph below), which is
 //     what stops the cascade at its frontier.
-//  2. rederive: each overdeleted candidate is checked goal-directedly —
-//     the head matched against the candidate fact, the rule body run
-//     against the live state through a head-bound rederive plan —
-//     and knock-on restorations then propagate semi-naively over the
-//     restore windows.
-//  3. insert: new consequences are derived delta-first — insertion
-//     windows joined through positive literals (the classic semi-naive
-//     incremental round), net deletions joined through negated literals
-//     (derivations blocked only by a fact this run removed are new),
-//     then the component-local fixpoint.
+//  2. reinsert: each overdeleted candidate is first checked
+//     goal-directedly — the head matched against the candidate fact,
+//     the rule body run against the live state through a head-bound
+//     rederive plan — and restored when it still derives. Then new
+//     consequences are derived delta-first — insertion windows joined
+//     through positive literals (the classic semi-naive incremental
+//     round), net deletions joined through negated literals
+//     (derivations blocked only by a fact this run removed are new) —
+//     and the one component-local fixpoint chases them together with
+//     the restorations, so a candidate whose only surviving derivation
+//     runs through a restored fact comes back there.
 //
 // Both signs run through the same delta-hoisted variants (see
 // plan.compileVariants): a negated atom's variant is the rule with that
 // literal made positive and hoisted, so its delta step iterates the
 // changes of the negated relation. Overdeletion feeds it the
-// insertions, the insert phase the net deletions — the reverse of what
-// the positive atoms read.
+// insertions, reinsertion the net deletions — the reverse of what the
+// positive atoms read.
 //
 // Net insertions are tracked as windows into the relations' tuple
 // logs, net deletions as side relations. Every rule for a relation sits
@@ -77,15 +78,14 @@ var errStopRun = errors.New("eval: stop after first derivation")
 type deltas struct {
 	// ins[name] lists the windows of e.inst.Relation(name)'s tuple log
 	// holding facts this run inserted: the asserted batch plus the
-	// insert-phase derivations. Rederived facts are not recorded: a fact
-	// that was overdeleted and then restored is unchanged as far as
-	// later components are concerned.
+	// reinsert-phase derivations. The goal pass's restorations are not
+	// recorded: a fact that was overdeleted and then restored is
+	// unchanged as far as later components are concerned.
 	ins map[string][]window
 	// del[name] holds the facts this run removed from the
-	// materialization and has not restored; entries are tombstoned in
-	// place when a rederivation (or an insert-phase re-derivation)
-	// brings the fact back, so the live entries are always the net
-	// deletions.
+	// materialization and has not restored; the reinsert phase
+	// tombstones an entry in place once the fact is back, so the live
+	// entries are always the net deletions.
 	del map[string]*instance.Relation
 }
 
@@ -121,10 +121,7 @@ func (m *maintenance) run() error {
 		m.stats.Incremental++
 		err := m.overdelete(c)
 		if err == nil {
-			err = m.rederive(c)
-		}
-		if err == nil {
-			err = m.insert(c)
+			err = m.reinsert(c)
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", c, err)
@@ -133,11 +130,11 @@ func (m *maintenance) run() error {
 	return nil
 }
 
-// changed reports whether this run has inserted into or deleted from
-// any of the named relations.
+// changed reports whether this run has inserted into any of the named
+// relations or deleted from one and not restored it.
 func (m *maintenance) changed(names map[string]bool) bool {
 	for name := range names {
-		if len(m.ins[name]) > 0 || m.del[name] != nil {
+		if dl := m.del[name]; len(m.ins[name]) > 0 || dl != nil && dl.Len() > 0 {
 			return true
 		}
 	}
@@ -251,82 +248,13 @@ func (m *maintenance) overdelete(c *component) error {
 	}
 }
 
-// rederive is phase 2; see the package comment. It runs one
-// goal-directed pass over the candidates (each checked against the
-// live state through the head-bound rederive plans), then chases the
-// knock-on restorations semi-naively: a restored fact can give another
-// candidate its derivation back, so the restore windows are joined
-// delta-first with a sink that only restores still-deleted facts —
-// never a second full pass over the candidate set.
-func (m *maintenance) rederive(c *component) error {
-	e := m.e
-	inst := e.inst
-	candidates := 0
-	for name := range c.heads {
-		if dl := m.del[name]; dl != nil {
-			candidates += dl.Len()
-		}
-	}
-	if candidates == 0 {
-		return nil
-	}
-	prev := localSizes(c.heads, inst)
-	restore := func(name string, arity int, h uint64, t instance.Tuple) {
-		if inst.Ensure(name, arity).AddHashed(h, t) {
-			e.derived++
-			m.stats.Rederived++
-		}
-		m.del[name].DeleteHashed(h, t) // restored, or already back
-	}
-	dr := m.driver(c.plans, runOpts{})
-	for _, name := range sortedNames(c.heads) {
-		dl := m.del[name]
-		if dl == nil {
-			continue
-		}
-		arity := e.prep.arities[name]
-		for pos := 0; pos < dl.Size(); pos++ {
-			if !dl.Live(pos) {
-				continue
-			}
-			t := dl.TupleAt(pos) // owned by the deletion log, safe to share
-			ok, err := dr.derivesGoal(c.rederive, name, t, 0)
-			if err != nil {
-				return err
-			}
-			if ok {
-				restore(name, arity, dl.HashAt(pos), t)
-			}
-		}
-	}
-	// Delta propagation over the restore windows: keep a derived fact
-	// only when it is a still-deleted candidate.
-	sink := func(p *plan, env *Env) error {
-		t, h, err := dr.head(p, env)
-		if err != nil {
-			return err
-		}
-		dl := m.del[p.rule.Head.Name]
-		if dl == nil {
-			return nil
-		}
-		pos := dl.Position(instance.View{}, h, t)
-		if pos < 0 {
-			return nil // not a candidate: the fact already exists (or never did)
-		}
-		restore(p.rule.Head.Name, len(t), dl.HashAt(pos), dl.TupleAt(pos))
-		return nil
-	}
-	return dr.fixpoint(c.heads, prev, sink)
-}
-
 // derivesGoal reports whether some rule of the component derives the
 // fact name(t...): the rule head is matched against the fact (into
 // the rederive plan's slots of the frame's own valuation, which the
 // run starts from) and the body
 // evaluated against the live state through the head-bound rederive
 // plan, stopping at the first derivation found. On a plain driver this
-// is the rederive phase's check that the fact is still derivable; on
+// is the reinsert phase's check that the fact is still derivable; on
 // the overdeletion pruner's (opts.boundHeads set), supports read from
 // the component's own heads — the relations still in flux — must be born
 // strictly before boundBirth, the well-founded variant of the check.
@@ -354,19 +282,42 @@ func (dr *driver) derivesGoal(plans []*plan, name string, t instance.Tuple, boun
 	return false, nil
 }
 
-// insert is phase 3; see the package comment.
-func (m *maintenance) insert(c *component) error {
-	inst := m.e.inst
+// reinsert is phase 2; see the package comment.
+func (m *maintenance) reinsert(c *component) error {
+	e := m.e
+	inst := e.inst
 	dr := m.driver(c.plans, runOpts{})
-	dr.derived = &m.e.derived
-	sink := dr.derive
+	dr.derived = &e.derived
+	// The fixpoint starts before the goal pass, so it chases the restored
+	// facts too: a restored fact can give another candidate, checked
+	// before it, its derivation back.
 	prev := localSizes(c.heads, inst)
+	for _, name := range sortedNames(c.heads) {
+		dl := m.del[name]
+		if dl == nil {
+			continue
+		}
+		for pos := 0; pos < dl.Size(); pos++ {
+			if !dl.Live(pos) {
+				continue
+			}
+			t := dl.TupleAt(pos) // owned by the deletion log, safe to share
+			ok, err := dr.derivesGoal(c.rederive, name, t, 0)
+			if err != nil {
+				return err
+			}
+			if ok && inst.Ensure(name, len(t)).AddHashed(dl.HashAt(pos), t) {
+				e.derived++
+			}
+		}
+	}
+	from := localSizes(c.heads, inst)
 	// One delta round over both changes that enable derivations: the
 	// insertion windows through positive atoms (the classic incremental
 	// round), and the net deletions through negated atoms — a derivation
 	// blocked only by a fact this run removed (and did not restore) is
-	// new. The net deletions are the live entries of the deletion log:
-	// restored facts are tombstoned there.
+	// new. A negated relation belongs to an earlier component, so its
+	// net deletions are final: the live entries of its deletion log.
 	var one [1]window // backs the single window changes returns
 	changes := func(name string, neg bool) (*instance.Relation, []window) {
 		if !neg {
@@ -378,25 +329,26 @@ func (m *maintenance) insert(c *component) error {
 		}
 		return nil, nil
 	}
-	if err := dr.delta(changes, sink); err != nil {
+	if err := dr.delta(changes, dr.derive); err != nil {
 		return err
 	}
-	// Then chase the component-local consequences.
-	if err := dr.fixpoint(c.heads, prev, sink); err != nil {
+	// Then chase the component-local consequences, restorations included.
+	if err := dr.fixpoint(c.heads, prev); err != nil {
 		return err
 	}
 	// Record the insertion windows for later components, and collapse facts
-	// that were both overdeleted and re-derived by this phase back to
-	// "unchanged": their deletion-log entry dies. (The insertion window
-	// still over-approximates by covering the re-derived positions;
-	// downstream overdeletion plus rederivation absorbs that.)
+	// that were both overdeleted and brought back by this phase to
+	// "unchanged": their deletion-log entry dies. The goal pass's
+	// restorations lie before from, outside the windows; the windows
+	// still over-approximate by covering the fixpoint's re-derived
+	// positions, which downstream overdeletion plus reinsertion absorbs.
 	for _, name := range sortedNames(c.heads) {
 		rel := inst.Relation(name)
 		if rel == nil {
 			continue
 		}
-		if hi := rel.Size(); hi > prev[name] {
-			m.ins[name] = append(m.ins[name], window{lo: prev[name], hi: hi})
+		if hi := rel.Size(); hi > from[name] {
+			m.ins[name] = append(m.ins[name], window{lo: from[name], hi: hi})
 		}
 		dl := m.del[name]
 		if dl == nil {

@@ -177,7 +177,7 @@ R(a.b). R(b.d). R(a.c). R(c.d).`), Limits{})
 
 // TestEngineRetractPrunesInsideTheChase: the pruner's goal check runs
 // from inside the overdeletion chase's sink — a plan run inside a plan
-// run, over the same relations T and R — and the rederive phase then
+// run, over the same relations T and R — and the reinsert phase then
 // runs goal checks of its own. One retraction here needs all of it:
 // T(a.h) is pruned (its other derivation, T(a.g)+R(g.h), is older than
 // the fact), T(a.d) is not (its other derivation goes through T(a.c),
@@ -185,31 +185,76 @@ R(a.b). R(b.d). R(a.c). R(c.d).`), Limits{})
 // A chase and a goal check sharing one run frame would continue the
 // chase in the goal plan's steps; the result would not be Eval's.
 func TestEngineRetractPrunesInsideTheChase(t *testing.T) {
+	stats := retractMatchesEval(t, []string{`R(a.b). R(b.d). R(b.h). R(a.g). R(g.h).`, `R(a.c). R(c.d).`},
+		`R(a.b).`, `R(b.d). R(b.h). R(a.g). R(g.h). R(a.c). R(c.d).`)
+	if stats.StampPruned == 0 || stats.Rederived == 0 {
+		t.Fatalf("stats = %+v, want T(a.h) pruned inside the chase and T(a.d) rederived", stats)
+	}
+}
+
+// retractMatchesEval builds an engine for the reachability query over
+// the first batch, asserts each later batch, retracts retract and
+// checks the result against Eval on the surviving edges. It returns
+// the retraction's stats.
+func retractMatchesEval(t *testing.T, batches []string, retract, surviving string) RetractStats {
+	t.Helper()
 	q, _ := queries.Get("reachability")
 	prep, err := Compile(q.Program)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(prep, parser.MustParseInstance(`R(a.b). R(b.d). R(b.h). R(a.g). R(g.h).`), Limits{})
+	e, err := NewEngine(prep, parser.MustParseInstance(batches[0]), Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Assert(parser.MustParseInstance(`R(a.c). R(c.d).`)); err != nil {
-		t.Fatal(err)
+	for _, b := range batches[1:] {
+		if _, err := e.Assert(parser.MustParseInstance(b)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	stats, err := e.Retract(parser.MustParseInstance(`R(a.b).`))
+	stats, err := e.Retract(parser.MustParseInstance(retract))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.StampPruned == 0 || stats.Rederived == 0 {
-		t.Fatalf("stats = %+v, want T(a.h) pruned inside the chase and T(a.d) rederived", stats)
-	}
-	want, err := prep.Eval(parser.MustParseInstance(`R(b.d). R(b.h). R(a.g). R(g.h). R(a.c). R(c.d).`), Limits{})
+	want, err := prep.Eval(parser.MustParseInstance(surviving), Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := mustSnapshot(t, e); !got.Equal(want) {
 		t.Fatal(instance.Diff(got, want))
+	}
+	return stats
+}
+
+// TestEngineRetractKnockOnRestoration pins that the reinsert phase's
+// fixpoint chases the goal pass's restorations. Retracting a->d
+// overdeletes T(a.d), then T(a.c) (derived through T(a.d) and d->c);
+// the pruner keeps neither, since their other supports T(a.c) and
+// T(a.e) were born after them. The goal pass checks T(a.d) first and
+// finds nothing, because its only surviving derivation runs through
+// the still-deleted T(a.c). It then restores T(a.c) through T(a.e) and
+// e->c, and only the fixpoint, started before the goal pass, brings
+// T(a.d) back through T(a.c) and c->d.
+func TestEngineRetractKnockOnRestoration(t *testing.T) {
+	stats := retractMatchesEval(t, []string{`R(a.d). R(d.c).`, `R(c.d).`, `R(a.e). R(e.c).`},
+		`R(a.d).`, `R(d.c). R(c.d). R(a.e). R(e.c).`)
+	if stats.Overdeleted != 2 || stats.Rederived < 2 || stats.Derived != 0 {
+		t.Fatalf("stats = %+v, want T(a.d) and T(a.c) overdeleted and both restored", stats)
+	}
+}
+
+// TestEngineRetractRestoredSkipsReaders: a retraction whose overdeleted
+// facts all come back changes no relation its readers see, so the
+// reader's component is skipped. Retracting a->b overdeletes T(a.b)
+// (its other derivation, through T(a.x), is younger) and restores it;
+// S, which reads T, is not maintained.
+func TestEngineRetractRestoredSkipsReaders(t *testing.T) {
+	stats := retractMatchesEval(t, []string{`R(a.b).`, `R(a.x). R(x.b).`}, `R(a.b).`, `R(a.x). R(x.b).`)
+	if stats.Overdeleted != 1 || stats.Rederived != 1 || stats.Derived != 0 {
+		t.Fatalf("stats = %+v, want T(a.b) overdeleted and restored", stats)
+	}
+	if stats.Skipped != 1 || stats.Incremental != 1 || stats.Plans.VariantRuns != 4 {
+		t.Fatalf("stats = %+v, want S skipped: 1 skipped, 1 incremental, 4 variant runs", stats)
 	}
 }
 
@@ -336,7 +381,7 @@ S(@x) :- R(@x.@y), !W(@x).`)
 }
 
 // TestEngineRetractRestoredUnderNegation pins what a negated atom's
-// delta reads in the insert phase: the net deletions, the live entries
+// delta reads in the reinsert phase: the net deletions, the live entries
 // of the deletion log. Retracting A(b) overdeletes C(b) (born before
 // its other support C(a), so the pruner cannot keep it) and rederives
 // it through C(a), L(a.b): its deletion-log entry dies, and N(b), which

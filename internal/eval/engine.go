@@ -111,9 +111,10 @@ type MaintenanceStats struct {
 	Derived int
 	// Overdeleted counts the IDB facts tombstoned by the overdeletion
 	// phase (derivations that may depend on a changed fact); Rederived
-	// counts how many of those were restored because an alternative
-	// derivation survives. Overdeleted - Rederived is the number of
-	// facts the batch genuinely invalidated.
+	// counts how many of those the reinsert phase brought back because
+	// an alternative derivation survives, whether its goal check or its
+	// fixpoint found it. Overdeleted - Rederived is the number of facts
+	// the batch genuinely invalidated.
 	Overdeleted int
 	Rederived   int
 	// StampPruned counts overdeletion candidates the well-founded pruner
@@ -126,7 +127,7 @@ type MaintenanceStats struct {
 	// ast.Deps) left completely untouched because no relation they read
 	// changed; Incremental counts components maintained delta-first.
 	// Nothing is ever recomputed from scratch: negation is handled by
-	// targeted overdelete + rederive.
+	// targeted overdelete + reinsert.
 	Skipped     int
 	Incremental int
 	// Plans reports which plan shapes the run executed and their access

@@ -32,7 +32,7 @@ func splitEDB(edb *instance.Instance, prep *Prepared, keep int, rng *rand.Rand) 
 	for _, name := range edb.Names() {
 		r := edb.Relation(name)
 		for _, t := range r.Tuples() {
-			if prep.IsIDB(name) {
+			if prep.idb[name] {
 				initial.Ensure(name, r.Arity).Add(t)
 				continue
 			}

@@ -139,11 +139,12 @@ func fullItems(plans []*plan) []workItem {
 // driver runs one component's rules for one evaluation phase: round 0 and
 // the semi-naive rounds of the from-scratch evaluator, and each phase
 // of DRed maintenance. The phases differ in what consumes a derivation
-// (the sink every method takes), in what every run adds to an ordinary
-// one (opts) and in where a round's change windows come from; how the
-// runs are enumerated and executed is the same everywhere. The driver
-// owns what its runs share, down to the frame and head scratch they
-// execute in: it serves one goroutine, one run at a time, never copied.
+// (the sink run and delta take; fixpoint always derives), in what
+// every run adds to an ordinary one (opts) and in where a round's
+// change windows come from; how the runs are enumerated and executed
+// is the same everywhere. The driver owns what its runs share, down to
+// the frame and head scratch they execute in: it serves one goroutine,
+// one run at a time, never copied.
 type driver struct {
 	plans  []*plan
 	inst   *instance.Instance
@@ -152,8 +153,8 @@ type driver struct {
 	// stats, when set, counts the plan executions of delta: the
 	// maintenance run's PlanStats.
 	stats *PlanStats
-	// derived is set when the phase's sink is derive into inst, counting
-	// new facts here.
+	// derived is set when the phase derives into inst (derive, and so
+	// fixpoint), counting new facts here.
 	derived *int
 	// workers is how many ways a round is split: runtime.GOMAXPROCS(0)
 	// for the from-scratch pass, 0 (inline) for every maintenance phase;
@@ -216,11 +217,11 @@ func (dr *driver) delta(changes func(name string, neg bool) (log *instance.Relat
 // each round re-evaluates the component's rules with one local positive
 // predicate restricted to the window of facts appended since the
 // window start recorded in prev (see delta); the facts the round
-// appends form the next round's windows. Shared by the from-scratch
-// evaluator (after its round 0), the maintenance insert phase (after
-// its delta round) and the rederive phase (whose sink restores instead
-// of deriving).
-func (dr *driver) fixpoint(local map[string]bool, prev map[string]int, sink sinkFunc) error {
+// appends form the next round's windows. Every round derives (its sink
+// is derive). Shared by the from-scratch evaluator (after its round 0)
+// and the maintenance reinsert phase (after its goal pass and delta
+// round).
+func (dr *driver) fixpoint(local map[string]bool, prev map[string]int) error {
 	var one []window // backs the single window grown returns
 	for iter := 0; ; iter++ {
 		grew := false
@@ -251,7 +252,7 @@ func (dr *driver) fixpoint(local map[string]bool, prev map[string]int, sink sink
 			one[0] = window{lo, hi}
 			return nil, one
 		}
-		if err := dr.delta(grown, sink); err != nil {
+		if err := dr.delta(grown, dr.derive); err != nil {
 			return err
 		}
 		prev = cur
@@ -283,7 +284,7 @@ func (p *Prepared) fixpoint(inst *instance.Instance, limits Limits, derived *int
 		prev := localSizes(c.heads, inst)
 		err := dr.run(fullItems(c.plans), dr.derive)
 		if err == nil {
-			err = dr.fixpoint(c.heads, prev, dr.derive)
+			err = dr.fixpoint(c.heads, prev)
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", c, err)

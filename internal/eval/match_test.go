@@ -8,6 +8,15 @@ import (
 	"seqlog/internal/value"
 )
 
+// mustPath parses a ground path literal, panicking on error.
+func mustPath(src string) value.Path {
+	p, err := parser.ParsePath(src)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 // allMatches collects the distinct valuations that match e against p.
 func allMatches(t *testing.T, src string, path string) []map[ast.Var]value.Path {
 	t.Helper()
@@ -16,7 +25,7 @@ func allMatches(t *testing.T, src string, path string) []map[ast.Var]value.Path 
 		t.Fatalf("pattern %q: %v", src, err)
 	}
 	e := rules[0].Head.Args[0]
-	p := parser.MustParsePath(path)
+	p := mustPath(path)
 	env := NewEnv()
 	var out []map[ast.Var]value.Path
 	env.Match(e, p, func() {
@@ -117,7 +126,7 @@ func TestMatchPacking(t *testing.T) {
 
 func TestMatchBoundVariableChecks(t *testing.T) {
 	e := ast.Cat(ast.P("x"), ast.C("m"), ast.P("x"))
-	p := parser.MustParsePath("a.b.m.a.b")
+	p := mustPath("a.b.m.a.b")
 	env := NewEnv()
 	count := 0
 	env.Match(e, p, func() { count++ })
@@ -128,7 +137,7 @@ func TestMatchBoundVariableChecks(t *testing.T) {
 	env2 := NewEnv()
 	count = 0
 	env2.Match(ast.P("x"), value.PathOf("a"), func() {
-		env2.Match(ast.Cat(ast.P("x"), ast.P("y")), parser.MustParsePath("a.b"), func() { count++ })
+		env2.Match(ast.Cat(ast.P("x"), ast.P("y")), mustPath("a.b"), func() { count++ })
 	})
 	if count != 1 {
 		t.Fatalf("prebound count = %d, want 1", count)
@@ -136,7 +145,7 @@ func TestMatchBoundVariableChecks(t *testing.T) {
 	env3 := NewEnv()
 	count = 0
 	env3.Match(ast.P("x"), value.PathOf("z"), func() {
-		env3.Match(ast.Cat(ast.P("x"), ast.P("y")), parser.MustParsePath("a.b"), func() { count++ })
+		env3.Match(ast.Cat(ast.P("x"), ast.P("y")), mustPath("a.b"), func() { count++ })
 	})
 	if count != 0 {
 		t.Fatalf("conflicting prebound count = %d, want 0", count)

@@ -128,10 +128,6 @@ func (p *Prepared) Arity(name string) (int, bool) {
 	return a, ok
 }
 
-// IsIDB reports whether the program defines the relation (it occurs in
-// some rule head).
-func (p *Prepared) IsIDB(name string) bool { return p.idb[name] }
-
 // Explain returns, in evaluation order (component by component, rule
 // order within one), a one-line description of each compiled join
 // plan: the chosen predicate order and, per predicate, the access path

@@ -339,12 +339,3 @@ func ParsePath(src string) (value.Path, error) {
 	}
 	return e.Eval(), nil
 }
-
-// MustParsePath is ParsePath that panics on error.
-func MustParsePath(src string) value.Path {
-	p, err := ParsePath(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}

@@ -440,12 +440,6 @@ func (s *solver) children(eq Equation) ([]edge, int) {
 	return nil, leafFail
 }
 
-// Verify checks that a substitution is a symbolic solution: applying it
-// to both sides yields syntactically equal expressions.
-func Verify(eq Equation, sol ast.Subst) bool {
-	return sol.Apply(eq.L).Equal(sol.Apply(eq.R))
-}
-
 // DOT renders the search DAG in Graphviz format, for Figure 2-style
 // visualization.
 func (g *Graph) DOT() string {

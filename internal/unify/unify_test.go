@@ -50,9 +50,10 @@ func TestFigure2(t *testing.T) {
 			t.Fatalf("solutions differ:\n got %v\nwant %v", got, want)
 		}
 	}
-	// All are symbolic solutions.
+	// All are symbolic solutions: applying one to both sides yields
+	// syntactically equal expressions.
 	for _, s := range res.Solutions {
-		if !Verify(e, s) {
+		if !s.Apply(e.L).Equal(s.Apply(e.R)) {
 			t.Fatalf("solution %s does not verify", s)
 		}
 	}
@@ -242,7 +243,7 @@ func TestAllSolutionsVerify(t *testing.T) {
 		for _, mode := range []bool{false, true} {
 			res := Solve(e, Options{AllowEmpty: mode})
 			for _, s := range res.Solutions {
-				if !Verify(e, s) {
+				if !s.Apply(e.L).Equal(s.Apply(e.R)) {
 					t.Errorf("%s: solution %s does not verify (allowEmpty=%v)", e, s, mode)
 				}
 				if !atomicBindingsValid(s) {
