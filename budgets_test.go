@@ -30,7 +30,10 @@ func TestAllocBudgets(t *testing.T) {
 		// bound keeps the 20 % over the measured figure (400 976 B/op)
 		// that the archive's guard allowed; -race alone adds 8 %.
 		{"IncrementalAssert/incremental-interleaved/k=1", interleavedBody, 160, 480_000},
-		{"IncrementalRetract/retract/k=1", retractBody, 360, 0},
+		// Reachability's goal plan starts at R, outside the recursion
+		// (108 132 B/op measured, 125 742 under -race). Checks that start
+		// at T measure 169 494 B/op: a silent revert fails the bound.
+		{"IncrementalRetract/retract/k=1", retractBody, 360, 135_000},
 		{"IncrementalRetractMutual/retract-mutual/k=1", mutualBody, 1120, 0},
 		// ROADMAP item 4: a new path representation must leave associative
 		// unification where it is (713 allocs/op measured).

@@ -255,7 +255,7 @@ func TestRewriteToCarriesJoinPlan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("target %s: rewritten program does not compile: %v", target, err)
 		}
-		// Indented lines are a rule's delta-hoisted variants.
+		// Indented lines are a rule's Δ variants and its goal plan.
 		plan, base := prep.Explain(), 0
 		for _, line := range plan {
 			if !strings.HasPrefix(line, " ") {

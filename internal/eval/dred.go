@@ -21,8 +21,8 @@ package eval
 //     what stops the cascade at its frontier.
 //  2. reinsert: each overdeleted candidate is first checked
 //     goal-directedly — the head matched against the candidate fact,
-//     the rule body run against the live state through a head-bound
-//     rederive plan — and restored when it still derives. Then new
+//     the body run on the live state through a head-bound goal plan
+//     (compileGoal) — and restored when it still derives. Then new
 //     consequences are derived delta-first — insertion windows joined
 //     through positive literals (the classic semi-naive incremental
 //     round), net deletions joined through negated literals
@@ -250,10 +250,10 @@ func (m *maintenance) overdelete(c *component) error {
 
 // derivesGoal reports whether some rule of the component derives the
 // fact name(t...): the rule head is matched against the fact (into
-// the rederive plan's slots of the frame's own valuation, which the
-// run starts from) and the body
-// evaluated against the live state through the head-bound rederive
-// plan, stopping at the first derivation found. On a plain driver this
+// the goal plan's slots of the frame's own valuation, which the run
+// starts from) and the body evaluated against the live state through
+// the head-bound goal plan (compileGoal), stopping at the first
+// derivation found. On a plain driver this
 // is the reinsert phase's check that the fact is still derivable; on
 // the overdeletion pruner's (opts.boundHeads set), supports read from
 // the component's own heads — the relations still in flux — must be born

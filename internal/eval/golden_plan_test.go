@@ -58,8 +58,10 @@ func TestGoldenPlans(t *testing.T) {
 // file exists to protect, independent of its exact text: the §5.1.1
 // reachability query must keep (a) a delta-hoisted variant per
 // positive body atom, (b) a ground-prefix probe for the forward join
-// direction, and (c) a ground-suffix probe for the reverse direction
-// (delta on R, recursive T atom bound only in its last position).
+// direction, (c) a ground-suffix probe for the reverse direction
+// (delta on R, recursive T atom bound only in its last position), and
+// (d) a goal plan for the recursive rule that starts at R's suffix
+// probe, outside the recursion, not at T's prefix probe.
 func TestGoldenPlansPinReachability(t *testing.T) {
 	q, err := queries.Get("reachability")
 	if err != nil {
@@ -74,6 +76,7 @@ func TestGoldenPlansPinReachability(t *testing.T) {
 		"ΔT: T(@x.@z) :- T(@x.@y) [delta], R(@y.@z) [prefix col=0 len=1]",
 		"ΔR: T(@x.@z) :- R(@y.@z) [delta], T(@x.@y) [suffix col=0 len=1]",
 		"ΔT: S :- T(a.b) [delta]",
+		"goal: T(@x.@z) :- R(@y.@z) [suffix col=0 len=1], T(@x.@y) [index[0] ground]",
 	} {
 		if !strings.Contains(explain, want) {
 			t.Errorf("explain lacks %q:\n%s", want, explain)

@@ -66,10 +66,11 @@ type plan struct {
 	// in execution order. Used by semi-naive deltas.
 	predSteps []int
 
-	// hoisted marks a delta variant: the first step is the delta
-	// predicate (iterated over a change window, never the full
-	// relation), and the remaining body was ordered and annotated with
-	// that atom's variables bound.
+	// hoisted marks a delta variant (and nothing else: compileVariants
+	// sets it, and a goal plan pinned by compileGoal reads its whole
+	// first relation): the first step is the delta predicate (iterated
+	// over a change window, never the full relation), and the remaining
+	// body was ordered and annotated with that atom's variables bound.
 	hoisted bool
 	// neg marks the delta variant of a negated body atom: the rule with
 	// that literal made positive and hoisted, so its delta step iterates
@@ -89,12 +90,11 @@ type plan struct {
 // variables bound before the first step runs, so that positions
 // mentioning only them count as ground and get index or prefix probes
 // instead of scans (the rederive plans pass the head variables, see
-// component.rederive). hoist, when >= 0, forces the hoist-th
-// positive body predicate (in written order) to the first join
-// position — the delta-variant shape: that atom iterates a change
-// window, the rest is ordered greedily with its variables bound.
+// component.rederive). hoist, when >= 0, pins the hoist-th positive
+// body predicate (in written order) to the first join position; the
+// rest is ordered greedily with its variables bound.
 func compilePlan(r ast.Rule, vars, preBound []ast.Var, hoist int) (*plan, error) {
-	p := &plan{rule: r, vars: vars, head: compileAll(r.Head.Args, vars), hoisted: hoist >= 0}
+	p := &plan{rule: r, vars: vars, head: compileAll(r.Head.Args, vars)}
 	bound := map[ast.Var]bool{}
 	for _, v := range preBound {
 		bound[v] = true
@@ -175,7 +175,7 @@ func (p *plan) compileVariants() (err error) {
 		if v, err = compilePlan(r, p.vars, nil, hoist); err != nil {
 			return false
 		}
-		v.neg = p.rule.Body[i].Neg
+		v.hoisted, v.neg = true, p.rule.Body[i].Neg
 		p.variants = append(p.variants, v)
 		return true
 	})

@@ -20,9 +20,9 @@ import (
 type component struct {
 	plans []*plan
 	// rederive[i] is plans[i]'s rule compiled with its head variables
-	// pre-bound: the access-path plan for goal-directed rederivation
-	// checks, where the head is matched against a candidate fact before
-	// the body runs (see maintenance.derivesGoal).
+	// pre-bound: the goal plan of derivation checks, which match the head
+	// against a candidate fact before the body runs (driver.derivesGoal);
+	// compileGoal picks its first step.
 	rederive []*plan
 	// heads is the set of relation names defined by this component.
 	heads map[string]bool
@@ -93,7 +93,10 @@ func Compile(prog ast.Program) (*Prepared, error) {
 		if err := pl.compileVariants(); err != nil {
 			return nil, fmt.Errorf("%s (delta variants): %w", r.Head.Name, err)
 		}
-		rp, err := compilePlan(r, vars, ast.VarsOf(r.Head.Args...), -1)
+		rp, err := compileGoal(r, vars, func(name string) bool {
+			sid, ok := deps.SCC[name]
+			return ok && sid == id
+		})
 		if err != nil {
 			return nil, fmt.Errorf("%s (rederive plan): %w", r.Head.Name, err)
 		}
@@ -105,6 +108,37 @@ func Compile(prog ast.Program) (*Prepared, error) {
 		}
 	}
 	return p, nil
+}
+
+// compileGoal compiles r with its head variables pre-bound: the goal
+// plan of derivation checks. When the greedy first step reads a
+// relation of r's own component (inComp) and another positive atom
+// ties with it (probe-able, not fully ground, as many fully bound
+// columns), the first such atom outside the component is pinned first
+// instead: a check then starts at a settled relation, not the one it
+// is deriving (reachability's R, not T). A fully ground first step, one
+// membership probe, stays first.
+func compileGoal(r ast.Rule, vars []ast.Var, inComp func(string) bool) (*plan, error) {
+	head := ast.VarsOf(r.Head.Args...)
+	rp, err := compilePlan(r, vars, head, -1)
+	if err != nil || len(rp.predSteps) < 2 || !inComp(rp.steps[0].pred.Name) {
+		return rp, err
+	}
+	most := len(rp.steps[0].BoundCols)
+	if most == len(rp.steps[0].pred.Args) {
+		return rp, nil
+	}
+	for k := range rp.predSteps {
+		alt, err := compilePlan(r, vars, head, k)
+		if err != nil {
+			return nil, err
+		}
+		s := &alt.steps[0]
+		if n := len(s.BoundCols); !inComp(s.pred.Name) && s.Class() != ast.AccessScan && n == most && n < len(s.pred.Args) {
+			return alt, nil
+		}
+	}
+	return rp, nil
 }
 
 // Program returns (a copy of) the compiled program.
@@ -136,11 +170,12 @@ func (p *Prepared) Arity(name string) (int, bool) {
 // indented, in body order: one "Δname:" line per positive body atom
 // and one "Δ!name:" line per negated one — the plan maintenance runs
 // when the delta sits on that relation, with the delta atom first (a
-// negated atom made positive) as the [delta] step.
+// negated atom made positive) as the [delta] step, then its goal plan
+// (see compileGoal) as a "goal:" line.
 func (p *Prepared) Explain() []string {
 	var out []string
 	for _, c := range p.comps {
-		for _, pl := range c.plans {
+		for i, pl := range c.plans {
 			out = append(out, pl.describe())
 			for _, v := range pl.variants {
 				sign := ""
@@ -149,6 +184,7 @@ func (p *Prepared) Explain() []string {
 				}
 				out = append(out, fmt.Sprintf("  Δ%s%s: %s", sign, v.steps[0].pred.Name, v.describe()))
 			}
+			out = append(out, "  goal: "+c.rederive[i].describe())
 		}
 	}
 	return out
