@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -201,6 +202,7 @@ func TestCrashRecoveryKill9(t *testing.T) {
 	}()
 	c2 := dialDaemon(t, addr2)
 	defer c2.conn.Close()
+	checkRecoveryStats(t, c2)
 
 	if len(acked) == 0 {
 		return // killed before any ack: nothing to verify
@@ -222,6 +224,48 @@ func TestCrashRecoveryKill9(t *testing.T) {
 	for f := range got {
 		if !want[f] {
 			t.Fatalf("recovered closure has spurious %s", f)
+		}
+	}
+}
+
+// checkRecoveryStats holds a restarted daemon's `stats json` to its
+// text counters: recovery's records_replayed is recovered_records, and
+// no duration it reports is negative.
+func checkRecoveryStats(t *testing.T, c *client) {
+	t.Helper()
+	out, err := c.roundTrip("stats json")
+	if err != nil || !strings.HasSuffix(out, "\nok\n") {
+		t.Fatalf("stats json: %v\n%s", err, out)
+	}
+	var st struct {
+		Recovered int                       `json:"recovered_records"`
+		Recovery  map[string]int64          `json:"recovery"`
+		WAL       map[string]int64          `json:"wal"`
+		Verbs     map[string]map[string]any `json:"verbs"`
+	}
+	if err := json.Unmarshal([]byte(strings.TrimSuffix(out, "\nok\n")), &st); err != nil {
+		t.Fatalf("stats json: %v\n%s", err, out)
+	}
+	if st.Recovery["records_replayed"] != int64(st.Recovered) {
+		t.Fatalf("records_replayed %d, recovered_records %d", st.Recovery["records_replayed"], st.Recovered)
+	}
+	for group, ns := range map[string]map[string]int64{"recovery": st.Recovery, "wal": st.WAL} {
+		for k, v := range ns {
+			if strings.HasSuffix(k, "_ns") && v < 0 {
+				t.Fatalf("%s.%s = %d", group, k, v)
+			}
+		}
+	}
+	for verb, row := range st.Verbs {
+		if row["total_ns"].(float64) < 0 {
+			t.Fatalf("%s total_ns = %v", verb, row["total_ns"])
+		}
+		for _, phases := range []any{row["phase_ns"], row["maintenance_ns"]} {
+			for k, v := range phases.(map[string]any) {
+				if v.(float64) < 0 {
+					t.Fatalf("%s %s = %v", verb, k, v)
+				}
+			}
 		}
 	}
 }
@@ -280,6 +324,7 @@ func TestShutdownCheckpointRecovery(t *testing.T) {
 			t.Fatalf("restart stats missing %q: %s", want, out)
 		}
 	}
+	checkRecoveryStats(t, c2)
 }
 
 // TestNegativeMaxFactsIsUsageError: the daemon refuses a negative

@@ -43,7 +43,9 @@
 //	                      last derivation disappear (DRed maintenance)
 //	query <relation>      print the relation's facts, one per line
 //	holds <relation>      print true/false
-//	stats                 engine counters
+//	stats                 engine and daemon counters on one line
+//	stats json            the same as one JSON line, plus per-verb
+//	                      latency rows and the WAL and recovery timings
 //	explain               the compiled join plans
 //	quit                  close the connection
 package main
@@ -86,33 +88,25 @@ func main() {
 
 	recovered := false
 	if *walDir != "" {
-		policy, err := wal.ParseSyncPolicy(*syncMode)
-		if err != nil {
-			fail(err)
-		}
+		policy := must(wal.ParseSyncPolicy(*syncMode))
 		records := *ckptEvery
 		if records == 0 {
 			records = -1
 		}
-		h := &walHandler{rep: eval.Replayer{Limits: srv.limits}}
-		l, err := wal.Open(*walDir, wal.Options{
+		rep := &eval.Replayer{Limits: srv.limits}
+		l := must(wal.Open(*walDir, wal.Options{
 			Sync:              policy,
 			SyncEvery:         *syncEvery,
 			CheckpointRecords: records,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "seqlogd: "+format+"\n", args...)
 			},
-		}, h)
-		if err != nil {
-			fail(err)
-		}
-		srv.wal = l
-		rs := l.Recovery()
-		srv.recovered = rs.RecordsReplayed
-		if h.rep.Engine() != nil {
-			srv.install(h.rep.Engine(), h.rep.Source())
-			fmt.Fprintf(os.Stderr, "seqlogd: recovered %d WAL records (checkpoint generation %d)\n",
-				rs.RecordsReplayed, rs.CheckpointGen)
+		}, rep))
+		srv.wal, srv.recovery = l, l.Recovery()
+		if rs := srv.recovery; rep.Engine() != nil {
+			srv.install(rep.Engine(), rep.Source())
+			fmt.Fprintf(os.Stderr, "seqlogd: recovered %d WAL records (checkpoint generation %d) in decode %v, restore %v, replay %v\n",
+				rs.RecordsReplayed, rs.CheckpointGen, rs.Decode, rs.Restore, rs.Replay)
 			if *programFile != "" {
 				fmt.Fprintln(os.Stderr, "seqlogd: WAL recovery restored a program; ignoring -program/-data")
 			}
@@ -121,17 +115,10 @@ func main() {
 	}
 
 	if !recovered && *programFile != "" {
-		src, err := os.ReadFile(*programFile)
-		if err != nil {
-			fail(err)
-		}
-		edb := instance.New()
+		src, edb := must(os.ReadFile(*programFile)), instance.New()
 		if *dataFile != "" {
-			data, err := os.ReadFile(*dataFile)
-			if err != nil {
-				fail(err)
-			}
-			edb, err = parser.ParseInstance(string(data))
+			var err error
+			edb, err = parser.ParseInstance(string(must(os.ReadFile(*dataFile))))
 			if err != nil {
 				fail(fmt.Errorf("%s: %w", *dataFile, err))
 			}
@@ -168,10 +155,7 @@ func main() {
 		srv.finalize()
 		return
 	}
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		fail(err)
-	}
+	ln := must(net.Listen("tcp", *listen))
 	fmt.Fprintln(os.Stderr, "seqlogd: listening on", ln.Addr())
 	go func() {
 		s := <-sig
@@ -210,8 +194,11 @@ func acceptLoop(ln net.Listener, srv *server, sleep func(time.Duration)) error {
 			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
+			// Timeout covers the modern contract; Temporary is deprecated
+			// as advice but still how the runtime classifies the accept
+			// errors that matter here (EMFILE, ECONNABORTED).
 			var ne net.Error
-			if errors.As(err, &ne) && !isTemporary(ne) {
+			if errors.As(err, &ne) && !ne.Timeout() && !ne.Temporary() {
 				return err
 			}
 			if backoff == 0 {
@@ -225,31 +212,21 @@ func acceptLoop(ln net.Listener, srv *server, sleep func(time.Duration)) error {
 		}
 		backoff = 0
 		srv.sessions.Add(1)
-		srv.track(conn)
+		srv.conns.Store(conn, nil)
 		go func() {
 			defer srv.sessions.Done()
-			defer srv.untrack(conn)
+			defer srv.conns.Delete(conn)
 			defer conn.Close()
 			srv.serve(conn, conn)
 		}()
 	}
 }
 
-// isTemporary reports whether a net.Error is worth retrying. Timeout
-// covers the modern contract; Temporary is deprecated as advice for
-// callers but still part of net.Error and still how the runtime
-// classifies the syscall-level accept errors (EMFILE, ECONNABORTED)
-// that matter here.
-func isTemporary(ne net.Error) bool {
-	return ne.Timeout() || ne.Temporary()
-}
-
 // server holds the one engine every connection shares. The engine
 // serializes its own writers and serves reads from snapshots; mu
-// guards swapping the engine on load and the session bookkeeping,
-// while wmu serializes the write verbs end to end — WAL append order
-// is engine apply order, which is what makes replay faithful. Lock
-// order is wmu before mu, never the reverse.
+// guards swapping the engine on load, while wmu serializes the write
+// verbs end to end — WAL append order is engine apply order, which is
+// what makes replay faithful. Lock order is wmu before mu.
 type server struct {
 	limits      eval.Limits
 	idleTimeout time.Duration
@@ -259,39 +236,19 @@ type server struct {
 	// src is the source text of the served program — the WAL's current
 	// load epoch, written into every checkpoint.
 	src string
-	// warnings holds the analyzer warnings of the served program;
-	// rejected counts loads refused for error-severity diagnostics.
+	// warnings holds the analyzer warnings of the served program.
 	warnings []analyze.Diagnostic
-	rejected int
-	// idleTimeouts counts sessions closed by the idle read deadline.
-	idleTimeouts int
-	conns        map[net.Conn]struct{}
+	// conns holds the open TCP sessions' connections, for drain.
+	conns sync.Map
 
 	wmu sync.Mutex
 	wal *wal.Log
-	// recovered is the number of WAL records replayed at startup.
-	recovered int
+	// recovery is what WAL recovery did at startup.
+	recovery wal.RecoveryStats
+
+	reg registry
 
 	sessions sync.WaitGroup
-}
-
-// walHandler adapts WAL recovery to the engine replay entry point.
-type walHandler struct{ rep eval.Replayer }
-
-func (h *walHandler) Restore(program string, edb *instance.Instance) error {
-	return h.rep.Restore(program, edb)
-}
-
-func (h *walHandler) Replay(rec wal.Record) error {
-	switch rec.Op {
-	case wal.OpLoad:
-		return h.rep.Load(rec.Program)
-	case wal.OpAssert:
-		return h.rep.Assert(rec.Batch)
-	case wal.OpRetract:
-		return h.rep.Retract(rec.Batch)
-	}
-	return fmt.Errorf("unknown WAL op %s", rec.Op)
 }
 
 // install makes e the served engine and src, its program's source
@@ -309,21 +266,6 @@ func (s *server) install(e *eval.Engine, src string) {
 	s.mu.Unlock()
 }
 
-func (s *server) track(c net.Conn) {
-	s.mu.Lock()
-	if s.conns == nil {
-		s.conns = make(map[net.Conn]struct{})
-	}
-	s.conns[c] = struct{}{}
-	s.mu.Unlock()
-}
-
-func (s *server) untrack(c net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, c)
-	s.mu.Unlock()
-}
-
 // drain waits for active sessions to finish, force-closing their
 // connections when the grace period runs out.
 func (s *server) drain(timeout time.Duration) {
@@ -336,11 +278,10 @@ func (s *server) drain(timeout time.Duration) {
 	case <-done:
 	case <-time.After(timeout):
 		fmt.Fprintln(os.Stderr, "seqlogd: drain timeout, closing active sessions")
-		s.mu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.mu.Unlock()
+		s.conns.Range(func(c, _ any) bool {
+			c.(net.Conn).Close()
+			return true
+		})
 		<-done
 	}
 }
@@ -357,7 +298,7 @@ func (s *server) finalize() {
 	// A checkpoint pays off whenever the next start would otherwise
 	// replay records — ones appended this session or ones recovery
 	// already replayed once.
-	if (s.wal.Records() > 0 || s.recovered > 0) && s.wal.Err() == nil {
+	if (s.wal.Records() > 0 || s.recovery.RecordsReplayed > 0) && s.wal.Err() == nil {
 		s.maybeCheckpoint(true)
 	}
 	if err := s.wal.Close(); err != nil {
@@ -366,10 +307,9 @@ func (s *server) finalize() {
 }
 
 // readonly is the daemon's degradation, read off the WAL's sticky
-// failure (nil while the log is healthy or absent): once an append, a
-// sync or a checkpoint's rotation fails, durability can no longer be
-// promised, so every write is refused while queries keep serving the
-// last durable state. Callers hold wmu.
+// failure (nil while the log is healthy or absent): durability can no
+// longer be promised, so writes are refused while queries keep serving
+// the last durable state. Callers hold wmu.
 func (s *server) readonly() error {
 	if s.wal == nil || s.wal.Err() == nil {
 		return nil
@@ -387,14 +327,13 @@ func (s *server) logRecord(rec wal.Record) error {
 	if err := s.readonly(); err != nil {
 		return err
 	}
-	if err := s.wal.Append(rec); err != nil {
-		if ro := s.readonly(); ro != nil {
-			fmt.Fprintf(os.Stderr, "seqlogd: WAL append failed, degrading to read-only: %v\n", err)
-			return ro
-		}
-		return err // an encoding error: nothing was written, the log stays healthy
+	err := s.wal.Append(rec)
+	s.publish()
+	if ro := s.readonly(); ro != nil {
+		fmt.Fprintf(os.Stderr, "seqlogd: WAL append failed, degrading to read-only: %v\n", err)
+		return ro
 	}
-	return nil
+	return err // nil, or an encoding error: nothing was written, the log stays healthy
 }
 
 // maybeCheckpoint cuts a checkpoint when the WAL's trigger fires (or
@@ -420,6 +359,7 @@ func (s *server) maybeCheckpoint(force bool) {
 	if err := s.wal.Checkpoint(src, edb); err != nil {
 		fmt.Fprintf(os.Stderr, "seqlogd: checkpoint failed: %v\n", err)
 	}
+	s.publish()
 }
 
 // writeOp is one direction of the write path: the WAL op that logs the
@@ -454,44 +394,20 @@ func (s *server) write(op *writeOp, delta *instance.Instance) (int, eval.Mainten
 	return n, st, err
 }
 
-// durabilityCounters renders the WAL/session counters appended to the
-// stats reply (zeros without -wal-dir).
-func (s *server) durabilityCounters() string {
-	s.wmu.Lock()
-	var records, checkpoints int
-	var bytes int64
-	if s.wal != nil {
-		records, bytes, checkpoints = s.wal.Records(), s.wal.Bytes(), s.wal.Checkpoints()
-	}
-	ro := s.readonly() != nil
-	recovered := s.recovered
-	s.wmu.Unlock()
-	s.mu.Lock()
-	idle := s.idleTimeouts
-	s.mu.Unlock()
-	return fmt.Sprintf(" wal_records=%d wal_bytes=%d checkpoints=%d recovered_records=%d readonly=%t idle_timeouts=%d",
-		records, bytes, checkpoints, recovered, ro, idle)
-}
-
-// load compiles src and replaces the served engine with a fresh one.
-// A nil edb means "carry the EDB over": the new engine is seeded with
-// what eval.CarryEDB takes from the previous engine, so a program
-// upgrade keeps the live fact base. An explicit edb (the -program/-data
-// startup path) is used as given. The returned count is the number of
-// facts carried over. A
-// program the static analyzer rejects returns an *analyze.DiagError
-// (wrapped or direct) and leaves the previous engine serving; the
-// rejection is counted in stats.
+// load compiles src and replaces the served engine with a fresh one,
+// returning the number of facts carried over. A nil edb means "carry
+// the EDB over" (eval.CarryEDB), so a program upgrade keeps the live
+// fact base; an explicit edb (the -program/-data startup path) is used
+// as given. A program the static analyzer rejects returns an
+// *analyze.DiagError (wrapped or direct), is counted in stats, and
+// leaves the previous engine serving, as does a load the WAL refuses.
 //
 // Under -wal-dir a successful compile is logged as an OpLoad record —
-// the start of a new load epoch — before the engine swap; the record
-// carries only the program, and replay reconstructs the same carried
-// EDB from the engine state the preceding records produced
-// (eval.Replayer.Load calls the same CarryEDB). The snapshot, the record
-// and the swap all happen under the write lock, so no concurrent
-// assert can slip between the carried state and the logged load.
-// (The startup path with -data additionally cuts a checkpoint.) A
-// load the WAL refuses leaves the previous engine serving.
+// the start of a new load epoch, carrying only the program — before
+// the engine swap; replay reconstructs the same carried EDB through
+// the same CarryEDB (eval.Replayer.Load). The snapshot, the record and
+// the swap all happen under the write lock, so no concurrent assert
+// can slip between the carried state and the logged load.
 func (s *server) load(src string, edb *instance.Instance) (int, error) {
 	// Parse without validating: safety and stratification problems
 	// should surface as Compile's structured diagnostics, not as a
@@ -502,11 +418,8 @@ func (s *server) load(src string, edb *instance.Instance) (int, error) {
 	}
 	prep, err := eval.Compile(prog)
 	if err != nil {
-		var de *analyze.DiagError
-		if errors.As(err, &de) {
-			s.mu.Lock()
-			s.rejected++
-			s.mu.Unlock()
+		if errors.As(err, new(*analyze.DiagError)) {
+			s.reg.rejectedLoads.Add(1)
 		}
 		return 0, err
 	}
@@ -514,9 +427,7 @@ func (s *server) load(src string, edb *instance.Instance) (int, error) {
 	defer s.wmu.Unlock()
 	carried := 0
 	if edb == nil {
-		s.mu.Lock()
-		prev := s.engine
-		s.mu.Unlock()
+		prev, _ := s.current() // nil when none is loaded
 		edb, carried = eval.CarryEDB(prev)
 	}
 	e, err := eval.NewEngine(prep, edb, s.limits)
@@ -536,14 +447,6 @@ func (s *server) loadWarnings() []analyze.Diagnostic {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.warnings
-}
-
-// rejectedLoads returns how many loads were refused for
-// error-severity diagnostics since the daemon started.
-func (s *server) rejectedLoads() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rejected
 }
 
 // current returns the served engine, or an error when none is loaded.
@@ -566,11 +469,16 @@ type session struct {
 	dl interface{ SetReadDeadline(time.Time) error }
 	// closed ends the session after the current command's reply.
 	closed bool
+	// mark is when the running request's current phase began; laps
+	// holds the time charged to each phase so far (see lap).
+	mark time.Time
+	laps [nPhases]time.Duration
 }
 
 // verbs is the protocol, in the order the unknown-command reply lists
 // it. A handler gets the rest of the command line; it either sends its
-// own "ok ..." reply or returns the error serve reports as "err ...".
+// own "ok ..." reply or returns the error sent as "err ...". It may lap
+// the parse and apply phases; the rest of the request is its reply.
 var verbs = []struct {
 	name string
 	run  func(c *session, arg string) error
@@ -586,6 +494,7 @@ var verbs = []struct {
 	}})},
 	{"query", reads(func(c *session, e *eval.Engine, name string) error {
 		rel, err := e.Query(name)
+		c.lap(applyPhase)
 		if err != nil {
 			return err
 		}
@@ -596,18 +505,13 @@ var verbs = []struct {
 	})},
 	{"holds", reads(func(c *session, e *eval.Engine, name string) error {
 		yes, err := e.Holds(name)
+		c.lap(applyPhase)
 		if err != nil {
 			return err
 		}
 		return c.reply("ok %v", yes)
 	})},
-	{"stats", reads(func(c *session, e *eval.Engine, _ string) error {
-		st := e.Stats()
-		return c.reply("ok facts=%d derived=%d asserts=%d retracts=%d warnings=%d rejected_loads=%d%s%s%s",
-			st.Facts, st.Derived, st.Asserts, st.Retracts,
-			len(c.srv.loadWarnings()), c.srv.rejectedLoads(), planCounters(st.Plans),
-			cloneCounters(st.Clones), c.srv.durabilityCounters())
-	})},
+	{"stats", reads((*session).stats)},
 	{"explain", reads(func(c *session, e *eval.Engine, _ string) error {
 		for _, l := range e.Prepared().Explain() {
 			fmt.Fprintln(c.out, l)
@@ -652,14 +556,13 @@ func (c *session) scan() bool {
 		return true
 	}
 	if errors.Is(c.in.Err(), os.ErrDeadlineExceeded) {
-		c.srv.mu.Lock()
-		c.srv.idleTimeouts++
-		c.srv.mu.Unlock()
+		c.srv.reg.idleTimeouts.Add(1)
 	}
 	return false
 }
 
-// command reads one line and runs the verb it names.
+// command reads one line, runs the verb it names and counts the
+// request in the verb's registry row.
 func (c *session) command() error {
 	if !c.scan() {
 		c.closed = true
@@ -676,9 +579,17 @@ func (c *session) command() error {
 		return nil
 	}
 	cmd, rest, _ := strings.Cut(line, " ")
-	for _, v := range verbs {
+	for i, v := range verbs {
 		if v.name == cmd {
-			return v.run(c, strings.TrimSpace(rest))
+			row := c.srv.reg.row(i)
+			c.mark, c.laps = time.Now(), [nPhases]time.Duration{}
+			err := v.run(c, strings.TrimSpace(rest))
+			if err != nil {
+				c.reply("err %v", err)
+			}
+			c.lap(replyPhase)
+			row.record(&c.laps, err != nil)
+			return nil
 		}
 	}
 	names := make([]string, len(verbs))
@@ -714,7 +625,9 @@ func (c *session) load(string) error {
 		prog.WriteString(l)
 		prog.WriteByte('\n')
 	}
+	c.lap(parsePhase)
 	carried, err := c.srv.load(prog.String(), nil)
+	c.lap(applyPhase)
 	var de *analyze.DiagError
 	if errors.As(err, &de) {
 		c.diags(de.Diags)
@@ -740,16 +653,19 @@ func (c *session) diags(ds []analyze.Diagnostic) {
 func writes(op *writeOp) func(*session, string) error {
 	return func(c *session, arg string) error {
 		delta, err := parser.ParseInstance(arg)
+		c.lap(parsePhase)
 		if err != nil {
 			return err
 		}
 		n, st, err := c.srv.write(op, delta)
+		c.lap(applyPhase)
 		if err != nil {
 			return err
 		}
-		return c.reply("ok %s=%d derived=%d overdeleted=%d stamp_pruned=%d rederived=%d skipped=%d incremental=%d%s%s",
-			op.word, n, st.Derived, st.Overdeleted, st.StampPruned, st.Rederived,
-			st.Skipped, st.Incremental, planCounters(st.Plans), cloneCounters(st.Clones))
+		copy(c.laps[validatePhase:], []time.Duration{st.Validate, st.Barrier, st.Overdelete, st.Reinsert, st.Compact})
+		return c.replyFields(work([]field{{op.word, n}, {"derived", st.Derived}, {"overdeleted", st.Overdeleted},
+			{"stamp_pruned", st.StampPruned}, {"rederived", st.Rederived}, {"skipped", st.Skipped},
+			{"incremental", st.Incremental}}, st.Plans, st.Clones))
 	}
 }
 
@@ -764,26 +680,12 @@ func reads(run func(c *session, e *eval.Engine, arg string) error) func(*session
 	}
 }
 
-// planCounters renders the plan-execution counters appended to
-// assert/retract/stats replies: how often maintenance ran a
-// delta-hoisted plan variant vs a base plan, and how the non-delta
-// join steps of those runs were served (exact index, ground-prefix or
-// ground-suffix probe, full scan).
-func planCounters(ps eval.PlanStats) string {
-	return fmt.Sprintf(" plan_variant=%d plan_base=%d probe_index=%d probe_prefix=%d probe_suffix=%d scan=%d",
-		ps.VariantRuns, ps.BaseRuns, ps.IndexProbeSteps, ps.PrefixProbeSteps, ps.SuffixProbeSteps, ps.ScanSteps)
-}
-
-// cloneCounters renders the copy-on-write barrier counters appended to
-// assert/retract/stats replies: how many frozen relations writes had
-// to epoch-clone, how many sealed storage chunks those clones shared
-// by pointer instead of copying, and approximately how many bytes they
-// did copy. A serving mix of snapshot reads and writes should show
-// shared_chunks growing much faster than clone_bytes — that ratio is
-// the epoch-sharing win, observable here without a profiler.
-func cloneCounters(cs instance.CloneStats) string {
-	return fmt.Sprintf(" barrier_clones=%d shared_chunks=%d clone_bytes=%d",
-		cs.BarrierClones, cs.SharedChunks, cs.CloneBytes)
+// must returns v, or ends the daemon with err.
+func must[T any](v T, err error) T {
+	if err != nil {
+		fail(err)
+	}
+	return v
 }
 
 func fail(err error) {

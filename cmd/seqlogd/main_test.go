@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -69,11 +70,16 @@ S($x) :- R($x).
 assert S(a).
 query Nope
 bogus
+stats jsno
+stats json extra
 `)
 	for _, want := range []string{
 		"err eval: cannot assert IDB relation",
 		"err eval: unknown output relation",
 		"err unknown command",
+		// stats takes no argument or "json", never a silent text reply.
+		"err stats: unknown argument \"jsno\" (json)\n",
+		"err stats: unknown argument \"json extra\" (json)\n",
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("response missing %q:\n%s", want, got)
@@ -447,18 +453,18 @@ quit
 }
 
 // newWALServer wires a server to a WAL directory the way main does:
-// recover, adopt the recovered engine if any, remember the replay
-// count for stats.
+// recover, adopt the recovered engine if any, remember what recovery
+// did for stats.
 func newWALServer(t *testing.T, dir string, opts wal.Options) *server {
 	t.Helper()
-	h := &walHandler{rep: eval.Replayer{}}
-	l, err := wal.Open(dir, opts, h)
+	rep := &eval.Replayer{}
+	l, err := wal.Open(dir, opts, rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &server{limits: eval.Limits{}, wal: l, recovered: l.Recovery().RecordsReplayed}
-	if h.rep.Engine() != nil {
-		srv.install(h.rep.Engine(), h.rep.Source())
+	srv := &server{limits: eval.Limits{}, wal: l, recovery: l.Recovery()}
+	if rep.Engine() != nil {
+		srv.install(rep.Engine(), rep.Source())
 	}
 	t.Cleanup(func() { l.Close() })
 	return srv
@@ -594,10 +600,7 @@ func TestIdleTimeoutClosesSession(t *testing.T) {
 		t.Fatalf("idle close: %q, %v", line, err)
 	}
 	<-done
-	srv.mu.Lock()
-	idle := srv.idleTimeouts
-	srv.mu.Unlock()
-	if idle != 1 {
+	if idle := srv.reg.idleTimeouts.Load(); idle != 1 {
 		t.Fatalf("idle_timeouts = %d, want 1", idle)
 	}
 }
@@ -620,9 +623,8 @@ func TestDrainForceClosesStuckSessions(t *testing.T) {
 	if d := time.Since(start); d < 50*time.Millisecond {
 		t.Fatalf("drain returned before the grace period: %v", d)
 	}
-	srv.mu.Lock()
-	left := len(srv.conns)
-	srv.mu.Unlock()
+	left := 0
+	srv.conns.Range(func(any, any) bool { left++; return true })
 	if left != 0 {
 		t.Fatalf("%d sessions still tracked after drain", left)
 	}
@@ -691,4 +693,158 @@ func TestSlowQueryReaderStallsNoOne(t *testing.T) {
 	}
 	client.Close()
 	<-done
+}
+
+// stallWriter passes WAL writes through, but holds the stall-th one
+// until release is closed, signalling reached when it gets there.
+type stallWriter struct {
+	w                io.Writer
+	n, stall         int
+	reached, release chan struct{}
+}
+
+func (s *stallWriter) Write(p []byte) (int, error) {
+	if s.n++; s.n == s.stall {
+		close(s.reached)
+		<-s.release
+	}
+	return s.w.Write(p)
+}
+
+// TestStatsDuringStalledWrite: a write holds the write lock across its
+// WAL append and fsync, but stats reads the registry and never takes
+// that lock, so an operator's stats answers while a writer waits on
+// the disk.
+func TestStatsDuringStalledWrite(t *testing.T) {
+	sw := &stallWriter{stall: 2, reached: make(chan struct{}), release: make(chan struct{})}
+	srv := newWALServer(t, t.TempDir(), wal.Options{Sync: wal.SyncAlways,
+		WrapWriter: func(w io.Writer) io.Writer { sw.w = w; return sw }})
+	if out := run(t, srv, "load\nT(@x.@y) :- E(@x.@y).\n.\n"); !strings.HasPrefix(out, "ok loaded") {
+		t.Fatalf("load: %s", out)
+	}
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			close(sw.release)
+		}
+	}
+	defer release()
+	stalled := make(chan string, 1)
+	go func() { stalled <- run(t, srv, "assert E(a.b).\n") }()
+	select {
+	case <-sw.reached:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the assert never reached the WAL write")
+	}
+	beside := make(chan string, 1)
+	go func() { beside <- run(t, srv, "stats\nstats json\n") }()
+	select {
+	case out := <-beside:
+		lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+		if len(lines) != 3 || !strings.HasPrefix(lines[0], "ok facts=0 ") || !json.Valid([]byte(lines[1])) || lines[2] != "ok" {
+			t.Fatalf("stats beside a stalled write:\n%s", out)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("stats waited on a write stalled in the WAL")
+	}
+	release()
+	if out := <-stalled; !strings.HasPrefix(out, "ok asserted=1 derived=1 ") {
+		t.Fatalf("the stalled assert: %s", out)
+	}
+}
+
+// TestStatsJSONRegistry decodes `stats json` after a scripted durable
+// session: it holds every text field with the same value, one row per
+// verb whose calls count the commands sent and whose histogram sums to
+// them, phases that add up to at most the verb's total (and
+// maintenance phases to at most its apply), and nonzero WAL append and
+// fsync times under -sync always.
+func TestStatsJSONRegistry(t *testing.T) {
+	srv := newWALServer(t, t.TempDir(), wal.Options{Sync: wal.SyncAlways})
+	out := run(t, srv, `load
+T(@x.@y) :- E(@x.@y).
+T(@x.@z) :- T(@x.@y), E(@y.@z).
+.
+assert E(a.b). E(b.c).
+assert E(c.d).
+assert E(a.b
+retract E(b.c).
+query T
+holds T
+stats
+stats json
+`)
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) < 3 || lines[len(lines)-1] != "ok" {
+		t.Fatalf("stats json reply:\n%s", out)
+	}
+	text := strings.Fields(strings.TrimPrefix(lines[len(lines)-3], "ok "))
+	dec := json.NewDecoder(strings.NewReader(lines[len(lines)-2]))
+	dec.UseNumber()
+	var m map[string]any
+	if err := dec.Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if len(text) != 21 {
+		t.Fatalf("text stats has %d fields: %v", len(text), text)
+	}
+	for _, f := range text {
+		name, val, _ := strings.Cut(f, "=")
+		if j, ok := m[name]; !ok || fmt.Sprint(j) != val {
+			t.Errorf("stats json %s = %v, text says %s", name, j, val)
+		}
+	}
+	num := func(v any) int64 {
+		t.Helper()
+		n, err := v.(json.Number).Int64()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	sum := func(o any) (s int64) {
+		switch o := o.(type) {
+		case map[string]any:
+			for _, v := range o {
+				s += num(v)
+			}
+		case []any:
+			for _, v := range o {
+				s += num(v)
+			}
+		}
+		return s
+	}
+	sent := map[string]int64{"load": 1, "assert": 3, "retract": 1, "query": 1, "holds": 1, "stats": 1, "explain": 0, "quit": 0}
+	verbs := m["verbs"].(map[string]any)
+	if len(verbs) != len(sent) {
+		t.Fatalf("verb rows: %v", verbs)
+	}
+	for name, calls := range sent {
+		row := verbs[name].(map[string]any)
+		if c := num(row["calls"]); c != calls {
+			t.Errorf("%s: calls %d, sent %d", name, c, calls)
+		}
+		if h := sum(row["hist"]); h != calls {
+			t.Errorf("%s: histogram sums to %d, calls %d", name, h, calls)
+		}
+		phases := row["phase_ns"].(map[string]any)
+		if p, total := sum(phases), num(row["total_ns"]); p > total || calls > 0 && total <= 0 {
+			t.Errorf("%s: phases sum to %d ns of %d", name, p, total)
+		}
+		if mt, apply := sum(row["maintenance_ns"]), num(phases["apply"]); mt > apply {
+			t.Errorf("%s: maintenance phases sum to %d ns, apply is %d", name, mt, apply)
+		}
+	}
+	if e := num(verbs["assert"].(map[string]any)["errors"]); e != 1 {
+		t.Errorf("assert errors = %d, want 1 (the parse error)", e)
+	}
+	w := m["wal"].(map[string]any)
+	if num(w["append_ns"]) <= 0 || num(w["fsync_ns"]) <= 0 {
+		t.Errorf("WAL times under -sync always: %v", w)
+	}
+	if num(m["symbols"]) <= 0 || m["recovery"] == nil {
+		t.Errorf("symbols %v, recovery %v", m["symbols"], m["recovery"])
+	}
 }

@@ -203,11 +203,13 @@ func TestProtocolTranscript(t *testing.T) {
 // to its lone "."), and holds the protocol to three things: nothing
 // panics, every command's reply ends in an ok or err line, and a
 // following session's `query T` still gets its reply. The transcript's
-// scripts are the seed corpus.
+// scripts are the seed corpus, with the stats argument forms.
 func FuzzSession(f *testing.F) {
 	for _, s := range transcript {
 		f.Add(s.script)
 	}
+	f.Add("stats json\n")
+	f.Add("stats bogus\nstats json json\n")
 	f.Fuzz(func(t *testing.T, text string) {
 		srv := &server{limits: eval.Limits{MaxFacts: 2000}}
 		run(t, srv, "load\nT(@x.@y) :- E(@x.@y).\nT(@x.@z) :- T(@x.@y), E(@y.@z).\n.\nassert E(a.b). E(b.c).\n")

@@ -64,6 +64,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"seqlog/internal/instance"
 )
@@ -119,9 +120,13 @@ func (m *maintenance) run() error {
 			continue
 		}
 		m.stats.Incremental++
+		start := time.Now()
 		err := m.overdelete(c)
+		overdeleted := time.Now()
+		m.stats.Overdelete += overdeleted.Sub(start)
 		if err == nil {
 			err = m.reinsert(c)
+			m.stats.Reinsert += time.Since(overdeleted)
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", c, err)

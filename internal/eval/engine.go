@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"seqlog/internal/instance"
 )
@@ -28,12 +29,9 @@ type Engine struct {
 	limits  Limits
 	inst    *instance.Instance
 	derived int // IDB facts currently materialized beyond the seeds
-	// writes[op] counts the completed calls of one write verb and keeps
-	// the outcome of the latest, for EngineStats.
-	writes [2]struct {
-		calls, changed int
-		last           MaintenanceStats
-	}
+	// writes[op] counts the completed calls of one write verb, for
+	// EngineStats.
+	writes [2]int
 	// plans accumulates the PlanStats of every maintenance run, for
 	// EngineStats.
 	plans PlanStats
@@ -138,6 +136,10 @@ type MaintenanceStats struct {
 	// chunks shared by pointer, and approximate bytes copied. See
 	// instance.CloneStats.
 	Clones instance.CloneStats
+	// Validate, Barrier, Overdelete, Reinsert (its goal pass included)
+	// and Compact are the wall time of the call's phases; the DRed pair
+	// is summed over the maintained components.
+	Validate, Barrier, Overdelete, Reinsert, Compact time.Duration
 }
 
 // AssertStats reports what one Assert call did.
@@ -166,9 +168,6 @@ type EngineStats struct {
 	// Asserts and Retracts count completed maintenance calls.
 	Asserts  int
 	Retracts int
-	// LastAssert and LastRetract are the stats of the most recent calls.
-	LastAssert  AssertStats
-	LastRetract RetractStats
 	// Plans accumulates the PlanStats of every maintenance run since the
 	// engine was created.
 	Plans PlanStats
@@ -263,16 +262,13 @@ func (e *Engine) Holds(output string) (bool, error) {
 func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	a, r := &e.writes[assertOp], &e.writes[retractOp]
 	return EngineStats{
-		Facts:       e.inst.Facts(),
-		Derived:     e.derived,
-		Asserts:     a.calls,
-		Retracts:    r.calls,
-		LastAssert:  AssertStats{a.changed, a.last},
-		LastRetract: RetractStats{r.changed, r.last},
-		Plans:       e.plans,
-		Clones:      e.inst.CloneStats(),
+		Facts:    e.inst.Facts(),
+		Derived:  e.derived,
+		Asserts:  e.writes[assertOp],
+		Retracts: e.writes[retractOp],
+		Plans:    e.plans,
+		Clones:   e.inst.CloneStats(),
 	}
 }
 
@@ -375,10 +371,12 @@ func (e *Engine) write(op writeOp, delta *instance.Instance) (int, MaintenanceSt
 	if e.broken != nil {
 		return 0, stats, e.broken
 	}
+	start := time.Now()
 	o := &writeOps[op]
 	if err := e.validateBatch(delta, o.verb); err != nil {
 		return 0, stats, err
 	}
+	validated := time.Now()
 	clonesBefore := e.inst.CloneStats()
 	var seed deltas
 	changed := 0
@@ -394,6 +392,7 @@ func (e *Engine) write(op writeOp, delta *instance.Instance) (int, MaintenanceSt
 		}
 		changed += o.step(seed, name, e.inst.Ensure(name, src.Arity), src)
 	}
+	applied := time.Now()
 	if changed == 0 {
 		// The all-skipped fast path allocates no maintenance state.
 		stats.Skipped = len(e.prep.comps)
@@ -407,28 +406,24 @@ func (e *Engine) write(op writeOp, delta *instance.Instance) (int, MaintenanceSt
 		stats = m.stats
 		stats.Derived = e.derived - derivedBefore
 		e.plans.add(stats.Plans)
+		compacting := time.Now()
 		e.compactTombstoned()
+		stats.Compact = time.Since(compacting)
 	}
+	stats.Validate, stats.Barrier = validated.Sub(start), applied.Sub(validated)
 	stats.Clones = e.inst.CloneStats().Sub(clonesBefore)
-	w := &e.writes[op]
-	w.calls++
-	w.changed, w.last = changed, stats
+	e.writes[op]++
 	return changed, stats, nil
 }
 
 // Assert inserts a batch of new EDB facts and incrementally restores
-// the fixpoint: the inserted facts seed the semi-naive delta, so only
-// their consequences are derived — components reading no changed
-// relation are skipped outright, and the cost of an Assert scales with
-// the consequences of the batch, not with the size of the
-// materialization.
-//
-// A component that negates a changed relation is maintained by targeted
-// delete-and-rederive instead of recomputation: derivations whose
-// negated atom matches an inserted fact are overdeleted, candidates
-// with surviving alternative derivations are restored, and the
-// resulting net deletions cascade to later components exactly like a
-// Retract. AssertStats.Overdeleted/Rederived report that work.
+// the fixpoint: the inserted facts seed the semi-naive delta, so the
+// cost scales with the batch's consequences, not with the size of the
+// materialization, and components reading no changed relation are
+// skipped. A component that negates a changed relation is maintained
+// by targeted delete-and-rederive (AssertStats.Overdeleted/Rederived),
+// its net deletions cascading to later components exactly like a
+// Retract's.
 //
 // Facts may only be asserted into relations the program does not
 // define (non-IDB relations); arities must agree with the program and
@@ -444,14 +439,9 @@ func (e *Engine) Assert(delta *instance.Instance) (AssertStats, error) {
 // fixpoint by delete-and-rederive: the downward closure of the
 // retracted facts is overdeleted component by component, facts with
 // surviving alternative derivations are restored, and derivations that
-// were blocked only by a removed fact (negation) are added. The cost
-// scales with the consequences of the batch; components reading no
-// changed relation are skipped.
-//
-// The same boundaries as Assert apply: only non-IDB relations may be
-// retracted from (derived facts disappear when their support does, not
-// by request), arities must agree, and facts not present are dropped
-// silently. On error the engine refuses further use.
+// were blocked only by a removed fact (negation) are added. Assert's
+// boundaries apply (derived facts disappear when their support does,
+// not by request); facts not present are dropped silently.
 func (e *Engine) Retract(delta *instance.Instance) (RetractStats, error) {
 	n, st, err := e.write(retractOp, delta)
 	return RetractStats{n, st}, err

@@ -677,6 +677,13 @@ func TestEngineCloneTelemetry(t *testing.T) {
 // check, batch validation, the probe before the copy-on-write barrier,
 // the nothing-changed fast path, the call counters — is one code path,
 // and must behave the same whichever direction the batch goes.
+// withoutTimes returns st with its phase durations zeroed, so stats
+// values compare by their counters alone.
+func withoutTimes(st MaintenanceStats) MaintenanceStats {
+	st.Validate, st.Barrier, st.Overdelete, st.Reinsert, st.Compact = 0, 0, 0, 0, 0
+	return st
+}
+
 func TestEngineWriteShell(t *testing.T) {
 	type result struct {
 		changed int
@@ -686,24 +693,20 @@ func TestEngineWriteShell(t *testing.T) {
 		name  string
 		noop  string // a batch that changes nothing: present facts / absent facts
 		write func(*Engine, *instance.Instance) (result, error)
-		calls func(EngineStats) (int, result)
+		calls func(EngineStats) int
 	}{
 		{"assert", `R(a). R(b).`,
 			func(e *Engine, d *instance.Instance) (result, error) {
 				st, err := e.Assert(d)
 				return result{st.Asserted, st.MaintenanceStats}, err
 			},
-			func(s EngineStats) (int, result) {
-				return s.Asserts, result{s.LastAssert.Asserted, s.LastAssert.MaintenanceStats}
-			}},
+			func(s EngineStats) int { return s.Asserts }},
 		{"retract", `R(y). R(z).`,
 			func(e *Engine, d *instance.Instance) (result, error) {
 				st, err := e.Retract(d)
 				return result{st.Retracted, st.MaintenanceStats}, err
 			},
-			func(s EngineStats) (int, result) {
-				return s.Retracts, result{s.LastRetract.Retracted, s.LastRetract.MaintenanceStats}
-			}},
+			func(s EngineStats) int { return s.Retracts }},
 	}
 	scenarios := []struct {
 		name    string
@@ -745,7 +748,7 @@ func TestEngineWriteShell(t *testing.T) {
 					batch = v.noop
 				}
 				got, err := v.write(e, parser.MustParseInstance(batch))
-				calls, last := v.calls(e.Stats())
+				calls := v.calls(e.Stats())
 				if sc.wantErr != "" {
 					want := sc.wantErr
 					if !sc.broken {
@@ -767,12 +770,17 @@ func TestEngineWriteShell(t *testing.T) {
 					t.Fatal(err)
 				}
 				// Nothing changed: every component skipped and, although every
-				// relation is frozen, nothing passed through the barrier.
+				// relation is frozen, nothing passed through the barrier. The
+				// phase durations are wall time; they are compared zeroed.
+				if got.Validate < 0 || got.Barrier < 0 || got.Overdelete != 0 || got.Reinsert != 0 || got.Compact != 0 {
+					t.Fatalf("phase durations of a no-op batch: %+v", got.MaintenanceStats)
+				}
+				got.MaintenanceStats = withoutTimes(got.MaintenanceStats)
 				if want := (result{0, MaintenanceStats{Skipped: 1}}); got != want {
 					t.Fatalf("got %+v, want %+v", got, want)
 				}
-				if calls != 1 || last != got {
-					t.Fatalf("Stats() = %d calls, last %+v; want 1 call, last %+v", calls, last, got)
+				if calls != 1 {
+					t.Fatalf("Stats() = %d calls, want 1", calls)
 				}
 			})
 		}

@@ -5,6 +5,7 @@ import (
 
 	"seqlog/internal/instance"
 	"seqlog/internal/parser"
+	"seqlog/internal/wal"
 )
 
 // This file is the replay entry point of the durability layer
@@ -56,8 +57,8 @@ func (e *Engine) EDBSnapshot() (*instance.Instance, error) {
 }
 
 // Replayer rebuilds engine state from a durability log. It is the
-// Handler side of wal.Open wired to the evaluator: Restore applies the
-// newest valid checkpoint, Load/Assert/Retract apply logged records in
+// wal.Handler wired to the evaluator: Restore applies the newest valid
+// checkpoint, Replay (Load/Assert/Retract) applies logged records in
 // order. Zero value is ready; methods are not safe for concurrent use
 // (recovery is single-threaded by nature).
 type Replayer struct {
@@ -122,6 +123,19 @@ func CarryEDB(prev *Engine) (*instance.Instance, int) {
 func (r *Replayer) Load(src string) error {
 	edb, _ := CarryEDB(r.eng)
 	return r.Restore(src, edb)
+}
+
+// Replay applies one logged record.
+func (r *Replayer) Replay(rec wal.Record) error {
+	switch rec.Op {
+	case wal.OpLoad:
+		return r.Load(rec.Program)
+	case wal.OpAssert:
+		return r.Assert(rec.Batch)
+	case wal.OpRetract:
+		return r.Retract(rec.Batch)
+	}
+	return fmt.Errorf("replay: unknown WAL op %s", rec.Op)
 }
 
 // Assert replays a logged assert batch through incremental

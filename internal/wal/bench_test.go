@@ -38,11 +38,11 @@ func buildHistory(b *testing.B, dir string, n, ckptAt int) {
 		batch.AddPath("F", value.PathOf("f", fmt.Sprint(i)))
 		appendApply(wal.Record{Op: wal.OpAssert, Batch: batch})
 		if ckptAt > 0 && i+1 == ckptAt {
-			edb, err := h.rep.Engine().EDBSnapshot()
+			edb, err := h.Engine().EDBSnapshot()
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := l.Checkpoint(h.rep.Source(), edb); err != nil {
+			if err := l.Checkpoint(h.Source(), edb); err != nil {
 				b.Fatal(err)
 			}
 		}

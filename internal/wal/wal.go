@@ -53,27 +53,22 @@ const (
 	SyncNever
 )
 
+// syncPolicies names the policies, as the -sync flag spells them.
+var syncPolicies = [...]string{SyncAlways: "always", SyncInterval: "interval", SyncNever: "never"}
+
 // ParseSyncPolicy parses the -sync flag values always|interval|never.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch s {
-	case "always":
-		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
-	case "never":
-		return SyncNever, nil
+	for p, name := range syncPolicies {
+		if name == s {
+			return SyncPolicy(p), nil
+		}
 	}
 	return 0, fmt.Errorf("wal: unknown sync policy %q (always, interval, never)", s)
 }
 
 func (p SyncPolicy) String() string {
-	switch p {
-	case SyncAlways:
-		return "always"
-	case SyncInterval:
-		return "interval"
-	case SyncNever:
-		return "never"
+	if p >= 0 && int(p) < len(syncPolicies) {
+		return syncPolicies[p]
 	}
 	return fmt.Sprintf("policy(%d)", int(p))
 }
@@ -99,7 +94,7 @@ type Options struct {
 	WrapWriter func(io.Writer) io.Writer
 	// Logf receives recovery and corruption notices (default: discard).
 	Logf func(format string, args ...any)
-	// Now is the clock used by SyncInterval (default time.Now).
+	// Now is the clock of SyncInterval and of every timing (default time.Now).
 	Now func() time.Time
 }
 
@@ -153,6 +148,10 @@ type RecoveryStats struct {
 	// ended replay before the newest record (rare double-failure case);
 	// empty on a clean recovery.
 	Stopped string
+	// Decode is the time spent reading and validating checkpoints,
+	// Restore the newest valid one's Handler.Restore (compile and initial
+	// fixpoint), Replay reading, decoding and replaying WAL records.
+	Decode, Restore, Replay time.Duration
 }
 
 // Log is an open write-ahead log: the append handle of the newest
@@ -171,11 +170,12 @@ type Log struct {
 	failed   error
 	lastSync time.Time
 
-	records     int
-	bytes       int64
-	checkpoints int
-	ckptRecords int
-	ckptBytes   int64
+	records                      int
+	bytes                        int64
+	checkpoints                  int
+	appendT, fsyncT, checkpointT time.Duration // see Times
+	ckptRecords                  int
+	ckptBytes                    int64
 
 	recovered RecoveryStats
 
@@ -213,13 +213,18 @@ func Open(dir string, opts Options, h Handler) (*Log, error) {
 	base := 0
 	for i := len(ckptGens) - 1; i >= 0; i-- {
 		gen := ckptGens[i]
+		start := opts.Now()
 		program, edb, err := readCheckpoint(ckptPath(dir, gen))
+		decoded := opts.Now()
+		l.recovered.Decode += decoded.Sub(start)
 		if err != nil {
 			opts.Logf("wal: checkpoint %d invalid, falling back: %v", gen, err)
 			l.recovered.CheckpointsSkipped++
 			continue
 		}
-		if err := h.Restore(program, edb); err != nil {
+		err = h.Restore(program, edb)
+		l.recovered.Restore = opts.Now().Sub(decoded)
+		if err != nil {
 			return nil, fmt.Errorf("wal: restoring checkpoint %d: %w", gen, err)
 		}
 		base = gen
@@ -230,19 +235,16 @@ func Open(dir string, opts Options, h Handler) (*Log, error) {
 	// Replay the WAL chain from the restored generation on. The newest
 	// file may end in a torn record (truncated below); corruption in an
 	// older file of the chain stops replay there.
-	chain := walGens[:0]
-	for _, g := range walGens {
-		if g >= base {
-			chain = append(chain, g)
-		}
-	}
+	chain := walGens[sort.SearchInts(walGens, base):]
 	l.gen = base
 	if n := len(chain); n > 0 {
 		l.gen = chain[n-1]
 	}
+	start := opts.Now()
 	for _, gen := range chain {
 		newest := gen == l.gen
 		keep, err := l.replayFile(walPath(dir, gen), newest, h)
+		l.recovered.Replay = opts.Now().Sub(start)
 		if err != nil {
 			return nil, err
 		}
@@ -389,6 +391,12 @@ func (l *Log) Bytes() int64 { return l.bytes }
 // Checkpoints returns the number of checkpoints written since Open.
 func (l *Log) Checkpoints() int { return l.checkpoints }
 
+// Times returns the time spent since Open framing and writing records,
+// syncing them, and checkpointing (failed attempts included).
+func (l *Log) Times() (appendT, fsyncT, checkpointT time.Duration) {
+	return l.appendT, l.fsyncT, l.checkpointT
+}
+
 // Append encodes, frames and writes one record, then syncs according
 // to the policy. The first failure is sticky: the record may be
 // partially on disk (recovery will truncate it), no further appends
@@ -397,26 +405,23 @@ func (l *Log) Append(rec Record) error {
 	if l.failed != nil {
 		return l.failed
 	}
+	start := l.opts.Now()
 	payload, err := appendRecord(l.payloadBuf[:0], rec)
 	if err != nil {
 		return err // encoding error: nothing written, log still healthy
 	}
 	l.payloadBuf = payload
 	l.frameBuf = appendFrame(l.frameBuf[:0], payload)
-	if _, err := l.w.Write(l.frameBuf); err != nil {
+	_, err = l.w.Write(l.frameBuf)
+	written := l.opts.Now()
+	l.appendT += written.Sub(start)
+	if err != nil {
 		l.failed = fmt.Errorf("wal: append: %w", err)
 		return l.failed
 	}
-	switch l.opts.Sync {
-	case SyncAlways:
-		if err := l.sync(); err != nil {
+	if l.opts.Sync == SyncAlways || l.opts.Sync == SyncInterval && written.Sub(l.lastSync) >= l.opts.SyncEvery {
+		if err := l.sync(written); err != nil {
 			return err
-		}
-	case SyncInterval:
-		if now := l.opts.Now(); now.Sub(l.lastSync) >= l.opts.SyncEvery {
-			if err := l.sync(); err != nil {
-				return err
-			}
 		}
 	}
 	l.records++
@@ -426,12 +431,15 @@ func (l *Log) Append(rec Record) error {
 	return nil
 }
 
-func (l *Log) sync() error {
-	if err := l.f.Sync(); err != nil {
+// sync fsyncs the append handle, timing it from start.
+func (l *Log) sync(start time.Time) error {
+	err := l.f.Sync()
+	l.lastSync = l.opts.Now()
+	l.fsyncT += l.lastSync.Sub(start)
+	if err != nil {
 		l.failed = fmt.Errorf("wal: sync: %w", err)
 		return l.failed
 	}
-	l.lastSync = l.opts.Now()
 	return nil
 }
 
@@ -456,6 +464,8 @@ func (l *Log) Checkpoint(program string, edb *instance.Instance) error {
 	if l.failed != nil {
 		return l.failed
 	}
+	start := l.opts.Now()
+	defer func() { l.checkpointT += l.opts.Now().Sub(start) }()
 	next := l.gen + 1
 	tmp := ckptPath(l.dir, next) + ".tmp"
 	if err := writeFileSynced(tmp, encodeCheckpoint(program, edb)); err != nil {
@@ -563,15 +573,13 @@ func writeFileSynced(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	return err
 }
 
 // syncDir fsyncs a directory so renames and creates within it are

@@ -20,32 +20,13 @@ import (
 	"seqlog/internal/wal/walfault"
 )
 
-// replayHandler feeds recovery into an eval.Replayer — the same
-// adapter the daemon uses, reproduced here so the package tests stand
-// alone.
-type replayHandler struct {
-	rep eval.Replayer
-}
-
-func (h *replayHandler) Restore(program string, edb *instance.Instance) error {
-	return h.rep.Restore(program, edb)
-}
-
-func (h *replayHandler) Replay(rec wal.Record) error {
-	switch rec.Op {
-	case wal.OpLoad:
-		return h.rep.Load(rec.Program)
-	case wal.OpAssert:
-		return h.rep.Assert(rec.Batch)
-	case wal.OpRetract:
-		return h.rep.Retract(rec.Batch)
-	}
-	return fmt.Errorf("unknown op %s", rec.Op)
-}
+// replayHandler is the daemon's recovery handler, an eval.Replayer,
+// plus the tests' snapshot helper.
+type replayHandler struct{ eval.Replayer }
 
 func (h *replayHandler) snapshot(t *testing.T) *instance.Instance {
 	t.Helper()
-	snap, err := h.rep.Engine().Snapshot()
+	snap, err := h.Engine().Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +99,7 @@ func TestWALRecoveryRoundTrip(t *testing.T) {
 	if d := instance.Diff(h2.snapshot(t), want); d != "" {
 		t.Fatalf("recovered state diverges: %s", d)
 	}
-	if h2.rep.Source() != tcSrc {
+	if h2.Source() != tcSrc {
 		t.Fatal("recovered program source lost")
 	}
 }
@@ -156,11 +137,11 @@ func runScenario(t *testing.T, dir string, sc fuzztest.Scenario, ckptEvery int) 
 	for i, st := range sc.Steps {
 		appendApply(stepRecord(st))
 		if ckptEvery > 0 && (i+1)%ckptEvery == 0 {
-			edb, err := h.rep.Engine().EDBSnapshot()
+			edb, err := h.Engine().EDBSnapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := l.Checkpoint(h.rep.Source(), edb); err != nil {
+			if err := l.Checkpoint(h.Source(), edb); err != nil {
 				t.Fatal(err)
 			}
 			gen++
@@ -241,7 +222,7 @@ func crashRecoverySeed(t *testing.T, seed int64, ckptEvery int) {
 	l2, h2 := mustOpen(t, dir, wal.Options{CheckpointRecords: -1, CheckpointBytes: -1})
 	defer l2.Close()
 	rs := l2.Recovery()
-	if h2.rep.Engine() == nil {
+	if h2.Engine() == nil {
 		if k != 0 {
 			t.Fatalf("seed %d ckpt=%d %+v: recovery empty, want %d records\n%s%s",
 				seed, ckptEvery, plan, k, sc.Src, sc.History(len(sc.Steps)-1))
@@ -427,11 +408,11 @@ func TestCheckpointRetention(t *testing.T) {
 		if err := h.Replay(rec); err != nil {
 			t.Fatal(err)
 		}
-		edb, err := h.rep.Engine().EDBSnapshot()
+		edb, err := h.Engine().EDBSnapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Checkpoint(h.rep.Source(), edb); err != nil {
+		if err := l.Checkpoint(h.Source(), edb); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -610,5 +591,110 @@ func TestParseSyncPolicy(t *testing.T) {
 	}
 	if _, err := wal.ParseSyncPolicy("sometimes"); err == nil {
 		t.Fatal("bad policy must error")
+	}
+}
+
+// steppingClock is a clock that advances one second on every read, so
+// a duration measured on it counts the reads between its two ends.
+func steppingClock() func() time.Time {
+	now := time.Unix(1000, 0)
+	return func() time.Time {
+		now = now.Add(time.Second)
+		return now
+	}
+}
+
+// TestLogTimes pins the log's cumulative timings on a stepping clock:
+// framing and writing a record is one step, a sync one more, a
+// checkpoint one; under SyncInterval only the appends past the
+// deadline sync.
+func TestLogTimes(t *testing.T) {
+	for _, tc := range []struct {
+		sync            wal.SyncPolicy
+		appendT, fsyncT time.Duration
+	}{
+		{wal.SyncAlways, 3 * time.Second, 3 * time.Second},
+		// SyncEvery is 2.5 steps: the first and the third append sync.
+		{wal.SyncInterval, 3 * time.Second, 2 * time.Second},
+		{wal.SyncNever, 3 * time.Second, 0},
+	} {
+		t.Run(tc.sync.String(), func(t *testing.T) {
+			l, _ := mustOpen(t, t.TempDir(), wal.Options{Sync: tc.sync, SyncEvery: 2500 * time.Millisecond, Now: steppingClock()})
+			defer l.Close()
+			for _, rec := range []wal.Record{
+				{Op: wal.OpLoad, Program: tcSrc},
+				{Op: wal.OpAssert, Batch: factBatch("E", value.PathOf("a", "b"))},
+				{Op: wal.OpAssert, Batch: factBatch("E", value.PathOf("b", "c"))},
+			} {
+				if err := l.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Checkpoint(tcSrc, instance.New()); err != nil {
+				t.Fatal(err)
+			}
+			if a, f, c := l.Times(); a != tc.appendT || f != tc.fsyncT || c != time.Second {
+				t.Fatalf("Times() = %v, %v, %v; want %v, %v, 1s", a, f, c, tc.appendT, tc.fsyncT)
+			}
+		})
+	}
+}
+
+// TestRecoveryTimes pins recovery's timings on a stepping clock:
+// decode counts every checkpoint tried (the corrupt newest one too),
+// restore the one restored, replay each WAL file of the chain.
+func TestRecoveryTimes(t *testing.T) {
+	dir := t.TempDir()
+	l, h := mustOpen(t, dir, wal.Options{Sync: wal.SyncNever, CheckpointRecords: -1})
+	appendApply := func(rec wal.Record) {
+		t.Helper()
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Replay(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpoint := func() {
+		t.Helper()
+		edb, err := h.Engine().EDBSnapshot()
+		if err == nil {
+			err = l.Checkpoint(h.Source(), edb)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendApply(wal.Record{Op: wal.OpLoad, Program: tcSrc})
+	appendApply(wal.Record{Op: wal.OpAssert, Batch: factBatch("E", value.PathOf("a", "b"))})
+	checkpoint() // generation 1
+	appendApply(wal.Record{Op: wal.OpAssert, Batch: factBatch("E", value.PathOf("b", "c"))})
+	checkpoint() // generation 2
+	appendApply(wal.Record{Op: wal.OpAssert, Batch: factBatch("E", value.PathOf("c", "d"))})
+	want := h.snapshot(t)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	newest := filepath.Join(dir, "checkpoint-00000002.ckpt")
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(newest, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, h2 := mustOpen(t, dir, wal.Options{Now: steppingClock()})
+	defer l2.Close()
+	rs := l2.Recovery()
+	if rs.CheckpointGen != 1 || rs.CheckpointsSkipped != 1 || rs.RecordsReplayed != 2 {
+		t.Fatalf("recovery stats: %+v", rs)
+	}
+	if rs.Decode != 2*time.Second || rs.Restore != time.Second || rs.Replay != 2*time.Second {
+		t.Fatalf("decode %v, restore %v, replay %v; want 2s, 1s, 2s", rs.Decode, rs.Restore, rs.Replay)
+	}
+	if d := instance.Diff(h2.snapshot(t), want); d != "" {
+		t.Fatalf("recovered state diverges: %s", d)
 	}
 }
