@@ -13,16 +13,19 @@
 // pipe or an editor); with -listen every TCP connection speaks the
 // same protocol against one shared engine — asserts serialize through
 // the engine, queries read copy-on-write snapshots and never block
-// behind them.
+// behind them. The served engine is published whole through an atomic
+// pointer, so readers take no server lock.
 //
 // With -wal-dir the daemon is durable: every accepted load, assert
 // and retract is appended to a write-ahead log before it is applied,
 // checkpoints bound replay time, and startup recovers the pre-crash
-// state (see docs/durability.md). If the log itself fails mid-flight
-// the daemon degrades to read-only — writes are refused with
-// "err readonly: ...", queries keep serving the last durable state.
-// SIGINT/SIGTERM shut down gracefully: stop accepting, drain
-// sessions, cut a final checkpoint, close the log.
+// state (see docs/durability.md). Recovery is the live path: a load
+// and a restored checkpoint build their engine with eval.FromSource,
+// and a write and a replayed record both run through Engine.Apply. If
+// the log itself fails mid-flight the daemon degrades to read-only —
+// writes are refused with "err readonly: ...", queries keep serving
+// the last durable state. SIGINT/SIGTERM shut down gracefully: stop
+// accepting, drain sessions, cut a final checkpoint, close the log.
 //
 // Protocol (one command per line; responses end with "ok ..." or
 // "err ..."):
@@ -61,6 +64,7 @@ import (
 	"os/signal"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -123,7 +127,7 @@ func main() {
 				fail(fmt.Errorf("%s: %w", *dataFile, err))
 			}
 		}
-		if _, err := srv.load(string(src), edb); err != nil {
+		if _, _, err := srv.load(string(src), edb); err != nil {
 			fail(fmt.Errorf("%s: %w", *programFile, err))
 		}
 		if *dataFile != "" {
@@ -223,21 +227,16 @@ func acceptLoop(ln net.Listener, srv *server, sleep func(time.Duration)) error {
 }
 
 // server holds the one engine every connection shares. The engine
-// serializes its own writers and serves reads from snapshots; mu
-// guards swapping the engine on load, while wmu serializes the write
-// verbs end to end — WAL append order is engine apply order, which is
-// what makes replay faithful. Lock order is wmu before mu.
+// serializes its own writers and serves reads from snapshots; the
+// served state is published whole through an atomic pointer, so
+// readers take no lock, and wmu, the server's one mutex, serializes
+// the write verbs end to end — WAL append order is engine apply order,
+// which is what makes replay faithful.
 type server struct {
 	limits      eval.Limits
 	idleTimeout time.Duration
 
-	mu     sync.Mutex
-	engine *eval.Engine
-	// src is the source text of the served program — the WAL's current
-	// load epoch, written into every checkpoint.
-	src string
-	// warnings holds the analyzer warnings of the served program.
-	warnings []analyze.Diagnostic
+	state atomic.Pointer[served]
 	// conns holds the open TCP sessions' connections, for drain.
 	conns sync.Map
 
@@ -251,19 +250,26 @@ type server struct {
 	sessions sync.WaitGroup
 }
 
-// install makes e the served engine and src, its program's source
-// text, the current load epoch; the analyzer warnings of the compiled
-// program ride along for load replies and stats.
-func (s *server) install(e *eval.Engine, src string) {
-	var warns []analyze.Diagnostic
+// served is what the daemon serves, never changed once published: the
+// engine, its program's source text (the WAL's current load epoch,
+// written into every checkpoint) and the program's analyzer warnings
+// (for load replies and stats).
+type served struct {
+	engine   *eval.Engine
+	src      string
+	warnings []analyze.Diagnostic
+}
+
+// install publishes e, compiled from src, as the served state.
+func (s *server) install(e *eval.Engine, src string) *served {
+	st := &served{engine: e, src: src}
 	for _, d := range e.Prepared().Diagnostics() {
 		if d.Severity == analyze.Warning {
-			warns = append(warns, d)
+			st.warnings = append(st.warnings, d)
 		}
 	}
-	s.mu.Lock()
-	s.engine, s.src, s.warnings = e, src, warns
-	s.mu.Unlock()
+	s.state.Store(st)
+	return st
 }
 
 // drain waits for active sessions to finish, force-closing their
@@ -342,121 +348,88 @@ func (s *server) logRecord(rec wal.Record) error {
 // is logged and non-fatal — the WAL alone keeps the state
 // recoverable. Callers hold wmu.
 func (s *server) maybeCheckpoint(force bool) {
-	if s.wal == nil || s.wal.Err() != nil || (!force && !s.wal.ShouldCheckpoint()) {
+	st := s.state.Load()
+	if st == nil || s.wal == nil || s.wal.Err() != nil || (!force && !s.wal.ShouldCheckpoint()) {
 		return
 	}
-	s.mu.Lock()
-	e, src := s.engine, s.src
-	s.mu.Unlock()
-	if e == nil {
-		return
-	}
-	edb, err := e.EDBSnapshot()
+	edb, err := st.engine.EDBSnapshot()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "seqlogd: checkpoint skipped: %v\n", err)
 		return
 	}
-	if err := s.wal.Checkpoint(src, edb); err != nil {
+	if err := s.wal.Checkpoint(st.src, edb); err != nil {
 		fmt.Fprintf(os.Stderr, "seqlogd: checkpoint failed: %v\n", err)
 	}
 	s.publish()
 }
 
-// writeOp is one direction of the write path: the WAL op that logs the
-// batch, the word that names the changed facts in the reply, and the
-// engine call that applies the batch.
-type writeOp struct {
-	rec   wal.Op
-	word  string
-	apply func(*eval.Engine, *instance.Instance) (int, eval.MaintenanceStats, error)
-}
-
 // write is the one place a batch is logged, applied to the engine and
 // checkpoint-triggered, WAL first: a batch the log cannot make durable
 // never reaches the engine.
-func (s *server) write(op *writeOp, delta *instance.Instance) (int, eval.MaintenanceStats, error) {
+func (s *server) write(rec wal.Record) (int, eval.MaintenanceStats, error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	e, err := s.current()
+	st, err := s.current()
+	if err == nil {
+		// A broken engine rejects the batch itself; don't log a record
+		// replay could never apply.
+		err = st.engine.Err()
+	}
+	if err == nil {
+		err = s.logRecord(rec)
+	}
 	if err != nil {
 		return 0, eval.MaintenanceStats{}, err
 	}
-	if err := e.Err(); err != nil {
-		// A broken engine rejects the batch itself; don't log a record
-		// replay could never apply.
-		return 0, eval.MaintenanceStats{}, err
-	}
-	if err := s.logRecord(wal.Record{Op: op.rec, Batch: delta}); err != nil {
-		return 0, eval.MaintenanceStats{}, err
-	}
-	n, st, err := op.apply(e, delta)
+	n, ms, err := st.engine.Apply(rec)
 	s.maybeCheckpoint(false)
-	return n, st, err
+	return n, ms, err
 }
 
 // load compiles src and replaces the served engine with a fresh one,
-// returning the number of facts carried over. A nil edb means "carry
-// the EDB over" (eval.CarryEDB), so a program upgrade keeps the live
-// fact base; an explicit edb (the -program/-data startup path) is used
-// as given. A program the static analyzer rejects returns an
-// *analyze.DiagError (wrapped or direct), is counted in stats, and
-// leaves the previous engine serving, as does a load the WAL refuses.
+// returning the new served state and the number of facts carried over.
+// A nil edb means "carry the EDB over" (eval.CarryEDB), so a program
+// upgrade keeps the live fact base; an explicit edb (the -program/-data
+// startup path) is used as given. A program the static analyzer
+// rejects returns an *analyze.DiagError, is counted in stats, and
+// leaves the previous engine serving, as does a load whose initial
+// fixpoint fails or that the WAL refuses.
 //
-// Under -wal-dir a successful compile is logged as an OpLoad record —
-// the start of a new load epoch, carrying only the program — before
-// the engine swap; replay reconstructs the same carried EDB through
-// the same CarryEDB (eval.Replayer.Load). The snapshot, the record and
-// the swap all happen under the write lock, so no concurrent assert
-// can slip between the carried state and the logged load.
-func (s *server) load(src string, edb *instance.Instance) (int, error) {
-	// Parse without validating: safety and stratification problems
-	// should surface as Compile's structured diagnostics, not as a
-	// single opaque parse error.
-	prog, _, err := parser.ParseProgramForAnalysis(src)
-	if err != nil {
-		return 0, err
-	}
-	prep, err := eval.Compile(prog)
-	if err != nil {
-		if errors.As(err, new(*analyze.DiagError)) {
-			s.reg.rejectedLoads.Add(1)
-		}
-		return 0, err
-	}
+// Under -wal-dir a load whose fixpoint succeeded is logged as an OpLoad
+// record — the start of a new load epoch, carrying only the program —
+// before the engine swap; replay reconstructs the same carried EDB
+// through the same CarryEDB and eval.FromSource (eval.Replayer.Load).
+// The snapshot, the record and the swap all happen under the write
+// lock, so no concurrent assert can slip between the carried state and
+// the logged load.
+func (s *server) load(src string, edb *instance.Instance) (*served, int, error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	carried := 0
-	if edb == nil {
-		prev, _ := s.current() // nil when none is loaded
-		edb, carried = eval.CarryEDB(prev)
+	if st := s.state.Load(); edb == nil && st != nil { // no engine yet: edb stays nil, empty
+		edb, carried = eval.CarryEDB(st.engine)
 	}
-	e, err := eval.NewEngine(prep, edb, s.limits)
+	e, err := eval.FromSource(src, edb, s.limits)
+	if errors.As(err, new(*analyze.DiagError)) {
+		s.reg.rejectedLoads.Add(1)
+	}
+	if err == nil {
+		err = s.logRecord(wal.Record{Op: wal.OpLoad, Program: src})
+	}
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	if err := s.logRecord(wal.Record{Op: wal.OpLoad, Program: src}); err != nil {
-		return 0, err
-	}
-	s.install(e, src)
+	st := s.install(e, src)
 	s.maybeCheckpoint(false)
-	return carried, nil
+	return st, carried, nil
 }
 
-// loadWarnings returns the analyzer warnings of the served program.
-func (s *server) loadWarnings() []analyze.Diagnostic {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.warnings
-}
-
-// current returns the served engine, or an error when none is loaded.
-func (s *server) current() (*eval.Engine, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.engine == nil {
-		return nil, fmt.Errorf("no program loaded (use the load command or -program)")
+// current returns the served state, or an error when none is loaded.
+func (s *server) current() (*served, error) {
+	if st := s.state.Load(); st != nil {
+		return st, nil
 	}
-	return s.engine, nil
+	return nil, fmt.Errorf("no program loaded (use the load command or -program)")
 }
 
 // session is one connection's protocol state: the server it talks to,
@@ -484,16 +457,10 @@ var verbs = []struct {
 	run  func(c *session, arg string) error
 }{
 	{"load", (*session).load},
-	{"assert", writes(&writeOp{wal.OpAssert, "asserted", func(e *eval.Engine, d *instance.Instance) (int, eval.MaintenanceStats, error) {
-		st, err := e.Assert(d)
-		return st.Asserted, st.MaintenanceStats, err
-	}})},
-	{"retract", writes(&writeOp{wal.OpRetract, "retracted", func(e *eval.Engine, d *instance.Instance) (int, eval.MaintenanceStats, error) {
-		st, err := e.Retract(d)
-		return st.Retracted, st.MaintenanceStats, err
-	}})},
-	{"query", reads(func(c *session, e *eval.Engine, name string) error {
-		rel, err := e.Query(name)
+	{"assert", writes(wal.OpAssert)},
+	{"retract", writes(wal.OpRetract)},
+	{"query", reads(func(c *session, st *served, name string) error {
+		rel, err := st.engine.Query(name)
 		c.lap(applyPhase)
 		if err != nil {
 			return err
@@ -503,8 +470,8 @@ var verbs = []struct {
 		}
 		return c.reply("ok n=%d", rel.Len())
 	})},
-	{"holds", reads(func(c *session, e *eval.Engine, name string) error {
-		yes, err := e.Holds(name)
+	{"holds", reads(func(c *session, st *served, name string) error {
+		yes, err := st.engine.Holds(name)
 		c.lap(applyPhase)
 		if err != nil {
 			return err
@@ -512,8 +479,8 @@ var verbs = []struct {
 		return c.reply("ok %v", yes)
 	})},
 	{"stats", reads((*session).stats)},
-	{"explain", reads(func(c *session, e *eval.Engine, _ string) error {
-		for _, l := range e.Prepared().Explain() {
+	{"explain", reads(func(c *session, st *served, _ string) error {
+		for _, l := range st.engine.Prepared().Explain() {
 			fmt.Fprintln(c.out, l)
 		}
 		return c.reply("ok")
@@ -626,7 +593,7 @@ func (c *session) load(string) error {
 		prog.WriteByte('\n')
 	}
 	c.lap(parsePhase)
-	carried, err := c.srv.load(prog.String(), nil)
+	st, carried, err := c.srv.load(prog.String(), nil)
 	c.lap(applyPhase)
 	var de *analyze.DiagError
 	if errors.As(err, &de) {
@@ -636,9 +603,8 @@ func (c *session) load(string) error {
 	if err != nil {
 		return err
 	}
-	warns := c.srv.loadWarnings()
-	c.diags(warns)
-	return c.reply("ok loaded warnings=%d carried=%d", len(warns), carried)
+	c.diags(st.warnings)
+	return c.reply("ok loaded warnings=%d carried=%d", len(st.warnings), carried)
 }
 
 // diags lists diagnostics ahead of a load's final reply line.
@@ -649,34 +615,34 @@ func (c *session) diags(ds []analyze.Diagnostic) {
 }
 
 // writes is the handler behind both write verbs: parse the batch, send
-// it down the write path, report what maintenance did.
-func writes(op *writeOp) func(*session, string) error {
+// it down the write path as an op record, report what maintenance did.
+func writes(op wal.Op) func(*session, string) error {
 	return func(c *session, arg string) error {
 		delta, err := parser.ParseInstance(arg)
 		c.lap(parsePhase)
 		if err != nil {
 			return err
 		}
-		n, st, err := c.srv.write(op, delta)
+		n, st, err := c.srv.write(wal.Record{Op: op, Batch: delta})
 		c.lap(applyPhase)
 		if err != nil {
 			return err
 		}
 		copy(c.laps[validatePhase:], []time.Duration{st.Validate, st.Barrier, st.Overdelete, st.Reinsert, st.Compact})
-		return c.replyFields(work([]field{{op.word, n}, {"derived", st.Derived}, {"overdeleted", st.Overdeleted},
+		return c.replyFields(work([]field{{op.String() + "ed", n}, {"derived", st.Derived}, {"overdeleted", st.Overdeleted},
 			{"stamp_pruned", st.StampPruned}, {"rederived", st.Rederived}, {"skipped", st.Skipped},
 			{"incremental", st.Incremental}}, st.Plans, st.Clones))
 	}
 }
 
-// reads is the one prologue of every verb that reads the served engine.
-func reads(run func(c *session, e *eval.Engine, arg string) error) func(*session, string) error {
+// reads is the one prologue of every verb that reads the served state.
+func reads(run func(c *session, st *served, arg string) error) func(*session, string) error {
 	return func(c *session, arg string) error {
-		e, err := c.srv.current()
+		st, err := c.srv.current()
 		if err != nil {
 			return err
 		}
-		return run(c, e, arg)
+		return run(c, st, arg)
 	}
 }
 

@@ -116,11 +116,11 @@ func TestConcurrentSessionsShareEngine(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	e, err := srv.current()
+	st, err := srv.current()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := e.Query("T")
+	rel, err := st.engine.Query("T")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestServerLoadWithInitialData(t *testing.T) {
 	srv := &server{limits: eval.Limits{}}
 	edb := instance.New()
 	edb.AddPath("R", value.PathOf("a"))
-	if _, err := srv.load("S($x) :- R($x).", edb); err != nil {
+	if _, _, err := srv.load("S($x) :- R($x).", edb); err != nil {
 		t.Fatal(err)
 	}
 	got := run(t, srv, "query S\n")
@@ -356,7 +356,7 @@ func (l *flakyListener) Addr() net.Addr { return &net.TCPAddr{} }
 // daemon, and the loop must still serve the connections that follow.
 func TestAcceptLoopRetriesTemporaryErrors(t *testing.T) {
 	srv := &server{limits: eval.Limits{}}
-	if _, err := srv.load("S($x) :- R($x).", instance.New()); err != nil {
+	if _, _, err := srv.load("S($x) :- R($x).", instance.New()); err != nil {
 		t.Fatal(err)
 	}
 	client, served := net.Pipe()
@@ -522,6 +522,31 @@ func TestServerRecoveryRoundTrip(t *testing.T) {
 	for _, want := range []string{"ok n=3", "recovered_records=0 "} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("checkpoint-recovered server missing %q:\n%s", want, got)
+		}
+	}
+}
+
+// TestRecoveryFailedLoadNotLogged: under a WAL, a load whose initial
+// fixpoint fails (the carried R clashes with the new program's arity)
+// appends no record, and a restart serves the engine that was serving
+// before it.
+func TestRecoveryFailedLoadNotLogged(t *testing.T) {
+	dir := t.TempDir()
+	srv := newWALServer(t, dir, wal.Options{Sync: wal.SyncNever})
+	got := run(t, srv, "load\nS($x) :- R($x).\n.\nassert R(a).\nstats\nload\nS($x, $y) :- R($x, $y).\n.\nstats\n")
+	if strings.Count(got, "wal_records=2 ") != 2 {
+		t.Fatalf("the failed load must leave wal_records at 2:\n%s", got)
+	}
+	if !strings.Contains(got, `err eval: instance holds arity-1 tuples of relation "R" used with arity 2 by the program`) {
+		t.Fatalf("the arity clash must fail the load:\n%s", got)
+	}
+	if err := srv.wal.Close(); err != nil { // crash: no final checkpoint
+		t.Fatal(err)
+	}
+	got = run(t, newWALServer(t, dir, wal.Options{}), "query S\nexplain\nstats\n")
+	for _, want := range []string{"S(a).\nok n=1", "S($x) :- R($x)", "recovered_records=2 "} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("restart must serve the previous engine, missing %q:\n%s", want, got)
 		}
 	}
 }

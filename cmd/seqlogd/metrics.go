@@ -119,16 +119,16 @@ func work(fs []field, ps eval.PlanStats, cs instance.CloneStats) []field {
 // stats answers `stats`: the engine's counters (they reset on load),
 // then the daemon's. `stats json` sends them as one JSON line, with the
 // verb rows, the WAL's and recovery's timings and the symbol count.
-func (c *session) stats(e *eval.Engine, arg string) error {
+func (c *session) stats(sv *served, arg string) error {
 	if arg != "" && arg != "json" {
 		return fmt.Errorf("stats: unknown argument %q (json)", arg)
 	}
-	s, st, w := c.srv, e.Stats(), walCounters{}
+	s, st, w := c.srv, sv.engine.Stats(), walCounters{}
 	if p := s.reg.wal.Load(); p != nil {
 		w = *p
 	}
 	fs := work([]field{{"facts", st.Facts}, {"derived", st.Derived}, {"asserts", st.Asserts}, {"retracts", st.Retracts},
-		{"warnings", len(s.loadWarnings())}, {"rejected_loads", s.reg.rejectedLoads.Load()}}, st.Plans, st.Clones)
+		{"warnings", len(sv.warnings)}, {"rejected_loads", s.reg.rejectedLoads.Load()}}, st.Plans, st.Clones)
 	fs = append(fs, field{"wal_records", w.records}, field{"wal_bytes", w.bytes}, field{"checkpoints", w.checkpoints},
 		field{"recovered_records", s.recovery.RecordsReplayed}, field{"readonly", w.readonly},
 		field{"idle_timeouts", s.reg.idleTimeouts.Load()})

@@ -11,9 +11,9 @@ import (
 // This file is the replay entry point of the durability layer
 // (internal/wal): recovery reconstructs an engine by re-running the
 // same deterministic maintenance that produced the state in the first
-// place. A checkpoint restores as "compile the program, seed the EDB,
-// run the initial fixpoint" (Restore), and every logged batch replays
-// through the engine's own Assert/Retract — there is no second
+// place. A checkpoint or a load restores through FromSource and every
+// logged batch replays through Engine.Apply, the same two calls the
+// daemon's live load and write paths make — there is no second
 // evaluation semantics to drift from, which is what makes recovered
 // state instance.Diff-identical to a from-scratch evaluation of the
 // accepted history.
@@ -58,9 +58,9 @@ func (e *Engine) EDBSnapshot() (*instance.Instance, error) {
 
 // Replayer rebuilds engine state from a durability log. It is the
 // wal.Handler wired to the evaluator: Restore applies the newest valid
-// checkpoint, Replay (Load/Assert/Retract) applies logged records in
-// order. Zero value is ready; methods are not safe for concurrent use
-// (recovery is single-threaded by nature).
+// checkpoint, Replay applies logged records in order. Zero value is
+// ready; methods are not safe for concurrent use (recovery is
+// single-threaded by nature).
 type Replayer struct {
 	// Limits bound every engine the replay constructs, exactly as they
 	// bound the engine whose history is being replayed.
@@ -70,22 +70,47 @@ type Replayer struct {
 	eng *Engine
 }
 
-// Restore compiles src and installs a fresh engine over edb (nil for
-// empty), replacing any previous engine. It is both the checkpoint
-// entry point (src + the checkpointed EDB) and the foundation of Load,
-// which carries the previous engine's EDB forward.
-func (r *Replayer) Restore(src string, edb *instance.Instance) error {
+// FromSource turns program text and an EDB (nil for empty) into a
+// fresh engine: parse without validating (safety and stratification
+// problems surface as Compile's *analyze.DiagError, not as one opaque
+// parse error), compile, run the initial fixpoint. Errors come back
+// unwrapped. It is the one text-to-engine path: the daemon's load and
+// Replayer.Restore both call it.
+func FromSource(src string, edb *instance.Instance, lim Limits) (*Engine, error) {
 	prog, _, err := parser.ParseProgramForAnalysis(src)
 	if err != nil {
-		return fmt.Errorf("replay: parse: %w", err)
+		return nil, err
 	}
 	prep, err := Compile(prog)
 	if err != nil {
-		return fmt.Errorf("replay: compile: %w", err)
+		return nil, err
 	}
-	eng, err := NewEngine(prep, edb, r.Limits)
+	return NewEngine(prep, edb, lim)
+}
+
+// Apply runs one logged write batch: an OpAssert record as Assert, an
+// OpRetract record as Retract. It returns the number of facts the batch
+// changed and the maintenance stats. It is the one dispatch from a
+// record to maintenance: the daemon's write path and Replayer.Replay
+// both call it, so replay is the live path by construction.
+func (e *Engine) Apply(rec wal.Record) (int, MaintenanceStats, error) {
+	switch rec.Op {
+	case wal.OpAssert:
+		return e.write(assertOp, rec.Batch)
+	case wal.OpRetract:
+		return e.write(retractOp, rec.Batch)
+	}
+	return 0, MaintenanceStats{}, fmt.Errorf("eval: a %s record is not a write batch", rec.Op)
+}
+
+// Restore installs a fresh engine for src over edb (nil for empty),
+// replacing any previous engine. It is both the checkpoint entry point
+// (src + the checkpointed EDB) and the foundation of Load, which
+// carries the previous engine's EDB forward.
+func (r *Replayer) Restore(src string, edb *instance.Instance) error {
+	eng, err := FromSource(src, edb, r.Limits)
 	if err != nil {
-		return fmt.Errorf("replay: initial fixpoint: %w", err)
+		return err
 	}
 	r.src, r.eng = src, eng
 	return nil
@@ -125,36 +150,27 @@ func (r *Replayer) Load(src string) error {
 	return r.Restore(src, edb)
 }
 
-// Replay applies one logged record.
+// Replay applies one logged record: a load through Load, a batch
+// through Engine.Apply.
 func (r *Replayer) Replay(rec wal.Record) error {
-	switch rec.Op {
-	case wal.OpLoad:
+	if rec.Op == wal.OpLoad {
 		return r.Load(rec.Program)
-	case wal.OpAssert:
-		return r.Assert(rec.Batch)
-	case wal.OpRetract:
-		return r.Retract(rec.Batch)
 	}
-	return fmt.Errorf("replay: unknown WAL op %s", rec.Op)
+	if r.eng == nil {
+		return fmt.Errorf("replay: %s before any load record", rec.Op)
+	}
+	_, _, err := r.eng.Apply(rec)
+	return err
 }
 
-// Assert replays a logged assert batch through incremental
-// maintenance.
+// Assert replays a logged assert batch.
 func (r *Replayer) Assert(batch *instance.Instance) error {
-	if r.eng == nil {
-		return fmt.Errorf("replay: assert before any load record")
-	}
-	_, err := r.eng.Assert(batch)
-	return err
+	return r.Replay(wal.Record{Op: wal.OpAssert, Batch: batch})
 }
 
-// Retract replays a logged retract batch through DRed maintenance.
+// Retract replays a logged retract batch.
 func (r *Replayer) Retract(batch *instance.Instance) error {
-	if r.eng == nil {
-		return fmt.Errorf("replay: retract before any load record")
-	}
-	_, err := r.eng.Retract(batch)
-	return err
+	return r.Replay(wal.Record{Op: wal.OpRetract, Batch: batch})
 }
 
 // Engine returns the recovered engine, nil when no load or checkpoint

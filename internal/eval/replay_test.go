@@ -6,6 +6,7 @@ import (
 	"seqlog/internal/instance"
 	"seqlog/internal/parser"
 	"seqlog/internal/value"
+	"seqlog/internal/wal"
 )
 
 // TestEDBSnapshotReconstructsEngine: feeding EDBSnapshot back to
@@ -133,5 +134,12 @@ func TestReplayerGuards(t *testing.T) {
 	}
 	if err := rep.Load("T($x :- broken"); err == nil {
 		t.Fatal("unparseable program must fail")
+	}
+	// Apply takes write batches only; a load record is the Replayer's.
+	if err := rep.Load("T($x) :- E($x).\n"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := rep.Engine().Apply(wal.Record{Op: wal.OpLoad, Program: "T($x) :- E($x).\n"}); err == nil {
+		t.Fatal("Apply of a load record must fail")
 	}
 }

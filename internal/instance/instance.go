@@ -195,7 +195,7 @@ type index struct {
 }
 
 // Index is the handle Relation.Index returns: an exact index keyed on a
-// projection of the relation's columns.
+// projection of the relation's columns, or membership for all of them.
 type Index = index
 
 // Relation is a finite n-ary relation on paths with set semantics and
@@ -976,13 +976,21 @@ func (ix *index) probe(dst []int, v View, h uint64, first bool, equal func(Tuple
 }
 
 // Index returns the (shared, lazily maintained) exact index keyed on
-// the given argument positions. Positions out of range panic: schemas
-// fix arities, so this is a programming error.
+// the given argument positions. Every column in order is the full
+// tuple, and hashPaths files it under the membership hash, so that
+// shape is the membership index itself, not a second table of the same
+// keys. Positions out of range panic: schemas fix arities, so this is
+// a programming error.
 func (r *Relation) Index(cols ...int) *Index {
-	for _, c := range cols {
+	whole := len(cols) == r.Arity
+	for i, c := range cols {
 		if c < 0 || c >= r.Arity {
 			panic(fmt.Sprintf("instance: index column %d out of range for arity-%d relation", c, r.Arity))
 		}
+		whole = whole && c == i
+	}
+	if whole {
+		return &r.member
 	}
 	return r.secondary(indexKey{kind: kindExact, sig: indexSig(cols)}, cols)
 }
@@ -1002,8 +1010,11 @@ func (r *Relation) Index(cols ...int) *Index {
 // exactly the set still occupying positions); cmd/seqlint rejects it
 // anywhere else.
 func (ix *Index) Lookup(dst []int, v View, vals ...value.Path) []int {
-	if len(vals) != len(ix.cols) {
+	if len(vals) != len(ix.cols) && (ix.kind != kindMember || len(vals) != ix.r.Arity) {
 		panic(fmt.Sprintf("instance: index over %d columns probed with %d values", len(ix.cols), len(vals)))
+	}
+	if ix.kind == kindMember {
+		return ix.probe(dst, v, hashPaths(vals), false, Tuple(vals).Equal)
 	}
 	return ix.probe(dst, v, hashPaths(vals), false, func(t Tuple) bool {
 		for j, c := range ix.cols {

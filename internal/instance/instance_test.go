@@ -2,6 +2,7 @@ package instance
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"seqlog/internal/value"
@@ -178,6 +179,39 @@ func TestIndexLookup(t *testing.T) {
 	if r.Index(0) != ix {
 		t.Fatal("same-signature index must be shared")
 	}
+}
+
+// TestFullTupleIndexIsMembership: an index over every column in order
+// is the membership index — a fully ground Lookup answers what Position
+// answers and files no secondary index beside it.
+func TestFullTupleIndexIsMembership(t *testing.T) {
+	r := NewRelation(2)
+	for _, p := range [][2]string{{"a", "x"}, {"a", "y"}, {"b", "x"}} {
+		r.Add(tup(value.PathOf(p[0]), value.PathOf(p[1])))
+	}
+	r.Delete(tup(value.PathOf("a"), value.PathOf("x")))
+	for _, p := range [][2]string{{"a", "x"}, {"a", "y"}, {"b", "x"}, {"b", "y"}} {
+		k := tup(value.PathOf(p[0]), value.PathOf(p[1]))
+		want := []int{}
+		if pos := r.Position(View{}, k.Hash(), k); pos >= 0 {
+			want = []int{pos}
+		}
+		if got := r.Index(0, 1).Lookup([]int{}, View{}, k...); !slices.Equal(got, want) {
+			t.Errorf("Lookup%v = %v, Position gives %v", p, got, want)
+		}
+	}
+	if len(r.indexes) != 0 {
+		t.Fatalf("full-tuple lookups built %d secondary indexes, want none", len(r.indexes))
+	}
+	if r.Index(1, 0) == r.Index(0, 1) {
+		t.Fatal("a permuted full-width index is an exact index, not membership")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a full-tuple index probed with one value must panic")
+		}
+	}()
+	r.Index(0, 1).Lookup(nil, View{}, value.PathOf("a"))
 }
 
 func TestIndexColumnOutOfRangePanics(t *testing.T) {
