@@ -96,9 +96,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// drive run in process; fs itself prints the error and the usage.
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	// Buffered: Relation.WriteFacts hands its writer one line per fact,
-	// which straight to os.Stdout is one write(2) each. Nothing is written
-	// before body runs, and it is flushed before an error goes to stderr.
+	// Buffered: the subcommands print in many small writes, each a
+	// write(2) straight to os.Stdout. Nothing is written before body
+	// runs, and it is flushed before an error goes to stderr.
 	out := bufio.NewWriter(stdout)
 	body := cmd(fs, out)
 	if err := fs.Parse(args); err == flag.ErrHelp {

@@ -720,6 +720,96 @@ func TestSlowQueryReaderStallsNoOne(t *testing.T) {
 	<-done
 }
 
+// TestQueryReplyOverTCPIsItsEpochsFacts: after interleaved assert,
+// retract and query over TCP, every query reply is byte for byte what
+// Instance.String prints of the engine's relation rendered afresh (a
+// Clone shares no chunk text with the served epochs). Each reply is
+// larger than 64 KiB, so it leaves through the session's 4 KiB writer
+// in batched writes, and the epochs it spans reuse one another's text
+// across barrier clones, tail growth, tombstones and re-adds.
+func TestQueryReplyOverTCPIsItsEpochsFacts(t *testing.T) {
+	srv := &server{limits: eval.Limits{}}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- acceptLoop(ln, srv, time.Sleep) }()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := bufio.NewReader(conn)
+	// send writes one command and returns its whole response.
+	send := func(cmd string) string {
+		t.Helper()
+		if _, err := conn.Write([]byte(cmd + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		for {
+			line, err := rd.ReadString('\n')
+			if err != nil {
+				t.Fatalf("%.40s: %v after %d bytes", cmd, err, out.Len())
+			}
+			out.WriteString(line)
+			if strings.HasPrefix(line, "ok") || strings.HasPrefix(line, "err") {
+				return out.String()
+			}
+		}
+	}
+	edges := func(lo, hi int) string {
+		var b strings.Builder
+		for i := lo; i < hi; i++ {
+			fmt.Fprintf(&b, " E(n%03d.n%03d).", i, i+1)
+		}
+		return b.String()
+	}
+	if out := send("load\nT(@x.@y) :- E(@x.@y).\nT(@x.@z) :- T(@x.@y), E(@y.@z).\n."); !strings.HasPrefix(out, "ok loaded") {
+		t.Fatalf("load: %q", out)
+	}
+	for _, write := range []string{
+		"assert" + edges(0, 120),
+		"assert" + edges(120, 150),
+		"retract" + edges(75, 76),
+		"assert" + edges(75, 76) + edges(150, 152),
+		"retract" + edges(140, 141),
+		"assert" + edges(140, 141),
+	} {
+		if out := send(write); !strings.HasPrefix(out, "ok ") {
+			t.Fatalf("%.40s: %q", write, out)
+		}
+		got := send("query T")
+		st, err := srv.current()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := st.engine.Query("T")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := instance.New()
+		fresh.Put("T", rel.Clone())
+		want := fresh.String() + fmt.Sprintf("ok n=%d\n", rel.Len())
+		if len(got) <= 64<<10 {
+			t.Fatalf("after %.40s: the reply is only %d bytes", write, len(got))
+		}
+		if got != want {
+			n := 0
+			for n < min(len(got), len(want)) && got[n] == want[n] {
+				n++
+			}
+			t.Fatalf("after %.40s: the reply (%d bytes) differs from its epoch's facts (%d bytes) at byte %d", write, len(got), len(want), n)
+		}
+	}
+	conn.Close()
+	ln.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	srv.drain(5 * time.Second)
+}
+
 // stallWriter passes WAL writes through, but holds the stall-th one
 // until release is closed, signalling reached when it gets there.
 type stallWriter struct {

@@ -83,11 +83,46 @@ const (
 // tuples plus their precomputed structural hashes and derivation
 // stamps. The slices grow together (len(hashes) == len(stamps) ==
 // len(tuples)), so small relations pay for the tuples they hold, not
-// for a full block.
+// for a full block. text is the facts' printed form, published by the
+// first WriteFacts that needs it (see lines).
 type chunk struct {
 	tuples []Tuple
 	hashes []uint64
 	stamps []uint64
+	text   atomic.Pointer[chunkText]
+}
+
+// chunkText is an immutable rendering of a chunk's first len(at)-1
+// facts, each "(p1, ..., pn).\n" (".\n" when nullary): fact i is
+// buf[at[i]:at[i+1]].
+type chunkText struct {
+	buf []byte
+	at  []uint32
+}
+
+// lines returns a text of the chunk covering at least its first n
+// facts, rendering only those the published one lacks. A published text
+// is never written again (an extension copies it), so the epochs sharing
+// a chunk, and a barrier clone's tail that inherited its text, may print
+// side by side; racing renderers publish equal texts.
+func (c *chunk) lines(n int) *chunkText {
+	t := c.text.Load()
+	if t == nil {
+		t = &chunkText{at: []uint32{0}}
+	} else if len(t.at) > n {
+		return t
+	}
+	k := len(t.at) - 1
+	t = &chunkText{slices.Grow(slices.Clip(t.buf), 16*(n-k)), slices.Grow(slices.Clip(t.at), n-k)}
+	for _, tup := range c.tuples[k:n] {
+		if len(tup) > 0 {
+			t.buf = tup.appendText(t.buf)
+		}
+		t.buf = append(t.buf, ".\n"...)
+		t.at = append(t.at, uint32(len(t.buf)))
+	}
+	c.text.Store(t)
+	return t
 }
 
 // Stamper issues derivation stamps. Every tuple-log position carries
@@ -224,7 +259,11 @@ type Index = index
 // canonical order behind Sorted and WriteFacts is the fifth shared
 // part: an immutable sorted array of positions, built on first use,
 // extended by merging in what was appended since, inherited by pointer
-// at the barrier and renumbered by Compact (see canonical).
+// at the barrier and renumbered by Compact (see canonical). The sixth
+// is each chunk's printed text, rendered on first print and extended
+// by what was appended since; it rides the chunk, so sealed chunks
+// share it by pointer, the barrier's copy of a partial tail inherits
+// it, and Compact and Clone start without it (see chunk.lines).
 //
 // Deletion is tombstone-based: Delete marks the tuple's position dead
 // in a copy-on-write bitmap page, but the position itself stays
@@ -762,6 +801,7 @@ func (r *Relation) cloneShared() (*Relation, cloneCost) {
 			hashes: append(make([]uint64, 0, chunkSize), old.hashes...),
 			stamps: append(make([]uint64, 0, chunkSize), old.stamps...),
 		}
+		out.chunks[ci].text.Store(old.text.Load())
 		cost.sharedChunks--
 		cost.copiedBytes += int64(tail) * 40
 	}
@@ -1255,24 +1295,11 @@ func (i *Instance) Put(name string, rel *Relation) { i.rels[name] = rel }
 // Equal reports whether two instances hold exactly the same facts.
 // Empty relations are equivalent to absent ones.
 func (i *Instance) Equal(j *Instance) bool {
-	for _, n := range i.Names() {
-		r := i.rels[n]
-		if r.Len() == 0 {
-			continue
-		}
-		s := j.rels[n]
-		if s == nil || !r.Equal(s) {
-			return false
-		}
-	}
-	for _, n := range j.Names() {
-		s := j.rels[n]
-		if s.Len() == 0 {
-			continue
-		}
-		r := i.rels[n]
-		if r == nil || !r.Equal(s) {
-			return false
+	for _, p := range [2][2]*Instance{{i, j}, {j, i}} {
+		for n, r := range p[0].rels {
+			if s := p[1].rels[n]; r.Len() > 0 && (s == nil || !r.Equal(s)) {
+				return false
+			}
 		}
 	}
 	return true
@@ -1292,26 +1319,40 @@ func (i *Instance) IsFlat() bool {
 	return true
 }
 
+// factBatch is the size of the pieces WriteFacts hands its writer.
+const factBatch = 16 << 10
+
 // WriteFacts writes the relation's facts under the given name, sorted,
 // one per line in the syntax the parser reads back: "name(p1, ..., pn)."
 // and "name." for the nullary fact. It is the one fact renderer — the
 // CLIs, the daemon's query reply and Instance.String all print through
-// it. Each line is assembled in a reused buffer and handed to w in a
-// single Write, so an unbuffered w sees one write per fact.
+// it. A fact is rendered once, into its chunk's text (see lines), which
+// every later print and epoch sharing the chunk reuses; a print gathers
+// the lines in canonical order into a buffer that w receives in pieces
+// of about factBatch bytes, not one Write per fact.
 func (r *Relation) WriteFacts(w io.Writer, name string) error {
-	var line []byte
+	size := r.Len() * len(name)
+	for ci, c := range r.chunks {
+		size += len(c.lines(min(chunkSize, r.size-ci<<chunkShift)).buf)
+	}
+	batch := make([]byte, 0, min(size, factBatch))
 	for _, pos := range r.canonical() {
 		if !r.Live(int(pos)) {
 			continue
 		}
-		line = append(line[:0], name...)
-		if r.Arity > 0 {
-			line = r.tupleAt(int(pos)).appendText(line)
+		t, off := r.chunks[pos>>chunkShift].text.Load(), pos&chunkMask
+		line := t.buf[t.at[off]:t.at[off+1]]
+		if len(batch) > 0 && len(batch)+len(name)+len(line) > cap(batch) {
+			if _, err := w.Write(batch); err != nil {
+				return err
+			}
+			batch = batch[:0]
 		}
-		line = append(line, ".\n"...)
-		if _, err := w.Write(line); err != nil {
-			return err
-		}
+		batch = append(append(batch, name...), line...)
+	}
+	if len(batch) > 0 {
+		_, err := w.Write(batch)
+		return err
 	}
 	return nil
 }
@@ -1328,27 +1369,13 @@ func (i *Instance) String() string {
 // Diff describes the first difference between two instances, for test
 // failure messages; it returns "" when equal.
 func Diff(a, b *Instance) string {
-	for _, n := range a.Names() {
-		r := a.Relation(n)
-		if r.Len() == 0 {
-			continue
-		}
-		s := b.Relation(n)
-		for _, t := range r.Sorted() {
-			if s == nil || !s.Contains(t) {
-				return fmt.Sprintf("only in first: %s%s", n, t)
-			}
-		}
-	}
-	for _, n := range b.Names() {
-		s := b.Relation(n)
-		if s.Len() == 0 {
-			continue
-		}
-		r := a.Relation(n)
-		for _, t := range s.Sorted() {
-			if r == nil || !r.Contains(t) {
-				return fmt.Sprintf("only in second: %s%s", n, t)
+	for k, p := range [2][2]*Instance{{a, b}, {b, a}} {
+		for _, n := range p[0].Names() {
+			s := p[1].rels[n]
+			for _, t := range p[0].rels[n].Sorted() {
+				if s == nil || !s.Contains(t) {
+					return fmt.Sprintf("only in %s: %s%s", [2]string{"first", "second"}[k], n, t)
+				}
 			}
 		}
 	}

@@ -110,6 +110,15 @@ func checkOrder(t *testing.T, state string, r *Relation, line func(Tuple) string
 	if b.String() != wantText {
 		t.Fatalf("%s: WriteFacts printed\n%swant\n%s", state, b.String(), wantText)
 	}
+	// The print went through the chunks' cached text: after it, every
+	// chunk holds a text covering what this epoch sees of it, and no text
+	// covers a fact its chunk does not hold.
+	for ci, c := range r.chunks {
+		seen := min(chunkSize, r.size-ci<<chunkShift)
+		if tx := c.text.Load(); tx == nil || len(tx.at)-1 < seen || len(tx.at)-1 > len(c.tuples) {
+			t.Fatalf("%s: chunk %d of %d facts (%d in this epoch) has no text covering them", state, ci, len(c.tuples), seen)
+		}
+	}
 	return b.String()
 }
 
@@ -197,10 +206,13 @@ func orderOracle(t *testing.T, seed int) {
 }
 
 // TestOrderReadersBesideWriter: readers of a frozen epoch race each
-// other to build its order on first use while the owner clones it at
-// the barrier (inheriting the order, or not yet), appends, deletes and
-// freezes the next epoch; every reader sees exactly its epoch's rows.
-// The schedule coverage under -race is the point.
+// other to build its order and its chunks' text on first use while the
+// owner clones it at the barrier (inheriting the order and the tail's
+// text, or not yet), appends, deletes, prints its own epoch and freezes
+// the next one. Each reader also prints the epoch before its own, which
+// shares its sealed chunks, so two epochs print side by side while the
+// owner writes; every print shows exactly its epoch's rows. The schedule
+// coverage under -race is the point.
 func TestOrderReadersBesideWriter(t *testing.T) {
 	const epochs, readers = 12, 4
 	row := func(k int) Tuple {
@@ -212,30 +224,47 @@ func TestOrderReadersBesideWriter(t *testing.T) {
 	for ; next < 2*chunkSize+17; next++ {
 		inst.Add("R", row(next))
 	}
+	type epoch struct {
+		rel  *Relation
+		rows []Tuple
+		text string
+	}
+	check := func(who string, ep epoch) {
+		var b bytes.Buffer
+		if err := ep.rel.WriteFacts(&b, "R"); err != nil || b.String() != ep.text {
+			t.Errorf("%s: WriteFacts (err %v) did not print its epoch's %d rows", who, err, len(ep.rows))
+		}
+		if got := ep.rel.Sorted(); !slices.EqualFunc(got, ep.rows, Tuple.Equal) {
+			t.Errorf("%s: Sorted returned %d rows, not its epoch's %d", who, len(got), len(ep.rows))
+		}
+	}
 	var wg sync.WaitGroup
+	var prev epoch
 	for e := 0; e < epochs; e++ {
-		snap := inst.Relation("R")
-		snap.Freeze()
-		wantRows, want := scratchFacts(snap, line)
+		cur := epoch{rel: inst.Relation("R")}
+		cur.rel.Freeze()
+		cur.rows, cur.text = scratchFacts(cur.rel, line)
 		for g := 0; g < readers; g++ {
 			wg.Add(1)
-			go func() {
+			go func(prev epoch) {
 				defer wg.Done()
 				for round := 0; round < 3; round++ {
-					var b bytes.Buffer
-					if err := snap.WriteFacts(&b, "R"); err != nil || b.String() != want {
-						t.Errorf("epoch %d reader %d: WriteFacts (err %v) did not print its epoch's %d rows", e, g, err, len(wantRows))
-					}
-					got := snap.Sorted()
-					if !slices.EqualFunc(got, wantRows, Tuple.Equal) {
-						t.Errorf("epoch %d reader %d: Sorted returned %d rows, not its epoch's %d", e, g, len(got), len(wantRows))
+					check(fmt.Sprintf("epoch %d reader %d", e, g), cur)
+					if prev.rel != nil {
+						check(fmt.Sprintf("epoch %d reader %d, epoch before", e, g), prev)
 					}
 				}
-			}()
+			}(prev)
 		}
+		prev = cur
 		for k := 0; k < 40; k++ {
 			inst.Add("R", row(next))
 			next++
+			if k%10 == 9 {
+				own := epoch{rel: inst.Relation("R")}
+				own.rows, own.text = scratchFacts(own.rel, line)
+				check(fmt.Sprintf("epoch %d owner after %d appends", e+1, k+1), own)
+			}
 		}
 		for k := 0; k < 10; k++ {
 			inst.Delete("R", row((e*53+k*31)%next))

@@ -13,8 +13,8 @@ import (
 // precomputed structural hash. The engine's hot paths (tuple hashing,
 // index probes, unification memoization) never re-walk value bytes.
 //
-// Concurrency: the tables are read-mostly. Readers (Text, hash and
-// depth lookups) are lock-free against a published snapshot; writers
+// Concurrency: the tables are read-mostly. Readers (Text and hash
+// lookups) are lock-free against a published snapshot; writers
 // (interning a new atom, consing a new packed node) serialize on a
 // mutex and publish atomically. This matches the evaluator's
 // fan-out→barrier→merge protocol, under which workers intern and pack
@@ -97,12 +97,11 @@ func Intern(text string) Atom { return symtab.intern(text) }
 func Symbols() int { return len(*symtab.entries.Load()) }
 
 // packedNode is the canonical shared representation of a packed value:
-// hash-consed, so structurally equal packed values are one node. path,
-// hash and depth are immutable after construction.
+// hash-consed, so structurally equal packed values are one node. path
+// and hash are immutable after construction.
 type packedNode struct {
-	path  Path
-	hash  uint64
-	depth int32 // PackingDepth of the packed value (≥ 1)
+	path Path
+	hash uint64
 }
 
 // packShards spreads the hash-consing table over independently locked
@@ -131,10 +130,9 @@ func packedHashOf(p Path) uint64 {
 
 // Pack wraps a path into the canonical packed value <p>, hash-consing
 // it: structurally equal packed values share one node carrying a
-// precomputed hash and packing depth, so their equality is pointer
-// comparison. The path is copied when a new node is created, so callers
-// may pass (and afterwards reuse) scratch buffers. Pack is safe for
-// concurrent use.
+// precomputed hash, so their equality is pointer comparison. The path is
+// copied when a new node is created, so callers may pass (and afterwards
+// reuse) scratch buffers. Pack is safe for concurrent use.
 func Pack(p Path) Packed {
 	h := packedHashOf(p)
 	sh := &packtab[h%packShards]
@@ -155,13 +153,7 @@ func Pack(p Path) Packed {
 	}
 	cp := make(Path, len(p))
 	copy(cp, p)
-	d := int32(1)
-	for _, v := range cp {
-		if pk, ok := v.(Packed); ok && pk.node().depth+1 > d {
-			d = pk.node().depth + 1
-		}
-	}
-	n := &packedNode{path: cp, hash: h, depth: d}
+	n := &packedNode{path: cp, hash: h}
 	sh.m[h] = append(sh.m[h], n)
 	return Packed{n: n}
 }

@@ -298,21 +298,6 @@ func (p Path) IsFlat() bool {
 // million overflow.
 const MaxPackingDepth = 1 << 16
 
-// PackingDepth returns the maximum packing nesting depth in the path
-// (0 for flat paths). Depths are cached on the hash-consed nodes, so
-// this is one field read per top-level packed value.
-func (p Path) PackingDepth() int {
-	d := int32(0)
-	for _, v := range p {
-		if pk, ok := v.(Packed); ok {
-			if dd := pk.node().depth; dd > d {
-				d = dd
-			}
-		}
-	}
-	return int(d)
-}
-
 // Clone returns a copy of the path sharing its (immutable) values.
 func (p Path) Clone() Path {
 	out := make(Path, len(p))

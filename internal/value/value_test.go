@@ -97,16 +97,6 @@ func TestIsFlat(t *testing.T) {
 	}
 }
 
-func TestPackingDepth(t *testing.T) {
-	if d := PathOf("a").PackingDepth(); d != 0 {
-		t.Errorf("depth = %d, want 0", d)
-	}
-	p := Path{Pack(Path{Pack(PathOf("a"))})}
-	if d := p.PackingDepth(); d != 2 {
-		t.Errorf("depth = %d, want 2", d)
-	}
-}
-
 func TestConcat(t *testing.T) {
 	p := Concat(PathOf("a"), Epsilon, PathOf("b", "c"))
 	if !p.Equal(PathOf("a", "b", "c")) {
