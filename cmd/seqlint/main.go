@@ -130,7 +130,7 @@ func packageKnobChecked(relPath string) bool {
 // mutators are the Relation methods that change tuple storage.
 var mutators = map[string]bool{
 	"Add": true, "AddHashed": true, "Delete": true, "DeleteHashed": true,
-	"Put": true, "Remove": true, "Compact": true,
+	"Put": true, "Compact": true,
 }
 
 // lintFile walks one parsed file and reports invariant violations.

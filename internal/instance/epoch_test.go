@@ -12,8 +12,9 @@ import (
 
 // These tests pin the epoch-sharing contract of the chunked tuple log:
 // sealed chunks are shared by pointer across the write barrier, the
-// partial tail is not, tombstones placed after a freeze never reach
-// older readers, and the whole arrangement is invisible to the codec.
+// partial tail's arrays and the index tables go to the first clone
+// only, tombstones placed after a freeze never reach older readers, and
+// the whole arrangement is invisible to the codec.
 
 func fillSeq(i *Instance, name string, n int) {
 	for k := 0; k < n; k++ {
@@ -37,14 +38,15 @@ func TestBarrierSharesSealedChunksCopiesTail(t *testing.T) {
 	if clone.chunks[0] != frozen.chunks[0] || clone.chunks[1] != frozen.chunks[1] {
 		t.Fatal("sealed chunks must be shared by pointer across the barrier")
 	}
-	if clone.chunks[2] == frozen.chunks[2] {
-		t.Fatal("the partial tail chunk must be copied, not shared")
+	// The first clone is the heir: its own tail chunk value over the
+	// frozen tail's arrays, appended to in place.
+	if clone.chunks[2] == frozen.chunks[2] || &clone.chunks[2].tuples[0] != &frozen.chunks[2].tuples[0] {
+		t.Fatal("the first clone must append to the frozen tail's arrays through its own chunk value")
 	}
-	if frozen.Len() != n || clone.Len() != n+1 {
+	if frozen.Len() != n || clone.Len() != n+1 || len(frozen.chunks[2].tuples) != n-2*chunkSize {
 		t.Fatalf("Len: frozen %d (want %d), clone %d (want %d)",
 			frozen.Len(), n, clone.Len(), n+1)
 	}
-
 	cs := i.CloneStats()
 	if cs.BarrierClones != 1 {
 		t.Fatalf("BarrierClones = %d, want 1", cs.BarrierClones)
@@ -52,8 +54,23 @@ func TestBarrierSharesSealedChunksCopiesTail(t *testing.T) {
 	if cs.SharedChunks != 2 {
 		t.Fatalf("SharedChunks = %d, want 2 (sealed chunks only)", cs.SharedChunks)
 	}
-	if cs.CloneBytes <= 0 {
-		t.Fatalf("CloneBytes = %d, want > 0 (tail copy)", cs.CloneBytes)
+	if cs.CloneBytes != 3*8 {
+		t.Fatalf("CloneBytes = %d, want 24 (the chunk pointers only)", cs.CloneBytes)
+	}
+
+	// Any later clone of the same frozen epoch copies the tail.
+	other := New()
+	other.Put("R", frozen)
+	other.Add("R", tup(value.PathOf("other")))
+	second := other.Relation("R")
+	if &second.chunks[2].tuples[0] == &frozen.chunks[2].tuples[0] {
+		t.Fatal("a second clone must copy the partial tail, not append to the heir's arrays")
+	}
+	if cs := other.CloneStats(); cs.CloneBytes <= 3*8 {
+		t.Fatalf("second clone CloneBytes = %d, want the tail copy counted", cs.CloneBytes)
+	}
+	if frozen.Len() != n || second.Len() != n+1 || clone.Contains(tup(value.PathOf("other"))) || second.Contains(tup(value.PathOf("extra"))) {
+		t.Fatal("the two clones of one frozen epoch must not see each other's appends")
 	}
 }
 
@@ -133,61 +150,171 @@ func TestTombstoneIsolationAcrossManyEpochs(t *testing.T) {
 	}
 }
 
-func TestShareOrFlattenPolicy(t *testing.T) {
-	// A gap below the absolute floor is inherited lazily (base shared
-	// by pointer); so is a gap below 1/16 of the covered prefix; a gap
-	// clearing both thresholds is flattened into a fresh base.
-	base := &Table{upto: 10_000}
-	for p := 0; p < 10_000; p++ {
-		base.Add(uint64(p), p)
-	}
-	small := &Table{}
-	small.Add(1, 10_000)
-	if got, upto, _ := shareOrFlatten(base, small, 10_001); got != base || upto != 10_000 {
-		t.Fatal("tiny gap must share the base and keep its watermark")
-	}
-	// 500 new positions: over the absolute floor but under 10000/16.
-	if got, _, _ := shareOrFlatten(base, small, 10_500); got != base {
-		t.Fatal("gap under 1/16 of covered must still share")
-	}
-	// 700 new positions over a 10000 prefix: both triggers cleared.
-	big := &Table{}
-	for p := 10_000; p < 10_700; p++ {
-		big.Add(uint64(p), p)
-	}
-	got, upto, bytes := shareOrFlatten(base, big, 10_700)
-	if got == base {
-		t.Fatal("large gap must flatten into a fresh base")
-	}
-	if upto != 10_700 || got.upto != 10_700 {
-		t.Fatalf("flattened watermark = %d, want 10700", upto)
-	}
-	if bytes <= 0 {
-		t.Fatal("a flatten must report copied bytes")
-	}
-}
-
+// TestIndexBaseSharedAcrossBarrier: the heir takes the frozen epoch's
+// index tables, catching a lagging one up first, and files its own
+// appends in the same arrays, while the frozen epoch's probes stop at
+// its own entries.
 func TestIndexBaseSharedAcrossBarrier(t *testing.T) {
 	i := New()
 	for k := 0; k < chunkSize; k++ {
 		i.Add("E", tup(value.PathOf("a"+fmt.Sprint(k%16)), value.PathOf("b"+fmt.Sprint(k))))
 	}
-	// Build and fully absorb an exact index and a prefix lookup before
-	// freezing, so the clone has non-nil bases to inherit.
+	// Build an exact index and a prefix index, then append past them so
+	// both lag the log when it is frozen.
 	i.Relation("E").Index(0).Lookup(nil, View{}, value.PathOf("a1"))
 	i.Relation("E").PrefixLookup(nil, View{}, 0, value.PathOf("a1"))
-	snap := i.Snapshot()
+	i.Add("E", tup(value.PathOf("a1"), value.PathOf("late")))
+	frozen := i.Snapshot().Relation("E")
+	if int(frozen.Index(0).upto.Load()) == frozen.Size() {
+		t.Fatal("setup: the exact index must lag the frozen log")
+	}
 	i.Add("E", tup(value.PathOf("a1"), value.PathOf("fresh")))
 	clone := i.Relation("E")
 
-	if got := len(clone.Index(0).Lookup(nil, View{}, value.PathOf("a1"))); got != chunkSize/16+1 {
-		t.Fatalf("clone index sees %d a1 rows, want %d", got, chunkSize/16+1)
+	prefixKey := indexKey{kind: kindPrefix, col: 0, n: 1}
+	for _, pair := range [][2]*index{{frozen.Index(0), clone.Index(0)}, {frozen.indexes[prefixKey], clone.indexes[prefixKey]}, {&frozen.member, &clone.member}} {
+		old, heir := pair[0], pair[1]
+		if int(old.upto.Load()) != frozen.Size() {
+			t.Fatalf("%v: the handoff must catch the frozen index up to %d, it holds %d", old.kind, frozen.Size(), old.upto.Load())
+		}
+		if &heir.tab.entries[0] != &old.tab.entries[0] {
+			t.Fatalf("%v: the heir must append to the frozen epoch's entries", old.kind)
+		}
 	}
-	if got := len(snap.Relation("E").Index(0).Lookup(nil, View{}, value.PathOf("a1"))); got != chunkSize/16 {
-		t.Fatalf("snapshot index sees %d a1 rows, want %d", got, chunkSize/16)
+	if got := len(clone.Index(0).Lookup(nil, View{}, value.PathOf("a1"))); got != chunkSize/16+2 {
+		t.Fatalf("clone index sees %d a1 rows, want %d", got, chunkSize/16+2)
 	}
-	if got := len(clone.PrefixLookup(nil, View{}, 0, value.PathOf("a1"))); got != chunkSize/16+1 {
-		t.Fatalf("clone prefix lookup sees %d rows, want %d", got, chunkSize/16+1)
+	if got := len(frozen.Index(0).Lookup(nil, View{}, value.PathOf("a1"))); got != chunkSize/16+1 {
+		t.Fatalf("frozen index sees %d a1 rows, want %d", got, chunkSize/16+1)
+	}
+	if got := len(clone.PrefixLookup(nil, View{}, 0, value.PathOf("a1"))); got != chunkSize/16+2 {
+		t.Fatalf("clone prefix lookup sees %d rows, want %d", got, chunkSize/16+2)
+	}
+	if frozen.Contains(tup(value.PathOf("a1"), value.PathOf("fresh"))) {
+		t.Fatal("the frozen epoch's membership sees the heir's append")
+	}
+}
+
+// TestTwoClonesOfOneFrozenEpoch: the heir and a later clone of the same
+// frozen epoch write side by side; the later one rebuilds its indexes
+// from the tuple log, and every probe of all three stays exact.
+func TestTwoClonesOfOneFrozenEpoch(t *testing.T) {
+	w := newProbeWriter(probeTuple)
+	w.add(chunkSize + 40)
+	frozen := w.barrier()
+	other := &probeWriter{inst: New(), st: &Stamper{}, tuple: probeTuple, next: 5000}
+	other.inst.SetStamper(other.st)
+	other.inst.Put("R", frozen)
+	for round := 0; round < 3; round++ {
+		w.add(chunkSize / 2)
+		other.add(chunkSize / 2)
+		buildAll(other.rel())
+		checkProbes(t, fmt.Sprint("heir, round ", round), w.rel())
+		checkProbes(t, fmt.Sprint("second clone, round ", round), other.rel())
+	}
+	checkProbes(t, "frozen epoch", frozen)
+	if &other.rel().member.tab.entries[0] == &frozen.member.tab.entries[0] {
+		t.Fatal("a second clone must build its own tables, not append to the heir's")
+	}
+}
+
+// TestHeldEpochReadersBesideHeir: readers of three held epochs probe
+// every index kind while the owner, heir of the newest, appends across a
+// slot rehash and an entries-array growth of every table and a seal of
+// the tail chunk it took over. Each reader must keep seeing exactly its
+// epoch. Run with -race: the tables' atomics are the point.
+func TestHeldEpochReadersBesideHeir(t *testing.T) {
+	// Every key of every index shape grows with k, so all tables rehash;
+	// a bucket holds up to five positions, so chains link.
+	w := newProbeWriter(func(k int) Tuple {
+		return tup(
+			value.PathOf(fmt.Sprint("a", k%5), fmt.Sprint("b", k/3)),
+			value.PathOf(fmt.Sprint("x", k/2), "m", fmt.Sprint("y", k%4), fmt.Sprint("z", k/5)),
+		)
+	})
+	w.add(chunkSize / 2)
+	var held []*Relation
+	for e := 0; e < 3; e++ {
+		held = append(held, w.barrier())
+		w.add(7)
+	}
+	w.churn()
+	last := w.barrier()
+	held = append(held[1:], last)
+	type probeSet struct {
+		rel  *Relation
+		keys []Tuple
+		want []string
+	}
+	probes := func(r *Relation, key Tuple) string {
+		return fmt.Sprint(
+			r.Position(View{}, key.Hash(), key),
+			r.Index(0).Lookup(nil, View{}, key[0]),
+			r.Index(0, 1).Lookup(nil, View{Dead: true}, key[0], key[1]),
+			r.PrefixLookup(nil, View{}, 1, key[1][:1]),
+			r.SuffixLookup(nil, View{}, 1, key[1][len(key[1])-2:]),
+		)
+	}
+	var sets []probeSet
+	for _, r := range held {
+		ps := probeSet{rel: r}
+		for pos := 0; pos < r.Size(); pos += 11 {
+			ps.keys = append(ps.keys, r.TupleAt(pos))
+			ps.want = append(ps.want, probes(r, r.TupleAt(pos)))
+		}
+		sets = append(sets, ps)
+	}
+	var wg sync.WaitGroup
+	for _, ps := range sets {
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for round := 0; round < 4; round++ {
+					for k, key := range ps.keys {
+						if got := probes(ps.rel, key); got != ps.want[k] {
+							t.Errorf("epoch of %d positions, key %v: probes %v, want %v", ps.rel.Size(), key, got, ps.want[k])
+							return
+						}
+					}
+				}
+			}()
+		}
+	}
+	// arrays names every table of r by its backing arrays.
+	type arrays struct {
+		slots   *slot
+		entries *entry
+	}
+	arraysOf := func(r *Relation) map[indexKey]arrays {
+		out := map[indexKey]arrays{r.member.indexKey: {&r.member.tab.slots[0], &r.member.tab.entries[0]}}
+		for key, ix := range r.indexes {
+			out[key] = arrays{&ix.tab.slots[0], &ix.tab.entries[0]}
+		}
+		return out
+	}
+	before := arraysOf(last)
+	tail := &last.chunks[len(last.chunks)-1].tuples[0]
+	w.add(1)
+	if &w.rel().chunks[len(last.chunks)-1].tuples[0] != tail || arraysOf(w.rel())[last.member.indexKey] != before[last.member.indexKey] {
+		t.Fatal("the heir must append in place to the tail and the tables it took over")
+	}
+	for n := 0; n < 4*last.Size(); n += 64 {
+		w.add(64)
+		buildAll(w.rel())
+	}
+	wg.Wait()
+	if w.rel().Size()>>chunkShift <= last.Size()>>chunkShift {
+		t.Fatal("the heir's appends must seal the tail it took over")
+	}
+	after := arraysOf(w.rel())
+	for key, a := range before {
+		if after[key].slots == a.slots || after[key].entries == a.entries {
+			t.Fatalf("%+v: the heir's appends must rehash the table's slots and grow its entries", key)
+		}
+	}
+	for _, r := range held {
+		checkProbes(t, fmt.Sprint("held epoch of ", r.Size()), r)
 	}
 }
 

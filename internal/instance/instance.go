@@ -69,10 +69,11 @@ func (t Tuple) appendText(dst []byte) []byte {
 // chunks[pos>>chunkShift] at offset pos&chunkMask. A chunk that has
 // reached chunkSize entries is sealed — it is never written again, so
 // any number of relation epochs can share it by pointer. Only the
-// partial tail chunk of an unfrozen relation is ever appended to, and
-// the copy-on-write barrier (cloneShared) always gives the clone a
-// private copy of a partial tail, so a shared chunk is immutable by
-// construction.
+// partial tail chunk of an unfrozen relation is ever appended to. Its
+// chunk value is private to the relation, but its arrays may be the
+// ones a frozen ancestor's tail reads (the barrier hands them to the
+// first clone, see cloneShared): an append writes past every ancestor's
+// length, so what an ancestor reads never changes.
 const (
 	chunkShift = 8
 	chunkSize  = 1 << chunkShift
@@ -101,11 +102,13 @@ type chunkText struct {
 }
 
 // lines returns a text of the chunk covering at least its first n
-// facts, rendering only those the published one lacks. A published text
-// is never written again (an extension copies it), so the epochs sharing
-// a chunk, and a barrier clone's tail that inherited its text, may print
-// side by side; racing renderers publish equal texts.
-func (c *chunk) lines(n int) *chunkText {
+// facts, rendering only those the published one lacks. They are
+// rendered into scratch (reused across calls) and copied behind the
+// published bytes into a buffer of exactly their size, so a text holds
+// no slack. A published text is never written again, so the epochs
+// sharing a chunk, and a barrier clone's tail that inherited its text,
+// may print side by side; racing renderers publish equal texts.
+func (c *chunk) lines(n int, scratch *[]byte) *chunkText {
 	t := c.text.Load()
 	if t == nil {
 		t = &chunkText{at: []uint32{0}}
@@ -113,14 +116,17 @@ func (c *chunk) lines(n int) *chunkText {
 		return t
 	}
 	k := len(t.at) - 1
-	t = &chunkText{slices.Grow(slices.Clip(t.buf), 16*(n-k)), slices.Grow(slices.Clip(t.at), n-k)}
+	at := append(make([]uint32, 0, n+1), t.at...)
+	b := slices.Grow((*scratch)[:0], 16*(n-k))
 	for _, tup := range c.tuples[k:n] {
 		if len(tup) > 0 {
-			t.buf = tup.appendText(t.buf)
+			b = tup.appendText(b)
 		}
-		t.buf = append(t.buf, ".\n"...)
-		t.at = append(t.at, uint32(len(t.buf)))
+		b = append(b, ".\n"...)
+		at = append(at, uint32(len(t.buf)+len(b)))
 	}
+	*scratch = b
+	t = &chunkText{append(append(make([]byte, 0, len(t.buf)+len(b)), t.buf...), b...), at}
 	c.text.Store(t)
 	return t
 }
@@ -169,18 +175,6 @@ type deadPage [chunkSize / 64]uint64
 func (p *deadPage) get(off int) bool { return p[off>>6]&(1<<(off&63)) != 0 }
 func (p *deadPage) set(off int)      { p[off>>6] |= 1 << (off & 63) }
 
-// flattenThreshold bounds the position gap an epoch clone is willing
-// to inherit lazily: at the write barrier an index whose base trails
-// the absorbed watermark by fewer positions is shared as (base,
-// re-absorb the small gap); a larger gap is flattened into a fresh
-// immutable base — but only once the gap is also a constant fraction
-// of the covered positions (shareOrFlatten), so flattening is
-// amortized O(1) per appended tuple however fast the relation grows.
-// The owner of an unfrozen relation never flattens — its overlay just
-// grows, like a plain hash index — so the uncontended write path is
-// untouched.
-const flattenThreshold = 256
-
 // indexKind names the four access paths a relation serves. They share
 // one implementation (index) and differ only in the key a tuple is
 // filed under and in what a probe compares: the whole tuple
@@ -209,23 +203,23 @@ type indexKey struct {
 	sig    string
 }
 
-// index is the one index implementation behind all four kinds, in
-// epoch-shared form: an immutable base Table shared across snapshot
-// generations plus a private overlay Table for the positions absorbed
-// since. Both map a key hash to the ascending tuple-log positions filed
-// under it, and base positions all precede overlay positions.
-// It is built lazily: creation is free, and every probe first absorbs
-// the tuples Added since the last one (catchUp), so an index is never
-// stale. Probes are safe from multiple goroutines while the relation is
-// frozen (see the Relation concurrency contract): the absorb step runs
-// under the relation's mutex and publishes its watermark atomically, so
-// concurrent probes either skip it lock-free or serialize on the build.
+// index is the one index implementation behind all four kinds: a Table
+// mapping a key hash to the ascending tuple-log positions filed under
+// it. It is built lazily: creation is free, and every probe first
+// absorbs the tuples Added since the last one (catchUp), so an index is
+// never stale. Its Table is shared down an epoch lineage: the barrier
+// hands it to the first clone of a frozen relation, which goes on
+// absorbing through the same arrays while the frozen epoch keeps its
+// own view (see Table and cloneShared). Probes are safe from multiple
+// goroutines while the relation is frozen (see the Relation concurrency
+// contract): the absorb step runs under the relation's mutex and
+// publishes its watermark atomically, so concurrent probes either skip
+// it lock-free or serialize on the build.
 type index struct {
 	r *Relation
 	indexKey
 	cols []int        // exact: the key columns
-	base *Table       // immutable, shared across epochs; nil when none
-	over Table        // private to this epoch
+	tab  Table        // this epoch's view of the lineage's table
 	upto atomic.Int64 // positions [0, upto) are absorbed
 }
 
@@ -242,28 +236,31 @@ type Index = index
 // a relation and every snapshot taken of it. A snapshot epoch is
 // identified by (chunk list, length watermark, tombstone view): the
 // copy-on-write barrier (Instance.Ensure on a frozen relation) copies
-// only the chunk pointer slice, the partial tail chunk and the
-// tombstone page pointers — O(size/chunkSize), not O(size) — and the
-// clone appends to a fresh tail while older readers keep iterating
-// their own watermark over the shared sealed chunks.
+// only the chunk pointer slice and the tombstone page pointers —
+// O(size/chunkSize), not O(size). The first clone of a frozen relation
+// keeps appending to the partial tail chunk's arrays (a later clone
+// copies the tail) while older readers keep iterating their own
+// watermark over the shared chunks.
 //
 // Membership is maintained through a built-in full-tuple hash index:
 // each tuple's structural hash is computed once on Add and reused by
 // Contains, Equal and Clone. Secondary indexes over column projections
 // (Index), column prefixes (PrefixLookup) and column suffixes
 // (SuffixLookup) are built lazily on first lookup and caught up after
-// later Adds, so they are never stale. All of these share their bulk
-// across epochs the same way the tuple log is shared: an immutable
-// base Table plus a small private overlay Table, flattened at the write
-// barrier only when the overlay has grown past flattenThreshold. The
+// later Adds, so they are never stale. All of these are shared down an
+// epoch lineage the way the tail chunk is: the barrier hands a frozen
+// relation's index tables to its first clone, which appends to them in
+// place while the frozen epoch reads only below its own watermarks (see
+// Table); any later clone of the same frozen epoch starts its indexes
+// empty and rebuilds them from the tuple log on first use. The
 // canonical order behind Sorted and WriteFacts is the fifth shared
 // part: an immutable sorted array of positions, built on first use,
 // extended by merging in what was appended since, inherited by pointer
 // at the barrier and renumbered by Compact (see canonical). The sixth
 // is each chunk's printed text, rendered on first print and extended
 // by what was appended since; it rides the chunk, so sealed chunks
-// share it by pointer, the barrier's copy of a partial tail inherits
-// it, and Compact and Clone start without it (see chunk.lines).
+// share it by pointer, the barrier clone's partial tail inherits it,
+// and Compact and Clone start without it (see chunk.lines).
 //
 // Deletion is tombstone-based: Delete marks the tuple's position dead
 // in a copy-on-write bitmap page, but the position itself stays
@@ -320,6 +317,11 @@ type Relation struct {
 	// writer keeps it caught up inline (recordMember).
 	member index
 
+	// handedOff is set by the first barrier clone of this (frozen)
+	// relation, which takes over appending to its tail chunk's arrays
+	// and its index tables; see cloneShared.
+	handedOff atomic.Bool
+
 	// frozen marks the relation copy-on-write: its tuple storage is
 	// shared with at least one snapshot and must never be written again.
 	// Add paths panic on a frozen relation; Instance.Ensure transparently
@@ -339,8 +341,8 @@ type Relation struct {
 
 	// mu guards creation of secondary indexes (the map below), the
 	// build step that absorbs pending tuples into one (membership
-	// included), the barrier's read of their base/overlay state, and
-	// the canonical order; see the concurrency contract above.
+	// included), the barrier's handoff of their tables, and the
+	// canonical order; see the concurrency contract above.
 	mu      sync.RWMutex
 	indexes map[indexKey]*index
 
@@ -348,8 +350,8 @@ type Relation struct {
 	// len(order)) — tombstoned ones included, readers filter through
 	// their own tombstone view — at 4 bytes a position, built by the
 	// first Sorted or WriteFacts (see canonical). A published array is
-	// never written again: the barrier clone inherits it by pointer like
-	// an index base, and a later epoch extends it into a fresh one.
+	// never written again: the barrier clone inherits it by pointer, and
+	// a later epoch extends it into a fresh one.
 	order []uint32
 }
 
@@ -410,9 +412,9 @@ func (r *Relation) appendStamped(h uint64, t Tuple, stamp uint64) {
 }
 
 // recordMember registers a freshly appended position in the membership
-// overlay. Caller is the exclusive writer and has already caught up.
+// index. Caller is the exclusive writer and has already caught up.
 func (r *Relation) recordMember(h uint64, pos int) {
-	r.member.over.Add(h, pos)
+	r.member.tab.Add(h, pos)
 	r.member.upto.Store(int64(pos + 1))
 }
 
@@ -531,7 +533,7 @@ func (r *Relation) Compact() {
 	old := r.chunks
 	oldSize := r.size
 	r.chunks, r.size = nil, 0
-	m := &Table{}
+	var m Table
 	m.reserve(oldSize-r.tombs, oldSize-r.tombs)
 	// The renumbering is monotone, so the canonical order survives it
 	// without a comparison: drop the dead positions, rename the rest.
@@ -560,10 +562,7 @@ func (r *Relation) Compact() {
 		}
 	}
 	r.dead, r.deadOwned, r.tombs = nil, nil, 0
-	// The rebuilt membership becomes an immutable base: the next write
-	// barrier shares it for free instead of flattening it.
-	m.upto = r.size
-	r.member.base, r.member.over = m, Table{}
+	r.member.tab = m
 	r.member.upto.Store(int64(r.size))
 	r.mu.Lock()
 	r.indexes, r.order = nil, order
@@ -745,13 +744,12 @@ func (r *Relation) canonical() []uint32 {
 // Clone returns an independent, compacted copy of the relation:
 // tombstoned positions are dropped and live tuples renumbered densely.
 // The precomputed tuple hashes and derivation stamps are reused and
-// the membership index is rebuilt as an immutable base (cheap to share
-// at the next write barrier); secondary indexes rebuild lazily on the
-// copy when first used. Nothing is shared with the original except the
-// tuples themselves, which are immutable.
+// the membership index is rebuilt in one pass; secondary indexes
+// rebuild lazily on the copy when first used. Nothing is shared with
+// the original except the tuples themselves, which are immutable.
 func (r *Relation) Clone() *Relation {
 	out := NewRelation(r.Arity)
-	m := &Table{}
+	m := &out.member.tab
 	m.reserve(r.Len(), r.Len())
 	for pos := 0; pos < r.size; pos++ {
 		if !r.Live(pos) {
@@ -761,49 +759,57 @@ func (r *Relation) Clone() *Relation {
 		out.appendStamped(h, r.tupleAt(pos), r.stampAt(pos))
 		m.add(tagOf(h), out.size-1)
 	}
-	m.upto = out.size
-	out.member.base = m
 	out.member.upto.Store(int64(out.size))
 	return out
 }
 
 // cloneCost reports what one write-barrier clone actually did, for the
 // instance's CloneStats: how many sealed chunks were shared by pointer
-// and approximately how many bytes the barrier had to copy (tail
-// chunk, pointer slices, tombstone pages) or allocate (the slot and
-// entry arrays of a flattened index base).
+// and approximately how many bytes the barrier had to copy (pointer
+// slices, tombstone pages, and the tail chunk of a clone that is not the
+// first).
 type cloneCost struct {
 	sharedChunks int64
 	copiedBytes  int64
 }
 
 // cloneShared is the epoch write barrier: an O(size/chunkSize) clone
-// that shares every sealed chunk, tombstone page, index base and the
-// canonical order with the frozen original and copies only the tail, the
-// pointer slices, and — when an overlay outgrew flattenThreshold — a
-// flattened index base. Tuple-log positions, tombstones included, are
-// preserved exactly, so delta windows recorded against the frozen
-// original stay valid against the writable clone. The original may be
-// probed concurrently (it is frozen; lazy index absorbs synchronize on
-// its mutex, which cloneShared holds while reading index state).
+// that shares every sealed chunk, tombstone page and the canonical order
+// with the frozen original. Tuple-log positions, tombstones included,
+// are preserved exactly, so delta windows recorded against the frozen
+// original stay valid against the writable clone.
+//
+// The first clone of a frozen relation becomes its heir: one CAS claims
+// the right to append, and the heir takes the tail chunk's arrays and
+// every index table, caught up to the original's size first, so the
+// original's readers never write them again. It goes on appending to
+// both in place while the original reads below its own length, entry
+// count and slot array (see Table). Any other clone copies the tail and
+// starts its indexes empty; catchUp rebuilds them from the tuple log.
+// The original may be probed concurrently (it is frozen; lazy index
+// absorbs synchronize on its mutex, which cloneShared holds while it
+// hands the tables over).
 func (r *Relation) cloneShared() (*Relation, cloneCost) {
-	var cost cloneCost
+	heir := r.handedOff.CompareAndSwap(false, true)
 	out := &Relation{Arity: r.Arity, size: r.size, tombs: r.tombs, stamper: r.stamper}
 	out.member.r = out
 	out.chunks = append([]*chunk(nil), r.chunks...)
-	cost.sharedChunks = int64(len(r.chunks))
-	cost.copiedBytes = int64(len(r.chunks)) * 8
+	cost := cloneCost{sharedChunks: int64(len(r.chunks)), copiedBytes: int64(len(r.chunks)) * 8}
 	if tail := r.size & chunkMask; tail != 0 {
 		ci := len(r.chunks) - 1
 		old := r.chunks[ci]
-		out.chunks[ci] = &chunk{
-			tuples: append(make([]Tuple, 0, chunkSize), old.tuples...),
-			hashes: append(make([]uint64, 0, chunkSize), old.hashes...),
-			stamps: append(make([]uint64, 0, chunkSize), old.stamps...),
+		c := &chunk{tuples: old.tuples, hashes: old.hashes, stamps: old.stamps}
+		if !heir {
+			c = &chunk{
+				tuples: append(make([]Tuple, 0, chunkSize), old.tuples...),
+				hashes: append(make([]uint64, 0, chunkSize), old.hashes...),
+				stamps: append(make([]uint64, 0, chunkSize), old.stamps...),
+			}
+			cost.copiedBytes += int64(tail) * 40
 		}
-		out.chunks[ci].text.Store(old.text.Load())
+		c.text.Store(old.text.Load())
+		out.chunks[ci] = c
 		cost.sharedChunks--
-		cost.copiedBytes += int64(tail) * 40
 	}
 	if len(r.dead) > 0 {
 		out.dead = append([]*deadPage(nil), r.dead...)
@@ -814,53 +820,25 @@ func (r *Relation) cloneShared() (*Relation, cloneCost) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out.order = r.order
-	cost.copiedBytes += out.member.inherit(&r.member)
-	if len(r.indexes) > 0 {
+	if heir {
+		out.member.take(&r.member)
 		out.indexes = make(map[indexKey]*index, len(r.indexes))
 		for key, ix := range r.indexes {
 			nix := &index{r: out, indexKey: key, cols: ix.cols}
-			cost.copiedBytes += nix.inherit(ix)
+			nix.take(ix)
 			out.indexes[key] = nix
 		}
 	}
 	return out, cost
 }
 
-// inherit makes ix the epoch clone of src: it shares src's base, or a
-// flattened base+overlay (see shareOrFlatten), and starts with an empty
-// overlay. It returns the bytes a flatten allocated. Caller holds the
-// source relation's mutex.
-func (ix *index) inherit(src *index) int64 {
-	base, upto, flattened := shareOrFlatten(src.base, &src.over, int(src.upto.Load()))
-	ix.base = base
-	ix.upto.Store(int64(upto))
-	return flattened
-}
-
-// shareOrFlatten decides how an epoch clone inherits one index: a
-// small position gap above the base is dropped (the clone re-absorbs
-// it lazily), a large one is flattened with the base into a fresh
-// immutable Table covering everything absorbed so far. The decision
-// is on positions, not entries, so even a sparse index (say a prefix
-// index most tuples are too short for) advances its shared watermark
-// instead of rescanning the log every epoch. It returns the clone's
-// base, its absorbed watermark, and the bytes a flatten allocated (its
-// slot and entry arrays).
-func shareOrFlatten(base, over *Table, upto int) (*Table, int, int64) {
-	covered := 0
-	if base != nil {
-		covered = base.upto
-	}
-	// Two-sided trigger: a gap under the absolute floor is always
-	// inherited lazily, and a gap under 1/16 of the covered prefix is
-	// too — rebuilding an n-entry base is then paid at most once per
-	// n/16 appended positions, i.e. amortized O(1) per tuple even when
-	// a single epoch appends more than any fixed constant.
-	if gap := upto - covered; gap < flattenThreshold || gap*16 < covered {
-		return base, covered, 0
-	}
-	flat := flatten(base, over, upto)
-	return flat, upto, flat.bytes()
+// take makes ix the heir of src's table: src is caught up to its
+// relation's size, so no reader of that frozen epoch writes it again,
+// and ix goes on from there. Caller holds src's relation mutex.
+func (ix *index) take(src *index) {
+	src.absorb()
+	ix.tab = src.tab
+	ix.upto.Store(src.upto.Load())
 }
 
 // Equal reports set equality of two relations (live tuples only).
@@ -957,58 +935,59 @@ func (ix *index) keyHash(pos int) (uint64, bool) {
 	return p[len(p)-ix.n:].Hash(value.HashSeed), true
 }
 
-// catchUp absorbs every tuple Added since the last absorb into the
-// overlay, bringing the index fully up to date. Every probe calls it;
-// the owning writer keeps membership caught up inline (recordMember),
-// so for that index it only does work on the first probe of a freshly
-// cloned epoch — a gap bounded by the barrier's flatten policy.
+// catchUp absorbs every tuple Added since the last absorb, bringing the
+// index fully up to date. Every probe calls it; the owning writer keeps
+// membership caught up inline (recordMember), so for that index it only
+// does work on the first probe of a clone that did not inherit the
+// tables (see cloneShared), which rebuilds it from the tuple log.
 // Absorbing is synchronized: the watermark is published atomically
-// after the buckets are built, so a concurrent probe that observes it
+// after the chains are linked, so a concurrent probe that observes it
 // never sees a partially built index.
 func (ix *index) catchUp() {
-	n := ix.r.size
-	if int(ix.upto.Load()) >= n {
+	if int(ix.upto.Load()) >= ix.r.size {
 		return
 	}
 	ix.r.mu.Lock()
 	defer ix.r.mu.Unlock()
-	from := int(ix.upto.Load())
-	if from >= n { // absorbed meanwhile: growing now would race lock-free probes
+	ix.absorb()
+}
+
+// absorb files positions [upto, size) in the table. Caller holds the
+// relation's mutex. When another caller absorbed them meanwhile it
+// leaves the table alone: lock-free probes may be reading it.
+func (ix *index) absorb() {
+	from, n := int(ix.upto.Load()), ix.r.size
+	if from >= n {
 		return
 	}
-	ix.over.reserve(n-from, n-from)
+	ix.tab.reserve(n-from, n-from)
 	for i := from; i < n; i++ {
 		if h, ok := ix.keyHash(i); ok {
-			ix.over.add(tagOf(h), i)
+			ix.tab.add(tagOf(h), i)
 		}
 	}
 	ix.upto.Store(int64(n))
 }
 
-// probe is the one probe every index kind shares: it appends to dst
-// the tuple-log positions filed under hash h that are visible under the
+// probe is the one probe every index kind shares: it appends to dst the
+// tuple-log positions filed under hash h that are visible under the
 // view (tombstones per v.Dead, stamp per v.Admits) and whose tuples
 // satisfy equal, the kind's comparison against the probe key (this is
 // where hash and tag collisions are filtered), and returns the extended
 // slice — only the first of them when first is set, which is all a
-// membership probe needs. The base is walked before the overlay, and
-// base positions all precede overlay positions, so the positions come
-// out ascending, and the membership probe of a settled fact stops at
-// the base.
+// membership probe needs. Chains run in ascending position order, so
+// the positions come out ascending, and the walk ends at the last entry
+// of this epoch's view even when an heir has filed more.
 func (ix *index) probe(dst []int, v View, h uint64, first bool, equal func(Tuple) bool) []int {
 	ix.catchUp()
-	r := ix.r
-	for _, t := range [2]*Table{ix.base, &ix.over} {
-		if t == nil {
-			continue
-		}
-		for e := t.chain(h); e != 0; e = t.entries[e-1].next {
-			pos := int(t.entries[e-1].val)
-			if (v.Dead || r.Live(pos)) && v.Admits(r.stampAt(pos)) && equal(r.tupleAt(pos)) {
-				dst = append(dst, pos)
-				if first {
-					return dst
-				}
+	r, t := ix.r, &ix.tab
+	for e := t.chain(h); e != 0; {
+		var pos int
+		pos, e = t.at(e)
+		if (v.Dead || r.Live(pos)) && v.Admits(r.stampAt(pos)) && equal(r.tupleAt(pos)) {
+			dst = append(dst, pos)
+			if first {
+				return dst
 			}
 		}
 	}
@@ -1109,11 +1088,11 @@ func (r *Relation) affixLookup(dst []int, kind indexKind, v View, col int, affix
 // CloneStats accumulates the work the Ensure write barrier has done on
 // behalf of one instance: how many frozen relations were replaced by
 // epoch clones, how many sealed chunks those clones shared by pointer
-// instead of copying, and approximately how many bytes they copied or
-// allocated (partial tail chunks, pointer slices, flattened index bases
-// at their full size). The
-// ratio of SharedChunks to CloneBytes is what makes snapshot-epoch
-// write barriers O(1)-ish instead of O(relation).
+// instead of copying, and approximately how many bytes they copied
+// (pointer slices, tombstone pages, and the partial tail chunks of
+// clones that did not inherit them). The ratio of SharedChunks to
+// CloneBytes is what makes snapshot-epoch write barriers O(1)-ish
+// instead of O(relation).
 type CloneStats struct {
 	BarrierClones int64
 	SharedChunks  int64
@@ -1168,8 +1147,9 @@ func (i *Instance) CloneStats() CloneStats { return i.clones }
 // unfrozen epoch clone before being returned, so the caller can write
 // to it without disturbing any snapshot. The clone preserves tuple-log
 // positions (tombstones included), so delta windows recorded before the
-// barrier stay valid after it — and it shares every sealed chunk and
-// index base with the frozen original, so the barrier costs
+// barrier stay valid after it — and it shares every sealed chunk with
+// the frozen original and, as its first clone, appends to its tail
+// chunk and index tables in place, so the barrier costs
 // O(size/chunkSize), not O(size). Readers that only need to look at a
 // relation should use Relation instead, which never clones.
 func (i *Instance) Ensure(name string, arity int) *Relation {
@@ -1282,11 +1262,6 @@ func (i *Instance) Snapshot() *Instance {
 	return out
 }
 
-// Remove deletes the named relation from the instance's mapping. The
-// relation object itself is untouched: snapshots sharing it keep
-// reading it. Removing an absent name is a no-op.
-func (i *Instance) Remove(name string) { delete(i.rels, name) }
-
 // Put installs rel under name, replacing any existing mapping. The
 // engine's recompute path uses it to reinstate a (frozen) seed relation
 // before re-deriving; writes through Ensure will clone it as needed.
@@ -1332,8 +1307,9 @@ const factBatch = 16 << 10
 // of about factBatch bytes, not one Write per fact.
 func (r *Relation) WriteFacts(w io.Writer, name string) error {
 	size := r.Len() * len(name)
+	var scratch []byte
 	for ci, c := range r.chunks {
-		size += len(c.lines(min(chunkSize, r.size-ci<<chunkShift)).buf)
+		size += len(c.lines(min(chunkSize, r.size-ci<<chunkShift), &scratch).buf)
 	}
 	batch := make([]byte, 0, min(size, factBatch))
 	for _, pos := range r.canonical() {

@@ -379,16 +379,16 @@ func TestSnapshotConcurrentReadsDuringWrites(t *testing.T) {
 	}
 }
 
-func TestRemoveAndPut(t *testing.T) {
+func TestPutReinstatesFrozenSeed(t *testing.T) {
 	i := New()
 	i.Add("R", tup(value.PathOf("a")))
 	snap := i.Snapshot()
-	i.Remove("R")
-	if i.Relation("R") != nil {
-		t.Fatal("Remove left the relation behind")
+	i.Put("R", NewRelation(1))
+	if i.Relation("R").Len() != 0 {
+		t.Fatal("Put left the old relation behind")
 	}
 	if snap.Relation("R") == nil || snap.Relation("R").Len() != 1 {
-		t.Fatal("Remove must not disturb snapshots")
+		t.Fatal("Put must not disturb snapshots")
 	}
 	i.Put("R", snap.Relation("R"))
 	i.Add("R", tup(value.PathOf("b"))) // frozen seed: Ensure clones

@@ -77,7 +77,7 @@ func (w *probeWriter) churn() {
 func (w *probeWriter) rel() *Relation { return w.inst.Relation("R") }
 
 // buildAll probes once per index shape the oracle test checks, so a
-// following barrier has bases and overlays to share or flatten.
+// following barrier has every kind of table to hand over.
 func buildAll(r *Relation) {
 	t := r.TupleAt(0)
 	r.Index(0).Lookup(nil, View{}, t[0])
@@ -179,10 +179,11 @@ func checkProbes(t *testing.T, state string, r *Relation) {
 
 // TestProbesMatchLinearScan holds all four index kinds, under every
 // view, to the brute-force oracle in every storage state an index can
-// be in: overlay only, with tombstones, base+overlay after a write
-// barrier that shared the base lazily (gap below flattenThreshold) and
-// after one that flattened (gap above it), the frozen epochs those
-// barriers left behind, and the renumbered log after Compact.
+// be in: freshly built, with tombstones, appended to by the heir of a
+// frozen epoch (through the arrays that epoch still reads) over several
+// generations, rebuilt by a second clone of a frozen epoch, the frozen
+// epochs those barriers left behind, and the renumbered log after
+// Compact.
 func TestProbesMatchLinearScan(t *testing.T) {
 	t.Run("fresh overlay", func(t *testing.T) {
 		w := newProbeWriter(probeTuple)
@@ -200,34 +201,31 @@ func TestProbesMatchLinearScan(t *testing.T) {
 	})
 	t.Run("barrier", func(t *testing.T) {
 		w := newProbeWriter(probeTuple)
-		w.add(2 * flattenThreshold)
+		w.add(300)
 		first := w.barrier()
-		// Gap of 2*flattenThreshold over an empty base: flattened.
-		w.add(flattenThreshold / 4)
-		if w.rel().member.base == nil || w.rel().Index(0).base == nil {
-			t.Fatal("a gap above flattenThreshold must flatten into a base")
-		}
-		checkProbes(t, "flattened base + overlay", w.rel())
+		w.add(60)
+		checkProbes(t, "heir", w.rel())
 		second := w.barrier()
-		// Gap of flattenThreshold/4: base shared as is, gap re-absorbed.
 		w.churn()
 		w.add(10)
-		if w.rel().Index(0).base != second.Index(0).base {
-			t.Fatal("a gap below flattenThreshold must share the base")
-		}
-		checkProbes(t, "shared base + re-absorbed overlay + tombstones", w.rel())
+		checkProbes(t, "heir of the heir + tombstones", w.rel())
 		checkProbes(t, "frozen first epoch", first)
 		checkProbes(t, "frozen second epoch", second)
 		third := w.barrier()
-		w.add(flattenThreshold + 10)
+		w.add(600) // past a rehash, an entries growth and a chunk seal
 		w.barrier()
 		w.add(1)
-		checkProbes(t, "flattened over a tombstoned base", w.rel())
+		checkProbes(t, "third heir", w.rel())
 		checkProbes(t, "frozen third epoch", third)
+		checkProbes(t, "frozen second epoch, later", second)
+		other := New()
+		other.Put("R", second)
+		other.Add("R", probeTuple(5000))
+		checkProbes(t, "second clone of the second epoch", other.Relation("R"))
 	})
 	t.Run("compacted", func(t *testing.T) {
 		w := newProbeWriter(probeTuple)
-		w.add(2 * flattenThreshold)
+		w.add(512)
 		w.barrier()
 		w.add(5)
 		w.churn()
@@ -236,19 +234,18 @@ func TestProbesMatchLinearScan(t *testing.T) {
 		checkProbes(t, "compacted", w.rel())
 		w.add(30)
 		w.churn()
-		checkProbes(t, "compacted + overlay + tombstones", w.rel())
+		checkProbes(t, "compacted + appended + tombstones", w.rel())
 	})
 }
 
 var probeSink int
 
 // BenchmarkProbe is the instance-layer series of the read path: one
-// probe per iteration of each index kind, over an index that lives
-// entirely in its overlay and over one split between a shared base and
-// an overlay (the state after a write barrier). Every probed bucket
-// holds entries on both sides of the split, so base+overlay probes pay
-// the merge. Buckets are small (eight base entries, one overlay entry),
-// the shape of a join probe, so the fixed cost of a probe shows.
+// probe per iteration of each index kind, over an index its relation
+// built and over one a write barrier's heir took over from a frozen
+// epoch and appended to. Every probed bucket holds entries from both
+// sides of the barrier. Buckets are small (eight entries before it, one
+// after), the shape of a join probe, so the fixed cost of a probe shows.
 func BenchmarkProbe(b *testing.B) {
 	const n = 4096
 	tuple := func(k int) Tuple {
@@ -259,12 +256,12 @@ func BenchmarkProbe(b *testing.B) {
 		name  string
 		build func() *Relation
 	}{
-		{"overlay", func() *Relation {
+		{"built", func() *Relation {
 			w := newProbeWriter(tuple)
 			w.add(n)
 			return w.rel()
 		}},
-		{"base+overlay", func() *Relation {
+		{"heir", func() *Relation {
 			w := newProbeWriter(tuple)
 			w.add(n)
 			w.barrier()

@@ -173,15 +173,15 @@ func FuzzPostings(f *testing.F) {
 		opCheck
 		numOps
 	)
-	// The storage states of TestProbesMatchLinearScan: a fresh overlay,
-	// tombstones, shared and flattened bases, frozen epochs, compaction.
+	// The storage states of TestProbesMatchLinearScan: a fresh table,
+	// tombstones, tables an heir appends to, frozen epochs, compaction.
 	f.Add([]byte{opAppend, 150, opCheck, 0, opAppend, 20, opCheck, 0})
 	f.Add([]byte{opAppend, 150, opBarrier, 0, opDelete, 1, opReAdd, 7, opCheck, 0})
 	f.Add([]byte{opAppend, 255, opBarrier, 0, opAppend, 32, opCheck, 0, opBarrier, 0, opDelete, 1,
 		opReAdd, 7, opAppend, 5, opCheck, 0, opBarrier, 0, opAppend, 133, opBarrier, 0, opAppend, 0})
 	f.Add([]byte{opAppend, 255, opBarrier, 0, opAppend, 2, opDelete, 1, opReAdd, 7, opCompact, 0,
 		opCheck, 0, opAppend, 15, opDelete, 1, opReAdd, 7, opClone, 0})
-	// Two writers flatten the same frozen base.
+	// Two writers clone the same frozen epoch: the heir, then a copy.
 	f.Add([]byte{opAppend, 255, opBarrier, 0, opAppend, 150, opBarrier, 0, opAppend, 1, opFork, 0, opAppend, 1, opCheck, 0})
 	f.Add([]byte{opAppend, 255, opDelete, 1, opCompact, 0, opAppend, 150, opBarrier, 0, opAppend, 1, opFork, 0, opAppend, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -250,26 +250,31 @@ func FuzzPostings(f *testing.F) {
 
 // TestTableChainsInInsertionOrder pins the Table contract the fuzzer
 // leans on: values come back per tag in insertion order across growth,
-// and a flatten of base and overlay equals the two lookups appended.
+// and a copy of the table taken earlier keeps returning exactly what
+// was filed before it while the original adds through the same arrays,
+// across rehashes and entry growth.
 func TestTableChainsInInsertionOrder(t *testing.T) {
-	var base, over Table
-	for v := 0; v < 1000; v++ {
-		base.Add(fuzzHash(v), v)
+	var tab Table
+	var views []Table // views[k] is the table before value 100k
+	for v := 0; v < 1300; v++ {
+		if v%100 == 0 {
+			views = append(views, tab)
+		}
+		tab.Add(fuzzHash(v), v)
 	}
-	for v := 1000; v < 1300; v++ {
-		over.Add(fuzzHash(v), v)
-	}
-	flat := flatten(&base, &over, 1300)
 	for _, h := range fuzzHashes {
-		got := base.Lookup([]int{-1}, h)
+		got := tab.Lookup([]int{-1}, h)
 		if got[0] != -1 || !slices.IsSorted(got[1:]) || len(got) == 1 {
 			t.Fatalf("Lookup(%#x) = %v: want -1 then ascending values", h, got)
 		}
-		if want := over.Lookup(got, h); !slices.Equal(flat.Lookup([]int{-1}, h), want) {
-			t.Fatalf("flatten(%#x) = %v, want %v", h, flat.Lookup(nil, h), want)
+		for k, view := range views {
+			want := slices.DeleteFunc(slices.Clone(got), func(v int) bool { return v >= 100*k })
+			if seen := view.Lookup([]int{-1}, h); !slices.Equal(seen, want) {
+				t.Fatalf("view before %d: Lookup(%#x) = %v, want %v", 100*k, h, seen, want)
+			}
 		}
 	}
-	if n := len(flat.entries); n != 1300 || flat.keys != 12 {
-		t.Fatalf("flatten holds %d entries under %d keys, want 1300 under 12", n, flat.keys)
+	if n := len(tab.entries); n != 1300 || tab.keys != 12 {
+		t.Fatalf("table holds %d entries under %d keys, want 1300 under 12", n, tab.keys)
 	}
 }
