@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"seqlog/internal/ast"
 	"seqlog/internal/instance"
 	"seqlog/internal/parser"
 	"seqlog/internal/queries"
@@ -38,51 +37,6 @@ func agreementEDBs(t *testing.T) map[string]*instance.Instance {
 		"sales-by-year":      workload.Sales(12, 10, 3),
 		"nodes-on-all-paths": parser.MustParseInstance("P(a.b.c). P(d.b.c). P(b.c.e)."),
 	}
-}
-
-// TestDeriveIntoScannedRelation exercises rules that derive into the
-// relation they are scanning: appends during a scan must not be seen by
-// the live iteration (snapshot semantics) but must be picked up by the
-// next round, in the production evaluator and in the naive reference.
-func TestDeriveIntoScannedRelation(t *testing.T) {
-	check := func(t *testing.T, eval func(ast.Program, *instance.Instance) (*instance.Instance, error)) {
-		// Symmetric closure: each derivation scans T while extending it.
-		sym := parser.MustParseProgram(`T(@y.@x) :- T(@x.@y).`)
-		out, err := eval(sym, parser.MustParseInstance("T(a.b). T(c.d)."))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := parser.MustParseInstance("T(a.b). T(b.a). T(c.d). T(d.c).")
-		if !out.Equal(want) {
-			t.Fatalf("symmetric closure: %s", instance.Diff(out, want))
-		}
-		// Self-join transitive closure: both body atoms scan the head
-		// relation.
-		tc := parser.MustParseProgram(`
-T(@x.@y) :- R(@x.@y).
-T(@x.@z) :- T(@x.@y), T(@y.@z).`)
-		out, err = eval(tc, workload.Chain(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := out.Relation("T").Len(); got != 15 {
-			t.Fatalf("closure of 5-chain has %d pairs, want 15", got)
-		}
-	}
-	t.Run("eval", func(t *testing.T) {
-		check(t, func(prog ast.Program, edb *instance.Instance) (*instance.Instance, error) {
-			return Eval(prog, edb, Limits{})
-		})
-	})
-	t.Run("naive", func(t *testing.T) {
-		check(t, func(prog ast.Program, edb *instance.Instance) (*instance.Instance, error) {
-			prep, err := Compile(prog)
-			if err != nil {
-				return nil, err
-			}
-			return naiveEval(prep, edb, Limits{})
-		})
-	})
 }
 
 func TestQueryUnknownOutputErrors(t *testing.T) {
