@@ -31,7 +31,7 @@ func factsInstance(seeds *instance.Instance, facts []namedFact, present []bool) 
 // driving an Engine through random interleavings of retract and
 // re-assert batches must leave exactly the least model the from-scratch
 // evaluator computes on the surviving EDB — at every checkpoint, for
-// several batch sizes and worker counts.
+// several batch sizes.
 func TestEngineRetractMatchesEval(t *testing.T) {
 	edbs := agreementEDBs(t)
 	for _, q := range queries.All() {

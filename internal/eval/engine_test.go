@@ -84,7 +84,7 @@ func mustSnapshot(t *testing.T, e *Engine) *instance.Instance {
 // TestEngineAssertMatchesEval is the differential acceptance test of
 // incremental maintenance: on every terminating example query of the
 // paper, feeding the EDB to an Engine in batches — several initial
-// splits, batch sizes, insertion orders and worker counts — must
+// splits, batch sizes and insertion orders — must
 // materialize exactly the least model the from-scratch evaluator
 // computes on the full EDB.
 func TestEngineAssertMatchesEval(t *testing.T) {

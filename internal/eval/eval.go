@@ -3,7 +3,6 @@ package eval
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 
 	"seqlog/internal/ast"
@@ -23,10 +22,10 @@ type Limits struct {
 	MaxIterations int
 	// MaxPathLen bounds the length of any derived path (0 = unbounded).
 	MaxPathLen int
-	// Deprecated: Parallelism is ignored. A from-scratch fixpoint splits
-	// its rounds runtime.GOMAXPROCS(0) ways and maintenance runs
-	// sequentially (see Prepared.fixpoint); the field stays only while
-	// bench/mirror.go:45 names it.
+	// Deprecated: Parallelism is ignored. Every evaluation, from scratch
+	// or maintenance, runs on the calling goroutine (see
+	// Prepared.fixpoint); the field stays only while bench/mirror.go:45
+	// names it.
 	Parallelism int
 }
 
@@ -115,11 +114,11 @@ type window struct {
 }
 
 // workItem is one plan run of a round. On a hoisted plan win is the
-// (slice of a) change window the delta step iterates, in log — or, when
-// log is nil, in the instance's own relation of the delta step's name,
-// resolved when the run starts (a sink's Ensure may epoch-clone a
-// relation, so no instance relation is carried from one run to the
-// next). Base plans run over the full relations and leave both zero.
+// change window the delta step iterates, in log — or, when log is nil,
+// in the instance's own relation of the delta step's name, resolved
+// when the run starts (a sink's Ensure may epoch-clone a relation, so
+// no instance relation is carried from one run to the next). Base
+// plans run over the full relations and leave both zero.
 type workItem struct {
 	plan *plan
 	log  *instance.Relation
@@ -156,10 +155,6 @@ type driver struct {
 	// derived is set when the phase derives into inst (derive, and so
 	// fixpoint), counting new facts here.
 	derived *int
-	// workers is how many ways a round is split: runtime.GOMAXPROCS(0)
-	// for the from-scratch pass, 0 (inline) for every maintenance phase;
-	// see Prepared.fixpoint.
-	workers int
 
 	items []workItem // the current delta round's work, reused round to round
 	frame run        // the one plan execution in flight; see exec
@@ -171,13 +166,8 @@ type driver struct {
 	headBuf instance.Tuple
 }
 
-// run executes one round's work items: inline, one after the other,
-// into sink, or — a round worth splitting (fansOut) — across the
-// driver's workers (runParallel), which derive.
+// run executes one round's work items one after the other, into sink.
 func (dr *driver) run(items []workItem, sink sinkFunc) error {
-	if dr.fansOut(items) {
-		return dr.runParallel(items)
-	}
 	for _, it := range items {
 		if err := dr.exec(it, sink); err != nil {
 			return err
@@ -194,19 +184,16 @@ func (dr *driver) run(items []workItem, sink sinkFunc) error {
 // (fixpoint), the run's insertion windows, or the deletion logs — as
 // windows into log (nil: the instance's own relation). It may reuse the
 // slice it returns: it is consumed before the next call. Each window is
-// cut into one slice per worker (see appendSlices); stats counts one
-// plan execution per slice. The round's items stay in dr.items.
+// one work item, and stats counts one plan execution per window. The
+// round's items stay in dr.items.
 func (dr *driver) delta(changes func(name string, neg bool) (log *instance.Relation, wins []window), sink sinkFunc) error {
 	dr.items = dr.items[:0]
 	for _, p := range dr.plans {
 		for _, run := range p.variants {
 			log, wins := changes(run.steps[0].pred.Name, run.neg)
 			for _, w := range wins {
-				n := len(dr.items)
-				dr.items = appendSlices(dr.items, workItem{plan: run, log: log, win: w}, dr.workers)
-				for range dr.items[n:] {
-					run.note(dr.stats)
-				}
+				dr.items = append(dr.items, workItem{plan: run, log: log, win: w})
+				run.note(dr.stats)
 			}
 		}
 	}
@@ -267,19 +254,18 @@ func (dr *driver) fixpoint(local map[string]bool, prev map[string]int) error {
 // before, Size after), iterated in place by position (TupleAt, skipping
 // tombstones via Live) — no per-round delta instances.
 //
-// Its rounds are the only ones split across runtime.GOMAXPROCS(0)
-// workers: every maintenance phase runs inline (the measurements are in
-// docs/evaluation.md, "Worker partitioning").
+// Like every maintenance phase, it runs on one goroutine: the least
+// fixpoint is unique, so splitting a round would change only the cost
+// (docs/evaluation.md, "One thread per evaluation").
 func (p *Prepared) fixpoint(inst *instance.Instance, limits Limits, derived *int) error {
 	for _, name := range inst.Names() {
 		if err := p.checkArity(name, inst.Relation(name), "instance holds"); err != nil {
 			return err
 		}
 	}
-	workers := runtime.GOMAXPROCS(0)
 	for i := range p.comps {
 		c := &p.comps[i]
-		dr := &driver{plans: c.plans, inst: inst, limits: limits, derived: derived, workers: workers}
+		dr := &driver{plans: c.plans, inst: inst, limits: limits, derived: derived}
 		// Round 0: evaluate every rule against the full instance.
 		prev := localSizes(c.heads, inst)
 		err := dr.run(fullItems(c.plans), dr.derive)

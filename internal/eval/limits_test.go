@@ -9,33 +9,36 @@ import (
 
 // nonTerminating is Example 2.3: the program that terminates on no
 // instance — it derives T(a), T(a.a), T(a.a.a), ... forever, one new
-// fact (and one new round) at a time.
-const nonTerminating = `
+// fact (and one new round) at a time. branching doubles S every round
+// instead, so it trips MaxFacts in the middle of a wide round.
+var nonTerminating = []string{`
 T(a).
-T(a.$x) :- T($x).`
+T(a.$x) :- T($x).`, `
+S(a).
+S($x.a) :- S($x).
+S($x.b) :- S($x).`}
+
+// tripsNonTermination checks that every nonTerminating program fails
+// with ErrNonTermination under limits.
+func tripsNonTermination(t *testing.T, limits Limits) {
+	for _, src := range nonTerminating {
+		_, err := Eval(parser.MustParseProgram(src), parser.MustParseInstance(""), limits)
+		if !errors.Is(err, ErrNonTermination) {
+			t.Fatalf("%+v on %s: got %v, want ErrNonTermination", limits, src, err)
+		}
+	}
+}
 
 func TestMaxFactsTripsNonTermination(t *testing.T) {
-	prog := parser.MustParseProgram(nonTerminating)
-	_, err := Eval(prog, parser.MustParseInstance(""), Limits{MaxFacts: 50})
-	if !errors.Is(err, ErrNonTermination) {
-		t.Fatalf("MaxFacts: got %v, want ErrNonTermination", err)
-	}
+	tripsNonTermination(t, Limits{MaxFacts: 50})
 }
 
 func TestMaxIterationsTripsNonTermination(t *testing.T) {
-	prog := parser.MustParseProgram(nonTerminating)
-	_, err := Eval(prog, parser.MustParseInstance(""), Limits{MaxIterations: 10})
-	if !errors.Is(err, ErrNonTermination) {
-		t.Fatalf("MaxIterations: got %v, want ErrNonTermination", err)
-	}
+	tripsNonTermination(t, Limits{MaxIterations: 10})
 }
 
 func TestMaxPathLenTripsNonTermination(t *testing.T) {
-	prog := parser.MustParseProgram(nonTerminating)
-	_, err := Eval(prog, parser.MustParseInstance(""), Limits{MaxPathLen: 5})
-	if !errors.Is(err, ErrNonTermination) {
-		t.Fatalf("MaxPathLen: got %v, want ErrNonTermination", err)
-	}
+	tripsNonTermination(t, Limits{MaxPathLen: 5})
 }
 
 func TestLimitsDoNotFireOnTerminatingRuns(t *testing.T) {

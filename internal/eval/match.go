@@ -70,7 +70,7 @@ func compileAll(xs []ast.Expr, vars []ast.Var) []expr {
 // variables to single-atom paths). A run frame points it at its plan's
 // numbering; the ast.Expr entry points number variables as they first
 // meet them. An Env also owns the reusable evaluation buffers for
-// packed subexpressions, so it is private to one plan run (one worker).
+// packed subexpressions, so it is private to one plan run.
 type Env struct {
 	names []ast.Var // slot → variable: the numbering in force
 	vals  []value.Path

@@ -10,9 +10,9 @@ import (
 
 // sinkFunc consumes one derivation: the head of the plan's rule
 // instantiated under the valuation the body search arrived at (see
-// driver.head). The sequential evaluator derives straight into the
-// shared instance; parallel workers derive into private buffers merged
-// at the round barrier.
+// driver.head). A deriving phase adds it to the instance (driver.derive);
+// DRed's overdeletion deletes it instead, and a goal check stops at the
+// first one.
 type sinkFunc func(p *plan, env *Env) error
 
 // runOpts extends a plan run for the DRed maintenance phases; the zero
@@ -63,8 +63,8 @@ func (opts *runOpts) stepView(s *step, isDelta bool) instance.View {
 // is kept between runs: a sink's Ensure may epoch-clone a frozen
 // relation, so a pointer resolved by one run says nothing about the
 // next. A frame serves one run at a time: a run started from inside
-// another one's sink (the overdeletion pruner's goal check) and every
-// parallel worker have a driver, and so a frame, of their own.
+// another one's sink (the overdeletion pruner's goal check) has a
+// driver, and so a frame, of its own.
 type run struct {
 	dr   *driver // whose instance and options the run reads
 	plan *plan

@@ -285,11 +285,11 @@ type Index = index
 // order included (same mutex; nothing is held while facts are written).
 // Writers — Add, and Clone, Sorted or WriteFacts of a relation being
 // Added to — require exclusive access; they are NOT synchronized
-// against readers. The parallel evaluator relies on exactly this
-// split: within a fixpoint round no relation is written (workers read
-// the shared instance, catching indexes up under the lock, and derive
-// into private buffers) and all writes happen single-threaded at the
-// round barrier.
+// against readers. Epoch readers rely on exactly this split: a
+// snapshot's frozen relations are read by queries beside the one
+// writer that owns the live instance, and those reads may build or
+// extend an index or the canonical order lazily, under the relation's
+// lock.
 //
 // Freeze makes the reader/writer split permanent for one relation
 // object: a frozen relation rejects writes forever, so its storage can
@@ -591,8 +591,9 @@ func (r *Relation) Position(v View, h uint64, t Tuple) int {
 }
 
 // HashAt returns the precomputed hash of the tuple at insertion
-// position i, so bulk consumers (the parallel evaluator's round merge)
-// can re-insert tuples elsewhere without rehashing them.
+// position i, so bulk consumers (DRed's deletion logs, the engine's
+// batch diff) can probe or re-insert tuples elsewhere without
+// rehashing them.
 func (r *Relation) HashAt(i int) uint64 { return r.hashAt(i) }
 
 // AddFromScratch inserts a copy of the scratch tuple t (whose hash h
@@ -859,7 +860,8 @@ func (r *Relation) Equal(s *Relation) bool {
 
 // indexSig encodes a column list as a compact map key (one uvarint per
 // column) without fmt or a strings.Builder: Index is called once per
-// (rule run, step), hot enough under parallel fan-out to matter. The
+// (rule run, step), hot enough in a maintenance phase's thousands of
+// one-tuple runs to matter. The
 // bytes are built on the stack, so a one-column key — a one-byte
 // string, which Go does not allocate — costs no allocation at all.
 func indexSig(cols []int) string {

@@ -16,9 +16,9 @@ import (
 // Concurrency: the tables are read-mostly. Readers (Text and hash
 // lookups) are lock-free against a published snapshot; writers
 // (interning a new atom, consing a new packed node) serialize on a
-// mutex and publish atomically. This matches the evaluator's
-// fan-out→barrier→merge protocol, under which workers intern and pack
-// concurrently while deriving into private buffers.
+// mutex and publish atomically. Evaluation runs on one goroutine, but
+// seqlogd's sessions parse requests concurrently, outside the engine's
+// write lock, and parsing interns atoms and packs values.
 
 // Sym is a dense identifier of an interned atom text. Two atoms are
 // equal iff their Syms are equal. Syms are assigned in interning order
@@ -105,7 +105,7 @@ type packedNode struct {
 }
 
 // packShards spreads the hash-consing table over independently locked
-// shards so concurrent workers packing values rarely contend.
+// shards so concurrent sessions packing values rarely contend.
 const packShards = 64
 
 type packShard struct {

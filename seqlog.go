@@ -8,9 +8,7 @@
 //   - the sequence data model (atoms, packed values, paths) and a
 //     parser for programs and instances (§2);
 //   - a stratified, semi-naive evaluator with termination guards
-//     (§2.3), hash-indexed joins chosen by a binding-aware planner,
-//     and from-scratch fixpoint rounds split across GOMAXPROCS
-//     workers;
+//     (§2.3) and hash-indexed joins chosen by a binding-aware planner;
 //   - a serving layer: Compile splits evaluation into a reusable
 //     compiled form (Prepared), and Engine keeps a materialized
 //     instance at fixpoint under incremental Assert and Retract
@@ -113,9 +111,9 @@ func ParsePath(src string) (Path, error) { return parser.ParsePath(src) }
 
 // Limits bounds an evaluation (§2.3): MaxFacts, MaxIterations and
 // MaxPathLen turn runaway evaluations into ErrNonTermination. The zero
-// value uses generous defaults. How many goroutines compute a fixpoint
-// is not a limit: Eval, Prepared.Eval and NewEngine split their rounds
-// runtime.GOMAXPROCS(0) ways, and Engine maintenance runs sequentially.
+// value uses generous defaults. Every evaluation — Eval,
+// Prepared.Eval, NewEngine and Engine maintenance — runs on the calling
+// goroutine.
 type Limits = eval.Limits
 
 // ErrNonTermination reports evaluation exceeding its limits.

@@ -2,11 +2,8 @@ package seqlog
 
 import (
 	"errors"
-	"runtime"
 	"slices"
 	"testing"
-
-	"seqlog/internal/workload"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -56,31 +53,15 @@ func TestFacadeRewrite(t *testing.T) {
 	}
 }
 
-// TestFacadeParallelEvaluation exercises the fan-out through the public
-// surface: evaluation on one and on eight GOMAXPROCS agrees on a
-// recursive query, and the deterministic PlanResult (Steps, Achieved,
-// the rewritten program's text) of a fragment rewrite is bit-identical
-// across repeated runs interleaved with parallel evaluations.
-func TestFacadeParallelEvaluation(t *testing.T) {
+// TestFacadeRewriteDeterministic checks that the deterministic
+// PlanResult of a fragment rewrite (Steps, Achieved, the rewritten
+// program's text) is bit-identical across repeated runs.
+func TestFacadeRewriteDeterministic(t *testing.T) {
 	prog := MustParse(`
 T(@x.@y) :- R(@x.@y).
 T(@x.@z) :- T(@x.@y), R(@y.@z).`)
-	edb := workload.Graph(9, 30, 120)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	seq, err := Eval(prog, edb, Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runtime.GOMAXPROCS(8)
 	var first PlanResult
 	for i := 0; i < 10; i++ {
-		par, err := Eval(prog, edb, Limits{})
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-		if !par.Equal(seq) {
-			t.Fatalf("run %d: parallel evaluation diverged from sequential", i)
-		}
 		res, err := RewriteTo(prog, "T", Frag("AEINPR"))
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
