@@ -1,13 +1,13 @@
 // Package analyze implements a static-analysis pass over Sequence
-// Datalog programs, in the spirit of go/analysis: a registry of
-// modular analyzers producing structured, positioned diagnostics.
+// Datalog programs: five passes over one shared Pass, producing
+// structured, positioned diagnostics.
 //
 // The paper's entire contribution is static structure — a program's
 // feature set {A, E, I, N, P, R} decides its expressive power, and in
 // particular whether recursion through sequence-constructing terms can
-// grow intermediate sequences without bound (Example 2.3). The
-// analyzers turn that structure into actionable diagnostics before a
-// program is evaluated or served:
+// grow intermediate sequences without bound (Example 2.3). The passes
+// turn that structure into actionable diagnostics before a program is
+// evaluated or served:
 //
 //   - safety: range restriction (§2.2) — head variables and variables
 //     under negation must be bound by positive body atoms, with
@@ -23,12 +23,12 @@
 //     (semi-naive delta) maintenance because no argument position can
 //     be index- or prefix-probed.
 //
-// Error-severity analyzers run first; when any of them reports, the
-// lint analyzers are skipped — their results on ill-formed programs
-// would be noise. eval.Compile rejects programs with error-severity
-// diagnostics and surfaces the rest on the compiled Prepared; the
-// seqlog -vet mode prints every diagnostic as "file:line:col: code:
-// message".
+// The error passes (safety, stratification) run first; when either
+// reports an error, the lint passes are skipped — their results on
+// ill-formed programs would be noise. eval.Compile rejects programs
+// with error-severity diagnostics and surfaces the rest on the compiled
+// Prepared; the seqlog -vet mode prints every diagnostic as
+// "file:line:col: code: message".
 package analyze
 
 import (
@@ -106,13 +106,13 @@ func (d Diagnostic) Format(file string) string {
 // Options configures one analysis run.
 type Options struct {
 	// Outputs lists the declared output relations of the program.
-	// When non-empty, the deadcode analyzer reports rules that are
+	// When non-empty, the deadcode pass reports rules that are
 	// unreachable from every output (the rules rewrite.PruneUnreachable
 	// would drop; both ask ast.Program.Needed).
 	Outputs []string
 }
 
-// Pass carries one analysis run's shared inputs. Analyzers read the
+// Pass carries one analysis run's shared inputs. The passes read the
 // program, its §2.2 check and its dependency structure — each computed
 // once — and report diagnostics through Report.
 type Pass struct {
@@ -145,29 +145,9 @@ func (p *Pass) Reportf(pos ast.Position, sev Severity, code, format string, args
 	p.report(Diagnostic{Pos: pos, Severity: sev, Code: code, Message: fmt.Sprintf(format, args...)})
 }
 
-// Analyzer is one registered analysis pass.
-type Analyzer struct {
-	// Name identifies the pass (safety, stratification, termination,
-	// deadcode, performance).
-	Name string
-	// Doc describes what the pass checks and which codes it emits.
-	Doc string
-	// Errors marks passes that can produce error-severity
-	// diagnostics; they run before the lint passes, which are skipped
-	// entirely when an error was found.
-	Errors bool
-	// Run executes the pass.
-	Run func(*Pass)
-}
-
-// Analyzers returns the registered passes in execution order.
-func Analyzers() []*Analyzer {
-	return []*Analyzer{SafetyAnalyzer, StratificationAnalyzer, TerminationAnalyzer, DeadCodeAnalyzer, PerfAnalyzer}
-}
-
-// Check runs every registered analyzer over the program and returns
-// the diagnostics sorted by position, severity, and code. When an
-// error-severity pass reports, the lint passes are skipped.
+// Check runs the passes over the program and returns the diagnostics
+// sorted by position, severity, and code. When an error pass reports,
+// the lint passes are skipped.
 func Check(prog ast.Program, opts Options) []Diagnostic {
 	diags, _ := CheckWithArities(prog, opts)
 	return diags
@@ -187,17 +167,12 @@ func CheckWithArities(prog ast.Program, opts Options) ([]Diagnostic, map[string]
 		report:  func(d Diagnostic) { diags = append(diags, d) },
 	}
 	pass.Arities, pass.Violations = prog.Check(pass.Written)
-	for _, a := range Analyzers() {
-		if a.Errors {
-			a.Run(pass)
-		}
-	}
+	runSafety(pass)
+	runStratification(pass)
 	if !HasErrors(diags) {
-		for _, a := range Analyzers() {
-			if !a.Errors {
-				a.Run(pass)
-			}
-		}
+		runTermination(pass)
+		runDeadCode(pass)
+		runPerf(pass)
 	}
 	slices.SortStableFunc(diags, func(a, b Diagnostic) int {
 		return cmp.Or(a.Pos.Compare(b.Pos), cmp.Compare(b.Severity, a.Severity),

@@ -7,7 +7,7 @@ import (
 	"seqlog/internal/ast"
 )
 
-// DeadCodeAnalyzer flags rules and relations that cannot contribute to
+// runDeadCode flags rules and relations that cannot contribute to
 // the program's result:
 //
 //   - duplicate-rule (warning): a rule structurally identical to an
@@ -22,12 +22,6 @@ import (
 //   - unreachable-rule (warning, needs Options.Outputs): a rule whose
 //     head is not needed — directly or transitively, through positive
 //     or negated atoms — to compute any declared output.
-var DeadCodeAnalyzer = &Analyzer{
-	Name: "deadcode",
-	Doc:  "unreachable rules, never-derivable relations, duplicate rules, singleton variables",
-	Run:  runDeadCode,
-}
-
 func runDeadCode(p *Pass) {
 	checkDuplicates(p)
 	for _, r := range p.Rules {

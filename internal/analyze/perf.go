@@ -7,7 +7,7 @@ import (
 	"seqlog/internal/ast"
 )
 
-// PerfAnalyzer reads the planner's delta-variant join orders — it
+// runPerf reads the planner's delta-variant join orders — it
 // calls ast.Rule.DeltaVariants, ast.JoinOrder and ast.Pred.Access on
 // the probe form, the functions eval compiles its plans from, so it
 // cannot disagree with them. For every body predicate occurrence Δ,
@@ -22,12 +22,6 @@ import (
 // exactly when the engine is supposed to be incremental.
 //
 // Code: full-scan-delta (warning), reported at the scanned predicate.
-var PerfAnalyzer = &Analyzer{
-	Name: "performance",
-	Doc:  "joins that full-scan a relation under delta-driven incremental maintenance",
-	Run:  runPerf,
-}
-
 func runPerf(p *Pass) {
 	for _, r := range p.Rules {
 		checkRulePerf(p, r)

@@ -1,6 +1,6 @@
 package analyze
 
-// SafetyAnalyzer reports the per-rule half of ast.Program.Check — the
+// runSafety reports the per-rule half of ast.Program.Check — the
 // definition of §2.2 lives there, this pass only gives each violation
 // error severity:
 //
@@ -13,14 +13,9 @@ package analyze
 //     occurrences are under negation (negation does not bind);
 //   - unbound-var (error): a variable floating in equations only,
 //     with no positive side ever fully limited.
-var SafetyAnalyzer = &Analyzer{
-	Name:   "safety",
-	Doc:    "range restriction: head and negated variables must be bound by positive body atoms",
-	Errors: true,
-	Run:    func(p *Pass) { p.reportViolations(false) },
-}
+func runSafety(p *Pass) { p.reportViolations(false) }
 
-// StratificationAnalyzer reports the strata-order half of
+// runStratification reports the strata-order half of
 // ast.Program.Check and adds the one policy that is the analyzer's own:
 //
 //   - stratum-order, unstratified-negation (errors, explicit strata
@@ -31,13 +26,6 @@ var SafetyAnalyzer = &Analyzer{
 //     programs (Check reports it); a warning when the author wrote
 //     explicit strata (the written order still fixes an operational
 //     meaning).
-var StratificationAnalyzer = &Analyzer{
-	Name:   "stratification",
-	Doc:    "negation must be stratified",
-	Errors: true,
-	Run:    runStratification,
-}
-
 func runStratification(p *Pass) {
 	p.reportViolations(true)
 	if !p.Written {

@@ -10,7 +10,7 @@ import (
 	"seqlog/internal/core"
 )
 
-// TerminationAnalyzer implements the paper's central observation as a
+// runTermination implements the paper's central observation as a
 // diagnostic (Example 2.3, §3): Sequence Datalog evaluation need not
 // terminate precisely because recursion can construct ever-longer
 // sequences. It reports:
@@ -23,12 +23,6 @@ import (
 //     sequences without bound; termination is not guaranteed on
 //     arbitrary inputs. Rules that recurse through atomic variables
 //     only are bounded by the input alphabet and stay clean.
-var TerminationAnalyzer = &Analyzer{
-	Name: "termination",
-	Doc:  "recursion through sequence-constructing terms grows sequences without bound",
-	Run:  runTermination,
-}
-
 func runTermination(p *Pass) {
 	if len(p.Rules) == 0 {
 		return

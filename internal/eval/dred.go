@@ -221,9 +221,6 @@ func (m *maintenance) overdelete(c *component) error {
 	proc := map[string]int{}
 	var one [1]window // backs the single window changes returns
 	for round := 0; ; round++ {
-		if round > e.limits.MaxIterations {
-			return fmt.Errorf("%w: %d overdeletion rounds", ErrNonTermination, round)
-		}
 		cur := map[string]int{}
 		for name := range c.reads {
 			if dl := m.del[name]; dl != nil {
@@ -243,11 +240,8 @@ func (m *maintenance) overdelete(c *component) error {
 			}
 			return nil, nil
 		}
-		if err := dr.delta(changes, sink); err != nil {
+		if runs, err := dr.delta(changes, sink); err != nil || runs == 0 {
 			return err
-		}
-		if len(dr.items) == 0 {
-			return nil
 		}
 		proc = cur
 	}
@@ -334,7 +328,7 @@ func (m *maintenance) reinsert(c *component) error {
 		}
 		return nil, nil
 	}
-	if err := dr.delta(changes, dr.derive); err != nil {
+	if _, err := dr.delta(changes, dr.derive); err != nil {
 		return err
 	}
 	// Then chase the component-local consequences, restorations included.

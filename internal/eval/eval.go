@@ -16,10 +16,9 @@ var ErrNonTermination = errors.New("evaluation exceeded limits (program may not 
 
 // Limits bound an evaluation. Zero values mean "use the default".
 type Limits struct {
-	// MaxFacts bounds the total number of derived facts.
+	// MaxFacts bounds the total number of derived facts, and so every
+	// round loop too (docs/evaluation.md, "Limits").
 	MaxFacts int
-	// MaxIterations bounds fixpoint rounds per component.
-	MaxIterations int
 	// MaxPathLen bounds the length of any derived path (0 = unbounded).
 	MaxPathLen int
 	// Deprecated: Parallelism is ignored. Every evaluation, from scratch
@@ -30,14 +29,11 @@ type Limits struct {
 }
 
 // DefaultLimits are generous enough for all paper examples.
-var DefaultLimits = Limits{MaxFacts: 1 << 20, MaxIterations: 1 << 20}
+var DefaultLimits = Limits{MaxFacts: 1 << 20}
 
 func (l Limits) orDefault() Limits {
 	if l.MaxFacts == 0 {
 		l.MaxFacts = DefaultLimits.MaxFacts
-	}
-	if l.MaxIterations == 0 {
-		l.MaxIterations = DefaultLimits.MaxIterations
 	}
 	return l
 }
@@ -113,26 +109,16 @@ type window struct {
 	lo, hi int
 }
 
-// workItem is one plan run of a round. On a hoisted plan win is the
-// change window the delta step iterates, in log — or, when log is nil,
-// in the instance's own relation of the delta step's name, resolved
-// when the run starts (a sink's Ensure may epoch-clone a relation, so
-// no instance relation is carried from one run to the next). Base
-// plans run over the full relations and leave both zero.
+// workItem is one plan run. On a hoisted plan win is the change window
+// the delta step iterates, in log — or, when log is nil, in the
+// instance's own relation of the delta step's name, resolved when the
+// run starts (a sink's Ensure may epoch-clone a relation, so no
+// instance relation is carried from one run to the next). Base plans
+// run over the full relations and leave both zero.
 type workItem struct {
 	plan *plan
 	log  *instance.Relation
 	win  window
-}
-
-// fullItems is round 0's work: every base plan once, over the full
-// relations.
-func fullItems(plans []*plan) []workItem {
-	items := make([]workItem, len(plans))
-	for i, p := range plans {
-		items[i] = workItem{plan: p}
-	}
-	return items
 }
 
 // driver runs one component's rules for one evaluation phase: round 0 and
@@ -156,24 +142,13 @@ type driver struct {
 	// fixpoint), counting new facts here.
 	derived *int
 
-	items []workItem // the current delta round's work, reused round to round
-	frame run        // the one plan execution in flight; see exec
+	frame run // the one plan execution in flight; see exec
 	// headBuf is the reusable tuple rule heads are instantiated into:
 	// rebuilt in place for every derivation, and only tuples that turn
 	// out to be new are copied into stable storage (instance.CopyTuple).
 	// In the hot fixpoint rounds most derivations rediscover known facts,
 	// so most derivations allocate nothing.
 	headBuf instance.Tuple
-}
-
-// run executes one round's work items one after the other, into sink.
-func (dr *driver) run(items []workItem, sink sinkFunc) error {
-	for _, it := range items {
-		if err := dr.exec(it, sink); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // delta runs one delta round: for every rule and every body atom, the
@@ -184,20 +159,24 @@ func (dr *driver) run(items []workItem, sink sinkFunc) error {
 // (fixpoint), the run's insertion windows, or the deletion logs — as
 // windows into log (nil: the instance's own relation). It may reuse the
 // slice it returns: it is consumed before the next call. Each window is
-// one work item, and stats counts one plan execution per window. The
-// round's items stay in dr.items.
-func (dr *driver) delta(changes func(name string, neg bool) (log *instance.Relation, wins []window), sink sinkFunc) error {
-	dr.items = dr.items[:0]
+// one run, executed as it is enumerated: every caller fixes its windows
+// when the round starts, so no run changes what changes returns. stats
+// counts one plan execution per window, and delta returns the runs.
+func (dr *driver) delta(changes func(name string, neg bool) (log *instance.Relation, wins []window), sink sinkFunc) (int, error) {
+	runs := 0
 	for _, p := range dr.plans {
-		for _, run := range p.variants {
-			log, wins := changes(run.steps[0].pred.Name, run.neg)
+		for _, v := range p.variants {
+			log, wins := changes(v.steps[0].pred.Name, v.neg)
 			for _, w := range wins {
-				dr.items = append(dr.items, workItem{plan: run, log: log, win: w})
-				run.note(dr.stats)
+				v.note(dr.stats)
+				runs++
+				if err := dr.exec(workItem{plan: v, log: log, win: w}, sink); err != nil {
+					return runs, err
+				}
 			}
 		}
 	}
-	return dr.run(dr.items, sink)
+	return runs, nil
 }
 
 // fixpoint iterates semi-naive rounds until no local relation grows:
@@ -207,10 +186,11 @@ func (dr *driver) delta(changes func(name string, neg bool) (log *instance.Relat
 // appends form the next round's windows. Every round derives (its sink
 // is derive). Shared by the from-scratch evaluator (after its round 0)
 // and the maintenance reinsert phase (after its goal pass and delta
-// round).
+// round). A round runs only after the last one appended a fact, so
+// MaxFacts bounds the rounds too.
 func (dr *driver) fixpoint(local map[string]bool, prev map[string]int) error {
 	var one []window // backs the single window grown returns
-	for iter := 0; ; iter++ {
+	for {
 		grew := false
 		for name := range local {
 			if rel := dr.inst.Relation(name); rel != nil && rel.Size() > prev[name] {
@@ -220,9 +200,6 @@ func (dr *driver) fixpoint(local map[string]bool, prev map[string]int) error {
 		}
 		if !grew {
 			return nil
-		}
-		if iter >= dr.limits.MaxIterations {
-			return fmt.Errorf("%w: %d fixpoint rounds", ErrNonTermination, iter)
 		}
 		cur := localSizes(local, dr.inst)
 		if one == nil {
@@ -239,7 +216,7 @@ func (dr *driver) fixpoint(local map[string]bool, prev map[string]int) error {
 			one[0] = window{lo, hi}
 			return nil, one
 		}
-		if err := dr.delta(grown, dr.derive); err != nil {
+		if _, err := dr.delta(grown, dr.derive); err != nil {
 			return err
 		}
 		prev = cur
@@ -268,7 +245,12 @@ func (p *Prepared) fixpoint(inst *instance.Instance, limits Limits, derived *int
 		dr := &driver{plans: c.plans, inst: inst, limits: limits, derived: derived}
 		// Round 0: evaluate every rule against the full instance.
 		prev := localSizes(c.heads, inst)
-		err := dr.run(fullItems(c.plans), dr.derive)
+		var err error
+		for _, pl := range c.plans {
+			if err = dr.exec(workItem{plan: pl}, dr.derive); err != nil {
+				break
+			}
+		}
 		if err == nil {
 			err = dr.fixpoint(c.heads, prev)
 		}

@@ -9,7 +9,7 @@ import (
 
 // nonTerminating is Example 2.3: the program that terminates on no
 // instance — it derives T(a), T(a.a), T(a.a.a), ... forever, one new
-// fact (and one new round) at a time. branching doubles S every round
+// fact (and one new round) at a time, so MaxFacts bounds its rounds. branching doubles S every round
 // instead, so it trips MaxFacts in the middle of a wide round.
 var nonTerminating = []string{`
 T(a).
@@ -33,10 +33,6 @@ func TestMaxFactsTripsNonTermination(t *testing.T) {
 	tripsNonTermination(t, Limits{MaxFacts: 50})
 }
 
-func TestMaxIterationsTripsNonTermination(t *testing.T) {
-	tripsNonTermination(t, Limits{MaxIterations: 10})
-}
-
 func TestMaxPathLenTripsNonTermination(t *testing.T) {
 	tripsNonTermination(t, Limits{MaxPathLen: 5})
 }
@@ -46,7 +42,7 @@ func TestLimitsDoNotFireOnTerminatingRuns(t *testing.T) {
 T($x) :- R($x).
 T($x) :- T($x.a).`)
 	edb := parser.MustParseInstance("R(a.a.a).")
-	out, err := Eval(prog, edb, Limits{MaxFacts: 100, MaxIterations: 100, MaxPathLen: 10})
+	out, err := Eval(prog, edb, Limits{MaxFacts: 100, MaxPathLen: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -764,16 +764,6 @@ func (r *Relation) Clone() *Relation {
 	return out
 }
 
-// cloneCost reports what one write-barrier clone actually did, for the
-// instance's CloneStats: how many sealed chunks were shared by pointer
-// and approximately how many bytes the barrier had to copy (pointer
-// slices, tombstone pages, and the tail chunk of a clone that is not the
-// first).
-type cloneCost struct {
-	sharedChunks int64
-	copiedBytes  int64
-}
-
 // cloneShared is the epoch write barrier: an O(size/chunkSize) clone
 // that shares every sealed chunk, tombstone page and the canonical order
 // with the frozen original. Tuple-log positions, tombstones included,
@@ -789,13 +779,14 @@ type cloneCost struct {
 // starts its indexes empty; catchUp rebuilds them from the tuple log.
 // The original may be probed concurrently (it is frozen; lazy index
 // absorbs synchronize on its mutex, which cloneShared holds while it
-// hands the tables over).
-func (r *Relation) cloneShared() (*Relation, cloneCost) {
+// hands the tables over). It reports what it did as one barrier clone's
+// CloneStats.
+func (r *Relation) cloneShared() (*Relation, CloneStats) {
 	heir := r.handedOff.CompareAndSwap(false, true)
 	out := &Relation{Arity: r.Arity, size: r.size, tombs: r.tombs, stamper: r.stamper}
 	out.member.r = out
 	out.chunks = append([]*chunk(nil), r.chunks...)
-	cost := cloneCost{sharedChunks: int64(len(r.chunks)), copiedBytes: int64(len(r.chunks)) * 8}
+	cost := CloneStats{BarrierClones: 1, SharedChunks: int64(len(r.chunks)), CloneBytes: int64(len(r.chunks)) * 8}
 	if tail := r.size & chunkMask; tail != 0 {
 		ci := len(r.chunks) - 1
 		old := r.chunks[ci]
@@ -806,16 +797,16 @@ func (r *Relation) cloneShared() (*Relation, cloneCost) {
 				hashes: append(make([]uint64, 0, chunkSize), old.hashes...),
 				stamps: append(make([]uint64, 0, chunkSize), old.stamps...),
 			}
-			cost.copiedBytes += int64(tail) * 40
+			cost.CloneBytes += int64(tail) * 40
 		}
 		c.text.Store(old.text.Load())
 		out.chunks[ci] = c
-		cost.sharedChunks--
+		cost.SharedChunks--
 	}
 	if len(r.dead) > 0 {
 		out.dead = append([]*deadPage(nil), r.dead...)
 		out.deadOwned = make([]bool, len(r.dead))
-		cost.copiedBytes += int64(len(r.dead)) * 9
+		cost.CloneBytes += int64(len(r.dead)) * 9
 	}
 
 	r.mu.Lock()
@@ -1133,8 +1124,8 @@ func (i *Instance) Relation(name string) *Relation { return i.rels[name] }
 // SetStamper attaches a stamper to the instance: Ensure hands it to
 // every relation it returns (created, cloned at the write barrier, or
 // already writable), so all writes draw stamps from one monotone birth
-// counter. The engine attaches one stamper per materialization and
-// retags it as maintenance moves through the strata.
+// counter. The engine attaches one stamper per materialization, so
+// births order every fact of it (see eval's dred.go).
 func (i *Instance) SetStamper(s *Stamper) { i.stamper = s }
 
 // CloneStats reports the accumulated write-barrier work of this
@@ -1161,9 +1152,7 @@ func (i *Instance) Ensure(name string, arity int) *Relation {
 		}
 		if r.Frozen() {
 			clone, cost := r.cloneShared()
-			i.clones.BarrierClones++
-			i.clones.SharedChunks += cost.sharedChunks
-			i.clones.CloneBytes += cost.copiedBytes
+			i.clones.Add(cost)
 			i.rels[name] = clone
 			r = clone
 		}
@@ -1264,9 +1253,9 @@ func (i *Instance) Snapshot() *Instance {
 	return out
 }
 
-// Put installs rel under name, replacing any existing mapping. The
-// engine's recompute path uses it to reinstate a (frozen) seed relation
-// before re-deriving; writes through Ensure will clone it as needed.
+// Put installs rel under name, replacing any existing mapping; writes
+// through Ensure will clone it as needed. The engine's EDBSnapshot
+// uses it to assemble the base facts out of frozen relations.
 func (i *Instance) Put(name string, rel *Relation) { i.rels[name] = rel }
 
 // Equal reports whether two instances hold exactly the same facts.

@@ -13,12 +13,13 @@ import (
 // precomputed structural hash. The engine's hot paths (tuple hashing,
 // index probes, unification memoization) never re-walk value bytes.
 //
-// Concurrency: the tables are read-mostly. Readers (Text and hash
-// lookups) are lock-free against a published snapshot; writers
-// (interning a new atom, consing a new packed node) serialize on a
-// mutex and publish atomically. Evaluation runs on one goroutine, but
-// seqlogd's sessions parse requests concurrently, outside the engine's
-// write lock, and parsing interns atoms and packs values.
+// Concurrency: the tables are read-mostly, one RWMutex each. Lookups
+// by text or by structure take the read lock, and writers (interning
+// a new atom, consing a new packed node) the write lock; a symbol's
+// text and hash are read lock-free from an atomically published
+// snapshot. Evaluation runs on one goroutine, but seqlogd's sessions
+// parse requests concurrently, outside the engine's write lock, and
+// parsing interns atoms and packs values.
 
 // Sym is a dense identifier of an interned atom text. Two atoms are
 // equal iff their Syms are equal. Syms are assigned in interning order
@@ -104,22 +105,15 @@ type packedNode struct {
 	hash uint64
 }
 
-// packShards spreads the hash-consing table over independently locked
-// shards so concurrent sessions packing values rarely contend.
-const packShards = 64
-
-type packShard struct {
+// packTable is the global hash-consing table, in the symbol table's
+// shape: one map, from a packed value's structural hash to the nodes
+// that share it, behind one RWMutex.
+type packTable struct {
 	mu sync.RWMutex
 	m  map[uint64][]*packedNode
 }
 
-var packtab = func() *[packShards]packShard {
-	var t [packShards]packShard
-	for i := range t {
-		t[i].m = map[uint64][]*packedNode{}
-	}
-	return &t
-}()
+var packtab = &packTable{m: map[uint64][]*packedNode{}}
 
 // packedHashOf is the structural hash of the packed value <p>: the
 // inner path hash bracketed by the 0x02/0x03 tags that keep <a.b>
@@ -135,18 +129,17 @@ func packedHashOf(p Path) uint64 {
 // reuse) scratch buffers. Pack is safe for concurrent use.
 func Pack(p Path) Packed {
 	h := packedHashOf(p)
-	sh := &packtab[h%packShards]
-	sh.mu.RLock()
-	for _, n := range sh.m[h] {
+	packtab.mu.RLock()
+	for _, n := range packtab.m[h] {
 		if n.path.Equal(p) {
-			sh.mu.RUnlock()
+			packtab.mu.RUnlock()
 			return Packed{n: n}
 		}
 	}
-	sh.mu.RUnlock()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, n := range sh.m[h] {
+	packtab.mu.RUnlock()
+	packtab.mu.Lock()
+	defer packtab.mu.Unlock()
+	for _, n := range packtab.m[h] {
 		if n.path.Equal(p) {
 			return Packed{n: n}
 		}
@@ -154,6 +147,6 @@ func Pack(p Path) Packed {
 	cp := make(Path, len(p))
 	copy(cp, p)
 	n := &packedNode{path: cp, hash: h}
-	sh.m[h] = append(sh.m[h], n)
+	packtab.m[h] = append(packtab.m[h], n)
 	return Packed{n: n}
 }

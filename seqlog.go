@@ -109,8 +109,8 @@ func MustParseInstance(src string) *Instance { return parser.MustParseInstance(s
 // ParsePath parses a ground path like "a.<b.c>.d".
 func ParsePath(src string) (Path, error) { return parser.ParsePath(src) }
 
-// Limits bounds an evaluation (§2.3): MaxFacts, MaxIterations and
-// MaxPathLen turn runaway evaluations into ErrNonTermination. The zero
+// Limits bounds an evaluation (§2.3): MaxFacts and MaxPathLen turn
+// runaway evaluations into ErrNonTermination. The zero
 // value uses generous defaults. Every evaluation — Eval,
 // Prepared.Eval, NewEngine and Engine maintenance — runs on the calling
 // goroutine.
