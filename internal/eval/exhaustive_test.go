@@ -28,6 +28,8 @@ var walkDeeper = flag.Int("walk.deeper", 0, "toggles added to the depth of every
 // enumerates every sequence, a random source would sample one.
 type chooser interface{ choose(n int) int }
 
+var _ chooser = (*odometer)(nil)
+
 // odometer enumerates choice sequences in lexicographic order.
 type odometer struct {
 	digits, bases []int
