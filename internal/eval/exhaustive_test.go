@@ -30,7 +30,10 @@ type chooser interface{ choose(n int) int }
 
 var _ chooser = (*odometer)(nil)
 
-// odometer enumerates choice sequences in lexicographic order.
+// odometer enumerates choice sequences in lexicographic order. next
+// moves to the following sequence and returns how many leading choices
+// it shares with the previous one, or -1 after the last; prune(k) makes
+// it skip every sequence that starts with the current k+1 choices.
 type odometer struct {
 	digits, bases []int
 	pos           int // the current run's next choice
@@ -44,8 +47,6 @@ func (o *odometer) choose(n int) int {
 	return o.digits[o.pos-1]
 }
 
-// next moves to the following sequence and returns how many leading
-// choices it shares with the previous one, or -1 after the last.
 func (o *odometer) next() int {
 	for i := len(o.digits) - 1; i >= 0; i-- {
 		if o.digits[i]++; o.digits[i] < o.bases[i] {
@@ -56,68 +57,60 @@ func (o *odometer) next() int {
 	return -1
 }
 
-// prune ends the current sequence at choice k: next skips every
-// sequence that starts with the same k+1 choices.
 func (o *odometer) prune(k int) { o.digits, o.bases = o.digits[:k+1], o.bases[:k+1] }
 
 // alphabet is one walk: a program, facts held fixed, and the facts a
-// history toggles (asserted when absent, retracted when present). perms
-// are the renamings of constants that leave the program alone, as maps
-// of fact indexes; a walk visits only the histories no renaming makes
-// lexicographically smaller. A prefix of such a history is one too, so
-// the walk prunes at the first prefix that is not.
+// history toggles (asserted when absent, retracted when present). Every
+// renaming of the constants in nodes leaves the program alone, so a
+// walk visits only the histories no renaming makes lexicographically
+// smaller; a prefix of such a history is one too, so the walk prunes at
+// the first prefix that is not.
 type alphabet struct {
-	name, src, fixed string
-	facts            []string
-	depth            int
-	perms            [][]int
+	name, src, fixed, nodes string
+	facts                   []string
+	depth                   int
 }
 
-func (a alphabet) canonical(h []int) bool {
-	for _, pm := range a.perms {
-		if i := slices.IndexFunc(h, func(i int) bool { return pm[i] != i }); i >= 0 && pm[h[i]] < h[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// graph walks reachability's recursive component over the edges of
-// nodes, up to renaming them (its goal rule S :- T(a.b) would pin two;
-// the paper-query walk keeps it).
-func graph(name, nodes string, loops bool) alphabet {
-	a := alphabet{name: name, src: "T(@x.@y) :- R(@x.@y).\nT(@x.@z) :- T(@x.@y), R(@y.@z).", depth: 6}
-	edge := map[[2]int]int{}
-	for x := range nodes {
-		for y := range nodes {
-			if x != y || loops {
-				edge[[2]int{x, y}] = len(a.facts)
-				a.facts = append(a.facts, fmt.Sprintf("R(%c.%c).", nodes[x], nodes[y]))
+// renamings returns, for every permutation of a.nodes that extends pn,
+// the map of fact indexes it induces.
+func (a alphabet) renamings(pn string) (out [][]int) {
+	if len(pn) < len(a.nodes) {
+		for _, x := range a.nodes {
+			if !strings.ContainsRune(pn, x) {
+				out = append(out, a.renamings(pn+string(x))...)
 			}
 		}
+		return out
 	}
-	var rename func(pn []int)
-	rename = func(pn []int) { // every permutation of the nodes
-		if len(pn) < len(nodes) {
-			for x := range nodes {
-				if !slices.Contains(pn, x) {
-					rename(append(pn, x))
-				}
+	pm := make([]int, len(a.facts))
+	for i, f := range a.facts {
+		pm[i] = slices.Index(a.facts, strings.Map(func(r rune) rune {
+			if j := strings.IndexRune(a.nodes, r); j >= 0 {
+				return rune(pn[j])
 			}
-			return
-		}
-		pm := make([]int, len(a.facts))
-		for xy, i := range edge {
-			pm[i] = edge[[2]int{pn[xy[0]], pn[xy[1]]}]
-		}
-		a.perms = append(a.perms, pm)
+			return r
+		}, f))
 	}
-	rename(nil)
-	return a
+	return [][]int{pm}
 }
 
 func walkAlphabets() []alphabet {
-	out := []alphabet{graph("reachability-4", "abcd", false), graph("reachability-3-loops", "abc", true),
+	edges := func(nodes string, loops bool) (fs []string) {
+		for _, x := range nodes {
+			for _, y := range nodes {
+				if x != y || loops {
+					fs = append(fs, fmt.Sprintf("R(%c.%c).", x, y))
+				}
+			}
+		}
+		return fs
+	}
+	// Reachability's closure rules: its goal S :- T(a.b) would pin two
+	// nodes against renaming, so only the paper-query walk keeps it.
+	closure := "T(@x.@y) :- R(@x.@y).\nT(@x.@z) :- T(@x.@y), R(@y.@z)."
+	out := []alphabet{
+		{name: "reachability-4", src: closure, nodes: "abcd", facts: edges("abcd", false), depth: 6},
+		{name: "reachability-3-loops", src: closure, nodes: "abc", facts: edges("abc", true), depth: 6},
 		// GenScenario's negation family, every optional rule on.
 		{name: "scenario-negation", depth: 4, src: `C(@x.@y) :- E1(@x.@y).
 C(@x.@z) :- C(@x.@y), E1(@y.@z).
@@ -175,13 +168,12 @@ func walk(t *testing.T, a alphabet) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var set uint64 // the toggled facts present
-	var path []int // the toggles since the root
-	ops, leaves, models, batches := 0, 0, map[uint64]*instance.Instance{}, []*instance.Instance{}
+	renamings, batches := a.renamings(""), []*instance.Instance{}
 	for _, f := range a.facts {
 		batches = append(batches, parser.MustParseInstance(f))
 	}
-	model := func(set uint64) *instance.Instance { // specEval, memoized per EDB
+	models := map[uint64]*instance.Instance{} // specEval per set of toggled facts
+	model := func(set uint64) *instance.Instance {
 		if models[set] == nil {
 			src := a.fixed
 			for i, f := range a.facts {
@@ -198,19 +190,19 @@ func walk(t *testing.T, a alphabet) {
 	record := func(set uint64, i int) wal.Record {
 		return wal.Record{Op: [2]wal.Op{wal.OpAssert, wal.OpRetract}[set>>i&1], Batch: batches[i]}
 	}
-	history := func() (recs []wal.Record) {
+	var set uint64 // the toggled facts present
+	var path []int // the toggles since the root
+	history := func() (recs []wal.Record, text string) {
 		var s uint64
 		for _, i := range path {
-			recs, s = append(recs, record(s, i)), s^1<<i
+			recs, text, s = append(recs, record(s, i)), text+fmt.Sprintf("%s %s ", record(s, i).Op, a.facts[i]), s^1<<i
 		}
-		return recs
+		return recs, text
 	}
+	ops, leaves := 0, 0
 	failf := func(format string, args ...any) {
-		var h []string
-		for _, rec := range history() {
-			h = append(h, fmt.Sprintf("%s %s", rec.Op, strings.TrimSpace(rec.Batch.String())))
-		}
-		t.Fatalf("op %d, history [%s]: %s", ops, strings.Join(h, "; "), fmt.Sprintf(format, args...))
+		_, h := history()
+		t.Fatalf("op %d, history %s: %s", ops, h, fmt.Sprintf(format, args...))
 	}
 	now, _ := eng.Snapshot()
 	toggle := func(i int) {
@@ -227,6 +219,14 @@ func walk(t *testing.T, a alphabet) {
 		}
 		set ^= 1 << i
 	}
+	canonical := func(h []int) bool {
+		for _, pm := range renamings {
+			if j := slices.IndexFunc(h, func(i int) bool { return pm[i] != i }); j >= 0 && pm[h[j]] < h[j] {
+				return false
+			}
+		}
+		return true
+	}
 	o := &odometer{}
 	for keep := 0; keep >= 0; keep = o.next() {
 		for ; len(path) > keep; path = path[:len(path)-1] {
@@ -237,7 +237,7 @@ func walk(t *testing.T, a alphabet) {
 			if k < keep {
 				continue
 			}
-			if !a.canonical(append(path, i)) {
+			if !canonical(append(path, i)) {
 				o.prune(k)
 				break
 			}
@@ -251,7 +251,8 @@ func walk(t *testing.T, a alphabet) {
 			continue
 		}
 		var r eval.Replayer
-		for _, rec := range append([]wal.Record{{Op: wal.OpLoad, Program: a.src}, {Op: wal.OpAssert, Batch: fixed}}, history()...) {
+		recs, _ := history()
+		for _, rec := range append([]wal.Record{{Op: wal.OpLoad, Program: a.src}, {Op: wal.OpAssert, Batch: fixed}}, recs...) {
 			if err := r.Replay(rec); err != nil {
 				failf("replay: %v", err)
 			}
