@@ -127,10 +127,11 @@ func packageKnobChecked(relPath string) bool {
 		!strings.HasSuffix(relPath, "_test.go")
 }
 
-// mutators are the Relation methods that change tuple storage.
+// mutators are the Relation methods that change tuple storage, the
+// derivation stamps (Rebirth) included.
 var mutators = map[string]bool{
 	"Add": true, "AddHashed": true, "Delete": true, "DeleteHashed": true,
-	"Put": true, "Compact": true,
+	"Put": true, "Compact": true, "Rebirth": true,
 }
 
 // lintFile walks one parsed file and reports invariant violations.

@@ -83,11 +83,15 @@ func f(inst *Instance) {
 	inst.Relation("T").Add(tuple)
 	inst.Relation("T").Delete(3)
 	out.Relation(name).Put(0, tuple)
+	m.e.inst.Relation(name).Rebirth(pos, birth)
 }
 `
 	got := lintSrc(t, "internal/eval/engine.go", src)
-	if len(got) != 3 {
-		t.Fatalf("want 3 findings, got %v", got)
+	if len(got) != 4 {
+		t.Fatalf("want 4 findings, got %v", got)
+	}
+	if !strings.Contains(got[3], "engine.go:6:26: direct Rebirth") {
+		t.Fatalf("a re-birth past the barrier: %q", got[3])
 	}
 	for _, f := range got {
 		if !strings.Contains(f, "write barrier") {
@@ -100,6 +104,7 @@ func TestWriteBarrierLegalPatterns(t *testing.T) {
 	src := `package x
 func f(inst *Instance) {
 	inst.Ensure("T", 1).Add(tuple)   // Ensure IS the barrier
+	inst.Ensure("T", 1).Rebirth(0, 1) // so a re-birth goes through it
 	inst.Add("T", tuple)             // Instance.Add routes through it
 	rel := inst.Relation("T")
 	_ = rel.Len()                    // reads are fine

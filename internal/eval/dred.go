@@ -16,9 +16,9 @@ package eval
 //     deleting too much is safe because phase 2 restores survivors,
 //     while deleting too little would leave unsupported facts behind.
 //     Before tombstoning, a well-founded support check prunes
-//     candidates that plainly keep a derivation from supports born
-//     strictly before them (see the stamp paragraph below), which is
-//     what stops the cascade at its frontier.
+//     candidates that keep a derivation from supports born before
+//     them, or that can be given one (see the stamp paragraph below),
+//     which is what stops the cascade at its frontier.
 //  2. reinsert: each overdeleted candidate is first checked
 //     goal-directedly — the head matched against the candidate fact,
 //     the body run on the live state through a head-bound goal plan
@@ -50,20 +50,24 @@ package eval
 //
 // Provenance is carried by derivation stamps: every position of the
 // materialization's tuple log records its birth, issued by one
-// monotone counter across ALL relations (instance.Stamper). They give
-// the overdeletion pruner its well-founded order: a candidate is kept
-// when some rule derives it from supports that are either settled (a
-// relation of an earlier component, or the EDB) or, in one of the
-// component's own heads, born strictly before the candidate.
-// Justification chains strictly decrease, so circular keep-alives are
-// impossible — even through mutually recursive sibling relations of
-// the same component, which a per-relation position measure could not
-// order.
+// monotone counter across ALL relations (instance.Stamper) and moved
+// older only by the pruner's proofs. The pruner keeps invariant I:
+// every live fact has a derivation whose premises in its component's
+// heads are live and born strictly before it (settled premises, of an
+// earlier component or the EDB, always qualify). A candidate is kept
+// when some rule derives it from such supports, so justification
+// chains strictly decrease and circular keep-alives are impossible,
+// even through sibling relations. Failing that, prove searches for a
+// derivation through younger supports and gives each one it proves
+// the birth max(its premises') + 1, below the candidate's: moving a
+// fact older keeps I for the facts it supports, and a support that
+// dies later in the write re-derives, through its deletion delta, what
+// it supported (docs/evaluation.md, "Invariant I").
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"seqlog/internal/instance"
@@ -72,6 +76,9 @@ import (
 // errStopRun aborts a plan run after the first derivation; the
 // goal-directed rederivation check only needs existence.
 var errStopRun = errors.New("eval: stop after first derivation")
+
+// stopRun is the sink of a check that stops at the first derivation.
+func stopRun(*plan, *Env) error { return errStopRun }
 
 // deltas is what a maintenance run has changed so far. A run starts
 // from the caller's batch — Engine.write builds the seed deltas before
@@ -146,21 +153,20 @@ func (m *maintenance) changed(names map[string]bool) bool {
 	return false
 }
 
-// driver returns the driver of one maintenance phase: it reads the
-// engine's instance (through whatever view opts adds) and counts its
-// plan executions into the run's stats.
-func (m *maintenance) driver(plans []*plan, opts runOpts) *driver {
-	return &driver{plans: plans, inst: m.e.inst, limits: m.e.limits, opts: opts, stats: &m.stats.Plans}
+// driver readies dr, one of the engine's, for one maintenance phase:
+// it reads the engine's instance (through whatever view opts adds) and
+// counts its plan executions into the run's stats. Its frame and head
+// scratch carry over from the last write.
+func (m *maintenance) driver(dr *driver, plans []*plan, opts runOpts) *driver {
+	dr.plans, dr.inst, dr.limits, dr.opts, dr.stats, dr.derived = plans, m.e.inst, m.e.limits, opts, &m.stats.Plans, nil
+	return dr
 }
 
 // overdelete is phase 1; see the package comment.
 func (m *maintenance) overdelete(c *component) error {
 	e := m.e
 	// The side atoms join against the pre-deletion state.
-	dr := m.driver(c.plans, runOpts{includeDead: true})
-	// The pruner's goal checks start from inside the sink, that is inside
-	// a run of dr: they go through a driver, and so a frame, of their own.
-	goal := m.driver(nil, runOpts{boundHeads: c.heads})
+	dr := m.driver(&e.over, c.plans, runOpts{includeDead: true})
 	sink := func(p *plan, env *Env) error {
 		t, h, err := dr.head(p, env)
 		if err != nil {
@@ -180,19 +186,10 @@ func (m *maintenance) overdelete(c *component) error {
 		if s := e.seeds[name]; s != nil && s.Position(instance.View{}, h, t) >= 0 {
 			return nil
 		}
-		// Well-founded pruning: keep the candidate outright when some
-		// rule still derives it from live facts that are settled or born
-		// before it. Births come from one monotone counter, so the
-		// measure totally orders the whole component's facts (sibling
-		// relations included) and circular keep-alives are impossible;
-		// if a justifying support dies later, its deletion delta
-		// re-derives this candidate and the check runs again. Pruning
-		// here is what keeps a retraction's cost proportional to the
-		// facts that actually lose their support, instead of the whole
-		// downward closure: in well-connected data most candidates have
-		// an older alternative derivation and the cascade stops at the
-		// frontier.
-		kept, err := goal.derivesGoal(c.rederive, name, t, rel.StampAt(pos))
+		// Well-founded pruning (see the package comment): it keeps a
+		// retraction's cost proportional to the facts that lose their
+		// support, not to their downward closure.
+		kept, err := m.prove(c, 0, name, pos, rel.StampAt(pos))
 		if err != nil {
 			return err
 		}
@@ -218,10 +215,10 @@ func (m *maintenance) overdelete(c *component) error {
 	// earlier component, so its insertions are final and round 0 reads
 	// them all; tuples already deleted again are tombstones the delta
 	// step skips.
-	proc := map[string]int{}
+	proc, cur := map[string]int{}, map[string]int{}
 	var one [1]window // backs the single window changes returns
 	for round := 0; ; round++ {
-		cur := map[string]int{}
+		clear(cur)
 		for name := range c.reads {
 			if dl := m.del[name]; dl != nil {
 				cur[name] = dl.Size()
@@ -243,23 +240,99 @@ func (m *maintenance) overdelete(c *component) error {
 		if runs, err := dr.delta(changes, sink); err != nil || runs == 0 {
 			return err
 		}
-		proc = cur
+		proc, cur = cur, proc
 	}
+}
+
+// prover is the goal driver of proof depth d and the state of its
+// proof. The pruner's checks start from inside the overdeletion sink,
+// that is inside a run: they go through drivers, and so frames, of
+// their own, and a premise met at depth d is proved inside a sink of
+// goals[d], on goals[d+1]. NewEngine binds the sink, premises, once.
+type prover struct {
+	driver
+	m            *maintenance
+	c            *component
+	name         string // the fact proved at this depth, by position
+	pos, d       int
+	bound, birth uint64
+	sink         sinkFunc
+}
+
+// proofDepth is the deepest a premise is proved at: on the seed-9 churn
+// of reachability (docs/evaluation.md), depth 2 keeps more candidates
+// than 1, and deeper searches cost more goal runs and keep fewer.
+const proofDepth = 2
+
+// prove reports whether the live fact at pos of name derives from
+// in-component premises born before bound, or proved so one depth down,
+// and gives the fact at depth d > 0 the birth max(its premises') + 1 <
+// bound; the candidate at depth 0 keeps its own. Its first step is the
+// birth-bounded check; below proofDepth, a second run proves younger
+// premises (premises).
+func (m *maintenance) prove(c *component, d int, name string, pos int, bound uint64) (bool, error) {
+	pv, rel := m.e.goals[d], m.e.inst.Relation(name)
+	m.driver(&pv.driver, nil, runOpts{boundHeads: c.heads})
+	pv.m, pv.c, pv.name, pv.pos, pv.d, pv.bound = m, c, name, pos, d, bound
+	sink := pv.sink
+	if d == 0 {
+		sink = stopRun // the candidate needs no birth
+	}
+	ok, err := pv.derivesGoal(c.rederive, name, rel.TupleAt(pos), bound, sink)
+	if !ok && err == nil && d < proofDepth {
+		ok, err = pv.derivesGoal(c.rederive, name, rel.TupleAt(pos), 0, pv.sink)
+	}
+	if ok && d > 0 {
+		m.e.inst.Ensure(name, rel.Arity).Rebirth(pos, pv.birth+1)
+	}
+	return ok, err
+}
+
+// premises is a prover's sink: it accepts a derivation whose premises
+// in the component's heads are born before the bound or proved one
+// depth down, not from a proof in progress, and records their latest
+// birth.
+func (pv *prover) premises(p *plan, env *Env) error {
+	pv.birth = 0
+	for _, i := range p.predSteps {
+		s := &p.steps[i]
+		if !pv.c.heads[s.pred.Name] {
+			continue
+		}
+		t := sized(pv.headBuf, len(s.args))
+		for j, a := range s.args {
+			t[j] = env.evalInto(a, t[j][:0], 0)
+		}
+		pv.headBuf = t
+		rel := pv.inst.Relation(s.pred.Name)
+		pos := rel.Position(instance.View{}, t.Hash(), t)
+		if rel.StampAt(pos) >= pv.bound {
+			inProgress := func(g *prover) bool { return g.name == s.pred.Name && g.pos == pos }
+			if slices.ContainsFunc(pv.m.e.goals[:pv.d+1], inProgress) {
+				return nil
+			}
+			if ok, err := pv.m.prove(pv.c, pv.d+1, s.pred.Name, pos, pv.bound); err != nil || !ok {
+				return err
+			}
+		}
+		pv.birth = max(pv.birth, pv.inst.Relation(s.pred.Name).StampAt(pos))
+	}
+	if pv.d > 0 && pv.birth+1 >= pv.bound {
+		return nil
+	}
+	return errStopRun
 }
 
 // derivesGoal reports whether some rule of the component derives the
 // fact name(t...): the rule head is matched against the fact (into
 // the goal plan's slots of the frame's own valuation, which the run
 // starts from) and the body evaluated against the live state through
-// the head-bound goal plan (compileGoal), stopping at the first
-// derivation found. On a plain driver this
-// is the reinsert phase's check that the fact is still derivable; on
-// the overdeletion pruner's (opts.boundHeads set), supports read from
-// the component's own heads — the relations still in flux — must be born
-// strictly before boundBirth, the well-founded variant of the check.
-// Every rule participates: the birth order covers mutual recursion
-// through sibling relations.
-func (dr *driver) derivesGoal(plans []*plan, name string, t instance.Tuple, boundBirth uint64) (bool, error) {
+// the head-bound goal plan (compileGoal), until sink (stopRun, or a
+// prover's premises) stops at a derivation. On a plain driver this is
+// the reinsert phase's check that the fact is still derivable; on the
+// pruner's (opts.boundHeads set), supports read from the component's
+// own heads must be born strictly before boundBirth (0: any birth).
+func (dr *driver) derivesGoal(plans []*plan, name string, t instance.Tuple, boundBirth uint64, sink sinkFunc) (bool, error) {
 	dr.opts.boundBirth = boundBirth
 	for _, rp := range plans {
 		if rp.rule.Head.Name != name {
@@ -268,7 +341,8 @@ func (dr *driver) derivesGoal(plans []*plan, name string, t instance.Tuple, boun
 		var runErr error
 		dr.valuation(rp.vars).matchTuple(rp.head, t, func() {
 			if runErr == nil {
-				runErr = dr.exec(workItem{plan: rp}, func(*plan, *Env) error { return errStopRun })
+				dr.goalRuns++
+				runErr = dr.exec(workItem{plan: rp}, sink)
 			}
 		})
 		if errors.Is(runErr, errStopRun) {
@@ -285,13 +359,13 @@ func (dr *driver) derivesGoal(plans []*plan, name string, t instance.Tuple, boun
 func (m *maintenance) reinsert(c *component) error {
 	e := m.e
 	inst := e.inst
-	dr := m.driver(c.plans, runOpts{})
+	dr := m.driver(&e.rein, c.plans, runOpts{})
 	dr.derived = &e.derived
 	// The fixpoint starts before the goal pass, so it chases the restored
 	// facts too: a restored fact can give another candidate, checked
 	// before it, its derivation back.
 	prev := localSizes(c.heads, inst)
-	for _, name := range sortedNames(c.heads) {
+	for _, name := range c.names {
 		dl := m.del[name]
 		if dl == nil {
 			continue
@@ -301,7 +375,7 @@ func (m *maintenance) reinsert(c *component) error {
 				continue
 			}
 			t := dl.TupleAt(pos) // owned by the deletion log, safe to share
-			ok, err := dr.derivesGoal(c.rederive, name, t, 0)
+			ok, err := dr.derivesGoal(c.rederive, name, t, 0, stopRun)
 			if err != nil {
 				return err
 			}
@@ -341,7 +415,7 @@ func (m *maintenance) reinsert(c *component) error {
 	// restorations lie before from, outside the windows; the windows
 	// still over-approximate by covering the fixpoint's re-derived
 	// positions, which downstream overdeletion plus reinsertion absorbs.
-	for _, name := range sortedNames(c.heads) {
+	for _, name := range c.names {
 		rel := inst.Relation(name)
 		if rel == nil {
 			continue
@@ -365,13 +439,4 @@ func (m *maintenance) reinsert(c *component) error {
 		}
 	}
 	return nil
-}
-
-func sortedNames(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

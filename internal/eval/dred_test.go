@@ -180,13 +180,16 @@ R(a.b). R(b.d). R(a.c). R(c.d).`), Limits{})
 // run, over the same relations T and R — and the reinsert phase then
 // runs goal checks of its own. One retraction here needs all of it:
 // T(a.h) is pruned (its other derivation, T(a.g)+R(g.h), is older than
-// the fact), T(a.d) is not (its other derivation goes through T(a.c),
-// born after it), so it is overdeleted and comes back by rederivation.
-// A chase and a goal check sharing one run frame would continue the
-// chase in the goal plan's steps; the result would not be Eval's.
+// the fact), T(a.d) (birth 3) is not: its other derivation goes through
+// T(a.c), born after it, and the proof cannot move T(a.c) below it —
+// the chain a->c1->c2->c gives T(a.c1), T(a.c2) and T(a.c) the births
+// 1, 2 and 3 at best. So T(a.d) is overdeleted and comes back by
+// rederivation. A chase and a goal check sharing one run frame would
+// continue the chase in the goal plan's steps; the result would not be
+// Eval's.
 func TestEngineRetractPrunesInsideTheChase(t *testing.T) {
-	stats := retractMatchesEval(t, []string{`R(a.b). R(b.d). R(b.h). R(a.g). R(g.h).`, `R(a.c). R(c.d).`},
-		`R(a.b).`, `R(b.d). R(b.h). R(a.g). R(g.h). R(a.c). R(c.d).`)
+	stats := retractMatchesEval(t, []string{`R(a.b). R(b.d).`, `R(b.h). R(a.g). R(g.h).`, `R(a.c1). R(c1.c2). R(c2.c). R(c.d).`},
+		`R(a.b).`, `R(b.d). R(b.h). R(a.g). R(g.h). R(a.c1). R(c1.c2). R(c2.c). R(c.d).`)
 	if stats.StampPruned == 0 || stats.Rederived == 0 {
 		t.Fatalf("stats = %+v, want T(a.h) pruned inside the chase and T(a.d) rederived", stats)
 	}
@@ -228,16 +231,19 @@ func retractMatchesEval(t *testing.T, batches []string, retract, surviving strin
 
 // TestEngineRetractKnockOnRestoration pins that the reinsert phase's
 // fixpoint chases the goal pass's restorations. Retracting a->d
-// overdeletes T(a.d), then T(a.c) (derived through T(a.d) and d->c);
-// the pruner keeps neither, since their other supports T(a.c) and
-// T(a.e) were born after them. The goal pass checks T(a.d) first and
-// finds nothing, because its only surviving derivation runs through
-// the still-deleted T(a.c). It then restores T(a.c) through T(a.e) and
-// e->c, and only the fixpoint, started before the goal pass, brings
-// T(a.d) back through T(a.c) and c->d.
+// overdeletes T(a.d) (birth 1), then T(a.c) (birth 3, derived through
+// T(a.d) and d->c); the pruner keeps neither, since their other
+// supports T(a.c) and T(a.e3) were born after them, and no proof moves
+// those below them: T(a.d) is in progress while T(a.c) is proved, and
+// the chain a->e1->e2->e3 gives T(a.e3) the birth 3 at best. The goal
+// pass checks T(a.d) first and finds nothing, because its only
+// surviving derivation runs through the still-deleted T(a.c). It then
+// restores T(a.c) through T(a.e3) and e3->c, and only the fixpoint,
+// started before the goal pass, brings T(a.d) back through T(a.c) and
+// c->d.
 func TestEngineRetractKnockOnRestoration(t *testing.T) {
-	stats := retractMatchesEval(t, []string{`R(a.d). R(d.c).`, `R(c.d).`, `R(a.e). R(e.c).`},
-		`R(a.d).`, `R(d.c). R(c.d). R(a.e). R(e.c).`)
+	stats := retractMatchesEval(t, []string{`R(a.d). R(d.c).`, `R(c.d).`, `R(a.e1). R(e1.e2). R(e2.e3). R(e3.c).`},
+		`R(a.d).`, `R(d.c). R(c.d). R(a.e1). R(e1.e2). R(e2.e3). R(e3.c).`)
 	if stats.Overdeleted != 2 || stats.Rederived < 2 || stats.Derived != 0 {
 		t.Fatalf("stats = %+v, want T(a.d) and T(a.c) overdeleted and both restored", stats)
 	}

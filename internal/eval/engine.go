@@ -43,6 +43,10 @@ type Engine struct {
 	// be partial, so every later evaluation or read call fails fast
 	// with this error (Stats stays available for diagnostics).
 	broken error
+	// The maintenance phases' drivers, kept so a write reuses their
+	// frames: overdeletion, reinsert, and the pruner's goal checks.
+	over, rein driver
+	goals      [proofDepth + 1]*prover
 }
 
 // PlanStats reports which compiled plans a maintenance run executed
@@ -116,10 +120,11 @@ type MaintenanceStats struct {
 	Overdeleted int
 	Rederived   int
 	// StampPruned counts overdeletion candidates the well-founded pruner
-	// kept outright: a rule still derives them from supports that are
-	// settled (an earlier component) or born strictly before the
-	// candidate, so they were never tombstoned and never needed
-	// rederivation.
+	// kept: a rule still derives them from supports that are settled
+	// (an earlier component) or born strictly before the candidate, or
+	// the pruner's proof found such a derivation through younger
+	// supports and moved them older (see dred.go). They were never
+	// tombstoned and never needed rederivation.
 	StampPruned int
 	// Skipped counts the program's dependency components (see
 	// ast.Deps) left completely untouched because no relation they read
@@ -199,6 +204,10 @@ func NewEngine(prep *Prepared, edb *instance.Instance, limits Limits) (*Engine, 
 	// counter: the order the overdeletion pruner reads (see dred.go).
 	// Stamps are recomputed on replay, never serialized.
 	e.inst.SetStamper(&instance.Stamper{})
+	for i := range e.goals {
+		pv := &prover{}
+		pv.sink, e.goals[i] = pv.premises, pv
+	}
 	for name := range prep.idb {
 		if r := e.inst.Relation(name); r != nil {
 			e.seeds[name] = r // frozen by the snapshot above

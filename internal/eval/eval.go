@@ -149,6 +149,8 @@ type driver struct {
 	// In the hot fixpoint rounds most derivations rediscover known facts,
 	// so most derivations allocate nothing.
 	headBuf instance.Tuple
+	// goalRuns counts the goal-plan runs of derivesGoal.
+	goalRuns int
 }
 
 // delta runs one delta round: for every rule and every body atom, the

@@ -3,3 +3,13 @@ package eval
 // AgreementEDBs gives the external tests (the reference in spec_test.go
 // is one) the agreement EDBs of the internal ones.
 var AgreementEDBs = agreementEDBs
+
+// GoalRuns counts the goal-plan runs of every write so far: the
+// pruner's checks and proofs, and the reinsert phase's goal pass.
+func (e *Engine) GoalRuns() int {
+	n := e.rein.goalRuns
+	for _, pv := range e.goals {
+		n += pv.goalRuns
+	}
+	return n
+}

@@ -125,7 +125,7 @@ func TestGoalPlansAgree(t *testing.T) {
 					} {
 						verdict := func(p *plan) bool {
 							dr := &driver{inst: eng.inst, limits: DefaultLimits, opts: check.opts}
-							ok, err := dr.derivesGoal([]*plan{p}, name, check.t, check.birth)
+							ok, err := dr.derivesGoal([]*plan{p}, name, check.t, check.birth, stopRun)
 							if err != nil {
 								t.Fatalf("%s: %v", pg.name, err)
 							}

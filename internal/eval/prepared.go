@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"seqlog/internal/analyze"
@@ -24,8 +25,10 @@ type component struct {
 	// against a candidate fact before the body runs (driver.derivesGoal);
 	// compileGoal picks its first step.
 	rederive []*plan
-	// heads is the set of relation names defined by this component.
+	// heads is the set of relation names defined by this component, and
+	// names lists them sorted.
 	heads map[string]bool
+	names []string
 	// reads is the set of relation names occurring in body predicates
 	// of this component, positive or negated (including its own heads
 	// for recursive rules).
@@ -34,7 +37,7 @@ type component struct {
 
 // String names the component by its sorted head relations, as its
 // errors do.
-func (c *component) String() string { return strings.Join(sortedNames(c.heads), ", ") }
+func (c *component) String() string { return strings.Join(c.names, ", ") }
 
 // Prepared is a compiled program: validated, split into its dependency
 // components in evaluation order, with every rule's join plan and the
@@ -102,7 +105,11 @@ func Compile(prog ast.Program) (*Prepared, error) {
 		}
 		c.plans = append(c.plans, pl)
 		c.rederive = append(c.rederive, rp)
-		c.heads[r.Head.Name] = true
+		if !c.heads[r.Head.Name] {
+			c.heads[r.Head.Name] = true
+			c.names = append(c.names, r.Head.Name)
+			slices.Sort(c.names)
+		}
 		for _, pr := range r.Preds() {
 			c.reads[pr.Name] = true
 		}

@@ -28,15 +28,10 @@ type runOpts struct {
 	// churn, never correctness. The delta step always skips tombstones.
 	includeDead bool
 	// boundHeads/boundBirth are the overdeletion pruner's well-founded
-	// support check: positive non-delta steps over a relation named in
-	// boundHeads (the candidate's component's heads — the relations
-	// still in flux) only accept supports born before the candidate
-	// (birth < boundBirth); every other relation belongs to an earlier
-	// component or the EDB and is settled. Births are issued by one
-	// monotone counter, so justification chains strictly decrease and
-	// circular keep-alives are impossible — including cycles through
-	// sibling relations of the same component, which a per-relation
-	// position measure could not order.
+	// support check (see dred.go): positive non-delta steps over a
+	// relation named in boundHeads, the candidate's component's heads,
+	// only accept supports born before boundBirth (0: any birth); every
+	// other relation belongs to an earlier component or the EDB.
 	boundHeads map[string]bool
 	boundBirth uint64
 }

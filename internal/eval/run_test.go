@@ -138,7 +138,7 @@ func TestFrameUnboundAfterRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	goal := &driver{inst: eng.inst, limits: DefaultLimits}
-	if ok, err := goal.derivesGoal(c.rederive, "T", parser.MustParseInstance(`T(a.d).`).Relation("T").TupleAt(0), 0); !ok || err != nil {
+	if ok, err := goal.derivesGoal(c.rederive, "T", parser.MustParseInstance(`T(a.d).`).Relation("T").TupleAt(0), 0, stopRun); !ok || err != nil {
 		t.Fatalf("derivesGoal(T(a.d)) = %v, %v; want true", ok, err)
 	}
 	assertUnbound(t, "derivesGoal's errStopRun", goal)
@@ -163,7 +163,7 @@ func TestFrameUnboundAfterRun(t *testing.T) {
 			return err
 		}
 		rel := eng.inst.Relation("T")
-		ok, err := goal.derivesGoal(c.rederive, "T", h, rel.StampAt(rel.Position(instance.View{}, h.Hash(), h)))
+		ok, err := goal.derivesGoal(c.rederive, "T", h, rel.StampAt(rel.Position(instance.View{}, h.Hash(), h)), stopRun)
 		assertUnbound(t, "pruner's goal check", goal)
 		if ok {
 			kept++

@@ -419,6 +419,76 @@ func TestStampsSurviveEpochSharing(t *testing.T) {
 	check("frozen snapshot after compact", snap.Relation("R"), want)
 }
 
+// TestRebirthCopiesSharedStamps: Rebirth writes only stamps the live
+// relation owns. After a freeze, the heir shares the sealed chunk and
+// the tail's arrays with the frozen epoch; re-birthing a position in
+// each gives that chunk a stamp array of its own first, so the held
+// epoch reads its old births while a reader clones it concurrently
+// (Clone reads every stamp; run with -race), and the heir keeps
+// appending past the copy.
+func TestRebirthCopiesSharedStamps(t *testing.T) {
+	i := New()
+	i.SetStamper(&Stamper{})
+	fillSeq(i, "R", chunkSize+chunkSize/2)
+	held := i.Snapshot().Relation("R")
+	births := func(r *Relation) []uint64 {
+		out := make([]uint64, r.Size())
+		for pos := range out {
+			out[pos] = r.StampAt(pos)
+		}
+		return out
+	}
+	want := births(held)
+	changed := func(got []uint64) string {
+		for pos := range want {
+			if got[pos] != want[pos] {
+				return fmt.Sprintf("birth at %d is %d, was %d", pos, got[pos], want[pos])
+			}
+		}
+		return ""
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if d := changed(births(held.Clone())); d != "" {
+					t.Errorf("a clone of the held epoch: %s", d)
+					return
+				}
+			}
+		}
+	}()
+	live := i.Ensure("R", 1) // the heir: the sealed chunk and the tail's arrays are shared
+	sealed, tail := 3, chunkSize+2
+	live.Rebirth(sealed, 1)
+	live.Rebirth(tail, 2)
+	live.Rebirth(sealed+1, 1) // the sealed chunk's copy is the heir's now: written in place
+	fillSeq(i, "S", 1)        // draws a birth; the heir keeps appending past its copied tail
+	i.Add("R", tup(value.PathOf("fresh")))
+	close(stop)
+	wg.Wait()
+	if d := changed(births(held)); d != "" {
+		t.Fatalf("held epoch: %s", d)
+	}
+	got := births(live)
+	if got[sealed] != 1 || got[sealed+1] != 1 || got[tail] != 2 {
+		t.Fatalf("live births at %d, %d, %d = %d, %d, %d; want 1, 1, 2", sealed, sealed+1, tail, got[sealed], got[sealed+1], got[tail])
+	}
+	if n := len(want); got[n] != uint64(n+2) || !live.Contains(tup(value.PathOf("fresh"))) {
+		t.Fatalf("append after rebirth: birth %d, want %d", got[n], n+2)
+	}
+	got[sealed], got[sealed+1], got[tail] = want[sealed], want[sealed+1], want[tail]
+	if d := changed(got); d != "" {
+		t.Fatalf("live epoch beside the re-births: %s", d)
+	}
+}
+
 // TestEpochHammer drives concurrent snapshot readers — membership,
 // exact-index, and prefix probes, all of which lazily absorb under the
 // watermark protocol — against a writer cycling assert/retract/Compact

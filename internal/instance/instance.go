@@ -312,6 +312,11 @@ type Relation struct {
 	dead      []*deadPage
 	deadOwned []bool
 	tombs     int
+	// inherited counts the leading chunks shared with a frozen epoch at
+	// the barrier; stampsCopied[i] reports that chunk i's stamps have
+	// been copied since, so Rebirth may write them in place.
+	inherited    int
+	stampsCopied []bool
 
 	// member is the built-in full-tuple membership index. The owning
 	// writer keeps it caught up inline (recordMember).
@@ -380,6 +385,29 @@ func (r *Relation) stampAt(pos int) uint64 { return r.chunks[pos>>chunkShift].st
 // StampAt returns the derivation stamp of the tuple at position pos
 // (0 for tuples appended without a stamper: base facts).
 func (r *Relation) StampAt(pos int) uint64 { return r.stampAt(pos) }
+
+// Rebirth gives the tuple at pos the derivation stamp birth, older
+// than the one it has: eval's overdeletion pruner moves a proved
+// support below the candidate it keeps (see dred.go there). A chunk
+// inherited from a frozen epoch, sealed or the heir's tail, gets a
+// stamp array of its own first, the way tombstone pages do, so no
+// older epoch sees the new birth.
+func (r *Relation) Rebirth(pos int, birth uint64) {
+	if r.frozen.Load() {
+		panic("instance: write to a frozen relation (snapshot-shared storage; clone it or go through Instance.Ensure)")
+	}
+	ci := pos >> chunkShift
+	if ci < r.inherited && (r.stampsCopied == nil || !r.stampsCopied[ci]) {
+		if r.stampsCopied == nil {
+			r.stampsCopied = make([]bool, r.inherited)
+		}
+		old := r.chunks[ci]
+		c := &chunk{tuples: old.tuples, hashes: old.hashes, stamps: append(make([]uint64, 0, cap(old.stamps)), old.stamps...)}
+		c.text.Store(old.text.Load())
+		r.chunks[ci], r.stampsCopied[ci] = c, true
+	}
+	r.chunks[ci].stamps[pos&chunkMask] = birth
+}
 
 // appendTuple appends to the tail chunk with a freshly issued stamp;
 // see appendStamped.
@@ -562,6 +590,7 @@ func (r *Relation) Compact() {
 		}
 	}
 	r.dead, r.deadOwned, r.tombs = nil, nil, 0
+	r.inherited, r.stampsCopied = 0, nil
 	r.member.tab = m
 	r.member.upto.Store(int64(r.size))
 	r.mu.Lock()
@@ -783,7 +812,7 @@ func (r *Relation) Clone() *Relation {
 // CloneStats.
 func (r *Relation) cloneShared() (*Relation, CloneStats) {
 	heir := r.handedOff.CompareAndSwap(false, true)
-	out := &Relation{Arity: r.Arity, size: r.size, tombs: r.tombs, stamper: r.stamper}
+	out := &Relation{Arity: r.Arity, size: r.size, tombs: r.tombs, stamper: r.stamper, inherited: len(r.chunks)}
 	out.member.r = out
 	out.chunks = append([]*chunk(nil), r.chunks...)
 	cost := CloneStats{BarrierClones: 1, SharedChunks: int64(len(r.chunks)), CloneBytes: int64(len(r.chunks)) * 8}
