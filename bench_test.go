@@ -69,7 +69,7 @@ func benchQueryOnInstance(b *testing.B, name string, edb *Instance) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.Query(q.Program, edb, q.Output, eval.Limits{}); err != nil {
+		if _, err := Query(q.Program, edb, q.Output, eval.Limits{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -133,7 +133,7 @@ func BenchmarkMirrorEquationFree(b *testing.B) {
 	edb := workload.Strings(3, "R", 10, 6, workload.Alphabet(3))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.Query(prog, edb, "S", eval.Limits{}); err != nil {
+		if _, err := Query(prog, edb, "S", eval.Limits{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -177,7 +177,7 @@ func BenchmarkThreeOccurrencesDepacked(b *testing.B) {
 	edb := workload.SubstringHaystack(5, 12, 3, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.Eval(prog, edb, eval.Limits{}); err != nil {
+		if _, err := Eval(prog, edb, eval.Limits{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -206,7 +206,7 @@ S($y) :- T($x, $y), Q($x).`)
 	}
 	b.Run("datalog", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eval.Query(prog, edb, "S", eval.Limits{}); err != nil {
+			if _, err := Query(prog, edb, "S", eval.Limits{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -241,14 +241,14 @@ func BenchmarkDoublingSimulated(b *testing.B) {
 	edb := workload.Strings(8, "R", 4, 4, workload.Alphabet(2))
 	b.Run("direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eval.Query(q.Program, edb, "S", eval.Limits{}); err != nil {
+			if _, err := Query(q.Program, edb, "S", eval.Limits{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("doubled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eval.Query(prog, edb, "S", eval.Limits{}); err != nil {
+			if _, err := Query(prog, edb, "S", eval.Limits{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -270,14 +270,14 @@ func BenchmarkTwoBoundedSimulation(b *testing.B) {
 	}
 	b.Run("sequence", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eval.Eval(q.Program, edb, eval.Limits{}); err != nil {
+			if _, err := Eval(q.Program, edb, eval.Limits{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("classical", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eval.Eval(classical, enc, eval.Limits{}); err != nil {
+			if _, err := Eval(classical, enc, eval.Limits{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -293,7 +293,7 @@ func BenchmarkTransitiveClosure(b *testing.B) {
 			edb := workload.Chain(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eval.Eval(q.Program, edb, eval.Limits{}); err != nil {
+				if _, err := Eval(q.Program, edb, eval.Limits{}); err != nil {
 					b.Fatal(err)
 				}
 			}

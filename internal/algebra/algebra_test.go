@@ -187,12 +187,20 @@ T(a.b.c, @x.c.$y, $z.$z) :- P1($y.$y, $z.a, @u.d), P2($z.@x.c, d), !N1(@x.$y.$z,
 	}
 	// Behavioral equivalence.
 	rels := map[string]int{"P1": 3, "P2": 2, "N1": 2, "N2": 2}
+	source, err := eval.Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	normal, err := eval.Compile(nf)
+	if err != nil {
+		t.Fatalf("normal form compile: %v", err)
+	}
 	for i, edb := range randomInstancesArity(5, 10, rels, []string{"a", "b", "c", "d"}, 4, 3) {
-		want, err := eval.Query(prog, edb, "T", eval.Limits{})
+		want, err := source.Query(edb, "T", eval.Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := eval.Query(nf, edb, "T", eval.Limits{})
+		got, err := normal.Query(edb, "T", eval.Limits{})
 		if err != nil {
 			t.Fatalf("normal form eval: %v", err)
 		}
@@ -224,8 +232,12 @@ func assertCompileEquivalent(t *testing.T, src, output string, rels map[string]i
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
+	prep, err := eval.Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, edb := range randomInstancesArity(seeds, 10, rels, []string{"a", "b"}, 4, 3) {
-		want, err := eval.Query(prog, edb, output, eval.Limits{})
+		want, err := prep.Query(edb, output, eval.Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,8 +284,12 @@ A :- T($x), T($y), $x != $y.`
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
+	prep, err := eval.Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, edb := range randomInstancesArity(23, 8, map[string]int{"R": 1, "S": 1}, []string{"a", "b"}, 3, 3) {
-		want, err := eval.Holds(prog, edb, "A", eval.Limits{})
+		want, err := prep.Holds(edb, "A", eval.Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,12 +336,16 @@ func TestToDatalogRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ToDatalog(%s): %v", e, err)
 		}
+		prep, err := eval.Compile(prog)
+		if err != nil {
+			t.Fatalf("compile of translation: %v\n%s", err, prog)
+		}
 		for i, edb := range instances {
 			want, err := Eval(e, edb)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := eval.Query(prog, edb, "Out", eval.Limits{})
+			got, err := prep.Query(edb, "Out", eval.Limits{})
 			if err != nil {
 				t.Fatalf("eval of translation: %v\n%s", err, prog)
 			}

@@ -51,9 +51,14 @@ func randomInstances(seed int64, count int, rels []string, alphabet []string, ma
 
 func checkEquivalent(t *testing.T, p1, p2 ast.Program, output string, instances []*instance.Instance) {
 	t.Helper()
+	prep1, err1 := eval.Compile(p1)
+	prep2, err2 := eval.Compile(p2)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("compile: %v / %v", err1, err2)
+	}
 	for i, edb := range instances {
-		r1, err1 := eval.Query(p1, edb, output, eval.Limits{})
-		r2, err2 := eval.Query(p2, edb, output, eval.Limits{})
+		r1, err1 := prep1.Query(edb, output, eval.Limits{})
+		r2, err2 := prep2.Query(edb, output, eval.Limits{})
 		if err1 != nil || err2 != nil {
 			t.Fatalf("instance %d: %v / %v", i, err1, err2)
 		}
@@ -149,9 +154,14 @@ A :- T($x), T($y), T($z), $x != $y, $x != $z, $y != $z.`)
 		t.Fatalf("achieved %s still has P", res.Achieved)
 	}
 	instances := randomInstances(5, 10, []string{"R", "S"}, []string{"a", "b"}, 4, 4)
+	prep1, err1 := eval.Compile(prog)
+	prep2, err2 := eval.Compile(res.Program)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("compile: %v / %v", err1, err2)
+	}
 	for i, edb := range instances {
-		b1, err1 := eval.Holds(prog, edb, "A", eval.Limits{})
-		b2, err2 := eval.Holds(res.Program, edb, "A", eval.Limits{})
+		b1, err1 := prep1.Holds(edb, "A", eval.Limits{})
+		b2, err2 := prep2.Holds(edb, "A", eval.Limits{})
 		if err1 != nil || err2 != nil || b1 != b2 {
 			t.Fatalf("instance %d: %v/%v %v/%v", i, b1, b2, err1, err2)
 		}

@@ -106,7 +106,7 @@ T(@x.@z) :- T(@x.@y), R(@y.@z).`)
 		edb := parser.MustParseInstance(chainFacts(n))
 		b.Run(fmt.Sprintf("chain=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Eval(prog, edb, Limits{}); err != nil {
+				if _, err := compiled(b, prog).Eval(edb, Limits{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -138,7 +138,7 @@ S :- T(a.b).`)
 		// continues; the scan baseline it was paired with is retired.
 		b.Run(fmt.Sprintf("nodes=%d/edges=1000/indexed", nodes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Eval(prog, edb, Limits{}); err != nil {
+				if _, err := compiled(b, prog).Eval(edb, Limits{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -156,7 +156,7 @@ func BenchmarkConcatJoin(b *testing.B) {
 		edb := concatWorkload(n)
 		b.Run(fmt.Sprintf("strings=%d/indexed", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Eval(prog, edb, Limits{}); err != nil {
+				if _, err := compiled(b, prog).Eval(edb, Limits{}); err != nil {
 					b.Fatal(err)
 				}
 			}

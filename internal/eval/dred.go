@@ -259,17 +259,12 @@ type prover struct {
 	sink         sinkFunc
 }
 
-// proofDepth is the deepest a premise is proved at: on the seed-9 churn
-// of reachability (docs/evaluation.md), depth 2 keeps more candidates
-// than 1, and deeper searches cost more goal runs and keep fewer.
-const proofDepth = 2
-
 // prove reports whether the live fact at pos of name derives from
 // in-component premises born before bound, or proved so one depth down,
 // and gives the fact at depth d > 0 the birth max(its premises') + 1 <
 // bound; the candidate at depth 0 keeps its own. Its first step is the
-// birth-bounded check; below proofDepth, a second run proves younger
-// premises (premises).
+// birth-bounded check; below the engine's proofDepth, a second run
+// proves younger premises (premises).
 func (m *maintenance) prove(c *component, d int, name string, pos int, bound uint64) (bool, error) {
 	pv, rel := m.e.goals[d], m.e.inst.Relation(name)
 	m.driver(&pv.driver, nil, runOpts{boundHeads: c.heads})
@@ -279,7 +274,7 @@ func (m *maintenance) prove(c *component, d int, name string, pos int, bound uin
 		sink = stopRun // the candidate needs no birth
 	}
 	ok, err := pv.derivesGoal(c.rederive, name, rel.TupleAt(pos), bound, sink)
-	if !ok && err == nil && d < proofDepth {
+	if !ok && err == nil && d < m.e.proofDepth {
 		ok, err = pv.derivesGoal(c.rederive, name, rel.TupleAt(pos), 0, pv.sink)
 	}
 	if ok && d > 0 {

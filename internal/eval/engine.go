@@ -44,9 +44,11 @@ type Engine struct {
 	// with this error (Stats stays available for diagnostics).
 	broken error
 	// The maintenance phases' drivers, kept so a write reuses their
-	// frames: overdeletion, reinsert, and the pruner's goal checks.
+	// frames: overdeletion, reinsert, and the pruner's goal checks, one
+	// prover per proof depth 0..proofDepth (setProofDepth).
 	over, rein driver
-	goals      [proofDepth + 1]*prover
+	goals      []*prover
+	proofDepth int
 }
 
 // PlanStats reports which compiled plans a maintenance run executed
@@ -204,10 +206,7 @@ func NewEngine(prep *Prepared, edb *instance.Instance, limits Limits) (*Engine, 
 	// counter: the order the overdeletion pruner reads (see dred.go).
 	// Stamps are recomputed on replay, never serialized.
 	e.inst.SetStamper(&instance.Stamper{})
-	for i := range e.goals {
-		pv := &prover{}
-		pv.sink, e.goals[i] = pv.premises, pv
-	}
+	e.setProofDepth(2)
 	for name := range prep.idb {
 		if r := e.inst.Relation(name); r != nil {
 			e.seeds[name] = r // frozen by the snapshot above
@@ -217,6 +216,19 @@ func NewEngine(prep *Prepared, edb *instance.Instance, limits Limits) (*Engine, 
 		return nil, err
 	}
 	return e, nil
+}
+
+// setProofDepth sets the deepest depth a premise is proved at. NewEngine
+// sets 2: on the seed-9 churn of reachability (docs/evaluation.md),
+// depth 2 keeps more candidates than 1, and deeper searches cost more
+// goal runs and keep fewer. At 0 the birth-bounded check alone keeps a
+// candidate; only tests set it (export_test.go).
+func (e *Engine) setProofDepth(d int) {
+	e.proofDepth, e.goals = d, make([]*prover, d+1)
+	for i := range e.goals {
+		pv := &prover{}
+		pv.sink, e.goals[i] = pv.premises, pv
+	}
 }
 
 // Prepared returns the engine's compiled program.
@@ -242,8 +254,8 @@ func (e *Engine) Snapshot() (*instance.Instance, error) {
 // an empty relation of the right arity when the program names output
 // but nothing was derived. The returned relation is frozen, so it
 // stays valid (and constant) under concurrent maintenance. Unlike
-// eval.Query this does not evaluate anything: the engine is already at
-// fixpoint.
+// Prepared.Query this does not evaluate anything: the engine is already
+// at fixpoint.
 func (e *Engine) Query(output string) (*instance.Relation, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

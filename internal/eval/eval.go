@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"seqlog/internal/ast"
 	"seqlog/internal/instance"
 )
 
@@ -48,44 +47,6 @@ func (l *Limits) SetMaxFacts(s string) error {
 	}
 	l.MaxFacts = n
 	return err
-}
-
-// Eval computes P(I): the least instance extending edb that satisfies
-// every rule, one dependency component at a time (paper §2.3). The
-// input instance is not modified (its relations are shared
-// copy-on-write with the result, see Prepared.Eval). The result
-// contains the EDB facts plus all derived IDB facts.
-//
-// Eval compiles the program on every call; callers evaluating the same
-// program repeatedly should Compile once and reuse the *Prepared, or
-// keep a live materialized view with an Engine.
-func Eval(prog ast.Program, edb *instance.Instance, limits Limits) (*instance.Instance, error) {
-	p, err := Compile(prog)
-	if err != nil {
-		return nil, err
-	}
-	return p.Eval(edb, limits)
-}
-
-// Query evaluates the program and returns the contents of one output
-// relation; see Prepared.Query. Validation, planning and arities are
-// computed once per call through the shared compile path.
-func Query(prog ast.Program, edb *instance.Instance, output string, limits Limits) (*instance.Relation, error) {
-	p, err := Compile(prog)
-	if err != nil {
-		return nil, err
-	}
-	return p.Query(edb, output, limits)
-}
-
-// Holds evaluates the program and reports whether the nullary output
-// relation holds (boolean queries, §5.1.1); see Prepared.Holds.
-func Holds(prog ast.Program, edb *instance.Instance, output string, limits Limits) (bool, error) {
-	p, err := Compile(prog)
-	if err != nil {
-		return false, err
-	}
-	return p.Holds(edb, output, limits)
 }
 
 // localSizes returns the current tuple-log high-water mark (Size, not

@@ -7,23 +7,39 @@ import (
 	"sync"
 	"testing"
 
+	"seqlog/internal/ast"
 	"seqlog/internal/instance"
 	"seqlog/internal/parser"
 	"seqlog/internal/value"
 )
 
+// compiled is Compile that fails the test on an error.
+func compiled(tb testing.TB, p ast.Program) *Prepared {
+	tb.Helper()
+	prep, err := Compile(p)
+	if err != nil {
+		tb.Fatalf("Compile: %v\nprogram:\n%s", err, p)
+	}
+	return prep
+}
+
 func mustEval(t *testing.T, prog, edb string) *instance.Instance {
 	t.Helper()
 	p := parser.MustParseProgram(prog)
 	i := parser.MustParseInstance(edb)
-	out, err := Eval(p, i, Limits{})
+	out, err := compiled(t, p).Eval(i, Limits{})
 	if err != nil {
 		t.Fatalf("Eval: %v\nprogram:\n%s", err, prog)
 	}
 	return out
 }
 
+// pathsOf lists rel's first column in order. A relation nothing was
+// derived into is nil: it fails the caller's check, not the package.
 func pathsOf(rel *instance.Relation) []string {
+	if rel == nil {
+		return nil
+	}
 	var out []string
 	for _, t := range rel.Sorted() {
 		out = append(out, t[0].String())
@@ -212,12 +228,12 @@ func TestNonTerminationGuard(t *testing.T) {
 	prog := parser.MustParseProgram(`
 T(a).
 T(a.$x) :- T($x).`)
-	_, err := Eval(prog, instance.New(), Limits{MaxFacts: 1000})
+	_, err := compiled(t, prog).Eval(instance.New(), Limits{MaxFacts: 1000})
 	if !errors.Is(err, ErrNonTermination) {
 		t.Fatalf("err = %v, want ErrNonTermination", err)
 	}
 	// Path length guard fires too.
-	_, err = Eval(prog, instance.New(), Limits{MaxPathLen: 64})
+	_, err = compiled(t, prog).Eval(instance.New(), Limits{MaxPathLen: 64})
 	if !errors.Is(err, ErrNonTermination) {
 		t.Fatalf("err = %v, want ErrNonTermination", err)
 	}
@@ -242,19 +258,19 @@ func TestEmptyEDBRelation(t *testing.T) {
 	if r := out.Relation("S"); r != nil && r.Len() > 0 {
 		t.Fatal("S must be empty on empty EDB")
 	}
-	rel, err := Query(parser.MustParseProgram(`S($x) :- R($x).`), instance.New(), "S", Limits{})
+	rel, err := compiled(t, parser.MustParseProgram(`S($x) :- R($x).`)).Query(instance.New(), "S", Limits{})
 	if err != nil || rel.Len() != 0 {
 		t.Fatalf("Query: %v %v", rel, err)
 	}
 }
 
 func TestHolds(t *testing.T) {
-	prog := parser.MustParseProgram(`A :- R($x).`)
-	yes, err := Holds(prog, parser.MustParseInstance(`R(a).`), "A", Limits{})
+	prep := compiled(t, parser.MustParseProgram(`A :- R($x).`))
+	yes, err := prep.Holds(parser.MustParseInstance(`R(a).`), "A", Limits{})
 	if err != nil || !yes {
 		t.Fatalf("Holds = %v, %v", yes, err)
 	}
-	no, err := Holds(prog, instance.New(), "A", Limits{})
+	no, err := prep.Holds(instance.New(), "A", Limits{})
 	if err != nil || no {
 		t.Fatalf("Holds = %v, %v", no, err)
 	}
@@ -271,7 +287,7 @@ func TestFactsOnlyProgram(t *testing.T) {
 func TestInputNotModified(t *testing.T) {
 	prog := parser.MustParseProgram(`S($x) :- R($x).`)
 	edb := parser.MustParseInstance(`R(a).`)
-	if _, err := Eval(prog, edb, Limits{}); err != nil {
+	if _, err := compiled(t, prog).Eval(edb, Limits{}); err != nil {
 		t.Fatal(err)
 	}
 	if edb.Relation("S") != nil {
@@ -323,8 +339,8 @@ func TestUnstratifiedRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog.Strata[0] = append(prog.Strata[0], bad...)
-	if _, err := Eval(prog, instance.New(), Limits{}); err == nil {
-		t.Fatal("unstratified program accepted by Eval")
+	if _, err := Compile(prog); err == nil {
+		t.Fatal("unstratified program accepted by Compile")
 	}
 }
 

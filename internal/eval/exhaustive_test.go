@@ -11,8 +11,10 @@ import (
 	"runtime/debug"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"seqlog/internal/ast"
 	"seqlog/internal/eval"
 	"seqlog/internal/instance"
 	"seqlog/internal/parser"
@@ -64,11 +66,15 @@ func (o *odometer) prune(k int) { o.digits, o.bases = o.digits[:k+1], o.bases[:k
 // renaming of the constants in nodes leaves the program alone, so a
 // walk visits only the histories no renaming makes lexicographically
 // smaller; a prefix of such a history is one too, so the walk prunes at
-// the first prefix that is not.
+// the first prefix that is not. proofOff walks the alphabet a second
+// time with the pruner's proof off (proof depth 0): the proof keeps the
+// candidates whose loss the goal pass and the chase repair, so only
+// that pass reaches the repair.
 type alphabet struct {
 	name, src, fixed, nodes string
 	facts                   []string
 	depth                   int
+	proofOff                bool
 }
 
 // renamings returns, for every permutation of a.nodes that extends pn,
@@ -109,7 +115,7 @@ func walkAlphabets() []alphabet {
 	// nodes against renaming, so only the paper-query walk keeps it.
 	closure := "T(@x.@y) :- R(@x.@y).\nT(@x.@z) :- T(@x.@y), R(@y.@z)."
 	out := []alphabet{
-		{name: "reachability-4", src: closure, nodes: "abcd", facts: edges("abcd", false), depth: 6},
+		{name: "reachability-4", src: closure, nodes: "abcd", facts: edges("abcd", false), depth: 6, proofOff: true},
 		{name: "reachability-3-loops", src: closure, nodes: "abc", facts: edges("abc", true), depth: 6},
 		// GenScenario's negation family, every optional rule on.
 		{name: "scenario-negation", depth: 4, src: `C(@x.@y) :- E1(@x.@y).
@@ -147,45 +153,71 @@ M($x) :- D($x), !J($x).`, facts: strings.Fields("E1(a.a). E1(a.b). E1(b.a). E1(b
 // replay of the history's records through Replayer, the handler WAL
 // recovery runs, must land on the engine's state.
 func TestMaintenanceWalk(t *testing.T) {
-	// Writes churn short-lived state; this cuts the walk by a quarter.
-	gc := debug.SetGCPercent(400)
+	// Writes churn short-lived state: a GC target of 400 cut the walk by
+	// a quarter, and 1200 by 13 % more, at a peak RSS of 200-260 MB.
+	gc := debug.SetGCPercent(1200)
 	t.Cleanup(func() { debug.SetGCPercent(gc) })
 	for _, a := range walkAlphabets() {
+		a.depth += *walkDeeper
+		if raceBuild {
+			a.depth = 2
+		}
+		ref := &reference{a: a, prog: parser.MustParseProgram(a.src), models: map[uint64]*instance.Instance{}}
 		t.Run(a.name, func(t *testing.T) {
 			t.Parallel()
-			a.depth += *walkDeeper
-			if raceBuild {
-				a.depth = 2
-			}
-			walk(t, a)
+			walk(t, ref, false)
 		})
+		if a.proofOff {
+			t.Run(a.name+"-proof-depth-0", func(t *testing.T) {
+				t.Parallel()
+				walk(t, ref, true)
+			})
+		}
 	}
 }
 
-func walk(t *testing.T, a alphabet) {
-	prog, fixed := parser.MustParseProgram(a.src), parser.MustParseInstance(a.fixed)
+// reference is a walk's oracle: specEval of the fixed facts plus each
+// set of toggled facts, memoized. It does not depend on the proof depth,
+// so the two passes of one alphabet share it.
+type reference struct {
+	a      alphabet
+	prog   ast.Program
+	mu     sync.Mutex
+	models map[uint64]*instance.Instance
+}
+
+func (r *reference) model(t *testing.T, set uint64) *instance.Instance {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.models[set] == nil {
+		src := r.a.fixed
+		for i, f := range r.a.facts {
+			if set>>i&1 == 1 {
+				src += " " + f
+			}
+		}
+		var err error
+		if r.models[set], err = specEval(r.prog, parser.MustParseInstance(src)); err != nil {
+			t.Fatalf("reference on %s: %v", src, err)
+		}
+	}
+	return r.models[set]
+}
+
+func walk(t *testing.T, ref *reference, proofOff bool) {
+	a := ref.a
+	fixed := parser.MustParseInstance(a.fixed)
 	eng, err := eval.FromSource(a.src, fixed, eval.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if proofOff {
+		eval.SetProofDepth(eng, 0)
+	}
+	model := func(set uint64) *instance.Instance { return ref.model(t, set) }
 	renamings, batches := a.renamings(""), []*instance.Instance{}
 	for _, f := range a.facts {
 		batches = append(batches, parser.MustParseInstance(f))
-	}
-	models := map[uint64]*instance.Instance{} // specEval per set of toggled facts
-	model := func(set uint64) *instance.Instance {
-		if models[set] == nil {
-			src := a.fixed
-			for i, f := range a.facts {
-				if set>>i&1 == 1 {
-					src += " " + f
-				}
-			}
-			if models[set], err = specEval(prog, parser.MustParseInstance(src)); err != nil {
-				t.Fatalf("reference on %s: %v", src, err)
-			}
-		}
-		return models[set]
 	}
 	record := func(set uint64, i int) wal.Record {
 		return wal.Record{Op: [2]wal.Op{wal.OpAssert, wal.OpRetract}[set>>i&1], Batch: batches[i]}
@@ -247,7 +279,9 @@ func walk(t *testing.T, a alphabet) {
 		if len(path) < a.depth {
 			continue
 		}
-		if leaves++; leaves%64 != 1 {
+		// A Replayer proves at the default depth, so the first pass
+		// replays the same histories to the same states.
+		if leaves++; leaves%64 != 1 || proofOff {
 			continue
 		}
 		var r eval.Replayer
@@ -261,5 +295,5 @@ func walk(t *testing.T, a alphabet) {
 			failf("replay ≠ engine: %s", instance.Diff(got, now))
 		}
 	}
-	t.Logf("%d facts, depth %d: %d ops, %d leaves, %d EDB sets", len(a.facts), a.depth, ops, leaves, len(models))
+	t.Logf("%d facts, depth %d: %d ops, %d leaves", len(a.facts), a.depth, ops, leaves)
 }

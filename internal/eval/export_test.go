@@ -13,3 +13,7 @@ func (e *Engine) GoalRuns() int {
 	}
 	return n
 }
+
+// SetProofDepth sets the pruner's proof depth of e; the walk runs at 0
+// too, where only the birth-bounded check keeps a candidate.
+func SetProofDepth(e *Engine, d int) { e.setProofDepth(d) }

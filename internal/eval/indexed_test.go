@@ -42,12 +42,13 @@ func agreementEDBs(t *testing.T) map[string]*instance.Instance {
 func TestQueryUnknownOutputErrors(t *testing.T) {
 	prog := parser.MustParseProgram(`S($x) :- R($x).`)
 	edb := parser.MustParseInstance("R(a).")
-	if _, err := Query(prog, edb, "Nope", Limits{}); err == nil || !strings.Contains(err.Error(), "unknown output relation") {
+	prep := compiled(t, prog)
+	if _, err := prep.Query(edb, "Nope", Limits{}); err == nil || !strings.Contains(err.Error(), "unknown output relation") {
 		t.Fatalf("unknown output: got %v", err)
 	}
 	// A relation the program defines but never derives stays a valid,
 	// empty result with the program's arity.
-	rel, err := Query(parser.MustParseProgram(`S($x, $y) :- R($x), R($y), $x != $x.`), edb, "S", Limits{})
+	rel, err := compiled(t, parser.MustParseProgram(`S($x, $y) :- R($x), R($y), $x != $x.`)).Query(edb, "S", Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestQueryUnknownOutputErrors(t *testing.T) {
 		t.Fatalf("empty program-defined output: len=%d arity=%d", rel.Len(), rel.Arity)
 	}
 	// A relation only the instance knows is returned as-is.
-	rel, err = Query(prog, edb, "R", Limits{})
+	rel, err = prep.Query(edb, "R", Limits{})
 	if err != nil || rel.Len() != 1 {
 		t.Fatalf("edb output: %v %v", rel, err)
 	}

@@ -22,7 +22,7 @@ S($x.b) :- S($x).`}
 // with ErrNonTermination under limits.
 func tripsNonTermination(t *testing.T, limits Limits) {
 	for _, src := range nonTerminating {
-		_, err := Eval(parser.MustParseProgram(src), parser.MustParseInstance(""), limits)
+		_, err := compiled(t, parser.MustParseProgram(src)).Eval(parser.MustParseInstance(""), limits)
 		if !errors.Is(err, ErrNonTermination) {
 			t.Fatalf("%+v on %s: got %v, want ErrNonTermination", limits, src, err)
 		}
@@ -42,7 +42,7 @@ func TestLimitsDoNotFireOnTerminatingRuns(t *testing.T) {
 T($x) :- R($x).
 T($x) :- T($x.a).`)
 	edb := parser.MustParseInstance("R(a.a.a).")
-	out, err := Eval(prog, edb, Limits{MaxFacts: 100, MaxPathLen: 10})
+	out, err := compiled(t, prog).Eval(edb, Limits{MaxFacts: 100, MaxPathLen: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

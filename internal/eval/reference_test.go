@@ -52,7 +52,11 @@ func TestEvalMatchesNaiveReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s (reference): %v", name, err)
 		}
-		got, err := eval.Eval(prog, edb, eval.Limits{})
+		prep, err := eval.Compile(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := prep.Eval(edb, eval.Limits{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -159,7 +163,11 @@ T(@x.@z) :- T(@x.@y), T(@y.@z).`)
 	}
 	t.Run("eval", func(t *testing.T) {
 		check(t, func(prog ast.Program, edb *instance.Instance) (*instance.Instance, error) {
-			return eval.Eval(prog, edb, eval.Limits{})
+			prep, err := eval.Compile(prog)
+			if err != nil {
+				return nil, err
+			}
+			return prep.Eval(edb, eval.Limits{})
 		})
 	})
 	t.Run("naive", func(t *testing.T) { check(t, specEval) })

@@ -60,9 +60,19 @@ func TestFragmentsMatchPaper(t *testing.T) {
 	}
 }
 
+// compiled compiles q's program.
+func compiled(t *testing.T, q Query) *eval.Prepared {
+	t.Helper()
+	prep, err := eval.Compile(q.Program)
+	if err != nil {
+		t.Fatalf("%s: %v", q.Name, err)
+	}
+	return prep
+}
+
 func run(t *testing.T, q Query, edb *instance.Instance) *instance.Relation {
 	t.Helper()
-	rel, err := eval.Query(q.Program, edb, q.Output, eval.Limits{})
+	rel, err := compiled(t, q).Query(edb, q.Output, eval.Limits{})
 	if err != nil {
 		t.Fatalf("%s: %v", q.Name, err)
 	}
@@ -125,14 +135,15 @@ func TestSquaringOutput(t *testing.T) {
 }
 
 func TestReachabilityChainAndRandom(t *testing.T) {
-	yes, err := eval.Holds(Reachability.Program, workload.Chain(12), "S", eval.Limits{})
+	reach := compiled(t, Reachability)
+	yes, err := reach.Holds(workload.Chain(12), "S", eval.Limits{})
 	if err != nil || !yes {
 		t.Fatalf("chain reachability: %v %v", yes, err)
 	}
 	// A graph with no edges out of a.
 	edb := instance.New()
 	edb.AddPath("R", value.PathOf("c", "b"))
-	no, err := eval.Holds(Reachability.Program, edb, "S", eval.Limits{})
+	no, err := reach.Holds(edb, "S", eval.Limits{})
 	if err != nil || no {
 		t.Fatalf("unreachable case: %v %v", no, err)
 	}
@@ -140,19 +151,20 @@ func TestReachabilityChainAndRandom(t *testing.T) {
 
 func TestThreeOccurrences(t *testing.T) {
 	edb := parser.MustParseInstance(`R(a.b.a.b.a). S(a).`)
-	yes, err := eval.Holds(ThreeOccurrences.Program, edb, "A", eval.Limits{})
+	three := compiled(t, ThreeOccurrences)
+	yes, err := three.Holds(edb, "A", eval.Limits{})
 	if err != nil || !yes {
 		t.Fatalf("three a's: %v %v", yes, err)
 	}
 	edb2 := parser.MustParseInstance(`R(a.b). S(a).`)
-	no, err := eval.Holds(ThreeOccurrences.Program, edb2, "A", eval.Limits{})
+	no, err := three.Holds(edb2, "A", eval.Limits{})
 	if err != nil || no {
 		t.Fatalf("one a: %v %v", no, err)
 	}
 }
 
 func TestNonTerminatingGuard(t *testing.T) {
-	_, err := eval.Eval(NonTerminating.Program, instance.New(), eval.Limits{MaxFacts: 500})
+	_, err := compiled(t, NonTerminating).Eval(instance.New(), eval.Limits{MaxFacts: 500})
 	if !errors.Is(err, eval.ErrNonTermination) {
 		t.Fatalf("err = %v", err)
 	}
@@ -193,11 +205,12 @@ L('complete order'.'receive payment'.'complete order').
 func TestDeepEqual(t *testing.T) {
 	same := workload.TwoJSONSets(5, 8, 3, true)
 	diff := workload.TwoJSONSets(5, 8, 3, false)
-	holds, err := eval.Holds(DeepEqual.Program, same, "A", eval.Limits{})
+	deepEqual := compiled(t, DeepEqual)
+	holds, err := deepEqual.Holds(same, "A", eval.Limits{})
 	if err != nil || holds {
 		t.Fatalf("equal sets flagged different: %v %v", holds, err)
 	}
-	holds, err = eval.Holds(DeepEqual.Program, diff, "A", eval.Limits{})
+	holds, err = deepEqual.Holds(diff, "A", eval.Limits{})
 	if err != nil || !holds {
 		t.Fatalf("different sets not flagged: %v %v", holds, err)
 	}

@@ -51,11 +51,19 @@ func assertClassicalEquivalent(t *testing.T, prog ast.Program, output string, in
 			}
 		}
 	}
+	direct, err := eval.Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encoded, err := eval.Compile(classical)
+	if err != nil {
+		t.Fatalf("classical compile: %v\n%s", err, classical)
+	}
 	for i, edb := range instances {
 		if !TwoBounded(edb) {
 			t.Fatalf("instance %d is not two-bounded", i)
 		}
-		direct, err := eval.Eval(prog, edb, eval.Limits{})
+		out, err := direct.Eval(edb, eval.Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,13 +71,13 @@ func assertClassicalEquivalent(t *testing.T, prog ast.Program, output string, in
 		if err != nil {
 			t.Fatal(err)
 		}
-		encOut, err := eval.Eval(classical, enc, eval.Limits{})
+		encOut, err := encoded.Eval(enc, eval.Limits{})
 		if err != nil {
 			t.Fatalf("classical eval: %v\n%s", err, classical)
 		}
 		got := DecodeTwoBounded(encOut, output)
 		want := instance.New()
-		if r := direct.Relation(output); r != nil {
+		if r := out.Relation(output); r != nil {
 			want.Put(output, r)
 		}
 		if !want.Equal(got) {

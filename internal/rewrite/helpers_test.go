@@ -14,7 +14,11 @@ import (
 // mustQuery evaluates prog on edb and returns the output relation.
 func mustQuery(t *testing.T, prog ast.Program, edb *instance.Instance, output string) *instance.Relation {
 	t.Helper()
-	rel, err := eval.Query(prog, edb, output, eval.Limits{})
+	prep, err := eval.Compile(prog)
+	if err != nil {
+		t.Fatalf("Compile: %v\nprogram:\n%s", err, prog)
+	}
+	rel, err := prep.Query(edb, output, eval.Limits{})
 	if err != nil {
 		t.Fatalf("Query(%s): %v\nprogram:\n%s", output, err, prog)
 	}
@@ -62,7 +66,11 @@ func randomFlatInstances(seed int64, count int, rels []string, alphabet []string
 
 // holdsOn reports whether the nullary relation A holds after running p.
 func holdsOn(p ast.Program, edb *instance.Instance) (bool, error) {
-	return eval.Holds(p, edb, "A", eval.Limits{})
+	prep, err := eval.Compile(p)
+	if err != nil {
+		return false, err
+	}
+	return prep.Holds(edb, "A", eval.Limits{})
 }
 
 func mustParse(t *testing.T, src string) ast.Program {

@@ -17,7 +17,7 @@ import (
 func buildHistory(b *testing.B, dir string, n, ckptAt int) {
 	b.Helper()
 	h := &replayHandler{}
-	l, err := wal.Open(dir, wal.Options{Sync: wal.SyncNever, CheckpointRecords: -1, CheckpointBytes: -1}, h)
+	l, err := wal.Open(dir, wal.Options{Sync: wal.SyncNever, CheckpointRecords: -1}, h)
 	if err != nil {
 		b.Fatal(err)
 	}

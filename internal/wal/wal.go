@@ -73,6 +73,10 @@ func (p SyncPolicy) String() string {
 	return fmt.Sprintf("policy(%d)", int(p))
 }
 
+// checkpointBytes of records appended since the last checkpoint make
+// ShouldCheckpoint report true, whatever CheckpointRecords says.
+const checkpointBytes = 16 << 20
+
 // Options configure a Log.
 type Options struct {
 	// Sync is the fsync policy for appends (default SyncAlways).
@@ -83,11 +87,8 @@ type Options struct {
 	SyncEvery time.Duration
 	// CheckpointRecords triggers ShouldCheckpoint once that many
 	// records were appended since the last checkpoint (default 4096;
-	// negative disables the record trigger).
+	// negative disables this trigger, not checkpointBytes' one).
 	CheckpointRecords int
-	// CheckpointBytes likewise, by appended bytes (default 16 MiB;
-	// negative disables the byte trigger).
-	CheckpointBytes int64
 	// WrapWriter, when set, wraps the WAL file writer — the fault
 	// injection hook (internal/wal/walfault). It is re-applied to the
 	// fresh file after every checkpoint rotation.
@@ -104,9 +105,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CheckpointRecords == 0 {
 		o.CheckpointRecords = 4096
-	}
-	if o.CheckpointBytes == 0 {
-		o.CheckpointBytes = 16 << 20
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -444,13 +442,13 @@ func (l *Log) sync(start time.Time) error {
 }
 
 // ShouldCheckpoint reports whether the records or bytes appended since
-// the last checkpoint crossed the configured trigger.
+// the last checkpoint crossed CheckpointRecords or checkpointBytes.
 func (l *Log) ShouldCheckpoint() bool {
 	if l.failed != nil {
 		return false
 	}
 	return (l.opts.CheckpointRecords > 0 && l.ckptRecords >= l.opts.CheckpointRecords) ||
-		(l.opts.CheckpointBytes > 0 && l.ckptBytes >= l.opts.CheckpointBytes)
+		l.ckptBytes >= checkpointBytes
 }
 
 // Checkpoint commits a snapshot of the current state (the program

@@ -116,7 +116,7 @@ type crashPlan struct {
 // generation's file after each record and the generation it landed in.
 func runScenario(t *testing.T, dir string, sc fuzztest.Scenario, ckptEvery int) (gens []int, ends []int64, lastGen int) {
 	t.Helper()
-	opts := wal.Options{Sync: wal.SyncAlways, CheckpointRecords: -1, CheckpointBytes: -1}
+	opts := wal.Options{Sync: wal.SyncAlways, CheckpointRecords: -1}
 	l, h := mustOpen(t, dir, opts)
 	defer l.Close()
 
@@ -219,7 +219,7 @@ func crashRecoverySeed(t *testing.T, seed int64, ckptEvery int) {
 		}
 	}
 
-	l2, h2 := mustOpen(t, dir, wal.Options{CheckpointRecords: -1, CheckpointBytes: -1})
+	l2, h2 := mustOpen(t, dir, wal.Options{CheckpointRecords: -1})
 	defer l2.Close()
 	rs := l2.Recovery()
 	if h2.Engine() == nil {
@@ -313,7 +313,7 @@ func TestReplayReassignsStampsIdentically(t *testing.T) {
 		}
 		return ""
 	}
-	noCkpt := wal.Options{Sync: wal.SyncAlways, CheckpointRecords: -1, CheckpointBytes: -1}
+	noCkpt := wal.Options{Sync: wal.SyncAlways, CheckpointRecords: -1}
 	for seed := int64(0); seed < 8; seed++ {
 		sc := fuzztest.GenScenario(rand.New(rand.NewSource(seed)))
 
@@ -391,7 +391,7 @@ func TestCheckpointFallbackRecovery(t *testing.T) {
 // current and the immediately previous generation on disk.
 func TestCheckpointRetention(t *testing.T) {
 	dir := t.TempDir()
-	l, h := mustOpen(t, dir, wal.Options{Sync: wal.SyncNever, CheckpointRecords: -1, CheckpointBytes: -1})
+	l, h := mustOpen(t, dir, wal.Options{Sync: wal.SyncNever, CheckpointRecords: -1})
 	defer l.Close()
 	rec := wal.Record{Op: wal.OpLoad, Program: tcSrc}
 	if err := l.Append(rec); err != nil {

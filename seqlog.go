@@ -204,17 +204,29 @@ func NewEngine(p *Prepared, edb *Instance, limits Limits) (*Engine, error) {
 // call; use Compile + Prepared.Eval (or an Engine) for repeated
 // evaluation of the same program.
 func Eval(p Program, edb *Instance, limits Limits) (*Instance, error) {
-	return eval.Eval(p, edb, limits)
+	prep, err := eval.Compile(p)
+	if err != nil {
+		return nil, err
+	}
+	return prep.Eval(edb, limits)
 }
 
 // Query evaluates the program and returns the output relation.
 func Query(p Program, edb *Instance, output string, limits Limits) (*Relation, error) {
-	return eval.Query(p, edb, output, limits)
+	prep, err := eval.Compile(p)
+	if err != nil {
+		return nil, err
+	}
+	return prep.Query(edb, output, limits)
 }
 
 // Holds evaluates a boolean (nullary-output) query.
 func Holds(p Program, edb *Instance, output string, limits Limits) (bool, error) {
-	return eval.Holds(p, edb, output, limits)
+	prep, err := eval.Compile(p)
+	if err != nil {
+		return false, err
+	}
+	return prep.Holds(edb, output, limits)
 }
 
 // Classification (§3, §6).
