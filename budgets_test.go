@@ -35,12 +35,16 @@ func TestAllocBudgets(t *testing.T) {
 		{"IncrementalAssert/incremental-interleaved/k=1", interleavedBody, 160, 85_000},
 		// The maintenance drivers live on the engine and the pruner's
 		// proofs keep the candidates a retract used to overdelete and
-		// rebuild: 54 allocs and 60 578 B/op measured, 59 and 77 131
-		// under -race; the bound is the -race figure plus 5 %.
-		// Reachability's goal plan starts at R, outside the recursion;
-		// checks that start at T measure 114 938 B/op (147 045 under
-		// -race): a silent revert fails the bound.
+		// rebuild: 51 allocs and 60 396 B/op measured, 56 and 76 940
+		// under -race (a tombstone is a bit of the stamp word, no page
+		// of its own: 54 / 60 578 and 59 / 77 131 with pages); the bound
+		// is the pages' -race figure plus 5 %. Reachability's goal plan
+		// starts at R, outside the recursion; checks that start at T
+		// measure 114 938 B/op (147 045 under -race): a silent revert
+		// fails the bound.
 		{"IncrementalRetract/retract/k=1", retractBody, 62, 81_000},
+		// 268 allocs/op measured, 281 under -race (283 and 296 with
+		// tombstone pages).
 		{"IncrementalRetractMutual/retract-mutual/k=1", mutualBody, 1120, 0},
 		// ROADMAP item 4: a new path representation must leave associative
 		// unification where it is (713 allocs/op measured).

@@ -264,7 +264,9 @@ type prover struct {
 // and gives the fact at depth d > 0 the birth max(its premises') + 1 <
 // bound; the candidate at depth 0 keeps its own. Its first step is the
 // birth-bounded check; below the engine's proofDepth, a second run
-// proves younger premises (premises).
+// proves younger premises (premises). A component whose rules read no
+// head of their own has no such premise: there the bound constrains no
+// step, so the second run would repeat the first.
 func (m *maintenance) prove(c *component, d int, name string, pos int, bound uint64) (bool, error) {
 	pv, rel := m.e.goals[d], m.e.inst.Relation(name)
 	m.driver(&pv.driver, nil, runOpts{boundHeads: c.heads})
@@ -274,7 +276,7 @@ func (m *maintenance) prove(c *component, d int, name string, pos int, bound uin
 		sink = stopRun // the candidate needs no birth
 	}
 	ok, err := pv.derivesGoal(c.rederive, name, rel.TupleAt(pos), bound, sink)
-	if !ok && err == nil && d < m.e.proofDepth {
+	if !ok && err == nil && d < m.e.proofDepth && c.recursive {
 		ok, err = pv.derivesGoal(c.rederive, name, rel.TupleAt(pos), 0, pv.sink)
 	}
 	if ok && d > 0 {

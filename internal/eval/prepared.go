@@ -33,6 +33,10 @@ type component struct {
 	// of this component, positive or negated (including its own heads
 	// for recursive rules).
 	reads map[string]bool
+	// recursive reports that some rule of the component reads one of
+	// its own heads; without such a read the pruner's bounded check is
+	// already its whole proof (maintenance.prove).
+	recursive bool
 }
 
 // String names the component by its sorted head relations, as its
@@ -96,10 +100,11 @@ func Compile(prog ast.Program) (*Prepared, error) {
 		if err := pl.compileVariants(); err != nil {
 			return nil, fmt.Errorf("%s (delta variants): %w", r.Head.Name, err)
 		}
-		rp, err := compileGoal(r, vars, func(name string) bool {
-			sid, ok := deps.SCC[name]
+		inComp := func(name string) bool {
+			sid, ok := deps.SCC[name] // EDB names have no component
 			return ok && sid == id
-		})
+		}
+		rp, err := compileGoal(r, vars, inComp)
 		if err != nil {
 			return nil, fmt.Errorf("%s (rederive plan): %w", r.Head.Name, err)
 		}
@@ -112,6 +117,7 @@ func Compile(prog ast.Program) (*Prepared, error) {
 		}
 		for _, pr := range r.Preds() {
 			c.reads[pr.Name] = true
+			c.recursive = c.recursive || inComp(pr.Name)
 		}
 	}
 	return p, nil

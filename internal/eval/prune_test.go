@@ -90,3 +90,51 @@ func TestRetractChurnProofCost(t *testing.T) {
 			perOverdeleted, overdeletedBefore, perRuns, goalRunsBefore)
 	}
 }
+
+// TestNonRecursiveProofRunsOnce: in a component whose rules read none
+// of its own heads, the pruner's birth bound constrains no step, so the
+// bounded check is its whole proof and no second goal run follows it.
+// Process-mining's After, Bad and S are three such components. Over a
+// window of its logs sliding by admit/expire pairs, every overdeletion
+// candidate costs one goal-plan run in the pruner, and every
+// overdeleted one a second in reinsert's goal pass; the proof's
+// unbounded run repeated the first, one more per overdeleted fact.
+func TestNonRecursiveProofRunsOnce(t *testing.T) {
+	const window = 8
+	q, _ := queries.Get("process-mining")
+	logs := workload.EventLogs(22, "L", 40, 6).Relation("L").Tuples()
+	edb := instance.New()
+	for _, l := range logs[:window] {
+		edb.Add("L", l)
+	}
+	eng, err := eval.FromSource(q.Program.String(), edb, eval.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := func(l instance.Tuple) *instance.Instance {
+		d := instance.New()
+		d.Add("L", l)
+		return d
+	}
+	candidates, overdeleted, runs := 0, 0, 0
+	for i := window; i < len(logs); i++ {
+		before := eng.GoalRuns()
+		admit, err := eng.Assert(one(logs[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		expire, err := eng.Retract(one(logs[i-window]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range []eval.MaintenanceStats{admit.MaintenanceStats, expire.MaintenanceStats} {
+			candidates += st.Overdeleted + st.StampPruned
+			overdeleted += st.Overdeleted
+		}
+		runs += eng.GoalRuns() - before
+	}
+	t.Logf("%d admit/expire pairs: %d candidates, %d overdeleted, %d goal runs", len(logs)-window, candidates, overdeleted, runs)
+	if overdeleted == 0 || runs != candidates+overdeleted {
+		t.Errorf("%d goal runs for %d candidates and %d overdeleted, want %d", runs, candidates, overdeleted, candidates+overdeleted)
+	}
+}

@@ -92,13 +92,13 @@ func TestPostFreezeTombstonesInvisibleToSnapshot(t *testing.T) {
 	i := New()
 	n := chunkSize + 10
 	fillSeq(i, "R", n)
-	// A pre-freeze tombstone, so the snapshot inherits a dead page the
-	// writer's clone must path-copy rather than mutate in place.
+	// A pre-freeze tombstone, so the snapshot inherits a dead bit in the
+	// stamps the writer's clone must copy rather than mutate in place.
 	i.Delete("R", tup(value.PathOf("t0")))
 	snap := i.Snapshot()
 
-	// Delete on the writer side: one hit in the same page as the
-	// pre-freeze tombstone, one in a page the snapshot never had.
+	// Delete on the writer side: one hit in the same chunk as the
+	// pre-freeze tombstone, one in the tail chunk the writer inherited.
 	i.Delete("R", tup(value.PathOf("t1")))
 	i.Delete("R", tup(value.PathOf("t"+fmt.Sprint(chunkSize+3))))
 
@@ -321,7 +321,7 @@ func TestHeldEpochReadersBesideHeir(t *testing.T) {
 func TestCodecAgnosticToSharing(t *testing.T) {
 	// The binary encoding of a shared-chunk, tombstoned snapshot must
 	// equal the encoding of its compacted deep clone: chunk layout and
-	// tombstone pages are storage artifacts, not data.
+	// stamp words are storage artifacts, not data.
 	i := New()
 	n := 2*chunkSize + 37
 	fillSeq(i, "X", n)
@@ -419,13 +419,14 @@ func TestStampsSurviveEpochSharing(t *testing.T) {
 	check("frozen snapshot after compact", snap.Relation("R"), want)
 }
 
-// TestRebirthCopiesSharedStamps: Rebirth writes only stamps the live
-// relation owns. After a freeze, the heir shares the sealed chunk and
-// the tail's arrays with the frozen epoch; re-birthing a position in
-// each gives that chunk a stamp array of its own first, so the held
-// epoch reads its old births while a reader clones it concurrently
-// (Clone reads every stamp; run with -race), and the heir keeps
-// appending past the copy.
+// TestRebirthCopiesSharedStamps: Delete and Rebirth write only stamp
+// words the live relation owns. After a freeze, the heir shares the
+// sealed chunk and the tail's arrays with the frozen epoch; a re-birth
+// or a tombstone in either gives that chunk a stamp array of its own
+// first, so the held epoch reads its old births and liveness while a
+// reader clones it concurrently (Clone reads every stamp word; run with
+// -race), the heir keeps appending past the copy, and a Compact of the
+// heir carries the new births to the renumbered positions.
 func TestRebirthCopiesSharedStamps(t *testing.T) {
 	i := New()
 	i.SetStamper(&Stamper{})
@@ -439,7 +440,11 @@ func TestRebirthCopiesSharedStamps(t *testing.T) {
 		return out
 	}
 	want := births(held)
-	changed := func(got []uint64) string {
+	changed := func(r *Relation) string {
+		if r.Len() != len(want) {
+			return fmt.Sprintf("%d live tuples, was %d", r.Len(), len(want))
+		}
+		got := births(r)
 		for pos := range want {
 			if got[pos] != want[pos] {
 				return fmt.Sprintf("birth at %d is %d, was %d", pos, got[pos], want[pos])
@@ -457,7 +462,7 @@ func TestRebirthCopiesSharedStamps(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if d := changed(births(held.Clone())); d != "" {
+				if d := changed(held.Clone()); d != "" {
 					t.Errorf("a clone of the held epoch: %s", d)
 					return
 				}
@@ -466,26 +471,52 @@ func TestRebirthCopiesSharedStamps(t *testing.T) {
 	}()
 	live := i.Ensure("R", 1) // the heir: the sealed chunk and the tail's arrays are shared
 	sealed, tail := 3, chunkSize+2
+	at := func(pos int) Tuple { return tup(value.PathOf("t" + fmt.Sprint(pos))) }
 	live.Rebirth(sealed, 1)
+	live.Delete(at(sealed + 2)) // the sealed chunk's copy is the heir's now: written in place
+	live.Delete(at(tail + 1))   // the shared tail, not yet copied
 	live.Rebirth(tail, 2)
-	live.Rebirth(sealed+1, 1) // the sealed chunk's copy is the heir's now: written in place
-	fillSeq(i, "S", 1)        // draws a birth; the heir keeps appending past its copied tail
-	i.Add("R", tup(value.PathOf("fresh")))
+	live.Rebirth(sealed+1, 1)
+	fillSeq(i, "S", 1) // draws a birth; the heir keeps appending past its copied tail
+	fresh := tup(value.PathOf("fresh"))
+	i.Add("R", fresh)
 	close(stop)
 	wg.Wait()
-	if d := changed(births(held)); d != "" {
+	if d := changed(held); d != "" {
 		t.Fatalf("held epoch: %s", d)
+	}
+	for pos := range want {
+		if !held.Live(pos) {
+			t.Fatalf("held epoch: position %d is dead", pos)
+		}
 	}
 	got := births(live)
 	if got[sealed] != 1 || got[sealed+1] != 1 || got[tail] != 2 {
 		t.Fatalf("live births at %d, %d, %d = %d, %d, %d; want 1, 1, 2", sealed, sealed+1, tail, got[sealed], got[sealed+1], got[tail])
 	}
-	if n := len(want); got[n] != uint64(n+2) || !live.Contains(tup(value.PathOf("fresh"))) {
+	if live.Live(sealed+2) || live.Live(tail+1) || live.Len() != len(want)-1 {
+		t.Fatalf("live epoch: positions %d and %d live %v, %v, %d live tuples; want both dead, %d", sealed+2, tail+1, live.Live(sealed+2), live.Live(tail+1), live.Len(), len(want)-1)
+	}
+	if n := len(want); got[n] != uint64(n+2) || !live.Contains(fresh) {
 		t.Fatalf("append after rebirth: birth %d, want %d", got[n], n+2)
 	}
-	got[sealed], got[sealed+1], got[tail] = want[sealed], want[sealed+1], want[tail]
-	if d := changed(got); d != "" {
-		t.Fatalf("live epoch beside the re-births: %s", d)
+	kept := map[string]uint64{}
+	for pos, b := range got {
+		if live.Live(pos) {
+			kept[live.TupleAt(pos).String()] = b
+		}
+		if pos < len(want) && pos != sealed && pos != sealed+1 && pos != tail && b != want[pos] {
+			t.Fatalf("live epoch beside the re-births: birth at %d is %d, was %d", pos, b, want[pos])
+		}
+	}
+	live.Compact()
+	if live.Size() != len(kept) || live.Tombstones() != 0 {
+		t.Fatalf("compacted: size %d, %d tombstones; want %d, 0", live.Size(), live.Tombstones(), len(kept))
+	}
+	for pos := 0; pos < live.Size(); pos++ {
+		if k := live.TupleAt(pos).String(); live.StampAt(pos) != kept[k] {
+			t.Fatalf("compacted: birth of %s is %d, want %d", k, live.StampAt(pos), kept[k])
+		}
 	}
 }
 

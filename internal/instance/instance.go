@@ -67,13 +67,15 @@ func (t Tuple) appendText(dst []byte) []byte {
 
 // The tuple log is chunked: positions pos map to
 // chunks[pos>>chunkShift] at offset pos&chunkMask. A chunk that has
-// reached chunkSize entries is sealed — it is never written again, so
-// any number of relation epochs can share it by pointer. Only the
-// partial tail chunk of an unfrozen relation is ever appended to. Its
-// chunk value is private to the relation, but its arrays may be the
-// ones a frozen ancestor's tail reads (the barrier hands them to the
-// first clone, see cloneShared): an append writes past every ancestor's
-// length, so what an ancestor reads never changes.
+// reached chunkSize entries is sealed — it is never appended to again,
+// and its stamp array is written only while no other epoch shares it
+// (see writeStamp), so any number of relation epochs can share it by
+// pointer. Only the partial tail chunk of an unfrozen relation is ever
+// appended to. Its chunk value is private to the relation, but its
+// arrays may be the ones a frozen ancestor's tail reads (the barrier
+// hands them to the first clone, see cloneShared): an append writes
+// past every ancestor's length, so what an ancestor reads never
+// changes.
 const (
 	chunkShift = 8
 	chunkSize  = 1 << chunkShift
@@ -81,11 +83,12 @@ const (
 )
 
 // chunk is one block of the append-only tuple log: up to chunkSize
-// tuples plus their precomputed structural hashes and derivation
-// stamps. The slices grow together (len(hashes) == len(stamps) ==
-// len(tuples)), so small relations pay for the tuples they hold, not
-// for a full block. text is the facts' printed form, published by the
-// first WriteFacts that needs it (see lines).
+// tuples plus their precomputed structural hashes and stamp words
+// (birth and dead bit, see deadBit). The slices grow together
+// (len(hashes) == len(stamps) == len(tuples)), so small relations pay
+// for the tuples they hold, not for a full block. text is the facts'
+// printed form, published by the first WriteFacts that needs it (see
+// lines).
 type chunk struct {
 	tuples []Tuple
 	hashes []uint64
@@ -165,15 +168,10 @@ type View struct {
 // Tombstone visibility is checked separately by the probe.
 func (v View) Admits(stamp uint64) bool { return v.MaxBirth == 0 || stamp < v.MaxBirth }
 
-// deadPage is the tombstone bitmap for one chunk: bit off marks
-// position (chunkIndex<<chunkShift)|off dead. Pages are copy-on-write
-// across epochs — a relation may only set bits in pages it owns
-// (deadOwned), so tombstones placed after a freeze never become
-// visible to older snapshots sharing the same chunks.
-type deadPage [chunkSize / 64]uint64
-
-func (p *deadPage) get(off int) bool { return p[off>>6]&(1<<(off&63)) != 0 }
-func (p *deadPage) set(off int)      { p[off>>6] |= 1 << (off & 63) }
+// deadBit is the top bit of a position's stamp word: set, the position
+// is tombstoned; the other bits are its birth. One word per position
+// carries both, under one copy-on-write rule (writeStamp).
+const deadBit = 1 << 63
 
 // indexKind names the four access paths a relation serves. They share
 // one implementation (index) and differ only in the key a tuple is
@@ -232,15 +230,17 @@ type Index = index
 // order).
 //
 // Storage is an epoch-shared append-only tuple log: fixed-capacity
-// chunks of tuples plus precomputed hashes, shared by pointer between
-// a relation and every snapshot taken of it. A snapshot epoch is
-// identified by (chunk list, length watermark, tombstone view): the
+// chunks of tuples plus precomputed hashes and stamp words, shared by
+// pointer between a relation and every snapshot taken of it. A
+// snapshot epoch is identified by (chunk list, length watermark): the
 // copy-on-write barrier (Instance.Ensure on a frozen relation) copies
-// only the chunk pointer slice and the tombstone page pointers —
-// O(size/chunkSize), not O(size). The first clone of a frozen relation
-// keeps appending to the partial tail chunk's arrays (a later clone
-// copies the tail) while older readers keep iterating their own
-// watermark over the shared chunks.
+// only the chunk pointer slice — O(size/chunkSize), not O(size). The
+// first clone of a frozen relation keeps appending to the partial tail
+// chunk's arrays (a later clone copies the tail) while older readers
+// keep iterating their own watermark over the shared chunks. The stamp
+// word is the one part of a position written after its append (by
+// Delete and Rebirth); a chunk inherited at the barrier gets a stamp
+// array of its own before its first such write (see writeStamp).
 //
 // Membership is maintained through a built-in full-tuple hash index:
 // each tuple's structural hash is computed once on Add and reused by
@@ -262,17 +262,17 @@ type Index = index
 // share it by pointer, the barrier clone's partial tail inherits it,
 // and Compact and Clone start without it (see chunk.lines).
 //
-// Deletion is tombstone-based: Delete marks the tuple's position dead
-// in a copy-on-write bitmap page, but the position itself stays
-// occupied so that delta windows over the tuple log ([lo, hi) position
-// ranges handed out while the relation was larger) remain valid. Pages
-// are path-copied on first write after a barrier, so a tombstone set
-// after a freeze is invisible to every older reader — epochs never
-// leak deletions backwards. Live reports whether a position still
-// holds a fact; Len counts live tuples while Size is the position
-// high-water mark including tombstones. Tombstones are reclaimed by
-// Compact (which rewrites into fresh chunks, never touching shared
-// ones — the epoch fence) or Clone (the copy is always compacted).
+// Deletion is tombstone-based: Delete sets the dead bit of the tuple's
+// stamp word, but the position itself stays occupied so that delta
+// windows over the tuple log ([lo, hi) position ranges handed out while
+// the relation was larger) remain valid. The bit is written under the
+// stamps' copy-on-write rule, so a tombstone set after a freeze is
+// invisible to every older reader — epochs never leak deletions
+// backwards. Live reports whether a position still holds a fact; Len
+// counts live tuples while Size is the position high-water mark
+// including tombstones. Tombstones are reclaimed by Compact (which
+// rewrites into fresh chunks, never touching shared ones — the epoch
+// fence) or Clone (the copy is always compacted).
 //
 // Concurrency contract: a Relation is safe for any number of
 // concurrent readers as long as no writer runs at the same time. The
@@ -304,17 +304,13 @@ type Relation struct {
 	chunks []*chunk
 	size   int
 
-	// dead holds one tombstone page per chunk (nil page or a slice
-	// shorter than chunks: no tombstones there); deadOwned[i] reports
-	// whether page i may be written in place or must be path-copied
-	// first (it was inherited from a frozen parent). tombs counts the
-	// dead positions, so Live's fast path is a single integer check.
-	dead      []*deadPage
-	deadOwned []bool
-	tombs     int
-	// inherited counts the leading chunks shared with a frozen epoch at
-	// the barrier; stampsCopied[i] reports that chunk i's stamps have
-	// been copied since, so Rebirth may write them in place.
+	// tombs counts the dead positions, so Live's fast path is a single
+	// integer check.
+	tombs int
+	// inherited counts the leading chunks whose stamp arrays are shared
+	// with a frozen epoch since the barrier; stampsCopied[i] reports that
+	// chunk i's stamps have been copied since, so writeStamp may write
+	// them in place.
 	inherited    int
 	stampsCopied []bool
 
@@ -353,7 +349,7 @@ type Relation struct {
 
 	// order is the canonical order of tuple-log positions [0,
 	// len(order)) — tombstoned ones included, readers filter through
-	// their own tombstone view — at 4 bytes a position, built by the
+	// their own stamp words (Live) — at 4 bytes a position, built by the
 	// first Sorted or WriteFacts (see canonical). A published array is
 	// never written again: the barrier clone inherits it by pointer, and
 	// a later epoch extends it into a fresh one.
@@ -377,25 +373,33 @@ func (r *Relation) Freeze() { r.frozen.Store(true) }
 // Frozen reports whether the relation has been frozen.
 func (r *Relation) Frozen() bool { return r.frozen.Load() }
 
-// tupleAt, hashAt and stampAt read the tuple log by position.
-func (r *Relation) tupleAt(pos int) Tuple  { return r.chunks[pos>>chunkShift].tuples[pos&chunkMask] }
-func (r *Relation) hashAt(pos int) uint64  { return r.chunks[pos>>chunkShift].hashes[pos&chunkMask] }
-func (r *Relation) stampAt(pos int) uint64 { return r.chunks[pos>>chunkShift].stamps[pos&chunkMask] }
+// tupleAt, hashAt and wordAt read the tuple log by position; wordAt
+// is the stamp word, birth and dead bit.
+func (r *Relation) tupleAt(pos int) Tuple { return r.chunks[pos>>chunkShift].tuples[pos&chunkMask] }
+func (r *Relation) hashAt(pos int) uint64 { return r.chunks[pos>>chunkShift].hashes[pos&chunkMask] }
+func (r *Relation) wordAt(pos int) uint64 { return r.chunks[pos>>chunkShift].stamps[pos&chunkMask] }
 
 // StampAt returns the derivation stamp of the tuple at position pos
 // (0 for tuples appended without a stamper: base facts).
-func (r *Relation) StampAt(pos int) uint64 { return r.stampAt(pos) }
+func (r *Relation) StampAt(pos int) uint64 { return r.wordAt(pos) &^ deadBit }
 
 // Rebirth gives the tuple at pos the derivation stamp birth, older
 // than the one it has: eval's overdeletion pruner moves a proved
-// support below the candidate it keeps (see dred.go there). A chunk
-// inherited from a frozen epoch, sealed or the heir's tail, gets a
-// stamp array of its own first, the way tombstone pages do, so no
-// older epoch sees the new birth.
+// support below the candidate it keeps (see dred.go there). Like a
+// tombstone it goes through writeStamp, so no older epoch sees it.
 func (r *Relation) Rebirth(pos int, birth uint64) {
 	if r.frozen.Load() {
 		panic("instance: write to a frozen relation (snapshot-shared storage; clone it or go through Instance.Ensure)")
 	}
+	r.writeStamp(pos, birth|r.wordAt(pos)&deadBit)
+}
+
+// writeStamp sets the stamp word of pos: the one write to a position
+// after its append. A chunk inherited at the barrier, sealed or the
+// heir's shared tail, gets a stamp array of its own before its first
+// write, so an older epoch sharing the chunk never sees a tombstone or
+// a birth set after it froze; the heir keeps appending to the copy.
+func (r *Relation) writeStamp(pos int, w uint64) {
 	ci := pos >> chunkShift
 	if ci < r.inherited && (r.stampsCopied == nil || !r.stampsCopied[ci]) {
 		if r.stampsCopied == nil {
@@ -406,7 +410,7 @@ func (r *Relation) Rebirth(pos int, birth uint64) {
 		c.text.Store(old.text.Load())
 		r.chunks[ci], r.stampsCopied[ci] = c, true
 	}
-	r.chunks[ci].stamps[pos&chunkMask] = birth
+	r.chunks[ci].stamps[pos&chunkMask] = w
 }
 
 // appendTuple appends to the tail chunk with a freshly issued stamp;
@@ -453,7 +457,7 @@ func (r *Relation) Add(t Tuple) bool {
 }
 
 // AddHashed is Add with the tuple's precomputed hash (h must equal
-// t.Hash()), so callers that already probed with ContainsHashed do not
+// t.Hash()), so callers that already probed with Position do not
 // rehash. The tuple is stored as given and must not be mutated
 // afterwards; use CopyTuple first when inserting from a scratch buffer.
 func (r *Relation) AddHashed(h uint64, t Tuple) bool {
@@ -494,49 +498,13 @@ func (r *Relation) DeleteHashed(h uint64, t Tuple) bool {
 	if pos < 0 {
 		return false
 	}
-	r.tombstone(pos)
+	r.writeStamp(pos, r.wordAt(pos)|deadBit)
+	r.tombs++
 	return true
 }
 
-// tombstone marks pos dead on this epoch's tombstone view. A page
-// inherited from a frozen parent is path-copied before the first bit
-// is set, so older watermarked readers sharing the original page never
-// observe the deletion.
-func (r *Relation) tombstone(pos int) {
-	pi := pos >> chunkShift
-	if pi >= len(r.dead) {
-		grown := make([]*deadPage, len(r.chunks))
-		copy(grown, r.dead)
-		grownOwned := make([]bool, len(r.chunks))
-		copy(grownOwned, r.deadOwned)
-		r.dead, r.deadOwned = grown, grownOwned
-	}
-	pg := r.dead[pi]
-	switch {
-	case pg == nil:
-		pg = &deadPage{}
-		r.dead[pi], r.deadOwned[pi] = pg, true
-	case !r.deadOwned[pi]:
-		cp := *pg
-		pg = &cp
-		r.dead[pi], r.deadOwned[pi] = pg, true
-	}
-	pg.set(pos & chunkMask)
-	r.tombs++
-}
-
 // Live reports whether the tuple at position pos has not been deleted.
-func (r *Relation) Live(pos int) bool {
-	if r.tombs == 0 {
-		return true
-	}
-	pi := pos >> chunkShift
-	if pi >= len(r.dead) {
-		return true
-	}
-	pg := r.dead[pi]
-	return pg == nil || !pg.get(pos&chunkMask)
-}
+func (r *Relation) Live(pos int) bool { return r.tombs == 0 || r.wordAt(pos)&deadBit == 0 }
 
 // Tombstones returns the number of tombstoned positions (Size - Len).
 func (r *Relation) Tombstones() int { return r.tombs }
@@ -558,44 +526,48 @@ func (r *Relation) Compact() {
 	if r.frozen.Load() {
 		panic("instance: compaction of a frozen relation (snapshot-shared storage)")
 	}
-	old := r.chunks
-	oldSize := r.size
-	r.chunks, r.size = nil, 0
-	var m Table
-	m.reserve(oldSize-r.tombs, oldSize-r.tombs)
 	// The renumbering is monotone, so the canonical order survives it
 	// without a comparison: drop the dead positions, rename the rest.
-	// renamed holds each ordered live position's new one plus 1.
-	renamed := make([]uint32, len(r.order))
-	for pos := 0; pos < oldSize; pos++ {
-		pg := (*deadPage)(nil)
-		if pi := pos >> chunkShift; pi < len(r.dead) {
-			pg = r.dead[pi]
-		}
-		if pg != nil && pg.get(pos&chunkMask) {
-			continue
-		}
-		c := old[pos>>chunkShift]
-		h := c.hashes[pos&chunkMask]
-		r.appendStamped(h, c.tuples[pos&chunkMask], c.stamps[pos&chunkMask])
-		m.add(tagOf(h), r.size-1)
-		if pos < len(renamed) {
-			renamed[pos] = uint32(r.size)
-		}
-	}
-	order := make([]uint32, 0, min(len(r.order), r.size))
+	c, renamed := r.renumbered(len(r.order))
+	order := make([]uint32, 0, min(len(r.order), c.size))
 	for _, pos := range r.order {
 		if renamed[pos] > 0 {
 			order = append(order, renamed[pos]-1)
 		}
 	}
-	r.dead, r.deadOwned, r.tombs = nil, nil, 0
+	r.chunks, r.size, r.tombs = c.chunks, c.size, 0
 	r.inherited, r.stampsCopied = 0, nil
-	r.member.tab = m
+	r.member.tab = c.member.tab
 	r.member.upto.Store(int64(r.size))
 	r.mu.Lock()
 	r.indexes, r.order = nil, order
 	r.mu.Unlock()
+}
+
+// renumbered returns a fresh relation holding r's live positions,
+// renumbered densely into fresh chunks with their hashes and births;
+// its membership table is rebuilt in one pass, and its secondary
+// indexes start empty. renamed[pos] is the new position plus 1 of each
+// live position pos below keep, 0 for a dead one.
+func (r *Relation) renumbered(keep int) (out *Relation, renamed []uint32) {
+	out = NewRelation(r.Arity)
+	m := &out.member.tab
+	m.reserve(r.Len(), r.Len())
+	renamed = make([]uint32, keep)
+	for pos := 0; pos < r.size; pos++ {
+		w := r.wordAt(pos)
+		if w&deadBit != 0 {
+			continue
+		}
+		h := r.hashAt(pos)
+		out.appendStamped(h, r.tupleAt(pos), w)
+		m.add(tagOf(h), out.size-1)
+		if pos < keep {
+			renamed[pos] = uint32(out.size)
+		}
+	}
+	out.member.upto.Store(int64(out.size))
+	return out, renamed
 }
 
 // Contains reports membership via the full-tuple hash index; deleted
@@ -772,31 +744,20 @@ func (r *Relation) canonical() []uint32 {
 }
 
 // Clone returns an independent, compacted copy of the relation:
-// tombstoned positions are dropped and live tuples renumbered densely.
-// The precomputed tuple hashes and derivation stamps are reused and
-// the membership index is rebuilt in one pass; secondary indexes
-// rebuild lazily on the copy when first used. Nothing is shared with
-// the original except the tuples themselves, which are immutable.
+// tombstoned positions are dropped and live tuples renumbered densely
+// (see renumbered). The precomputed tuple hashes and derivation stamps
+// are reused; secondary indexes rebuild lazily on the copy when first
+// used. Nothing is shared with the original except the tuples
+// themselves, which are immutable.
 func (r *Relation) Clone() *Relation {
-	out := NewRelation(r.Arity)
-	m := &out.member.tab
-	m.reserve(r.Len(), r.Len())
-	for pos := 0; pos < r.size; pos++ {
-		if !r.Live(pos) {
-			continue
-		}
-		h := r.hashAt(pos)
-		out.appendStamped(h, r.tupleAt(pos), r.stampAt(pos))
-		m.add(tagOf(h), out.size-1)
-	}
-	out.member.upto.Store(int64(out.size))
+	out, _ := r.renumbered(0)
 	return out
 }
 
 // cloneShared is the epoch write barrier: an O(size/chunkSize) clone
-// that shares every sealed chunk, tombstone page and the canonical order
-// with the frozen original. Tuple-log positions, tombstones included,
-// are preserved exactly, so delta windows recorded against the frozen
+// that shares every sealed chunk and the canonical order with the
+// frozen original. Tuple-log positions, tombstones included, are
+// preserved exactly, so delta windows recorded against the frozen
 // original stay valid against the writable clone.
 //
 // The first clone of a frozen relation becomes its heir: one CAS claims
@@ -827,15 +788,11 @@ func (r *Relation) cloneShared() (*Relation, CloneStats) {
 				stamps: append(make([]uint64, 0, chunkSize), old.stamps...),
 			}
 			cost.CloneBytes += int64(tail) * 40
+			out.inherited-- // the copied tail's stamps are its own
 		}
 		c.text.Store(old.text.Load())
 		out.chunks[ci] = c
 		cost.SharedChunks--
-	}
-	if len(r.dead) > 0 {
-		out.dead = append([]*deadPage(nil), r.dead...)
-		out.deadOwned = make([]bool, len(r.dead))
-		cost.CloneBytes += int64(len(r.dead)) * 9
 	}
 
 	r.mu.Lock()
@@ -1006,7 +963,8 @@ func (ix *index) probe(dst []int, v View, h uint64, first bool, equal func(Tuple
 	for e := t.chain(h); e != 0; {
 		var pos int
 		pos, e = t.at(e)
-		if (v.Dead || r.Live(pos)) && v.Admits(r.stampAt(pos)) && equal(r.tupleAt(pos)) {
+		w := r.wordAt(pos)
+		if (v.Dead || w&deadBit == 0) && v.Admits(w&^deadBit) && equal(r.tupleAt(pos)) {
 			dst = append(dst, pos)
 			if first {
 				return dst
@@ -1110,11 +1068,12 @@ func (r *Relation) affixLookup(dst []int, kind indexKind, v View, col int, affix
 // CloneStats accumulates the work the Ensure write barrier has done on
 // behalf of one instance: how many frozen relations were replaced by
 // epoch clones, how many sealed chunks those clones shared by pointer
-// instead of copying, and approximately how many bytes they copied
-// (pointer slices, tombstone pages, and the partial tail chunks of
-// clones that did not inherit them). The ratio of SharedChunks to
-// CloneBytes is what makes snapshot-epoch write barriers O(1)-ish
-// instead of O(relation).
+// instead of copying, and approximately how many bytes they copied (the
+// chunk pointer slices, and the partial tail chunks of clones that did
+// not inherit them). A stamp array a chunk copies on its first delete
+// or re-birth after the barrier (see writeStamp) is not counted here.
+// The ratio of SharedChunks to CloneBytes is what makes snapshot-epoch
+// write barriers O(1)-ish instead of O(relation).
 type CloneStats struct {
 	BarrierClones int64
 	SharedChunks  int64

@@ -135,7 +135,7 @@ func orderOracle(t *testing.T, seed int) {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	arity := seed % 4
 	// Most seeds stay small so deletes and re-adds collide often; two
-	// outgrow a chunk so sealed chunks, tombstone pages and tails larger
+	// outgrow a chunk so sealed chunks, tombstoned stamps and tails larger
 	// than the already-ordered prefix all occur.
 	n := 24 + 8*(seed%10)
 	if seed%10 == 9 {
