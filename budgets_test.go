@@ -33,19 +33,19 @@ func TestAllocBudgets(t *testing.T) {
 		// the tail, re-absorbing the gap above a shared base or flattening
 		// it (275 953 B/op) does not fit under the bound.
 		{"IncrementalAssert/incremental-interleaved/k=1", interleavedBody, 160, 85_000},
-		// The maintenance drivers live on the engine and the pruner's
-		// proofs keep the candidates a retract used to overdelete and
-		// rebuild: 51 allocs and 60 396 B/op measured, 56 and 76 940
-		// under -race (a tombstone is a bit of the stamp word, no page
-		// of its own: 54 / 60 578 and 59 / 77 131 with pages); the bound
-		// is the pages' -race figure plus 5 %. Reachability's goal plan
-		// starts at R, outside the recursion; checks that start at T
-		// measure 114 938 B/op (147 045 under -race): a silent revert
-		// fails the bound.
-		{"IncrementalRetract/retract/k=1", retractBody, 62, 81_000},
-		// 268 allocs/op measured, 281 under -race (283 and 296 with
-		// tombstone pages).
-		{"IncrementalRetractMutual/retract-mutual/k=1", mutualBody, 1120, 0},
+		// The maintenance drivers live on the engine, the pruner's proofs
+		// keep the candidates a retract used to overdelete and rebuild,
+		// and a write's deletions are positions in the tuple log, not
+		// copies into a relation of their own: 34 allocs and 59 535 B/op
+		// measured, 37 and 76 014 under -race (51 / 60 396 and 56 /
+		// 76 940 with the copies, which the allocs bound refuses).
+		// Reachability's goal plan starts at R, outside the recursion;
+		// checks that start at T measure 114 938 B/op (147 045 under
+		// -race): a silent revert fails the bound.
+		{"IncrementalRetract/retract/k=1", retractBody, 43, 81_000},
+		// 55 allocs/op measured, 58 under -race (268 and 281 with the
+		// deletions copied).
+		{"IncrementalRetractMutual/retract-mutual/k=1", mutualBody, 69, 0},
 		// ROADMAP item 4: a new path representation must leave associative
 		// unification where it is (713 allocs/op measured).
 		{"Figure2Unify", figure2Body, 800, 0},

@@ -8,7 +8,7 @@ package eval
 //  1. overdelete: tombstone every materialized fact of the component's
 //     heads whose known derivations may involve a changed fact — a
 //     deleted fact used positively (chased semi-naively over the
-//     deletion log, so deletions cascade through recursion), or an
+//     run's deletions, so deletions cascade through recursion), or an
 //     inserted fact under negation (a derivation whose negated atom now
 //     matches was invalidated by the insertion). Side atoms join
 //     against the pre-deletion state (live tuples plus everything
@@ -38,8 +38,10 @@ package eval
 // insertions, reinsertion the net deletions — the reverse of what the
 // positive atoms read.
 //
-// Net insertions are tracked as windows into the relations' tuple
-// logs, net deletions as side relations. Every rule for a relation sits
+// Both kinds of change are positions in the relations' own tuple logs:
+// net insertions as windows, net deletions as lists of tombstoned
+// positions, whose tuple, hash and birth stay readable until Compact,
+// which runs only between writes. Every rule for a relation sits
 // in its relation's component, and a component reads only its own
 // heads and those of earlier components. So when a component runs,
 // every change it reads outside its heads is final — the caller's
@@ -90,11 +92,11 @@ type deltas struct {
 	// recorded: a fact that was overdeleted and then restored is
 	// unchanged as far as later components are concerned.
 	ins map[string][]window
-	// del[name] holds the facts this run removed from the
-	// materialization and has not restored; the reinsert phase
-	// tombstones an entry in place once the fact is back, so the live
-	// entries are always the net deletions.
-	del map[string]*instance.Relation
+	// del[name] lists, in deletion order, the positions of
+	// e.inst.Relation(name)'s tuple log this run tombstoned and has not
+	// restored: the reinsert phase drops a position once its fact is
+	// back (at a new position), so the list is always the net deletions.
+	del map[string][]int
 }
 
 // maintenance is the state of one DRed maintenance run.
@@ -104,16 +106,6 @@ type maintenance struct {
 	// stats is the run's outcome so far — what the phases count into (and
 	// their drivers, into stats.Plans) and Engine.write reports.
 	stats MaintenanceStats
-}
-
-// delFor returns the deletion log for name, creating it on first use.
-func (m *maintenance) delFor(name string, arity int) *instance.Relation {
-	dl := m.del[name]
-	if dl == nil {
-		dl = instance.NewRelation(arity)
-		m.del[name] = dl
-	}
-	return dl
 }
 
 // run walks the components once, in dependency order, applying the
@@ -146,7 +138,7 @@ func (m *maintenance) run() error {
 // relations or deleted from one and not restored it.
 func (m *maintenance) changed(names map[string]bool) bool {
 	for name := range names {
-		if dl := m.del[name]; len(m.ins[name]) > 0 || dl != nil && dl.Len() > 0 {
+		if len(m.ins[name]) > 0 || len(m.del[name]) > 0 {
 			return true
 		}
 	}
@@ -197,34 +189,29 @@ func (m *maintenance) overdelete(c *component) error {
 			m.stats.StampPruned++
 			return nil
 		}
-		dst := e.inst.Ensure(name, len(t))
-		if !dst.DeleteHashed(h, t) {
-			return nil
-		}
-		m.delFor(name, len(t)).AddFromScratch(h, t)
+		e.inst.Ensure(name, len(t)).DeleteHashed(h, t)
+		m.del[name] = append(m.del[name], pos)
 		e.derived--
 		m.stats.Overdeleted++
 		return nil
 	}
-	// Deletions used positively: the downward closure of the deletion
-	// logs, chased semi-naively (the component's own overdeletions feed
-	// back through recursive rules); proc[name] is the prefix of name's
-	// log already chased. Insertions under negation: derivations whose
-	// negated atom matches a fact inserted by this run held before the
-	// insertion and are invalid now. A negated relation belongs to an
-	// earlier component, so its insertions are final and round 0 reads
-	// them all; tuples already deleted again are tombstones the delta
-	// step skips.
+	// Deletions used positively: the downward closure of the run's
+	// deletions, chased semi-naively (the component's own overdeletions
+	// feed back through recursive rules); proc[name] is the prefix of
+	// name's list already chased. Insertions under negation: derivations
+	// whose negated atom matches a fact inserted by this run held before
+	// the insertion and are invalid now. A negated relation belongs to
+	// an earlier component, so its insertions are final and round 0
+	// reads them all; tuples already deleted again are tombstones the
+	// window's delta step skips.
 	proc, cur := map[string]int{}, map[string]int{}
 	var one [1]window // backs the single window changes returns
 	for round := 0; ; round++ {
 		clear(cur)
 		for name := range c.reads {
-			if dl := m.del[name]; dl != nil {
-				cur[name] = dl.Size()
-			}
+			cur[name] = len(m.del[name])
 		}
-		changes := func(name string, neg bool) (*instance.Relation, []window) {
+		changes := func(name string, neg bool) ([]int, []window) {
 			if neg {
 				if round > 0 {
 					return nil, nil
@@ -363,20 +350,20 @@ func (m *maintenance) reinsert(c *component) error {
 	// before it, its derivation back.
 	prev := localSizes(c.heads, inst)
 	for _, name := range c.names {
-		dl := m.del[name]
-		if dl == nil {
-			continue
+		// A component that reads none of its heads needs no goal pass: the
+		// pruner's bounded check ran these goal plans on this same live
+		// state and refuted every candidate.
+		if !c.recursive {
+			break
 		}
-		for pos := 0; pos < dl.Size(); pos++ {
-			if !dl.Live(pos) {
-				continue
-			}
-			t := dl.TupleAt(pos) // owned by the deletion log, safe to share
+		rel := inst.Relation(name)
+		for _, pos := range m.del[name] {
+			t := rel.TupleAt(pos) // immutable: the restored position shares it
 			ok, err := dr.derivesGoal(c.rederive, name, t, 0, stopRun)
 			if err != nil {
 				return err
 			}
-			if ok && inst.Ensure(name, len(t)).AddHashed(dl.HashAt(pos), t) {
+			if ok && inst.Ensure(name, len(t)).AddHashed(rel.HashAt(pos), t) {
 				e.derived++
 			}
 		}
@@ -387,15 +374,15 @@ func (m *maintenance) reinsert(c *component) error {
 	// round), and the net deletions through negated atoms — a derivation
 	// blocked only by a fact this run removed (and did not restore) is
 	// new. A negated relation belongs to an earlier component, so its
-	// net deletions are final: the live entries of its deletion log.
+	// net deletions are final: its whole list.
 	var one [1]window // backs the single window changes returns
-	changes := func(name string, neg bool) (*instance.Relation, []window) {
+	changes := func(name string, neg bool) ([]int, []window) {
 		if !neg {
 			return nil, m.ins[name]
 		}
-		if dl := m.del[name]; dl != nil && dl.Len() > 0 {
-			one[0] = window{0, dl.Size()}
-			return dl, one[:]
+		if sel := m.del[name]; len(sel) > 0 {
+			one[0] = window{0, len(sel)}
+			return sel, one[:]
 		}
 		return nil, nil
 	}
@@ -408,7 +395,7 @@ func (m *maintenance) reinsert(c *component) error {
 	}
 	// Record the insertion windows for later components, and collapse facts
 	// that were both overdeleted and brought back by this phase to
-	// "unchanged": their deletion-log entry dies. The goal pass's
+	// "unchanged": their position leaves the list. The goal pass's
 	// restorations lie before from, outside the windows; the windows
 	// still over-approximate by covering the fixpoint's re-derived
 	// positions, which downstream overdeletion plus reinsertion absorbs.
@@ -420,20 +407,18 @@ func (m *maintenance) reinsert(c *component) error {
 		if hi := rel.Size(); hi > from[name] {
 			m.ins[name] = append(m.ins[name], window{lo: from[name], hi: hi})
 		}
-		dl := m.del[name]
-		if dl == nil {
-			continue
+		sel := m.del[name]
+		if len(sel) == 0 {
+			continue // writing a nil list back would allocate the map entry
 		}
-		for pos := 0; pos < dl.Size(); pos++ {
-			if !dl.Live(pos) {
-				continue
-			}
-			h := dl.HashAt(pos)
-			if t := dl.TupleAt(pos); rel.Position(instance.View{}, h, t) >= 0 {
-				dl.DeleteHashed(h, t)
-				m.stats.Rederived++
+		net := sel[:0]
+		for _, pos := range sel {
+			if rel.Position(instance.View{}, rel.HashAt(pos), rel.TupleAt(pos)) < 0 {
+				net = append(net, pos)
 			}
 		}
+		m.stats.Rederived += len(sel) - len(net)
+		m.del[name] = net
 	}
 	return nil
 }

@@ -387,11 +387,11 @@ S(@x) :- R(@x.@y), !W(@x).`)
 }
 
 // TestEngineRetractRestoredUnderNegation pins what a negated atom's
-// delta reads in the reinsert phase: the net deletions, the live entries
-// of the deletion log. Retracting A(b) overdeletes C(b) (born before
+// delta reads in the reinsert phase: the net deletions, the positions
+// left in the run's list. Retracting A(b) overdeletes C(b) (born before
 // its other support C(a), so the pruner cannot keep it) and rederives
-// it through C(a), L(a.b): its deletion-log entry dies, and N(b), which
-// C(b) blocks, must not appear.
+// it through C(a), L(a.b): its position leaves the list, and N(b),
+// which C(b) blocks, must not appear.
 func TestEngineRetractRestoredUnderNegation(t *testing.T) {
 	prep, err := Compile(parser.MustParseProgram(`
 C($x) :- A($x).

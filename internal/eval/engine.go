@@ -363,20 +363,22 @@ func appendBatch(seed deltas, name string, dst, src *instance.Relation) int {
 }
 
 // deleteBatch is Retract's step: the facts of src present in dst are
-// tombstoned there and collected into the run's deletion log.
+// tombstoned there, and the tombstoned positions are the run's
+// deletions.
 func deleteBatch(seed deltas, name string, dst, src *instance.Relation) int {
-	dl := instance.NewRelation(src.Arity)
+	var sel []int
 	for pos := 0; pos < src.Size(); pos++ {
 		if !src.Live(pos) {
 			continue
 		}
-		h := src.HashAt(pos)
-		if t := src.TupleAt(pos); dst.DeleteHashed(h, t) {
-			dl.AddFromScratch(h, t)
+		h, t := src.HashAt(pos), src.TupleAt(pos)
+		if at := dst.Position(instance.View{}, h, t); at >= 0 {
+			dst.DeleteHashed(h, t)
+			sel = append(sel, at)
 		}
 	}
-	seed.del[name] = dl
-	return dl.Len()
+	seed.del[name] = sel
+	return len(sel)
 }
 
 // write is the one write path: it applies a batch of EDB changes in
@@ -409,7 +411,7 @@ func (e *Engine) write(op writeOp, delta *instance.Instance) (int, MaintenanceSt
 			continue
 		}
 		if seed.ins == nil {
-			seed = deltas{map[string][]window{}, map[string]*instance.Relation{}}
+			seed = deltas{map[string][]window{}, map[string][]int{}}
 		}
 		changed += o.step(seed, name, e.inst.Ensure(name, src.Arity), src)
 	}

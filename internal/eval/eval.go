@@ -70,15 +70,16 @@ type window struct {
 	lo, hi int
 }
 
-// workItem is one plan run. On a hoisted plan win is the change window
-// the delta step iterates, in log — or, when log is nil, in the
-// instance's own relation of the delta step's name, resolved when the
-// run starts (a sink's Ensure may epoch-clone a relation, so no
-// instance relation is carried from one run to the next). Base plans
-// run over the full relations and leave both zero.
+// workItem is one plan run. On a hoisted plan the delta step iterates
+// the instance's own relation of its name, resolved when the run starts
+// (a sink's Ensure may epoch-clone a relation, so no instance relation
+// is carried from one run to the next): the positions in window win or,
+// when sel is set, the positions sel[win.lo:win.hi], a maintenance
+// run's deletions, which are tombstoned. Base plans run over the full
+// relations and leave both zero.
 type workItem struct {
 	plan *plan
-	log  *instance.Relation
+	sel  []int
 	win  window
 }
 
@@ -119,21 +120,22 @@ type driver struct {
 // index-probed) once per change window of the atom's relation. changes
 // says where the changes of a relation read with sign neg come from —
 // the positions a component's own heads grew by since the last round
-// (fixpoint), the run's insertion windows, or the deletion logs — as
-// windows into log (nil: the instance's own relation). It may reuse the
-// slice it returns: it is consumed before the next call. Each window is
-// one run, executed as it is enumerated: every caller fixes its windows
-// when the round starts, so no run changes what changes returns. stats
-// counts one plan execution per window, and delta returns the runs.
-func (dr *driver) delta(changes func(name string, neg bool) (log *instance.Relation, wins []window), sink sinkFunc) (int, error) {
+// (fixpoint), the run's insertion windows, or its deletions — as
+// windows into the instance's own relation or, with sel set, into the
+// list of positions sel. It may reuse the window slice it returns: it
+// is consumed before the next call. Each window is one run, executed as
+// it is enumerated: every caller fixes its windows when the round
+// starts, so no run changes what changes returns. stats counts one plan
+// execution per window, and delta returns the runs.
+func (dr *driver) delta(changes func(name string, neg bool) (sel []int, wins []window), sink sinkFunc) (int, error) {
 	runs := 0
 	for _, p := range dr.plans {
 		for _, v := range p.variants {
-			log, wins := changes(v.steps[0].pred.Name, v.neg)
+			sel, wins := changes(v.steps[0].pred.Name, v.neg)
 			for _, w := range wins {
 				v.note(dr.stats)
 				runs++
-				if err := dr.exec(workItem{plan: v, log: log, win: w}, sink); err != nil {
+				if err := dr.exec(workItem{plan: v, sel: sel, win: w}, sink); err != nil {
 					return runs, err
 				}
 			}
@@ -171,7 +173,7 @@ func (dr *driver) fixpoint(local map[string]bool, prev map[string]int) error {
 		// Both maps hold the local relations only, so every other name
 		// reads as an empty window — every negated one among them: it
 		// belongs to an earlier component.
-		grown := func(name string, _ bool) (*instance.Relation, []window) {
+		grown := func(name string, _ bool) ([]int, []window) {
 			lo, hi := prev[name], cur[name]
 			if hi <= lo {
 				return nil, nil

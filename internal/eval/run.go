@@ -25,7 +25,8 @@ type runOpts struct {
 	// engine's amortized-compaction threshold). A superset is exactly
 	// the direction DRed's overdeletion needs — extra candidates are
 	// restored by rederivation — and the stale tombstones only cost
-	// churn, never correctness. The delta step always skips tombstones.
+	// churn, never correctness. A window's delta step always skips
+	// tombstones.
 	includeDead bool
 	// boundHeads/boundBirth are the overdeletion pruner's well-founded
 	// support check (see dred.go): positive non-delta steps over a
@@ -37,9 +38,9 @@ type runOpts struct {
 }
 
 // stepView builds the stamp/tombstone view one positive step probes
-// under: the delta step never includes tombstones (a deleted fact is
-// no longer part of the delta) and never carries the pruner's birth
-// bound (the delta is the change set itself, not a support).
+// under: a window's delta step never includes tombstones (a deleted
+// fact is no longer part of the delta) and never carries the pruner's
+// birth bound (the delta is the change set itself, not a support).
 func (opts *runOpts) stepView(s *step, isDelta bool) instance.View {
 	if isDelta {
 		return instance.View{}
@@ -63,7 +64,8 @@ func (opts *runOpts) stepView(s *step, isDelta bool) instance.View {
 type run struct {
 	dr   *driver // whose instance and options the run reads
 	plan *plan
-	win  window // a hoisted plan's delta step iterates only this window
+	sel  []int  // see workItem
+	win  window // a hoisted plan's delta step iterates only this window (of sel)
 	sink sinkFunc
 	err  error // the first error; every step returns at once after it
 	// env is the run's valuation, one slot per variable of the plan's
@@ -111,20 +113,15 @@ func (dr *driver) valuation(vars []ast.Var) *Env {
 	return dr.frame.env
 }
 
-// resolve returns the relation step i of the item's plan reads — a
-// hoisted plan's delta step reads the item's log, when it has one —
-// and, when the step probes one, its exact index: once per run,
-// because map and index-signature lookups are far too slow for once
-// per binding.
-func (dr *driver) resolve(it workItem, i int) (*instance.Relation, *instance.Index) {
-	s := &it.plan.steps[i]
+// resolve returns the relation step i of the plan reads and, when the
+// step probes one, its exact index: once per run, because map and
+// index-signature lookups are far too slow for once per binding.
+func (dr *driver) resolve(p *plan, i int) (*instance.Relation, *instance.Index) {
+	s := &p.steps[i]
 	if s.kind != stepPred && s.kind != stepNegPred {
 		return nil, nil
 	}
-	rel := it.log
-	if i > 0 || rel == nil {
-		rel = dr.inst.Relation(s.pred.Name)
-	}
+	rel := dr.inst.Relation(s.pred.Name)
 	if rel == nil || s.kind != stepPred || len(s.BoundCols) == 0 {
 		return rel, nil
 	}
@@ -140,7 +137,7 @@ func (dr *driver) resolve(it workItem, i int) (*instance.Relation, *instance.Ind
 func (dr *driver) exec(it workItem, sink sinkFunc) error {
 	p := it.plan
 	r := &dr.frame
-	r.dr, r.plan, r.win, r.sink = dr, p, it.win, sink
+	r.dr, r.plan, r.sel, r.win, r.sink = dr, p, it.sel, it.win, sink
 	dr.valuation(p.vars) // keeps what the caller bound into it
 	for len(r.scratch) < len(p.steps) {
 		i := len(r.scratch)
@@ -148,7 +145,7 @@ func (dr *driver) exec(it workItem, sink sinkFunc) error {
 	}
 	for i := range p.steps {
 		s, sl := &p.steps[i], &r.scratch[i]
-		sl.rel, sl.idx = dr.resolve(it, i)
+		sl.rel, sl.idx = dr.resolve(p, i)
 		switch s.kind {
 		case stepPred:
 			sl.view = dr.opts.stepView(s, p.hoisted && i == 0)
@@ -187,7 +184,8 @@ func (r *run) step(i int) {
 
 // pred joins a positive predicate: every tuple of the step's relation
 // (of the window, on a delta step) that the view admits and the
-// arguments match continues the run.
+// arguments match continues the run. A delta step over deletions
+// matches each selected position, tombstoned, directly.
 func (r *run) pred(i int, s *step, sl *stepScratch) {
 	rel := sl.rel
 	if rel == nil {
@@ -196,6 +194,12 @@ func (r *run) pred(i int, s *step, sl *stepScratch) {
 	lo, hi := 0, rel.Size()
 	if r.plan.hoisted && i == 0 {
 		lo, hi = r.win.lo, r.win.hi
+		if r.sel != nil {
+			for k := lo; k < hi && r.err == nil; k++ {
+				r.env.matchTuple(s.args, rel.TupleAt(r.sel[k]), sl.next)
+			}
+			return
+		}
 	}
 	if !r.candidates(s, sl) {
 		// The view carries tombstone visibility (the DRed overdelete joins

@@ -21,8 +21,10 @@ import (
 // 2-step plan and 19 on the 4-step one (four slices and an Env per run,
 // scratch per predicate step, a closure per candidate, a path per
 // atomic binding). A negated atom's variant is held to the same gate,
-// and so is a suffix probe through a definition (process-mining's
-// Δ!After, which probes L($x) with $x's definition).
+// over a deletion — a position of the instance's relation, added and
+// then tombstoned, as a maintenance run's deletions are — and so is a
+// suffix probe through a definition (process-mining's Δ!After, which
+// probes L($x) with $x's definition).
 func TestWarmFrameAllocs(t *testing.T) {
 	const negated = `T(@x.@z) :- T(@x.@y), R(@y.@z), !B(@x.@z), @x != @z.`
 	const edb = `T(a.b). R(b.c). R(b.d). B(q.r).`
@@ -31,14 +33,14 @@ func TestWarmFrameAllocs(t *testing.T) {
 		src     string
 		edb     string
 		variant int    // which delta variant of the rule runs
-		log     string // the facts its window reads, when not the instance's own
+		deleted string // the facts its run reads as deleted, when not a window
 		want    int    // derivations reaching the sink
 	}{
 		{`T(@x.@z) :- T(@x.@y), R(@y.@z).`, edb, 0, "", 2}, // T(a.c), T(a.d)
 		{negated, edb, 0, "", 2},
-		// Δ!B over a deletion log holding B(a.d): T(a.d) is unblocked.
+		// Δ!B over the deletion of B(a.d): T(a.d) is unblocked.
 		{negated, edb, 2, `B(a.d).`, 1},
-		// Δ!After over a log holding After(p): the two logs ending in
+		// Δ!After over the deletion of After(p): the two logs ending in
 		// 'complete order'.p, found by the suffix probe, not a scan of L.
 		{`Bad($x) :- L($x), $x = $u.'complete order'.$v, !After($v).`,
 			`L(a.'complete order'.p). L(b.'complete order'.p). L(c.'complete order'.q). L(p).`, 1, `After(p).`, 2},
@@ -49,8 +51,14 @@ func TestWarmFrameAllocs(t *testing.T) {
 		}
 		dr := &driver{inst: parser.MustParseInstance(tc.edb), limits: DefaultLimits}
 		it := workItem{plan: prep.comps[0].plans[0].variants[tc.variant], win: window{0, 1}}
-		if tc.log != "" {
-			it.log = parser.MustParseInstance(tc.log).Relation(it.plan.steps[0].pred.Name)
+		if tc.deleted != "" {
+			name := it.plan.steps[0].pred.Name
+			for _, f := range parser.MustParseInstance(tc.deleted).Relation(name).Tuples() {
+				rel := dr.inst.Ensure(name, len(f))
+				rel.Add(f)
+				it.sel = append(it.sel, rel.Size()-1)
+				rel.Delete(f)
+			}
 		}
 		reached := 0
 		run := func(sink sinkFunc) {

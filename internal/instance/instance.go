@@ -430,10 +430,9 @@ func (r *Relation) appendTuple(h uint64, t Tuple) {
 func (r *Relation) appendStamped(h uint64, t Tuple, stamp uint64) {
 	ci := r.size >> chunkShift
 	if ci == len(r.chunks) {
-		// The tail's slices grow by appending: the maintenance paths
-		// create many short-lived window relations holding a handful of
-		// tuples, and pre-sizing every chunk would charge each of them
-		// for a full chunk's backing.
+		// The tail's slices grow by appending: a write batch's relations
+		// hold a handful of tuples each, and pre-sizing every chunk would
+		// charge each of them for a full chunk's backing.
 		r.chunks = append(r.chunks, &chunk{})
 	}
 	c := r.chunks[ci]
@@ -592,9 +591,9 @@ func (r *Relation) Position(v View, h uint64, t Tuple) int {
 }
 
 // HashAt returns the precomputed hash of the tuple at insertion
-// position i, so bulk consumers (DRed's deletion logs, the engine's
-// batch diff) can probe or re-insert tuples elsewhere without
-// rehashing them.
+// position i, tombstoned or not, so bulk consumers (DRed's goal pass
+// and collapse over a write's deleted positions, the engine's batch
+// diff) can probe or re-insert tuples without rehashing them.
 func (r *Relation) HashAt(i int) uint64 { return r.hashAt(i) }
 
 // AddFromScratch inserts a copy of the scratch tuple t (whose hash h

@@ -7,14 +7,14 @@ import (
 )
 
 // Table is a hash multimap from 64-bit hashes to non-negative int32-range
-// values (tuple-log positions, buffer indexes) that holds no pointer, so
+// values (tuple-log positions) that holds no pointer, so
 // the collector never scans it. Each distinct key owns one slot of an
 // open-addressed array; a slot is a 32-bit tag of the key's hash plus the
 // head and tail of that key's chain, a run of (value, next) entries in
 // insertion order, so a lookup returns values in the order they were
 // added. Keys whose hashes share a tag share a chain: every caller
-// verifies what a lookup returns (the index probes compare tuples, the
-// round buffer compares facts). The zero Table is empty and ready to use.
+// verifies what a lookup returns (the index probes compare tuples). The
+// zero Table is empty and ready to use.
 // Values are never removed; a relation tombstones positions and Compact
 // builds a fresh table.
 //
