@@ -11,9 +11,9 @@ import (
 // (internal/wal) serializes instances into WAL records (assert/retract
 // batches) and checkpoint files with AppendBinary and reads them back
 // with DecodeInstance. Tuples ride on the value codec
-// (value.AppendPath/ConsumePath), so atom texts — never process-local
-// Syms — cross the wire and decoding re-interns into whatever symbol
-// table the recovering process has.
+// (value.AppendPath/ConsumePath), so atom texts — never pointers at
+// this process's interning records — cross the wire and decoding
+// re-interns into whatever symbol table the recovering process has.
 //
 // Encoding (integers are uvarints):
 //

@@ -8,11 +8,11 @@ import (
 // This file holds the binary codec for paths, the wire format of the
 // durability layer (internal/wal): WAL records and snapshot
 // checkpoints serialize tuples with AppendPath and read them back with
-// ConsumePath. The encoding carries atom TEXTS, never Syms — Syms are
-// dense handles into this process's symbol table and mean nothing in
-// the process that replays the log — so decoding re-interns every atom
-// and re-canonicalizes every packed value, yielding values that are
-// structurally equal to the originals under any symbol-table state.
+// ConsumePath. The encoding carries atom TEXTS, never record pointers —
+// those mean nothing in the process that replays the log — so decoding
+// re-interns every atom and re-canonicalizes every packed value,
+// yielding values that are structurally equal to the originals under
+// any symbol-table state.
 //
 // Encoding (all integers are uvarints):
 //

@@ -48,7 +48,7 @@ func TestPathCodecSelfDelimiting(t *testing.T) {
 
 // TestPathCodecCarriesTextsNotHandles pins the property recovery
 // depends on: the wire format stores atom texts, so a decoding process
-// whose symbol table assigned different Syms still reconstructs equal
+// whose symbol table holds different records still reconstructs equal
 // values. A same-process test cannot truly reset the global table, so
 // it checks the observable halves: the encoded bytes literally contain
 // the text, and decoding goes through Intern (canonical Atom equality

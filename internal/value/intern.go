@@ -1,62 +1,112 @@
 package value
 
 import (
+	"runtime"
 	"sync"
-	"sync/atomic"
+	"weak"
 )
 
-// This file holds the interning layer behind the data model: a global
-// symbol table mapping atom texts to dense Sym IDs, and a hash-consing
-// table canonicalizing packed values. Both tables are append-only and
-// process-global, so equality of atoms is integer comparison, equality
-// of packed values is pointer comparison, and every value carries a
-// precomputed structural hash. The engine's hot paths (tuple hashing,
-// index probes, unification memoization) never re-walk value bytes.
+// This file holds the interning layer behind the data model: one table
+// type, used for atom texts and for packed values. A table maps a
+// value's structural hash to weak pointers at the records sharing it, so
+// structurally equal values are one record: their equality is pointer
+// comparison, and every value carries its precomputed hash. The engine's
+// hot paths (tuple hashing, index probes, unification memoization) never
+// re-walk value bytes.
 //
-// Concurrency: the tables are read-mostly, one RWMutex each. Lookups
-// by text or by structure take the read lock, and writers (interning
-// a new atom, consing a new packed node) the write lock; a symbol's
-// text and hash are read lock-free from an atomically published
-// snapshot. Evaluation runs on one goroutine, but seqlogd's sessions
-// parse requests concurrently, outside the engine's write lock, and
-// parsing interns atoms and packs values.
+// Once no value references a record, the garbage collector reclaims it
+// and a cleanup drops its dead pointer from the table, so a server fed
+// an endless stream of fresh values keeps only those still held.
+// Interning a value again afterwards makes a new record; the old one is
+// unreachable, so nothing can tell.
+//
+// Concurrency: one RWMutex per table. A lookup takes the read lock; an
+// insert (looking again under it) and a cleanup take the write lock.
+// seqlogd's sessions parse requests, and so intern, concurrently.
 
-// Sym is a dense identifier of an interned atom text. Two atoms are
-// equal iff their Syms are equal. Syms are assigned in interning order
-// and are NOT ordered like their texts; ordering goes through Text.
-type Sym uint32
+// table interns records of type T, keyed by structural hash.
+type table[T any] struct {
+	mu sync.RWMutex
+	m  map[uint64][]weak.Pointer[T]
+	n  int // pointers in m: live records, and dead ones awaiting their cleanup
+}
 
-// symEntry is the immutable per-symbol record: the atom text, the form
-// it prints in (quoted when it would not lex bare; otherwise the same
-// string, so a plain atom pays one string header) and its precomputed
-// structural hash.
+// bucket is a record's cleanup argument. The cleanup is the static
+// function drop: a method value or a generic function would allocate a
+// closure per record.
+type bucket struct {
+	t interface{ drop(h uint64) }
+	h uint64
+}
+
+func drop(b bucket) { b.t.drop(b.h) }
+
+// intern returns the live record with hash h that same accepts, or
+// stores and returns fresh() when there is none.
+func (t *table[T]) intern(h uint64, same func(*T) bool, fresh func() *T) *T {
+	t.mu.RLock()
+	r := t.find(h, same)
+	t.mu.RUnlock()
+	if r != nil {
+		return r
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if r := t.find(h, same); r != nil {
+		return r
+	}
+	r = fresh()
+	t.m[h] = append(t.m[h], weak.Make(r))
+	t.n++
+	runtime.AddCleanup(r, drop, bucket{t, h})
+	return r
+}
+
+func (t *table[T]) find(h uint64, same func(*T) bool) *T {
+	for _, w := range t.m[h] {
+		if r := w.Value(); r != nil && same(r) {
+			return r
+		}
+	}
+	return nil
+}
+
+// drop runs once a record with hash h has been reclaimed. It removes the
+// dead pointers from the bucket and keeps the live ones: a record that
+// collides on the hash, or one interned again for the same value after
+// the reclaimed one died.
+func (t *table[T]) drop(h uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	ws := t.m[h]
+	live := ws[:0]
+	for _, w := range ws {
+		if w.Value() != nil {
+			live = append(live, w)
+		}
+	}
+	clear(ws[len(live):])
+	t.n -= len(ws) - len(live)
+	if t.m[h] = live; len(live) == 0 {
+		delete(t.m, h)
+	}
+}
+
+// symEntry is an atom's immutable record: its text, the form it prints
+// in (quoted when it would not lex bare, else the same string, so a
+// plain atom pays one string header) and its structural hash.
 type symEntry struct {
-	text  string
-	shown string
-	hash  uint64
+	text, shown string
+	hash        uint64
 }
 
-// symTable is the global symbol table. entries holds the published
-// snapshot: a prefix of an append-only sequence, republished after
-// every append, so sym-indexed reads are lock-free.
-type symTable struct {
-	mu      sync.RWMutex
-	ids     map[string]Sym
-	entries atomic.Pointer[[]symEntry]
-}
+var atoms = &table[symEntry]{m: map[uint64][]weak.Pointer[symEntry]{}}
 
-var symtab = func() *symTable {
-	t := &symTable{ids: map[string]Sym{}}
-	empty := []symEntry{}
-	t.entries.Store(&empty)
-	// Sym 0 is the empty atom, so the zero Atom renders and hashes as ''.
-	t.intern("")
-	return t
-}()
+// emptyAtom backs the zero Atom, the empty atom, which is not in the table.
+var emptyAtom = symEntry{shown: renderAtom(""), hash: atomHashOf("")}
 
-// atomHashOf computes the structural FNV-1a hash of an atom from its
-// text, once, at interning time. The 0x01 tag keeps atom hashes
-// disjoint from packed-value hashes by construction.
+// atomHashOf computes the structural FNV-1a hash of an atom's text. The
+// 0x01 tag keeps atom hashes disjoint from packed-value hashes.
 func atomHashOf(text string) uint64 {
 	h := HashByte(HashSeed, 0x01)
 	for i := 0; i < len(text); i++ {
@@ -65,37 +115,25 @@ func atomHashOf(text string) uint64 {
 	return h
 }
 
-func (t *symTable) intern(text string) Atom {
-	t.mu.RLock()
-	id, ok := t.ids[text]
-	t.mu.RUnlock()
-	if ok {
-		return Atom{sym: id}
+// Intern returns the canonical Atom for a text. It is safe for
+// concurrent use; while an Atom of a text is reachable, interning the
+// text yields an Atom == to it.
+func Intern(text string) Atom {
+	if text == "" {
+		return Atom{}
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if id, ok := t.ids[text]; ok {
-		return Atom{sym: id}
-	}
-	entries := *t.entries.Load()
-	id = Sym(len(entries))
-	next := append(entries, symEntry{text: text, shown: renderAtom(text), hash: atomHashOf(text)})
-	t.entries.Store(&next)
-	t.ids[text] = id
-	return Atom{sym: id}
+	h := atomHashOf(text)
+	return Atom{atoms.intern(h, func(e *symEntry) bool { return e.text == text },
+		func() *symEntry { return &symEntry{text, renderAtom(text), h} })}
 }
 
-// entry returns the immutable record for a sym, lock-free.
-func (t *symTable) entry(s Sym) *symEntry { return &(*t.entries.Load())[s] }
-
-// Intern returns the canonical Atom for a text, interning it on first
-// use. Intern is safe for concurrent use; interning the same text
-// always yields the same Sym for the lifetime of the process.
-func Intern(text string) Atom { return symtab.intern(text) }
-
-// Symbols returns the number of distinct atom texts interned so far
-// (including the empty atom). Monotone; useful for tests and stats.
-func Symbols() int { return len(*symtab.entries.Load()) }
+// Symbols returns the number of atoms in the symbol table, the empty one
+// aside: the live ones, and reclaimed ones whose cleanup has not run.
+func Symbols() int {
+	atoms.mu.RLock()
+	defer atoms.mu.RUnlock()
+	return atoms.n
+}
 
 // packedNode is the canonical shared representation of a packed value:
 // hash-consed, so structurally equal packed values are one node. path
@@ -105,19 +143,11 @@ type packedNode struct {
 	hash uint64
 }
 
-// packTable is the global hash-consing table, in the symbol table's
-// shape: one map, from a packed value's structural hash to the nodes
-// that share it, behind one RWMutex.
-type packTable struct {
-	mu sync.RWMutex
-	m  map[uint64][]*packedNode
-}
-
-var packtab = &packTable{m: map[uint64][]*packedNode{}}
+var packs = &table[packedNode]{m: map[uint64][]weak.Pointer[packedNode]{}}
 
 // packedHashOf is the structural hash of the packed value <p>: the
 // inner path hash bracketed by the 0x02/0x03 tags that keep <a.b>
-// distinct from the flat path a.b (mirroring the Key encoding).
+// distinct from the flat path a.b.
 func packedHashOf(p Path) uint64 {
 	return HashByte(p.Hash(HashByte(HashSeed, 0x02)), 0x03)
 }
@@ -129,24 +159,6 @@ func packedHashOf(p Path) uint64 {
 // reuse) scratch buffers. Pack is safe for concurrent use.
 func Pack(p Path) Packed {
 	h := packedHashOf(p)
-	packtab.mu.RLock()
-	for _, n := range packtab.m[h] {
-		if n.path.Equal(p) {
-			packtab.mu.RUnlock()
-			return Packed{n: n}
-		}
-	}
-	packtab.mu.RUnlock()
-	packtab.mu.Lock()
-	defer packtab.mu.Unlock()
-	for _, n := range packtab.m[h] {
-		if n.path.Equal(p) {
-			return Packed{n: n}
-		}
-	}
-	cp := make(Path, len(p))
-	copy(cp, p)
-	n := &packedNode{path: cp, hash: h}
-	packtab.m[h] = append(packtab.m[h], n)
-	return Packed{n: n}
+	return Packed{packs.intern(h, func(n *packedNode) bool { return n.path.Equal(p) },
+		func() *packedNode { return &packedNode{p.Clone(), h} })}
 }

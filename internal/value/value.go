@@ -2,12 +2,12 @@
 // Section 2.1 of "Expressiveness within Sequence Datalog" (PODS 2021):
 // atomic values, packed values, and paths (finite sequences of values).
 //
-// Values are immutable and interned: atom texts live in a global symbol
-// table (equality is Sym comparison), packed values are hash-consed
-// (equality is pointer comparison), and every value carries a
-// precomputed structural hash (see intern.go). No function in this
-// module mutates a Path it did not create, and callers must not mutate
-// paths after handing them to the engine.
+// Values are immutable and interned: each atom text and each packed
+// value is one record of a global weak table, so equality is pointer
+// comparison and the runtime reclaims a record no value references, and
+// every value carries a precomputed structural hash (see intern.go). No
+// function in this module mutates a Path it did not create, and callers
+// must not mutate paths after handing them to the engine.
 package value
 
 import (
@@ -37,29 +37,32 @@ const (
 )
 
 // Atom is an atomic data element from the countably infinite universe
-// dom, represented as a handle into the global symbol table: equal
-// texts intern to equal Syms, so == on Atoms is text equality. The zero
-// Atom is the empty atom ”. Construct Atoms with Intern (or PathOf).
-type Atom struct {
-	sym Sym
+// dom, represented as a pointer at its record in the symbol table:
+// equal texts intern to one record, so == on Atoms is text equality,
+// and an Atom goes into a Value without boxing. The zero Atom is the
+// empty atom ”. Construct Atoms with Intern (or PathOf).
+type Atom struct{ e *symEntry }
+
+func (a Atom) entry() *symEntry {
+	if a.e == nil {
+		return &emptyAtom
+	}
+	return a.e
 }
 
 // Kind implements Value.
 func (Atom) Kind() Kind { return KindAtom }
 
-// Sym returns the atom's dense symbol-table ID.
-func (a Atom) Sym() Sym { return a.sym }
-
 // Text returns the atom's text.
-func (a Atom) Text() string { return symtab.entry(a.sym).text }
+func (a Atom) Text() string { return a.entry().text }
 
 // Hash returns the atom's precomputed structural hash (computed once at
-// interning time; a table lookup afterwards).
-func (a Atom) Hash() uint64 { return symtab.entry(a.sym).hash }
+// interning time; a field read afterwards).
+func (a Atom) Hash() uint64 { return a.entry().hash }
 
 // String implements Value: the text the atom was given at interning
 // time, quoted unless it lexes as a bare identifier.
-func (a Atom) String() string { return symtab.entry(a.sym).shown }
+func (a Atom) String() string { return a.entry().shown }
 
 // Packed is a packed value <p>: a path temporarily treated as atomic
 // (the P feature of the paper). Packed values are hash-consed by Pack:
@@ -190,11 +193,11 @@ func HashWord(h, w uint64) uint64 { return (h ^ w) * hashPrime }
 
 // Hash folds the path into a running hash seeded with h (HashSeed for a
 // fresh hash). Each element contributes its cached structural hash —
-// atoms from the symbol table, packed values from their hash-consed
-// node — so hashing never re-walks value bytes. Equal paths always hash
-// equally, and the per-kind tags keep e.g. the atom path a.b distinct
-// from the packed value <a.b>. Collisions between distinct paths are
-// possible; callers must confirm with Equal.
+// atoms from their symbol-table record, packed values from their
+// hash-consed node — so hashing never re-walks value bytes. Equal paths
+// always hash equally, and the per-kind tags keep e.g. the atom path a.b
+// distinct from the packed value <a.b>. Collisions between distinct
+// paths are possible; callers must confirm with Equal.
 func (p Path) Hash(h uint64) uint64 {
 	for _, v := range p {
 		switch x := v.(type) {
@@ -208,8 +211,7 @@ func (p Path) Hash(h uint64) uint64 {
 }
 
 // Equal reports whether two values are the same value. Interning makes
-// this O(1): Sym comparison for atoms, canonical-node pointer
-// comparison for packed values.
+// this O(1): record pointer comparison for atoms and for packed values.
 func Equal(v, w Value) bool {
 	switch x := v.(type) {
 	case Atom:

@@ -3,8 +3,10 @@
 # in mutants_test.go) in a copy of the module under .bench_build/mutants,
 # runs the packages the mutant names, and prints one line per mutant:
 # the tests that caught it, or MISSED. It exits 1 when a mutant is
-# missed, when a test the mutant expects to catch it passes, or when a
-# snippet no longer applies.
+# missed, when a test the mutant expects to catch it passes, when a
+# snippet no longer applies, or when a mutant of internal/eval does not
+# expect TestMaintenanceWalk: a hand-written test alone is no coverage
+# for the evaluator.
 #
 #   scripts/mutants.sh            # every mutant
 #   scripts/mutants.sh knock-on   # the named ones
@@ -26,6 +28,11 @@ for f in testdata/mutants/*.txtar; do
 	file=$(sed -n 's/^file: //p' "$f")
 	run=$(sed -n 's/^run: //p' "$f")
 	expect=$(sed -n 's/^expect: //p' "$f")
+	if [[ $file == internal/eval/* && " $expect " != *" TestMaintenanceWalk "* ]]; then
+		echo "$name: ERROR: a mutant of internal/eval must expect TestMaintenanceWalk"
+		status=1
+		continue
+	fi
 	if ! out=$(cd "$copy" && go test -count=1 -run '^TestMutantsApply$' . -mutant "$name" 2>&1); then
 		echo "$name: ERROR: the mutant does not apply"
 		echo "$out" | sed 's/^/    /'
