@@ -57,6 +57,21 @@ func tupleAtomic(bound bool) func() {
 	}
 }
 
+// repeatedMatch is reverse-noarity's recursive body,
+// $x.@u.a.$y.a.$x.@u.b.$y, against a T fact of that program halfway
+// through reversing a path of n atoms over {c, d, e}: $x takes n/2-1
+// atoms and $y n/2, so the fact is 2n+3 long and one split matches.
+func repeatedMatch(n int) func() {
+	atoms := make([]string, n)
+	for i := range atoms {
+		atoms[i] = []string{"c", "d", "e"}[i%3]
+	}
+	x, u, y := value.PathOf(atoms[:n/2-1]...), value.PathOf(atoms[n/2-1]), value.PathOf(atoms[n/2:]...)
+	a, b := value.PathOf("a"), value.PathOf("b")
+	return matchBody(ast.Cat(ast.P("x"), ast.A("u"), ast.C("a"), ast.P("y"), ast.C("a"), ast.P("x"), ast.A("u"), ast.C("b"), ast.P("y")),
+		value.Concat(x, u, a, y, a, x, u, b, y))
+}
+
 var matchLens = []int{8, 64, 256}
 
 func BenchmarkMatchTwoPathVars(b *testing.B) {
@@ -87,6 +102,17 @@ func BenchmarkMatchBacktracking(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		op()
+	}
+}
+
+func BenchmarkMatchRepeated(b *testing.B) {
+	for _, n := range matchLens[1:] {
+		op := repeatedMatch(n)
+		b.Run(fmt.Sprintf("len=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
 	}
 }
 

@@ -135,28 +135,11 @@ func (e *Env) evalInto(x expr, out value.Path, depth int) value.Path {
 	return out
 }
 
-// minRigid returns a lower bound on the number of path elements the
-// items must consume (path variables may consume zero).
-func (e *Env) minRigid(items expr) int {
-	n := 0
-	for i := range items {
-		if t := &items[i]; t.kind != termPathVar {
-			n++
-		} else if e.bound[t.slot] {
-			n += len(e.vals[t.slot])
-		}
-	}
-	return n
-}
-
 func (e *Env) matchSeq(items expr, p value.Path, cont func()) {
 	if len(items) == 0 {
 		if len(p) == 0 {
 			cont()
 		}
-		return
-	}
-	if e.minRigid(items) > len(p) {
 		return
 	}
 	rest := items[1:]
@@ -204,8 +187,32 @@ func (e *Env) matchSeq(items expr, p value.Path, cont func()) {
 			}
 			return
 		}
+		// Length is a homomorphism: a match has |p| = (1+c)k + rigid +
+		// what the other free path variables take, where c counts this
+		// variable's later top-level occurrences. So k is at most
+		// (|p|-rigid)/(1+c), and exactly that when no other is left.
+		rigid, c, free := 0, 0, false
+		for i := range rest {
+			switch t := &rest[i]; {
+			case t.kind != termPathVar:
+				rigid++
+			case t.slot == s:
+				c++
+			case e.bound[t.slot]:
+				rigid += len(e.vals[t.slot])
+			default:
+				free = true
+			}
+		}
+		room := len(p) - rigid
+		lo, hi := 0, room/(1+c)
+		if room < 0 || !free && room%(1+c) != 0 {
+			return
+		} else if !free {
+			lo = hi
+		}
 		e.bound[s] = true
-		for k := 0; k <= len(p); k++ {
+		for k := lo; k <= hi; k++ {
 			e.vals[s] = p[:k]
 			e.matchSeq(rest, p[k:], cont)
 		}

@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"seqlog/internal/ast"
@@ -187,5 +189,66 @@ func TestEnvEval(t *testing.T) {
 	})
 	if !evaluated {
 		t.Fatal("binding $x and @u did not match")
+	}
+}
+
+// TestMatchSolvesLengths covers the shapes whose split the matcher
+// solves for by length: a repeated path variable, a length that the
+// repetitions do not divide, a packed item between two path variables
+// and a path variable bound before the free one. Each case lists every
+// valuation it matches, as sorted "var=path" bindings; pre, when set,
+// is a pattern matched against prePath first, binding its variables.
+func TestMatchSolvesLengths(t *testing.T) {
+	cases := []struct {
+		pre, prePath  string
+		pattern, path string
+		want          []string
+	}{
+		{"", "", "$x.a.$x", "b.c.a.b.c", []string{"$x=b.c"}},
+		{"", "", "$x.a.$x", "a.a.a", []string{"$x=a"}},
+		{"", "", "$x.a.$x", "a", []string{"$x=eps"}},
+		{"", "", "$x.a.$x", "a.a", nil},
+		{"", "", "$x.@u.a.$y.a.$x.@u.b.$y", "c.d.e.a.c.a.c.d.e.b.c", []string{"@u=e $x=c.d $y=c"}},
+		{"", "", "$x.@u.a.$y.a.$x.@u.b.$y", "a.a.a.a.a.a.a.b.a", []string{"@u=a $x=a $y=a"}},
+		{"", "", "$x.@u.a.$y.a.$x.@u.b.$y", "c.a.a.c.b.d", nil},
+		{"", "", "$x.$x", "a.b.a", nil},
+		{"", "", "$x.$x.$x", "a.a.a.a", nil},
+		{"", "", "$x.$y.$x", "a.b.a", []string{"$x=a $y=b", "$x=eps $y=a.b.a"}},
+		{"", "", "$x.<$s>.$y", "a.<b.c>.d", []string{"$s=b.c $x=a $y=d"}},
+		{"", "", "$x.<$s>.$y", "<a>.<b>", []string{"$s=a $x=eps $y=<b>", "$s=b $x=<a> $y=eps"}},
+		{"", "", "$x.<$x>.$y", "a.<a>.<b>", []string{"$x=a $y=<b>"}},
+		{"$y", "b.c", "$x.$y", "a.b.c", []string{"$x=a $y=b.c"}},
+		{"$y", "b", "$x.$y.$x", "a.b.a", []string{"$x=a $y=b"}},
+		{"$y", "b", "$x.$y.$x", "a.c.a", nil},
+		{"$y", "b.b", "$x.$y.$z", "a.b.b.c", []string{"$x=a $y=b.b $z=c"}},
+	}
+	for _, c := range cases {
+		src := c.pattern
+		if c.pre != "" {
+			src = c.pre + ", " + src
+		}
+		rules, err := parser.ParseRules("X(" + src + ").")
+		if err != nil {
+			t.Fatalf("pattern %q: %v", src, err)
+		}
+		args := rules[0].Head.Args
+		tuple := []value.Path{mustPath(c.path)}
+		if c.pre != "" {
+			tuple = []value.Path{mustPath(c.prePath), tuple[0]}
+		}
+		var got []string
+		env := NewEnv()
+		env.MatchTuple(args, tuple, func() {
+			var binds []string
+			for v, p := range env.Snapshot() {
+				binds = append(binds, v.String()+"="+p.String())
+			}
+			slices.SortFunc(binds, func(a, b string) int { return strings.Compare(a[1:], b[1:]) })
+			got = append(got, strings.Join(binds, " "))
+		})
+		slices.Sort(got)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s on %s (pre-bound %s=%s): matches %q, want %q", c.pattern, c.path, c.pre, c.prePath, got, c.want)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"seqlog/internal/ast"
+	"seqlog/internal/parser"
 	"seqlog/internal/value"
 )
 
@@ -155,24 +156,43 @@ func TestMatchNoDuplicates(t *testing.T) {
 // FuzzMatch holds the matcher to the three properties above under a
 // pre-bound valuation, the way derivesGoal and every index-probed step
 // match: a tuple of one to three expressions drawn by randomExpr (the
-// small vocabulary repeats variables across columns), the paths a
-// random valuation gives them, and the variables the mask picks bound
-// to that valuation beforehand. Every enumerated valuation must
-// re-evaluate to the tuple, the generating valuation must be among
-// them, and none may repeat. The seeds are the property tests' own.
+// small vocabulary repeats variables across columns), or the columns of
+// pattern when it is set, the paths a random valuation gives them, and
+// the variables the mask picks bound to that valuation beforehand.
+// Every enumerated valuation must re-evaluate to the tuple, the
+// generating valuation must be among them, and none may repeat. The
+// seeds are the property tests' own, then the shapes whose split the
+// matcher solves for by length (TestMatchSolvesLengths), each free and
+// with its last variable bound.
 func FuzzMatch(f *testing.F) {
 	for _, seed := range []int64{101, 202, 303} {
 		for cols := range uint8(3) {
 			for _, mask := range []uint8{0, 0x55, 0xff} {
-				f.Add(seed, cols, mask)
+				f.Add(seed, cols, mask, "")
 			}
 		}
 	}
-	f.Fuzz(func(t *testing.T, seed int64, cols, mask uint8) {
+	for _, shape := range []string{"$x.a.$x", "$x.@u.a.$y.a.$x.@u.b.$y", "$x.$x", "$x.<$s>.$y", "$x.$y.$x", "$y, $x.$y.$z"} {
+		rules, _ := parser.ParseRules("X(" + shape + ").")
+		last := len(ast.VarsOf(rules[0].Head.Args...)) - 1
+		for _, mask := range []uint8{0, 1 << last} {
+			f.Add(int64(404), uint8(0), mask, shape)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, cols, mask uint8, pattern string) {
 		r := rand.New(rand.NewSource(seed))
 		exprs := make([]ast.Expr, 1+int(cols)%3)
 		for i := range exprs {
 			exprs[i] = randomExpr(r, 2, false, map[ast.Var]bool{})
+		}
+		if pattern != "" {
+			// Five free path variables already split a short path a
+			// thousand ways; more only slow the fuzzer down.
+			rules, err := parser.ParseRules("X(" + pattern + ").")
+			if err != nil || len(rules) != 1 || len(pattern) > 64 || len(ast.VarsOf(rules[0].Head.Args...)) > 5 {
+				t.Skip()
+			}
+			exprs = rules[0].Head.Args
 		}
 		vars := ast.VarsOf(exprs...)
 		nu := randomValuation(r, vars)

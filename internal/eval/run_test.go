@@ -78,9 +78,10 @@ func TestWarmFrameAllocs(t *testing.T) {
 
 // TestMatchAllocs pins the other two zero-allocation gates (ROADMAP
 // items 1 and 4): a warm Env matches $x.m.$y and $u.<$s>.$v without
-// allocating, at every length BenchmarkMatchTwoPathVars sweeps, and
-// the transitive-closure join step's 2-atom tuples against @y.@z, @y
-// bound or free. The bodies are the benchmarks' own (bench_test.go).
+// allocating, at every length BenchmarkMatchTwoPathVars sweeps, the
+// transitive-closure join step's 2-atom tuples against @y.@z, @y
+// bound or free, and reverse-noarity's recursive body at the lengths
+// BenchmarkMatchRepeated sweeps. The bodies are the benchmarks' own (bench_test.go).
 func TestMatchAllocs(t *testing.T) {
 	for _, bound := range []bool{true, false} {
 		if got := testing.AllocsPerRun(100, tupleAtomic(bound)); got != 0 {
@@ -94,6 +95,11 @@ func TestMatchAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, packedMatch()); got != 0 {
 		t.Errorf("MatchPacked: %v allocs per Match, want none", got)
+	}
+	for _, n := range matchLens[1:] {
+		if got := testing.AllocsPerRun(100, repeatedMatch(n)); got != 0 {
+			t.Errorf("MatchRepeated/len=%d: %v allocs per Match, want none", n, got)
+		}
 	}
 }
 

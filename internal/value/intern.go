@@ -1,6 +1,7 @@
 package value
 
 import (
+	"maps"
 	"runtime"
 	"sync"
 	"weak"
@@ -18,7 +19,11 @@ import (
 // and a cleanup drops its dead pointer from the table, so a server fed
 // an endless stream of fresh values keeps only those still held.
 // Interning a value again afterwards makes a new record; the old one is
-// unreachable, so nothing can tell.
+// unreachable, so nothing can tell. A Go map keeps its peak capacity
+// when keys are deleted, so once a table has fallen to a quarter of its
+// peak, its map is rebuilt at the present size: a burst of values that
+// came and went leaves no room behind, and each rebuild is paid for by
+// the deletions before it.
 //
 // Concurrency: one RWMutex per table. A lookup takes the read lock; an
 // insert (looking again under it) and a cleanup take the write lock.
@@ -26,10 +31,15 @@ import (
 
 // table interns records of type T, keyed by structural hash.
 type table[T any] struct {
-	mu sync.RWMutex
-	m  map[uint64][]weak.Pointer[T]
-	n  int // pointers in m: live records, and dead ones awaiting their cleanup
+	mu   sync.RWMutex
+	m    map[uint64][]weak.Pointer[T]
+	n    int // pointers in m: live records, and dead ones awaiting their cleanup
+	peak int // the largest n since m was last rebuilt
 }
+
+// shrinkFloor is the peak below which a table's map is never rebuilt:
+// a small map's spare room costs less than the rebuild.
+const shrinkFloor = 1 << 10
 
 // bucket is a record's cleanup argument. The cleanup is the static
 // function drop: a method value or a generic function would allocate a
@@ -58,6 +68,7 @@ func (t *table[T]) intern(h uint64, same func(*T) bool, fresh func() *T) *T {
 	r = fresh()
 	t.m[h] = append(t.m[h], weak.Make(r))
 	t.n++
+	t.peak = max(t.peak, t.n)
 	runtime.AddCleanup(r, drop, bucket{t, h})
 	return r
 }
@@ -89,6 +100,9 @@ func (t *table[T]) drop(h uint64) {
 	t.n -= len(ws) - len(live)
 	if t.m[h] = live; len(live) == 0 {
 		delete(t.m, h)
+	}
+	if t.peak > shrinkFloor && t.n < t.peak/4 {
+		t.m, t.peak = maps.Clone(t.m), t.n
 	}
 }
 
