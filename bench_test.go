@@ -450,6 +450,43 @@ P(@x.@z) :- Q(@x.@y), EA(@y.@z).`))
 		func(i int) { write(tb, engine.Assert, edgeBatch(i)) }
 }
 
+// seqWindowBody is seq-window's admit (bench/, "seq-window") on a
+// smaller window: the engine holds nfa-accept and process-mining over
+// 64 strings of 32 atoms in R and 64 event logs of 32 events in L, and
+// each op asserts a new string and a new log, one write each. The
+// restore step retracts both off the clock, so the window stays 64
+// wide. Every derived fact is a long path (a string's S facts hold its
+// 32 atoms split in two), so B/op is mostly path elements.
+func seqWindowBody(tb testing.TB) (op, restore func(i int)) {
+	prep, err := eval.Compile(MustParse(queries.NFAAccept.Program.String() + `
+After($v) :- L($u.'complete order'.$v), $v = $w.'receive payment'.$z.
+Bad($x) :- L($x), $x = $u.'complete order'.$v, !After($v).
+OK($x) :- L($x), !Bad($x).`))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const window, fresh = 64, 64
+	edb := workload.NFA(5, window, 32)
+	for _, t := range workload.EventLogs(6, "L", window, 32).Relation("L").Tuples() {
+		edb.Add("L", t)
+	}
+	engine := serve(tb, prep, edb)
+	strs := workload.Strings(7, "R", fresh, 32, []string{"a", "b"}).Relation("R").Tuples()
+	logs := workload.EventLogs(8, "L", fresh, 32).Relation("L").Tuples()
+	facts := func(i int, rel string, ts []Tuple) *Instance {
+		delta := NewInstance()
+		delta.Ensure(rel, 1).Add(ts[i%len(ts)])
+		return delta
+	}
+	return func(i int) {
+			write(tb, engine.Assert, facts(i, "R", strs))
+			write(tb, engine.Assert, facts(i, "L", logs))
+		}, func(i int) {
+			write(tb, engine.Retract, facts(i, "R", strs))
+			write(tb, engine.Retract, facts(i, "L", logs))
+		}
+}
+
 // Acceptance workload for the serving subsystem: incremental
 // maintenance versus from-scratch re-evaluation on the 1k-edge
 // graphpaths transitive closure. The engine materializes the closure
@@ -463,6 +500,7 @@ func BenchmarkIncrementalAssert(b *testing.B) {
 		b.Run(fmt.Sprintf("incremental/k=%d", k), func(b *testing.B) { runServing(b, assertBody(k)) })
 	}
 	b.Run("incremental-interleaved/k=1", func(b *testing.B) { runServing(b, interleavedBody) })
+	b.Run("seq-window-admit", func(b *testing.B) { runServing(b, seqWindowBody) })
 	b.Run("fromscratch/k=1", func(b *testing.B) {
 		prep, edb := reachability(b)
 		full := edb.Clone()

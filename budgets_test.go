@@ -40,6 +40,14 @@ func TestAllocBudgets(t *testing.T) {
 		// 74 allocs/op measured, 76 under -race: one fresh atom per op, as
 		// above.
 		{"IncrementalAssert/incremental-interleaved/k=1", interleavedBody, 93, 85_000},
+		// The bytes of long paths: a seq-window admit, one 32-atom string
+		// and one 32-event log, derives tuples whose path elements are
+		// most of its B/op. A Value is one word: 41 882 B/op measured,
+		// 43 676 under -race, and the budget is that plus 5 %. Two-word
+		// (interface) path elements measure 53 374 B/op (55 167 under
+		// -race): a revert fails the bound. 308 allocs/op measured, 315
+		// under -race.
+		{"IncrementalAssert/seq-window-admit", seqWindowBody, 390, 45_860},
 		// The maintenance drivers live on the engine, the pruner's proofs
 		// keep the candidates a retract used to overdelete and rebuild,
 		// and a write's deletions are positions in the tuple log, not

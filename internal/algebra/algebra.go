@@ -266,15 +266,11 @@ func Eval(e Expr, inst *instance.Instance) (*instance.Relation, error) {
 		out := instance.NewRelation(in.Arity)
 		for _, t := range in.Tuples() {
 			comp := t[x.I-1]
-			if len(comp) != 1 {
-				continue
-			}
-			pk, ok := comp[0].(value.Packed)
-			if !ok {
+			if len(comp) != 1 || comp[0].Kind() != value.KindPacked {
 				continue
 			}
 			nt := append(instance.Tuple{}, t...)
-			nt[x.I-1] = pk.Unpack()
+			nt[x.I-1] = comp[0].Unpack()
 			out.Add(nt)
 		}
 		return out, nil

@@ -54,9 +54,10 @@ type Term interface {
 	appendKey(b *strings.Builder)
 }
 
-// Const is an atomic-value constant occurring in an expression.
+// Const is an atomic-value constant occurring in an expression; A is
+// an atom.
 type Const struct {
-	A value.Atom
+	A value.Value
 }
 
 func (Const) isTerm() {}
@@ -120,11 +121,10 @@ func Cat(es ...Expr) Expr {
 func FromPath(p value.Path) Expr {
 	out := make(Expr, len(p))
 	for i, v := range p {
-		switch x := v.(type) {
-		case value.Atom:
-			out[i] = Const{A: x}
-		case value.Packed:
-			out[i] = Pack{E: FromPath(x.Unpack())}
+		if v.Kind() == value.KindAtom {
+			out[i] = Const{A: v}
+		} else {
+			out[i] = Pack{E: FromPath(v.Unpack())}
 		}
 	}
 	return out
@@ -300,7 +300,7 @@ func (e Expr) VarOccurrences(into map[Var]int) {
 
 // Consts collects the distinct atomic constants occurring in the
 // expression (including inside packing).
-func (e Expr) Consts(into map[value.Atom]bool) {
+func (e Expr) Consts(into map[value.Value]bool) {
 	for _, t := range e.Terms() {
 		if c, ok := t.(Const); ok {
 			into[c.A] = true

@@ -257,14 +257,14 @@ func (p Program) Needed(outputs ...string) map[string]bool {
 func sortedKeys(set map[string]bool) []string { return slices.Sorted(maps.Keys(set)) }
 
 // Consts returns the distinct atomic constants used in the program.
-func (p Program) Consts() []value.Atom {
-	set := map[value.Atom]bool{}
+func (p Program) Consts() []value.Value {
+	set := map[value.Value]bool{}
 	for _, r := range p.Rules() {
 		for e := range r.Exprs() {
 			e.Consts(set)
 		}
 	}
-	return slices.SortedFunc(maps.Keys(set), func(a, b value.Atom) int { return strings.Compare(a.Text(), b.Text()) })
+	return slices.SortedFunc(maps.Keys(set), func(a, b value.Value) int { return strings.Compare(a.Text(), b.Text()) })
 }
 
 // RenameRelations renames the relation names of the rule's head and

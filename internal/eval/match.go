@@ -21,9 +21,9 @@ type expr []term
 
 type term struct {
 	kind termKind
-	slot int        // termAtomVar, termPathVar
-	atom value.Atom // termConst
-	sub  expr       // termPack: the packed contents
+	slot int         // termAtomVar, termPathVar
+	atom value.Value // termConst: an atom
+	sub  expr        // termPack: the packed contents
 }
 
 type termKind uint8
@@ -145,30 +145,22 @@ func (e *Env) matchSeq(items expr, p value.Path, cont func()) {
 	rest := items[1:]
 	switch it := &items[0]; it.kind {
 	case termConst:
-		if len(p) > 0 {
-			if a, ok := p[0].(value.Atom); ok && a == it.atom {
-				e.matchSeq(rest, p[1:], cont)
-			}
+		if len(p) > 0 && p[0] == it.atom {
+			e.matchSeq(rest, p[1:], cont)
 		}
 	case termPack:
-		if len(p) > 0 {
-			if pk, ok := p[0].(value.Packed); ok {
-				e.matchSeq(it.sub, pk.Unpack(), func() {
-					e.matchSeq(rest, p[1:], cont)
-				})
-			}
+		if len(p) > 0 && p[0].Kind() == value.KindPacked {
+			e.matchSeq(it.sub, p[0].Unpack(), func() {
+				e.matchSeq(rest, p[1:], cont)
+			})
 		}
 	case termAtomVar:
-		if len(p) == 0 {
-			return
-		}
-		a, ok := p[0].(value.Atom)
-		if !ok {
+		if len(p) == 0 || p[0].Kind() != value.KindAtom {
 			return
 		}
 		s := it.slot
 		if e.bound[s] {
-			if b := e.vals[s]; len(b) == 1 && value.Equal(b[0], a) {
+			if b := e.vals[s]; len(b) == 1 && b[0] == p[0] {
 				e.matchSeq(rest, p[1:], cont)
 			}
 			return

@@ -91,9 +91,9 @@ type token struct {
 	kind tokenKind
 	text string
 	// atom is the interned form of text, set at lex time for tokIdent
-	// and tokQuoted so downstream layers build expressions from symbol
-	// handles instead of raw strings.
-	atom value.Atom
+	// and tokQuoted so downstream layers build expressions from
+	// interned values instead of raw strings.
+	atom value.Value
 	line int
 	col  int
 }

@@ -14,7 +14,7 @@ import (
 // including paths that contain the markers themselves — so any two
 // distinct atoms work.
 type ArityMarkers struct {
-	A, B value.Atom
+	A, B value.Value // atoms
 }
 
 // DefaultArityMarkers uses the atoms "0" and "1".

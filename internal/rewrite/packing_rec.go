@@ -22,7 +22,7 @@ import (
 // pieces compile to even-length encoded patterns, so alignment is
 // preserved; balance guards exclude junk segment bindings.
 type DoubleMarkers struct {
-	O, C value.Atom
+	O, C value.Value // atoms
 }
 
 // DefaultDoubleMarkers uses the atoms "0" and "1"; by the block-code
@@ -240,12 +240,11 @@ func encodeExpr(e ast.Expr, m DoubleMarkers) ast.Expr {
 func EncodeDoubledPath(p value.Path, m DoubleMarkers) value.Path {
 	var out value.Path
 	for _, v := range p {
-		switch x := v.(type) {
-		case value.Atom:
-			out = append(out, x, x)
-		case value.Packed:
+		if v.Kind() == value.KindAtom {
+			out = append(out, v, v)
+		} else {
 			out = append(out, m.O, m.C)
-			out = append(out, EncodeDoubledPath(x.Unpack(), m)...)
+			out = append(out, EncodeDoubledPath(v.Unpack(), m)...)
 			out = append(out, m.C, m.O)
 		}
 	}
@@ -265,9 +264,8 @@ func DecodeDoubledPath(p value.Path, m DoubleMarkers) (value.Path, bool) {
 func decodeBlocks(p value.Path, m DoubleMarkers) (value.Path, value.Path, bool) {
 	var out value.Path
 	for len(p) >= 2 {
-		a, aok := p[0].(value.Atom)
-		b, bok := p[1].(value.Atom)
-		if !aok || !bok {
+		a, b := p[0], p[1]
+		if a.Kind() != value.KindAtom || b.Kind() != value.KindAtom {
 			return nil, nil, false
 		}
 		switch {
@@ -279,9 +277,7 @@ func decodeBlocks(p value.Path, m DoubleMarkers) (value.Path, value.Path, bool) 
 			if len(rest) < 2 {
 				return nil, nil, false
 			}
-			ca, caok := rest[0].(value.Atom)
-			co, cook := rest[1].(value.Atom)
-			if !caok || !cook || ca != m.C || co != m.O {
+			if rest[0] != m.C || rest[1] != m.O {
 				return nil, nil, false
 			}
 			out = append(out, value.Pack(inner))

@@ -34,17 +34,13 @@ const (
 func AppendPath(b []byte, p Path) []byte {
 	b = binary.AppendUvarint(b, uint64(len(p)))
 	for _, v := range p {
-		switch x := v.(type) {
-		case Atom:
-			text := x.Text()
+		if r := v.rec(); r.kind == KindAtom {
 			b = append(b, codecAtom)
-			b = binary.AppendUvarint(b, uint64(len(text)))
-			b = append(b, text...)
-		case Packed:
+			b = binary.AppendUvarint(b, uint64(len(r.text)))
+			b = append(b, r.text...)
+		} else {
 			b = append(b, codecPacked)
-			b = AppendPath(b, x.Unpack())
-		default:
-			panic(fmt.Sprintf("value: cannot encode value of type %T", v))
+			b = AppendPath(b, r.path)
 		}
 	}
 	return b

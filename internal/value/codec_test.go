@@ -2,6 +2,7 @@ package value
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 )
 
@@ -30,6 +31,35 @@ func TestPathCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPathCodecGolden pins the encoding byte for byte: these bytes were
+// written by an earlier build, and the WAL fixture of internal/wal
+// (testdata/format) holds the same paths. A change to the in-memory
+// representation of values must leave them as they are.
+func TestPathCodecGolden(t *testing.T) {
+	a := Intern
+	for _, tc := range []struct {
+		p    Path
+		want string
+	}{
+		{Epsilon, "00"},
+		{Path{Pack(Epsilon)}, "010100"},
+		{Path{a("a"), a("a b"), a("")}, "0300016100036120620000"},
+		{Path{a("eps"), Pack(Epsilon)}, "0200036570730100"},
+		{Path{Pack(Path{a("a"), Pack(Path{a("it's"), Pack(Path{a("")})})}), a("x.y")},
+			"0201020001610102000469742773010100000003782e79"},
+		{Path{Pack(Path{Pack(Epsilon)}), a(""), Pack(Path{a("")})}, "0301010100000001010000"},
+		{Path{a("not"), a("é")}, "0200036e6f740002c3a9"},
+	} {
+		if got := hex.EncodeToString(AppendPath(nil, tc.p)); got != tc.want {
+			t.Errorf("AppendPath(%s) = %s, want %s", tc.p, got, tc.want)
+		}
+		want, _ := hex.DecodeString(tc.want)
+		if got, rest, err := ConsumePath(want); err != nil || len(rest) != 0 || !got.Equal(tc.p) {
+			t.Errorf("ConsumePath(%s) = %s (%v, %d leftover), want %s", tc.want, got, err, len(rest), tc.p)
+		}
+	}
+}
+
 func TestPathCodecSelfDelimiting(t *testing.T) {
 	a, b := PathOf("x", "y"), Path{Pack(PathOf("z"))}
 	enc := AppendPath(AppendPath(nil, a), b)
@@ -51,7 +81,7 @@ func TestPathCodecSelfDelimiting(t *testing.T) {
 // whose symbol table holds different records still reconstructs equal
 // values. A same-process test cannot truly reset the global table, so
 // it checks the observable halves: the encoded bytes literally contain
-// the text, and decoding goes through Intern (canonical Atom equality
+// the text, and decoding goes through Intern (canonical atom equality
 // even for atoms first seen by the decoder).
 func TestPathCodecCarriesTextsNotHandles(t *testing.T) {
 	p := PathOf("durability_codec_text_marker")
@@ -63,7 +93,7 @@ func TestPathCodecCarriesTextsNotHandles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0].(Atom) != p[0].(Atom) {
+	if got[0] != p[0] {
 		t.Fatal("decoded atom is not the canonical interned atom")
 	}
 }

@@ -8,12 +8,12 @@ import (
 )
 
 // This file holds the interning layer behind the data model: one table
-// type, used for atom texts and for packed values. A table maps a
-// value's structural hash to weak pointers at the records sharing it, so
-// structurally equal values are one record: their equality is pointer
-// comparison, and every value carries its precomputed hash. The engine's
-// hot paths (tuple hashing, index probes, unification memoization) never
-// re-walk value bytes.
+// type of value records, one table for atom texts and one for packed
+// values. A table maps a value's structural hash to weak pointers at
+// the records sharing it, so structurally equal values are one record:
+// their equality is pointer comparison, and every value carries its
+// precomputed hash. The engine's hot paths (tuple hashing, index
+// probes, unification memoization) never re-walk value bytes.
 //
 // Once no value references a record, the garbage collector reclaims it
 // and a cleanup drops its dead pointer from the table, so a server fed
@@ -29,10 +29,10 @@ import (
 // insert (looking again under it) and a cleanup take the write lock.
 // seqlogd's sessions parse requests, and so intern, concurrently.
 
-// table interns records of type T, keyed by structural hash.
-type table[T any] struct {
+// table interns value records, keyed by structural hash.
+type table struct {
 	mu   sync.RWMutex
-	m    map[uint64][]weak.Pointer[T]
+	m    map[uint64][]weak.Pointer[rec]
 	n    int // pointers in m: live records, and dead ones awaiting their cleanup
 	peak int // the largest n since m was last rebuilt
 }
@@ -42,10 +42,9 @@ type table[T any] struct {
 const shrinkFloor = 1 << 10
 
 // bucket is a record's cleanup argument. The cleanup is the static
-// function drop: a method value or a generic function would allocate a
-// closure per record.
+// function drop: a method value would allocate a closure per record.
 type bucket struct {
-	t interface{ drop(h uint64) }
+	t *table
 	h uint64
 }
 
@@ -53,7 +52,7 @@ func drop(b bucket) { b.t.drop(b.h) }
 
 // intern returns the live record with hash h that same accepts, or
 // stores and returns fresh() when there is none.
-func (t *table[T]) intern(h uint64, same func(*T) bool, fresh func() *T) *T {
+func (t *table) intern(h uint64, same func(*rec) bool, fresh func() *rec) *rec {
 	t.mu.RLock()
 	r := t.find(h, same)
 	t.mu.RUnlock()
@@ -73,7 +72,7 @@ func (t *table[T]) intern(h uint64, same func(*T) bool, fresh func() *T) *T {
 	return r
 }
 
-func (t *table[T]) find(h uint64, same func(*T) bool) *T {
+func (t *table) find(h uint64, same func(*rec) bool) *rec {
 	for _, w := range t.m[h] {
 		if r := w.Value(); r != nil && same(r) {
 			return r
@@ -86,7 +85,7 @@ func (t *table[T]) find(h uint64, same func(*T) bool) *T {
 // dead pointers from the bucket and keeps the live ones: a record that
 // collides on the hash, or one interned again for the same value after
 // the reclaimed one died.
-func (t *table[T]) drop(h uint64) {
+func (t *table) drop(h uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	ws := t.m[h]
@@ -106,18 +105,10 @@ func (t *table[T]) drop(h uint64) {
 	}
 }
 
-// symEntry is an atom's immutable record: its text, the form it prints
-// in (quoted when it would not lex bare, else the same string, so a
-// plain atom pays one string header) and its structural hash.
-type symEntry struct {
-	text, shown string
-	hash        uint64
-}
-
-var atoms = &table[symEntry]{m: map[uint64][]weak.Pointer[symEntry]{}}
-
-// emptyAtom backs the zero Atom, the empty atom, which is not in the table.
-var emptyAtom = symEntry{shown: renderAtom(""), hash: atomHashOf("")}
+var (
+	atoms = &table{m: map[uint64][]weak.Pointer[rec]{}}
+	packs = &table{m: map[uint64][]weak.Pointer[rec]{}}
+)
 
 // atomHashOf computes the structural FNV-1a hash of an atom's text. The
 // 0x01 tag keeps atom hashes disjoint from packed-value hashes.
@@ -129,16 +120,16 @@ func atomHashOf(text string) uint64 {
 	return h
 }
 
-// Intern returns the canonical Atom for a text. It is safe for
-// concurrent use; while an Atom of a text is reachable, interning the
-// text yields an Atom == to it.
-func Intern(text string) Atom {
+// Intern returns the canonical atom for a text. It is safe for
+// concurrent use; while an atom of a text is reachable, interning the
+// text yields a Value == to it.
+func Intern(text string) Value {
 	if text == "" {
-		return Atom{}
+		return Value{}
 	}
 	h := atomHashOf(text)
-	return Atom{atoms.intern(h, func(e *symEntry) bool { return e.text == text },
-		func() *symEntry { return &symEntry{text, renderAtom(text), h} })}
+	return Value{atoms.intern(h, func(r *rec) bool { return r.text == text },
+		func() *rec { return &rec{text: text, shown: renderAtom(text), hash: h} })}
 }
 
 // Symbols returns the number of atoms in the symbol table, the empty one
@@ -149,16 +140,6 @@ func Symbols() int {
 	return atoms.n
 }
 
-// packedNode is the canonical shared representation of a packed value:
-// hash-consed, so structurally equal packed values are one node. path
-// and hash are immutable after construction.
-type packedNode struct {
-	path Path
-	hash uint64
-}
-
-var packs = &table[packedNode]{m: map[uint64][]weak.Pointer[packedNode]{}}
-
 // packedHashOf is the structural hash of the packed value <p>: the
 // inner path hash bracketed by the 0x02/0x03 tags that keep <a.b>
 // distinct from the flat path a.b.
@@ -167,12 +148,12 @@ func packedHashOf(p Path) uint64 {
 }
 
 // Pack wraps a path into the canonical packed value <p>, hash-consing
-// it: structurally equal packed values share one node carrying a
-// precomputed hash, so their equality is pointer comparison. The path is
-// copied when a new node is created, so callers may pass (and afterwards
-// reuse) scratch buffers. Pack is safe for concurrent use.
-func Pack(p Path) Packed {
+// it: structurally equal packed values share one record carrying a
+// precomputed hash, so their equality is pointer comparison. The path
+// is copied when a new record is created, so callers may pass (and
+// afterwards reuse) scratch buffers. Pack is safe for concurrent use.
+func Pack(p Path) Value {
 	h := packedHashOf(p)
-	return Packed{packs.intern(h, func(n *packedNode) bool { return n.path.Equal(p) },
-		func() *packedNode { return &packedNode{p.Clone(), h} })}
+	return Value{packs.intern(h, func(r *rec) bool { return r.path.Equal(p) },
+		func() *rec { return &rec{path: p.Clone(), hash: h, kind: KindPacked} })}
 }

@@ -7,11 +7,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 	"weak"
 )
 
 // TestInternCanonical checks the core interning invariant: interning
-// the same text twice yields == Atoms, and distinct texts distinct ones.
+// the same text twice yields == atoms, and distinct texts distinct ones.
 func TestInternCanonical(t *testing.T) {
 	texts := []string{"", "a", "b", "ab", "a b", "a.b", "<a>", "\\", "eps", "'q'"}
 	for _, s := range texts {
@@ -47,16 +48,16 @@ func TestInternQuick(t *testing.T) {
 // dead pointers of its bucket and keeps the live ones, such as a record
 // interned again for a value whose old record was reclaimed.
 func TestDropKeepsLiveRecords(t *testing.T) {
-	tb := &table[symEntry]{m: map[uint64][]weak.Pointer[symEntry]{}}
-	dead := weak.Make(&symEntry{text: "x"})
+	tb := &table{m: map[uint64][]weak.Pointer[rec]{}}
+	dead := weak.Make(&rec{text: "x"})
 	for i := 0; dead.Value() != nil; i++ {
 		if i == 10 {
 			t.Fatal("an unreferenced record survived ten collections")
 		}
 		runtime.GC()
 	}
-	live := &symEntry{text: "x"}
-	tb.m[7], tb.m[8], tb.n = []weak.Pointer[symEntry]{dead, weak.Make(live)}, []weak.Pointer[symEntry]{dead}, 3
+	live := &rec{text: "x"}
+	tb.m[7], tb.m[8], tb.n = []weak.Pointer[rec]{dead, weak.Make(live)}, []weak.Pointer[rec]{dead}, 3
 	tb.drop(7)
 	if ws := tb.m[7]; len(ws) != 1 || ws[0].Value() != live || tb.n != 2 {
 		t.Fatalf("after the cleanup: bucket %v, %d pointers; want the live record alone, 2 pointers", ws, tb.n)
@@ -109,8 +110,8 @@ func settle(done func() bool) bool {
 }
 
 // TestPackHashConsed checks that structurally equal packed values are
-// pointer-shared (== on Packed, which compares canonical nodes), carry
-// equal cached hashes, and that distinct paths get distinct nodes.
+// pointer-shared (== compares their records), carry equal cached
+// hashes, and that distinct paths get distinct records.
 func TestPackHashConsed(t *testing.T) {
 	p := Pack(PathOf("a", "b"))
 	q := Pack(PathOf("a", "b"))
@@ -129,14 +130,14 @@ func TestPackHashConsed(t *testing.T) {
 	if n1 != n2 {
 		t.Fatal("nested packed values not shared")
 	}
-	if n1.Unpack()[0].(Packed) != n2.Unpack()[0].(Packed) {
+	if n1.Unpack()[0] != n2.Unpack()[0] {
 		t.Fatal("inner packed values not shared")
 	}
 }
 
 // TestPackCopiesScratch checks Pack's buffer-reuse contract: the caller
 // may mutate its slice after Pack returns without corrupting the
-// canonical node.
+// canonical record.
 func TestPackCopiesScratch(t *testing.T) {
 	buf := Path{Intern("a"), Intern("b")}
 	p := Pack(buf)
@@ -170,25 +171,22 @@ func TestHashEqualAgree(t *testing.T) {
 	}
 }
 
-// TestZeroValues checks the zero Atom and zero Packed behave as the
-// empty atom and <eps>.
+// TestZeroValues checks that the zero Value is the empty atom.
 func TestZeroValues(t *testing.T) {
-	var a Atom
-	if a != Intern("") || a.Text() != "" {
-		t.Fatal("zero Atom is not the empty atom")
+	var a Value
+	if a != Intern("") || a.Text() != "" || a.Kind() != KindAtom || a.Unpack() != nil {
+		t.Fatal("zero Value is not the empty atom")
 	}
-	var p Packed
-	if !p.Unpack().Equal(Epsilon) || !Equal(p, Pack(Epsilon)) {
-		t.Fatal("zero Packed is not <eps>")
+	if a.String() != "''" || a.Hash() != atomHashOf("") {
+		t.Fatalf("zero Value renders %q", a.String())
 	}
-	if p.String() != "<eps>" {
-		t.Fatalf("zero Packed renders %q", p.String())
-	}
-	// Packing a path that contains the zero Packed must behave as
-	// packing <eps> in that position (regression: the depth computation
-	// once dereferenced the nil node).
-	if q := Pack(Path{p}); q != Pack(Path{Pack(Epsilon)}) {
-		t.Fatal("Pack of a path holding the zero Packed is not canonical")
+}
+
+// TestValueIsOneWord pins the representation: a path element is one
+// pointer, not an interface's two words.
+func TestValueIsOneWord(t *testing.T) {
+	if unsafe.Sizeof(Value{}) != unsafe.Sizeof(uintptr(0)) {
+		t.Fatalf("a Value is %d bytes, want %d", unsafe.Sizeof(Value{}), unsafe.Sizeof(uintptr(0)))
 	}
 }
 
@@ -219,15 +217,15 @@ func TestInternConcurrent(t *testing.T) {
 	defer func() { close(stop); <-collected }()
 	for round := range rounds {
 		var wg sync.WaitGroup
-		heldAtoms := make([][]Atom, goroutines)
-		heldPacks := make([][]Packed, goroutines)
+		heldAtoms := make([][]Value, goroutines)
+		heldPacks := make([][]Value, goroutines)
 		for g := 0; g < goroutines; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
 				r := rand.New(rand.NewSource(int64(round*goroutines + g)))
-				heldAtoms[g] = make([]Atom, perG)
-				heldPacks[g] = make([]Packed, perG)
+				heldAtoms[g] = make([]Value, perG)
+				heldPacks[g] = make([]Value, perG)
 				for i := 0; i < perG; i++ {
 					text := fmt.Sprintf("shared-%d-%d", round%4, r.Intn(97))
 					a := Intern(text)
@@ -248,9 +246,9 @@ func TestInternConcurrent(t *testing.T) {
 		}
 		wg.Wait()
 		// Cross-goroutine canonicality: equal texts interned on different
-		// goroutines, and held by both, must be one Atom, equal paths one
-		// node.
-		index := map[string]Atom{}
+		// goroutines, and held by both, must be one record, equal paths
+		// one record.
+		index := map[string]Value{}
 		for g := range heldAtoms {
 			for _, a := range heldAtoms[g] {
 				if prev, ok := index[a.Text()]; ok && prev != a {
@@ -259,7 +257,7 @@ func TestInternConcurrent(t *testing.T) {
 				index[a.Text()] = a
 			}
 		}
-		nodes := map[string]Packed{}
+		nodes := map[string]Value{}
 		for g := range heldPacks {
 			for _, p := range heldPacks[g] {
 				k := Path{p}.String()

@@ -36,7 +36,6 @@ func TestRenderAwkwardCases(t *testing.T) {
 		{Path{a("a b")}, `'a b'`},
 		{Path{a("a"), a(""), a("eps")}, `a.''.'eps'`},
 		{Path{Pack(Epsilon)}, `<eps>`},
-		{Path{Packed{}}, `<eps>`},
 		{Path{Pack(Path{a("")})}, `<''>`},
 		{Path{Pack(Path{a("a"), a("b")}), a("c")}, `<a.b>.c`},
 		{Path{a("x"), Pack(Path{Pack(Path{Pack(Path{a("it's")}), a("eps")}), Pack(Epsilon)}), a("é.")},
@@ -68,9 +67,9 @@ func formerString(p Path) string {
 	}
 	parts := make([]string, len(p))
 	for i, v := range p {
-		switch x := v.(type) {
-		case Atom:
-			s, bare := x.Text(), x.Text() != "" && x.Text() != "eps"
+		switch v.Kind() {
+		case KindAtom:
+			s, bare := v.Text(), v.Text() != "" && v.Text() != "eps"
 			for _, r := range s {
 				bare = bare && (r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r == '_')
 			}
@@ -78,8 +77,8 @@ func formerString(p Path) string {
 				s = "'" + strings.ReplaceAll(s, "'", "\\'") + "'"
 			}
 			parts[i] = s
-		case Packed:
-			parts[i] = "<" + formerString(x.Unpack()) + ">"
+		case KindPacked:
+			parts[i] = "<" + formerString(v.Unpack()) + ">"
 		}
 	}
 	return strings.Join(parts, ".")
@@ -121,6 +120,6 @@ func TestAppendTextDoesNotAllocate(t *testing.T) {
 		t.Fatalf("AppendText into a large enough buffer: %v allocs/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = Intern("it's").String() }); n != 0 {
-		t.Fatalf("Atom.String: %v allocs/op, want 0", n)
+		t.Fatalf("Value.String of an atom: %v allocs/op, want 0", n)
 	}
 }

@@ -2,32 +2,57 @@
 // Section 2.1 of "Expressiveness within Sequence Datalog" (PODS 2021):
 // atomic values, packed values, and paths (finite sequences of values).
 //
-// Values are immutable and interned: each atom text and each packed
-// value is one record of a global weak table, so equality is pointer
-// comparison and the runtime reclaims a record no value references, and
-// every value carries a precomputed structural hash (see intern.go). No
-// function in this module mutates a Path it did not create, and callers
-// must not mutate paths after handing them to the engine.
+// A value is one word: a pointer at an immutable record holding its
+// kind, its structural hash, and an atom's text and printed form or a
+// packed value's path. Records are interned, each atom text and each
+// packed value one record of a global weak table, so equality is ==,
+// hashing a path reads one field per element, and the runtime reclaims
+// a record no value references (see intern.go). No function in this
+// module mutates a Path it did not create, and callers must not mutate
+// paths after handing them to the engine.
 package value
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 )
 
-// Value is an element of a path: either an Atom or a Packed value.
+// Value is an element of a path: an atomic value from the universe dom,
+// or a packed value <p>.
 //
 // The data model (paper §2.1) is the smallest set such that every atomic
 // value is a value, every finite sequence of values is a path, and <p> is
 // a (packed) value for every path p.
-type Value interface {
-	// Kind reports whether the value is atomic or packed.
-	Kind() Kind
-	// String renders the value in the paper's notation (packing as <...>).
-	String() string
+//
+// A Value is a pointer at its interned record: == on Values is value
+// equality, and a Value is a map key. The zero Value is the atom whose
+// text is empty. Construct Values with Intern and Pack (or PathOf).
+type Value struct{ r *rec }
+
+// rec is a value's immutable record. An atom has its text, the form it
+// prints in (quoted when it would not lex bare, else the same string,
+// so a plain atom pays one string header) and no path; a packed value
+// has its path and no text. hash is the structural hash.
+type rec struct {
+	text, shown string
+	path        Path
+	hash        uint64
+	kind        Kind
+}
+
+// emptyAtom backs the zero Value, the empty atom, which is not in a table.
+var emptyAtom = rec{shown: renderAtom(""), hash: atomHashOf("")}
+
+func (v Value) rec() *rec {
+	if v.r == nil {
+		return &emptyAtom
+	}
+	return v.r
 }
 
 // Kind discriminates the two sorts of values.
-type Kind int
+type Kind uint8
 
 const (
 	// KindAtom marks an atomic value from the universe dom.
@@ -36,71 +61,29 @@ const (
 	KindPacked
 )
 
-// Atom is an atomic data element from the countably infinite universe
-// dom, represented as a pointer at its record in the symbol table:
-// equal texts intern to one record, so == on Atoms is text equality,
-// and an Atom goes into a Value without boxing. The zero Atom is the
-// empty atom ”. Construct Atoms with Intern (or PathOf).
-type Atom struct{ e *symEntry }
+// Kind reports whether the value is atomic or packed.
+func (v Value) Kind() Kind { return v.rec().kind }
 
-func (a Atom) entry() *symEntry {
-	if a.e == nil {
-		return &emptyAtom
+// Text returns an atom's text; a packed value's is "".
+func (v Value) Text() string { return v.rec().text }
+
+// Unpack returns a packed value's path, shared with its record: it must
+// not be mutated. An atom's is nil.
+func (v Value) Unpack() Path { return v.rec().path }
+
+// Hash returns the value's structural hash, computed once when its
+// record was interned.
+func (v Value) Hash() uint64 { return v.rec().hash }
+
+// String renders the value in the paper's notation: an atom as it was
+// rendered when interned, quoted unless it lexes as a bare identifier;
+// a packed value as <...>.
+func (v Value) String() string {
+	if r := v.rec(); r.kind == KindAtom {
+		return r.shown
 	}
-	return a.e
+	return Path{v}.String()
 }
-
-// Kind implements Value.
-func (Atom) Kind() Kind { return KindAtom }
-
-// Text returns the atom's text.
-func (a Atom) Text() string { return a.entry().text }
-
-// Hash returns the atom's precomputed structural hash (computed once at
-// interning time; a field read afterwards).
-func (a Atom) Hash() uint64 { return a.entry().hash }
-
-// String implements Value: the text the atom was given at interning
-// time, quoted unless it lexes as a bare identifier.
-func (a Atom) String() string { return a.entry().shown }
-
-// Packed is a packed value <p>: a path temporarily treated as atomic
-// (the P feature of the paper). Packed values are hash-consed by Pack:
-// structurally equal packed values share one canonical node, so for
-// Pack-constructed values == is structural equality and hashing is a
-// field read. The zero Packed behaves as <eps> but holds no node, so
-// it is == only to itself; compare with Equal (which normalizes it),
-// or construct through Pack everywhere.
-type Packed struct {
-	n *packedNode
-}
-
-// epsNode backs the zero Packed, so value.Packed{} behaves as <eps>.
-// Initialized in an init func to break the Pack→Hash→node cycle the
-// compiler would otherwise see in a package-level initializer.
-var epsNode *packedNode
-
-func init() { epsNode = Pack(Epsilon).n }
-
-func (p Packed) node() *packedNode {
-	if p.n == nil {
-		return epsNode
-	}
-	return p.n
-}
-
-// Kind implements Value.
-func (Packed) Kind() Kind { return KindPacked }
-
-// Unpack returns the packed path. The path is shared with the canonical
-// node and must not be mutated.
-func (p Packed) Unpack() Path { return p.node().path }
-
-// Hash returns the packed value's precomputed structural hash.
-func (p Packed) Hash() uint64 { return p.node().hash }
-
-// String implements Value.
-func (p Packed) String() string { return Path{p}.String() }
 
 // Path is a finite sequence of values. The empty path is the paper's ε.
 type Path []Value
@@ -149,11 +132,10 @@ func (p Path) AppendText(dst []byte) []byte {
 		if i > 0 {
 			dst = append(dst, '.')
 		}
-		switch x := v.(type) {
-		case Atom:
-			dst = append(dst, x.String()...)
-		case Packed:
-			dst = append(x.Unpack().AppendText(append(dst, '<')), '>')
+		if r := v.rec(); r.kind == KindAtom {
+			dst = append(dst, r.shown...)
+		} else {
+			dst = append(r.path.AppendText(append(dst, '<')), '>')
 		}
 	}
 	return dst
@@ -192,102 +174,54 @@ func HashByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * hashPrime }
 func HashWord(h, w uint64) uint64 { return (h ^ w) * hashPrime }
 
 // Hash folds the path into a running hash seeded with h (HashSeed for a
-// fresh hash). Each element contributes its cached structural hash —
-// atoms from their symbol-table record, packed values from their
-// hash-consed node — so hashing never re-walks value bytes. Equal paths
+// fresh hash). Each element contributes the structural hash cached in
+// its record, so hashing never re-walks value bytes. Equal paths
 // always hash equally, and the per-kind tags keep e.g. the atom path a.b
 // distinct from the packed value <a.b>. Collisions between distinct
 // paths are possible; callers must confirm with Equal.
 func (p Path) Hash(h uint64) uint64 {
 	for _, v := range p {
-		switch x := v.(type) {
-		case Atom:
-			h = HashWord(h, x.Hash())
-		case Packed:
-			h = HashWord(h, x.Hash())
-		}
+		h = HashWord(h, v.rec().hash)
 	}
 	return h
 }
 
-// Equal reports whether two values are the same value. Interning makes
-// this O(1): record pointer comparison for atoms and for packed values.
-func Equal(v, w Value) bool {
-	switch x := v.(type) {
-	case Atom:
-		y, ok := w.(Atom)
-		return ok && x == y
-	case Packed:
-		y, ok := w.(Packed)
-		return ok && x.node() == y.node()
-	}
-	return false
-}
-
-// Equal reports whether two paths are the same sequence of values.
-func (p Path) Equal(q Path) bool {
-	if len(p) != len(q) {
-		return false
-	}
-	for i := range p {
-		if !Equal(p[i], q[i]) {
-			return false
-		}
-	}
-	return true
-}
+// Equal reports whether two paths are the same sequence of values: one
+// word comparison per element, since equal values share their record.
+func (p Path) Equal(q Path) bool { return slices.Equal(p, q) }
 
 // Compare totally orders values: atoms before packed values; atoms by
 // text order; packed values by their paths. Equal values short-circuit
 // on interned identity before any text is compared.
 func Compare(v, w Value) int {
-	switch x := v.(type) {
-	case Atom:
-		if y, ok := w.(Atom); ok {
-			if x == y {
-				return 0
-			}
-			return strings.Compare(x.Text(), y.Text())
-		}
-		return -1
-	case Packed:
-		if y, ok := w.(Packed); ok {
-			if x.node() == y.node() {
-				return 0
-			}
-			return x.Unpack().Compare(y.Unpack())
-		}
-		return 1
+	if v == w {
+		return 0
 	}
-	return 0
+	x, y := v.rec(), w.rec()
+	switch {
+	case x.kind != y.kind:
+		return cmp.Compare(x.kind, y.kind)
+	case x.kind == KindAtom:
+		return strings.Compare(x.text, y.text)
+	}
+	return x.path.Compare(y.path)
 }
 
 // Compare totally orders paths element-wise with shorter prefixes first.
 func (p Path) Compare(q Path) int {
-	n := len(p)
-	if len(q) < n {
-		n = len(q)
-	}
-	for i := 0; i < n; i++ {
-		if c := Compare(p[i], q[i]); c != 0 {
-			return c
+	for i := range min(len(p), len(q)) {
+		if p[i] != q[i] {
+			return Compare(p[i], q[i])
 		}
 	}
-	switch {
-	case len(p) < len(q):
-		return -1
-	case len(p) > len(q):
-		return 1
-	default:
-		return 0
-	}
+	return cmp.Compare(len(p), len(q))
 }
 
 // IsFlat reports whether the path contains no packed values at any depth.
 // Flat instances (paper §3.1) contain only flat paths.
 func (p Path) IsFlat() bool {
 	for _, v := range p {
-		if v.Kind() == KindPacked {
+		if v.rec().kind == KindPacked {
 			return false
 		}
 	}

@@ -698,3 +698,42 @@ func TestRecoveryTimes(t *testing.T) {
 		t.Fatalf("recovered state diverges: %s", d)
 	}
 }
+
+// TestRecoverFormatFixture recovers a log directory written by an
+// earlier build of this module and checked in under testdata/format:
+// the on-disk format must read back whatever the in-memory
+// representation of values becomes. The directory holds generation 0's
+// WAL (a load and an assert, kept as the fallback), checkpoint 1 (the
+// program and those base facts) and generation 1's WAL (an assert and
+// a retract). Its facts hold quoted atoms, the empty atom, the atom
+// 'eps', nested packed values and <eps>.
+func TestRecoverFormatFixture(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"wal-00000000.log", "checkpoint-00000001.ckpt", "wal-00000001.log"} {
+		b, err := os.ReadFile(filepath.Join("testdata", "format", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, h := mustOpen(t, dir, wal.Options{})
+	defer l.Close()
+	if rs := l.Recovery(); rs.CheckpointGen != 1 || rs.RecordsReplayed != 2 || rs.ReplayErrors != 0 || rs.TruncatedBytes != 0 || rs.CheckpointsSkipped != 0 {
+		t.Fatalf("recovery stats: %+v", rs)
+	}
+	if src := h.Source(); src != "S($x) :- R($x).\nP(<$x>, $y) :- R($x), Q($y, $z).\n" {
+		t.Fatalf("recovered program %q", src)
+	}
+	want := parser.MustParseInstance(`
+R(a.'a b'.''). R(<a.<'it\'s'.<''>>>.'x.y'). R(<<eps>>.''.<''>).
+Q('<', '>'.<'a.b'.<eps>>). Q(<eps>, 'not'.'é').
+S(a.'a b'.''). S(<a.<'it\'s'.<''>>>.'x.y'). S(<<eps>>.''.<''>).
+P(<a.'a b'.''>, '<'). P(<a.'a b'.''>, <eps>).
+P(<<a.<'it\'s'.<''>>>.'x.y'>, '<'). P(<<a.<'it\'s'.<''>>>.'x.y'>, <eps>).
+P(<<<eps>>.''.<''>>, '<'). P(<<<eps>>.''.<''>>, <eps>).`)
+	if d := instance.Diff(h.snapshot(t), want); d != "" {
+		t.Fatalf("recovered state diverges: %s", d)
+	}
+}

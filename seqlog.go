@@ -47,13 +47,10 @@ import (
 
 // Data model (§2.1).
 type (
-	// Value is an atomic or packed value.
+	// Value is an atomic value from dom or a packed value <p>: one word,
+	// a pointer at the value's interned record, so == is value equality.
 	Value = value.Value
-	// Atom is an atomic value from dom.
-	Atom = value.Atom
-	// Packed is a packed value <p>.
-	Packed = value.Packed
-	// Path is a finite sequence of values.
+	// Path is a finite sequence of values, one word per element.
 	Path = value.Path
 	// Tuple is a row of a relation.
 	Tuple = instance.Tuple
