@@ -24,30 +24,33 @@ func TestAllocBudgets(t *testing.T) {
 		body          servingBody
 		allocs, bytes uint64 // per-op budgets; 0 bytes: not gated
 	}{
-		// Each op asserts an edge between two fresh atoms: 52 allocs/op
-		// measured, 55 under -race. Besides the write itself, a fresh atom
+		// Each op asserts an edge between two fresh atoms: 50 allocs/op
+		// measured, 53 under -race. Besides the write itself, a fresh atom
 		// costs its symbol-table record, a weak handle, a bucket in the
 		// table and a cleanup (its closure and its argument); the cleanup
 		// is a static function, since a method value or a generic one
 		// would add a closure per atom (54 allocs/op).
-		{"IncrementalAssert/incremental/k=1", assertBody(1), 65, 0},
+		{"IncrementalAssert/incremental/k=1", assertBody(1), 63, 0},
 		// A copying regression of the epoch-shared tuple log shows up in
 		// B/op long before it shows up in wall time on a noisy runner. The
 		// barrier's heir appends to the frozen tail and index tables in
 		// place: 61 408 B/op measured (77 528 under -race, which adds 25 %
 		// here). Copying the tail, re-absorbing the gap above a shared base
 		// or flattening it (275 953 B/op) does not fit under the bound.
-		// 74 allocs/op measured, 76 under -race: one fresh atom per op, as
-		// above.
-		{"IncrementalAssert/incremental-interleaved/k=1", interleavedBody, 93, 85_000},
+		// 63 allocs/op measured, 65 under -race: one fresh atom per op, as
+		// above, and one allocation per new fact, its elements, since a
+		// tuple's path headers are stored in its chunk (74 allocs/op with
+		// a header array per fact).
+		{"IncrementalAssert/incremental-interleaved/k=1", interleavedBody, 78, 85_000},
 		// The bytes of long paths: a seq-window admit, one 32-atom string
 		// and one 32-event log, derives tuples whose path elements are
-		// most of its B/op. A Value is one word: 41 882 B/op measured,
-		// 43 676 under -race, and the budget is that plus 5 %. Two-word
+		// most of its B/op. A Value is one word: 42 108 B/op measured,
+		// 43 901 under -race; the budget is 5 % over 43 676, the -race
+		// figure before path headers moved into the chunks. Two-word
 		// (interface) path elements measure 53 374 B/op (55 167 under
-		// -race): a revert fails the bound. 308 allocs/op measured, 315
-		// under -race.
-		{"IncrementalAssert/seq-window-admit", seqWindowBody, 390, 45_860},
+		// -race): a revert fails the bound. 266 allocs/op measured, 272
+		// under -race; a header array per new fact measures 308.
+		{"IncrementalAssert/seq-window-admit", seqWindowBody, 335, 45_860},
 		// The maintenance drivers live on the engine, the pruner's proofs
 		// keep the candidates a retract used to overdelete and rebuild,
 		// and a write's deletions are positions in the tuple log, not
@@ -58,9 +61,9 @@ func TestAllocBudgets(t *testing.T) {
 		// checks that start at T measure 114 938 B/op (147 045 under
 		// -race): a silent revert fails the bound.
 		{"IncrementalRetract/retract/k=1", retractBody, 43, 81_000},
-		// 55 allocs/op measured, 58 under -race (268 and 281 with the
-		// deletions copied).
-		{"IncrementalRetractMutual/retract-mutual/k=1", mutualBody, 69, 0},
+		// 52 allocs/op measured, 55 under -race (268 and 281 with the
+		// deletions copied, 55 and 58 with a header array per new fact).
+		{"IncrementalRetractMutual/retract-mutual/k=1", mutualBody, 65, 0},
 		// ROADMAP item 4: a new path representation must leave associative
 		// unification where it is (713 allocs/op measured).
 		{"Figure2Unify", figure2Body, 800, 0},

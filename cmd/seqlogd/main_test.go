@@ -901,7 +901,7 @@ stats json
 	if err := dec.Decode(&m); err != nil {
 		t.Fatal(err)
 	}
-	if len(text) != 21 {
+	if len(text) != 22 {
 		t.Fatalf("text stats has %d fields: %v", len(text), text)
 	}
 	for _, f := range text {

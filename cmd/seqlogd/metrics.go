@@ -110,7 +110,7 @@ func (c *session) replyFields(fs []field) error {
 // work appends what write replies and stats share: eval.PlanStats,
 // then the copy-on-write barrier's instance.CloneStats.
 func work(fs []field, ps eval.PlanStats, cs instance.CloneStats) []field {
-	return append(fs, field{"plan_variant", ps.VariantRuns}, field{"plan_base", ps.BaseRuns},
+	return append(fs, field{"plan_variant", ps.VariantRuns}, field{"plan_base", ps.BaseRuns}, field{"plan_goal", ps.GoalRuns},
 		field{"probe_index", ps.IndexProbeSteps}, field{"probe_prefix", ps.PrefixProbeSteps},
 		field{"probe_suffix", ps.SuffixProbeSteps}, field{"scan", ps.ScanSteps},
 		field{"barrier_clones", cs.BarrierClones}, field{"shared_chunks", cs.SharedChunks}, field{"clone_bytes", cs.CloneBytes})

@@ -325,7 +325,9 @@ func (dr *driver) derivesGoal(plans []*plan, name string, t instance.Tuple, boun
 		var runErr error
 		dr.valuation(rp.vars).matchTuple(rp.head, t, func() {
 			if runErr == nil {
-				dr.goalRuns++
+				if dr.stats != nil {
+					dr.stats.GoalRuns++
+				}
 				runErr = dr.exec(workItem{plan: rp}, sink)
 			}
 		})

@@ -55,17 +55,21 @@ type Engine struct {
 // and the access paths their non-delta join steps used. A "plan
 // execution" is one delta-hoisted run of a rule (per change window,
 // per changed atom, per semi-naive round); the goal-directed
-// rederivation probes are not counted. The step counters classify every
-// positive non-delta predicate step of those executions by its planned
-// access path, so VariantRuns vs BaseRuns splits the runs by which kind
-// of change drove them and ScanSteps says how often a body atom still
-// had to be scanned.
+// rederivation probes are counted apart, as GoalRuns. The step counters
+// classify every positive non-delta predicate step of the delta-hoisted
+// executions by its planned access path, so VariantRuns vs BaseRuns
+// splits the runs by which kind of change drove them and ScanSteps says
+// how often a body atom still had to be scanned.
 type PlanStats struct {
 	// VariantRuns counts the runs driven by a change window of a
 	// positive body atom's relation, BaseRuns those driven by a change
 	// window of a negated atom's relation: one run per window.
 	VariantRuns int
 	BaseRuns    int
+	// GoalRuns counts the runs of head-bound goal plans: the pruner's
+	// checks and proofs, and the reinsert phase's goal pass, one per
+	// rule head that matches the fact checked.
+	GoalRuns int
 	// IndexProbeSteps / PrefixProbeSteps / SuffixProbeSteps / ScanSteps
 	// classify the non-delta positive predicate steps of the executed
 	// plans by access path: exact column index, ground-prefix index,
@@ -80,6 +84,7 @@ type PlanStats struct {
 func (s *PlanStats) add(other PlanStats) {
 	s.VariantRuns += other.VariantRuns
 	s.BaseRuns += other.BaseRuns
+	s.GoalRuns += other.GoalRuns
 	s.IndexProbeSteps += other.IndexProbeSteps
 	s.PrefixProbeSteps += other.PrefixProbeSteps
 	s.SuffixProbeSteps += other.SuffixProbeSteps

@@ -97,8 +97,8 @@ type driver struct {
 	inst   *instance.Instance
 	limits Limits
 	opts   runOpts
-	// stats, when set, counts the plan executions of delta: the
-	// maintenance run's PlanStats.
+	// stats, when set, counts the plan executions of delta and the goal
+	// runs of derivesGoal: the maintenance run's PlanStats.
 	stats *PlanStats
 	// derived is set when the phase derives into inst (derive, and so
 	// fixpoint), counting new facts here.
@@ -107,12 +107,10 @@ type driver struct {
 	frame run // the one plan execution in flight; see exec
 	// headBuf is the reusable tuple rule heads are instantiated into:
 	// rebuilt in place for every derivation, and only tuples that turn
-	// out to be new are copied into stable storage (instance.CopyTuple).
-	// In the hot fixpoint rounds most derivations rediscover known facts,
-	// so most derivations allocate nothing.
+	// out to be new are copied into stable storage (AddFromScratch). In
+	// the hot fixpoint rounds most derivations rediscover known facts, so
+	// most derivations allocate nothing.
 	headBuf instance.Tuple
-	// goalRuns counts the goal-plan runs of derivesGoal.
-	goalRuns int
 }
 
 // delta runs one delta round: for every rule and every body atom, the
@@ -228,9 +226,9 @@ func (p *Prepared) fixpoint(inst *instance.Instance, limits Limits, derived *int
 
 // head instantiates the plan's compiled rule head under the valuation
 // into the driver's scratch, enforcing MaxPathLen, and hashes it. The
-// returned tuple aliases the scratch: probe with it, then CopyTuple
-// before inserting. Every sink builds its head here, so the evaluators
-// cannot drift.
+// returned tuple aliases the scratch: probe with it, or insert it
+// through AddFromScratch, which copies it. Every sink builds its head
+// here, so the evaluators cannot drift.
 func (dr *driver) head(p *plan, env *Env) (instance.Tuple, uint64, error) {
 	t := sized(dr.headBuf, len(p.head))
 	dr.headBuf = t

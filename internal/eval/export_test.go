@@ -4,16 +4,6 @@ package eval
 // is one) the agreement EDBs of the internal ones.
 var AgreementEDBs = agreementEDBs
 
-// GoalRuns counts the goal-plan runs of every write so far: the
-// pruner's checks and proofs, and the reinsert phase's goal pass.
-func (e *Engine) GoalRuns() int {
-	n := e.rein.goalRuns
-	for _, pv := range e.goals {
-		n += pv.goalRuns
-	}
-	return n
-}
-
 // SetProofDepth sets the pruner's proof depth of e; the walk runs at 0
 // too, where only the birth-bounded check keeps a candidate.
 func SetProofDepth(e *Engine, d int) { e.setProofDepth(d) }

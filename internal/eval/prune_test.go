@@ -73,12 +73,12 @@ func TestRetractChurnProofCost(t *testing.T) {
 	for _, i := range rand.New(rand.NewSource(10)).Perm(len(edges))[:cycles] {
 		edge := instance.New()
 		edge.Add("R", edges[i])
-		before := eng.GoalRuns()
+		before := eng.Stats().Plans.GoalRuns
 		st, err := eng.Retract(edge)
 		if err != nil {
 			t.Fatal(err)
 		}
-		overdeleted, runs = overdeleted+st.Overdeleted, runs+eng.GoalRuns()-before
+		overdeleted, runs = overdeleted+st.Overdeleted, runs+eng.Stats().Plans.GoalRuns-before
 		if _, err := eng.Assert(edge); err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestNonRecursiveProofRunsOnce(t *testing.T) {
 	}
 	candidates, overdeleted, runs := 0, 0, 0
 	for i := window; i < len(logs); i++ {
-		before := eng.GoalRuns()
+		before := eng.Stats().Plans.GoalRuns
 		admit, err := eng.Assert(one(logs[i]))
 		if err != nil {
 			t.Fatal(err)
@@ -133,7 +133,7 @@ func TestNonRecursiveProofRunsOnce(t *testing.T) {
 			candidates += st.Overdeleted + st.StampPruned
 			overdeleted += st.Overdeleted
 		}
-		runs += eng.GoalRuns() - before
+		runs += eng.Stats().Plans.GoalRuns - before
 	}
 	t.Logf("%d admit/expire pairs: %d candidates, %d overdeleted, %d goal runs", len(logs)-window, candidates, overdeleted, runs)
 	if overdeleted == 0 || runs != candidates {

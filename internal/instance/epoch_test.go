@@ -40,10 +40,10 @@ func TestBarrierSharesSealedChunksCopiesTail(t *testing.T) {
 	}
 	// The first clone is the heir: its own tail chunk value over the
 	// frozen tail's arrays, appended to in place.
-	if clone.chunks[2] == frozen.chunks[2] || &clone.chunks[2].tuples[0] != &frozen.chunks[2].tuples[0] {
+	if clone.chunks[2] == frozen.chunks[2] || &clone.chunks[2].paths[0] != &frozen.chunks[2].paths[0] {
 		t.Fatal("the first clone must append to the frozen tail's arrays through its own chunk value")
 	}
-	if frozen.Len() != n || clone.Len() != n+1 || len(frozen.chunks[2].tuples) != n-2*chunkSize {
+	if frozen.Len() != n || clone.Len() != n+1 || len(frozen.chunks[2].hashes) != n-2*chunkSize {
 		t.Fatalf("Len: frozen %d (want %d), clone %d (want %d)",
 			frozen.Len(), n, clone.Len(), n+1)
 	}
@@ -63,7 +63,7 @@ func TestBarrierSharesSealedChunksCopiesTail(t *testing.T) {
 	other.Put("R", frozen)
 	other.Add("R", tup(value.PathOf("other")))
 	second := other.Relation("R")
-	if &second.chunks[2].tuples[0] == &frozen.chunks[2].tuples[0] {
+	if &second.chunks[2].paths[0] == &frozen.chunks[2].paths[0] {
 		t.Fatal("a second clone must copy the partial tail, not append to the heir's arrays")
 	}
 	if cs := other.CloneStats(); cs.CloneBytes <= 3*8 {
@@ -294,9 +294,9 @@ func TestHeldEpochReadersBesideHeir(t *testing.T) {
 		return out
 	}
 	before := arraysOf(last)
-	tail := &last.chunks[len(last.chunks)-1].tuples[0]
+	tail := &last.chunks[len(last.chunks)-1].paths[0]
 	w.add(1)
-	if &w.rel().chunks[len(last.chunks)-1].tuples[0] != tail || arraysOf(w.rel())[last.member.indexKey] != before[last.member.indexKey] {
+	if &w.rel().chunks[len(last.chunks)-1].paths[0] != tail || arraysOf(w.rel())[last.member.indexKey] != before[last.member.indexKey] {
 		t.Fatal("the heir must append in place to the tail and the tables it took over")
 	}
 	for n := 0; n < 4*last.Size(); n += 64 {

@@ -4,6 +4,7 @@
 package instance
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -84,17 +85,20 @@ const (
 
 // chunk is one block of the append-only tuple log: up to chunkSize
 // tuples plus their precomputed structural hashes and stamp words
-// (birth and dead bit, see deadBit). The slices grow together
-// (len(hashes) == len(stamps) == len(tuples)), so small relations pay
-// for the tuples they hold, not for a full block. text is the facts'
-// printed form, published by the first WriteFacts that needs it (see
-// lines).
+// (birth and dead bit, see deadBit); paths holds each position's Arity
+// path headers back to back. The slices grow together (len(hashes) ==
+// len(stamps) == len(paths)/Arity), so small relations pay for the
+// tuples they hold, not for a full block. text is the facts' printed
+// form, published by the first WriteFacts that needs it (see lines).
 type chunk struct {
-	tuples []Tuple
+	paths  []value.Path
 	hashes []uint64
 	stamps []uint64
 	text   atomic.Pointer[chunkText]
 }
+
+// tuple is the tuple at offset j of an arity-a chunk, capped at its end.
+func (c *chunk) tuple(j, a int) Tuple { return Tuple(c.paths[j*a : j*a+a : j*a+a]) }
 
 // chunkText is an immutable rendering of a chunk's first len(at)-1
 // facts, each "(p1, ..., pn).\n" (".\n" when nullary): fact i is
@@ -111,7 +115,7 @@ type chunkText struct {
 // no slack. A published text is never written again, so the epochs
 // sharing a chunk, and a barrier clone's tail that inherited its text,
 // may print side by side; racing renderers publish equal texts.
-func (c *chunk) lines(n int, scratch *[]byte) *chunkText {
+func (c *chunk) lines(arity, n int, scratch *[]byte) *chunkText {
 	t := c.text.Load()
 	if t == nil {
 		t = &chunkText{at: []uint32{0}}
@@ -121,9 +125,9 @@ func (c *chunk) lines(n int, scratch *[]byte) *chunkText {
 	k := len(t.at) - 1
 	at := append(make([]uint32, 0, n+1), t.at...)
 	b := slices.Grow((*scratch)[:0], 16*(n-k))
-	for _, tup := range c.tuples[k:n] {
-		if len(tup) > 0 {
-			b = tup.appendText(b)
+	for j := k; j < n; j++ {
+		if arity > 0 {
+			b = c.tuple(j, arity).appendText(b)
 		}
 		b = append(b, ".\n"...)
 		at = append(at, uint32(len(t.buf)+len(b)))
@@ -375,7 +379,9 @@ func (r *Relation) Frozen() bool { return r.frozen.Load() }
 
 // tupleAt, hashAt and wordAt read the tuple log by position; wordAt
 // is the stamp word, birth and dead bit.
-func (r *Relation) tupleAt(pos int) Tuple { return r.chunks[pos>>chunkShift].tuples[pos&chunkMask] }
+func (r *Relation) tupleAt(pos int) Tuple {
+	return r.chunks[pos>>chunkShift].tuple(pos&chunkMask, r.Arity)
+}
 func (r *Relation) hashAt(pos int) uint64 { return r.chunks[pos>>chunkShift].hashes[pos&chunkMask] }
 func (r *Relation) wordAt(pos int) uint64 { return r.chunks[pos>>chunkShift].stamps[pos&chunkMask] }
 
@@ -406,7 +412,7 @@ func (r *Relation) writeStamp(pos int, w uint64) {
 			r.stampsCopied = make([]bool, r.inherited)
 		}
 		old := r.chunks[ci]
-		c := &chunk{tuples: old.tuples, hashes: old.hashes, stamps: append(make([]uint64, 0, cap(old.stamps)), old.stamps...)}
+		c := &chunk{paths: old.paths, hashes: old.hashes, stamps: append(make([]uint64, 0, cap(old.stamps)), old.stamps...)}
 		c.text.Store(old.text.Load())
 		r.chunks[ci], r.stampsCopied[ci] = c, true
 	}
@@ -424,7 +430,8 @@ func (r *Relation) appendTuple(h uint64, t Tuple) {
 }
 
 // appendStamped appends to the tail chunk, sealing it and opening a
-// fresh one at the chunkSize boundary. Caller is the exclusive writer.
+// fresh one at the chunkSize boundary: t's path headers are copied into
+// the chunk, its elements are shared. Caller is the exclusive writer.
 // Compact and Clone use it directly to carry a tuple's existing stamp
 // through the renumbering instead of issuing a fresh one.
 func (r *Relation) appendStamped(h uint64, t Tuple, stamp uint64) {
@@ -436,7 +443,7 @@ func (r *Relation) appendStamped(h uint64, t Tuple, stamp uint64) {
 		r.chunks = append(r.chunks, &chunk{})
 	}
 	c := r.chunks[ci]
-	c.tuples = append(c.tuples, t)
+	c.paths = append(c.paths, t...)
 	c.hashes = append(c.hashes, h)
 	c.stamps = append(c.stamps, stamp)
 	r.size++
@@ -457,8 +464,9 @@ func (r *Relation) Add(t Tuple) bool {
 
 // AddHashed is Add with the tuple's precomputed hash (h must equal
 // t.Hash()), so callers that already probed with Position do not
-// rehash. The tuple is stored as given and must not be mutated
-// afterwards; use CopyTuple first when inserting from a scratch buffer.
+// rehash. The tuple's path headers are copied and its paths' elements
+// stored as given, so they must not be mutated afterwards; use
+// AddFromScratch when inserting from a scratch buffer.
 func (r *Relation) AddHashed(h uint64, t Tuple) bool {
 	if len(t) != r.Arity {
 		panic(fmt.Sprintf("instance: arity mismatch: tuple %v into arity-%d relation", t, r.Arity))
@@ -544,12 +552,16 @@ func (r *Relation) Compact() {
 }
 
 // renumbered returns a fresh relation holding r's live positions,
-// renumbered densely into fresh chunks with their hashes and births;
-// its membership table is rebuilt in one pass, and its secondary
-// indexes start empty. renamed[pos] is the new position plus 1 of each
-// live position pos below keep, 0 for a dead one.
+// renumbered densely into fresh chunks (full ones sized once) with their
+// hashes and births; its membership table is rebuilt in one pass, and
+// its secondary indexes start empty. renamed[pos] is the new position
+// plus 1 of each live position pos below keep, 0 for a dead one.
 func (r *Relation) renumbered(keep int) (out *Relation, renamed []uint32) {
 	out = NewRelation(r.Arity)
+	for range r.Len() / chunkSize {
+		out.chunks = append(out.chunks, &chunk{paths: make([]value.Path, 0, chunkSize*r.Arity),
+			hashes: make([]uint64, 0, chunkSize), stamps: make([]uint64, 0, chunkSize)})
+	}
 	m := &out.member.tab
 	m.reserve(r.Len(), r.Len())
 	renamed = make([]uint32, keep)
@@ -599,8 +611,10 @@ func (r *Relation) HashAt(i int) uint64 { return r.hashAt(i) }
 // AddFromScratch inserts a copy of the scratch tuple t (whose hash h
 // must equal t.Hash()) when no equal tuple is present, reporting
 // whether it inserted. One probe serves both the membership check and
-// the insert, and CopyTuple runs only on a miss — the evaluator's
-// derivation path, where most candidate facts are rediscoveries.
+// the insert, and the copy is made only on a miss — the evaluator's
+// derivation path, where most candidate facts are rediscoveries. A new
+// fact costs one allocation, one backing for all its elements; t is
+// never written, so the caller may reuse it at once.
 func (r *Relation) AddFromScratch(h uint64, t Tuple) bool {
 	if len(t) != r.Arity {
 		panic(fmt.Sprintf("instance: arity mismatch: tuple %v into arity-%d relation", t, r.Arity))
@@ -611,30 +625,19 @@ func (r *Relation) AddFromScratch(h uint64, t Tuple) bool {
 	if r.Position(View{}, h, t) >= 0 {
 		return false
 	}
-	r.appendTuple(h, CopyTuple(t))
-	r.recordMember(h, r.size-1)
-	return true
-}
-
-// CopyTuple deep-copies a tuple into fresh storage: one backing array
-// holds all components, so a retained tuple costs at most two
-// allocations however high its arity. Values are immutable and shared.
-// The evaluator derives into reusable scratch buffers and calls
-// CopyTuple only for tuples that turn out to be new.
-func CopyTuple(t Tuple) Tuple {
 	total := 0
 	for _, p := range t {
 		total += len(p)
 	}
 	backing := make(value.Path, total)
-	out := make(Tuple, len(t))
-	off := 0
+	r.appendTuple(h, t)
+	stored := r.tupleAt(r.size - 1)
 	for i, p := range t {
-		n := copy(backing[off:off+len(p)], p)
-		out[i] = backing[off : off+n : off+n]
-		off += n
+		n := copy(backing, p)
+		stored[i], backing = backing[:n:n], backing[n:]
 	}
-	return out
+	r.recordMember(h, r.size-1)
+	return true
 }
 
 // Len returns the number of live tuples (the relation's cardinality).
@@ -696,10 +699,10 @@ func (r *Relation) comparePos(a, b uint32) int {
 // order; the caller skips the ones dead in its view. The order rides
 // the epochs like an index: what an earlier call (on this relation or
 // on the frozen epoch it was cloned from) already ordered is kept, and
-// only the positions appended since are sorted and merged in, so a
-// reader pays for what changed. The merge gallops — a doubling probe,
-// then a binary search, for each new position's place in what is left
-// of the old order, which is then copied as a block — so it costs
+// only the positions appended since are sorted (sortRanked) and merged
+// in, so a reader pays for what changed. The merge gallops — a doubling
+// probe, then a binary search, for each new position's place in what is
+// left of the old order, which is then copied as a block — so it costs
 // O(t·log(n/t)) comparisons for t new positions over n old ones,
 // whatever their ratio. Building runs under mu and nothing else does:
 // the returned array is immutable and is read, and written to a slow
@@ -717,11 +720,7 @@ func (r *Relation) canonical() []uint32 {
 	if len(old) == r.size { // another reader built it meanwhile
 		return old
 	}
-	tail := make([]uint32, r.size-len(old))
-	for i := range tail {
-		tail[i] = uint32(len(old) + i)
-	}
-	slices.SortFunc(tail, r.comparePos)
+	tail := r.sortRanked(len(old))
 	ord = tail
 	if len(old) > 0 {
 		ord = make([]uint32, 0, r.size)
@@ -742,12 +741,87 @@ func (r *Relation) canonical() []uint32 {
 	return ord
 }
 
+// rankScratch is what sortRanked reuses. rankFree keeps one, cleared of
+// values so that it holds none alive; a sort that finds it taken makes
+// its own, and a sort of over 4 096 positions drops its scratch.
+type rankScratch struct {
+	rank map[value.Value]uint64
+	vals []value.Value
+	keys []rankedPos
+}
+
+type rankedPos struct {
+	key uint64
+	pos uint32
+}
+
+var rankFree = make(chan *rankScratch, 1)
+
+// sortRanked returns the positions [from, size) in canonical order, each
+// keyed by the ranks among the distinct values there of the first two
+// values of its column 0; a missing value ranks 0, so a shorter path
+// sorts first (Path.Compare). Only equal keys compare tuples.
+func (r *Relation) sortRanked(from int) []uint32 {
+	var s *rankScratch
+	select {
+	case s = <-rankFree:
+	default:
+		s = &rankScratch{rank: map[value.Value]uint64{}}
+	}
+	lead := func(pos int) (p value.Path) {
+		if r.Arity > 0 {
+			p = r.tupleAt(pos)[0]
+		}
+		return p[:min(2, len(p))]
+	}
+	for pos := from; pos < r.size; pos++ {
+		for _, v := range lead(pos) {
+			if _, ok := s.rank[v]; !ok {
+				s.rank[v] = 0
+				s.vals = append(s.vals, v)
+			}
+		}
+	}
+	slices.SortFunc(s.vals, value.Compare)
+	for i, v := range s.vals {
+		s.rank[v] = uint64(i + 1)
+	}
+	s.keys = slices.Grow(s.keys, r.size-from)
+	for pos := from; pos < r.size; pos++ {
+		var ranks [2]uint64 // 0: the value is missing
+		for j, v := range lead(pos) {
+			ranks[j] = s.rank[v]
+		}
+		s.keys = append(s.keys, rankedPos{ranks[0]<<32 | ranks[1], uint32(pos)})
+	}
+	slices.SortFunc(s.keys, func(a, b rankedPos) int {
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
+		}
+		return r.comparePos(a.pos, b.pos)
+	})
+	tail := make([]uint32, len(s.keys))
+	for i, k := range s.keys {
+		tail[i] = k.pos
+	}
+	if len(tail) <= 1<<12 {
+		clear(s.rank)
+		clear(s.vals)
+		s.vals, s.keys = s.vals[:0], s.keys[:0]
+		select {
+		case rankFree <- s:
+		default:
+		}
+	}
+	return tail
+}
+
 // Clone returns an independent, compacted copy of the relation:
 // tombstoned positions are dropped and live tuples renumbered densely
 // (see renumbered). The precomputed tuple hashes and derivation stamps
 // are reused; secondary indexes rebuild lazily on the copy when first
-// used. Nothing is shared with the original except the tuples
-// themselves, which are immutable.
+// used. Nothing is shared with the original except the paths'
+// elements, which are immutable; the path headers are copied.
 func (r *Relation) Clone() *Relation {
 	out, _ := r.renumbered(0)
 	return out
@@ -779,14 +853,14 @@ func (r *Relation) cloneShared() (*Relation, CloneStats) {
 	if tail := r.size & chunkMask; tail != 0 {
 		ci := len(r.chunks) - 1
 		old := r.chunks[ci]
-		c := &chunk{tuples: old.tuples, hashes: old.hashes, stamps: old.stamps}
+		c := &chunk{paths: old.paths, hashes: old.hashes, stamps: old.stamps}
 		if !heir {
 			c = &chunk{
-				tuples: append(make([]Tuple, 0, chunkSize), old.tuples...),
+				paths:  append(make([]value.Path, 0, chunkSize*r.Arity), old.paths...),
 				hashes: append(make([]uint64, 0, chunkSize), old.hashes...),
 				stamps: append(make([]uint64, 0, chunkSize), old.stamps...),
 			}
-			cost.CloneBytes += int64(tail) * 40
+			cost.CloneBytes += int64(tail) * int64(16+24*r.Arity)
 			out.inherited-- // the copied tail's stamps are its own
 		}
 		c.text.Store(old.text.Load())
@@ -1287,7 +1361,7 @@ func (r *Relation) WriteFacts(w io.Writer, name string) error {
 	size := r.Len() * len(name)
 	var scratch []byte
 	for ci, c := range r.chunks {
-		size += len(c.lines(min(chunkSize, r.size-ci<<chunkShift), &scratch).buf)
+		size += len(c.lines(r.Arity, min(chunkSize, r.size-ci<<chunkShift), &scratch).buf)
 	}
 	batch := make([]byte, 0, min(size, factBatch))
 	for _, pos := range r.canonical() {

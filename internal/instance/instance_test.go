@@ -581,3 +581,61 @@ func TestRestrictSharesFrozen(t *testing.T) {
 		t.Fatalf("write-through: orig %d, restricted %d", i.Relation("R").Len(), out.Relation("R").Len())
 	}
 }
+
+// TestAddFromScratchCopies: the evaluator instantiates every rule head
+// into one scratch tuple and hands it to AddFromScratch, so a stored
+// fact must share nothing the scratch writes again, headers or
+// elements; and a new fact costs one allocation, the backing of its
+// elements, beside the chunk's and the membership table's amortized
+// growth.
+func TestAddFromScratchCopies(t *testing.T) {
+	atoms := make(value.Path, 64)
+	for i := range atoms {
+		atoms[i] = value.Intern(fmt.Sprint("v", i))
+	}
+	facts := make([]Tuple, 4096)
+	for k := range facts {
+		facts[k] = tup(value.Path{atoms[k%64], atoms[k/64]}, value.Path{atoms[k*7%64]})
+	}
+	fact := func(k int) Tuple { return facts[k] }
+	scratch := make(Tuple, 2)
+	fill := func(k int) Tuple {
+		for i, p := range fact(k) {
+			scratch[i] = append(scratch[i][:0], p...)
+		}
+		return scratch
+	}
+	r := NewRelation(2)
+	for k := 0; k < chunkSize+10; k++ {
+		s := fill(k)
+		if !r.AddFromScratch(s.Hash(), s) {
+			t.Fatalf("fact %d: AddFromScratch reported it present", k)
+		}
+		if s := fill(k); r.AddFromScratch(s.Hash(), s) {
+			t.Fatalf("fact %d: AddFromScratch inserted it twice", k)
+		}
+	}
+	headers := &scratch[0][0]
+	fill(4000)
+	scratch[1] = append(scratch[1], atoms[1], atoms[2])
+	if &scratch[0][0] != headers {
+		t.Fatal("AddFromScratch replaced the scratch's paths")
+	}
+	for k := 0; k < r.Size(); k++ {
+		if !r.TupleAt(k).Equal(fact(k)) || !r.Contains(fact(k)) {
+			t.Fatalf("position %d holds %v after the scratch was reused, want %v", k, r.TupleAt(k), fact(k))
+		}
+	}
+
+	perFact := testing.AllocsPerRun(10, func() {
+		r := NewRelation(2)
+		for k := 0; k < chunkSize; k++ {
+			s := fill(k)
+			r.AddFromScratch(s.Hash(), s)
+		}
+	}) / chunkSize
+	t.Logf("%.3f allocs per new fact", perFact)
+	if perFact < 1 || perFact > 1.25 {
+		t.Errorf("%.3f allocs per new fact, want about 1 (its elements)", perFact)
+	}
+}

@@ -156,11 +156,13 @@ func checkPostings(t *testing.T, state string, r *Relation, md *postingsModel, k
 // FuzzPostings drives one relation through appends, write barriers
 // (freeze, then Ensure), deletes, re-adds, Compact, Clone and a second
 // writer cloning an already cloned frozen epoch, and holds
-// its index tables to postingsModel after every probe step and at the
-// end, together with the frozen epoch the last barrier left behind.
-// Tuples are filed under fuzzHashes, not their structural hashes, so
-// chains mix keys that share a tag or a whole hash. An input is a
-// sequence of (op, arg) byte pairs.
+// its index tables and stored tuples to postingsModel after every probe
+// step and at the end, together with the frozen epoch the last barrier
+// left behind. Tuples are filed under fuzzHashes, not their structural
+// hashes, so chains mix keys that share a tag or a whole hash. Every
+// odd-numbered tuple goes in through AddFromScratch from one scratch
+// tuple that the next such add overwrites, as the evaluator's head
+// buffer is. An input is a sequence of (op, arg) byte pairs.
 func FuzzPostings(f *testing.F) {
 	const (
 		opAppend  = iota // arg*2+1 fresh tuples
@@ -194,12 +196,23 @@ func FuzzPostings(f *testing.F) {
 		var frozen *Relation
 		var frozenMd *postingsModel
 		next := 0
+		scratch := make(Tuple, 2)
+		add := func(k int) {
+			if k%2 == 0 {
+				r.AddHashed(fuzzHash(k), fuzzTuple(k))
+				return
+			}
+			for i, p := range fuzzTuple(k) {
+				scratch[i] = append(scratch[i][:0], p...)
+			}
+			r.AddFromScratch(fuzzHash(k), scratch)
+		}
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, arg := int(ops[i])%numOps, int(ops[i+1])
 			switch op {
 			case opAppend:
 				for n := arg*2 + 1; n > 0 && next < maxFuzzTuples; n-- {
-					r.AddHashed(fuzzHash(next), fuzzTuple(next))
+					add(next)
 					md.add(next)
 					next++
 				}
@@ -216,7 +229,7 @@ func FuzzPostings(f *testing.F) {
 			case opDelete, opReAdd:
 				for k := op - opDelete; k < next; k += arg%7 + 2 {
 					if op == opReAdd {
-						r.AddHashed(fuzzHash(k), fuzzTuple(k))
+						add(k)
 						md.add(k)
 					} else if pos := md.live(k); pos >= 0 {
 						r.DeleteHashed(fuzzHash(k), fuzzTuple(k))

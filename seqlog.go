@@ -145,7 +145,8 @@ type (
 	// PlanStats counts plan executions during maintenance: how many
 	// runs of delta-hoisted plan variants a positive atom's change
 	// windows drove (VariantRuns) and how many a negated atom's did
-	// (BaseRuns), one per window, and how the non-delta join steps were
+	// (BaseRuns), one per window, how many head-bound goal plans checked
+	// candidate facts (GoalRuns), and how the non-delta join steps were
 	// served (exact index probe, ground prefix probe, ground suffix
 	// probe, or full scan). A field of MaintenanceStats and EngineStats.
 	PlanStats = eval.PlanStats
